@@ -37,7 +37,7 @@ type Config struct {
 // DCO is the ADSampling comparator.
 type DCO struct {
 	rotated  *store.Matrix
-	rotation *matrix.Matrix
+	rotation *store.Matrix // D x D, row-major
 	dim      int
 	eps0     float64
 	deltaD   int
@@ -68,34 +68,30 @@ func New(data *store.Matrix, cfg Config) (*DCO, error) {
 	dim := data.Dim()
 	cfg.withDefaults(dim)
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	rot := matrix.RandomOrthogonal(dim, rng)
+	rot := matrix.RandomOrthogonal(dim, rng).F32()
 	rotated, err := store.New(data.Rows(), dim)
 	if err != nil {
 		return nil, err
 	}
-	for i := 0; i < data.Rows(); i++ {
-		if err := rot.ApplyF32Into(rotated.Row(i), data.Row(i)); err != nil {
-			return nil, err
-		}
-	}
+	matrix.RotateRows(rotated, rot, data)
 	return newDCO(rotated, rot, cfg), nil
 }
 
 // NewWithRotation builds the DCO reusing pre-rotated data and its rotation
 // matrix (used by tests and by index serialization).
-func NewWithRotation(rotated *store.Matrix, rot *matrix.Matrix, cfg Config) (*DCO, error) {
+func NewWithRotation(rotated, rot *store.Matrix, cfg Config) (*DCO, error) {
 	if rotated == nil || rotated.Rows() == 0 {
 		return nil, errors.New("adsampling: empty data")
 	}
 	dim := rotated.Dim()
-	if rot.Rows != dim || rot.Cols != dim {
+	if rot == nil || rot.Rows() != dim || rot.Dim() != dim {
 		return nil, errors.New("adsampling: rotation shape mismatch")
 	}
 	cfg.withDefaults(dim)
 	return newDCO(rotated, rot, cfg), nil
 }
 
-func newDCO(rotated *store.Matrix, rot *matrix.Matrix, cfg Config) *DCO {
+func newDCO(rotated, rot *store.Matrix, cfg Config) *DCO {
 	dim := rotated.Dim()
 	d := &DCO{
 		rotated:  rotated,
@@ -121,12 +117,12 @@ func (d *DCO) Size() int { return d.rotated.Rows() }
 // Dim implements core.DCO.
 func (d *DCO) Dim() int { return d.dim }
 
-// ExtraBytes implements core.DCO: the D×D rotation matrix (stored as
-// float64 here; the paper counts D² floats).
-func (d *DCO) ExtraBytes() int64 { return int64(d.dim) * int64(d.dim) * 8 }
+// ExtraBytes implements core.DCO: the D×D rotation matrix, D² floats as in
+// the paper's Exp-3 space accounting.
+func (d *DCO) ExtraBytes() int64 { return d.rotation.Bytes() }
 
 // Rotation exposes the rotation matrix for serialization.
-func (d *DCO) Rotation() *matrix.Matrix { return d.rotation }
+func (d *DCO) Rotation() *store.Matrix { return d.rotation }
 
 // Epsilon0 returns the effective significance parameter (defaults
 // applied), so serialization records what the comparator actually uses.
@@ -166,9 +162,7 @@ func (ev *evaluator) Reset(q []float32) error {
 	if len(q) != ev.parent.dim {
 		return errors.New("adsampling: query dimension mismatch")
 	}
-	if err := ev.parent.rotation.ApplyF32Into(ev.q, q); err != nil {
-		return err
-	}
+	vec.MatVec(ev.q, ev.parent.rotation.Flat(), ev.parent.dim, q)
 	ev.stats = core.Stats{}
 	return nil
 }

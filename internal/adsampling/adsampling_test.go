@@ -172,7 +172,8 @@ func TestQueryDimMismatch(t *testing.T) {
 func TestExtraBytes(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
 	dco, _ := New(store.MustFromRows(gauss(r, 10, 16)), Config{})
-	if dco.ExtraBytes() != 16*16*8 {
+	if dco.ExtraBytes() != 16*16*4 { // D² float32, as the paper counts it
+
 		t.Fatalf("ExtraBytes = %d", dco.ExtraBytes())
 	}
 }

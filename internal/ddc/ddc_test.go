@@ -134,20 +134,44 @@ func TestResScansFewDimensions(t *testing.T) {
 	}
 }
 
-// DDCres must prune earlier (fewer dims) than a random rotation would:
-// proxy check — the PCA model concentrates variance, so sigma at depth 32
-// must be far below sigma at depth 0.
-func TestResSigmaDecay(t *testing.T) {
+// TestResSigmaTable pins the block-boundary σ table against the full
+// per-depth suffix table (σ_d = sqrt(4·Σ_{i≥d} q_i²σ_i²) at every d, what
+// Reset built before it skipped the depths nobody reads): one entry per
+// depth Compare can stop at, bit-equal to the full table there. DDCres
+// must also prune earlier than a random rotation would — proxy check: PCA
+// concentrates variance, so σ at depth 32 is far below σ at depth 0.
+func TestResSigmaTable(t *testing.T) {
 	ds := getDS(t)
-	r, _ := NewRes(ds.Matrix(), ResConfig{Seed: 1})
-	ev0, _ := r.NewQuery(ds.Queries[0])
-	rev := ev0.(*resEvaluator)
-	if rev.sigma[32] > rev.sigma[0]*0.7 {
-		t.Fatalf("sigma[32]=%v should decay strongly from sigma[0]=%v on skewed data",
-			rev.sigma[32], rev.sigma[0])
-	}
-	if rev.sigma[64] != 0 {
-		t.Fatalf("sigma at full depth must be 0, got %v", rev.sigma[64])
+	const dim = 64
+	for _, c := range []struct{ initD, deltaD int }{{32, 32}, {16, 48}, {dim, dim}, {8, 8}, {5, 7}} {
+		r, err := NewRes(ds.Matrix(), ResConfig{Seed: 1, InitD: c.initD, DeltaD: c.deltaD})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range ds.Queries[:5] {
+			ev, err := r.NewQuery(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rev := ev.(*resEvaluator)
+			full := vec.SuffixWeightedSq(rev.q, r.model.Sigmas)
+			k := 0
+			for d := c.initD; d < dim; d += c.deltaD {
+				if k >= len(rev.sigma) {
+					t.Fatalf("(%d,%d): no σ entry for depth %d", c.initD, c.deltaD, d)
+				}
+				if want := float32(math.Sqrt(4 * full[d])); rev.sigma[k] != want {
+					t.Fatalf("(%d,%d): σ at depth %d = %v, full table has %v", c.initD, c.deltaD, d, rev.sigma[k], want)
+				}
+				k++
+			}
+			if k != len(rev.sigma) {
+				t.Fatalf("(%d,%d): %d σ entries for %d readable depths", c.initD, c.deltaD, len(rev.sigma), k)
+			}
+			if c.initD == 32 && full[32] > full[0]*0.7*0.7 {
+				t.Fatalf("σ²[32]=%v should decay strongly from σ²[0]=%v on skewed data", full[32], full[0])
+			}
+		}
 	}
 }
 
@@ -205,7 +229,9 @@ func TestResEstimationError(t *testing.T) {
 func TestResExtraBytes(t *testing.T) {
 	ds := getDS(t)
 	r, _ := NewRes(ds.Matrix(), ResConfig{Seed: 1})
-	want := int64(64*64*8 + len(ds.Data)*4)
+	// D² float32 for the rotation (the paper's Exp-3 accounting) + one
+	// float32 norm per point.
+	want := int64(64*64*4 + len(ds.Data)*4)
 	if r.ExtraBytes() != want {
 		t.Fatalf("ExtraBytes = %d, want %d", r.ExtraBytes(), want)
 	}

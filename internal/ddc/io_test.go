@@ -2,8 +2,13 @@ package ddc
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
+	"resinfer/internal/flat"
+	"resinfer/internal/matrix"
+	"resinfer/internal/pca"
+	"resinfer/internal/persist"
 	"resinfer/internal/store"
 	"resinfer/internal/vec"
 )
@@ -146,5 +151,131 @@ func TestResRoundTripPreservesExactDistances(t *testing.T) {
 	}
 	if !vec.Equal(orig.Norms(), loaded.Norms()) {
 		t.Fatal("norms differ")
+	}
+}
+
+// TestResDecodesFloat64RotationStream hand-encodes the RIRES2/RIPCA1 stream
+// a version that kept rotations in float64 wrote — rotation straight from
+// the eigensolver, so almost no element is float32-representable, and rows
+// rotated with float64 accumulation — and checks that it loads: the
+// rotation narrows to the nearest float32, a flat ddc-res scan returns the
+// same top-k as the comparator this version holds in memory for that
+// state, and re-encoding is bit-stable from the first round trip on.
+func TestResDecodesFloat64RotationStream(t *testing.T) {
+	ds := getDS(t)
+	rows := ds.Data[:500]
+	const dim = 64
+	cov, mean64, err := matrix.Covariance(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals, rot64, err := matrix.EigenSym(cov)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := &pca.Model{Dim: dim, Mean: make([]float32, dim), Rotation: rot64.F32(),
+		Variances: vals, Sigmas: make([]float32, dim)}
+	for i := range vals {
+		model.Mean[i] = float32(mean64[i])
+		model.Variances[i] = math.Max(vals[i], 0)
+		model.Sigmas[i] = float32(math.Sqrt(model.Variances[i]))
+	}
+	inexact := 0
+	for _, v := range rot64.Data {
+		if float64(float32(v)) != v {
+			inexact++
+		}
+	}
+	if inexact < len(rot64.Data)/2 {
+		t.Fatalf("only %d of %d rotation elements are not float32-representable", inexact, len(rot64.Data))
+	}
+	rotated, _ := store.New(len(rows), dim)
+	cent := make([]float64, dim)
+	for i, row := range rows {
+		for j, v := range row {
+			cent[j] = float64(v - model.Mean[j])
+		}
+		y, err := rot64.Apply(cent)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, v := range y {
+			rotated.Row(i)[j] = float32(v)
+		}
+	}
+	pre, err := newResFromRotated(rotated, model, ResConfig{InitD: 8, DeltaD: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var legacy bytes.Buffer
+	pw := persist.NewWriter(&legacy)
+	pw.Magic("RIRES2")
+	pw.Magic("RIPCA1")
+	pw.Int(dim)
+	pw.F32s(model.Mean)
+	pw.Magic("RIMAT1")
+	pw.Int(dim)
+	pw.Int(dim)
+	pw.F64s(rot64.Data)
+	pw.F64s(model.Variances)
+	pw.F32s(model.Sigmas)
+	rotated.Encode(pw)
+	pw.F32s(pre.norms)
+	pw.F64(float64(pre.m))
+	pw.Int(pre.initD)
+	pw.Int(pre.deltaD)
+	if err := pw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	first, err := ReadRes(bytes.NewReader(legacy.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !vec.Equal(first.model.Rotation.Flat(), model.Rotation.Flat()) {
+		t.Fatal("decoded rotation is not the float64 rotation rounded to nearest float32")
+	}
+	var b2, b3 bytes.Buffer
+	if _, err := first.WriteTo(&b2); err != nil {
+		t.Fatal(err)
+	}
+	second, err := ReadRes(bytes.NewReader(b2.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := second.WriteTo(&b3); err != nil {
+		t.Fatal(err)
+	}
+	if b2.Len() != legacy.Len() {
+		t.Fatalf("re-encoded stream is %d bytes, the float64 stream %d: the wire format changed", b2.Len(), legacy.Len())
+	}
+	if !bytes.Equal(b2.Bytes(), b3.Bytes()) {
+		t.Fatal("second round trip is not bit-stable")
+	}
+
+	idx, err := flat.New(len(rows), dim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for qi, q := range ds.Queries {
+		want, _, err := idx.Search(pre, q, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, r := range map[string]*Res{"first": first, "second": second} {
+			got, _, err := idx.Search(r, q, 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("query %d, %s decode: %d hits, want %d", qi, name, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("query %d, %s decode: hit %d = %+v, want %+v", qi, name, i, got[i], want[i])
+				}
+			}
+		}
 	}
 }

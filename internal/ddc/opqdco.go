@@ -173,7 +173,7 @@ func (o *OPQDCO) Dim() int { return o.dim }
 // ExtraBytes implements core.DCO: rotation, codes and residual norms
 // (§VI-B's n·M·nbits bits plus the OPQ rotation).
 func (o *OPQDCO) ExtraBytes() int64 {
-	return int64(o.dim)*int64(o.dim)*8 +
+	return o.opq.Rotation.Bytes() +
 		int64(o.opq.PQ.CodeBytes(o.data.Rows())) +
 		int64(len(o.resNorms))*4
 }

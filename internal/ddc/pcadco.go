@@ -107,7 +107,7 @@ func (p *PCADCO) ExtraBytes() int64 {
 	for _, c := range p.classifiers {
 		clf += int64(len(c.W)+len(c.Mean)+len(c.Std)+1) * 8
 	}
-	return int64(p.dim)*int64(p.dim)*8 + clf
+	return p.model.Rotation.Bytes() + clf
 }
 
 // Levels exposes the trained projection depths.

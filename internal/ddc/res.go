@@ -125,10 +125,10 @@ func (r *Res) Size() int { return r.rotated.Rows() }
 // Dim implements core.DCO.
 func (r *Res) Dim() int { return r.dim }
 
-// ExtraBytes implements core.DCO: rotation matrix (D² float64) plus the
+// ExtraBytes implements core.DCO: rotation matrix (D² floats) plus the
 // per-point norms (§VII Exp-3's space accounting for DDCres).
 func (r *Res) ExtraBytes() int64 {
-	return int64(r.dim)*int64(r.dim)*8 + int64(len(r.norms))*4
+	return r.model.Rotation.Bytes() + int64(len(r.norms))*4
 }
 
 // Model exposes the trained PCA model (variance spectrum, rotation) for
@@ -143,8 +143,8 @@ func (r *Res) Rotated() *store.Matrix { return r.rotated }
 func (r *Res) Norms() []float32 { return r.norms }
 
 // NewQuery implements core.DCO. Per query it rotates q (O(D²)) and builds
-// the σ suffix table: sigma[d] = sqrt(4·Σ_{i≥d} q_i²σ_i²), so each
-// correction round reads its error bound in O(1).
+// the σ table: sqrt(4·Σ_{i≥d} q_i²σ_i²) at every depth d a correction round
+// stops at, so each round reads its error bound in O(1).
 func (r *Res) NewQuery(q []float32) (core.QueryEvaluator, error) {
 	ev := r.NewEvaluator()
 	if err := ev.Reset(q); err != nil {
@@ -153,40 +153,55 @@ func (r *Res) NewQuery(q []float32) (core.QueryEvaluator, error) {
 	return ev, nil
 }
 
+// rounds returns how many projection depths initD + k·deltaD lie below
+// dim: the correction rounds of Algorithm 2 that end in a prune test
+// rather than in the exact distance.
+func (r *Res) rounds() int {
+	return (r.dim - r.initD + r.deltaD - 1) / r.deltaD
+}
+
 // NewEvaluator implements core.PooledDCO: the returned evaluator owns the
-// rotated-query buffer, the centering scratch and the σ suffix table.
+// rotated-query buffer, the centering scratch and the σ table.
 func (r *Res) NewEvaluator() core.ResettableEvaluator {
 	return &resEvaluator{
-		parent:   r,
-		flat:     r.rotated.Flat(),
-		q:        make([]float32, r.dim),
-		cent:     make([]float32, r.dim),
-		suffix64: make([]float64, r.dim+1),
-		sigma:    make([]float32, r.dim+1),
+		parent: r,
+		flat:   r.rotated.Flat(),
+		q:      make([]float32, r.dim),
+		cent:   make([]float32, r.dim),
+		sigma:  make([]float32, r.rounds()),
 	}
 }
 
 type resEvaluator struct {
-	parent   *Res
-	flat     []float32 // rotated vectors, row-major
-	q        []float32 // rotated query (owned scratch)
-	cent     []float32 // centering scratch for the PCA projection
-	suffix64 []float64 // float64 suffix accumulation scratch
-	qNorm    float32
-	sigma    []float32 // error-bound σ at each projection depth
-	stats    core.Stats
+	parent *Res
+	flat   []float32 // rotated vectors, row-major
+	q      []float32 // rotated query (owned scratch)
+	cent   []float32 // centering scratch for the PCA projection
+	qNorm  float32
+	sigma  []float32 // error-bound σ at depth initD + k·deltaD
+	stats  core.Stats
 }
 
-// Reset projects q into the evaluator's scratch, rebuilds the σ suffix
-// table and zeroes the counters.
+// Reset projects q into the evaluator's scratch, rebuilds the σ table and
+// zeroes the counters.
 func (ev *resEvaluator) Reset(q []float32) error {
 	p := ev.parent
 	if err := p.model.ProjectInto(ev.q, q, ev.cent); err != nil {
 		return err
 	}
-	vec.SuffixWeightedSqInto(ev.suffix64, ev.q, p.model.Sigmas)
-	for i, s := range ev.suffix64 {
-		ev.sigma[i] = float32(math.Sqrt(4 * s))
+	// One backwards pass accumulates Σ_{i≥d} (q_i·σ_i)² in float64; only
+	// the depths Compare stops at get a square root and a table entry.
+	sig := p.model.Sigmas
+	var s float64
+	hi := p.dim
+	for k := len(ev.sigma) - 1; k >= 0; k-- {
+		lo := p.initD + k*p.deltaD
+		for i := hi - 1; i >= lo; i-- {
+			t := float64(ev.q[i]) * float64(sig[i])
+			s += t * t
+		}
+		ev.sigma[k] = float32(math.Sqrt(4 * s))
+		hi = lo
 	}
 	ev.qNorm = vec.NormSq(ev.q)
 	ev.stats = core.Stats{}
@@ -215,7 +230,7 @@ func (ev *resEvaluator) Compare(id int, tau float32) (float32, bool) {
 	var c2 float32
 	d := 0
 	next := p.initD
-	for {
+	for k := 0; ; k++ {
 		if next > p.dim {
 			next = p.dim
 		}
@@ -232,7 +247,7 @@ func (ev *resEvaluator) Compare(id int, tau float32) (float32, bool) {
 			ev.stats.ExactDistances++
 			return approx, false
 		}
-		if approx-p.m*ev.sigma[d] > tau {
+		if approx-p.m*ev.sigma[k] > tau {
 			ev.stats.Pruned++
 			return approx, true
 		}

@@ -636,9 +636,10 @@ func RunExp8(w io.Writer) error {
 // randomly rotated coordinates (scaling by D/d preserves the order, so the
 // raw prefix suffices for ranking).
 func topKByRandomPrefix(ads *adsampling.DCO, q []float32, d, k int) ([]int, error) {
-	rq, err := ads.Rotation().ApplyF32(q)
-	if err != nil {
-		return nil, err
+	if len(q) != ads.Dim() {
+		return nil, fmt.Errorf("harness: query dim %d, want %d", len(q), ads.Dim())
 	}
+	rq := make([]float32, ads.Dim())
+	vec.MatVec(rq, ads.Rotation().Flat(), ads.Dim(), q)
 	return topKByApprox(ads.Rotated(), rq, d, k), nil
 }

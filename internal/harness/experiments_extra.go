@@ -38,49 +38,40 @@ func RunFig1(w io.Writer) error {
 
 	// Random rotation for the comparison panel.
 	rng := rand.New(rand.NewSource(7))
-	randRot := matrix.RandomOrthogonal(dim, rng)
+	randRot := matrix.RandomOrthogonal(dim, rng).F32()
+	rotateRand := func(x []float32) []float32 {
+		y := make([]float32, dim)
+		vec.MatVec(y, randRot.Flat(), dim, x)
+		return y
+	}
 	q := ds.Queries[0]
 	rqPCA, err := res.Model().Project(q)
 	if err != nil {
 		return err
 	}
-	rqRand, err := randRot.ApplyF32(q)
-	if err != nil {
-		return err
-	}
+	rqRand := rotateRand(q)
 
-	sampleErrs := func(rotQ []float32, rotate func([]float32) ([]float32, error), resDim int, n int) ([]float64, error) {
+	// rotate nil means the PCA panel, whose rotated rows are stored.
+	sampleErrs := func(rotQ []float32, rotate func([]float32) []float32, resDim int, n int) []float64 {
 		out := make([]float64, 0, n)
 		for i := 0; i < n; i++ {
 			id := rng.Intn(len(ds.Data))
-			var x []float32
-			var err error
+			x := res.Rotated().Row(id)
 			if rotate != nil {
-				x, err = rotate(ds.Data[id])
-				if err != nil {
-					return nil, err
-				}
-			} else {
-				x = res.Rotated().Row(id)
+				x = rotate(ds.Data[id])
 			}
 			d := dim - resDim
 			out = append(out, vec.Dot64(rotQ[d:], x[d:]))
 		}
-		return out, nil
+		return out
 	}
 
 	const n = 4000
 	fmt.Fprintln(w, "== Fig. 1: estimation-error distribution <q_r, x_r> (DEEP analog) ==")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "projection\tres-dim\tstd\t99%-halfwidth")
-	pcaErrs, err := sampleErrs(rqPCA, nil, 128, n)
-	if err != nil {
-		return err
-	}
-	randErrs, err := sampleErrs(rqRand, randRot.ApplyF32, 128, n)
-	if err != nil {
-		return err
-	}
+	pcaErrs := sampleErrs(rqPCA, nil, 128, n)
+	randErrs := sampleErrs(rqRand, rotateRand, 128, n)
 	report := func(label string, resDim int, errs []float64) {
 		s := stats.Summarize(errs)
 		// Robust spread: half the central-99% interval. The paper's
@@ -96,11 +87,7 @@ func RunFig1(w io.Writer) error {
 	report("pca", 128, pcaErrs)
 	report("random", 128, randErrs)
 	for _, resDim := range []int{32, 64, 128} {
-		errs, err := sampleErrs(rqPCA, nil, resDim, n)
-		if err != nil {
-			return err
-		}
-		report("pca", resDim, errs)
+		report("pca", resDim, sampleErrs(rqPCA, nil, resDim, n))
 	}
 	tw.Flush()
 	fmt.Fprintln(w)

@@ -9,9 +9,8 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
 
+	"resinfer/internal/par"
 	"resinfer/internal/store"
 	"resinfer/internal/vec"
 )
@@ -55,9 +54,6 @@ func Train(data *store.Matrix, cfg Config) (*Result, error) {
 	}
 	if cfg.MinShift <= 0 {
 		cfg.MinShift = 1e-6
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
@@ -261,36 +257,11 @@ func seedPlusPlus(data *store.Matrix, k int, rng *rand.Rand) *store.Matrix {
 }
 
 func assignParallel(data, centroids *store.Matrix, assign []int, dists []float32, workers int) {
-	n := data.Rows()
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
+	par.Range(data.Rows(), workers, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
 			assign[i], dists[i] = NearestCentroid(centroids, data.Row(i))
 		}
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				assign[i], dists[i] = NearestCentroid(centroids, data.Row(i))
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
+	})
 }
 
 func farthestPoint(dists []float32) int {

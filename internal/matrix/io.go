@@ -4,29 +4,43 @@ import (
 	"errors"
 
 	"resinfer/internal/persist"
+	"resinfer/internal/store"
 )
 
 const matMagic = "RIMAT1"
 
-// Encode writes m to w.
-func (m *Matrix) Encode(w *persist.Writer) {
+// EncodeF32 writes a rotation to w. The stream holds float64 (the format
+// predates float32 rotations), so every element is widened, which is exact.
+func EncodeF32(w *persist.Writer, m *store.Matrix) {
 	w.Magic(matMagic)
-	w.Int(m.Rows)
-	w.Int(m.Cols)
-	w.F64s(m.Data)
+	w.Int(m.Rows())
+	w.Int(m.Dim())
+	w.Int(len(m.Flat()))
+	for _, v := range m.Flat() {
+		w.F64(float64(v))
+	}
 }
 
-// Decode reads a matrix previously written by Encode.
-func Decode(r *persist.Reader) (*Matrix, error) {
+// DecodeF32 reads a rotation written by EncodeF32 — or by a version of
+// this library that kept rotations in float64 — narrowing each element to
+// float32.
+func DecodeF32(r *persist.Reader) (*store.Matrix, error) {
 	r.Magic(matMagic)
 	rows := r.Int()
 	cols := r.Int()
-	data := r.F64s()
+	n := r.Len()
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	if rows <= 0 || cols <= 0 || len(data) != rows*cols {
+	if rows <= 0 || cols <= 0 || rows > persist.MaxSliceLen/cols || n != rows*cols {
 		return nil, errors.New("matrix: corrupt encoded matrix")
 	}
-	return &Matrix{Rows: rows, Cols: cols, Data: data}, nil
+	flat := make([]float32, n)
+	for i := range flat {
+		flat[i] = float32(r.F64())
+	}
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	return store.FromFlat(flat, rows, cols)
 }

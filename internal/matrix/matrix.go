@@ -5,8 +5,9 @@
 // (DDCres/DDCpca), random orthogonal rotations (ADSampling) and the OPQ
 // Procrustes step are all built on this package.
 //
-// Matrices are float64 internally for numerical robustness; the data plane
-// converts to float32 at the boundary (see ApplyF32).
+// Matrices are float64 for numerical robustness while a rotation is being
+// trained; the data plane holds the finished rotation as a float32
+// store.Matrix (see F32) and applies it with vec.MatVec.
 package matrix
 
 import (
@@ -14,6 +15,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+
+	"resinfer/internal/par"
+	"resinfer/internal/store"
+	"resinfer/internal/vec"
 )
 
 // Matrix is a dense row-major matrix.
@@ -126,42 +131,32 @@ func (m *Matrix) Apply(x []float64) ([]float64, error) {
 	return out, nil
 }
 
-// ApplyF32 computes m*x for a float32 vector, returning float32. This is
-// the query-rotation hot path (O(D^2) per query, §VI-A of the paper).
-func (m *Matrix) ApplyF32(x []float32) ([]float32, error) {
-	if len(x) != m.Cols {
-		return nil, fmt.Errorf("matrix: ApplyF32 len %d, want %d", len(x), m.Cols)
+// F32 narrows m to the float32 row-major form the data plane applies with
+// vec.MatVec. Training (covariance, eigensolver, Gram-Schmidt, Procrustes)
+// runs in float64; a finished rotation is narrowed once, here.
+func (m *Matrix) F32() *store.Matrix {
+	flat := make([]float32, len(m.Data))
+	for i, v := range m.Data {
+		flat[i] = float32(v)
 	}
-	out := make([]float32, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		var s float64
-		for j, v := range row {
-			s += v * float64(x[j])
-		}
-		out[i] = float32(s)
+	out, err := store.FromFlat(flat, m.Rows, m.Cols)
+	if err != nil {
+		panic(err) // New rejects the empty shapes FromFlat would
 	}
-	return out, nil
+	return out
 }
 
-// ApplyF32Into computes m*x into dst (len m.Rows), allocating nothing.
-// dst must not alias x.
-func (m *Matrix) ApplyF32Into(dst, x []float32) error {
-	if len(x) != m.Cols {
-		return fmt.Errorf("matrix: ApplyF32Into len %d, want %d", len(x), m.Cols)
-	}
-	if len(dst) != m.Rows {
-		return fmt.Errorf("matrix: ApplyF32Into dst len %d, want %d", len(dst), m.Rows)
-	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		var s float64
-		for j, v := range row {
-			s += v * float64(x[j])
+// RotateRows writes rot·row into the same row of dst for every row of src,
+// split across GOMAXPROCS goroutines: the n·D² loop that rotates a data set
+// once a rotation is finished. rot must be src.Dim() x src.Dim() and dst
+// shaped like src.
+func RotateRows(dst, rot, src *store.Matrix) {
+	dim := src.Dim()
+	par.Range(src.Rows(), 0, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			vec.MatVec(dst.Row(i), rot.Flat(), dim, src.Row(i))
 		}
-		dst[i] = float32(s)
-	}
-	return nil
+	})
 }
 
 // IsOrthonormal reports whether m's rows are orthonormal within tol.

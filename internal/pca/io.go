@@ -14,7 +14,7 @@ func (m *Model) Encode(w *persist.Writer) {
 	w.Magic(modelMagic)
 	w.Int(m.Dim)
 	w.F32s(m.Mean)
-	m.Rotation.Encode(w)
+	matrix.EncodeF32(w, m.Rotation)
 	w.F64s(m.Variances)
 	w.F32s(m.Sigmas)
 }
@@ -24,7 +24,7 @@ func Decode(r *persist.Reader) (*Model, error) {
 	r.Magic(modelMagic)
 	dim := r.Int()
 	mean := r.F32s()
-	rot, err := matrix.Decode(r)
+	rot, err := matrix.DecodeF32(r)
 	if err != nil {
 		return nil, err
 	}
@@ -34,7 +34,7 @@ func Decode(r *persist.Reader) (*Model, error) {
 		return nil, err
 	}
 	if dim <= 0 || len(mean) != dim || len(variances) != dim ||
-		len(sigmas) != dim || rot.Rows != dim || rot.Cols != dim {
+		len(sigmas) != dim || rot.Rows() != dim || rot.Dim() != dim {
 		return nil, errors.New("pca: corrupt encoded model")
 	}
 	return &Model{Dim: dim, Mean: mean, Rotation: rot, Variances: variances, Sigmas: sigmas}, nil

@@ -11,18 +11,18 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
 
 	"resinfer/internal/matrix"
+	"resinfer/internal/par"
 	"resinfer/internal/store"
+	"resinfer/internal/vec"
 )
 
 // Model is a trained PCA rotation.
 type Model struct {
-	Dim      int            // data dimensionality D
-	Mean     []float32      // training mean, subtracted before rotation
-	Rotation *matrix.Matrix // D x D; row i is the i-th principal direction
+	Dim      int           // data dimensionality D
+	Mean     []float32     // training mean, subtracted before rotation
+	Rotation *store.Matrix // D x D; row i is the i-th principal direction
 	// Variances holds the variance of each rotated dimension in descending
 	// order (the eigenvalues of the covariance matrix). Variances[i] is the
 	// σ²ᵢ of Eq. 3.
@@ -67,7 +67,7 @@ func Train(data [][]float32, cfg Config) (*Model, error) {
 	m := &Model{
 		Dim:       d,
 		Mean:      make([]float32, d),
-		Rotation:  vecs,
+		Rotation:  vecs.F32(),
 		Variances: vals,
 		Sigmas:    make([]float32, d),
 	}
@@ -104,15 +104,20 @@ func (m *Model) ProjectInto(dst, x, cent []float32) error {
 	if len(dst) != m.Dim || len(cent) != m.Dim {
 		return errors.New("pca: scratch dimension mismatch")
 	}
-	for i := range x {
-		cent[i] = x[i] - m.Mean[i]
-	}
-	return m.Rotation.ApplyF32Into(dst, cent)
+	m.project(dst, x, cent)
+	return nil
+}
+
+// project is ProjectInto once the lengths are known to match.
+func (m *Model) project(dst, x, cent []float32) {
+	vec.SubInto(cent, x, m.Mean)
+	vec.MatVec(dst, m.Rotation.Flat(), m.Dim, cent)
 }
 
 // ProjectMatrix rotates every row of data into a fresh flat matrix using
-// up to `workers` goroutines. Rotating n rows costs n·D² multiply-adds —
-// the dominant one-time cost of building a PCA-based DCO.
+// up to `workers` goroutines (GOMAXPROCS when <= 0). Rotating n rows costs
+// n·D² multiply-adds — the dominant one-time cost of building a PCA-based
+// DCO.
 func (m *Model) ProjectMatrix(data *store.Matrix, workers int) (*store.Matrix, error) {
 	if data == nil || data.Rows() == 0 {
 		return nil, errors.New("pca: empty data")
@@ -124,111 +129,12 @@ func (m *Model) ProjectMatrix(data *store.Matrix, workers int) (*store.Matrix, e
 	if err != nil {
 		return nil, err
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > data.Rows() {
-		workers = data.Rows()
-	}
-	if workers <= 1 {
+	par.Range(data.Rows(), workers, func(lo, hi int) {
 		cent := make([]float32, m.Dim)
-		for i := 0; i < data.Rows(); i++ {
-			if err := m.ProjectInto(out.Row(i), data.Row(i), cent); err != nil {
-				return nil, err
-			}
+		for i := lo; i < hi; i++ {
+			m.project(out.Row(i), data.Row(i), cent)
 		}
-		return out, nil
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, workers)
-	chunk := (data.Rows() + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > data.Rows() {
-			hi = data.Rows()
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			cent := make([]float32, m.Dim)
-			for i := lo; i < hi; i++ {
-				if err := m.ProjectInto(out.Row(i), data.Row(i), cent); err != nil {
-					errs[w] = err
-					return
-				}
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// ProjectAll rotates every row of data, returning a new matrix of rotated
-// rows. Rows are processed independently; the caller may parallelize by
-// sharding beforehand.
-func (m *Model) ProjectAll(data [][]float32) ([][]float32, error) {
-	return m.ProjectAllParallel(data, 1)
-}
-
-// ProjectAllParallel rotates every row using up to `workers` goroutines.
-// Rotating n rows costs n·D² multiply-adds — the dominant one-time cost of
-// building a PCA-based DCO — so large builds should pass GOMAXPROCS.
-func (m *Model) ProjectAllParallel(data [][]float32, workers int) ([][]float32, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	out := make([][]float32, len(data))
-	if workers > len(data) {
-		workers = len(data)
-	}
-	if workers <= 1 {
-		for i, row := range data {
-			p, err := m.Project(row)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = p
-		}
-		return out, nil
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, workers)
-	chunk := (len(data) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > len(data) {
-			hi = len(data)
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				p, err := m.Project(data[i])
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				out[i] = p
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
+	})
 	return out, nil
 }
 

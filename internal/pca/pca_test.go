@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"resinfer/internal/store"
 	"resinfer/internal/vec"
 )
 
@@ -175,19 +176,33 @@ func TestSigmasMatchVariances(t *testing.T) {
 	}
 }
 
-func TestProjectAll(t *testing.T) {
+// TestProjectMatrix checks the bulk path against Project row by row, at
+// every worker count that changes the chunking (serial, one row per
+// worker, more workers than rows), and its input validation.
+func TestProjectMatrix(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
-	data := anisotropic(r, 50, []float64{2, 1})
+	data := anisotropic(r, 50, []float64{2, 1, 0.5})
 	m, _ := Train(data, Config{})
-	rot, err := m.ProjectAll(data)
-	if err != nil {
-		t.Fatal(err)
+	mat := store.MustFromRows(data)
+	for _, workers := range []int{0, 1, 3, 50, 64} {
+		rot, err := m.ProjectMatrix(mat, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rot.Rows() != len(data) || rot.Dim() != m.Dim {
+			t.Fatalf("workers=%d: shape %dx%d", workers, rot.Rows(), rot.Dim())
+		}
+		for i, row := range data {
+			want, _ := m.Project(row)
+			if !vec.Equal(rot.Row(i), want) {
+				t.Fatalf("workers=%d: row %d disagrees with Project", workers, i)
+			}
+		}
 	}
-	if len(rot) != len(data) {
-		t.Fatal("length mismatch")
+	if _, err := m.ProjectMatrix(nil, 1); err == nil {
+		t.Fatal("expected empty-data error")
 	}
-	p0, _ := m.Project(data[0])
-	if !vec.Equal(rot[0], p0) {
-		t.Fatal("ProjectAll disagrees with Project")
+	if _, err := m.ProjectMatrix(store.MustFromRows([][]float32{{1, 2}}), 1); err == nil {
+		t.Fatal("expected dimension mismatch error")
 	}
 }

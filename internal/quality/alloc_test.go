@@ -6,8 +6,8 @@ import (
 	"time"
 
 	"resinfer"
+	"resinfer/internal/allocguard"
 	"resinfer/internal/quality"
-	"resinfer/internal/raceguard"
 )
 
 // allocSetup builds the guard's fixture: a sharded index with the
@@ -43,19 +43,12 @@ func allocSetup(t testing.TB) (*resinfer.ShardedIndex, *quality.Tracker, []float
 // amortized cost of sampled iterations and the off-path ground-truth
 // worker, since AllocsPerRun counts process-global allocations.
 func TestShadowSampledSearchZeroAlloc(t *testing.T) {
-	if testing.CoverMode() != "" {
-		t.Skip("coverage instrumentation allocates")
-	}
-	if raceguard.Enabled {
-		t.Skip("race-detector instrumentation allocates")
-	}
+	allocguard.SkipIfInstrumented(t)
 	sx, tr, q := allocSetup(t)
 	defer tr.Close()
 	const k = 10
 	var dst []resinfer.Neighbor
-	// Warm every pool across many sampled iterations, then let the
-	// worker drain so mid-measurement processing is steady-state.
-	for i := 0; i < 256; i++ {
+	search := func() {
 		var err error
 		dst, _, err = sx.SearchInto(dst[:0], q, k, resinfer.Exact, 0)
 		if err != nil {
@@ -63,18 +56,22 @@ func TestShadowSampledSearchZeroAlloc(t *testing.T) {
 		}
 		tr.MaybeSample(q, dst, k)
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for tr.Snapshot().Measured < 30 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		var err error
-		dst, _, err = sx.SearchInto(dst[:0], q, k, resinfer.Exact, 0)
-		if err != nil {
-			t.Fatal(err)
+	// Warm every pool across many sampled iterations — on PerRun's single
+	// P the worker falls behind, so the queue fills and the job pool grows
+	// to the most the measurement can have in flight — then let the worker
+	// drain so mid-measurement processing is steady-state.
+	allocs := allocguard.PerRun(200, func() {
+		for i := 0; i < 256; i++ {
+			search()
 		}
-		tr.MaybeSample(q, dst, k)
-	})
+		deadline := time.Now().Add(2 * time.Second)
+		for time.Now().Before(deadline) {
+			if snap := tr.Snapshot(); snap.Sampled > 0 && snap.Measured == snap.Sampled {
+				break
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}, search)
 	if allocs != 0 {
 		t.Fatalf("sharded search with shadow sampling on: %v allocs/op, want 0", allocs)
 	}

@@ -65,14 +65,14 @@ func DecodePQ(r *persist.Reader) (*PQ, error) {
 // EncodeTo writes the OPQ (rotation + PQ) to w.
 func (o *OPQ) EncodeTo(w *persist.Writer) {
 	w.Magic(opqMagic)
-	o.Rotation.Encode(w)
+	matrix.EncodeF32(w, o.Rotation)
 	o.PQ.EncodeTo(w)
 }
 
 // DecodeOPQ reads an OPQ written by EncodeTo.
 func DecodeOPQ(r *persist.Reader) (*OPQ, error) {
 	r.Magic(opqMagic)
-	rot, err := matrix.Decode(r)
+	rot, err := matrix.DecodeF32(r)
 	if err != nil {
 		return nil, err
 	}
@@ -80,7 +80,7 @@ func DecodeOPQ(r *persist.Reader) (*OPQ, error) {
 	if err != nil {
 		return nil, err
 	}
-	if rot.Rows != pq.Dim {
+	if rot.Rows() != pq.Dim || rot.Dim() != pq.Dim {
 		return nil, errors.New("quant: OPQ rotation/PQ dimension mismatch")
 	}
 	return &OPQ{Rotation: rot, PQ: pq}, nil

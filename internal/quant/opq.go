@@ -7,6 +7,7 @@ import (
 
 	"resinfer/internal/matrix"
 	"resinfer/internal/store"
+	"resinfer/internal/vec"
 )
 
 // OPQConfig controls Optimized Product Quantization training.
@@ -26,7 +27,7 @@ type OPQConfig struct {
 // OPQ is a trained optimized product quantizer: an orthogonal rotation R
 // followed by a PQ in the rotated space.
 type OPQ struct {
-	Rotation *matrix.Matrix // D x D; applied as y = R x
+	Rotation *store.Matrix // D x D; applied as y = R x
 	PQ       *PQ
 }
 
@@ -55,7 +56,7 @@ func TrainOPQ(data *store.Matrix, cfg OPQConfig) (*OPQ, error) {
 		sample.SetRow(i, data.Row(j))
 	}
 
-	rot := matrix.Identity(d)
+	rot := matrix.Identity(d).F32()
 	rotated, err := store.New(sample.Rows(), d)
 	if err != nil {
 		return nil, err
@@ -64,11 +65,7 @@ func TrainOPQ(data *store.Matrix, cfg OPQConfig) (*OPQ, error) {
 	rec := make([]float32, d)
 	code := make([]byte, 0)
 	for iter := 0; iter < cfg.Iters; iter++ {
-		for i := 0; i < sample.Rows(); i++ {
-			if err := rot.ApplyF32Into(rotated.Row(i), sample.Row(i)); err != nil {
-				return nil, err
-			}
-		}
+		matrix.RotateRows(rotated, rot, sample)
 		pqCfg := cfg.PQ
 		pqCfg.Seed = cfg.Seed + int64(iter)
 		// Cheap codebooks during the alternation; the final full training
@@ -113,14 +110,10 @@ func TrainOPQ(data *store.Matrix, cfg OPQConfig) (*OPQ, error) {
 		if err != nil {
 			return nil, fmt.Errorf("quant: OPQ Procrustes: %w", err)
 		}
-		rot = newRot
+		rot = newRot.F32()
 	}
 	// Final codebooks trained at full strength in the final rotation.
-	for i := 0; i < sample.Rows(); i++ {
-		if err := rot.ApplyF32Into(rotated.Row(i), sample.Row(i)); err != nil {
-			return nil, err
-		}
-	}
+	matrix.RotateRows(rotated, rot, sample)
 	finalCfg := cfg.PQ
 	finalCfg.Seed = cfg.Seed + 1_000_003
 	finalPQ, err := TrainPQ(rotated, finalCfg)
@@ -132,13 +125,21 @@ func TrainOPQ(data *store.Matrix, cfg OPQConfig) (*OPQ, error) {
 
 // Rotate applies the learned rotation to x.
 func (o *OPQ) Rotate(x []float32) ([]float32, error) {
-	return o.Rotation.ApplyF32(x)
+	dst := make([]float32, o.PQ.Dim)
+	if err := o.RotateInto(dst, x); err != nil {
+		return nil, err
+	}
+	return dst, nil
 }
 
 // RotateInto applies the learned rotation to x into dst (length Dim),
-// allocating nothing.
+// allocating nothing. dst must not alias x.
 func (o *OPQ) RotateInto(dst, x []float32) error {
-	return o.Rotation.ApplyF32Into(dst, x)
+	if len(x) != o.PQ.Dim || len(dst) != o.PQ.Dim {
+		return fmt.Errorf("quant: RotateInto lens %d -> %d, want %d", len(x), len(dst), o.PQ.Dim)
+	}
+	vec.MatVec(dst, o.Rotation.Flat(), o.PQ.Dim, x)
+	return nil
 }
 
 // Encode rotates then quantizes x.

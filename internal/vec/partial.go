@@ -90,3 +90,19 @@ func L2SqRangeFlat(q, flat []float32, base, lo, hi int) float32 {
 func DotRangeFlat(q, flat []float32, base, lo, hi int) float32 {
 	return Dot(q[lo:hi], flat[base+lo:base+hi])
 }
+
+// MatVec writes rot·x into dst, where rot is a row-major len(dst) x dim
+// matrix and len(x) == dim: the O(D²) rotation every comparator applies to
+// a query (§VI-A) and, row by row, to the data at training time. Each
+// output is Dot(rot row, x) through the dispatched kernel — bit-identical
+// to calling Dot per row — so it is SIMD wherever Dot is. dst must not
+// alias x. It panics when the shapes disagree, which only a bug can cause;
+// callers validate outside input first.
+func MatVec(dst, rot []float32, dim int, x []float32) {
+	if len(x) != dim || len(rot) != len(dst)*dim {
+		panic("vec: MatVec shape mismatch")
+	}
+	for i := range dst {
+		dst[i] = dotImpl(rot[i*dim:(i+1)*dim], x)
+	}
+}

@@ -267,14 +267,17 @@ func (mx *MutableIndex) Delete(id int) (bool, error) {
 }
 
 // Compact synchronously compacts every shard with pending segments,
-// regardless of thresholds, and returns how many shards were rebuilt.
-// Searches keep running throughout. With a WAL attached, one checkpoint
-// covering the whole pass is written at the end.
+// regardless of thresholds, and returns how many shards it rebuilt. It is
+// a barrier: a shard the background compactor is rebuilding is waited for
+// and then compacted again, so every row written before the call is in a
+// base segment when it returns. Searches keep running throughout. With a
+// WAL attached, one checkpoint covering the whole pass is written at the
+// end.
 func (mx *MutableIndex) Compact() (int, error) {
 	var compacted int
 	var firstErr error
 	for s := 0; s < mx.sx.NumShards(); s++ {
-		did, err := mx.runCompact(s)
+		did, err := mx.runCompact(s, true)
 		if did {
 			compacted++
 		}
@@ -322,7 +325,7 @@ func (mx *MutableIndex) compactorLoop() {
 			}
 			mem, dead := mx.sx.segDepth(s)
 			if mem >= mx.cfg.CompactThreshold || dead >= mx.cfg.TombstoneThreshold {
-				if did, _ := mx.runCompact(s); did {
+				if did, _ := mx.runCompact(s, false); did {
 					compacted = true
 				}
 			}
@@ -335,9 +338,10 @@ func (mx *MutableIndex) compactorLoop() {
 	}
 }
 
-// runCompact compacts one shard and records the outcome counters.
-func (mx *MutableIndex) runCompact(s int) (bool, error) {
-	did, info, err := mx.sx.compactShard(s)
+// runCompact compacts one shard and records the outcome counters; wait is
+// compactShard's.
+func (mx *MutableIndex) runCompact(s int, wait bool) (bool, error) {
+	did, info, err := mx.sx.compactShard(s, wait)
 	if err != nil {
 		mx.compactErrors.Add(1)
 		return false, err

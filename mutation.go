@@ -82,6 +82,7 @@ type shardSeg struct {
 // Save on a mutable index; searches never take it.
 type mutState struct {
 	mu        sync.Mutex
+	compacted *sync.Cond // on mu; broadcast when any shardSeg.compacting clears
 	segs      []*shardSeg
 	owner     map[int]int // live global ID → owning shard
 	nextID    int         // next auto-assigned global ID
@@ -152,6 +153,7 @@ func (sx *ShardedIndex) enableMutation(indexOpts *Options) {
 		indexOpts: indexOpts,
 		rr:        0,
 	}
+	m.compacted = sync.NewCond(&m.mu)
 	maxID := -1
 	for s := range sx.shards {
 		m.segs[s] = &shardSeg{
@@ -433,10 +435,13 @@ type compactInfo struct {
 // tombstones and shadowed rows, plus the memtable — retrains every
 // recorded comparator on the rebuilt base, and hot-swaps it in under the
 // shard's write lock. Searches keep running against the old base for the
-// whole build; the swap itself is a few pointer stores. It returns false
-// when there was nothing to do (no pending segments, a concurrent
-// compaction already claimed the shard, or every row is deleted).
-func (sx *ShardedIndex) compactShard(s int) (bool, compactInfo, error) {
+// whole build; the swap itself is a few pointer stores. When another
+// compaction holds the shard, wait decides between leaving the shard to it
+// and waiting for it to finish and then compacting what it left behind —
+// rows that arrived after its snapshot. It returns false when there was
+// nothing to do (no pending segments, an unawaited concurrent compaction,
+// or every row is deleted).
+func (sx *ShardedIndex) compactShard(s int, wait bool) (bool, compactInfo, error) {
 	m := sx.mut
 	if m == nil {
 		return false, compactInfo{}, ErrImmutable
@@ -446,9 +451,12 @@ func (sx *ShardedIndex) compactShard(s int) (bool, compactInfo, error) {
 	}
 	m.mu.Lock()
 	seg := m.segs[s]
-	if seg.compacting {
-		m.mu.Unlock()
-		return false, compactInfo{}, nil
+	for seg.compacting {
+		if !wait {
+			m.mu.Unlock()
+			return false, compactInfo{}, nil
+		}
+		m.compacted.Wait()
 	}
 	seg.compacting = true
 	enables := append([]recordedEnable(nil), m.enables...)
@@ -457,6 +465,7 @@ func (sx *ShardedIndex) compactShard(s int) (bool, compactInfo, error) {
 	defer func() {
 		m.mu.Lock()
 		seg.compacting = false
+		m.compacted.Broadcast()
 		m.mu.Unlock()
 	}()
 

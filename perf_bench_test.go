@@ -18,7 +18,7 @@ import (
 	"time"
 
 	"resinfer"
-	"resinfer/internal/raceguard"
+	"resinfer/internal/allocguard"
 )
 
 var (
@@ -206,34 +206,31 @@ func BenchmarkSearchIntoSteadyStateShardedMetricsOn(b *testing.B) {
 // observer installed and no trace attached, steady-state sharded search
 // performs zero heap allocations per query.
 func TestSearchIntoShardedMetricsOnZeroAlloc(t *testing.T) {
-	if testing.CoverMode() != "" {
-		t.Skip("coverage instrumentation allocates")
-	}
-	if raceguard.Enabled {
-		t.Skip("race-detector instrumentation allocates")
-	}
+	allocguard.SkipIfInstrumented(t)
 	sx, _ := shardedObsSetup(t)
-	var dst []resinfer.Neighbor
-	// Warm the pools before measuring.
-	for i := 0; i < 8; i++ {
-		var err error
-		dst, _, err = sx.SearchInto(dst[:0], benchQs[i%len(benchQs)], benchK, resinfer.DDCRes, 80)
-		if err != nil {
-			t.Fatal(err)
-		}
+	if allocs := shardedSearchAllocs(t, sx); allocs != 0 {
+		t.Fatalf("sharded search with metrics on: %v allocs/op, want 0", allocs)
 	}
+}
+
+// shardedSearchAllocs measures steady-state allocations per ddc-res
+// SearchInto over the bench queries, pools warmed first.
+func shardedSearchAllocs(t *testing.T, sx *resinfer.ShardedIndex) float64 {
+	var dst []resinfer.Neighbor
 	i := 0
-	allocs := testing.AllocsPerRun(200, func() {
+	search := func() {
 		var err error
 		dst, _, err = sx.SearchInto(dst[:0], benchQs[i%len(benchQs)], benchK, resinfer.DDCRes, 80)
 		i++
 		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("sharded search with metrics on: %v allocs/op, want 0", allocs)
 	}
+	return allocguard.PerRun(200, func() {
+		for n := 0; n < 8; n++ {
+			search()
+		}
+	}, search)
 }
 
 // TestSearchIntoShardedHedgerInstalledZeroAlloc extends the bar to
@@ -243,35 +240,13 @@ func TestSearchIntoShardedMetricsOnZeroAlloc(t *testing.T) {
 // only engages on the deadline-aware path, so arming it must cost the
 // plain path nothing.
 func TestSearchIntoShardedHedgerInstalledZeroAlloc(t *testing.T) {
-	if testing.CoverMode() != "" {
-		t.Skip("coverage instrumentation allocates")
-	}
-	if raceguard.Enabled {
-		t.Skip("race-detector instrumentation allocates")
-	}
+	allocguard.SkipIfInstrumented(t)
 	sx, _ := shardedObsSetup(t)
 	sx.SetShardHedger(func(ctx context.Context, shard int, q []float32, k int, mode resinfer.Mode, budget int) ([]resinfer.Neighbor, resinfer.SearchStats, error) {
 		t.Error("hedger fired on the plain (non-ctx) search path")
 		return nil, resinfer.SearchStats{}, nil
 	}, time.Millisecond)
-	var dst []resinfer.Neighbor
-	for i := 0; i < 8; i++ {
-		var err error
-		dst, _, err = sx.SearchInto(dst[:0], benchQs[i%len(benchQs)], benchK, resinfer.DDCRes, 80)
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	i := 0
-	allocs := testing.AllocsPerRun(200, func() {
-		var err error
-		dst, _, err = sx.SearchInto(dst[:0], benchQs[i%len(benchQs)], benchK, resinfer.DDCRes, 80)
-		i++
-		if err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
+	if allocs := shardedSearchAllocs(t, sx); allocs != 0 {
 		t.Fatalf("sharded search with hedger installed: %v allocs/op, want 0", allocs)
 	}
 }

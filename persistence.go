@@ -83,7 +83,7 @@ func (ix *Index) encode(pw *persist.Writer) error {
 			// have trained it with per-call options.
 			pw.F64(d.Epsilon0())
 			pw.Int(d.DeltaD())
-			d.Rotation().Encode(pw)
+			matrix.EncodeF32(pw, d.Rotation())
 			d.Rotated().Encode(pw)
 		case DDCRes:
 			ix.dcos[m].(*ddc.Res).Encode(pw)
@@ -188,7 +188,7 @@ func decodeIndex(pr *persist.Reader) (*Index, error) {
 			pr.Magic(adsMagic)
 			eps := pr.F64()
 			deltaD := pr.Int()
-			rot, derr := matrix.Decode(pr)
+			rot, derr := matrix.DecodeF32(pr)
 			if derr != nil {
 				return nil, derr
 			}
