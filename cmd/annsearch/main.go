@@ -96,7 +96,7 @@ func main() {
 	var comparisons, pruned int64
 	start = time.Now()
 	for qi, q := range qs {
-		ns, st, err := ix.SearchWithStats(q, *k, m, *budget)
+		ns, st, err := ix.SearchInto(nil, q, *k, m, *budget)
 		if err != nil {
 			fail(err)
 		}

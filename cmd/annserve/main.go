@@ -46,13 +46,13 @@ import (
 func main() {
 	var (
 		addr     = flag.String("addr", ":8080", "listen address")
-		loadPath = flag.String("load", "", "load an index file (auto-detects single vs sharded) instead of building")
+		loadPath = flag.String("load", "", "load an index file (auto-detects single, sharded or mutable) instead of building")
 		savePath = flag.String("save", "", "after building, save the index here")
 
 		kindFlag  = flag.String("kind", "hnsw", "index kind: hnsw | ivf | flat")
 		metric    = flag.String("metric", "l2", "metric: l2 | cosine | ip")
 		modesFlag = flag.String("modes", "exact,ddc-res", "comma-separated DCO modes to enable")
-		shards    = flag.Int("shards", 4, "shard count (1 = unsharded)")
+		shards    = flag.Int("shards", 4, "shard count")
 
 		mutable       = flag.Bool("mutable", false, "serve a mutable (streaming) index: enables POST /upsert, /delete and /compact")
 		compactThresh = flag.Int("compact-threshold", resinfer.DefaultCompactThreshold, "per-shard memtable depth triggering background compaction (with -mutable)")
@@ -134,9 +134,12 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
+	// sx is the engine every search runs through; mx is non-nil when it
+	// belongs to a mutable index, which is then what the server is handed.
 	repClient := replica.NewClient(2 * time.Second)
 	var follower *replica.Follower
-	var idx server.Searcher
+	var sx *resinfer.ShardedIndex
+	var mx *resinfer.MutableIndex
 	if joinURL != "" {
 		log.Printf("annserve: joining %s as a read-only replica", joinURL)
 		opts := &resinfer.MutableOptions{DisableAutoCompact: *noAutoCompact}
@@ -147,36 +150,26 @@ func main() {
 		if err != nil {
 			log.Fatalf("annserve: %v", err)
 		}
-		idx = follower.Index()
+		mx = follower.Index()
+		sx = mx.ShardedIndex
 		log.Printf("annserve: loaded primary checkpoint: %d rows, cursor at lsn %d",
-			idx.Len(), follower.Cursor())
+			sx.Len(), follower.Cursor())
 	} else {
-		idx, err = buildOrLoad(*loadPath, *savePath, *kindFlag, *metric, *modesFlag,
+		sx, mx, err = buildOrLoad(*loadPath, *savePath, *kindFlag, *metric, *modesFlag,
 			*shards, *n, *dim, *train, *seed,
 			*mutable, *compactThresh, threshSet, *noAutoCompact, *walDir, walSync)
 		if err != nil {
 			log.Fatalf("annserve: %v", err)
 		}
 	}
-	if mx, ok := idx.(*resinfer.MutableIndex); ok {
+	var eng server.Engine = sx
+	if mx != nil {
+		eng = mx
 		defer mx.Close()
 	}
 
-	// hedgeable is the slice of the index API replicated serving drives;
-	// sharded and mutable indexes satisfy it.
-	type hedgeable interface {
-		SetShardHedger(resinfer.ShardHedger, time.Duration)
-		SetHedgeDelay(time.Duration)
-	}
-	var set *replica.Set
-	var hedged hedgeable
 	if len(peers) > 0 {
-		h, ok := idx.(hedgeable)
-		if !ok {
-			log.Fatalf("annserve: -replicas needs a sharded index (-shards > 1, or -mutable); a single unsharded index has no shard probes to hedge")
-		}
-		hedged = h
-		set = replica.NewSet(peers, repClient, replica.SetOptions{})
+		set := replica.NewSet(peers, repClient, replica.SetOptions{})
 		set.Start()
 		defer set.Close()
 		initial := *hedgeDelay
@@ -187,7 +180,7 @@ func main() {
 			initial = 25 * time.Millisecond
 			note = ", adapting to shard p95"
 		}
-		hedged.SetShardHedger(replica.Hedger(set), initial)
+		sx.SetShardHedger(replica.Hedger(set), initial)
 		log.Printf("annserve: hedging onto %d peer(s) after %v%s", len(peers), initial, note)
 	}
 
@@ -215,10 +208,10 @@ func main() {
 		cfg.ReadyCheck = follower.Ready
 		cfg.ReplicaOf = joinURL
 	}
-	srv := server.New(idx, cfg)
+	srv := server.New(eng, cfg)
 
-	if hedged != nil && *hedgeDelay == 0 {
-		ctrl := replica.StartDelayController(hedged, srv.ShardLatencyP95,
+	if len(peers) > 0 && *hedgeDelay == 0 {
+		ctrl := replica.StartDelayController(sx, srv.ShardLatencyP95,
 			5*time.Second, time.Millisecond, time.Second)
 		defer ctrl.Close()
 	}
@@ -232,7 +225,7 @@ func main() {
 
 	err = srv.Serve(ctx, *addr, func(bound string) {
 		log.Printf("annserve: serving %d points (query dim %d, modes %v, simd %s) on %s",
-			idx.Len(), idx.QueryDim(), idx.Modes(), resinfer.SIMDLevel(), bound)
+			sx.Len(), sx.QueryDim(), sx.Modes(), resinfer.SIMDLevel(), bound)
 	})
 	if err != nil {
 		log.Fatalf("annserve: %v", err)
@@ -244,11 +237,13 @@ func main() {
 // recovered durable state of a WAL directory, or a fresh build over a
 // synthetic dataset (onto which any checkpoint-less WAL records are
 // replayed — the same seed rebuilds the same base, so recovery works
-// even before the first compaction checkpoint exists).
+// even before the first compaction checkpoint exists). It returns the
+// sharded engine and, when the index is mutable, the MutableIndex that
+// embeds it; a single-index file is served as its one shard.
 func buildOrLoad(loadPath, savePath, kindFlag, metric, modesFlag string,
 	shards, n, dim, train int, seed int64,
 	mutable bool, compactThresh int, threshSet, noAutoCompact bool,
-	walDir string, walSync resinfer.WALSync) (server.Searcher, error) {
+	walDir string, walSync resinfer.WALSync) (*resinfer.ShardedIndex, *resinfer.MutableIndex, error) {
 
 	// forLoad options leave CompactThreshold at 0 unless the flag was
 	// given explicitly — LoadMutable/RecoverMutable then keep the
@@ -270,48 +265,53 @@ func buildOrLoad(loadPath, savePath, kindFlag, metric, modesFlag string,
 	if loadPath != "" {
 		format, err := sniffFormat(loadPath)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if walDir != "" && format != formatMutable {
-			return nil, fmt.Errorf("-wal-dir needs a mutable index; %s is not one", loadPath)
+			return nil, nil, fmt.Errorf("-wal-dir needs a mutable index; %s is not one", loadPath)
 		}
 		switch format {
 		case formatMutable:
 			log.Printf("annserve: loading mutable (streaming) index from %s", loadPath)
 			mx, err := resinfer.LoadMutableFile(loadPath, mutOpts(nil, true))
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			logRecovery(mx)
-			return mx, nil
+			return mx.ShardedIndex, mx, nil
 		case formatSharded:
 			log.Printf("annserve: loading sharded index from %s", loadPath)
-			return resinfer.LoadShardedFile(loadPath)
+			sx, err := resinfer.LoadShardedFile(loadPath)
+			return sx, nil, err
 		default:
 			log.Printf("annserve: loading index from %s", loadPath)
-			return resinfer.LoadFile(loadPath)
+			ix, err := resinfer.LoadFile(loadPath)
+			if err != nil {
+				return nil, nil, err
+			}
+			return resinfer.SingleShard(ix), nil, nil
 		}
 	}
 	if walDir != "" && !mutable {
-		return nil, fmt.Errorf("-wal-dir requires -mutable")
+		return nil, nil, fmt.Errorf("-wal-dir requires -mutable")
 	}
 	if walDir != "" {
 		// A previous run's compaction checkpoint is the authoritative
 		// state — recover it (plus the log tail) instead of rebuilding.
 		mx, found, err := resinfer.RecoverMutable(mutOpts(nil, true))
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if found {
 			log.Printf("annserve: recovered mutable index from %s checkpoint", walDir)
 			logRecovery(mx)
-			return mx, nil
+			return mx.ShardedIndex, mx, nil
 		}
 	}
 
 	modes, err := parseModes(modesFlag)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	log.Printf("annserve: generating synthetic dataset n=%d dim=%d", n, dim)
 	ds, err := dataset.Generate(dataset.GenConfig{
@@ -319,79 +319,51 @@ func buildOrLoad(loadPath, savePath, kindFlag, metric, modesFlag string,
 		VE32: 0.6, Seed: seed,
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	opts := &resinfer.Options{Metric: resinfer.MetricKind(metric), Seed: seed}
 	kind := resinfer.IndexKind(kindFlag)
+	if shards < 1 {
+		shards = 1
+	}
 
 	start := time.Now()
+	var sx *resinfer.ShardedIndex
+	var mx *resinfer.MutableIndex
 	if mutable {
-		if shards < 1 {
-			shards = 1
-		}
 		log.Printf("annserve: building mutable %d-shard %s index (compact threshold %d)",
 			shards, kind, compactThresh)
-		mx, err := resinfer.NewMutable(ds.Data, kind, shards, mutOpts(opts, false))
-		if err != nil {
-			return nil, err
+		if mx, err = resinfer.NewMutable(ds.Data, kind, shards, mutOpts(opts, false)); err != nil {
+			return nil, nil, err
 		}
 		logRecovery(mx)
-		for _, m := range modes {
-			log.Printf("annserve: enabling %s", m)
-			if err := mx.EnableWithTraining(m, ds.Train, opts); err != nil {
-				return nil, err
-			}
+		sx = mx.ShardedIndex
+	} else {
+		log.Printf("annserve: building %d %s shard(s)", shards, kind)
+		if sx, err = resinfer.NewSharded(ds.Data, kind, shards, &resinfer.ShardOptions{Index: opts}); err != nil {
+			return nil, nil, err
 		}
-		log.Printf("annserve: built in %.1fs", time.Since(start).Seconds())
-		if savePath != "" {
-			if err := mx.SaveFile(savePath); err != nil {
-				return nil, err
-			}
-			log.Printf("annserve: saved to %s", savePath)
-		}
-		return mx, nil
-	}
-	if shards > 1 {
-		log.Printf("annserve: building %d %s shards", shards, kind)
-		sx, err := resinfer.NewSharded(ds.Data, kind, shards, &resinfer.ShardOptions{Index: opts})
-		if err != nil {
-			return nil, err
-		}
-		for _, m := range modes {
-			log.Printf("annserve: enabling %s", m)
-			if err := sx.EnableWithTraining(m, ds.Train, opts); err != nil {
-				return nil, err
-			}
-		}
-		log.Printf("annserve: built in %.1fs", time.Since(start).Seconds())
-		if savePath != "" {
-			if err := sx.SaveFile(savePath); err != nil {
-				return nil, err
-			}
-			log.Printf("annserve: saved to %s", savePath)
-		}
-		return sx, nil
-	}
-
-	log.Printf("annserve: building unsharded %s index", kind)
-	ix, err := resinfer.New(ds.Data, kind, opts)
-	if err != nil {
-		return nil, err
 	}
 	for _, m := range modes {
 		log.Printf("annserve: enabling %s", m)
-		if err := ix.EnableWithTraining(m, ds.Train, opts); err != nil {
-			return nil, err
+		if err := sx.EnableWithTraining(m, ds.Train, opts); err != nil {
+			return nil, nil, err
 		}
 	}
 	log.Printf("annserve: built in %.1fs", time.Since(start).Seconds())
 	if savePath != "" {
-		if err := ix.SaveFile(savePath); err != nil {
-			return nil, err
+		// A mutable index saves its segments too; its embedded
+		// ShardedIndex.SaveFile refuses to drop them.
+		save := sx.SaveFile
+		if mx != nil {
+			save = mx.SaveFile
+		}
+		if err := save(savePath); err != nil {
+			return nil, nil, err
 		}
 		log.Printf("annserve: saved to %s", savePath)
 	}
-	return ix, nil
+	return sx, mx, nil
 }
 
 // logRecovery prints the recover-on-start banner: how much WAL history

@@ -2,7 +2,7 @@ package resinfer
 
 // Concurrency-safety pin-down: an Index (and a ShardedIndex layered over
 // it) is read-safe once Enable returns — any number of goroutines may run
-// Search / SearchWithStats / SearchBatch against it concurrently. Run
+// Search / SearchInto / SearchBatch against it concurrently. Run
 // under `go test -race` (CI does) to catch data races in the search path,
 // the per-query evaluators, and the sharded fan-out/merge.
 
@@ -35,7 +35,7 @@ func TestConcurrentSearchBatchRace(t *testing.T) {
 			// Mix single searches and batches from the same goroutine.
 			for rep := 0; rep < 3; rep++ {
 				q := ds.Queries[(g+rep)%len(ds.Queries)]
-				if _, _, err := ix.SearchWithStats(q, 10, mode, 60); err != nil {
+				if _, _, err := ix.SearchInto(nil, q, 10, mode, 60); err != nil {
 					errCh <- err
 					return
 				}

@@ -176,7 +176,7 @@ func (mx *MutableIndex) walCheckpoint() error {
 		d.Close()
 	}
 	mx.walCkpts.Add(1)
-	return mx.sx.mut.wal.Checkpoint(lsn)
+	return mx.mut.wal.Checkpoint(lsn)
 }
 
 // WALRecovery reports what was replayed when this index was

@@ -47,7 +47,7 @@ func main() {
 			var prunedRate float64
 			start := time.Now()
 			for qi, q := range ds.Queries {
-				ns, st, err := idx.SearchWithStats(q, 10, mode, nprobe)
+				ns, st, err := idx.SearchInto(nil, q, 10, mode, nprobe)
 				if err != nil {
 					log.Fatal(err)
 				}

@@ -47,7 +47,7 @@ func main() {
 		var hits []resinfer.Neighbor
 		var stats resinfer.SearchStats
 		for rep := 0; rep < 200; rep++ {
-			hits, stats, err = idx.SearchWithStats(query, 5, mode, 50)
+			hits, stats, err = idx.SearchInto(nil, query, 5, mode, 50)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -36,7 +36,7 @@ func TestFlatLayoutBitIdenticalToRowsScan(t *testing.T) {
 	}
 	for qi, q := range ds.Queries {
 		want := rowsScanReference(ds.Data, q, 10)
-		got, _, err := ix.SearchWithStats(q, 10, Exact, 0)
+		got, _, err := ix.SearchInto(nil, q, 10, Exact, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +120,7 @@ func TestSearchIntoMatchesSearch(t *testing.T) {
 		var dst []Neighbor
 		for _, mode := range []Mode{Exact, DDCRes} {
 			for _, q := range ds.Queries {
-				want, wantSt, err := ix.SearchWithStats(q, 10, mode, 40)
+				want, wantSt, err := ix.SearchInto(nil, q, 10, mode, 40)
 				if err != nil {
 					t.Fatal(err)
 				}

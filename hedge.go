@@ -23,10 +23,10 @@ type ShardHedger func(ctx context.Context, shard int, q []float32, k int, mode M
 
 // SetShardHedger installs fn as the shard hedger with the given initial
 // hedge delay and arms hedged fan-out on the deadline-aware search
-// paths (SearchWithStatsCtx, SearchBatchCtx): a shard that has not
-// answered after the hedge delay — or whose probe fails outright — has
-// its query re-issued through fn, and the first good answer wins. The
-// plain paths (Search, SearchInto) are untouched, so the unhedged
+// paths (SearchCtx, SearchBatchCtx): a shard that has not answered
+// after the hedge delay — or whose probe fails outright — has its query
+// re-issued through fn, and the first good answer wins. The plain paths
+// (Search, SearchInto, SearchBatch) are untouched, so the unhedged
 // steady state stays allocation-free. Install before serving begins;
 // the delay may be retuned live with SetHedgeDelay. A delay <= 0 leaves
 // the hedger armed for failure-triggered retries off (hedging fully
@@ -79,7 +79,7 @@ func (sx *ShardedIndex) SearchShardGlobal(s int, q []float32, k int, mode Mode, 
 			return nil, SearchStats{}, serr
 		}
 	}
-	sx.searchShardObs(s, fs.outs, q, qScan, k, mode, budget, nil)
+	sx.searchShardObs(s, fs.outs, q, qScan, k, mode, budget)
 	out := &fs.outs[s]
 	if out.err != nil {
 		err := fmt.Errorf("resinfer: shard %d: %w", s, out.err)
@@ -101,25 +101,4 @@ func (sx *ShardedIndex) SearchShardGlobal(s int, q []float32, k int, mode Mode, 
 	st := out.st
 	sx.fanPool.Put(fs)
 	return ns, st, nil
-}
-
-// SetShardHedger delegates to the underlying sharded index; see
-// ShardedIndex.SetShardHedger.
-func (mx *MutableIndex) SetShardHedger(fn ShardHedger, delay time.Duration) {
-	mx.sx.SetShardHedger(fn, delay)
-}
-
-// SetHedgeDelay delegates to the underlying sharded index.
-func (mx *MutableIndex) SetHedgeDelay(d time.Duration) { mx.sx.SetHedgeDelay(d) }
-
-// HedgeDelay delegates to the underlying sharded index.
-func (mx *MutableIndex) HedgeDelay() time.Duration { return mx.sx.HedgeDelay() }
-
-// HedgeStats delegates to the underlying sharded index.
-func (mx *MutableIndex) HedgeStats() (hedged, wins uint64) { return mx.sx.HedgeStats() }
-
-// SearchShardGlobal delegates to the underlying sharded index; see
-// ShardedIndex.SearchShardGlobal.
-func (mx *MutableIndex) SearchShardGlobal(s int, q []float32, k int, mode Mode, budget int) ([]Neighbor, SearchStats, error) {
-	return mx.sx.SearchShardGlobal(s, q, k, mode, budget)
 }

@@ -50,7 +50,7 @@ func TestHedgeWinsOnSlowShard(t *testing.T) {
 	sx := buildChaosSharded(t, 4)
 	peer := buildChaosSharded(t, 4)
 	q := chaosQuery()
-	want, _, err := sx.SearchWithStats(q, 10, resinfer.Exact, 0)
+	want, _, err := sx.SearchInto(nil, q, 10, resinfer.Exact, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestHedgeWinsOnSlowShard(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	ns, st, err := sx.SearchWithStatsCtx(ctx, q, 10, resinfer.Exact, 0, nil)
+	ns, st, err := sx.SearchCtx(ctx, nil, q, 10, resinfer.Exact, 0, nil)
 	if err != nil {
 		t.Fatalf("hedged search failed: %v", err)
 	}
@@ -100,7 +100,7 @@ func TestHedgeRescuesFailedShard(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	t0 := time.Now()
-	_, st, err := sx.SearchWithStatsCtx(ctx, chaosQuery(), 10, resinfer.Exact, 0, nil)
+	_, st, err := sx.SearchCtx(ctx, nil, chaosQuery(), 10, resinfer.Exact, 0, nil)
 	if err != nil {
 		t.Fatalf("hedged search failed: %v", err)
 	}
@@ -132,7 +132,7 @@ func TestPartialOnlyWhenAllReplicasFail(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	ns, st, err := sx.SearchWithStatsCtx(ctx, chaosQuery(), 10, resinfer.Exact, 0, nil)
+	ns, st, err := sx.SearchCtx(ctx, nil, chaosQuery(), 10, resinfer.Exact, 0, nil)
 	if err != nil {
 		t.Fatalf("partial search errored: %v", err)
 	}
@@ -166,7 +166,7 @@ func TestHedgeLoserCancelled(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	_, st, err := sx.SearchWithStatsCtx(ctx, chaosQuery(), 10, resinfer.Exact, 0, nil)
+	_, st, err := sx.SearchCtx(ctx, nil, chaosQuery(), 10, resinfer.Exact, 0, nil)
 	if err != nil || st.ShardsOK != 2 {
 		t.Fatalf("search: ok=%d err=%v, want 2/nil (locals win)", st.ShardsOK, err)
 	}
@@ -199,7 +199,7 @@ func TestHedgeDisabledWithoutPositiveDelay(t *testing.T) {
 	})()
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
-	_, st, err := sx.SearchWithStatsCtx(ctx, chaosQuery(), 5, resinfer.Exact, 0, nil)
+	_, st, err := sx.SearchCtx(ctx, nil, chaosQuery(), 5, resinfer.Exact, 0, nil)
 	if err != nil {
 		t.Fatalf("partial search errored: %v", err)
 	}
@@ -216,7 +216,7 @@ func TestHedgeDisabledWithoutPositiveDelay(t *testing.T) {
 func TestSearchShardGlobalMatchesFanout(t *testing.T) {
 	sx := buildChaosSharded(t, 3)
 	q := chaosQuery()
-	want, _, err := sx.SearchWithStats(q, 10, resinfer.Exact, 0)
+	want, _, err := sx.SearchInto(nil, q, 10, resinfer.Exact, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestHedgerConcurrentSearches(t *testing.T) {
 					q[j] = float32(rng.NormFloat64())
 				}
 				ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-				_, _, err := sx.SearchWithStatsCtx(ctx, q, 5, resinfer.Exact, 0, nil)
+				_, _, err := sx.SearchCtx(ctx, nil, q, 5, resinfer.Exact, 0, nil)
 				cancel()
 				if err != nil {
 					errCh <- err

@@ -120,11 +120,11 @@ func TestFollowerJoinAndCatchUp(t *testing.T) {
 		t.Fatalf("follower has %d rows, primary %d", got, wantN)
 	}
 	q := primaryVec(999)
-	pw, _, err := mx.SearchWithStats(q, 10, resinfer.Exact, 0)
+	pw, _, err := mx.SearchInto(nil, q, 10, resinfer.Exact, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fw, _, err := f.Index().SearchWithStats(q, 10, resinfer.Exact, 0)
+	fw, _, err := f.Index().SearchInto(nil, q, 10, resinfer.Exact, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

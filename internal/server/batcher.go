@@ -51,23 +51,21 @@ type pendingQuery struct {
 // one SearchBatch per parameter group, amortizing scheduling overhead
 // under concurrent load while keeping tail latency bounded by the window.
 type batcher struct {
-	idx       Searcher
-	tracedIdx batchTracedSearcher // idx's traced variant, nil if unsupported
-	ctxIdx    batchCtxSearcher    // idx's deadline-aware variant, nil if unsupported
-	in        chan pendingQuery
-	window    time.Duration
-	maxSize   int
-	maxDepth  int           // shed watermark; <= 0 disables shedding
-	workers   int           // workers handed to SearchBatch
-	sem       chan struct{} // shared concurrency limiter
-	m         *metrics
+	idx      Engine
+	in       chan pendingQuery
+	window   time.Duration
+	maxSize  int
+	maxDepth int           // shed watermark; <= 0 disables shedding
+	workers  int           // workers handed to SearchBatchCtx
+	sem      chan struct{} // shared concurrency limiter
+	m        *metrics
 
 	done     chan struct{}
 	closeOne sync.Once
 	wg       sync.WaitGroup
 }
 
-func newBatcher(idx Searcher, window time.Duration, maxSize, maxDepth, workers int, sem chan struct{}, m *metrics) *batcher {
+func newBatcher(idx Engine, window time.Duration, maxSize, maxDepth, workers int, sem chan struct{}, m *metrics) *batcher {
 	// The queue buffer must cover the watermark: shedding is meant to be
 	// the backpressure mechanism, not a blocking channel send.
 	capacity := 4 * maxSize
@@ -85,8 +83,6 @@ func newBatcher(idx Searcher, window time.Duration, maxSize, maxDepth, workers i
 		m:        m,
 		done:     make(chan struct{}),
 	}
-	b.tracedIdx, _ = idx.(batchTracedSearcher)
-	b.ctxIdx, _ = idx.(batchCtxSearcher)
 	b.wg.Add(1)
 	go b.run()
 	return b
@@ -221,7 +217,7 @@ func (b *batcher) drainQueue() {
 }
 
 // execute groups a collected batch by search parameters and runs one
-// SearchBatch per group under the shared concurrency limiter.
+// SearchBatchCtx per group under the shared concurrency limiter.
 func (b *batcher) execute(batch []pendingQuery) {
 	defer b.wg.Done()
 	b.sem <- struct{}{}
@@ -258,40 +254,31 @@ func (b *batcher) execute(batch []pendingQuery) {
 				traces[j] = batch[i].tr
 			}
 		}
-		var results []resinfer.BatchResult
-		var err error
-		switch {
-		case b.ctxIdx != nil:
-			// The group executes under a detached context expiring at the
-			// latest member deadline: one member's cancellation must not
-			// abort its groupmates, but a stuck shard must not hold the
-			// group past the point where anyone still wants the answer.
-			// Members with earlier deadlines give up in submit on their own.
-			gctx := context.Background()
-			var cancel context.CancelFunc
-			var maxDL time.Time
-			bounded := true
-			for _, i := range members {
-				dl := batch[i].deadline
-				if dl.IsZero() {
-					bounded = false
-					break
-				}
-				if dl.After(maxDL) {
-					maxDL = dl
-				}
+		// The group executes under a detached context expiring at the
+		// latest member deadline: one member's cancellation must not
+		// abort its groupmates, but a stuck shard must not hold the
+		// group past the point where anyone still wants the answer.
+		// Members with earlier deadlines give up in submit on their own.
+		gctx := context.Background()
+		var cancel context.CancelFunc
+		var maxDL time.Time
+		bounded := true
+		for _, i := range members {
+			dl := batch[i].deadline
+			if dl.IsZero() {
+				bounded = false
+				break
 			}
-			if bounded {
-				gctx, cancel = context.WithDeadline(context.Background(), maxDL)
+			if dl.After(maxDL) {
+				maxDL = dl
 			}
-			results, err = b.ctxIdx.SearchBatchCtx(gctx, queries, key.k, key.mode, key.budget, b.workers, traces)
-			if cancel != nil {
-				cancel()
-			}
-		case traced && b.tracedIdx != nil:
-			results, err = b.tracedIdx.SearchBatchTraced(queries, key.k, key.mode, key.budget, b.workers, traces)
-		default:
-			results, err = b.idx.SearchBatch(queries, key.k, key.mode, key.budget, b.workers)
+		}
+		if bounded {
+			gctx, cancel = context.WithDeadline(context.Background(), maxDL)
+		}
+		results, err := b.idx.SearchBatchCtx(gctx, queries, key.k, key.mode, key.budget, b.workers, traces)
+		if cancel != nil {
+			cancel()
 		}
 		b.m.batches.Inc()
 		b.m.batchedQueries.Add(int64(len(members)))

@@ -166,109 +166,100 @@ func (m *metrics) snapshot() StatsSnapshot {
 	return s
 }
 
-// registerIndexMetrics wires whatever observability the served index
-// supports into the registry via capability probes, so the server stays
-// decoupled from concrete index types: per-shard search timings and
-// work counters, compaction build/swap durations, WAL append/fsync
-// latency, and memtable/tombstone/segment gauges. qt (may be nil) is
-// the shadow quality tracker; the index exposes a single compaction
-// observer slot, so the metrics observer also rolls the tracker's
-// since-compaction recall epoch.
-// It returns the per-shard search-duration histograms (nil when the
-// index is unsharded) so the server can derive the observed shard p95 —
-// the adaptive hedge-delay source.
-func registerIndexMetrics(reg *obs.Registry, idx Searcher, mut Mutator, qt *quality.Tracker) []*obs.Histogram {
+// registerIndexMetrics wires the served index's observability into the
+// registry: per-shard search timings and work counters for every index;
+// compaction build/swap durations, WAL append/fsync latency and
+// memtable/tombstone/segment gauges when it is mutable (mut non-nil).
+// qt (may be nil) is the shadow quality tracker; the index exposes a
+// single compaction observer slot, so the metrics observer also rolls
+// the tracker's since-compaction recall epoch.
+// It returns the per-shard search-duration histograms so the server can
+// derive the observed shard p95 — the adaptive hedge-delay source.
+func registerIndexMetrics(reg *obs.Registry, idx Engine, mut Mutator, qt *quality.Tracker) []*obs.Histogram {
 	reg.GaugeFunc("resinfer_index_points", "Rows currently searchable in the index.",
 		func() float64 { return float64(idx.Len()) })
 
-	var shardDurs []*obs.Histogram
-	if so, ok := idx.(shardObservable); ok {
-		n := so.NumShards()
-		durs := make([]*obs.Histogram, n)
-		cmps := make([]*obs.Counter, n)
-		prns := make([]*obs.Counter, n)
-		for s := 0; s < n; s++ {
-			l := obs.Label{Name: "shard", Value: strconv.Itoa(s)}
-			durs[s] = reg.Histogram("resinfer_shard_search_duration_seconds",
-				"Per-shard search duration within the fan-out.", latencyBuckets(), l)
-			cmps[s] = reg.Counter("resinfer_shard_comparisons_total",
-				"Threshold comparisons performed by this shard.", l)
-			prns[s] = reg.Counter("resinfer_shard_pruned_total",
-				"Candidates this shard discarded from approximate distances.", l)
+	n := idx.NumShards()
+	durs := make([]*obs.Histogram, n)
+	cmps := make([]*obs.Counter, n)
+	prns := make([]*obs.Counter, n)
+	for s := 0; s < n; s++ {
+		l := obs.Label{Name: "shard", Value: strconv.Itoa(s)}
+		durs[s] = reg.Histogram("resinfer_shard_search_duration_seconds",
+			"Per-shard search duration within the fan-out.", latencyBuckets(), l)
+		cmps[s] = reg.Counter("resinfer_shard_comparisons_total",
+			"Threshold comparisons performed by this shard.", l)
+		prns[s] = reg.Counter("resinfer_shard_pruned_total",
+			"Candidates this shard discarded from approximate distances.", l)
+	}
+	idx.SetShardObserver(func(shard int, d time.Duration, st resinfer.SearchStats) {
+		if shard < 0 || shard >= n {
+			return
 		}
-		so.SetShardObserver(func(shard int, d time.Duration, st resinfer.SearchStats) {
-			if shard < 0 || shard >= n {
-				return
-			}
-			durs[shard].ObserveDuration(d)
-			cmps[shard].Add(st.Comparisons)
-			prns[shard].Add(st.Pruned)
-		})
-		shardDurs = durs
+		durs[shard].ObserveDuration(d)
+		cmps[shard].Add(st.Comparisons)
+		prns[shard].Add(st.Pruned)
+	})
+	if mut == nil {
+		return durs
 	}
 
-	if co, ok := idx.(compactionObservable); ok {
-		build := reg.Histogram("resinfer_compaction_build_seconds",
-			"Off-path rebuild+retrain duration of shard compactions.",
-			obs.ExponentialBuckets(1e-3, 2, 18))
-		swap := reg.Histogram("resinfer_compaction_swap_seconds",
-			"Write-lock hold time of compaction hot swaps.",
-			obs.ExponentialBuckets(1e-6, 2, 18))
-		swaps := reg.Counter("resinfer_compaction_hotswaps_total",
-			"Completed shard compactions (hot swaps).")
-		co.SetCompactionObserver(func(ci resinfer.CompactionInfo) {
-			build.ObserveDuration(ci.BuildDuration)
-			swap.ObserveDuration(ci.SwapDuration)
-			swaps.Inc()
-			qt.NoteCompaction() // nil-safe
-		})
-	}
+	build := reg.Histogram("resinfer_compaction_build_seconds",
+		"Off-path rebuild+retrain duration of shard compactions.",
+		obs.ExponentialBuckets(1e-3, 2, 18))
+	swap := reg.Histogram("resinfer_compaction_swap_seconds",
+		"Write-lock hold time of compaction hot swaps.",
+		obs.ExponentialBuckets(1e-6, 2, 18))
+	swaps := reg.Counter("resinfer_compaction_hotswaps_total",
+		"Completed shard compactions (hot swaps).")
+	mut.SetCompactionObserver(func(ci resinfer.CompactionInfo) {
+		build.ObserveDuration(ci.BuildDuration)
+		swap.ObserveDuration(ci.SwapDuration)
+		swaps.Inc()
+		qt.NoteCompaction() // nil-safe
+	})
 
-	if wo, ok := idx.(walObservable); ok {
-		appendH := reg.Histogram("resinfer_wal_append_seconds",
-			"WAL record append latency (serialize + write + inline fsync).",
-			obs.ExponentialBuckets(1e-6, 2, 20))
-		syncH := reg.Histogram("resinfer_wal_fsync_seconds",
-			"WAL fsync latency on the append path (SyncAlways only).",
-			obs.ExponentialBuckets(1e-6, 2, 20))
-		wo.SetWALObserver(func(appendDur, syncDur time.Duration) {
-			appendH.ObserveDuration(appendDur)
-			if syncDur > 0 {
-				syncH.ObserveDuration(syncDur)
-			}
-		})
-	}
-
-	if mut != nil {
-		// One cached MutationStats snapshot feeds every gauge below:
-		// MutationStats walks per-shard segment state under locks, so a
-		// scrape reading five gauges should not take it five times.
-		var (
-			mu   sync.Mutex
-			ms   resinfer.MutationStats
-			last time.Time
-		)
-		stat := func(get func(resinfer.MutationStats) float64) func() float64 {
-			return func() float64 {
-				mu.Lock()
-				defer mu.Unlock()
-				if last.IsZero() || time.Since(last) > time.Second {
-					ms = mut.MutationStats()
-					last = time.Now()
-				}
-				return get(ms)
-			}
+	appendH := reg.Histogram("resinfer_wal_append_seconds",
+		"WAL record append latency (serialize + write + inline fsync).",
+		obs.ExponentialBuckets(1e-6, 2, 20))
+	syncH := reg.Histogram("resinfer_wal_fsync_seconds",
+		"WAL fsync latency on the append path (SyncAlways only).",
+		obs.ExponentialBuckets(1e-6, 2, 20))
+	mut.SetWALObserver(func(appendDur, syncDur time.Duration) {
+		appendH.ObserveDuration(appendDur)
+		if syncDur > 0 {
+			syncH.ObserveDuration(syncDur)
 		}
-		reg.GaugeFunc("resinfer_memtable_rows", "Total memtable depth across shards.",
-			stat(func(m resinfer.MutationStats) float64 { return float64(m.MemtableRows) }))
-		reg.GaugeFunc("resinfer_tombstones", "Pending tombstoned deletes across shards.",
-			stat(func(m resinfer.MutationStats) float64 { return float64(m.Tombstones) }))
-		reg.GaugeFunc("resinfer_compactions", "Completed shard compactions.",
-			stat(func(m resinfer.MutationStats) float64 { return float64(m.Compactions) }))
-		reg.GaugeFunc("resinfer_compact_errors", "Failed compaction attempts.",
-			stat(func(m resinfer.MutationStats) float64 { return float64(m.CompactErrors) }))
-		reg.GaugeFunc("resinfer_wal_segments", "WAL segment files on disk.",
-			stat(func(m resinfer.MutationStats) float64 { return float64(m.WALSegments) }))
+	})
+
+	// One cached MutationStats snapshot feeds every gauge below:
+	// MutationStats walks per-shard segment state under locks, so a
+	// scrape reading five gauges should not take it five times.
+	var (
+		mu   sync.Mutex
+		ms   resinfer.MutationStats
+		last time.Time
+	)
+	stat := func(get func(resinfer.MutationStats) float64) func() float64 {
+		return func() float64 {
+			mu.Lock()
+			defer mu.Unlock()
+			if last.IsZero() || time.Since(last) > time.Second {
+				ms = mut.MutationStats()
+				last = time.Now()
+			}
+			return get(ms)
+		}
 	}
-	return shardDurs
+	reg.GaugeFunc("resinfer_memtable_rows", "Total memtable depth across shards.",
+		stat(func(m resinfer.MutationStats) float64 { return float64(m.MemtableRows) }))
+	reg.GaugeFunc("resinfer_tombstones", "Pending tombstoned deletes across shards.",
+		stat(func(m resinfer.MutationStats) float64 { return float64(m.Tombstones) }))
+	reg.GaugeFunc("resinfer_compactions", "Completed shard compactions.",
+		stat(func(m resinfer.MutationStats) float64 { return float64(m.Compactions) }))
+	reg.GaugeFunc("resinfer_compact_errors", "Failed compaction attempts.",
+		stat(func(m resinfer.MutationStats) float64 { return float64(m.CompactErrors) }))
+	reg.GaugeFunc("resinfer_wal_segments", "WAL segment files on disk.",
+		stat(func(m resinfer.MutationStats) float64 { return float64(m.WALSegments) }))
+	return durs
 }

@@ -4,20 +4,45 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"time"
 
 	"resinfer"
+	"resinfer/internal/wal"
 )
 
-// Mutator is the streaming-ingestion slice of the resinfer API;
-// *resinfer.MutableIndex satisfies it. A server wrapping a Mutator
-// additionally exposes POST /upsert, POST /delete and POST /compact,
-// and surfaces the mutation counters at /stats.
+// Mutator is everything a mutable index adds to Engine;
+// *resinfer.MutableIndex satisfies it. New checks for it once: a server
+// over a Mutator additionally exposes POST /upsert, /delete and /compact,
+// the degraded read-only state at /readyz and POST /admin/degraded/clear,
+// the mutation counters at /stats, compaction and WAL timings at
+// /metrics, a final WAL sync + checkpoint on graceful shutdown, and the
+// snapshot + WAL-tail endpoints joining replicas bootstrap from.
 type Mutator interface {
 	Upsert(id int, vec []float32) (int, error)
 	Delete(id int) (bool, error)
 	Compact() (int, error)
 	MutationStats() resinfer.MutationStats
+	SetCompactionObserver(func(resinfer.CompactionInfo))
+
+	// Degraded reports, and ClearDegraded lifts, the fail-stop read-only
+	// state entered after persistent WAL failure.
+	Degraded() error
+	ClearDegraded() error
+
+	// The WAL: fsync policy for the build-info metric, append/fsync
+	// latency (the bool reports whether a log is attached), and the flush
+	// pair of the graceful drain.
+	WALSyncPolicy() string
+	SetWALObserver(func(appendDur, syncDur time.Duration)) bool
+	SyncWAL() error
+	Checkpoint() error
+
+	// The replication source: snapshot, WAL tail, and how far it reaches.
+	Save(w io.Writer) error
+	WALReplay(after uint64, fn func(wal.Record) error) (wal.ReplayStats, error)
+	AppliedLSN() uint64
 }
 
 type upsertRequest struct {

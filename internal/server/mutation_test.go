@@ -227,43 +227,36 @@ func TestServerMutationRejectsNonFiniteVectors(t *testing.T) {
 
 // failingMutator simulates an index whose mutation path fails
 // internally (e.g. a failed shard rebuild): the server must answer 500,
-// not blame the client with a 400.
+// not blame the client with a 400. It embeds a real index for both
+// interfaces and overrides only the three calls it fakes.
 type failingMutator struct {
-	inner Searcher
+	Engine
+	Mutator
 }
 
-func (f *failingMutator) SearchWithStats(q []float32, k int, mode resinfer.Mode, budget int) ([]resinfer.Neighbor, resinfer.SearchStats, error) {
-	return f.inner.SearchWithStats(q, k, mode, budget)
-}
-func (f *failingMutator) SearchBatch(qs [][]float32, k int, mode resinfer.Mode, budget, workers int) ([]resinfer.BatchResult, error) {
-	return f.inner.SearchBatch(qs, k, mode, budget, workers)
-}
-func (f *failingMutator) Len() int               { return f.inner.Len() }
-func (f *failingMutator) QueryDim() int          { return f.inner.QueryDim() }
-func (f *failingMutator) Modes() []resinfer.Mode { return f.inner.Modes() }
-func (f *failingMutator) Upsert(id int, v []float32) (int, error) {
+func (failingMutator) Upsert(id int, v []float32) (int, error) {
 	return 0, errors.New("rebuild failed: disk on fire")
 }
-func (f *failingMutator) Delete(id int) (bool, error) {
+func (failingMutator) Delete(id int) (bool, error) {
 	return false, errors.New("rebuild failed: disk on fire")
 }
-func (f *failingMutator) Compact() (int, error) {
+func (failingMutator) Compact() (int, error) {
 	return 0, errors.New("rebuild failed: disk on fire")
 }
-func (f *failingMutator) MutationStats() resinfer.MutationStats { return resinfer.MutationStats{} }
 
 func TestServerInternalMutationErrorsAre500(t *testing.T) {
 	ds, _ := testFixtures(t)
-	sx, err := resinfer.NewSharded(ds.Data, resinfer.Flat, 2, nil)
+	mx, err := resinfer.NewMutable(ds.Data, resinfer.Flat, 2, &resinfer.MutableOptions{DisableAutoCompact: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(&failingMutator{inner: sx}, Config{BatchWindow: -1})
+	defer mx.Close()
+	srv := New(failingMutator{Engine: mx, Mutator: mx}, Config{BatchWindow: -1})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	vecBody := make([]float32, sx.QueryDim())
+	vecBody := make([]float32, mx.QueryDim())
 	cases := []struct {
 		path string
 		body map[string]any

@@ -8,16 +8,15 @@ package server
 //	GET  /internal/replica/wal?from=N  the WAL tail past a follower's cursor, length-prefixed CRC records
 //	GET  /internal/replica/status      applied LSN + row count
 //
-// The endpoints register via capability probes, so a server over a
-// plain single index simply does not have them. They sit under
-// /internal/ — a deployment fronting annserve with a load balancer
-// should not route that prefix from outside the replica group.
+// Every server answers shard probes; the replica endpoints exist when
+// the index is a Mutator. They sit under /internal/ — a deployment
+// fronting annserve with a load balancer should not route that prefix
+// from outside the replica group.
 
 import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 
@@ -25,57 +24,28 @@ import (
 	"resinfer/internal/wal"
 )
 
-type (
-	// shardGlobalSearcher answers hedged shard probes; ShardedIndex and
-	// MutableIndex satisfy it.
-	shardGlobalSearcher interface {
-		SearchShardGlobal(s int, q []float32, k int, mode resinfer.Mode, budget int) ([]resinfer.Neighbor, resinfer.SearchStats, error)
-		NumShards() int
+// registerReplication mounts the shard-probe endpoint and the hedge
+// counters, plus the replica-source endpoints on a mutable index. Called
+// from New.
+func (s *Server) registerReplication() {
+	s.mux.HandleFunc("POST /internal/shard/search", s.handleShardSearch)
+	s.reg.GaugeFunc("resinfer_hedged_total",
+		"Shard probes re-issued to a peer replica (hedges fired).",
+		func() float64 { h, _ := s.idx.HedgeStats(); return float64(h) })
+	s.reg.GaugeFunc("resinfer_hedge_wins_total",
+		"Hedged probes that delivered their shard's first good answer.",
+		func() float64 { _, w := s.idx.HedgeStats(); return float64(w) })
+	if s.mut == nil {
+		return
 	}
-	// replicaSource serves snapshots and WAL tails to joining replicas;
-	// MutableIndex satisfies it.
-	replicaSource interface {
-		Save(w io.Writer) error
-		WALReplay(after uint64, fn func(wal.Record) error) (wal.ReplayStats, error)
-		AppliedLSN() uint64
-	}
-	// hedgeStatter reports the hedged fan-out counters for /metrics.
-	hedgeStatter interface {
-		HedgeStats() (hedged, wins uint64)
-	}
-)
-
-// registerReplication mounts whichever replication endpoints the index
-// supports and the hedge counters when hedging is compiled into the
-// index type. Called from New.
-func (s *Server) registerReplication(idx Searcher) {
-	if sg, ok := idx.(shardGlobalSearcher); ok {
-		s.mux.HandleFunc("POST /internal/shard/search", func(w http.ResponseWriter, r *http.Request) {
-			s.handleShardSearch(w, r, sg)
+	s.mux.HandleFunc("GET /internal/replica/checkpoint", s.handleReplicaCheckpoint)
+	s.mux.HandleFunc("GET /internal/replica/wal", s.handleReplicaWAL)
+	s.mux.HandleFunc("GET /internal/replica/status", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusOK, replicaStatusJSON{
+			AppliedLSN: s.mut.AppliedLSN(),
+			Points:     s.idx.Len(),
 		})
-	}
-	if rs, ok := idx.(replicaSource); ok {
-		s.mux.HandleFunc("GET /internal/replica/checkpoint", func(w http.ResponseWriter, r *http.Request) {
-			s.handleReplicaCheckpoint(w, r, rs)
-		})
-		s.mux.HandleFunc("GET /internal/replica/wal", func(w http.ResponseWriter, r *http.Request) {
-			s.handleReplicaWAL(w, r, rs)
-		})
-		s.mux.HandleFunc("GET /internal/replica/status", func(w http.ResponseWriter, r *http.Request) {
-			writeJSON(w, http.StatusOK, replicaStatusJSON{
-				AppliedLSN: rs.AppliedLSN(),
-				Points:     s.idx.Len(),
-			})
-		})
-	}
-	if hs, ok := idx.(hedgeStatter); ok {
-		s.reg.GaugeFunc("resinfer_hedged_total",
-			"Shard probes re-issued to a peer replica (hedges fired).",
-			func() float64 { h, _ := hs.HedgeStats(); return float64(h) })
-		s.reg.GaugeFunc("resinfer_hedge_wins_total",
-			"Hedged probes that delivered their shard's first good answer.",
-			func() float64 { _, w := hs.HedgeStats(); return float64(w) })
-	}
+	})
 }
 
 type replicaStatusJSON struct {
@@ -106,15 +76,15 @@ type shardSearchResponse struct {
 // shard's contribution in global merge-ready form (IDs global, Key the
 // cross-shard merge key). It bypasses the micro-batcher — a hedge is
 // already late, queuing it behind a batch window would defeat it.
-func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request, sg shardGlobalSearcher) {
+func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
 	s.metrics.requests.Inc()
 	var req shardSearchRequest
 	if err := decodeStrict(r, &req); err != nil {
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return
 	}
-	if req.Shard < 0 || req.Shard >= sg.NumShards() {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("shard %d out of range [0,%d)", req.Shard, sg.NumShards()))
+	if req.Shard < 0 || req.Shard >= s.idx.NumShards() {
+		s.fail(w, http.StatusBadRequest, fmt.Errorf("shard %d out of range [0,%d)", req.Shard, s.idx.NumShards()))
 		return
 	}
 	key, err := s.resolveParams(req.K, req.Mode, req.Budget)
@@ -122,7 +92,7 @@ func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request, sg sh
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	ns, st, err := sg.SearchShardGlobal(req.Shard, req.Query, key.k, key.mode, key.budget)
+	ns, st, err := s.idx.SearchShardGlobal(req.Shard, req.Query, key.k, key.mode, key.budget)
 	if err != nil {
 		s.metrics.errors.Inc()
 		s.fail(w, http.StatusInternalServerError, err)
@@ -143,15 +113,15 @@ func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request, sg sh
 // bootstraps from. The snapshot is buffered in memory first: Save holds
 // the mutation lock, and streaming straight to a slow peer would hold
 // ingest hostage to the peer's network for the whole transfer.
-func (s *Server) handleReplicaCheckpoint(w http.ResponseWriter, r *http.Request, rs replicaSource) {
+func (s *Server) handleReplicaCheckpoint(w http.ResponseWriter, r *http.Request) {
 	var buf bytes.Buffer
-	if err := rs.Save(&buf); err != nil {
+	if err := s.mut.Save(&buf); err != nil {
 		s.fail(w, http.StatusInternalServerError, fmt.Errorf("snapshotting index: %w", err))
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
-	w.Header().Set(lastLSNHeader, strconv.FormatUint(rs.AppliedLSN(), 10))
+	w.Header().Set(lastLSNHeader, strconv.FormatUint(s.mut.AppliedLSN(), 10))
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(buf.Bytes())
 }
@@ -170,7 +140,7 @@ var errWALGap = errors.New("cursor behind trimmed WAL history")
 // — the cursor sits before history a checkpoint already trimmed — can
 // be reported as 410 Gone, telling the follower to re-sync from a fresh
 // snapshot instead of silently missing mutations.
-func (s *Server) handleReplicaWAL(w http.ResponseWriter, r *http.Request, rs replicaSource) {
+func (s *Server) handleReplicaWAL(w http.ResponseWriter, r *http.Request) {
 	from, err := strconv.ParseUint(r.URL.Query().Get("from"), 10, 64)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("bad from cursor: %w", err))
@@ -179,7 +149,7 @@ func (s *Server) handleReplicaWAL(w http.ResponseWriter, r *http.Request, rs rep
 	var buf bytes.Buffer
 	sw := wal.NewStreamWriter(&buf)
 	delivered := uint64(0)
-	_, rerr := rs.WALReplay(from, func(rec wal.Record) error {
+	_, rerr := s.mut.WALReplay(from, func(rec wal.Record) error {
 		// LSNs are dense in the retained log: the first record past the
 		// cursor not being from+1 means trimmed history.
 		if delivered == 0 && rec.LSN > from+1 {
@@ -188,7 +158,7 @@ func (s *Server) handleReplicaWAL(w http.ResponseWriter, r *http.Request, rs rep
 		delivered = rec.LSN
 		return sw.Write(rec)
 	})
-	applied := rs.AppliedLSN()
+	applied := s.mut.AppliedLSN()
 	switch {
 	case errors.Is(rerr, errWALGap):
 		s.fail(w, http.StatusGone, fmt.Errorf("wal trimmed past cursor %d; re-sync from a fresh checkpoint", from))

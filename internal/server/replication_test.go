@@ -145,8 +145,8 @@ func TestReplicaCheckpointRoundTrip(t *testing.T) {
 		t.Fatalf("clone lsn %d, primary %d", clone.AppliedLSN(), mx.AppliedLSN())
 	}
 	q := replVec(501, 24)
-	a, _, _ := mx.SearchWithStats(q, 10, resinfer.Exact, 0)
-	b, _, _ := clone.SearchWithStats(q, 10, resinfer.Exact, 0)
+	a, _, _ := mx.SearchInto(nil, q, 10, resinfer.Exact, 0)
+	b, _, _ := clone.SearchInto(nil, q, 10, resinfer.Exact, 0)
 	ids := func(ns []resinfer.Neighbor) []int {
 		out := make([]int, len(ns))
 		for i, n := range ns {

@@ -1,4 +1,4 @@
-// Package server exposes a resinfer index (single or sharded) over an
+// Package server exposes a resinfer index (sharded or mutable) over an
 // HTTP JSON API:
 //
 //	POST /search         one query        {"query":[...],"k":10,"mode":"exact","budget":100}
@@ -10,7 +10,7 @@
 //
 // Single-query requests pass through a micro-batching admission queue:
 // they are collected for a short window (or until a size cap) and run as
-// one SearchBatch, so concurrent callers share scheduling overhead. A
+// one SearchBatchCtx, so concurrent callers share scheduling overhead. A
 // semaphore bounds how many batch executions run at once, and every
 // counter surfaced at /stats and /metrics is updated lock-free on the
 // request path.
@@ -43,14 +43,23 @@ import (
 	"resinfer/internal/quality"
 )
 
-// Searcher is the slice of the resinfer API the server needs; both
-// *resinfer.Index and *resinfer.ShardedIndex satisfy it.
-type Searcher interface {
-	SearchWithStats(q []float32, k int, mode resinfer.Mode, budget int) ([]resinfer.Neighbor, resinfer.SearchStats, error)
-	SearchBatch(queries [][]float32, k int, mode resinfer.Mode, budget, workers int) ([]resinfer.BatchResult, error)
+// Engine is the index API the server requires outright:
+// *resinfer.ShardedIndex satisfies it, *resinfer.MutableIndex does
+// through the ShardedIndex it embeds, and a single *resinfer.Index is
+// served as resinfer.SingleShard(ix). Every search runs through the
+// deadline-aware pair, so deadlines, partial results, per-shard metrics,
+// quality sampling and hedging apply to whatever is served.
+type Engine interface {
+	SearchCtx(ctx context.Context, dst []resinfer.Neighbor, q []float32, k int, mode resinfer.Mode, budget int, tr *obs.Trace) ([]resinfer.Neighbor, resinfer.SearchStats, error)
+	SearchBatchCtx(ctx context.Context, queries [][]float32, k int, mode resinfer.Mode, budget, workers int, traces []*obs.Trace) ([]resinfer.BatchResult, error)
 	Len() int
 	QueryDim() int
 	Modes() []resinfer.Mode
+	NumShards() int
+	SetShardObserver(func(shard int, d time.Duration, st resinfer.SearchStats))
+	GroundTruthSearch(dst []resinfer.Neighbor, shards []int, q []float32, k int) ([]resinfer.Neighbor, []int, int, error)
+	SearchShardGlobal(s int, q []float32, k int, mode resinfer.Mode, budget int) ([]resinfer.Neighbor, resinfer.SearchStats, error)
+	HedgeStats() (hedged, wins uint64)
 }
 
 // Config tunes the server. The zero value serves with exact search,
@@ -79,10 +88,10 @@ type Config struct {
 	// (default GOMAXPROCS).
 	SearchWorkers int
 	// RequestTimeout caps how long one /search request may wait end to
-	// end (default 30s). On a sharded index the deadline is enforced
-	// inside the fan-out: shards that miss it are abandoned and the
-	// response is served partial (see the Partial field of the search
-	// response) rather than not at all.
+	// end (default 30s). The deadline is enforced inside the fan-out:
+	// shards that miss it are abandoned and the response is served
+	// partial (see the Partial field of the search response) rather than
+	// not at all.
 	RequestTimeout time.Duration
 	// MaxQueueDepth is the admission-queue watermark: single-query
 	// requests arriving while this many queries already sit in (or
@@ -111,8 +120,7 @@ type Config struct {
 	// QualitySampleRate enables shadow quality sampling: one query in
 	// QualitySampleRate is captured and replayed off-path as an exact
 	// brute-force scan, feeding the live recall estimators at
-	// /debug/quality and /metrics. 0 disables; requires an index with a
-	// GroundTruthSearch (sharded or mutable).
+	// /debug/quality and /metrics. 0 disables.
 	QualitySampleRate int
 	// QualityWorkers sizes the ground-truth worker pool (default 1).
 	QualityWorkers int
@@ -179,12 +187,8 @@ func (c Config) withDefaults() Config {
 // Server serves one index. Create with New, expose with Handler or
 // ListenAndServe, stop with Close.
 type Server struct {
-	idx      Searcher
-	traced   tracedSearcher // idx's traced variant, nil if unsupported
-	ctxIdx   ctxSearcher    // idx's deadline-aware variant, nil if unsupported
-	ctxBatch batchCtxSearcher
-	mut      Mutator    // non-nil when idx also accepts mutations
-	degr     degradable // non-nil when idx has a degraded read-only mode
+	idx      Engine
+	mut      Mutator // non-nil when idx is also a mutable index
 	cfg      Config
 	metrics  metrics
 	reg      *obs.Registry
@@ -196,14 +200,15 @@ type Server struct {
 	quality  *quality.Tracker // nil unless shadow sampling is enabled
 	slo      *quality.SLO
 	traceSeq atomic.Uint64    // request trace-ID allocator
-	shardDur []*obs.Histogram // per-shard search latency (nil when unsharded)
+	shardDur []*obs.Histogram // per-shard search latency
 }
 
 // New wraps idx in a server. The caller must not reconfigure idx (e.g.
 // call Enable*) while the server is running; an index that implements
 // Mutator (resinfer.MutableIndex) additionally gets the /upsert, /delete
-// and /compact endpoints, through which mutation is safe at any time.
-func New(idx Searcher, cfg Config) *Server {
+// and /compact endpoints, through which mutation is safe at any time,
+// plus the degraded-mode, WAL and replication-source surface.
+func New(idx Engine, cfg Config) *Server {
 	c := cfg.withDefaults()
 	s := &Server{
 		idx: idx,
@@ -211,13 +216,11 @@ func New(idx Searcher, cfg Config) *Server {
 		reg: obs.NewRegistry(),
 		sem: make(chan struct{}, c.MaxConcurrent),
 	}
-	s.traced, _ = idx.(tracedSearcher)
-	s.ctxIdx, _ = idx.(ctxSearcher)
-	s.ctxBatch, _ = idx.(batchCtxSearcher)
-	s.degr, _ = idx.(degradable)
+	// The one capability check: it decides which endpoints exist.
+	s.mut, _ = idx.(Mutator)
 	s.metrics.walSync = "none"
-	if wp, ok := idx.(walPolicied); ok {
-		s.metrics.walSync = wp.WALSyncPolicy()
+	if s.mut != nil {
+		s.metrics.walSync = s.mut.WALSyncPolicy()
 	}
 	s.metrics.init(s.reg)
 	obs.RegisterGoRuntime(s.reg)
@@ -237,7 +240,7 @@ func New(idx Searcher, cfg Config) *Server {
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
-	if s.degr != nil {
+	if s.mut != nil {
 		s.mux.HandleFunc("POST /admin/degraded/clear", s.handleDegradedClear)
 	}
 	if s.slowlog != nil {
@@ -256,22 +259,19 @@ func New(idx Searcher, cfg Config) *Server {
 		s.mux.HandleFunc("POST /upsert", s.handleReplicaReject)
 		s.mux.HandleFunc("POST /delete", s.handleReplicaReject)
 		s.mux.HandleFunc("POST /compact", s.handleReplicaReject)
-	} else if m, ok := idx.(Mutator); ok {
-		s.mut = m
+	} else if s.mut != nil {
 		s.mux.HandleFunc("POST /upsert", s.handleUpsert)
 		s.mux.HandleFunc("POST /delete", s.handleDelete)
 		s.mux.HandleFunc("POST /compact", s.handleCompact)
 	}
-	s.registerReplication(idx)
+	s.registerReplication()
 	if c.QualitySampleRate > 0 {
-		if gt, ok := idx.(groundTruther); ok {
-			s.quality = quality.NewTracker(gt, quality.Config{
-				SampleRate: c.QualitySampleRate,
-				Workers:    c.QualityWorkers,
-			})
-			s.quality.Register(s.reg)
-			s.mux.HandleFunc("GET /debug/quality", s.handleQuality)
-		}
+		s.quality = quality.NewTracker(idx, quality.Config{
+			SampleRate: c.QualitySampleRate,
+			Workers:    c.QualityWorkers,
+		})
+		s.quality.Register(s.reg)
+		s.mux.HandleFunc("GET /debug/quality", s.handleQuality)
 	}
 	s.slo = quality.NewSLO(s.metrics.latency, s.quality, quality.SLOConfig{
 		LatencyThreshold: c.SLOLatencyThreshold,
@@ -285,10 +285,9 @@ func New(idx Searcher, cfg Config) *Server {
 }
 
 // ShardLatencyP95 returns the worst per-shard p95 search latency in
-// seconds observed so far, 0 before any shard probe has been recorded
-// or on an unsharded index. The adaptive hedge-delay controller polls
-// it: hedging at the shard p95 re-issues roughly the slowest 5% of
-// probes.
+// seconds observed so far, 0 before any shard probe has been recorded.
+// The adaptive hedge-delay controller polls it: hedging at the shard p95
+// re-issues roughly the slowest 5% of probes.
 func (s *Server) ShardLatencyP95() float64 {
 	var worst float64
 	for _, h := range s.shardDur {
@@ -607,23 +606,8 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		select {
 		case s.sem <- struct{}{}:
 			tr.End("admit", admit)
-			switch {
-			case s.ctxIdx != nil:
-				searchStart := time.Now()
-				ns, st, err := s.ctxIdx.SearchWithStatsCtx(ctx, req.Query, key.k, key.mode, key.budget, tr)
-				if tr != nil && s.traced == nil {
-					tr.End("search", searchStart)
-				}
-				res = queryResult{neighbors: ns, stats: st, err: err}
-			case tr != nil && s.traced != nil:
-				ns, st, err := s.traced.SearchWithStatsTraced(req.Query, key.k, key.mode, key.budget, tr)
-				res = queryResult{neighbors: ns, stats: st, err: err}
-			default:
-				searchStart := time.Now()
-				ns, st, err := s.idx.SearchWithStats(req.Query, key.k, key.mode, key.budget)
-				tr.End("search", searchStart)
-				res = queryResult{neighbors: ns, stats: st, err: err}
-			}
+			ns, st, err := s.idx.SearchCtx(ctx, nil, req.Query, key.k, key.mode, key.budget, tr)
+			res = queryResult{neighbors: ns, stats: st, err: err}
 			<-s.sem
 		case <-ctx.Done():
 			res = queryResult{err: ctx.Err()}
@@ -695,11 +679,7 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 	var results []resinfer.BatchResult
 	select {
 	case s.sem <- struct{}{}:
-		if s.ctxBatch != nil {
-			results, err = s.ctxBatch.SearchBatchCtx(ctx, req.Queries, key.k, key.mode, key.budget, s.cfg.SearchWorkers, nil)
-		} else {
-			results, err = s.idx.SearchBatch(req.Queries, key.k, key.mode, key.budget, s.cfg.SearchWorkers)
-		}
+		results, err = s.idx.SearchBatchCtx(ctx, req.Queries, key.k, key.mode, key.budget, s.cfg.SearchWorkers, nil)
 		<-s.sem
 	case <-ctx.Done():
 		err = ctx.Err()
@@ -777,8 +757,8 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if s.degr != nil {
-		if err := s.degr.Degraded(); err != nil {
+	if s.mut != nil {
+		if err := s.mut.Degraded(); err != nil {
 			writeJSON(w, http.StatusServiceUnavailable,
 				readyResponse{Status: "degraded", Degraded: err.Error()})
 			return
@@ -791,7 +771,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 // fixed, POST /admin/degraded/clear re-probes the WAL (rotating to a
 // fresh segment) and, on success, lifts read-only mode.
 func (s *Server) handleDegradedClear(w http.ResponseWriter, r *http.Request) {
-	if err := s.degr.ClearDegraded(); err != nil {
+	if err := s.mut.ClearDegraded(); err != nil {
 		s.fail(w, http.StatusServiceUnavailable, fmt.Errorf("still degraded: %w", err))
 		return
 	}
@@ -825,9 +805,9 @@ func (s *Server) Serve(ctx context.Context, addr string, onReady func(boundAddr 
 		// state: a final WAL fsync plus a checkpoint attempt, so a clean
 		// shutdown restarts with nothing to replay. Best-effort — a
 		// degraded WAL must not turn a graceful stop into a hang.
-		if df, ok := s.idx.(drainFlusher); ok {
-			if serr := df.SyncWAL(); serr == nil {
-				_ = df.Checkpoint()
+		if s.mut != nil {
+			if serr := s.mut.SyncWAL(); serr == nil {
+				_ = s.mut.Checkpoint()
 			}
 		}
 		return err

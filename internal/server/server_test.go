@@ -12,6 +12,7 @@ import (
 
 	"resinfer"
 	"resinfer/internal/dataset"
+	"resinfer/internal/fault"
 )
 
 func testFixtures(t *testing.T) (*dataset.Dataset, [][]int) {
@@ -189,7 +190,7 @@ func TestServerHealthz(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(ix, Config{})
+	srv := New(resinfer.SingleShard(ix), Config{})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -218,7 +219,7 @@ func TestServerBadRequests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(ix, Config{BatchWindow: -1}) // direct path
+	srv := New(resinfer.SingleShard(ix), Config{BatchWindow: -1}) // direct path
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -262,7 +263,7 @@ func TestServerBadQueryDoesNotPoisonBatch(t *testing.T) {
 	}
 	// A wide window would group the two requests if the bad one were
 	// admitted to the queue.
-	srv := New(ix, Config{BatchWindow: 50 * time.Millisecond, BatchMaxSize: 8})
+	srv := New(resinfer.SingleShard(ix), Config{BatchWindow: 50 * time.Millisecond, BatchMaxSize: 8})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -290,7 +291,7 @@ func TestServerCloseFailsQueued(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(ix, Config{BatchWindow: time.Second}) // long window keeps queries queued
+	srv := New(resinfer.SingleShard(ix), Config{BatchWindow: time.Second}) // long window keeps queries queued
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -311,5 +312,61 @@ func TestServerCloseFailsQueued(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("queued query hung after Close")
+	}
+}
+
+// The server requires Engine outright and checks for Mutator once; both
+// index types the library ships must keep satisfying them.
+var (
+	_ Engine  = (*resinfer.ShardedIndex)(nil)
+	_ Engine  = (*resinfer.MutableIndex)(nil)
+	_ Mutator = (*resinfer.MutableIndex)(nil)
+)
+
+// TestSingleIndexServedAsOneShard: a single Index is served through the
+// same engine as any sharded one, so it gets what the unsharded path
+// never had — shard coverage in stats, a request deadline that a stuck
+// probe cannot outlive (503, counted as a timeout), and /debug/quality.
+func TestSingleIndexServedAsOneShard(t *testing.T) {
+	defer fault.Reset()
+	fault.Reset()
+	ds, _ := testFixtures(t)
+	ix, err := resinfer.New(ds.Data[:300], resinfer.Flat, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(resinfer.SingleShard(ix), Config{
+		BatchWindow:       -1,
+		RequestTimeout:    150 * time.Millisecond,
+		QualitySampleRate: 1,
+	})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	req := searchRequest{Query: ds.Queries[0], K: 5, Mode: "exact"}
+	var out searchResponse
+	if resp := postJSON(t, ts.URL+"/search", req, &out); resp.StatusCode != http.StatusOK {
+		t.Fatalf("search: status %d, want 200", resp.StatusCode)
+	}
+	if out.Stats.ShardsOK != 1 || out.Stats.ShardsFailed != 0 || out.Partial {
+		t.Fatalf("coverage %+v partial=%v, want 1 shard ok", out.Stats, out.Partial)
+	}
+	if snap := waitQualityMeasured(t, ts.URL, 1); snap.RecallMean < 0.999 || len(snap.PerShard) != 1 {
+		t.Fatalf("quality: recall %v over %d shards, want 1.0 over 1", snap.RecallMean, len(snap.PerShard))
+	}
+
+	defer fault.Inject(fault.Injection{Site: fault.SiteShardSearch, Arg: 0, Delay: 2 * time.Second})()
+	start := time.Now()
+	var eout errorResponse
+	resp := postJSON(t, ts.URL+"/search", req, &eout)
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("stuck shard: status %d, want 503", resp.StatusCode)
+	}
+	if el := time.Since(start); el > time.Second {
+		t.Fatalf("stuck shard held the request %v past its 150ms deadline", el)
+	}
+	if st := srv.Stats(); st.Timeouts < 1 {
+		t.Fatalf("timeouts counter %d, want >= 1", st.Timeouts)
 	}
 }

@@ -1,83 +1,10 @@
 package server
 
 import (
-	"context"
 	"sync"
 	"time"
 
-	"resinfer"
 	"resinfer/internal/obs"
-)
-
-// Capability probes: the server asks the index it wraps for deeper
-// observability instead of depending on concrete types, so a plain
-// *resinfer.Index (no shards) degrades gracefully — requests still
-// trace the HTTP-level stages, just without the per-shard breakdown.
-type (
-	// shardObservable exposes per-shard search instrumentation;
-	// *resinfer.ShardedIndex and *resinfer.MutableIndex satisfy it.
-	shardObservable interface {
-		NumShards() int
-		SetShardObserver(func(shard int, d time.Duration, st resinfer.SearchStats))
-	}
-	// compactionObservable reports background compaction timings.
-	compactionObservable interface {
-		SetCompactionObserver(func(resinfer.CompactionInfo))
-	}
-	// walObservable reports WAL append/fsync latency when a log is
-	// attached (the bool mirrors MutableIndex.SetWALObserver).
-	walObservable interface {
-		SetWALObserver(func(appendDur, syncDur time.Duration)) bool
-	}
-	// tracedSearcher runs one query recording fan-out/merge stages and
-	// per-shard probes into the trace.
-	tracedSearcher interface {
-		SearchWithStatsTraced(q []float32, k int, mode resinfer.Mode, budget int, tr *obs.Trace) ([]resinfer.Neighbor, resinfer.SearchStats, error)
-	}
-	// batchTracedSearcher is the batch variant: traces[i] (nil entries
-	// allowed) receives query i's stages.
-	batchTracedSearcher interface {
-		SearchBatchTraced(queries [][]float32, k int, mode resinfer.Mode, budget, workers int, traces []*obs.Trace) ([]resinfer.BatchResult, error)
-	}
-	// ctxSearcher runs one query under a deadline with partial-result
-	// semantics: stragglers are abandoned when ctx expires and
-	// SearchStats.ShardsOK/ShardsFailed report the coverage.
-	// *resinfer.ShardedIndex and *resinfer.MutableIndex satisfy it; a
-	// plain *resinfer.Index degrades to the undeadlined path.
-	ctxSearcher interface {
-		SearchWithStatsCtx(ctx context.Context, q []float32, k int, mode resinfer.Mode, budget int, tr *obs.Trace) ([]resinfer.Neighbor, resinfer.SearchStats, error)
-	}
-	// batchCtxSearcher is the batch variant of ctxSearcher.
-	batchCtxSearcher interface {
-		SearchBatchCtx(ctx context.Context, queries [][]float32, k int, mode resinfer.Mode, budget, workers int, traces []*obs.Trace) ([]resinfer.BatchResult, error)
-	}
-	// degradable reports and clears the fail-stop read-only state a
-	// mutable index enters after persistent WAL failure; feeds /readyz
-	// and POST /admin/degraded/clear. *resinfer.MutableIndex satisfies
-	// it.
-	degradable interface {
-		Degraded() error
-		ClearDegraded() error
-	}
-	// drainFlusher flushes durability state during graceful shutdown: a
-	// final WAL fsync and a checkpoint attempt so a clean stop leaves
-	// nothing to replay. *resinfer.MutableIndex satisfies it.
-	drainFlusher interface {
-		SyncWAL() error
-		Checkpoint() error
-	}
-	// groundTruther exposes the exact, mutation-aware brute-force scan
-	// the shadow quality sampler replays sampled queries against.
-	// *resinfer.ShardedIndex and *resinfer.MutableIndex satisfy it.
-	groundTruther interface {
-		GroundTruthSearch(dst []resinfer.Neighbor, shards []int, q []float32, k int) ([]resinfer.Neighbor, []int, int, error)
-		NumShards() int
-	}
-	// walPolicied reports the attached WAL's fsync policy for the
-	// build-info metric. *resinfer.MutableIndex satisfies it.
-	walPolicied interface {
-		WALSyncPolicy() string
-	}
 )
 
 // tracePool recycles obs.Trace recorders across requests; ResetAt keeps

@@ -1,7 +1,6 @@
 package resinfer
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -10,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"resinfer/internal/obs"
 	"resinfer/internal/persist"
 	"resinfer/internal/stream"
 	"resinfer/internal/wal"
@@ -30,12 +28,8 @@ const (
 // tombstone section per shard — so an index saved mid-compaction, with a
 // non-empty memtable and pending tombstones, round-trips losslessly.
 // Version 2 added the applied-WAL-LSN header field, the durability
-// anchor recovery replays the log against; v1 files (no WAL position)
-// still load.
-const (
-	streamMagic   = "RESSTRM2"
-	streamMagicV1 = "RESSTRM1"
-)
+// anchor recovery replays the log against.
+const streamMagic = "RESSTRM2"
 
 // MutableOptions tunes a streaming (mutable) sharded index. The zero
 // value gives round-robin sharding, a 1024-row compaction threshold, and
@@ -135,8 +129,15 @@ type MutationStats struct {
 // mutations and compactions. Mutations serialize internally. Global IDs
 // are stable for the life of a row: Add assigns them, searches report
 // them, and compaction preserves them.
+//
+// Everything that reads — Search, SearchInto, SearchCtx, SearchBatch,
+// SearchBatchCtx, Enable*, Len, Modes, GroundTruthSearch, the hedging
+// hooks — is the embedded ShardedIndex's own method, so results reflect
+// every mutation that completed before the call and never include deleted
+// rows; MutableIndex itself adds only what differs: mutation, compaction,
+// persistence with segments, and the WAL.
 type MutableIndex struct {
-	sx  *ShardedIndex
+	*ShardedIndex
 	cfg MutableOptions
 
 	inserts        atomic.Int64
@@ -202,10 +203,10 @@ func NewMutable(data [][]float32, kind IndexKind, nShards int, opts *MutableOpti
 // starts the compactor (shared by NewMutable and LoadMutable).
 func newMutableAround(sx *ShardedIndex, o MutableOptions) *MutableIndex {
 	mx := &MutableIndex{
-		sx:   sx,
-		cfg:  o,
-		kick: make(chan struct{}, 1),
-		done: make(chan struct{}),
+		ShardedIndex: sx,
+		cfg:          o,
+		kick:         make(chan struct{}, 1),
+		done:         make(chan struct{}),
 	}
 	if !o.DisableAutoCompact {
 		mx.wg.Add(1)
@@ -223,14 +224,14 @@ func newMutableAround(sx *ShardedIndex, o MutableOptions) *MutableIndex {
 func (mx *MutableIndex) Close() {
 	mx.closeOne.Do(func() { close(mx.done) })
 	mx.wg.Wait()
-	if w := mx.sx.mut.wal; w != nil {
+	if w := mx.mut.wal; w != nil {
 		_ = w.Close()
 	}
 }
 
 // Add ingests a fresh vector and returns its assigned global ID.
 func (mx *MutableIndex) Add(v []float32) (int, error) {
-	id, err := mx.sx.mutUpsert(-1, v)
+	id, err := mx.mutUpsert(-1, v)
 	if err != nil {
 		return 0, err
 	}
@@ -243,7 +244,7 @@ func (mx *MutableIndex) Add(v []float32) (int, error) {
 // row if one exists); a negative ID asks for auto-assignment. It returns
 // the row's final ID.
 func (mx *MutableIndex) Upsert(id int, v []float32) (int, error) {
-	gid, err := mx.sx.mutUpsert(id, v)
+	gid, err := mx.mutUpsert(id, v)
 	if err != nil {
 		return 0, err
 	}
@@ -255,7 +256,7 @@ func (mx *MutableIndex) Upsert(id int, v []float32) (int, error) {
 // Delete removes the row with the given global ID, reporting whether it
 // was live.
 func (mx *MutableIndex) Delete(id int) (bool, error) {
-	ok, err := mx.sx.Delete(id)
+	ok, err := mx.ShardedIndex.Delete(id)
 	if err != nil {
 		return false, err
 	}
@@ -276,7 +277,7 @@ func (mx *MutableIndex) Delete(id int) (bool, error) {
 func (mx *MutableIndex) Compact() (int, error) {
 	var compacted int
 	var firstErr error
-	for s := 0; s < mx.sx.NumShards(); s++ {
+	for s := 0; s < mx.NumShards(); s++ {
 		did, err := mx.runCompact(s, true)
 		if did {
 			compacted++
@@ -317,13 +318,13 @@ func (mx *MutableIndex) compactorLoop() {
 		case <-mx.kick:
 		}
 		var compacted bool
-		for s := 0; s < mx.sx.NumShards(); s++ {
+		for s := 0; s < mx.NumShards(); s++ {
 			select {
 			case <-mx.done:
 				return
 			default:
 			}
-			mem, dead := mx.sx.segDepth(s)
+			mem, dead := mx.segDepth(s)
 			if mem >= mx.cfg.CompactThreshold || dead >= mx.cfg.TombstoneThreshold {
 				if did, _ := mx.runCompact(s, false); did {
 					compacted = true
@@ -341,7 +342,7 @@ func (mx *MutableIndex) compactorLoop() {
 // runCompact compacts one shard and records the outcome counters; wait is
 // compactShard's.
 func (mx *MutableIndex) runCompact(s int, wait bool) (bool, error) {
-	did, info, err := mx.sx.compactShard(s, wait)
+	did, info, err := mx.compactShard(s, wait)
 	if err != nil {
 		mx.compactErrors.Add(1)
 		return false, err
@@ -401,19 +402,12 @@ func (mx *MutableIndex) SetCompactionObserver(fn func(CompactionInfo)) {
 	mx.compactObs.Store(&fn)
 }
 
-// SetShardObserver forwards to ShardedIndex.SetShardObserver: fn
-// receives every shard probe's duration and work counters. Install it
-// before searches begin.
-func (mx *MutableIndex) SetShardObserver(fn func(shard int, d time.Duration, st SearchStats)) {
-	mx.sx.SetShardObserver(fn)
-}
-
 // SetWALObserver installs fn on the attached write-ahead log to
 // receive per-append instrumentation (total append latency and the
 // fsync portion). It reports whether a WAL is attached; without one it
 // is a no-op returning false.
 func (mx *MutableIndex) SetWALObserver(fn func(appendDur, syncDur time.Duration)) bool {
-	w := mx.sx.mut.wal
+	w := mx.mut.wal
 	if w == nil {
 		return false
 	}
@@ -421,24 +415,12 @@ func (mx *MutableIndex) SetWALObserver(fn func(appendDur, syncDur time.Duration)
 	return true
 }
 
-// SearchWithStatsTraced is SearchWithStats recording per-stage and
-// per-shard timings into tr (nil tr is exactly SearchWithStats).
-func (mx *MutableIndex) SearchWithStatsTraced(q []float32, k int, mode Mode, budget int, tr *obs.Trace) ([]Neighbor, SearchStats, error) {
-	return mx.sx.SearchWithStatsTraced(q, k, mode, budget, tr)
-}
-
-// SearchBatchTraced is SearchBatch with optional per-query tracing;
-// see ShardedIndex.SearchBatchTraced.
-func (mx *MutableIndex) SearchBatchTraced(queries [][]float32, k int, mode Mode, budget, workers int, traces []*obs.Trace) ([]BatchResult, error) {
-	return mx.sx.SearchBatchTraced(queries, k, mode, budget, workers, traces)
-}
-
 // maybeWALCheckpoint makes the current state the WAL's durability point
 // after a compaction pass (no-op without a WAL). A failed checkpoint
 // leaves the index correct — the log merely keeps more replay history —
 // so callers surface the error but continue serving.
 func (mx *MutableIndex) maybeWALCheckpoint() error {
-	if mx.sx.mut.wal == nil {
+	if mx.mut.wal == nil {
 		return nil
 	}
 	if err := mx.walCheckpoint(); err != nil {
@@ -453,7 +435,7 @@ func (mx *MutableIndex) maybeWALCheckpoint() error {
 // keep serving in either state; internal/server feeds this into
 // GET /readyz.
 func (mx *MutableIndex) Degraded() error {
-	return mx.sx.mut.degradedErr()
+	return mx.mut.degradedErr()
 }
 
 // ClearDegraded re-arms writes after degradation: the WAL's fail-stop
@@ -464,7 +446,7 @@ func (mx *MutableIndex) Degraded() error {
 // failing disk, usually) is actually fixed; an immediately recurring
 // append failure just degrades the index again.
 func (mx *MutableIndex) ClearDegraded() error {
-	m := mx.sx.mut
+	m := mx.mut
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.degraded.Load() == nil {
@@ -483,7 +465,7 @@ func (mx *MutableIndex) ClearDegraded() error {
 // without one); the graceful-shutdown drain calls it so every
 // acknowledged mutation is on disk before the process exits.
 func (mx *MutableIndex) SyncWAL() error {
-	w := mx.sx.mut.wal
+	w := mx.mut.wal
 	if w == nil {
 		return nil
 	}
@@ -503,7 +485,7 @@ func (mx *MutableIndex) Checkpoint() error {
 // attached and no WAL-backed snapshot was loaded. The replication
 // primary reports it so followers can tell when they have caught up.
 func (mx *MutableIndex) AppliedLSN() uint64 {
-	return mx.sx.mut.appliedLSN.Load()
+	return mx.mut.appliedLSN.Load()
 }
 
 // WALReplay replays every record of the attached log with LSN > after
@@ -511,7 +493,7 @@ func (mx *MutableIndex) AppliedLSN() uint64 {
 // streams the records a follower's cursor is missing. It returns
 // ErrNoWAL when the index has no log attached.
 func (mx *MutableIndex) WALReplay(after uint64, fn func(wal.Record) error) (wal.ReplayStats, error) {
-	w := mx.sx.mut.wal
+	w := mx.mut.wal
 	if w == nil {
 		return wal.ReplayStats{}, ErrNoWAL
 	}
@@ -533,12 +515,12 @@ func (mx *MutableIndex) MutationStats() MutationStats {
 		MaxSwapMicros:   mx.maxSwapMicros.Load(),
 		LastBuildMillis: mx.lastBuildMs.Load(),
 	}
-	for s := 0; s < mx.sx.NumShards(); s++ {
-		mem, dead := mx.sx.segDepth(s)
+	for s := 0; s < mx.NumShards(); s++ {
+		mem, dead := mx.segDepth(s)
 		st.MemtableRows += mem
 		st.Tombstones += dead
 	}
-	if w := mx.sx.mut.wal; w != nil {
+	if w := mx.mut.wal; w != nil {
 		st.WALEnabled = true
 		st.WALLastLSN = w.LastLSN()
 		st.WALSegments = w.SegmentCount()
@@ -548,96 +530,11 @@ func (mx *MutableIndex) MutationStats() MutationStats {
 	return st
 }
 
-// Sharded returns the underlying sharded index (shared state — callers
-// must not mutate it except through this wrapper).
-func (mx *MutableIndex) Sharded() *ShardedIndex { return mx.sx }
-
-// Search, SearchWithStats, SearchInto and SearchBatch mirror
-// ShardedIndex; results reflect every mutation that completed before the
-// call and never include deleted rows.
-func (mx *MutableIndex) Search(q []float32, k int, mode Mode, budget int) ([]Neighbor, error) {
-	return mx.sx.Search(q, k, mode, budget)
-}
-
-// SearchWithStats is Search plus the aggregated work counters.
-func (mx *MutableIndex) SearchWithStats(q []float32, k int, mode Mode, budget int) ([]Neighbor, SearchStats, error) {
-	return mx.sx.SearchWithStats(q, k, mode, budget)
-}
-
-// SearchInto is SearchWithStats appending the hits to dst.
-func (mx *MutableIndex) SearchInto(dst []Neighbor, q []float32, k int, mode Mode, budget int) ([]Neighbor, SearchStats, error) {
-	return mx.sx.SearchInto(dst, q, k, mode, budget)
-}
-
-// SearchBatch runs Search for every query concurrently.
-func (mx *MutableIndex) SearchBatch(queries [][]float32, k int, mode Mode, budget, workers int) ([]BatchResult, error) {
-	return mx.sx.SearchBatch(queries, k, mode, budget, workers)
-}
-
-// SearchWithStatsCtx is SearchWithStats under a deadline, with
-// partial-result merging and hedged fan-out armed; see
-// ShardedIndex.SearchWithStatsCtx.
-func (mx *MutableIndex) SearchWithStatsCtx(ctx context.Context, q []float32, k int, mode Mode, budget int, tr *obs.Trace) ([]Neighbor, SearchStats, error) {
-	return mx.sx.SearchWithStatsCtx(ctx, q, k, mode, budget, tr)
-}
-
-// SearchBatchCtx is SearchBatch under a deadline; see
-// ShardedIndex.SearchBatchCtx.
-func (mx *MutableIndex) SearchBatchCtx(ctx context.Context, queries [][]float32, k int, mode Mode, budget, workers int, traces []*obs.Trace) ([]BatchResult, error) {
-	return mx.sx.SearchBatchCtx(ctx, queries, k, mode, budget, workers, traces)
-}
-
-// Enable trains and installs a self-calibrating comparator on every
-// shard; compactions retrain it on rebuilt shards automatically.
-func (mx *MutableIndex) Enable(mode Mode, opts *Options) error {
-	return mx.sx.Enable(mode, opts)
-}
-
-// EnableWithTraining trains and installs any comparator on every shard;
-// the training queries are retained so compactions can retrain rebuilt
-// shards.
-func (mx *MutableIndex) EnableWithTraining(mode Mode, trainQueries [][]float32, opts *Options) error {
-	return mx.sx.EnableWithTraining(mode, trainQueries, opts)
-}
-
-// Enabled reports whether the mode's comparator is ready on every shard.
-func (mx *MutableIndex) Enabled(mode Mode) bool { return mx.sx.Enabled(mode) }
-
-// Len returns the live row count (inserts minus deletes).
-func (mx *MutableIndex) Len() int { return mx.sx.Len() }
-
-// Dim returns the internal vector dimensionality.
-func (mx *MutableIndex) Dim() int { return mx.sx.Dim() }
-
-// QueryDim returns the dimensionality callers must present vectors in.
-func (mx *MutableIndex) QueryDim() int { return mx.sx.QueryDim() }
-
-// NumShards returns the shard count.
-func (mx *MutableIndex) NumShards() int { return mx.sx.NumShards() }
-
-// Kind returns the shards' index structure.
-func (mx *MutableIndex) Kind() IndexKind { return mx.sx.Kind() }
-
-// Metric returns the index's similarity measure.
-func (mx *MutableIndex) Metric() MetricKind { return mx.sx.Metric() }
-
-// Modes lists the comparators enabled on every shard.
-func (mx *MutableIndex) Modes() []Mode { return mx.sx.Modes() }
-
-// Score converts a returned Neighbor into the metric's native score.
-func (mx *MutableIndex) Score(n Neighbor, q []float32) float32 { return mx.sx.Score(n, q) }
-
-// GroundTruthSearch runs an exact, mutation-aware brute-force top-k
-// scan; see ShardedIndex.GroundTruthSearch.
-func (mx *MutableIndex) GroundTruthSearch(dst []Neighbor, shards []int, q []float32, k int) ([]Neighbor, []int, int, error) {
-	return mx.sx.GroundTruthSearch(dst, shards, q, k)
-}
-
 // WALSyncPolicy describes the attached WAL's fsync policy ("none" when
 // the index runs without a WAL) — a build/deploy property surfaced by
 // the server's build-info metric.
 func (mx *MutableIndex) WALSyncPolicy() string {
-	if mx.sx.mut == nil || mx.sx.mut.wal == nil {
+	if mx.mut.wal == nil {
 		return "none"
 	}
 	return mx.cfg.WALSync.String()
@@ -656,7 +553,7 @@ func (mx *MutableIndex) Save(w io.Writer) error {
 // save is Save returning the applied-WAL-LSN the snapshot covers — the
 // durability point walCheckpoint hands to the log's trimmer.
 func (mx *MutableIndex) save(w io.Writer) (uint64, error) {
-	m := mx.sx.mut
+	m := mx.mut
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	// Stable under m.mu: mutations advance it only while holding the
@@ -679,7 +576,7 @@ func (mx *MutableIndex) save(w io.Writer) (uint64, error) {
 		encodeOptions(pw, e.opts)
 		pw.F32Mat(e.trainQueries)
 	}
-	if err := mx.sx.encodeSharded(pw); err != nil {
+	if err := mx.encodeSharded(pw); err != nil {
 		return 0, err
 	}
 	for _, seg := range m.segs {
@@ -700,22 +597,12 @@ func (mx *MutableIndex) save(w io.Writer) (uint64, error) {
 // replayed onto the loaded index before it is returned, and subsequent
 // mutations append to the log.
 func LoadMutable(r io.Reader, opts *MutableOptions) (*MutableIndex, error) {
-	// Two header layouts share the stream structure: v2 carries the
-	// applied-WAL-LSN, v1 (pre-WAL) does not. Sniff the magic by hand so
-	// both load.
 	var magic [8]byte
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
 		return nil, fmt.Errorf("resinfer: reading mutable-index magic: %w", err)
 	}
-	var withLSN bool
-	switch string(magic[:]) {
-	case streamMagic:
-		withLSN = true
-	case streamMagicV1:
-		withLSN = false
-	default:
-		return nil, fmt.Errorf("resinfer: bad mutable-index magic %q (want %s or %s)",
-			magic, streamMagic, streamMagicV1)
+	if string(magic[:]) != streamMagic {
+		return nil, fmt.Errorf("resinfer: bad mutable-index magic %q (want %s)", magic, streamMagic)
 	}
 	pr := persist.NewReader(r)
 	nextID := pr.Int()
@@ -726,10 +613,7 @@ func LoadMutable(r io.Reader, opts *MutableOptions) (*MutableIndex, error) {
 		TombstoneThreshold: pr.Int(),
 		DisableAutoCompact: pr.Bool(),
 	}
-	var walLSN uint64
-	if withLSN {
-		walLSN = pr.U64()
-	}
+	walLSN := pr.U64()
 	if opts != nil {
 		cfg.WALDir = opts.WALDir
 		cfg.WALSync = opts.WALSync

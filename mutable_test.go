@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"math/rand"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -338,7 +339,7 @@ func TestMutableCompactionRetrainsModes(t *testing.T) {
 	if err := mx.Enable(DDCRes, nil); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(mx.sx.mut.enables); got != 1 {
+	if got := len(mx.mut.enables); got != 1 {
 		t.Fatalf("re-enable left %d recorded enables, want 1", got)
 	}
 	// A mode enabled after prior compactions lands on rebuilt shards too.
@@ -556,6 +557,11 @@ func TestMutableSaveLoadMidCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer loaded.Close()
+	// The pre-WAL header version is no longer read.
+	v1 := append([]byte("RESSTRM1"), buf.Bytes()[8:]...)
+	if _, err := LoadMutable(bytes.NewReader(v1), nil); err == nil || !strings.Contains(err.Error(), "bad mutable-index magic") {
+		t.Fatalf("RESSTRM1 stream: err = %v, want bad-magic refusal", err)
+	}
 
 	stAfter := loaded.MutationStats()
 	if stAfter.MemtableRows != stBefore.MemtableRows || stAfter.Tombstones != stBefore.Tombstones {
@@ -737,7 +743,7 @@ func TestMutableSaveRejectedOnPlainSharded(t *testing.T) {
 	mx, _, _ := buildMutable(t, 60, 2, &MutableOptions{DisableAutoCompact: true})
 	defer mx.Close()
 	var buf bytes.Buffer
-	if err := mx.Sharded().Save(&buf); err == nil {
+	if err := mx.ShardedIndex.Save(&buf); err == nil {
 		t.Fatal("plain Save on a mutable index must refuse (would drop segments)")
 	}
 	if err := mx.Save(&buf); err != nil {

@@ -225,11 +225,11 @@ func TestSaveLoadPreservesADSamplingTuning(t *testing.T) {
 		t.Fatal(err)
 	}
 	for qi, q := range ds.Queries {
-		a, sa, err := ix.SearchWithStats(q, 10, ADSampling, 0)
+		a, sa, err := ix.SearchInto(nil, q, 10, ADSampling, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, sb, err := loaded.SearchWithStats(q, 10, ADSampling, 0)
+		b, sb, err := loaded.SearchInto(nil, q, 10, ADSampling, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -60,7 +60,7 @@ func TestDeadlineFanOutStuckShard(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	ns, st, err := sx.SearchWithStatsCtx(ctx, chaosQuery(), 10, resinfer.Exact, 0, nil)
+	ns, st, err := sx.SearchCtx(ctx, nil, chaosQuery(), 10, resinfer.Exact, 0, nil)
 	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatalf("partial search failed: %v", err)
@@ -89,7 +89,7 @@ func TestDeadlineFanOutFailedShard(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	ns, st, err := sx.SearchWithStatsCtx(ctx, chaosQuery(), 5, resinfer.Exact, 0, nil)
+	ns, st, err := sx.SearchCtx(ctx, nil, chaosQuery(), 5, resinfer.Exact, 0, nil)
 	if err != nil {
 		t.Fatalf("partial search failed: %v", err)
 	}
@@ -113,7 +113,7 @@ func TestDeadlineFanOutPanicIsolation(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	_, st, err := sx.SearchWithStatsCtx(ctx, chaosQuery(), 5, resinfer.Exact, 0, nil)
+	_, st, err := sx.SearchCtx(ctx, nil, chaosQuery(), 5, resinfer.Exact, 0, nil)
 	if err != nil {
 		t.Fatalf("panic escaped isolation: %v", err)
 	}
@@ -152,7 +152,7 @@ func TestDeadlineFanOutAllShardsLost(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, st, err := sx.SearchWithStatsCtx(ctx, chaosQuery(), 5, resinfer.Exact, 0, nil)
+	_, st, err := sx.SearchCtx(ctx, nil, chaosQuery(), 5, resinfer.Exact, 0, nil)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
@@ -177,7 +177,7 @@ func TestDeadlineFanOutCleanPathUnchanged(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	got, st, err := sx.SearchWithStatsCtx(ctx, q, 10, resinfer.Exact, 0, nil)
+	got, st, err := sx.SearchCtx(ctx, nil, q, 10, resinfer.Exact, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,13 +252,13 @@ func TestDeadlineFanOutStragglerSafeReuse(t *testing.T) {
 			default:
 			}
 			ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-			sx.SearchWithStatsCtx(ctx, chaosQuery(), 5, resinfer.Exact, 0, nil)
+			sx.SearchCtx(ctx, nil, chaosQuery(), 5, resinfer.Exact, 0, nil)
 			cancel()
 		}
 	}()
 	for i := 0; i < 50; i++ {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
-		_, st, err := sx.SearchWithStatsCtx(ctx, chaosQuery(), 5, resinfer.Exact, 0, nil)
+		_, st, err := sx.SearchCtx(ctx, nil, chaosQuery(), 5, resinfer.Exact, 0, nil)
 		cancel()
 		if err == nil && st.ShardsFailed == 0 {
 			t.Fatalf("iteration %d: stuck shard reported healthy", i)

@@ -212,7 +212,7 @@ func newSessionPool(dco core.PooledDCO, dim int) *sync.Pool {
 //
 // Concurrency: an Index is read-safe. Once New returns, and once any
 // Enable/EnableWithTraining call returns, any number of goroutines may
-// call Search, SearchWithStats and SearchBatch concurrently — searches
+// call Search, SearchInto and SearchBatch concurrently — searches
 // share the immutable index structure and draw per-query evaluators from
 // a pool. Enable* calls serialize internally and may run concurrently
 // with searches; a mode becomes visible to searches atomically.
@@ -415,19 +415,15 @@ func (ix *Index) acquire(mode Mode) (*session, *sync.Pool, error) {
 // mode. budget is the index's quality knob: beam width ef for HNSW, probe
 // count for IVF; values below k are clamped up.
 func (ix *Index) Search(q []float32, k int, mode Mode, budget int) ([]Neighbor, error) {
-	ns, _, err := ix.SearchWithStats(q, k, mode, budget)
+	ns, _, err := ix.SearchInto(nil, q, k, mode, budget)
 	return ns, err
 }
 
-// SearchWithStats is Search plus the distance-computation work counters.
-func (ix *Index) SearchWithStats(q []float32, k int, mode Mode, budget int) ([]Neighbor, SearchStats, error) {
-	return ix.SearchInto(nil, q, k, mode, budget)
-}
-
-// SearchInto is SearchWithStats appending the hits to dst, so a caller
-// that reuses dst across queries (dst = res[:0]) keeps the steady-state
-// search path free of allocations: the evaluator, its scratch tables and
-// the index's traversal state all come from pools.
+// SearchInto is Search appending the hits to dst, plus the
+// distance-computation work counters. A caller that reuses dst across
+// queries (dst = res[:0]) keeps the steady-state search path free of
+// allocations: the evaluator, its scratch tables and the index's
+// traversal state all come from pools.
 //
 //resinfer:noalloc
 func (ix *Index) SearchInto(dst []Neighbor, q []float32, k int, mode Mode, budget int) ([]Neighbor, SearchStats, error) {

@@ -158,7 +158,7 @@ func TestSearchStats(t *testing.T) {
 	if err := ix.Enable(DDCRes, nil); err != nil {
 		t.Fatal(err)
 	}
-	_, st, err := ix.SearchWithStats(ds.Queries[0], 10, DDCRes, 20)
+	_, st, err := ix.SearchInto(nil, ds.Queries[0], 10, DDCRes, 20)
 	if err != nil {
 		t.Fatal(err)
 	}

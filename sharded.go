@@ -210,6 +210,31 @@ func NewSharded(data [][]float32, kind IndexKind, nShards int, opts *ShardOption
 	return sx, nil
 }
 
+// SingleShard serves an already built (or loaded) Index through the
+// sharded engine as its only shard: neighbor IDs are ix's row indices and
+// results come back in ix's own order. Distance follows the sharded
+// merge-key convention — ix's internal squared distance for L2 and Cosine,
+// the negated inner product -ix.Score(n, q) for InnerProduct. ix is
+// shared, not copied; enable comparators on either.
+func SingleShard(ix *Index) *ShardedIndex {
+	ids := make([]int, ix.Len())
+	for i := range ids {
+		ids[i] = i
+	}
+	sx := &ShardedIndex{
+		kind:     ix.Kind(),
+		strategy: RoundRobin,
+		metric:   ix.Metric(),
+		shards:   []*Index{ix},
+		globalID: [][]int{ids},
+		n:        ix.Len(),
+		userDim:  ix.QueryDim(),
+		workers:  1,
+	}
+	sx.initFanPool()
+	return sx
+}
+
 // partitionRows splits data into nShards parts and returns, per shard, the
 // rows and their global row indices.
 func partitionRows(data [][]float32, nShards int, strategy ShardStrategy) ([][][]float32, [][]int, error) {
@@ -320,46 +345,39 @@ func (sx *ShardedIndex) Enabled(mode Mode) bool {
 // query out to every shard and merging. budget applies per shard (beam
 // width ef for HNSW, probe count for IVF).
 func (sx *ShardedIndex) Search(q []float32, k int, mode Mode, budget int) ([]Neighbor, error) {
-	ns, _, err := sx.SearchWithStats(q, k, mode, budget)
+	ns, _, err := sx.searchFan(nil, nil, q, k, mode, budget, sx.workers, nil)
 	return ns, err
 }
 
-// SearchWithStats is Search plus the distance-computation work counters
-// aggregated across shards: Comparisons and Pruned are summed, ScanRate is
-// the comparison-weighted average.
-func (sx *ShardedIndex) SearchWithStats(q []float32, k int, mode Mode, budget int) ([]Neighbor, SearchStats, error) {
-	return sx.searchFan(nil, nil, q, k, mode, budget, sx.workers, nil)
-}
-
-// SearchWithStatsTraced is SearchWithStats additionally recording the
-// fan-out, merge and per-shard stage timings into tr (nil tr behaves
-// exactly like SearchWithStats).
-func (sx *ShardedIndex) SearchWithStatsTraced(q []float32, k int, mode Mode, budget int, tr *obs.Trace) ([]Neighbor, SearchStats, error) {
-	return sx.searchFan(nil, nil, q, k, mode, budget, sx.workers, tr)
-}
-
-// SearchWithStatsCtx is SearchWithStats under a deadline: every shard is
-// probed in its own goroutine, and when ctx expires the stragglers are
-// abandoned and the merge returns whatever arrived. Stats.ShardsOK and
-// Stats.ShardsFailed report coverage — ShardsFailed > 0 with a nil error
-// is a partial result. The error is non-nil only when no shard
-// contributed (all failed, or the deadline preempted every probe, in
-// which case it is ctx.Err()). Abandoned probes finish on their own
-// goroutines and release their scratch to the garbage collector, so a
-// stuck shard costs memory, never a stalled request.
-func (sx *ShardedIndex) SearchWithStatsCtx(ctx context.Context, q []float32, k int, mode Mode, budget int, tr *obs.Trace) ([]Neighbor, SearchStats, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return sx.searchFan(ctx, nil, q, k, mode, budget, sx.workers, tr)
-}
-
-// SearchInto is SearchWithStats appending the hits to dst; with a reused
-// dst the whole fan-out runs without allocations at steady state.
+// SearchInto is Search appending the hits to dst, plus the
+// distance-computation work counters aggregated across shards
+// (Comparisons and Pruned are summed, ScanRate is the comparison-weighted
+// average). This is the plain path: up to SearchWorkers shards are probed
+// concurrently, any shard error fails the query, and with a reused dst the
+// whole fan-out runs without allocations at steady state.
 //
 //resinfer:noalloc
 func (sx *ShardedIndex) SearchInto(dst []Neighbor, q []float32, k int, mode Mode, budget int) ([]Neighbor, SearchStats, error) {
 	return sx.searchFan(nil, dst, q, k, mode, budget, sx.workers, nil)
+}
+
+// SearchCtx is SearchInto under a deadline — the path a server takes:
+// every shard is probed in its own goroutine, a slow or failed probe is
+// hedged onto a peer replica when a hedger is installed (SetShardHedger),
+// and when ctx expires the stragglers are abandoned and the merge returns
+// whatever arrived. Stats.ShardsOK and Stats.ShardsFailed report
+// coverage — ShardsFailed > 0 with a nil error is a partial result. The
+// error is non-nil only when no shard contributed (all failed, or the
+// deadline preempted every probe, in which case it is ctx.Err()).
+// Abandoned probes finish on their own goroutines and release their
+// scratch to the garbage collector, so a stuck shard costs memory, never a
+// stalled request. A non-nil tr receives the fan-out, merge and per-shard
+// stage timings.
+func (sx *ShardedIndex) SearchCtx(ctx context.Context, dst []Neighbor, q []float32, k int, mode Mode, budget int, tr *obs.Trace) ([]Neighbor, SearchStats, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	return sx.searchFan(ctx, dst, q, k, mode, budget, sx.workers, tr)
 }
 
 // errFanAbandoned marks an all-shards-abandoned merge so searchFan can
@@ -369,11 +387,11 @@ var errFanAbandoned = errors.New("resinfer: every shard abandoned at deadline")
 // searchFan queries the shards through pooled per-shard result buffers,
 // then merges into dst. A nil ctx is the plain path: up to workers
 // shards probed concurrently (sequentially for workers <= 1), any shard
-// error fails the whole query, and with tr == nil the query is
+// error fails the whole query, nothing is traced, and the query is
 // allocation-free at steady state. A non-nil ctx is the deadline-aware
 // path: one goroutine per shard, stragglers abandoned when ctx expires,
 // failed or abandoned shards skipped by the merge and counted in
-// SearchStats.ShardsFailed.
+// SearchStats.ShardsFailed, stage timings recorded into tr when non-nil.
 //
 //resinfer:noalloc
 func (sx *ShardedIndex) searchFan(ctx context.Context, dst []Neighbor, q []float32, k int, mode Mode, budget, workers int, tr *obs.Trace) ([]Neighbor, SearchStats, error) {
@@ -391,39 +409,40 @@ func (sx *ShardedIndex) searchFan(ctx context.Context, dst []Neighbor, q []float
 			return dst, SearchStats{}, serr
 		}
 	}
+	if ctx == nil {
+		if workers <= 1 || len(sx.shards) == 1 {
+			// The sequential fan-out calls the probe as a plain method; the
+			// parallel fan-out lives in its own method so no closure here
+			// captures qScan (which would heap-box it on every call). This
+			// path is allocation-free even with a shard observer installed.
+			for s := range sx.shards {
+				sx.searchShardObs(s, outs, q, qScan, k, mode, budget)
+			}
+		} else {
+			sx.fanParallel(outs, q, qScan, k, mode, budget, workers)
+		}
+		dst, st, err := sx.merge(dst, fs, q, k, false)
+		sx.fanPool.Put(fs)
+		return dst, st, err
+	}
 	var fanStart time.Time
 	if tr != nil {
 		fanStart = time.Now()
 	}
-	abandoned := false
-	if ctx != nil {
-		abandoned = sx.fanDeadline(ctx, fs, q, qScan, k, mode, budget, tr != nil)
-		if tr != nil {
-			for s := range outs {
-				if outs[s].done && outs[s].err == nil {
-					tr.Shard(s, outs[s].t0, outs[s].d, outs[s].st.Comparisons, outs[s].st.Pruned)
-				} else if fs.houts[s].done && fs.houts[s].err == nil {
-					tr.Shard(s, fs.houts[s].t0, fs.houts[s].d, fs.houts[s].st.Comparisons, fs.houts[s].st.Pruned)
-				}
-			}
-		}
-	} else if workers <= 1 || len(sx.shards) == 1 {
-		// The sequential fan-out calls the probe as a plain method; the
-		// parallel fan-out lives in its own method so no closure here
-		// captures qScan (which would heap-box it on every call). This
-		// path is allocation-free even with a shard observer installed.
-		for s := range sx.shards {
-			sx.searchShardObs(s, outs, q, qScan, k, mode, budget, tr)
-		}
-	} else {
-		sx.fanParallel(outs, q, qScan, k, mode, budget, workers, tr)
-	}
+	abandoned := sx.fanDeadline(ctx, fs, q, qScan, k, mode, budget, tr != nil)
 	var mergeStart time.Time
 	if tr != nil {
+		for s := range outs {
+			if outs[s].done && outs[s].err == nil {
+				tr.Shard(s, outs[s].t0, outs[s].d, outs[s].st.Comparisons, outs[s].st.Pruned)
+			} else if fs.houts[s].done && fs.houts[s].err == nil {
+				tr.Shard(s, fs.houts[s].t0, fs.houts[s].d, fs.houts[s].st.Comparisons, fs.houts[s].st.Pruned)
+			}
+		}
 		tr.End("fanout", fanStart)
 		mergeStart = time.Now()
 	}
-	dst, st, err := sx.merge(dst, fs, q, k, ctx != nil)
+	dst, st, err := sx.merge(dst, fs, q, k, true)
 	if errors.Is(err, errFanAbandoned) {
 		if ce := ctx.Err(); ce != nil {
 			err = ce
@@ -432,17 +451,17 @@ func (sx *ShardedIndex) searchFan(ctx context.Context, dst []Neighbor, q []float
 	if tr != nil {
 		tr.End("merge", mergeStart)
 	}
-	if abandoned {
-		// Straggler goroutines still own slots of fs; drop the scratch to
-		// the garbage collector instead of racing them through the pool.
-		return dst, st, err
+	if !abandoned {
+		// Straggler goroutines of an abandoned fan still own slots of fs;
+		// that scratch goes to the garbage collector instead of racing
+		// them through the pool.
+		sx.fanPool.Put(fs)
 	}
-	sx.fanPool.Put(fs)
 	return dst, st, err
 }
 
 // fanParallel probes every shard with up to workers goroutines.
-func (sx *ShardedIndex) fanParallel(outs []shardOut, q, qScan []float32, k int, mode Mode, budget, workers int, tr *obs.Trace) {
+func (sx *ShardedIndex) fanParallel(outs []shardOut, q, qScan []float32, k int, mode Mode, budget, workers int) {
 	if workers > len(sx.shards) {
 		workers = len(sx.shards)
 	}
@@ -454,7 +473,7 @@ func (sx *ShardedIndex) fanParallel(outs []shardOut, q, qScan []float32, k int, 
 		go func(s int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			sx.searchShardObs(s, outs, q, qScan, k, mode, budget, tr)
+			sx.searchShardObs(s, outs, q, qScan, k, mode, budget)
 		}(s)
 	}
 	wg.Wait()
@@ -497,7 +516,7 @@ func (sx *ShardedIndex) fanDeadline(ctx context.Context, fs *fanScratch, q, qSca
 			if timed {
 				t0 = time.Now()
 			}
-			sx.searchShardObs(s, outs, q, qScan, k, mode, budget, nil)
+			sx.searchShardObs(s, outs, q, qScan, k, mode, budget)
 			if timed {
 				outs[s].t0, outs[s].d = t0, time.Since(t0)
 			}
@@ -634,14 +653,14 @@ func (sx *ShardedIndex) cancelHedges(fs *fanScratch) {
 }
 
 // searchShardObs probes one shard into outs[s], timing the probe when a
-// shard observer is installed or a trace is attached. The untimed path
-// costs a single branch. A panic inside the probe (index bug, or an
-// injected fault) is isolated here into a per-shard error rather than
-// killing the process; the recover costs an open-coded defer, keeping
-// the steady-state path allocation-free.
+// shard observer is installed. The untimed path costs a single branch. A
+// panic inside the probe (index bug, or an injected fault) is isolated
+// here into a per-shard error rather than killing the process; the
+// recover costs an open-coded defer, keeping the steady-state path
+// allocation-free.
 //
 //resinfer:noalloc
-func (sx *ShardedIndex) searchShardObs(s int, outs []shardOut, q, qScan []float32, k int, mode Mode, budget int, tr *obs.Trace) {
+func (sx *ShardedIndex) searchShardObs(s int, outs []shardOut, q, qScan []float32, k int, mode Mode, budget int) {
 	defer func() {
 		if r := recover(); r != nil {
 			outs[s].ns = outs[s].ns[:0]
@@ -657,9 +676,8 @@ func (sx *ShardedIndex) searchShardObs(s int, outs []shardOut, q, qScan []float3
 			return
 		}
 	}
-	obsOn := sx.shardObs != nil || tr != nil
 	var t0 time.Time
-	if obsOn {
+	if sx.shardObs != nil {
 		t0 = time.Now()
 	}
 	if sx.mut != nil {
@@ -667,14 +685,8 @@ func (sx *ShardedIndex) searchShardObs(s int, outs []shardOut, q, qScan []float3
 	} else {
 		outs[s].ns, outs[s].st, outs[s].err = sx.shards[s].SearchInto(outs[s].ns[:0], q, k, mode, budget)
 	}
-	if obsOn {
-		d := time.Since(t0)
-		if sx.shardObs != nil {
-			sx.shardObs(s, d, outs[s].st)
-		}
-		if tr != nil {
-			tr.Shard(s, t0, d, outs[s].st.Comparisons, outs[s].st.Pruned)
-		}
+	if sx.shardObs != nil {
+		sx.shardObs(s, time.Since(t0), outs[s].st)
 	}
 }
 
@@ -716,9 +728,10 @@ func (sx *ShardedIndex) merge(dst []Neighbor, fs *fanScratch, q []float32, k int
 		remote := false
 		if partial {
 			// An abandoned slot may still be written by its straggler: the
-			// done flag gates every other field read. A shard the local
-			// probe lost is answered by its hedge slot when that one holds
-			// a good answer; it fails only when every path failed.
+			// done flag gates every other field read, so an un-done slot
+			// contributes no error text either. A shard the local probe
+			// lost is answered by its hedge slot when that one holds a good
+			// answer; it fails only when every path failed.
 			if !out.done || out.err != nil {
 				h := &fs.houts[s]
 				if h.done && h.err == nil {
@@ -726,7 +739,10 @@ func (sx *ShardedIndex) merge(dst []Neighbor, fs *fanScratch, q []float32, k int
 				} else {
 					agg.ShardsFailed++
 					if firstErr == nil {
-						ferr := out.err
+						var ferr error
+						if out.done {
+							ferr = out.err
+						}
 						if ferr == nil && h.done {
 							ferr = h.err
 						}
@@ -789,32 +805,27 @@ func (sx *ShardedIndex) merge(dst []Neighbor, fs *fanScratch, q []float32, k int
 	return dst, agg, nil
 }
 
-// SearchBatch runs Search for every query concurrently across up to
+// SearchBatch runs SearchInto for every query concurrently across up to
 // workers goroutines (default GOMAXPROCS). Parallelism is spent across
-// queries; within one query the shards are scanned sequentially, so total
-// concurrency stays bounded by workers. Each worker draws pooled fan-out
-// and evaluator state that is reused across all queries it processes.
-// Batch parameters are validated once up front. Results are positionally
-// aligned with queries; per-query failures are reported in the result
-// rather than aborting the batch.
+// queries: each worker scans the shards of its query one after another, so
+// total concurrency stays bounded by workers. Each worker draws pooled
+// fan-out and evaluator state that is reused across all queries it
+// processes. Batch parameters are validated once up front. Results are
+// positionally aligned with queries; per-query failures are reported in
+// the result rather than aborting the batch.
 func (sx *ShardedIndex) SearchBatch(queries [][]float32, k int, mode Mode, budget, workers int) ([]BatchResult, error) {
-	return sx.SearchBatchTraced(queries, k, mode, budget, workers, nil)
+	return sx.searchBatch(nil, queries, k, mode, budget, workers, nil)
 }
 
-// SearchBatchTraced is SearchBatch with optional per-query tracing:
-// traces, when non-nil, is aligned with queries and each non-nil entry
-// receives its query's fan-out, merge and per-shard stage timings. A
-// nil traces slice (or nil entries) is exactly SearchBatch.
-func (sx *ShardedIndex) SearchBatchTraced(queries [][]float32, k int, mode Mode, budget, workers int, traces []*obs.Trace) ([]BatchResult, error) {
-	return sx.searchBatch(nil, queries, k, mode, budget, workers, traces)
-}
-
-// SearchBatchCtx is SearchBatchTraced under a deadline: every query runs
-// through the deadline-aware fan-out (see SearchWithStatsCtx), so a
+// SearchBatchCtx is SearchBatch under a deadline: every query runs
+// through the deadline-aware fan-out (see SearchCtx) — which, unlike
+// SearchBatch, probes every shard of a query on its own goroutine — so a
 // stuck shard costs at most the remaining budget of the queries probing
-// it and each BatchResult independently reports partial coverage via
-// its Stats.ShardsOK/ShardsFailed. Once ctx expires, queries not yet
-// started fail fast with ctx's error.
+// it and each BatchResult independently reports partial coverage via its
+// Stats.ShardsOK/ShardsFailed. Once ctx expires, queries not yet started
+// fail fast with ctx's error. traces, when non-nil, is aligned with
+// queries and each non-nil entry receives its query's fan-out, merge and
+// per-shard stage timings.
 func (sx *ShardedIndex) SearchBatchCtx(ctx context.Context, queries [][]float32, k int, mode Mode, budget, workers int, traces []*obs.Trace) ([]BatchResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -940,7 +951,7 @@ func (sx *ShardedIndex) Save(w io.Writer) error {
 
 // encodeSharded writes the sharded container onto an existing persist
 // stream. It is the codec-level half of Save, shared with the mutable
-// RESSTRM1 container, which embeds it between its own header and the
+// RESSTRM2 container, which embeds it between its own header and the
 // per-shard streaming segments. The caller must hold whatever locks make
 // sx.shards/globalID stable.
 func (sx *ShardedIndex) encodeSharded(pw *persist.Writer) error {
@@ -965,7 +976,7 @@ func LoadSharded(r io.Reader) (*ShardedIndex, error) {
 
 // decodeSharded reads one sharded container from an existing persist
 // reader (the codec-level half of LoadSharded, shared with the mutable
-// RESSTRM1 container).
+// RESSTRM2 container).
 func decodeSharded(pr *persist.Reader) (*ShardedIndex, error) {
 	pr.Magic(shardMagic)
 	strategy := ShardStrategy(pr.String())

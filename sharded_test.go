@@ -2,6 +2,7 @@ package resinfer
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"resinfer/internal/dataset"
@@ -72,7 +73,7 @@ func TestShardedHNSWWithDCO(t *testing.T) {
 		t.Fatalf("sharded HNSW+DDCRes recall = %v", r)
 	}
 	// Stats must aggregate across shards.
-	_, st, err := sx.SearchWithStats(ds.Queries[0], 10, DDCRes, 80)
+	_, st, err := sx.SearchInto(nil, ds.Queries[0], 10, DDCRes, 80)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,6 +244,59 @@ func TestShardedInnerProductMerge(t *testing.T) {
 			if want[i].ID != got[i].ID {
 				t.Fatalf("rank %d: sharded %d (score %v), unsharded %d (score %v)",
 					i, got[i].ID, sx.Score(got[i], q), want[i].ID, ix.Score(want[i], q))
+			}
+		}
+	}
+}
+
+// SingleShard must be a transparent wrapper: the same neighbors in the
+// same order as the wrapped Index, with Distance in the sharded merge-key
+// convention (the index's own distance for L2 / Cosine, the negated inner
+// product for InnerProduct), on both search paths.
+func TestSingleShardMatchesIndex(t *testing.T) {
+	ds, _ := apiFixtures(t)
+	for _, kind := range []IndexKind{Flat, HNSW} {
+		for _, metric := range []MetricKind{L2, Cosine, InnerProduct} {
+			ix, err := New(ds.Data, kind, &Options{Metric: metric, Seed: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ix.Enable(DDCRes, nil); err != nil {
+				t.Fatal(err)
+			}
+			sx := SingleShard(ix)
+			if sx.NumShards() != 1 || sx.Len() != ix.Len() || sx.QueryDim() != ix.QueryDim() || !sx.Enabled(DDCRes) {
+				t.Fatalf("%s/%s: wrapper metadata differs from the index", kind, metric)
+			}
+			for _, mode := range []Mode{Exact, DDCRes} {
+				for _, q := range ds.Queries {
+					want, wantSt, err := ix.SearchInto(nil, q, 10, mode, 60)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, gotSt, err := sx.SearchInto(nil, q, 10, mode, 60)
+					if err != nil {
+						t.Fatal(err)
+					}
+					viaCtx, _, err := sx.SearchCtx(context.Background(), nil, q, 10, mode, 60, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(got) != len(want) || len(viaCtx) != len(want) || gotSt.Comparisons != wantSt.Comparisons {
+						t.Fatalf("%s/%s/%s: %d (ctx %d) hits, %d comparisons; index %d hits, %d comparisons",
+							kind, metric, mode, len(got), len(viaCtx), gotSt.Comparisons, len(want), wantSt.Comparisons)
+					}
+					for i, w := range want {
+						wantDist := w.Distance
+						if metric == InnerProduct {
+							wantDist = -ix.Score(w, q)
+						}
+						if got[i].ID != w.ID || got[i].Distance != wantDist || viaCtx[i] != got[i] {
+							t.Fatalf("%s/%s/%s rank %d: got %+v (ctx %+v), want {%d %v}",
+								kind, metric, mode, i, got[i], viaCtx[i], w.ID, wantDist)
+						}
+					}
+				}
 			}
 		}
 	}
