@@ -71,15 +71,11 @@ func (sx *ShardedIndex) SearchShardGlobal(s int, q []float32, k int, mode Mode, 
 		return nil, SearchStats{}, fmt.Errorf("resinfer: query dim %d, index expects %d", len(q), sx.userDim)
 	}
 	fs := sx.fanPool.Get().(*fanScratch)
-	var qScan []float32
-	if sx.mut != nil {
-		var serr error
-		if qScan, serr = sx.scanQuery(fs, q); serr != nil {
-			sx.fanPool.Put(fs)
-			return nil, SearchStats{}, serr
-		}
+	if err := sx.begin(fs, q, k, mode, budget); err != nil {
+		sx.fanPool.Put(fs)
+		return nil, SearchStats{}, err
 	}
-	sx.searchShardObs(s, fs.outs, q, qScan, k, mode, budget)
+	sx.searchShardObs(s, fs)
 	out := &fs.outs[s]
 	if out.err != nil {
 		err := fmt.Errorf("resinfer: shard %d: %w", s, out.err)

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 
 	"resinfer/internal/core"
 	"resinfer/internal/matrix"
@@ -60,21 +61,37 @@ func (cfg *Config) withDefaults(dim int) {
 }
 
 // New builds the DCO by rotating data with a fresh random orthogonal
-// matrix.
+// matrix drawn from cfg.Seed.
 func New(data *store.Matrix, cfg Config) (*DCO, error) {
+	return NewFromRotation(data, nil, cfg)
+}
+
+// NewRotation draws the dim x dim random orthogonal matrix of seed.
+func NewRotation(dim int, seed int64) *store.Matrix {
+	return matrix.RandomOrthogonal(dim, rand.New(rand.NewSource(seed))).F32()
+}
+
+// NewFromRotation builds the DCO over data around a rotation drawn
+// elsewhere — once for all shards of a sharded index, or for the base a
+// compaction replaces — which it shares (Rotation() is the same pointer);
+// nil draws one from cfg.Seed.
+func NewFromRotation(data, rot *store.Matrix, cfg Config) (*DCO, error) {
 	if data == nil || data.Rows() == 0 {
 		return nil, errors.New("adsampling: empty data")
 	}
-	dim := data.Dim()
-	cfg.withDefaults(dim)
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	rot := matrix.RandomOrthogonal(dim, rng).F32()
-	rotated, err := store.New(data.Rows(), dim)
+	if rot == nil {
+		rot = NewRotation(data.Dim(), cfg.Seed)
+	}
+	rotated, err := store.New(data.Rows(), data.Dim())
+	if err != nil {
+		return nil, err
+	}
+	d, err := NewWithRotation(rotated, rot, cfg) // checks rot's shape against the rows
 	if err != nil {
 		return nil, err
 	}
 	matrix.RotateRows(rotated, rot, data)
-	return newDCO(rotated, rot, cfg), nil
+	return d, nil
 }
 
 // NewWithRotation builds the DCO reusing pre-rotated data and its rotation
@@ -124,6 +141,15 @@ func (d *DCO) ExtraBytes() int64 { return d.rotation.Bytes() }
 // Rotation exposes the rotation matrix for serialization.
 func (d *DCO) Rotation() *store.Matrix { return d.rotation }
 
+// InternRotation makes d rotate through rot when rot equals its own
+// rotation element for element, and reports whether it now does.
+func (d *DCO) InternRotation(rot *store.Matrix) bool {
+	if d.rotation != rot && slices.Equal(d.rotation.Flat(), rot.Flat()) {
+		d.rotation = rot
+	}
+	return d.rotation == rot
+}
+
 // Epsilon0 returns the effective significance parameter (defaults
 // applied), so serialization records what the comparator actually uses.
 func (d *DCO) Epsilon0() float64 { return d.eps0 }
@@ -159,10 +185,30 @@ type evaluator struct {
 
 // Reset rotates q into the evaluator's scratch and zeroes the counters.
 func (ev *evaluator) Reset(q []float32) error {
-	if len(q) != ev.parent.dim {
+	if err := ev.Rotate(ev.q, q); err != nil {
+		return err
+	}
+	return ev.ResetRotated(ev.q)
+}
+
+// Rotation implements core.RotatingEvaluator.
+func (ev *evaluator) Rotation() *store.Matrix { return ev.parent.rotation }
+
+// Rotate implements core.RotatingEvaluator.
+func (ev *evaluator) Rotate(dst, q []float32) error {
+	if len(q) != ev.parent.dim || len(dst) != ev.parent.dim {
 		return errors.New("adsampling: query dimension mismatch")
 	}
-	vec.MatVec(ev.q, ev.parent.rotation.Flat(), ev.parent.dim, q)
+	vec.MatVec(dst, ev.parent.rotation.Flat(), ev.parent.dim, q)
+	return nil
+}
+
+// ResetRotated implements core.RotatingEvaluator.
+func (ev *evaluator) ResetRotated(rq []float32) error {
+	if len(rq) != ev.parent.dim {
+		return errors.New("adsampling: query dimension mismatch")
+	}
+	copy(ev.q, rq)
 	ev.stats = core.Stats{}
 	return nil
 }

@@ -105,6 +105,25 @@ type ResettableEvaluator interface {
 	Reset(q []float32) error
 }
 
+// RotatingEvaluator is a ResettableEvaluator whose Reset begins by rotating
+// the query: D² multiply-adds that depend on the query and on Rotation
+// alone, not on the rows the comparator covers. Evaluators of comparators
+// built around one rotation (the shards of a sharded index) can therefore
+// share that work: one of them Rotates, all of them ResetRotated. Reset(q)
+// is Rotate into the evaluator's own buffer followed by ResetRotated.
+type RotatingEvaluator interface {
+	ResettableEvaluator
+	// Rotation identifies the rotation: two evaluators of one comparator
+	// kind that return the same pointer rotate any query to the same vector.
+	Rotation() *store.Matrix
+	// Rotate writes the rotated query into dst (length Dim); dst must not
+	// alias q.
+	Rotate(dst, q []float32) error
+	// ResetRotated primes the evaluator with rq, a query some evaluator with
+	// the same Rotation rotated. rq is copied, not retained.
+	ResetRotated(rq []float32) error
+}
+
 // PooledDCO is implemented by every DCO in this repository: NewEvaluator
 // returns an unprimed evaluator whose scratch is preallocated. Callers
 // (evaluator pools, batch searches) must Reset it before use. NewQuery is

@@ -43,18 +43,23 @@ type PCADCO struct {
 // NewPCA trains PCA, collects labeled samples from trainQueries, and fits
 // one linear classifier per projection level.
 func NewPCA(data *store.Matrix, trainQueries [][]float32, cfg PCAConfig) (*PCADCO, error) {
+	return NewPCAFromModel(data, trainQueries, nil, cfg)
+}
+
+// NewPCAFromModel is NewPCA around a PCA model trained elsewhere (see
+// NewResFromModel; nil trains one on data): the model is shared, the rows
+// are rotated with it and the per-level classifiers are fit on them.
+func NewPCAFromModel(data *store.Matrix, trainQueries [][]float32, model *pca.Model, cfg PCAConfig) (*PCADCO, error) {
 	if data == nil || data.Rows() == 0 {
 		return nil, errors.New("ddc: empty data")
 	}
-	model, err := pca.Train(data.ToRows(), pca.Config{SampleSize: cfg.PCASample, Seed: cfg.Seed})
-	if err != nil {
-		return nil, err
+	if model == nil {
+		var err error
+		model, err = pca.Train(data.ToRows(), pca.Config{SampleSize: cfg.PCASample, Seed: cfg.Seed})
+		if err != nil {
+			return nil, err
+		}
 	}
-	return NewPCAFromModel(data, trainQueries, model, cfg)
-}
-
-// NewPCAFromModel is NewPCA with a pre-trained PCA model.
-func NewPCAFromModel(data *store.Matrix, trainQueries [][]float32, model *pca.Model, cfg PCAConfig) (*PCADCO, error) {
 	dim := model.Dim
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
@@ -109,6 +114,9 @@ func (p *PCADCO) ExtraBytes() int64 {
 	}
 	return p.model.Rotation.Bytes() + clf
 }
+
+// Model exposes the PCA model the comparator rotates with.
+func (p *PCADCO) Model() *pca.Model { return p.model }
 
 // Levels exposes the trained projection depths.
 func (p *PCADCO) Levels() []int { return p.levels }
@@ -202,9 +210,26 @@ type pcaEvaluator struct {
 
 // Reset projects q into the evaluator's scratch and zeroes the counters.
 func (ev *pcaEvaluator) Reset(q []float32) error {
-	if err := ev.parent.model.ProjectInto(ev.q, q, ev.cent); err != nil {
+	if err := ev.Rotate(ev.q, q); err != nil {
 		return err
 	}
+	return ev.ResetRotated(ev.q)
+}
+
+// Rotation implements core.RotatingEvaluator.
+func (ev *pcaEvaluator) Rotation() *store.Matrix { return ev.parent.model.Rotation }
+
+// Rotate implements core.RotatingEvaluator: the PCA projection of q.
+func (ev *pcaEvaluator) Rotate(dst, q []float32) error {
+	return ev.parent.model.ProjectInto(dst, q, ev.cent)
+}
+
+// ResetRotated implements core.RotatingEvaluator.
+func (ev *pcaEvaluator) ResetRotated(rq []float32) error {
+	if len(rq) != ev.parent.dim {
+		return errors.New("ddc: rotated query dimension mismatch")
+	}
+	copy(ev.q, rq)
 	ev.stats = core.Stats{}
 	return nil
 }

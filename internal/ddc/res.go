@@ -58,18 +58,16 @@ type Res struct {
 
 // NewRes trains PCA on data and builds the DDCres comparator.
 func NewRes(data *store.Matrix, cfg ResConfig) (*Res, error) {
-	if data == nil || data.Rows() == 0 {
-		return nil, errors.New("ddc: empty data")
-	}
-	model, err := pca.Train(data.ToRows(), pca.Config{SampleSize: cfg.PCASample, Seed: cfg.Seed})
-	if err != nil {
-		return nil, err
-	}
-	return NewResFromModel(data, model, cfg)
+	return NewResFromModel(data, nil, cfg)
 }
 
-// NewResFromModel builds DDCres from a pre-trained PCA model, rotating
-// data into the model's basis.
+// NewResFromModel builds DDCres over data around a PCA model trained
+// elsewhere — over all shards of a sharded index, or for the base a
+// compaction replaces; a nil model is trained on data. The rotation is
+// shared with model (Model().Rotation is the same pointer), while the
+// per-dimension σ of the Eq. 3 bound is refit from data's rotated rows
+// (pca.Model.Refit): the bound follows these rows, and the rotation, which
+// can never make a distance wrong, is kept.
 func NewResFromModel(data *store.Matrix, model *pca.Model, cfg ResConfig) (*Res, error) {
 	if data == nil || data.Rows() == 0 {
 		return nil, errors.New("ddc: empty data")
@@ -77,9 +75,20 @@ func NewResFromModel(data *store.Matrix, model *pca.Model, cfg ResConfig) (*Res,
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
+	refit := model != nil
+	if !refit {
+		var err error
+		model, err = pca.Train(data.ToRows(), pca.Config{SampleSize: cfg.PCASample, Seed: cfg.Seed})
+		if err != nil {
+			return nil, err
+		}
+	}
 	rotated, err := model.ProjectMatrix(data, cfg.Workers)
 	if err != nil {
 		return nil, err
+	}
+	if refit {
+		model = model.Refit(rotated)
 	}
 	return newResFromRotated(rotated, model, cfg)
 }
@@ -131,9 +140,14 @@ func (r *Res) ExtraBytes() int64 {
 	return r.model.Rotation.Bytes() + int64(len(r.norms))*4
 }
 
-// Model exposes the trained PCA model (variance spectrum, rotation) for
+// Model exposes the PCA model (variance spectrum, rotation) for
 // diagnostics and the figure experiments.
 func (r *Res) Model() *pca.Model { return r.model }
+
+// LeadShare is the share of Σσ² the rotation puts in the dimensions the
+// first correction round scans. A rotation inherited across compactions
+// ages as this falls towards initD/D, the share of a random rotation.
+func (r *Res) LeadShare() float64 { return r.model.VarianceExplained(r.initD) }
 
 // Rotated exposes the rotated vectors (read-only by convention).
 func (r *Res) Rotated() *store.Matrix { return r.rotated }
@@ -185,10 +199,28 @@ type resEvaluator struct {
 // Reset projects q into the evaluator's scratch, rebuilds the σ table and
 // zeroes the counters.
 func (ev *resEvaluator) Reset(q []float32) error {
-	p := ev.parent
-	if err := p.model.ProjectInto(ev.q, q, ev.cent); err != nil {
+	if err := ev.Rotate(ev.q, q); err != nil {
 		return err
 	}
+	return ev.ResetRotated(ev.q)
+}
+
+// Rotation implements core.RotatingEvaluator.
+func (ev *resEvaluator) Rotation() *store.Matrix { return ev.parent.model.Rotation }
+
+// Rotate implements core.RotatingEvaluator: the PCA projection of q.
+func (ev *resEvaluator) Rotate(dst, q []float32) error {
+	return ev.parent.model.ProjectInto(dst, q, ev.cent)
+}
+
+// ResetRotated implements core.RotatingEvaluator: everything Reset does
+// after the rotation, all of it linear in D.
+func (ev *resEvaluator) ResetRotated(rq []float32) error {
+	p := ev.parent
+	if len(rq) != p.dim {
+		return errors.New("ddc: rotated query dimension mismatch")
+	}
+	copy(ev.q, rq)
 	// One backwards pass accumulates Σ_{i≥d} (q_i·σ_i)² in float64; only
 	// the depths Compare stops at get a square root and a table entry.
 	sig := p.model.Sigmas

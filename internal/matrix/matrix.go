@@ -228,6 +228,22 @@ func GramSchmidt(m *Matrix) error {
 	return nil
 }
 
+// accumulateOuter adds rows [from, to) of the upper triangle of
+// cent·centᵀ to cov.
+func accumulateOuter(cov *Matrix, cent []float64, from, to int) {
+	d := len(cent)
+	for i := from; i < to; i++ {
+		ci := cent[i]
+		if ci == 0 {
+			continue
+		}
+		crow := cov.Row(i)
+		for j := i; j < d; j++ {
+			crow[j] += ci * cent[j]
+		}
+	}
+}
+
 // Covariance returns the D x D covariance matrix of the given float32 rows
 // (population covariance, mean removed), along with the mean vector.
 func Covariance(data [][]float32) (*Matrix, []float64, error) {
@@ -248,22 +264,22 @@ func Covariance(data [][]float32) (*Matrix, []float64, error) {
 		mean[j] /= float64(n)
 	}
 	cov := New(d, d)
-	cent := make([]float64, d)
-	for _, row := range data {
-		for j, v := range row {
-			cent[j] = float64(v) - mean[j]
-		}
-		for i := 0; i < d; i++ {
-			ci := cent[i]
-			if ci == 0 {
-				continue
+	// The n·D²/2 accumulation is split by output row, not by data row:
+	// every worker walks the data in order and owns some rows of cov, so
+	// each element is summed in the same order for any worker count. Row i
+	// of the upper triangle holds d−i elements; a unit of the split is row
+	// i together with row d−1−i, d+1 elements whichever i.
+	half := (d + 1) / 2
+	par.Range(half, 0, func(lo, hi int) {
+		cent := make([]float64, d)
+		for _, row := range data {
+			for j, v := range row {
+				cent[j] = float64(v) - mean[j]
 			}
-			crow := cov.Row(i)
-			for j := i; j < d; j++ {
-				crow[j] += ci * cent[j]
-			}
+			accumulateOuter(cov, cent, lo, hi)
+			accumulateOuter(cov, cent, max(d-hi, half), d-lo)
 		}
-	}
+	})
 	inv := 1 / float64(n)
 	for i := 0; i < d; i++ {
 		for j := i; j < d; j++ {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -258,6 +259,53 @@ func TestCovarianceKnown(t *testing.T) {
 	}
 	if math.Abs(cov.At(0, 1)) > 1e-9 || math.Abs(cov.At(1, 0)) > 1e-9 {
 		t.Fatal("off-diagonal should be 0")
+	}
+}
+
+// TestCovarianceSameForAnyWorkerCount: the accumulation is split across
+// GOMAXPROCS goroutines by output row, so every element is summed in data
+// order whatever the split — bit-identical results at 1, 2, 3 and 8 procs,
+// at an even and an odd dimension (the middle row pairs with itself), and
+// equal to the textbook double loop.
+func TestCovarianceSameForAnyWorkerCount(t *testing.T) {
+	r := rand.New(rand.NewSource(12))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, d := range []int{1, 6, 7, 33} {
+		data := make([][]float32, 50)
+		for i := range data {
+			data[i] = make([]float32, d)
+			for j := range data[i] {
+				data[i][j] = float32(r.NormFloat64()) + float32(j)
+			}
+		}
+		runtime.GOMAXPROCS(1)
+		want, mean, err := Covariance(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < d; i++ {
+			for j := 0; j < d; j++ {
+				var s float64
+				for _, row := range data {
+					s += (float64(row[i]) - mean[i]) * (float64(row[j]) - mean[j])
+				}
+				if got := want.At(i, j); math.Abs(got-s/50) > 1e-12*(1+math.Abs(got)) {
+					t.Fatalf("d=%d cov[%d][%d] = %v, want %v", d, i, j, got, s/50)
+				}
+			}
+		}
+		for _, procs := range []int{2, 3, 8} {
+			runtime.GOMAXPROCS(procs)
+			got, _, err := Covariance(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, v := range got.Data {
+				if v != want.Data[i] {
+					t.Fatalf("d=%d: element %d is %v at %d procs, %v at 1", d, i, v, procs, want.Data[i])
+				}
+			}
+		}
 	}
 }
 

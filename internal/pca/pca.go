@@ -11,6 +11,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 
 	"resinfer/internal/matrix"
 	"resinfer/internal/par"
@@ -136,6 +137,45 @@ func (m *Model) ProjectMatrix(data *store.Matrix, workers int) (*store.Matrix, e
 		}
 	})
 	return out, nil
+}
+
+// Refit returns a model for rows this model did not train on: it shares m's
+// mean and rotation (the same slices, not copies) and takes Variances and
+// Sigmas from rotated, rows already projected by m. Variances[i] is the
+// mean of yᵢ² over those rows — the second moment about m's mean, which is
+// what the Eq. 3 error term −2⟨q_r, x_r⟩ needs when the rows have drifted
+// off that mean, and equals the eigenvalue when rotated is m's own
+// training set.
+func (m *Model) Refit(rotated *store.Matrix) *Model {
+	out := &Model{
+		Dim: m.Dim, Mean: m.Mean, Rotation: m.Rotation,
+		Variances: make([]float64, m.Dim), Sigmas: make([]float32, m.Dim),
+	}
+	for i := 0; i < rotated.Rows(); i++ {
+		for j, y := range rotated.Row(i) {
+			out.Variances[j] += float64(y) * float64(y)
+		}
+	}
+	for j := range out.Variances {
+		out.Variances[j] /= float64(rotated.Rows())
+		out.Sigmas[j] = float32(math.Sqrt(out.Variances[j]))
+	}
+	return out
+}
+
+// Intern makes m share o's mean and rotation when they are equal element
+// for element, and reports whether the two now rotate through the same
+// matrix. A loader calls it so models that were one object when saved are
+// one object again.
+func (m *Model) Intern(o *Model) bool {
+	if m.Rotation == o.Rotation {
+		return true
+	}
+	if !slices.Equal(m.Mean, o.Mean) || !slices.Equal(m.Rotation.Flat(), o.Rotation.Flat()) {
+		return false
+	}
+	m.Mean, m.Rotation = o.Mean, o.Rotation
+	return true
 }
 
 // VarianceExplained returns the fraction of total variance captured by the

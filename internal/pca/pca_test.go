@@ -206,3 +206,57 @@ func TestProjectMatrix(t *testing.T) {
 		t.Fatal("expected dimension mismatch error")
 	}
 }
+
+// TestRefitRecoversEigenvalueSigmas: on the rows a model was trained on,
+// the σ Refit takes from the rotated rows is the eigenvalue σ up to
+// float32 rounding (the rotation is applied in float32) — what lets a
+// shard that inherits a rotation recompute the Eq. 3 bound's σ without an
+// eigensolver — and the refit model shares the rotation and the mean.
+func TestRefitRecoversEigenvalueSigmas(t *testing.T) {
+	r := rand.New(rand.NewSource(4))
+	vars := make([]float64, 48)
+	for i := range vars {
+		vars[i] = 25 / float64(1+i)
+	}
+	data := anisotropic(r, 3000, vars)
+	for _, row := range data {
+		for j := range row {
+			row[j] += 2 // a mean the model has to remove
+		}
+	}
+	m, err := Train(data, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mat, err := store.FromRows(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rotated, err := m.ProjectMatrix(mat, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	re := m.Refit(rotated)
+	if re.Rotation != m.Rotation || &re.Mean[0] != &m.Mean[0] {
+		t.Fatal("Refit copied the rotation or the mean")
+	}
+	for i, want := range m.Sigmas {
+		if got := re.Sigmas[i]; math.Abs(float64(got-want)) > 1e-4*float64(m.Sigmas[0]) {
+			t.Errorf("sigma[%d] = %v from rotated rows, %v from the eigenvalue", i, got, want)
+		}
+	}
+	if !re.Intern(m) || re.Rotation != m.Rotation {
+		t.Fatal("Intern does not recognise a shared rotation")
+	}
+	other, err := Train(data[:1500], Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if other.Intern(m) {
+		t.Fatal("Intern merged two different rotations")
+	}
+	clone := &Model{Dim: m.Dim, Mean: append([]float32(nil), m.Mean...), Rotation: m.Rotation.Clone()}
+	if !clone.Intern(m) || clone.Rotation != m.Rotation {
+		t.Fatal("Intern left an element-for-element equal rotation unshared")
+	}
+}

@@ -212,10 +212,19 @@ func registerIndexMetrics(reg *obs.Registry, idx Engine, mut Mutator, qt *qualit
 		obs.ExponentialBuckets(1e-6, 2, 18))
 	swaps := reg.Counter("resinfer_compaction_hotswaps_total",
 		"Completed shard compactions (hot swaps).")
+	lead := make([]*obs.Gauge, n)
+	for s := range lead {
+		lead[s] = reg.Gauge("resinfer_rotation_lead_share",
+			"Share of variance the shard's inherited ddc-res rotation put in the first DeltaD rotated dimensions at its last compaction (0 before the first, or without ddc-res); it sinks as the data drifts from what the rotation was trained on.",
+			obs.Label{Name: "shard", Value: strconv.Itoa(s)})
+	}
 	mut.SetCompactionObserver(func(ci resinfer.CompactionInfo) {
 		build.ObserveDuration(ci.BuildDuration)
 		swap.ObserveDuration(ci.SwapDuration)
 		swaps.Inc()
+		if ci.Shard >= 0 && ci.Shard < n {
+			lead[ci.Shard].Set(ci.LeadShare)
+		}
 		qt.NoteCompaction() // nil-safe
 	})
 

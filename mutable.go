@@ -122,8 +122,9 @@ type MutationStats struct {
 // serves: Add/Upsert append to per-shard memtable segments (scanned
 // exactly, so recall on fresh vectors is perfect), Delete tombstones
 // rows out of sight immediately, and a background compactor folds both
-// back into rebuilt base indexes — retraining their distance comparators
-// — then hot-swaps them in with zero search downtime.
+// back into rebuilt base indexes — rebuilding their distance comparators
+// around the rotations the index was enabled with — then hot-swaps them in
+// with zero search downtime.
 //
 // Concurrency: any number of goroutines may search concurrently with
 // mutations and compactions. Mutations serialize internally. Global IDs
@@ -368,6 +369,7 @@ func (mx *MutableIndex) runCompact(s int, wait bool) (bool, error) {
 			Tombstones:    info.dead,
 			BuildDuration: info.buildDur,
 			SwapDuration:  info.swapDur,
+			LeadShare:     info.leadShare,
 		})
 	}
 	return true, nil
@@ -388,6 +390,13 @@ type CompactionInfo struct {
 	BuildDuration time.Duration
 	// SwapDuration is the write-lock hold time of the hot swap.
 	SwapDuration time.Duration
+	// LeadShare is the share of Σσ² that the rotation the rebuilt base
+	// inherited puts in its first DeltaD rotated dimensions, measured on the
+	// rebuilt shard's rows (0 when ddc-res is not enabled). A PCA rotation
+	// starts well above DeltaD/D, the share of a random rotation, and sinks
+	// towards it as the data drifts away from what the rotation was trained
+	// on: the signal for rebuilding the index.
+	LeadShare float64
 }
 
 // SetCompactionObserver installs fn to be called after every completed

@@ -334,8 +334,8 @@ func TestMutableCompactionRetrainsModes(t *testing.T) {
 		t.Fatalf("DDCRes search on compacted index: %v", err)
 	}
 
-	// Re-enabling a mode replaces its record instead of appending, so
-	// compactions retrain each mode once.
+	// Re-enabling a mode that is on records nothing, so compactions build
+	// each mode once.
 	if err := mx.Enable(DDCRes, nil); err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"resinfer/internal/ddc"
 	"resinfer/internal/fault"
 	"resinfer/internal/heap"
 	"resinfer/internal/retry"
@@ -54,8 +55,9 @@ var walAppendPolicy = retry.Policy{Attempts: 3, Base: 5 * time.Millisecond, Fact
 // lives in MutableIndex (mutable.go).
 
 // recordedEnable remembers one Enable/EnableWithTraining call so a
-// compacted shard's rebuilt base index is retrained with the exact same
-// comparators and configuration.
+// compacted shard's rebuilt base index gets the same comparators with the
+// same configuration (built around the rotation of the base it replaces;
+// see compactShard).
 type recordedEnable struct {
 	mode         Mode
 	trainQueries [][]float32
@@ -200,21 +202,6 @@ func (sx *ShardedIndex) scanRow(v []float32) ([]float32, error) {
 	return row, nil
 }
 
-// scanQuery maps a caller query into the same scan space, reusing the
-// fan scratch buffer for the Cosine normalization.
-//
-//resinfer:noalloc
-func (sx *ShardedIndex) scanQuery(fs *fanScratch, q []float32) ([]float32, error) {
-	if sx.metric != Cosine {
-		return q, nil
-	}
-	if len(fs.qbuf) != sx.userDim {
-		fs.qbuf = make([]float32, sx.userDim) //resinfer:alloc-ok lazy one-time scratch growth
-	}
-	st := metricState{kind: Cosine}
-	return st.transformInto(fs.qbuf, q)
-}
-
 // Add ingests a fresh vector and returns its newly assigned global ID.
 // Assignment is round-robin across shards, so sustained ingestion grows
 // every shard evenly. The ID is stable for the life of the row: searches
@@ -351,7 +338,8 @@ func (sx *ShardedIndex) Delete(id int) (bool, error) {
 // triple.
 //
 //resinfer:noalloc
-func (sx *ShardedIndex) searchShardMut(s int, out *shardOut, q, qScan []float32, k int, mode Mode, budget int) {
+func (sx *ShardedIndex) searchShardMut(s int, out *shardOut, fs *fanScratch) {
+	q, k := fs.q, fs.k
 	seg := sx.mut.segs[s]
 	seg.mu.RLock()
 	defer seg.mu.RUnlock()
@@ -361,7 +349,7 @@ func (sx *ShardedIndex) searchShardMut(s int, out *shardOut, q, qScan []float32,
 	// them can then never starve the shard's contribution below k, and a
 	// pure-ingest workload (nothing hidden) pays no over-fetch at all.
 	kEff := k + seg.hidden
-	out.ns, out.st, out.err = base.SearchInto(out.ns[:0], q, kEff, mode, budget)
+	out.ns, out.st, out.err = base.searchShard(out.ns[:0], fs, kEff)
 	if out.err != nil {
 		return
 	}
@@ -384,7 +372,9 @@ func (sx *ShardedIndex) searchShardMut(s int, out *shardOut, q, qScan []float32,
 			rq.Push(gid, key)
 		}
 	}
-	memComp := seg.mem.Scan(qScan, ip, rq)
+	// The memtable stores rows in the scan space (see scanRow), which is the
+	// internal space less InnerProduct's augmentation coordinate.
+	memComp := seg.mem.Scan(fs.tq[:sx.userDim], ip, rq)
 	if memComp > 0 {
 		tot := out.st.Comparisons + int64(memComp)
 		out.st.ScanRate = (out.st.ScanRate*float64(out.st.Comparisons) + float64(memComp)) / float64(tot)
@@ -423,24 +413,41 @@ func (sx *ShardedIndex) baseUserRows(base *Index) [][]float32 {
 
 // compactInfo describes one finished shard compaction.
 type compactInfo struct {
-	shard    int
-	rows     int           // rows in the rebuilt base
-	memRows  int           // memtable rows folded in
-	dead     int           // tombstones retired
-	buildDur time.Duration // off-path rebuild + retrain time
-	swapDur  time.Duration // write-lock hold time of the hot swap
+	shard     int
+	rows      int           // rows in the rebuilt base
+	memRows   int           // memtable rows folded in
+	dead      int           // tombstones retired
+	buildDur  time.Duration // off-path rebuild + retrain time
+	swapDur   time.Duration // write-lock hold time of the hot swap
+	leadShare float64       // CompactionInfo.LeadShare
+}
+
+// inherit installs the recorded comparators ix, a rebuilt base, lacks, each
+// built around the rotation old's comparator of that mode uses: ix rotates
+// its rows with it, ddc-res refits the σ of its error bound on them, ddc-pca
+// refits its classifiers, and the eigensolver does not run. A mode old does
+// not have (or ddc-opq) trains from scratch.
+func (ix *Index) inherit(old *Index, enables []recordedEnable) error {
+	for _, e := range enables {
+		if err := ix.enable(e.mode, e.trainQueries, e.opts, old.rotationOf(e.mode)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // compactShard rebuilds shard s from its live rows — base minus
-// tombstones and shadowed rows, plus the memtable — retrains every
-// recorded comparator on the rebuilt base, and hot-swaps it in under the
-// shard's write lock. Searches keep running against the old base for the
-// whole build; the swap itself is a few pointer stores. When another
-// compaction holds the shard, wait decides between leaving the shard to it
-// and waiting for it to finish and then compacting what it left behind —
-// rows that arrived after its snapshot. It returns false when there was
-// nothing to do (no pending segments, an unawaited concurrent compaction,
-// or every row is deleted).
+// tombstones and shadowed rows, plus the memtable — builds every recorded
+// comparator over them around the rotation the old base used (see
+// inherit; nothing short of rebuilding the index trains a rotation
+// again), and hot-swaps the result in under the shard's write lock.
+// Searches keep running against the old base for the whole build; the
+// swap itself is a few pointer stores. When another compaction holds the
+// shard, wait decides between leaving the shard to it and waiting for it
+// to finish and then compacting what it left behind — rows that arrived
+// after its snapshot. It returns false when there was nothing to do (no
+// pending segments, an unawaited concurrent compaction, or every row is
+// deleted).
 func (sx *ShardedIndex) compactShard(s int, wait bool) (bool, compactInfo, error) {
 	m := sx.mut
 	if m == nil {
@@ -519,15 +526,8 @@ func (sx *ShardedIndex) compactShard(s int, wait bool) (bool, compactInfo, error
 	if err != nil {
 		return false, compactInfo{}, fmt.Errorf("resinfer: compacting shard %d: %w", s, err)
 	}
-	for _, e := range enables {
-		if e.withTraining {
-			err = newIdx.EnableWithTraining(e.mode, e.trainQueries, e.opts)
-		} else {
-			err = newIdx.Enable(e.mode, e.opts)
-		}
-		if err != nil {
-			return false, compactInfo{}, fmt.Errorf("resinfer: retraining %s on compacted shard %d: %w", e.mode, s, err)
-		}
+	if err := newIdx.inherit(base, enables); err != nil {
+		return false, compactInfo{}, fmt.Errorf("resinfer: compacting shard %d: %w", s, err)
 	}
 	buildDur := time.Since(buildStart)
 
@@ -548,25 +548,18 @@ func (sx *ShardedIndex) compactShard(s int, wait bool) (bool, compactInfo, error
 	// surviving segments are small (bounded by build-time churn), so the
 	// hidden-row recount under the lock is cheap.
 	m.mu.Lock()
-	// A mode enabled while the build was running trained against the old
+	// A mode enabled while the build was running was installed on the old
 	// base; replay it on the rebuilt index before installing, or searches
-	// in that mode would fail on this shard after the swap. Training here
-	// holds mut.mu exactly as enableAll does — searches are unaffected,
-	// mutations wait.
-	for _, e := range m.enables {
-		if newIdx.Enabled(e.mode) {
-			continue
-		}
-		var rerr error
-		if e.withTraining {
-			rerr = newIdx.EnableWithTraining(e.mode, e.trainQueries, e.opts)
-		} else {
-			rerr = newIdx.Enable(e.mode, e.opts)
-		}
-		if rerr != nil {
-			m.mu.Unlock()
-			return false, compactInfo{}, fmt.Errorf("resinfer: retraining %s on compacted shard %d: %w", e.mode, s, rerr)
-		}
+	// in that mode would fail on this shard after the swap. This holds
+	// mut.mu exactly as enableAll does — searches are unaffected, mutations
+	// wait.
+	if err := newIdx.inherit(base, m.enables); err != nil {
+		m.mu.Unlock()
+		return false, compactInfo{}, fmt.Errorf("resinfer: compacting shard %d: %w", s, err)
+	}
+	var leadShare float64
+	if res, ok := newIdx.dcos[DDCRes].(*ddc.Res); ok {
+		leadShare = res.LeadShare()
 	}
 	seg.mu.Lock()
 	swapStart := time.Now()
@@ -595,12 +588,13 @@ func (sx *ShardedIndex) compactShard(s int, wait bool) (bool, compactInfo, error
 	m.mu.Unlock()
 
 	return true, compactInfo{
-		shard:    s,
-		rows:     len(rows),
-		memRows:  len(memIDs),
-		dead:     deadSnap.Len(),
-		buildDur: buildDur,
-		swapDur:  swapDur,
+		shard:     s,
+		rows:      len(rows),
+		memRows:   len(memIDs),
+		dead:      deadSnap.Len(),
+		buildDur:  buildDur,
+		swapDur:   swapDur,
+		leadShare: leadShare,
 	}, nil
 }
 

@@ -148,10 +148,10 @@ func BenchmarkSearchBatchPooled(b *testing.B) {
 
 // shardedObsSetup builds a 4-shard index with per-shard metrics
 // observation installed — the exact serving configuration of
-// internal/server with /metrics enabled and tracing off. SearchWorkers
-// is 1 because the sequential fan-out is the allocation-free path
-// (parallel fan-out allocates its semaphore and goroutines per query).
-func shardedObsSetup(b testing.TB) (*resinfer.ShardedIndex, func()) {
+// internal/server with /metrics enabled and tracing off. At workers 1 the
+// fan-out spawns nothing and is the allocation-free path; every worker
+// beyond the first is one helper goroutine spawned per query.
+func shardedObsSetup(b testing.TB, workers int) (*resinfer.ShardedIndex, func()) {
 	benchSetup(b)
 	rng := rand.New(rand.NewSource(7))
 	data := make([][]float32, benchN)
@@ -163,7 +163,7 @@ func shardedObsSetup(b testing.TB) (*resinfer.ShardedIndex, func()) {
 		data[i] = row
 	}
 	sx, err := resinfer.NewSharded(data, resinfer.Flat, 4,
-		&resinfer.ShardOptions{SearchWorkers: 1, Index: &resinfer.Options{Seed: 1}})
+		&resinfer.ShardOptions{SearchWorkers: workers, Index: &resinfer.Options{Seed: 1}})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func shardedObsSetup(b testing.TB) (*resinfer.ShardedIndex, func()) {
 // sharded hot path must stay 0 allocs/op — the observer is a plain
 // function call into lock-free histogram/counter atomics.
 func BenchmarkSearchIntoSteadyStateShardedMetricsOn(b *testing.B) {
-	sx, verify := shardedObsSetup(b)
+	sx, verify := shardedObsSetup(b, 1)
 	var dst []resinfer.Neighbor
 	var err error
 	b.ReportAllocs()
@@ -207,9 +207,24 @@ func BenchmarkSearchIntoSteadyStateShardedMetricsOn(b *testing.B) {
 // performs zero heap allocations per query.
 func TestSearchIntoShardedMetricsOnZeroAlloc(t *testing.T) {
 	allocguard.SkipIfInstrumented(t)
-	sx, _ := shardedObsSetup(t)
+	sx, _ := shardedObsSetup(t, 1)
 	if allocs := shardedSearchAllocs(t, sx); allocs != 0 {
 		t.Fatalf("sharded search with metrics on: %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestSearchIntoShardedParallelFanOutAllocs pins what the parallel plain
+// path costs: at SearchWorkers 2 the caller probes shards next to one
+// helper goroutine, and that spawn (its closure; the goroutine itself is
+// recycled) is all a query allocates — not a semaphore channel plus one
+// goroutine per shard.
+func TestSearchIntoShardedParallelFanOutAllocs(t *testing.T) {
+	allocguard.SkipIfInstrumented(t)
+	sx, _ := shardedObsSetup(t, 2)
+	allocs := shardedSearchAllocs(t, sx)
+	t.Logf("%v allocs/op", allocs)
+	if allocs > 2 {
+		t.Fatalf("sharded search at SearchWorkers 2: %v allocs/op, want <= 2", allocs)
 	}
 }
 
@@ -241,7 +256,7 @@ func shardedSearchAllocs(t *testing.T, sx *resinfer.ShardedIndex) float64 {
 // plain path nothing.
 func TestSearchIntoShardedHedgerInstalledZeroAlloc(t *testing.T) {
 	allocguard.SkipIfInstrumented(t)
-	sx, _ := shardedObsSetup(t)
+	sx, _ := shardedObsSetup(t, 1)
 	sx.SetShardHedger(func(ctx context.Context, shard int, q []float32, k int, mode resinfer.Mode, budget int) ([]resinfer.Neighbor, resinfer.SearchStats, error) {
 		t.Error("hedger fired on the plain (non-ctx) search path")
 		return nil, resinfer.SearchStats{}, nil

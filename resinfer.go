@@ -37,6 +37,7 @@ import (
 	"resinfer/internal/heap"
 	"resinfer/internal/hnsw"
 	"resinfer/internal/ivf"
+	"resinfer/internal/pca"
 	"resinfer/internal/store"
 	"resinfer/internal/vec"
 )
@@ -312,7 +313,7 @@ func (ix *Index) Enable(mode Mode, opts *Options) error {
 	case Exact:
 		return nil
 	case ADSampling, DDCRes:
-		return ix.enable(mode, nil, opts)
+		return ix.enable(mode, nil, opts, rotation{})
 	case DDCPCA, DDCOPQ:
 		return fmt.Errorf("resinfer: mode %s needs training queries; use EnableWithTraining", mode)
 	}
@@ -326,12 +327,39 @@ func (ix *Index) EnableWithTraining(mode Mode, trainQueries [][]float32, opts *O
 	case Exact:
 		return nil
 	case ADSampling, DDCRes, DDCPCA, DDCOPQ:
-		return ix.enable(mode, trainQueries, opts)
+		return ix.enable(mode, trainQueries, opts, rotation{})
 	}
 	return fmt.Errorf("resinfer: unknown mode %q", mode)
 }
 
-func (ix *Index) enable(mode Mode, trainQueries [][]float32, opts *Options) error {
+// rotation is the part of a rotating comparator that does not depend on the
+// rows it covers: the PCA model of ddc-res and ddc-pca, the random
+// orthogonal matrix of adsampling. A ShardedIndex trains one per mode and
+// builds every shard's comparator around it, and a compacted shard takes
+// over the one of the base it replaces, so a fan-out rotates its query
+// once. With the zero value every comparator trains its own.
+type rotation struct {
+	model *pca.Model
+	ads   *store.Matrix
+}
+
+// rotationOf returns the rotation mode's installed comparator is built
+// around, the zero value when there is none.
+func (ix *Index) rotationOf(mode Mode) rotation {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	switch d := ix.dcos[mode].(type) {
+	case *adsampling.DCO:
+		return rotation{ads: d.Rotation()}
+	case *ddc.Res:
+		return rotation{model: d.Model()}
+	case *ddc.PCADCO:
+		return rotation{model: d.Model()}
+	}
+	return rotation{}
+}
+
+func (ix *Index) enable(mode Mode, trainQueries [][]float32, opts *Options, rot rotation) error {
 	o := ix.opts
 	if opts != nil {
 		o = opts.withDefaults()
@@ -359,18 +387,18 @@ func (ix *Index) enable(mode Mode, trainQueries [][]float32, opts *Options) erro
 	var err error
 	switch mode {
 	case ADSampling:
-		dco, err = adsampling.New(ix.data, adsampling.Config{
+		dco, err = adsampling.NewFromRotation(ix.data, rot.ads, adsampling.Config{
 			Epsilon0: o.ADSEpsilon0, DeltaD: o.DeltaD, Seed: o.Seed,
 		})
 	case DDCRes:
-		dco, err = ddc.NewRes(ix.data, ddc.ResConfig{
+		dco, err = ddc.NewResFromModel(ix.data, rot.model, ddc.ResConfig{
 			Multiplier: o.ResMultiplier, InitD: o.DeltaD, DeltaD: o.DeltaD, Seed: o.Seed,
 		})
 	case DDCPCA:
 		if len(trainQueries) == 0 {
 			return errors.New("resinfer: DDCPCA needs training queries")
 		}
-		dco, err = ddc.NewPCA(ix.data, trainQueries, ddc.PCAConfig{
+		dco, err = ddc.NewPCAFromModel(ix.data, trainQueries, rot.model, ddc.PCAConfig{
 			TargetRecall: o.TargetRecall, Seed: o.Seed,
 			Collect: ddc.CollectConfig{K: 100, NegPerQuery: 100},
 		})
@@ -451,6 +479,40 @@ func (ix *Index) searchSession(s *session, dst []Neighbor, q []float32, k, budge
 	if err := s.ev.Reset(tq); err != nil {
 		return dst, SearchStats{}, err
 	}
+	return ix.walk(s, dst, tq, k, budget)
+}
+
+// searchShard is SearchInto for one probe of a sharded fan-out, k apart
+// (a mutable shard over-fetches): fs holds the query already in the
+// internal space, and a rotating evaluator is primed from fs's rotate-once
+// cache, so shards whose comparators share a rotation share the D² rotation
+// of the query too.
+//
+//resinfer:noalloc
+func (ix *Index) searchShard(dst []Neighbor, fs *fanScratch, k int) ([]Neighbor, SearchStats, error) {
+	s, pool, err := ix.acquire(fs.mode)
+	if err != nil {
+		return dst, SearchStats{}, err
+	}
+	if rev, ok := s.ev.(core.RotatingEvaluator); ok {
+		err = fs.reset(rev)
+	} else {
+		err = s.ev.Reset(fs.tq)
+	}
+	var st SearchStats
+	if err == nil {
+		dst, st, err = ix.walk(s, dst, fs.tq, k, fs.budget)
+	}
+	pool.Put(s)
+	return dst, st, err
+}
+
+// walk runs the index traversal for the query s.ev was reset to (tq, in
+// the internal space) and appends the hits to dst.
+//
+//resinfer:noalloc
+func (ix *Index) walk(s *session, dst []Neighbor, tq []float32, k, budget int) ([]Neighbor, SearchStats, error) {
+	var err error
 	s.items = s.items[:0]
 	size := ix.data.Rows()
 	switch ix.kind {

@@ -11,10 +11,15 @@ import (
 	"sync/atomic"
 	"time"
 
+	"resinfer/internal/adsampling"
+	"resinfer/internal/core"
 	"resinfer/internal/fault"
 	"resinfer/internal/heap"
+	"resinfer/internal/metric"
 	"resinfer/internal/obs"
+	"resinfer/internal/pca"
 	"resinfer/internal/persist"
+	"resinfer/internal/store"
 )
 
 // ShardStrategy selects how NewSharded assigns data rows to shards.
@@ -41,7 +46,8 @@ type ShardOptions struct {
 	// Strategy assigns rows to shards (default RoundRobin).
 	Strategy ShardStrategy
 	// SearchWorkers bounds how many shards one Search queries
-	// concurrently (default GOMAXPROCS).
+	// concurrently (default GOMAXPROCS): the caller probes shards itself
+	// next to SearchWorkers-1 helper goroutines, so 1 spawns nothing.
 	SearchWorkers int
 	// Index configures each sub-index; see Options.
 	Index *Options
@@ -51,12 +57,15 @@ type ShardOptions struct {
 // queries by fanning out to every shard and k-way-merging the per-shard
 // results back into one globally-ranked answer. Each shard searches with
 // the full (k, budget), so for the Exact mode the merge is lossless: the
-// sharded result set equals the unsharded one. Like Index, a
-// ShardedIndex is read-safe — after NewSharded and any Enable* calls
-// return, any number of goroutines may search concurrently. Per-query
-// fan-out state (per-shard result buffers, the merge queue) is pooled, so
-// sharded searches are allocation-free at steady state apart from the
-// caller-visible result slice.
+// sharded result set equals the unsharded one. The rotation a comparator
+// starts every query with (ddc-res, ddc-pca, adsampling) is trained once
+// for the whole index, over the rows of all shards, so a fan-out rotates
+// its query once, not once per shard. Like Index, a ShardedIndex is
+// read-safe — after NewSharded and any Enable* calls return, any number of
+// goroutines may search concurrently. Per-query fan-out state (the rotated
+// query, per-shard result buffers, the merge queue) is pooled, so a sharded
+// search allocates nothing at steady state apart from the caller-visible
+// result slice and one goroutine spawn per search worker beyond the first.
 type ShardedIndex struct {
 	kind     IndexKind
 	strategy ShardStrategy
@@ -65,7 +74,8 @@ type ShardedIndex struct {
 	globalID [][]int // globalID[s][localID] = row in the original data
 	n        int
 	userDim  int
-	workers  int // shard fan-out width for single-query Search
+	workers  int          // shard fan-out width for single-query Search
+	qmetric  *metricState // the query-side metric transform, the same for every shard
 	fanPool  sync.Pool
 	gtPool   sync.Pool // gtScratch for GroundTruthSearch (groundtruth.go)
 
@@ -134,12 +144,92 @@ type fanScratch struct {
 	complete []bool
 	cancels  []context.CancelFunc
 	rq       *heap.ResultQueue
-	qbuf     []float32        // mutable-path scan-space query scratch (Cosine)
 	seen     map[int]struct{} // mutable-path merge dedup, reused across queries
+
+	// The query every probe of this fan runs: q as the caller passed it,
+	// tq in the internal space (one metric transform for all shards: q
+	// itself for L2, tqbuf otherwise).
+	q, tq, tqbuf []float32
+	k, budget    int
+	mode         Mode
+	next         atomic.Int32   // next unprobed shard of the plain fan-out
+	helpers      sync.WaitGroup // the plain fan-out's helper goroutines
+
+	// The rotate-once cache: tq rotated by each distinct rotation among the
+	// shards' comparators, by the first probe that needs it (see reset).
+	// rotMu guards nrot and the keys.
+	rotMu sync.Mutex
+	nrot  int
+	rots  []rotSlot // one per shard: the most distinct rotations a fan can meet
+}
+
+// rotSlot is tq rotated through key; rq may be read once ready is set.
+type rotSlot struct {
+	key   *store.Matrix
+	ready atomic.Bool
+	rq    []float32
+}
+
+// reset primes ev for fs's query. The first probe of a fan to arrive with
+// ev's rotation rotates the query into the cache, and every later one
+// resets from there. One that arrives while the first is still rotating —
+// the second worker of a parallel fan-out, started in the same microsecond —
+// rotates for itself: that takes as long as waiting would, and does not
+// park a core that then needs a thread wake-up to come back. So a fan
+// rotates once per distinct rotation and, at most, once more per extra
+// worker, however many shards there are.
+//
+//resinfer:noalloc
+func (fs *fanScratch) reset(ev core.RotatingEvaluator) error {
+	key := ev.Rotation()
+	var slot *rotSlot
+	fs.rotMu.Lock()
+	for i := 0; i < fs.nrot && slot == nil; i++ {
+		if fs.rots[i].key == key {
+			slot = &fs.rots[i]
+		}
+	}
+	first := slot == nil
+	if first {
+		slot = &fs.rots[fs.nrot]
+		fs.nrot++
+		slot.key = key
+		slot.ready.Store(false)
+	}
+	fs.rotMu.Unlock()
+	switch {
+	case first:
+		if len(slot.rq) != len(fs.tq) {
+			slot.rq = make([]float32, len(fs.tq)) //resinfer:alloc-ok lazy one-time scratch growth
+		}
+		if err := ev.Rotate(slot.rq, fs.tq); err != nil {
+			return err // ready stays unset: the others rotate, and fail, themselves
+		}
+		slot.ready.Store(true)
+	case !slot.ready.Load():
+		return ev.Reset(fs.tq)
+	}
+	return ev.ResetRotated(slot.rq)
+}
+
+// begin readies fs for one query: the query parameters every probe reads,
+// q moved into the internal space, an empty rotate-once cache.
+//
+//resinfer:noalloc
+func (sx *ShardedIndex) begin(fs *fanScratch, q []float32, k int, mode Mode, budget int) (err error) {
+	fs.q, fs.k, fs.mode, fs.budget = q, k, mode, budget
+	fs.nrot = 0
+	fs.tq, err = sx.qmetric.transformInto(fs.tqbuf, q)
+	return err
 }
 
 func (sx *ShardedIndex) initFanPool() {
 	n := len(sx.shards)
+	dim := sx.shards[0].dim
+	sx.qmetric = &metricState{kind: sx.metric}
+	if sx.metric == InnerProduct {
+		sx.qmetric.ip = &metric.IPTransform{Dim: sx.userDim}
+	}
 	sx.fanPool.New = func() any {
 		return &fanScratch{
 			outs:     make([]shardOut, n),
@@ -147,6 +237,8 @@ func (sx *ShardedIndex) initFanPool() {
 			complete: make([]bool, n),
 			cancels:  make([]context.CancelFunc, n),
 			rq:       heap.NewResultQueue(16),
+			tqbuf:    make([]float32, dim),
+			rots:     make([]rotSlot, n),
 		}
 	}
 	sx.gtPool.New = func() any {
@@ -269,15 +361,18 @@ func partitionRows(data [][]float32, nShards int, strategy ShardStrategy) ([][][
 }
 
 // Enable trains and installs a self-calibrating comparator (ADSampling or
-// DDCRes) on every shard, in parallel.
+// DDCRes) on every shard: its rotation once, over the rows of all shards,
+// then each shard's comparator around that rotation, in parallel.
 func (sx *ShardedIndex) Enable(mode Mode, opts *Options) error {
 	return sx.enableAll(mode, nil, opts, false)
 }
 
-// EnableWithTraining trains and installs any comparator on every shard in
-// parallel; trainQueries are required for DDCPCA and DDCOPQ and ignored
-// otherwise. Every shard trains against the full training-query set (the
-// queries are workload samples, not data, so they are not partitioned).
+// EnableWithTraining trains and installs any comparator on every shard the
+// way Enable does; trainQueries are required for DDCPCA and DDCOPQ and
+// ignored otherwise. Every shard trains against the full training-query set
+// (the queries are workload samples, not data, so they are not
+// partitioned). DDCOPQ trains its rotation jointly with its codebooks, so
+// there every shard keeps one of its own.
 func (sx *ShardedIndex) EnableWithTraining(mode Mode, trainQueries [][]float32, opts *Options) error {
 	return sx.enableAll(mode, trainQueries, opts, true)
 }
@@ -286,9 +381,41 @@ func (sx *ShardedIndex) enableAll(mode Mode, trainQueries [][]float32, opts *Opt
 	if sx.mut != nil {
 		// Serialize against compaction swaps so the new comparator lands on
 		// every shard's current base, and record the call so a compacted
-		// shard's rebuilt base is retrained with the same configuration.
+		// shard's rebuilt base gets the same comparator.
 		sx.mut.mu.Lock()
 		defer sx.mut.mu.Unlock()
+	}
+	if sx.Enabled(mode) {
+		// Nothing trains, so nothing is recorded either: a compaction must
+		// not build one shard with options its siblings never saw.
+		return nil
+	}
+	if (mode == DDCPCA || mode == DDCOPQ) && len(trainQueries) == 0 {
+		return fmt.Errorf("resinfer: mode %s needs training queries; use EnableWithTraining", mode)
+	}
+	o := sx.shards[0].opts
+	if opts != nil {
+		o = opts.withDefaults()
+	}
+	// The rotation is trained here, once, over the rows of all shards;
+	// ddc-opq trains its own jointly with its codebooks, per shard.
+	var rot rotation
+	var err error
+	switch mode {
+	case ADSampling:
+		rot.ads = adsampling.NewRotation(sx.shards[0].dim, o.Seed)
+	case DDCRes, DDCPCA:
+		var rows [][]float32
+		for _, sh := range sx.shards {
+			rows = append(rows, sh.data.ToRows()...)
+		}
+		rot.model, err = pca.Train(rows, pca.Config{Seed: o.Seed})
+	case DDCOPQ:
+	default:
+		err = fmt.Errorf("unknown mode %q", mode)
+	}
+	if err != nil {
+		return fmt.Errorf("resinfer: enabling %s: %w", mode, err)
 	}
 	errs := make([]error, len(sx.shards))
 	var wg sync.WaitGroup
@@ -296,11 +423,7 @@ func (sx *ShardedIndex) enableAll(mode Mode, trainQueries [][]float32, opts *Opt
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			if withTraining {
-				errs[s] = sx.shards[s].EnableWithTraining(mode, trainQueries, opts)
-			} else {
-				errs[s] = sx.shards[s].Enable(mode, opts)
-			}
+			errs[s] = sx.shards[s].enable(mode, trainQueries, opts, rot)
 		}(s)
 	}
 	wg.Wait()
@@ -310,23 +433,9 @@ func (sx *ShardedIndex) enableAll(mode Mode, trainQueries [][]float32, opts *Opt
 		}
 	}
 	if sx.mut != nil {
-		rec := recordedEnable{
+		sx.mut.enables = append(sx.mut.enables, recordedEnable{
 			mode: mode, trainQueries: trainQueries, opts: opts, withTraining: withTraining,
-		}
-		// Latest call per mode wins: a re-enable replaces its record, so
-		// compactions retrain each mode once and Save persists one entry
-		// (and one training-query set) per mode.
-		replaced := false
-		for i := range sx.mut.enables {
-			if sx.mut.enables[i].mode == mode {
-				sx.mut.enables[i] = rec
-				replaced = true
-				break
-			}
-		}
-		if !replaced {
-			sx.mut.enables = append(sx.mut.enables, rec)
-		}
+		})
 	}
 	return nil
 }
@@ -354,7 +463,8 @@ func (sx *ShardedIndex) Search(q []float32, k int, mode Mode, budget int) ([]Nei
 // (Comparisons and Pruned are summed, ScanRate is the comparison-weighted
 // average). This is the plain path: up to SearchWorkers shards are probed
 // concurrently, any shard error fails the query, and with a reused dst the
-// whole fan-out runs without allocations at steady state.
+// fan-out allocates only what spawning SearchWorkers-1 helpers costs —
+// nothing at SearchWorkers 1.
 //
 //resinfer:noalloc
 func (sx *ShardedIndex) SearchInto(dst []Neighbor, q []float32, k int, mode Mode, budget int) ([]Neighbor, SearchStats, error) {
@@ -385,13 +495,16 @@ func (sx *ShardedIndex) SearchCtx(ctx context.Context, dst []Neighbor, q []float
 var errFanAbandoned = errors.New("resinfer: every shard abandoned at deadline")
 
 // searchFan queries the shards through pooled per-shard result buffers,
-// then merges into dst. A nil ctx is the plain path: up to workers
-// shards probed concurrently (sequentially for workers <= 1), any shard
-// error fails the whole query, nothing is traced, and the query is
-// allocation-free at steady state. A non-nil ctx is the deadline-aware
-// path: one goroutine per shard, stragglers abandoned when ctx expires,
-// failed or abandoned shards skipped by the merge and counted in
-// SearchStats.ShardsFailed, stage timings recorded into tr when non-nil.
+// then merges into dst. The query is moved into the internal space once,
+// here, and rotated once per distinct rotation among the shards'
+// comparators, by the first probe that needs it (fanScratch.reset). A nil
+// ctx is the plain path: the caller and up to workers-1 helpers probe the
+// shards, any shard error fails the whole query, nothing is traced, and the
+// query allocates nothing at steady state beyond what spawning the helpers
+// costs (nothing at all for workers <= 1). A non-nil ctx is the
+// deadline-aware path: one goroutine per shard, stragglers abandoned when
+// ctx expires, failed or abandoned shards skipped by the merge and counted
+// in SearchStats.ShardsFailed, stage timings recorded into tr when non-nil.
 //
 //resinfer:noalloc
 func (sx *ShardedIndex) searchFan(ctx context.Context, dst []Neighbor, q []float32, k int, mode Mode, budget, workers int, tr *obs.Trace) ([]Neighbor, SearchStats, error) {
@@ -400,36 +513,22 @@ func (sx *ShardedIndex) searchFan(ctx context.Context, dst []Neighbor, q []float
 		return dst, SearchStats{}, fmt.Errorf("resinfer: query dim %d, index expects %d", len(q), sx.userDim)
 	}
 	fs := sx.fanPool.Get().(*fanScratch)
-	outs := fs.outs
-	var qScan []float32
-	if sx.mut != nil {
-		var serr error
-		if qScan, serr = sx.scanQuery(fs, q); serr != nil {
-			sx.fanPool.Put(fs)
-			return dst, SearchStats{}, serr
-		}
+	if err := sx.begin(fs, q, k, mode, budget); err != nil {
+		sx.fanPool.Put(fs)
+		return dst, SearchStats{}, err
 	}
 	if ctx == nil {
-		if workers <= 1 || len(sx.shards) == 1 {
-			// The sequential fan-out calls the probe as a plain method; the
-			// parallel fan-out lives in its own method so no closure here
-			// captures qScan (which would heap-box it on every call). This
-			// path is allocation-free even with a shard observer installed.
-			for s := range sx.shards {
-				sx.searchShardObs(s, outs, q, qScan, k, mode, budget)
-			}
-		} else {
-			sx.fanParallel(outs, q, qScan, k, mode, budget, workers)
-		}
-		dst, st, err := sx.merge(dst, fs, q, k, false)
+		sx.fanParallel(fs, workers)
+		dst, st, err := sx.merge(dst, fs, false)
 		sx.fanPool.Put(fs)
 		return dst, st, err
 	}
+	outs := fs.outs
 	var fanStart time.Time
 	if tr != nil {
 		fanStart = time.Now()
 	}
-	abandoned := sx.fanDeadline(ctx, fs, q, qScan, k, mode, budget, tr != nil)
+	abandoned := sx.fanDeadline(ctx, fs, tr != nil)
 	var mergeStart time.Time
 	if tr != nil {
 		for s := range outs {
@@ -442,7 +541,7 @@ func (sx *ShardedIndex) searchFan(ctx context.Context, dst []Neighbor, q []float
 		tr.End("fanout", fanStart)
 		mergeStart = time.Now()
 	}
-	dst, st, err := sx.merge(dst, fs, q, k, true)
+	dst, st, err := sx.merge(dst, fs, true)
 	if errors.Is(err, errFanAbandoned) {
 		if ce := ctx.Err(); ce != nil {
 			err = ce
@@ -452,31 +551,40 @@ func (sx *ShardedIndex) searchFan(ctx context.Context, dst []Neighbor, q []float
 		tr.End("merge", mergeStart)
 	}
 	if !abandoned {
-		// Straggler goroutines of an abandoned fan still own slots of fs;
-		// that scratch goes to the garbage collector instead of racing
-		// them through the pool.
+		// Straggler goroutines of an abandoned fan still own slots of fs,
+		// and still read its query and rotate-once cache; that scratch goes
+		// to the garbage collector instead of racing them through the pool.
 		sx.fanPool.Put(fs)
 	}
 	return dst, st, err
 }
 
-// fanParallel probes every shard with up to workers goroutines.
-func (sx *ShardedIndex) fanParallel(outs []shardOut, q, qScan []float32, k int, mode Mode, budget, workers int) {
-	if workers > len(sx.shards) {
-		workers = len(sx.shards)
+// fanParallel probes every shard from the calling goroutine and up to
+// workers-1 helpers, each taking the next unprobed shard off fs.next until
+// none is left: one spawn per helper, not one per shard, and none for
+// workers <= 1.
+//
+//resinfer:noalloc
+func (sx *ShardedIndex) fanParallel(fs *fanScratch, workers int) {
+	fs.next.Store(0)
+	for h := min(workers, len(sx.shards)) - 1; h > 0; h-- {
+		fs.helpers.Add(1)
+		go sx.fanHelp(fs) //resinfer:alloc-ok the one spawn per helper of a parallel fan-out
 	}
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for s := range sx.shards {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(s int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			sx.searchShardObs(s, outs, q, qScan, k, mode, budget)
-		}(s)
+	sx.fanDrain(fs)
+	fs.helpers.Wait()
+}
+
+func (sx *ShardedIndex) fanHelp(fs *fanScratch) {
+	defer fs.helpers.Done()
+	sx.fanDrain(fs)
+}
+
+//resinfer:noalloc
+func (sx *ShardedIndex) fanDrain(fs *fanScratch) {
+	for s := int(fs.next.Add(1)) - 1; s < len(sx.shards); s = int(fs.next.Add(1)) - 1 {
+		sx.searchShardObs(s, fs)
 	}
-	wg.Wait()
 }
 
 // fanDeadline probes every shard on its own goroutine and waits for
@@ -498,7 +606,7 @@ func (sx *ShardedIndex) fanParallel(outs []shardOut, q, qScan []float32, k int, 
 // call), and a hedge that answers first is counted as a win. A shard
 // counts as failed only when every path — local probe and hedge — has
 // failed, so partial results now mean all replicas of a shard are down.
-func (sx *ShardedIndex) fanDeadline(ctx context.Context, fs *fanScratch, q, qScan []float32, k int, mode Mode, budget int, timed bool) (abandoned bool) {
+func (sx *ShardedIndex) fanDeadline(ctx context.Context, fs *fanScratch, timed bool) (abandoned bool) {
 	n := len(sx.shards)
 	outs := fs.outs
 	for s := 0; s < n; s++ {
@@ -516,7 +624,7 @@ func (sx *ShardedIndex) fanDeadline(ctx context.Context, fs *fanScratch, q, qSca
 			if timed {
 				t0 = time.Now()
 			}
-			sx.searchShardObs(s, outs, q, qScan, k, mode, budget)
+			sx.searchShardObs(s, fs)
 			if timed {
 				outs[s].t0, outs[s].d = t0, time.Since(t0)
 			}
@@ -543,7 +651,7 @@ func (sx *ShardedIndex) fanDeadline(ctx context.Context, fs *fanScratch, q, qSca
 				t0 = time.Now()
 			}
 			h := &fs.houts[s]
-			h.ns, h.st, h.err = sx.hedger(hctx, s, q, k, mode, budget)
+			h.ns, h.st, h.err = sx.hedger(hctx, s, fs.q, fs.k, fs.mode, fs.budget)
 			if timed {
 				h.t0, h.d = t0, time.Since(t0)
 			}
@@ -652,27 +760,28 @@ func (sx *ShardedIndex) cancelHedges(fs *fanScratch) {
 	}
 }
 
-// searchShardObs probes one shard into outs[s], timing the probe when a
-// shard observer is installed. The untimed path costs a single branch. A
-// panic inside the probe (index bug, or an injected fault) is isolated
-// here into a per-shard error rather than killing the process; the
-// recover costs an open-coded defer, keeping the steady-state path
+// searchShardObs runs fs's query on one shard into fs.outs[s], timing the
+// probe when a shard observer is installed. The untimed path costs a single
+// branch. A panic inside the probe (index bug, or an injected fault) is
+// isolated here into a per-shard error rather than killing the process;
+// the recover costs an open-coded defer, keeping the steady-state path
 // allocation-free.
 //
 //resinfer:noalloc
-func (sx *ShardedIndex) searchShardObs(s int, outs []shardOut, q, qScan []float32, k int, mode Mode, budget int) {
+func (sx *ShardedIndex) searchShardObs(s int, fs *fanScratch) {
+	out := &fs.outs[s]
 	defer func() {
 		if r := recover(); r != nil {
-			outs[s].ns = outs[s].ns[:0]
+			out.ns = out.ns[:0]
 			//resinfer:alloc-ok panic recovery is off the steady-state path
-			outs[s].err = fmt.Errorf("resinfer: shard %d panicked: %v", s, r)
+			out.err = fmt.Errorf("resinfer: shard %d panicked: %v", s, r)
 		}
 	}()
 	if fault.Active() {
 		if err := fault.CheckArg(fault.SiteShardSearch, s); err != nil {
-			outs[s].ns = outs[s].ns[:0]
-			outs[s].st = SearchStats{}
-			outs[s].err = err
+			out.ns = out.ns[:0]
+			out.st = SearchStats{}
+			out.err = err
 			return
 		}
 	}
@@ -681,12 +790,12 @@ func (sx *ShardedIndex) searchShardObs(s int, outs []shardOut, q, qScan []float3
 		t0 = time.Now()
 	}
 	if sx.mut != nil {
-		sx.searchShardMut(s, &outs[s], q, qScan, k, mode, budget)
+		sx.searchShardMut(s, out, fs)
 	} else {
-		outs[s].ns, outs[s].st, outs[s].err = sx.shards[s].SearchInto(outs[s].ns[:0], q, k, mode, budget)
+		out.ns, out.st, out.err = sx.shards[s].searchShard(out.ns[:0], fs, fs.k)
 	}
 	if sx.shardObs != nil {
-		sx.shardObs(s, time.Since(t0), outs[s].st)
+		sx.shardObs(s, time.Since(t0), out.st)
 	}
 }
 
@@ -706,7 +815,8 @@ func (sx *ShardedIndex) searchShardObs(s int, outs []shardOut, q, qScan []float3
 // shard error, or errFanAbandoned when every probe was preempted.
 //
 //resinfer:noalloc
-func (sx *ShardedIndex) merge(dst []Neighbor, fs *fanScratch, q []float32, k int, partial bool) ([]Neighbor, SearchStats, error) {
+func (sx *ShardedIndex) merge(dst []Neighbor, fs *fanScratch, partial bool) ([]Neighbor, SearchStats, error) {
+	q, k := fs.q, fs.k
 	var agg SearchStats
 	var scanWeighted float64
 	var firstErr error
@@ -1014,11 +1124,34 @@ func decodeSharded(pr *persist.Reader) (*ShardedIndex, error) {
 				s, sh.Len(), len(sx.globalID[s]))
 		}
 		sx.shards[s] = sh
+		sx.internRotations(s)
 	}
 	sx.kind = sx.shards[0].Kind()
 	sx.metric = sx.shards[0].Metric()
 	sx.initFanPool()
 	return sx, nil
+}
+
+// internRotations makes the comparators of freshly decoded shard s share
+// the rotation of an earlier shard's comparator of the same mode when the
+// two are equal element for element. The stream holds one copy per shard;
+// rotations that were one object when the index was saved become one again,
+// so a loaded index rotates a query once per fan-out and holds one D x D
+// matrix. Rotations that differ — a file written when every shard trained
+// its own — stay as they are.
+func (sx *ShardedIndex) internRotations(s int) {
+	for mode, dco := range sx.shards[s].dcos {
+		mine := sx.shards[s].rotationOf(mode)
+		for _, prev := range sx.shards[:s] {
+			theirs := prev.rotationOf(mode)
+			if mine.model != nil && theirs.model != nil && mine.model.Intern(theirs.model) {
+				break
+			}
+			if ads, ok := dco.(*adsampling.DCO); ok && theirs.ads != nil && ads.InternRotation(theirs.ads) {
+				break
+			}
+		}
+	}
 }
 
 // SaveFile writes the sharded index to a file.
