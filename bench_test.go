@@ -1,7 +1,3 @@
-// Package resinfer_test is deliberately an external test package: it pulls
-// in internal/harness, which itself imports the root package (for the
-// serving benchmark), so an in-package test file would create an import
-// cycle.
 package resinfer_test
 
 // One testing.B benchmark per paper artifact (table/figure), each wrapping
@@ -9,7 +5,7 @@ package resinfer_test
 // indexes and trained comparators process-wide, so the suite pays each
 // construction once. Benchmarks run at a reduced dataset scale so the
 // whole suite finishes in minutes; `cmd/bench` regenerates the artifacts
-// at full profile scale and EXPERIMENTS.md records those results.
+// at full profile scale.
 //
 // Regenerate everything:
 //
@@ -27,7 +23,11 @@ import (
 var benchScaleOnce sync.Once
 
 func benchExperiment(b *testing.B, id string) {
-	benchScaleOnce.Do(func() { harness.SetScale(0.25) })
+	benchScaleOnce.Do(func() {
+		if err := harness.SetScale(0.25); err != nil {
+			b.Fatal(err)
+		}
+	})
 	e, err := harness.ByID(id)
 	if err != nil {
 		b.Fatal(err)

@@ -1,13 +1,14 @@
 // Command bench regenerates the paper's tables and figures. Each
 // experiment id corresponds to one artifact of the evaluation section
-// (see DESIGN.md's experiment index).
+// (bench -list prints the index). Anything about speed is measured by
+// the benchmark gate instead; see benchmark/README.md.
 //
 // Usage:
 //
 //	bench -list
 //	bench -exp exp1
 //	bench -exp fig1,fig2,exp7 -out results.txt
-//	bench -exp all
+//	bench -exp all -scale 0.25
 package main
 
 import (
@@ -23,16 +24,17 @@ import (
 
 func main() {
 	var (
-		expFlag   = flag.String("exp", "", "comma-separated experiment ids, or 'all'")
-		list      = flag.Bool("list", false, "list available experiments")
-		outPath   = flag.String("out", "", "write results to this file instead of stdout")
-		scale     = flag.Float64("scale", 1.0, "shrink dataset profiles by this factor (0,1]")
-		serving   = flag.String("serving", "", "run the sharded serving benchmark and write machine-readable JSON (QPS, p50/p99, recall) to this path, e.g. BENCH_serving.json")
-		kernels   = flag.String("kernels", "", "run the kernel/layout/pooling benchmarks and write machine-readable JSON (ns/op, allocs/op, QPS before/after) to this path, e.g. BENCH_kernels.json")
-		streaming = flag.String("streaming", "", "run the streaming-ingestion benchmark (concurrent upserts + searches + compaction) and write machine-readable JSON (ingest vec/s, QPS, recall@10) to this path, e.g. BENCH_streaming.json")
+		expFlag = flag.String("exp", "", "comma-separated experiment ids, or 'all'")
+		list    = flag.Bool("list", false, "list available experiments")
+		outPath = flag.String("out", "", "write results to this file as well as stdout")
+		scale   = flag.Float64("scale", 1.0, "shrink dataset profiles by this factor (0,1]")
 	)
 	flag.Parse()
-	harness.SetScale(*scale)
+	if err := harness.SetScale(*scale); err != nil {
+		fmt.Fprintln(os.Stderr, "bench:", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	if *list {
 		for _, e := range harness.Registry() {
@@ -40,35 +42,8 @@ func main() {
 		}
 		return
 	}
-	if *kernels != "" {
-		if err := harness.RunKernels(os.Stdout, *kernels); err != nil {
-			fmt.Fprintln(os.Stderr, "bench:", err)
-			os.Exit(1)
-		}
-		if *expFlag == "" && *serving == "" && *streaming == "" {
-			return
-		}
-	}
-	if *streaming != "" {
-		if err := harness.RunStreaming(os.Stdout, *streaming); err != nil {
-			fmt.Fprintln(os.Stderr, "bench:", err)
-			os.Exit(1)
-		}
-		if *expFlag == "" && *serving == "" {
-			return
-		}
-	}
-	if *serving != "" {
-		if err := harness.RunServing(os.Stdout, *serving); err != nil {
-			fmt.Fprintln(os.Stderr, "bench:", err)
-			os.Exit(1)
-		}
-		if *expFlag == "" {
-			return
-		}
-	}
 	if *expFlag == "" {
-		fmt.Fprintln(os.Stderr, "usage: bench -exp <id>[,<id>...] | -exp all | -list | -serving <out.json> | -kernels <out.json> | -streaming <out.json>")
+		flag.Usage()
 		os.Exit(2)
 	}
 

@@ -107,7 +107,7 @@ func attachWAL(sx *ShardedIndex, o MutableOptions, after uint64) (WALRecovery, e
 			_, err := sx.mutUpsert(r.ID, r.Vec)
 			return err
 		case wal.OpDelete:
-			_, err := sx.Delete(r.ID)
+			_, err := sx.mutDelete(r.ID)
 			return err
 		}
 		return nil // checkpoint markers replay as no-ops

@@ -3,6 +3,7 @@ package resinfer
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -83,17 +84,7 @@ func (sx *ShardedIndex) SearchShardGlobal(s int, q []float32, k int, mode Mode, 
 		sx.fanPool.Put(fs)
 		return nil, SearchStats{}, err
 	}
-	ns := make([]Neighbor, len(out.ns))
-	for i, nb := range out.ns {
-		id, key := nb.ID, nb.Distance
-		if sx.mut == nil {
-			if sx.metric == InnerProduct {
-				key = -sx.shards[s].Score(nb, q)
-			}
-			id = sx.globalID[s][nb.ID]
-		}
-		ns[i] = Neighbor{ID: id, Distance: key}
-	}
+	ns := slices.Clone(out.ns)
 	st := out.st
 	sx.fanPool.Put(fs)
 	return ns, st, nil

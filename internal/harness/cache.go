@@ -1,8 +1,8 @@
 // Package harness drives the reproduction of every table and figure in the
 // paper's evaluation (§VII) plus the technical-report OOD experiments and
-// the ablations called out in DESIGN.md. It owns a process-wide cache of
-// expensive artifacts (datasets, ground truth, indexes, trained DCOs) so
-// that experiments sharing a dataset pay for construction once, and it
+// the ablations (abl1–abl3). It owns a process-wide cache of expensive
+// artifacts (datasets, ground truth, indexes, trained DCOs) so that
+// experiments sharing a dataset pay for construction once, and it
 // records construction wall-times and sizes for the preprocessing
 // experiments (Exp-3, Exp-5).
 package harness
@@ -49,13 +49,16 @@ var (
 // SetScale shrinks every profile fetched through Get by the given factor
 // (applied to N, query counts and training queries, with sane floors).
 // The benchmark suite uses a reduced scale so `go test -bench` finishes
-// quickly; cmd/bench defaults to 1.0. Call before the first Get.
-func SetScale(s float64) {
+// quickly; cmd/bench defaults to 1.0. Call before the first Get. A factor
+// outside (0, 1] is an error and leaves the scale unchanged.
+func SetScale(s float64) error {
+	if !(s > 0 && s <= 1) {
+		return fmt.Errorf("harness: scale %v outside (0, 1]", s)
+	}
 	cacheMu.Lock()
 	defer cacheMu.Unlock()
-	if s > 0 && s <= 1 {
-		scale = s
-	}
+	scale = s
+	return nil
 }
 
 func scaled(n, floor int) int {
@@ -236,7 +239,7 @@ const (
 var AllModes = []string{ModeExact, ModeADS, ModeOPQ, ModePCA, ModeRes}
 
 // DCO returns (building if necessary) the comparator for the given mode.
-func (a *Artifacts) DCO(mode string) (core.DCO, error) {
+func (a *Artifacts) DCO(mode string) (core.PooledDCO, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if err := a.ensureDataset(); err != nil {

@@ -2,11 +2,15 @@ package harness
 
 import (
 	"bytes"
+	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"resinfer/internal/core"
 	"resinfer/internal/dataset"
+	"resinfer/internal/heap"
 )
 
 // tinyProfile is a fast ad-hoc profile for harness unit tests.
@@ -160,6 +164,96 @@ func TestSweepsProduceMonotoneWork(t *testing.T) {
 		if ipts[i].Stats.Comparisons >= ipts[i+1].Stats.Comparisons {
 			t.Fatalf("ivf comparisons not increasing: %+v", ipts)
 		}
+	}
+}
+
+// TestSweepMatchesFreshEvaluator pins that the pooled sweep — one evaluator
+// per curve, Reset per query — returns, at every swept point, the IDs in
+// the order and the work counters of idx.Search with a fresh evaluator per
+// query: the paper curves may differ from that reference in QPS, never in
+// recall, scan rate or pruned rate.
+func TestSweepMatchesFreshEvaluator(t *testing.T) {
+	a := GetCustom(tinyProfile("harness-tiny"))
+	ds, err := a.Dataset()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k = 10
+	gt, err := a.GroundTruth(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hidx, err := a.HNSW()
+	if err != nil {
+		t.Fatal(err)
+	}
+	iidx, err := a.IVF()
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(label string, dco core.PooledDCO, params []int, walk walkFunc,
+		fresh func(q []float32, param int) ([]heap.Item, core.Stats, error)) {
+		t.Helper()
+		var got [][]heap.Item // one entry per (param, query), in sweep order
+		pts, err := sweep(dco, ds.Queries, gt, k, params,
+			func(ev core.QueryEvaluator, q []float32, param int, dst []heap.Item) ([]heap.Item, error) {
+				dst, err := walk(ev, q, param, dst)
+				got = append(got, slices.Clone(dst))
+				return dst, err
+			})
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		for pi, param := range params {
+			var agg core.Stats
+			ids := make([][]int, len(ds.Queries))
+			for qi, q := range ds.Queries {
+				want, st, err := fresh(q, param)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				agg.Add(st)
+				if !slices.Equal(got[pi*len(ds.Queries)+qi], want) {
+					t.Fatalf("%s param %d query %d: pooled hits %v, fresh evaluator %v",
+						label, param, qi, got[pi*len(ds.Queries)+qi], want)
+				}
+				for _, it := range want {
+					ids[qi] = append(ids[qi], it.ID)
+				}
+			}
+			if pts[pi].Stats != agg {
+				t.Fatalf("%s param %d: pooled stats %+v, fresh evaluator %+v", label, param, pts[pi].Stats, agg)
+			}
+			if want := dataset.Recall(ids, gt, k); pts[pi].Recall != want {
+				t.Fatalf("%s param %d: pooled recall %v, fresh evaluator %v", label, param, pts[pi].Recall, want)
+			}
+		}
+	}
+	for _, mode := range []string{ModeExact, ModeRes, ModeADS} {
+		dco, err := a.DCO(mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("hnsw-"+mode, dco, []int{10, 40, 160}, hnswWalk(hidx, k, dco.Size()),
+			func(q []float32, ef int) ([]heap.Item, core.Stats, error) { return hidx.Search(dco, q, k, ef) })
+		check("ivf-"+mode, dco, []int{1, 8, 32}, ivfWalk(iidx, k, dco.Size()),
+			func(q []float32, nprobe int) ([]heap.Item, core.Stats, error) { return iidx.Search(dco, q, k, nprobe) })
+	}
+}
+
+// TestSetScaleRejectsOutOfRange: a factor outside (0, 1] is an error, not a
+// run that silently proceeds at full profile scale.
+func TestSetScaleRejectsOutOfRange(t *testing.T) {
+	for _, s := range []float64{0, -1, 2, math.NaN()} {
+		if err := SetScale(s); err == nil {
+			t.Fatalf("SetScale(%v) = nil, want an error", s)
+		}
+	}
+	if scale != 1 {
+		t.Fatalf("a rejected factor changed the scale to %v", scale)
+	}
+	if err := SetScale(1); err != nil {
+		t.Fatal(err)
 	}
 }
 

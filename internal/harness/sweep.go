@@ -8,6 +8,7 @@ import (
 
 	"resinfer/internal/core"
 	"resinfer/internal/dataset"
+	"resinfer/internal/heap"
 	"resinfer/internal/hnsw"
 	"resinfer/internal/ivf"
 )
@@ -22,51 +23,56 @@ type Point struct {
 	Stats  core.Stats
 }
 
+// walkFunc runs one index traversal at one swept parameter for the query ev
+// was Reset to, appending the hits to dst.
+type walkFunc func(ev core.QueryEvaluator, q []float32, param int, dst []heap.Item) ([]heap.Item, error)
+
+func hnswWalk(idx *hnsw.Index, k, size int) walkFunc {
+	return func(ev core.QueryEvaluator, _ []float32, ef int, dst []heap.Item) ([]heap.Item, error) {
+		return idx.SearchEval(ev, k, ef, size, dst)
+	}
+}
+
+func ivfWalk(idx *ivf.Index, k, size int) walkFunc {
+	return func(ev core.QueryEvaluator, q []float32, nprobe int, dst []heap.Item) ([]heap.Item, error) {
+		return idx.SearchEval(ev, q, k, nprobe, size, dst)
+	}
+}
+
 // SweepHNSW measures the QPS–recall curve of the graph index under dco for
 // each beam width in efs.
-func SweepHNSW(idx *hnsw.Index, dco core.DCO, queries [][]float32, gt [][]int, k int, efs []int) ([]Point, error) {
-	points := make([]Point, 0, len(efs))
-	for _, ef := range efs {
-		results := make([][]int, len(queries))
-		var agg core.Stats
-		start := time.Now()
-		for qi, q := range queries {
-			items, st, err := idx.Search(dco, q, k, ef)
-			if err != nil {
-				return nil, err
-			}
-			agg.Add(st)
-			ids := make([]int, len(items))
-			for i, it := range items {
-				ids[i] = it.ID
-			}
-			results[qi] = ids
-		}
-		elapsed := time.Since(start)
-		points = append(points, Point{
-			Param:  ef,
-			Recall: dataset.Recall(results, gt, k),
-			QPS:    float64(len(queries)) / elapsed.Seconds(),
-			Stats:  agg,
-		})
-	}
-	return points, nil
+func SweepHNSW(idx *hnsw.Index, dco core.PooledDCO, queries [][]float32, gt [][]int, k int, efs []int) ([]Point, error) {
+	return sweep(dco, queries, gt, k, efs, hnswWalk(idx, k, dco.Size()))
 }
 
 // SweepIVF measures the QPS–recall curve of the inverted-file index under
 // dco for each probe count in nprobes.
-func SweepIVF(idx *ivf.Index, dco core.DCO, queries [][]float32, gt [][]int, k int, nprobes []int) ([]Point, error) {
-	points := make([]Point, 0, len(nprobes))
-	for _, np := range nprobes {
+func SweepIVF(idx *ivf.Index, dco core.PooledDCO, queries [][]float32, gt [][]int, k int, nprobes []int) ([]Point, error) {
+	return sweep(dco, queries, gt, k, nprobes, ivfWalk(idx, k, dco.Size()))
+}
+
+// sweep times every query at every swept parameter the way the serving path
+// (resinfer.Index.walk) runs one: a single evaluator for the whole curve,
+// Reset per query, hits appended to a reused slice. A comparator's
+// per-query scratch (rotated query, σ table, lookup tables) is therefore
+// allocated once per curve, not once per query, for every method alike.
+func sweep(dco core.PooledDCO, queries [][]float32, gt [][]int, k int, params []int, walk walkFunc) ([]Point, error) {
+	ev := dco.NewEvaluator()
+	var items []heap.Item
+	points := make([]Point, 0, len(params))
+	for _, param := range params {
 		results := make([][]int, len(queries))
 		var agg core.Stats
 		start := time.Now()
 		for qi, q := range queries {
-			items, st, err := idx.Search(dco, q, k, np)
-			if err != nil {
+			if err := ev.Reset(q); err != nil {
 				return nil, err
 			}
-			agg.Add(st)
+			var err error
+			if items, err = walk(ev, q, param, items[:0]); err != nil {
+				return nil, err
+			}
+			agg.Add(*ev.Stats())
 			ids := make([]int, len(items))
 			for i, it := range items {
 				ids[i] = it.ID
@@ -75,7 +81,7 @@ func SweepIVF(idx *ivf.Index, dco core.DCO, queries [][]float32, gt [][]int, k i
 		}
 		elapsed := time.Since(start)
 		points = append(points, Point{
-			Param:  np,
+			Param:  param,
 			Recall: dataset.Recall(results, gt, k),
 			QPS:    float64(len(queries)) / elapsed.Seconds(),
 			Stats:  agg,

@@ -2,12 +2,15 @@ package server
 
 import (
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"resinfer"
 	"resinfer/internal/quality"
 )
 
@@ -38,43 +41,81 @@ func waitQualityMeasured(t *testing.T, url string, want uint64) quality.Snapshot
 	}
 }
 
-// TestQualityEndpointScoresExactServing drives exact-mode traffic
-// through the sampler: the shadow scans must agree with what was
-// served, so every estimator reads 1.0.
-func TestQualityEndpointScoresExactServing(t *testing.T) {
-	_, url, queries, _ := qualityServer(t, Config{BatchWindow: time.Millisecond})
+// TestQualityEndpointScoresServing drives traffic through the sampler and
+// compares the live estimate with the offline ground-truth recall of the
+// same responses: past 2 points apart, the estimator would be lying to
+// operators. Under exact serving the shadow scans must agree with what was
+// served, so every estimator reads 1.0; ddc-res over HNSW at a narrow beam
+// is the approximate case, where there is a recall loss to estimate.
+func TestQualityEndpointScoresServing(t *testing.T) {
+	ds, gt := testFixtures(t)
+	const k = 5
+	for _, tc := range []struct {
+		mode   resinfer.Mode
+		kind   resinfer.IndexKind
+		budget int
+		n      int
+	}{
+		{resinfer.Exact, resinfer.Flat, 0, 10},
+		{resinfer.DDCRes, resinfer.HNSW, k, len(ds.Queries)},
+	} {
+		t.Run(string(tc.mode), func(t *testing.T) {
+			sx, err := resinfer.NewSharded(ds.Data, tc.kind, 4, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sx.Enable(tc.mode, nil); err != nil {
+				t.Fatal(err)
+			}
+			srv := New(sx, Config{BatchWindow: time.Millisecond, QualitySampleRate: 1})
+			t.Cleanup(srv.Close)
+			ts := httptest.NewServer(srv.Handler())
+			t.Cleanup(ts.Close)
+			url, n := ts.URL, uint64(tc.n)
 
-	const n, k = 10, 5
-	for i := 0; i < n; i++ {
-		var out searchResponse
-		resp := postJSON(t, url+"/search", searchRequest{Query: queries[i], K: k, Mode: "exact"}, &out)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("status %d", resp.StatusCode)
-		}
-	}
-	snap := waitQualityMeasured(t, url, n)
-	if snap.SampleRate != 1 || snap.Sampled != n {
-		t.Fatalf("sampled %d at rate %d, want %d at 1", snap.Sampled, snap.SampleRate, n)
-	}
-	if snap.RecallMean < 0.999 || snap.RecallWindowMean < 0.999 {
-		t.Fatalf("exact serving scored recall mean=%v window=%v, want 1.0",
-			snap.RecallMean, snap.RecallWindowMean)
-	}
-	if len(snap.PerShard) != 4 {
-		t.Fatalf("per-shard breakdown has %d entries, want 4", len(snap.PerShard))
-	}
-	var truth uint64
-	for _, sh := range snap.PerShard {
-		truth += sh.TruthNeighbors
-	}
-	if truth != n*k {
-		t.Fatalf("per-shard truth total %d, want %d", truth, n*k)
-	}
-	if snap.SinceCompaction.Samples != n {
-		t.Fatalf("since-compaction epoch has %d samples, want %d", snap.SinceCompaction.Samples, n)
-	}
-	if snap.HotQueriesTotal != n || len(snap.HotQueries) == 0 {
-		t.Fatalf("hot-query sketch saw %d offers (%d keys), want %d", snap.HotQueriesTotal, len(snap.HotQueries), n)
+			var hits int
+			for i := 0; i < tc.n; i++ {
+				var out searchResponse
+				resp := postJSON(t, url+"/search",
+					searchRequest{Query: ds.Queries[i], K: k, Mode: string(tc.mode), Budget: tc.budget}, &out)
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("status %d", resp.StatusCode)
+				}
+				for _, nb := range out.Neighbors {
+					if slices.Contains(gt[i][:k], nb.ID) {
+						hits++
+					}
+				}
+			}
+			offline := float64(hits) / float64(tc.n*k)
+			snap := waitQualityMeasured(t, url, n)
+			if snap.SampleRate != 1 || snap.Sampled != n {
+				t.Fatalf("sampled %d at rate %d, want %d at 1", snap.Sampled, snap.SampleRate, n)
+			}
+			if math.Abs(snap.RecallMean-offline) > 0.02 {
+				t.Fatalf("live recall %.4f disagrees with offline %.4f by more than 2 points", snap.RecallMean, offline)
+			}
+			if tc.mode == resinfer.Exact && (snap.RecallMean < 0.999 || snap.RecallWindowMean < 0.999) {
+				t.Fatalf("exact serving scored recall mean=%v window=%v, want 1.0",
+					snap.RecallMean, snap.RecallWindowMean)
+			}
+			if len(snap.PerShard) != 4 {
+				t.Fatalf("per-shard breakdown has %d entries, want 4", len(snap.PerShard))
+			}
+			var truth uint64
+			for _, sh := range snap.PerShard {
+				truth += sh.TruthNeighbors
+			}
+			if truth != n*k {
+				t.Fatalf("per-shard truth total %d, want %d", truth, n*k)
+			}
+			if snap.SinceCompaction.Samples != n {
+				t.Fatalf("since-compaction epoch has %d samples, want %d", snap.SinceCompaction.Samples, n)
+			}
+			if snap.HotQueriesTotal != n || len(snap.HotQueries) == 0 {
+				t.Fatalf("hot-query sketch saw %d offers (%d keys), want %d", snap.HotQueriesTotal, len(snap.HotQueries), n)
+			}
+		})
 	}
 }
 

@@ -322,10 +322,6 @@ func (s *Server) Handler() http.Handler {
 	return s.withAccessLog(s.mux)
 }
 
-// Registry exposes the server's metrics registry so embedders (the
-// bench harness, tests) can read the same histograms /metrics serves.
-func (s *Server) Registry() *obs.Registry { return s.reg }
-
 // Stats returns the same snapshot served at GET /stats.
 func (s *Server) Stats() StatsSnapshot {
 	snap := s.metrics.snapshot()

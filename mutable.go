@@ -257,7 +257,7 @@ func (mx *MutableIndex) Upsert(id int, v []float32) (int, error) {
 // Delete removes the row with the given global ID, reporting whether it
 // was live.
 func (mx *MutableIndex) Delete(id int) (bool, error) {
-	ok, err := mx.ShardedIndex.Delete(id)
+	ok, err := mx.mutDelete(id)
 	if err != nil {
 		return false, err
 	}

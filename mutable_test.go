@@ -705,24 +705,6 @@ func TestMutableCosineAndIP(t *testing.T) {
 	}
 }
 
-func TestImmutableShardedRejectsMutation(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	data := randRows(rng, 50, 8)
-	sx, err := NewSharded(data, Flat, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sx.Add(data[0]); err == nil {
-		t.Fatal("Add on an immutable sharded index must error")
-	}
-	if _, err := sx.Delete(0); err == nil {
-		t.Fatal("Delete on an immutable sharded index must error")
-	}
-	if err := sx.Upsert(0, data[0]); err == nil {
-		t.Fatal("Upsert on an immutable sharded index must error")
-	}
-}
-
 func TestShardedEmptyGuards(t *testing.T) {
 	// A corrupt/zero-value ShardedIndex must not panic in metadata
 	// accessors (downstream servers call them on loaded indexes).

@@ -22,9 +22,6 @@ import (
 // refused (503 — the searches still work), anything else — a failed
 // shard rebuild, a WAL append failure — is internal (500).
 var (
-	// ErrImmutable reports a mutation on an index that was not built
-	// with NewMutable.
-	ErrImmutable = errors.New("resinfer: index is immutable; build it with NewMutable")
 	// ErrInvalidVector reports a vector rejected at the mutation
 	// boundary: wrong dimensionality, or a NaN/±Inf component (which
 	// would poison exact memtable scans and corrupt comparator
@@ -143,9 +140,6 @@ func (m *mutState) walAppend(do func() (uint64, error)) (uint64, error) {
 	return 0, derr
 }
 
-// Mutable reports whether the index accepts Add/Upsert/Delete.
-func (sx *ShardedIndex) Mutable() bool { return sx.mut != nil }
-
 // enableMutation installs the streaming segments on a freshly built or
 // loaded sharded index. indexOpts is retained for compaction rebuilds.
 func (sx *ShardedIndex) enableMutation(indexOpts *Options) {
@@ -202,34 +196,16 @@ func (sx *ShardedIndex) scanRow(v []float32) ([]float32, error) {
 	return row, nil
 }
 
-// Add ingests a fresh vector and returns its newly assigned global ID.
-// Assignment is round-robin across shards, so sustained ingestion grows
-// every shard evenly. The ID is stable for the life of the row: searches
-// report it, Delete accepts it, and compaction preserves it.
-func (sx *ShardedIndex) Add(v []float32) (int, error) {
-	return sx.mutUpsert(-1, v)
-}
-
-// Upsert writes a vector under an explicit global ID: a new row if the
-// ID is unknown, an in-place replacement (old version hidden immediately)
-// if it is live. IDs must be non-negative.
-func (sx *ShardedIndex) Upsert(id int, v []float32) error {
-	if id < 0 {
-		return fmt.Errorf("resinfer: upsert id must be non-negative, got %d", id)
-	}
-	_, err := sx.mutUpsert(id, v)
-	return err
-}
-
-// mutUpsert is the shared insert path; id < 0 assigns a fresh ID. The
-// resolved (id, shard) is logged to the WAL — if one is attached —
-// before any state changes, so a failed append leaves the index
+// mutUpsert is the insert path of MutableIndex.Add / Upsert and of WAL
+// replay. id < 0 assigns a fresh ID — round-robin across shards, so
+// sustained ingestion grows every shard evenly — and a live id is replaced
+// in place (old version hidden immediately). The ID is stable for the life
+// of the row: searches report it, Delete accepts it, and compaction
+// preserves it. The resolved (id, shard) is logged to the WAL — if one is
+// attached — before any state changes, so a failed append leaves the index
 // untouched and an applied mutation is always recoverable.
 func (sx *ShardedIndex) mutUpsert(id int, v []float32) (int, error) {
 	m := sx.mut
-	if m == nil {
-		return 0, ErrImmutable
-	}
 	row, err := sx.scanRow(v)
 	if err != nil {
 		return 0, err
@@ -284,15 +260,12 @@ func (sx *ShardedIndex) mutUpsert(id int, v []float32) (int, error) {
 	return id, nil
 }
 
-// Delete removes the row with the given global ID, reporting whether it
+// mutDelete removes the row with the given global ID, reporting whether it
 // was live. The row disappears from searches immediately (memtable rows
 // are dropped in place; base rows are tombstoned) and its storage is
 // reclaimed by the next compaction of the owning shard.
-func (sx *ShardedIndex) Delete(id int) (bool, error) {
+func (sx *ShardedIndex) mutDelete(id int) (bool, error) {
 	m := sx.mut
-	if m == nil {
-		return false, ErrImmutable
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if derr := m.degradedErr(); derr != nil {
@@ -330,21 +303,20 @@ func (sx *ShardedIndex) Delete(id int) (bool, error) {
 
 // searchShardMut probes one shard of a mutable index: the base index is
 // over-fetched by the shard's hidden-row bound (tombstones plus memtable
-// rows, so filtering can never starve the result below k), tombstoned
-// and shadowed base hits are dropped, hits are translated to global IDs
-// and merge keys, and the memtable is scanned exactly into the same
-// bounded queue. The shard read lock is held for the whole probe so a
-// concurrent hot swap can never tear the (base, globalID, segments)
+// rows, so filtering can never starve the result below k), hits are
+// translated to global IDs and merge keys (mergeReady), tombstoned and
+// shadowed base hits are dropped, and the memtable is scanned exactly into
+// the same bounded queue. The shard read lock is held for the whole probe
+// so a concurrent hot swap can never tear the (base, globalID, segments)
 // triple.
 //
 //resinfer:noalloc
 func (sx *ShardedIndex) searchShardMut(s int, out *shardOut, fs *fanScratch) {
-	q, k := fs.q, fs.k
+	k := fs.k
 	seg := sx.mut.segs[s]
 	seg.mu.RLock()
 	defer seg.mu.RUnlock()
 	base := sx.shards[s]
-	gids := sx.globalID[s]
 	// Over-fetch by exactly the number of invisible base rows: filtering
 	// them can then never starve the shard's contribution below k, and a
 	// pure-ingest workload (nothing hidden) pays no over-fetch at all.
@@ -358,23 +330,18 @@ func (sx *ShardedIndex) searchShardMut(s int, out *shardOut, fs *fanScratch) {
 	}
 	rq := out.rq
 	rq.Reset(k)
-	ip := sx.metric == InnerProduct
+	sx.mergeReady(base, sx.globalID[s], out.ns, fs.q)
 	for _, n := range out.ns {
-		gid := gids[n.ID]
-		if seg.dead.Has(gid) || seg.mem.Has(gid) {
+		if seg.dead.Has(n.ID) || seg.mem.Has(n.ID) {
 			continue
 		}
-		key := n.Distance
-		if ip {
-			key = -base.Score(n, q)
-		}
-		if key < rq.Threshold() {
-			rq.Push(gid, key)
+		if n.Distance < rq.Threshold() {
+			rq.Push(n.ID, n.Distance)
 		}
 	}
 	// The memtable stores rows in the scan space (see scanRow), which is the
 	// internal space less InnerProduct's augmentation coordinate.
-	memComp := seg.mem.Scan(fs.tq[:sx.userDim], ip, rq)
+	memComp := seg.mem.Scan(fs.tq[:sx.userDim], sx.metric == InnerProduct, rq)
 	if memComp > 0 {
 		tot := out.st.Comparisons + int64(memComp)
 		out.st.ScanRate = (out.st.ScanRate*float64(out.st.Comparisons) + float64(memComp)) / float64(tot)
@@ -450,9 +417,6 @@ func (ix *Index) inherit(old *Index, enables []recordedEnable) error {
 // deleted).
 func (sx *ShardedIndex) compactShard(s int, wait bool) (bool, compactInfo, error) {
 	m := sx.mut
-	if m == nil {
-		return false, compactInfo{}, ErrImmutable
-	}
 	if s < 0 || s >= len(m.segs) {
 		return false, compactInfo{}, fmt.Errorf("resinfer: shard %d out of range", s)
 	}

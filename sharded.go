@@ -114,9 +114,10 @@ func (sx *ShardedIndex) SetShardObserver(fn func(shard int, d time.Duration, st 
 	sx.shardObs = fn
 }
 
-// shardOut is one shard's contribution before the merge. The ns slice is
-// pooled and reused across queries; rq is the per-shard combining queue
-// of the mutable path (base hits + memtable hits), allocated lazily.
+// shardOut is one shard's contribution before the merge. The ns slice holds
+// global IDs and merge keys (see mergeReady) and is pooled and reused across
+// queries; rq is the per-shard combining queue of the mutable path (base
+// hits + memtable hits), allocated lazily.
 // done, t0 and d are only used by the deadline-aware fan-out: done is
 // written exclusively by the coordinating goroutine (after receiving the
 // shard's completion over a channel, which orders the slot's other
@@ -793,21 +794,39 @@ func (sx *ShardedIndex) searchShardObs(s int, fs *fanScratch) {
 		sx.searchShardMut(s, out, fs)
 	} else {
 		out.ns, out.st, out.err = sx.shards[s].searchShard(out.ns[:0], fs, fs.k)
+		if out.err == nil {
+			sx.mergeReady(sx.shards[s], sx.globalID[s], out.ns, fs.q)
+		}
 	}
 	if sx.shardObs != nil {
 		sx.shardObs(s, time.Since(t0), out.st)
 	}
 }
 
-// merge k-way-merges per-shard results through the bounded result queue,
-// translating shard-local IDs to global ones. Shards rank by internal
-// squared distance, which is cross-shard comparable for L2 and Cosine; an
-// InnerProduct index augments vectors with a per-shard constant, so there
-// the merge ranks by the recovered native score instead (see Score). On a
-// mutable index the per-shard results arrive already in global-ID /
-// merge-key form with tombstoned and shadowed rows filtered out (see
-// searchShardMut); the merge additionally drops any duplicate global ID
-// so a row can never be reported twice across segments.
+// mergeReady rewrites one shard's hits in place into the form every shardOut
+// holds and merge ranks, whether the probe was local, mutable or a hedge
+// peer's: ID is the global row ID, Distance the cross-shard merge key.
+// Shards rank by internal squared distance, which is cross-shard comparable
+// for L2 and Cosine; an InnerProduct index augments vectors with a per-shard
+// constant, so there the key is the negated native score (see Score). base
+// and gids are shard s's index and its local-to-global ID table.
+//
+//resinfer:noalloc
+func (sx *ShardedIndex) mergeReady(base *Index, gids []int, ns []Neighbor, q []float32) {
+	ip := sx.metric == InnerProduct
+	for i, n := range ns {
+		if ip {
+			ns[i].Distance = -base.Score(n, q)
+		}
+		ns[i].ID = gids[n.ID]
+	}
+}
+
+// merge k-way-merges the per-shard results — already global IDs and merge
+// keys, see mergeReady — through the bounded result queue. On a mutable
+// index tombstoned and shadowed rows are already filtered out (see
+// searchShardMut); the merge additionally drops any duplicate global ID so
+// a row can never be reported twice across segments.
 //
 // In partial mode (the deadline-aware fan) a failed or abandoned shard
 // is skipped and counted in ShardsFailed instead of failing the query;
@@ -816,26 +835,21 @@ func (sx *ShardedIndex) searchShardObs(s int, fs *fanScratch) {
 //
 //resinfer:noalloc
 func (sx *ShardedIndex) merge(dst []Neighbor, fs *fanScratch, partial bool) ([]Neighbor, SearchStats, error) {
-	q, k := fs.q, fs.k
 	var agg SearchStats
 	var scanWeighted float64
 	var firstErr error
 	rq := fs.rq
-	rq.Reset(k)
+	rq.Reset(fs.k)
 	mutable := sx.mut != nil
 	if mutable {
 		if fs.seen == nil {
-			fs.seen = make(map[int]struct{}, 4*k) //resinfer:alloc-ok lazy once-per-scratch dedup map
+			fs.seen = make(map[int]struct{}, 4*fs.k) //resinfer:alloc-ok lazy once-per-scratch dedup map
 		} else {
 			clear(fs.seen)
 		}
 	}
 	for s := range fs.outs {
 		out := &fs.outs[s]
-		// remote marks a hedge slot: a peer replica already translated its
-		// results into global-ID / merge-key form (see SearchShardGlobal),
-		// so the local translation below must be skipped.
-		remote := false
 		if partial {
 			// An abandoned slot may still be written by its straggler: the
 			// done flag gates every other field read, so an un-done slot
@@ -845,7 +859,7 @@ func (sx *ShardedIndex) merge(dst []Neighbor, fs *fanScratch, partial bool) ([]N
 			if !out.done || out.err != nil {
 				h := &fs.houts[s]
 				if h.done && h.err == nil {
-					out, remote = h, true
+					out = h
 				} else {
 					agg.ShardsFailed++
 					if firstErr == nil {
@@ -874,22 +888,14 @@ func (sx *ShardedIndex) merge(dst []Neighbor, fs *fanScratch, partial bool) ([]N
 		agg.Pruned += st.Pruned
 		scanWeighted += st.ScanRate * float64(st.Comparisons)
 		for _, n := range out.ns {
-			id, key := n.ID, n.Distance
-			if mutable || remote {
-				if fs.seen != nil {
-					if _, dup := fs.seen[id]; dup {
-						continue
-					}
-					fs.seen[id] = struct{}{}
+			if mutable {
+				if _, dup := fs.seen[n.ID]; dup {
+					continue
 				}
-			} else {
-				if sx.metric == InnerProduct {
-					key = -sx.shards[s].Score(n, q)
-				}
-				id = sx.globalID[s][n.ID]
+				fs.seen[n.ID] = struct{}{}
 			}
-			if key < rq.Threshold() {
-				rq.Push(id, key)
+			if n.Distance < rq.Threshold() {
+				rq.Push(n.ID, n.Distance)
 			}
 		}
 	}

@@ -374,8 +374,7 @@ func TestWALReplayOntoSavedSnapshot(t *testing.T) {
 }
 
 // TestMutationValidation pins the scanRow boundary checks: non-finite
-// components and wrong dimensionality are ErrInvalidVector; mutations on
-// an immutable index are ErrImmutable.
+// components and wrong dimensionality are ErrInvalidVector.
 func TestMutationValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	data := randRows(rng, 60, mutDim)
@@ -401,16 +400,5 @@ func TestMutationValidation(t *testing.T) {
 	}
 	if mx.Len() != len(data) {
 		t.Fatalf("invalid vectors mutated the index: len %d", mx.Len())
-	}
-
-	sx, err := NewSharded(data, Flat, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sx.Add(data[0]); !errors.Is(err, ErrImmutable) {
-		t.Fatalf("Add on immutable = %v, want ErrImmutable", err)
-	}
-	if _, err := sx.Delete(0); !errors.Is(err, ErrImmutable) {
-		t.Fatalf("Delete on immutable = %v, want ErrImmutable", err)
 	}
 }
