@@ -65,16 +65,15 @@ func main() {
 		train = flag.Int("train", 500, "training queries generated for learned modes (ignored with -load)")
 		seed  = flag.Int64("seed", 42, "generation / construction seed")
 
-		k           = flag.Int("k", 10, "default k when a request omits it")
-		budget      = flag.Int("budget", 100, "default search budget when a request omits it")
-		batchWindow = flag.Duration("batch-window", 2*time.Millisecond, "micro-batching window (negative disables)")
-		batchMax    = flag.Int("batch-max", 64, "micro-batch size cap")
-		maxConc     = flag.Int("max-concurrent", 0, "max concurrent batch executions (0 = GOMAXPROCS)")
-		workers     = flag.Int("workers", 0, "SearchBatch worker count (0 = GOMAXPROCS)")
-		reqTimeout  = flag.Duration("request-timeout", 30*time.Second, "end-to-end deadline per search request: past it the merged partial result is served (or 503 with require_full)")
-		maxQueue    = flag.Int("max-queue", 0, "admission-queue shed watermark: queries past it get HTTP 429 (0 = 64×batch-max, negative disables)")
-		drainGrace  = flag.Duration("drain-timeout", 5*time.Second, "graceful-shutdown grace for in-flight requests and the final WAL sync + checkpoint")
-		faultSpec   = flag.String("faults", "", "fault-injection spec for chaos testing, e.g. 'wal.fsync:delay=5ms;shard.search:err=stuck,arg=1' (also via RESINFER_FAULTS)")
+		k          = flag.Int("k", 10, "default k when a request omits it")
+		budget     = flag.Int("budget", 100, "default search budget when a request omits it")
+		batchMax   = flag.Int("batch-max", 64, "cap on queued queries one execution slot takes at once")
+		maxConc    = flag.Int("max-concurrent", 0, "max concurrent batch executions (0 = GOMAXPROCS)")
+		workers    = flag.Int("workers", 0, "SearchBatch worker count (0 = GOMAXPROCS)")
+		reqTimeout = flag.Duration("request-timeout", 30*time.Second, "end-to-end deadline per search request: past it the merged partial result is served (or 503 with require_full)")
+		maxQueue   = flag.Int("max-queue", 0, "admission-queue shed watermark: queries past it get HTTP 429 (0 = 64×batch-max, negative disables)")
+		drainGrace = flag.Duration("drain-timeout", 5*time.Second, "graceful-shutdown grace for in-flight requests and the final WAL sync + checkpoint")
+		faultSpec  = flag.String("faults", "", "fault-injection spec for chaos testing, e.g. 'wal.fsync:delay=5ms;shard.search:err=stuck,arg=1' (also via RESINFER_FAULTS)")
 
 		slowlogThresh = flag.Duration("slowlog-threshold", 250*time.Millisecond, "requests slower than this land in GET /debug/slowlog with per-stage timings (negative disables)")
 		accessLog     = flag.Bool("access-log", false, "emit one structured line per request to stderr")
@@ -187,7 +186,6 @@ func main() {
 	cfg := server.Config{
 		DefaultK:         *k,
 		DefaultBudget:    *budget,
-		BatchWindow:      *batchWindow,
 		BatchMaxSize:     *batchMax,
 		MaxConcurrent:    *maxConc,
 		SearchWorkers:    *workers,

@@ -40,7 +40,7 @@ func newPrimary(t *testing.T) (*resinfer.MutableIndex, string) {
 		t.Fatal(err)
 	}
 	t.Cleanup(mx.Close)
-	srv := server.New(mx, server.Config{BatchWindow: -1})
+	srv := server.New(mx, server.Config{})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() { ts.Close(); srv.Close() })
 	return mx, ts.URL

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"resinfer"
@@ -38,22 +39,29 @@ type queryResult struct {
 
 // pendingQuery is one admitted /search request waiting in the queue.
 type pendingQuery struct {
-	q        []float32
-	key      batchKey
-	tr       *obs.Trace       // nil unless the request is being traced
-	enq      time.Time        // when the query entered the queue
-	deadline time.Time        // the request ctx's deadline (zero if none)
-	resp     chan queryResult // buffered, capacity 1
+	ctx  context.Context // the request's context, deadline included
+	q    []float32
+	key  batchKey
+	tr   *obs.Trace       // nil unless the request is being traced
+	enq  time.Time        // when the query entered the queue
+	resp chan queryResult // buffered, capacity 1
+
+	// started is set by the executor as it takes the query out of the
+	// queue. A query whose ctx ends before that is never searched; one
+	// whose deadline fires after it still gets its group's answer.
+	started atomic.Bool
 }
 
-// batcher is the micro-batching admission queue: single-query requests
-// are collected for a short window (or until a size cap) and executed as
-// one SearchBatch per parameter group, amortizing scheduling overhead
-// under concurrent load while keeping tail latency bounded by the window.
+// batcher is the admission queue every /search request passes through.
+// Its collector takes the first queued query, waits for an execution
+// slot, then takes whatever else queued meanwhile (up to a size cap)
+// without waiting and runs the lot as one SearchBatchCtx per parameter
+// group. A batch therefore forms from contention, never from a timer: an
+// idle server runs each query at once, and queries share a call exactly
+// when every slot is busy.
 type batcher struct {
 	idx      Engine
-	in       chan pendingQuery
-	window   time.Duration
+	in       chan *pendingQuery
 	maxSize  int
 	maxDepth int           // shed watermark; <= 0 disables shedding
 	workers  int           // workers handed to SearchBatchCtx
@@ -65,7 +73,7 @@ type batcher struct {
 	wg       sync.WaitGroup
 }
 
-func newBatcher(idx Engine, window time.Duration, maxSize, maxDepth, workers int, sem chan struct{}, m *metrics) *batcher {
+func newBatcher(idx Engine, maxSize, maxDepth, workers int, sem chan struct{}, m *metrics) *batcher {
 	// The queue buffer must cover the watermark: shedding is meant to be
 	// the backpressure mechanism, not a blocking channel send.
 	capacity := 4 * maxSize
@@ -74,8 +82,7 @@ func newBatcher(idx Engine, window time.Duration, maxSize, maxDepth, workers int
 	}
 	b := &batcher{
 		idx:      idx,
-		in:       make(chan pendingQuery, capacity),
-		window:   window,
+		in:       make(chan *pendingQuery, capacity),
 		maxSize:  maxSize,
 		maxDepth: maxDepth,
 		workers:  workers,
@@ -88,19 +95,19 @@ func newBatcher(idx Engine, window time.Duration, maxSize, maxDepth, workers int
 	return b
 }
 
-// submit enqueues one query and waits for its result or ctx cancellation.
-// A query arriving while the queue is at or past the watermark is shed
-// with ErrOverloaded instead of being admitted into collective timeout.
+// submit enqueues one query and waits for its result. A query arriving
+// while the queue is at or past the watermark is shed with ErrOverloaded
+// instead of being admitted into collective timeout. A query still
+// queued when ctx ends fails with ctx's error and is never searched; once
+// its group is executing, a deadline no longer cuts it loose — the group's
+// fan-out expires with its last member's deadline, and what the shards
+// had answered by then is the reply.
 func (b *batcher) submit(ctx context.Context, q []float32, key batchKey, tr *obs.Trace) queryResult {
-	pq := pendingQuery{q: q, key: key, tr: tr, enq: time.Now(), resp: make(chan queryResult, 1)}
-	if dl, ok := ctx.Deadline(); ok {
-		pq.deadline = dl
-	}
+	pq := &pendingQuery{ctx: ctx, q: q, key: key, tr: tr, enq: time.Now(), resp: make(chan queryResult, 1)}
 	select {
 	case <-b.done:
 		// Checked first: b.in is buffered, so a bare select could win the
-		// send case after close() has already drained the queue, leaving
-		// the query unanswered.
+		// send case after close() has already drained the queue.
 		return queryResult{err: ErrServerClosed}
 	default:
 	}
@@ -111,7 +118,7 @@ func (b *batcher) submit(ctx context.Context, q []float32, key batchKey, tr *obs
 	case b.in <- pq:
 		// The depth histogram samples at admission: it sees the queue as
 		// arriving queries do, which is the distribution that matters for
-		// sizing the window and the cap.
+		// sizing the cap and the watermark.
 		b.m.queueHist.Observe(float64(b.m.queueDepth.Add(1)))
 	case <-b.done:
 		return queryResult{err: ErrServerClosed}
@@ -122,37 +129,19 @@ func (b *batcher) submit(ctx context.Context, q []float32, key batchKey, tr *obs
 	case r := <-pq.resp:
 		return r
 	case <-b.done:
-		// Shutdown while waiting: an in-flight batch may still answer
-		// within the drain grace period; otherwise fail fast instead of
-		// sitting out the request timeout. The grace is derived from the
-		// batch window — a query admitted just before shutdown may sit in
-		// a collecting batch for up to one full window before it even
-		// executes, so a fixed constant shorter than the window would
-		// spuriously fail queries whose batch was still on its way.
-		select {
-		case r := <-pq.resp:
-			return r
-		case <-time.After(b.drainGrace()):
-			return queryResult{err: ErrServerClosed}
-		case <-ctx.Done():
-			return queryResult{err: ctx.Err()}
-		}
+		// Shutdown: whoever holds pq answers it — the collector and close()
+		// fail what is queued, a running group finishes — unless the send
+		// above raced past close()'s last sweep, which this sweep covers.
+		b.drainQueue()
+		return <-pq.resp
 	case <-ctx.Done():
-		// The executor will still write to the buffered channel; the
-		// result is simply dropped.
+		if pq.started.Load() && errors.Is(ctx.Err(), context.DeadlineExceeded) {
+			return <-pq.resp
+		}
+		// Still queued, or the client hung up: the executor's answer, if
+		// one comes, is dropped in the buffered channel.
 		return queryResult{err: ctx.Err()}
 	}
-}
-
-// drainGrace is how long a query admitted before shutdown waits for its
-// in-flight batch to answer: one full collection window (the longest it
-// can legitimately still be queued) plus a floor covering execution time.
-func (b *batcher) drainGrace() time.Duration {
-	const floor = 100 * time.Millisecond
-	if b.window <= 0 {
-		return floor
-	}
-	return b.window + floor
 }
 
 // close stops the collector and fails queries still waiting in the queue.
@@ -164,43 +153,44 @@ func (b *batcher) close() {
 	b.drainQueue()
 }
 
-// run collects queries into batches: the first arrival opens a window,
-// and the batch executes when the window elapses or the size cap fills.
-// Execution happens on a separate goroutine so collection never stalls
-// behind a slow search.
+// run is the collector. Execution happens on a separate goroutine, so the
+// collector is already waiting for the next slot while a batch searches.
 func (b *batcher) run() {
 	defer b.wg.Done()
 	for {
-		var first pendingQuery
+		var first *pendingQuery
 		select {
 		case first = <-b.in:
 		case <-b.done:
 			b.drainQueue()
 			return
 		}
-		batch := []pendingQuery{first}
-		timer := time.NewTimer(b.window)
+		select {
+		case b.sem <- struct{}{}:
+		case <-b.done:
+			b.answer(first, queryResult{err: ErrServerClosed})
+			b.drainQueue()
+			return
+		}
+		batch := []*pendingQuery{first}
 	collect:
 		for len(batch) < b.maxSize {
 			select {
 			case pq := <-b.in:
 				batch = append(batch, pq)
-			case <-timer.C:
-				break collect
-			case <-b.done:
+			default:
 				break collect
 			}
 		}
-		timer.Stop()
 		b.wg.Add(1)
 		go b.execute(batch)
-		select {
-		case <-b.done:
-			b.drainQueue()
-			return
-		default:
-		}
 	}
+}
+
+// answer delivers pq's outcome and takes it off the queue-depth gauge.
+func (b *batcher) answer(pq *pendingQuery, r queryResult) {
+	b.m.queueDepth.Add(-1)
+	pq.resp <- r
 }
 
 // drainQueue fails everything still queued at shutdown.
@@ -208,8 +198,7 @@ func (b *batcher) drainQueue() {
 	for {
 		select {
 		case pq := <-b.in:
-			b.m.queueDepth.Add(-1)
-			pq.resp <- queryResult{err: ErrServerClosed}
+			b.answer(pq, queryResult{err: ErrServerClosed})
 		default:
 			return
 		}
@@ -217,64 +206,58 @@ func (b *batcher) drainQueue() {
 }
 
 // execute groups a collected batch by search parameters and runs one
-// SearchBatchCtx per group under the shared concurrency limiter.
-func (b *batcher) execute(batch []pendingQuery) {
+// SearchBatchCtx per group in the execution slot run acquired for it.
+func (b *batcher) execute(batch []*pendingQuery) {
 	defer b.wg.Done()
-	b.sem <- struct{}{}
 	defer func() { <-b.sem }()
 
-	groups := map[batchKey][]int{}
-	for i, pq := range batch {
-		groups[pq.key] = append(groups[pq.key], i)
+	groups := map[batchKey][]*pendingQuery{}
+	for _, pq := range batch {
+		// started before the ctx check: a submit that saw its ctx end with
+		// started unset has returned, and this check then sees the same
+		// ended ctx — so an abandoned query is never searched and its
+		// trace never touched.
+		pq.started.Store(true)
+		if err := pq.ctx.Err(); err != nil {
+			b.answer(pq, queryResult{err: err})
+			continue
+		}
+		groups[pq.key] = append(groups[pq.key], pq)
 	}
 	for key, members := range groups {
-		queries := make([][]float32, len(members))
-		traced := false
-		for j, i := range members {
-			queries[j] = batch[i].q
-			if batch[i].tr != nil {
-				traced = true
-			}
-		}
-		// The queue wait ends here, as the group starts executing; every
-		// member shares the group's size for the batch histograms.
-		now := time.Now()
-		for _, i := range members {
-			pq := batch[i]
-			b.m.queueWait.Observe(now.Sub(pq.enq).Seconds())
-			pq.tr.End("queue_wait", pq.enq)
-			pq.tr.SetBatchSize(len(members))
-		}
-		b.m.batchSizes.Observe(float64(len(members)))
-
-		var traces []*obs.Trace
-		if traced {
-			traces = make([]*obs.Trace, len(members))
-			for j, i := range members {
-				traces[j] = batch[i].tr
-			}
-		}
 		// The group executes under a detached context expiring at the
 		// latest member deadline: one member's cancellation must not
 		// abort its groupmates, but a stuck shard must not hold the
 		// group past the point where anyone still wants the answer.
-		// Members with earlier deadlines give up in submit on their own.
 		gctx := context.Background()
 		var cancel context.CancelFunc
 		var maxDL time.Time
 		bounded := true
-		for _, i := range members {
-			dl := batch[i].deadline
-			if dl.IsZero() {
-				bounded = false
-				break
+		queries := make([][]float32, len(members))
+		var traces []*obs.Trace
+		// The queue wait ends here, as the group starts executing; every
+		// member shares the group's size for the batch histograms.
+		now := time.Now()
+		for j, pq := range members {
+			queries[j] = pq.q
+			if pq.tr != nil {
+				if traces == nil {
+					traces = make([]*obs.Trace, len(members))
+				}
+				traces[j] = pq.tr
 			}
+			b.m.queueWait.Observe(now.Sub(pq.enq).Seconds())
+			pq.tr.End("queue_wait", pq.enq)
+			pq.tr.SetBatchSize(len(members))
+			dl, ok := pq.ctx.Deadline()
+			bounded = bounded && ok
 			if dl.After(maxDL) {
 				maxDL = dl
 			}
 		}
+		b.m.batchSizes.Observe(float64(len(members)))
 		if bounded {
-			gctx, cancel = context.WithDeadline(context.Background(), maxDL)
+			gctx, cancel = context.WithDeadline(gctx, maxDL)
 		}
 		results, err := b.idx.SearchBatchCtx(gctx, queries, key.k, key.mode, key.budget, b.workers, traces)
 		if cancel != nil {
@@ -282,17 +265,13 @@ func (b *batcher) execute(batch []pendingQuery) {
 		}
 		b.m.batches.Inc()
 		b.m.batchedQueries.Add(int64(len(members)))
-		if err != nil {
-			for _, i := range members {
-				b.m.queueDepth.Add(-1)
-				batch[i].resp <- queryResult{err: err}
+		for j, pq := range members {
+			if err != nil {
+				b.answer(pq, queryResult{err: err})
+				continue
 			}
-			continue
-		}
-		for j, i := range members {
 			r := results[j]
-			b.m.queueDepth.Add(-1)
-			batch[i].resp <- queryResult{neighbors: r.Neighbors, stats: r.Stats, err: r.Err}
+			b.answer(pq, queryResult{neighbors: r.Neighbors, stats: r.Stats, err: r.Err})
 		}
 	}
 }

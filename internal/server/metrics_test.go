@@ -11,7 +11,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"resinfer"
 	"resinfer/internal/obs"
@@ -287,7 +286,7 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(sx, Config{BatchWindow: time.Millisecond})
+	srv := New(sx, Config{})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -375,7 +374,7 @@ func TestMetricsScrapeDuringTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(sx, Config{BatchWindow: time.Millisecond})
+	srv := New(sx, Config{})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()

@@ -28,7 +28,7 @@ func mutableFixture(t *testing.T) (*resinfer.MutableIndex, *Server, *httptest.Se
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(mx, Config{BatchWindow: -1})
+	srv := New(mx, Config{})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
 		ts.Close()
@@ -251,7 +251,7 @@ func TestServerInternalMutationErrorsAre500(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mx.Close()
-	srv := New(failingMutator{Engine: mx, Mutator: mx}, Config{BatchWindow: -1})
+	srv := New(failingMutator{Engine: mx, Mutator: mx}, Config{})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -279,7 +279,7 @@ func TestServerImmutableIndexHasNoMutationEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(sx, Config{BatchWindow: -1})
+	srv := New(sx, Config{})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()

@@ -67,7 +67,7 @@ func TestQualityEndpointScoresServing(t *testing.T) {
 			if err := sx.Enable(tc.mode, nil); err != nil {
 				t.Fatal(err)
 			}
-			srv := New(sx, Config{BatchWindow: time.Millisecond, QualitySampleRate: 1})
+			srv := New(sx, Config{QualitySampleRate: 1})
 			t.Cleanup(srv.Close)
 			ts := httptest.NewServer(srv.Handler())
 			t.Cleanup(ts.Close)
@@ -86,6 +86,9 @@ func TestQualityEndpointScoresServing(t *testing.T) {
 						hits++
 					}
 				}
+				// The sampler drops what its one worker cannot keep up with;
+				// this test wants every query scored, so it paces itself.
+				waitQualityMeasured(t, url, uint64(i+1))
 			}
 			offline := float64(hits) / float64(tc.n*k)
 			snap := waitQualityMeasured(t, url, n)
@@ -122,7 +125,7 @@ func TestQualityEndpointScoresServing(t *testing.T) {
 // TestQualityEndpointAbsentWhenDisabled: without the opt-in the
 // endpoint does not exist and searches pay nothing.
 func TestQualityEndpointAbsentWhenDisabled(t *testing.T) {
-	srv, ts, queries := tracedServer(t, Config{BatchWindow: time.Millisecond})
+	srv, ts, queries := tracedServer(t, Config{})
 	if srv.quality != nil {
 		t.Fatal("quality tracker armed without opt-in")
 	}
@@ -141,7 +144,7 @@ func TestQualityEndpointAbsentWhenDisabled(t *testing.T) {
 // TestSLOEndpoint: /debug/slo is always mounted; the recall objective
 // appears only when shadow sampling feeds it.
 func TestSLOEndpoint(t *testing.T) {
-	_, url, queries, _ := qualityServer(t, Config{BatchWindow: time.Millisecond})
+	_, url, queries, _ := qualityServer(t, Config{})
 
 	for i := 0; i < 5; i++ {
 		var out searchResponse
@@ -171,7 +174,7 @@ func TestSLOEndpoint(t *testing.T) {
 	}
 
 	// Without sampling, the endpoint still serves the latency objective.
-	_, ts, _ := tracedServer(t, Config{BatchWindow: time.Millisecond})
+	_, ts, _ := tracedServer(t, Config{})
 	var bare quality.SLOSnapshot
 	getJSON(t, ts.URL+"/debug/slo", &bare)
 	if bare.RecallTracked || len(bare.Recall) != 0 {
@@ -186,7 +189,7 @@ func TestSLOEndpoint(t *testing.T) {
 // slowlog entry records the request's arrival time and the same trace
 // ID the client got back in the response header.
 func TestSlowlogCarriesTimestampAndTraceID(t *testing.T) {
-	_, ts, queries := tracedServer(t, Config{BatchWindow: time.Millisecond, SlowLogThreshold: time.Nanosecond})
+	_, ts, queries := tracedServer(t, Config{SlowLogThreshold: time.Nanosecond})
 
 	before := time.Now()
 	body := strings.NewReader(`{"query":[` + floats(queries[0]) + `],"k":5,"trace":true}`)
@@ -227,7 +230,7 @@ func TestSlowlogCarriesTimestampAndTraceID(t *testing.T) {
 // ends with the trace ID so it joins with the slowlog and the client's
 // copy of the trace.
 func TestAccessLogCarriesTraceID(t *testing.T) {
-	srv, _, queries := tracedServer(t, Config{BatchWindow: time.Millisecond, AccessLog: true})
+	srv, _, queries := tracedServer(t, Config{AccessLog: true})
 	var buf syncBuffer
 	srv.access = logNew(&buf)
 	hts := httptest.NewServer(srv.Handler())
@@ -258,7 +261,7 @@ func TestAccessLogCarriesTraceID(t *testing.T) {
 // TestBuildInfoExported: the build-info gauge is scrapeable and the
 // same identity fields appear in /stats.
 func TestBuildInfoExported(t *testing.T) {
-	_, ts, _ := tracedServer(t, Config{BatchWindow: -1})
+	_, ts, _ := tracedServer(t, Config{})
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)

@@ -75,7 +75,7 @@ type shardSearchResponse struct {
 // handleShardSearch answers a peer's hedged probe of one shard: the
 // shard's contribution in global merge-ready form (IDs global, Key the
 // cross-shard merge key). It bypasses the micro-batcher — a hedge is
-// already late, queuing it behind a batch window would defeat it.
+// already late, queuing it behind other searches would defeat it.
 func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
 	s.metrics.requests.Inc()
 	var req shardSearchRequest

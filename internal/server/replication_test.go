@@ -44,9 +44,6 @@ func newWALPrimary(t *testing.T, cfg Config) (*resinfer.MutableIndex, *Server, *
 		t.Fatal(err)
 	}
 	t.Cleanup(mx.Close)
-	if cfg.BatchWindow == 0 {
-		cfg.BatchWindow = -1
-	}
 	srv := New(mx, cfg)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() { ts.Close(); srv.Close() })

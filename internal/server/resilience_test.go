@@ -57,10 +57,11 @@ func testQuery(t *testing.T) []float32 {
 // query still answers — shedding protects goodput, it does not replace
 // it.
 func TestOverloadShed429(t *testing.T) {
+	defer fault.Reset()
+	fault.Reset()
 	sx := buildResilienceSharded(t, 2)
 	srv := New(sx, Config{
-		BatchWindow:   300 * time.Millisecond, // long window: the first query sits collecting
-		BatchMaxSize:  64,
+		MaxConcurrent: 1,
 		MaxQueueDepth: 1,
 		RetryAfter:    2 * time.Second,
 	})
@@ -69,6 +70,8 @@ func TestOverloadShed429(t *testing.T) {
 	defer ts.Close()
 	q := testQuery(t)
 
+	// The first query holds the only slot, and with it the whole watermark.
+	defer fault.Inject(fault.Injection{Site: fault.SiteShardSearch, Arg: fault.AnyArg, Delay: 300 * time.Millisecond})()
 	firstDone := make(chan int, 1)
 	go func() {
 		var out searchResponse
@@ -76,14 +79,7 @@ func TestOverloadShed429(t *testing.T) {
 		firstDone <- resp.StatusCode
 	}()
 
-	// Wait for the first query to be admitted (queue depth 1 = watermark).
-	deadline := time.Now().Add(2 * time.Second)
-	for srv.metrics.queueDepth.Load() < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("first query never entered the admission queue")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitQueued(t, srv, 1, 0) // queue depth 1 = watermark
 
 	var out errorResponse
 	resp := postJSON(t, ts.URL+"/search", searchRequest{Query: q, K: 5, Mode: "exact"}, &out)
@@ -109,10 +105,7 @@ func TestPartialResultAndRequireFull(t *testing.T) {
 	defer fault.Reset()
 	fault.Reset()
 	sx := buildResilienceSharded(t, 4)
-	srv := New(sx, Config{
-		BatchWindow:    -1, // direct path: deterministic single-query deadline
-		RequestTimeout: 150 * time.Millisecond,
-	})
+	srv := New(sx, Config{RequestTimeout: 150 * time.Millisecond})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -191,7 +184,7 @@ func TestClientCancelCounted(t *testing.T) {
 	defer fault.Reset()
 	fault.Reset()
 	sx := buildResilienceSharded(t, 2)
-	srv := New(sx, Config{BatchWindow: -1, RequestTimeout: 5 * time.Second})
+	srv := New(sx, Config{RequestTimeout: 5 * time.Second})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -238,7 +231,7 @@ func TestDegradedServing(t *testing.T) {
 	fault.Reset()
 	mx := buildResilienceMutable(t, t.TempDir())
 	defer mx.Close()
-	srv := New(mx, Config{BatchWindow: -1})
+	srv := New(mx, Config{})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()

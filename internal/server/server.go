@@ -8,12 +8,12 @@
 //	GET  /debug/slowlog  ring buffer of requests over the slow threshold
 //	GET  /healthz        liveness plus index metadata
 //
-// Single-query requests pass through a micro-batching admission queue:
-// they are collected for a short window (or until a size cap) and run as
-// one SearchBatchCtx, so concurrent callers share scheduling overhead. A
-// semaphore bounds how many batch executions run at once, and every
-// counter surfaced at /stats and /metrics is updated lock-free on the
-// request path.
+// Single-query requests pass through one admission queue. A semaphore
+// bounds how many searches execute at once; a query that finds a slot
+// free runs immediately, and the queries that pile up while every slot is
+// busy run together as one SearchBatchCtx (up to a size cap) when the
+// next slot frees. Every counter surfaced at /stats and /metrics is
+// updated lock-free on the request path.
 //
 // A client can ask for its own request's pipeline timeline — decode,
 // admission-queue wait, shard fan-out (with per-shard timings), k-way
@@ -47,10 +47,9 @@ import (
 // *resinfer.ShardedIndex satisfies it, *resinfer.MutableIndex does
 // through the ShardedIndex it embeds, and a single *resinfer.Index is
 // served as resinfer.SingleShard(ix). Every search runs through the
-// deadline-aware pair, so deadlines, partial results, per-shard metrics,
-// quality sampling and hedging apply to whatever is served.
+// deadline-aware SearchBatchCtx, so deadlines, partial results, per-shard
+// metrics, quality sampling and hedging apply to whatever is served.
 type Engine interface {
-	SearchCtx(ctx context.Context, dst []resinfer.Neighbor, q []float32, k int, mode resinfer.Mode, budget int, tr *obs.Trace) ([]resinfer.Neighbor, resinfer.SearchStats, error)
 	SearchBatchCtx(ctx context.Context, queries [][]float32, k int, mode resinfer.Mode, budget, workers int, traces []*obs.Trace) ([]resinfer.BatchResult, error)
 	Len() int
 	QueryDim() int
@@ -63,7 +62,7 @@ type Engine interface {
 }
 
 // Config tunes the server. The zero value serves with exact search,
-// k=10, a 2ms batching window, and GOMAXPROCS-wide concurrency.
+// k=10, and GOMAXPROCS-wide concurrency.
 type Config struct {
 	// DefaultK is used when a request omits k (default 10).
 	DefaultK int
@@ -77,12 +76,8 @@ type Config struct {
 	// they multiplex over GOMAXPROCS threads, so this bounds queue depth
 	// and memory, not CPU.
 	MaxConcurrent int
-	// BatchWindow is how long the admission queue collects single
-	// queries before executing (default 2ms). Negative disables
-	// micro-batching: /search calls run directly.
-	BatchWindow time.Duration
-	// BatchMaxSize executes a collecting batch early once it holds this
-	// many queries (default 64).
+	// BatchMaxSize caps how many queued single queries one execution
+	// slot takes at once (default 64).
 	BatchMaxSize int
 	// SearchWorkers is the worker count handed to SearchBatch
 	// (default GOMAXPROCS).
@@ -157,9 +152,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxConcurrent <= 0 {
 		c.MaxConcurrent = runtime.GOMAXPROCS(0)
 	}
-	if c.BatchWindow == 0 {
-		c.BatchWindow = 2 * time.Millisecond
-	}
 	if c.BatchMaxSize <= 0 {
 		c.BatchMaxSize = 64
 	}
@@ -193,7 +185,7 @@ type Server struct {
 	metrics  metrics
 	reg      *obs.Registry
 	slowlog  *slowLog // nil when disabled
-	batcher  *batcher // nil when micro-batching is disabled
+	batcher  *batcher
 	sem      chan struct{}
 	mux      *http.ServeMux
 	access   *log.Logger      // nil unless Config.AccessLog
@@ -230,9 +222,7 @@ func New(idx Engine, cfg Config) *Server {
 	if c.AccessLog {
 		s.access = log.New(os.Stderr, "", 0)
 	}
-	if c.BatchWindow > 0 {
-		s.batcher = newBatcher(idx, c.BatchWindow, c.BatchMaxSize, c.MaxQueueDepth, c.SearchWorkers, s.sem, &s.metrics)
-	}
+	s.batcher = newBatcher(idx, c.BatchMaxSize, c.MaxQueueDepth, c.SearchWorkers, s.sem, &s.metrics)
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /search", s.handleSearch)
 	s.mux.HandleFunc("POST /search/batch", s.handleSearchBatch)
@@ -332,12 +322,10 @@ func (s *Server) Stats() StatsSnapshot {
 	return snap
 }
 
-// Close stops the micro-batcher (failing queries still queued), the
+// Close stops the admission queue (failing queries still queued), the
 // SLO snapshot ticker, and the shadow quality workers.
 func (s *Server) Close() {
-	if s.batcher != nil {
-		s.batcher.close()
-	}
+	s.batcher.close()
 	if s.slo != nil {
 		s.slo.Close()
 	}
@@ -579,7 +567,6 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	var traceID string
 	if wantTrace || s.slowlog != nil {
 		tr = getTrace(start)
-		defer putTrace(tr)
 		tr.End("decode", start)
 	}
 	if wantTrace {
@@ -594,21 +581,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
 
-	var res queryResult
-	if s.batcher != nil {
-		res = s.batcher.submit(ctx, req.Query, key, tr)
-	} else {
-		admit := time.Now()
-		select {
-		case s.sem <- struct{}{}:
-			tr.End("admit", admit)
-			ns, st, err := s.idx.SearchCtx(ctx, nil, req.Query, key.k, key.mode, key.budget, tr)
-			res = queryResult{neighbors: ns, stats: st, err: err}
-			<-s.sem
-		case <-ctx.Done():
-			res = queryResult{err: ctx.Err()}
-		}
-	}
+	res := s.batcher.submit(ctx, req.Query, key, tr)
 	if res.err != nil {
 		s.failSearch(w, r, res.err)
 		return
@@ -637,23 +610,33 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		Stats:     toStatsJSON(res.stats),
 		Partial:   partial,
 	}
+	encStart := time.Now()
+	body, err := json.Marshal(resp)
 	if tr != nil {
-		// Measure the encode stage by marshalling the response body
-		// before the trace is attached — the cost of double-encoding is
-		// paid only on traced requests, never on the plain path.
-		encStart := time.Now()
-		_, _ = json.Marshal(resp)
 		tr.End("encode", encStart)
 		snap := tr.Snapshot()
-		if wantTrace {
+		if wantTrace && err == nil {
+			// The encode stage a client sees in its trace was timed on the
+			// body without it, so only a client-traced request is encoded
+			// twice.
 			resp.Trace = toTraceJSON(snap)
+			body, err = json.Marshal(resp)
 		}
 		if s.slowlog != nil && snap.Total >= s.slowlog.threshold {
 			s.slowlog.record(start, traceID, "/search", string(key.mode), key.k, key.budget, len(req.Query), snap)
 		}
+		// Recycled on this path only: a request that failed in submit may
+		// have left its group executing, still recording stages into tr.
+		putTrace(tr)
+	}
+	if err != nil {
+		s.fail(w, http.StatusInternalServerError, fmt.Errorf("encoding response: %w", err))
+		return
 	}
 	s.metrics.latency.ObserveDuration(time.Since(start))
-	writeJSON(w, http.StatusOK, resp)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(append(body, '\n')) // the client may be gone; nothing to do about it
 }
 
 func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -79,7 +80,7 @@ func TestServerShardedRecall(t *testing.T) {
 	}
 	baseRecall := dataset.Recall(baseResults, gt, 10)
 
-	srv := New(sharded, Config{BatchWindow: time.Millisecond, BatchMaxSize: 8})
+	srv := New(sharded, Config{BatchMaxSize: 8})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -219,7 +220,7 @@ func TestServerBadRequests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(resinfer.SingleShard(ix), Config{BatchWindow: -1}) // direct path
+	srv := New(resinfer.SingleShard(ix), Config{})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -253,65 +254,206 @@ func TestServerBadRequests(t *testing.T) {
 	}
 }
 
+// waitQueued polls until depth queries are admitted (executing or
+// waiting) and all but inChan of them have left the queue channel.
+func waitQueued(t *testing.T, srv *Server, depth int64, inChan int) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for srv.metrics.queueDepth.Load() != depth || len(srv.batcher.in) != inChan {
+		if time.Now().After(deadline) {
+			t.Fatalf("admission queue never reached depth %d with %d waiting in the channel (depth %d, channel %d)",
+				depth, inChan, srv.metrics.queueDepth.Load(), len(srv.batcher.in))
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // A malformed query from one client must not poison a batch containing
 // other clients' valid queries: the handler rejects it before admission.
 func TestServerBadQueryDoesNotPoisonBatch(t *testing.T) {
+	defer fault.Reset()
+	fault.Reset()
 	ds, _ := testFixtures(t)
 	ix, err := resinfer.New(ds.Data[:300], resinfer.Flat, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A wide window would group the two requests if the bad one were
-	// admitted to the queue.
-	srv := New(resinfer.SingleShard(ix), Config{BatchWindow: 50 * time.Millisecond, BatchMaxSize: 8})
+	srv := New(resinfer.SingleShard(ix), Config{MaxConcurrent: 1, BatchMaxSize: 8})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	goodDone := make(chan int, 1)
-	go func() {
-		var out searchResponse
-		resp := postJSON(t, ts.URL+"/search", searchRequest{Query: ds.Queries[0], K: 5}, &out)
-		goodDone <- resp.StatusCode
-	}()
-	time.Sleep(10 * time.Millisecond) // land inside the good query's window
+	// One valid query holds the only slot and a second waits for it; the
+	// bad one would join the second's batch if it were admitted.
+	defer fault.Inject(fault.Injection{Site: fault.SiteShardSearch, Arg: fault.AnyArg, Delay: 50 * time.Millisecond})()
+	goodDone := make(chan int, 2)
+	for i := 0; i < 2; i++ {
+		go func(i int) {
+			var out searchResponse
+			resp := postJSON(t, ts.URL+"/search", searchRequest{Query: ds.Queries[i], K: 5}, &out)
+			goodDone <- resp.StatusCode
+		}(i)
+	}
+	waitQueued(t, srv, 2, 0)
 	var eout errorResponse
 	resp := postJSON(t, ts.URL+"/search", searchRequest{Query: []float32{1, 2, 3}, K: 5}, &eout)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad-dim query: status %d", resp.StatusCode)
 	}
-	if code := <-goodDone; code != http.StatusOK {
-		t.Fatalf("valid query failed alongside a malformed one: status %d", code)
+	for i := 0; i < 2; i++ {
+		if code := <-goodDone; code != http.StatusOK {
+			t.Fatalf("valid query failed alongside a malformed one: status %d", code)
+		}
 	}
 }
 
+// TestServerCloseFailsQueued: Close fails the query the collector holds
+// while it waits for a slot and the one behind it in the queue, and lets
+// the one executing finish.
 func TestServerCloseFailsQueued(t *testing.T) {
+	defer fault.Reset()
+	fault.Reset()
 	ds, _ := testFixtures(t)
 	ix, err := resinfer.New(ds.Data[:200], resinfer.Flat, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(resinfer.SingleShard(ix), Config{BatchWindow: time.Second}) // long window keeps queries queued
+	srv := New(resinfer.SingleShard(ix), Config{MaxConcurrent: 1})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	done := make(chan int, 1)
-	go func() {
-		var out errorResponse
+	defer fault.Inject(fault.Injection{Site: fault.SiteShardSearch, Arg: fault.AnyArg, Delay: 400 * time.Millisecond})()
+	type reply struct {
+		code int
+		err  string
+	}
+	post := func(done chan<- reply) {
+		var out errorResponse // Error stays empty on a 200 body
 		resp := postJSON(t, ts.URL+"/search", searchRequest{Query: ds.Queries[0]}, &out)
-		done <- resp.StatusCode
-	}()
-	time.Sleep(50 * time.Millisecond)
+		done <- reply{resp.StatusCode, out.Error}
+	}
+	running := make(chan reply, 1)
+	go post(running)
+	waitQueued(t, srv, 1, 0)
+	waiting := make(chan reply, 2)
+	go post(waiting)
+	waitQueued(t, srv, 2, 0) // the collector holds it, waiting for the slot
+	go post(waiting)
+	waitQueued(t, srv, 3, 1)
+
 	srv.Close()
-	select {
-	case code := <-done:
-		// Either the window had collected it (200 on race) or it failed
-		// with 503; both mean the server did not hang.
-		if code != http.StatusOK && code != http.StatusServiceUnavailable {
-			t.Fatalf("unexpected status %d", code)
+	for i := 0; i < 2; i++ {
+		select {
+		case r := <-waiting:
+			if r.code != http.StatusServiceUnavailable || r.err != ErrServerClosed.Error() {
+				t.Fatalf("queued query: status %d error %q, want 503 %q", r.code, r.err, ErrServerClosed)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("queued query hung after Close")
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("queued query hung after Close")
+	}
+	if r := <-running; r.code != http.StatusOK {
+		t.Fatalf("executing query: status %d, want 200", r.code)
+	}
+}
+
+// TestIdleServerRunsQueryAtOnce: with a slot free nothing waits — each
+// query runs alone, and its queue_wait stage is a goroutine hand-off, not
+// a collection window.
+func TestIdleServerRunsQueryAtOnce(t *testing.T) {
+	_, ts, queries := tracedServer(t, Config{})
+	waits := make([]int64, 20)
+	for i := range waits {
+		var out searchResponse
+		resp := postJSON(t, ts.URL+"/search", searchRequest{Query: queries[i], K: 5, Trace: true}, &out)
+		if resp.StatusCode != http.StatusOK || out.Trace == nil {
+			t.Fatalf("request %d: status %d, trace %v", i, resp.StatusCode, out.Trace)
+		}
+		if out.Trace.BatchSize != 1 {
+			t.Fatalf("request %d: batch size %d on an idle server, want 1", i, out.Trace.BatchSize)
+		}
+		for _, st := range out.Trace.Stages {
+			if st.Name == "queue_wait" {
+				waits[i] = st.DurUs
+			}
+		}
+	}
+	sort.Slice(waits, func(i, j int) bool { return waits[i] < waits[j] })
+	if med := waits[len(waits)/2]; med >= 1000 {
+		t.Fatalf("median queue_wait %dus on an idle server, want < 1000us (all: %v)", med, waits)
+	}
+}
+
+// TestBatchFormsBehindBusySlot: queries arriving while every slot is busy
+// share one execution when a slot frees.
+func TestBatchFormsBehindBusySlot(t *testing.T) {
+	defer fault.Reset()
+	fault.Reset()
+	srv, ts, queries := tracedServer(t, Config{MaxConcurrent: 1})
+	defer fault.Inject(fault.Injection{Site: fault.SiteShardSearch, Arg: fault.AnyArg, Delay: 100 * time.Millisecond})()
+
+	const n = 6
+	sizes := make(chan int, n+1)
+	post := func(i int) {
+		var out searchResponse
+		resp := postJSON(t, ts.URL+"/search", searchRequest{Query: queries[i], K: 5, Trace: true}, &out)
+		if resp.StatusCode != http.StatusOK || out.Trace == nil {
+			t.Errorf("request %d: status %d, trace %v", i, resp.StatusCode, out.Trace)
+			sizes <- 0
+			return
+		}
+		sizes <- out.Trace.BatchSize
+	}
+	go post(0)
+	waitQueued(t, srv, 1, 0) // it holds the only slot
+	for i := 1; i <= n; i++ {
+		go post(i)
+	}
+	largest := 0
+	for i := 0; i <= n; i++ {
+		if sz := <-sizes; sz > largest {
+			largest = sz
+		}
+	}
+	if largest < 2 {
+		t.Fatalf("largest batch %d with %d queries behind a busy slot, want > 1", largest, n)
+	}
+	var stats StatsSnapshot
+	getJSON(t, ts.URL+"/stats", &stats)
+	if stats.AvgBatchSize <= 1 {
+		t.Fatalf("avg_batch_size %v (batches %d, queries %d), want > 1", stats.AvgBatchSize, stats.Batches, stats.BatchedQueries)
+	}
+}
+
+// TestExpiredQueuedQueryNotSearched: a query whose deadline passed while
+// it waited for a slot is answered from the queue, not scanned for nobody
+// alongside the live query it shares a batch with.
+func TestExpiredQueuedQueryNotSearched(t *testing.T) {
+	srv, ts, queries := tracedServer(t, Config{MaxConcurrent: 1, RequestTimeout: 100 * time.Millisecond})
+	srv.sem <- struct{}{} // hold the only slot past the deadline
+	var eout errorResponse
+	resp := postJSON(t, ts.URL+"/search", searchRequest{Query: queries[0], K: 5}, &eout)
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("query queued past its deadline: status %d, want 503", resp.StatusCode)
+	}
+	live := make(chan int, 1)
+	go func() {
+		var out searchResponse
+		live <- postJSON(t, ts.URL+"/search", searchRequest{Query: queries[1], K: 5}, &out).StatusCode
+	}()
+	waitQueued(t, srv, 2, 1) // the collector holds the expired one, the live one is behind it
+	<-srv.sem
+
+	if code := <-live; code != http.StatusOK {
+		t.Fatalf("live query: status %d, want 200", code)
+	}
+	for sh, h := range srv.shardDur {
+		if h.Count() != 1 {
+			t.Fatalf("shard %d observed %d probes, want 1: the expired query was searched", sh, h.Count())
+		}
+	}
+	if st := srv.Stats(); st.Timeouts != 1 || st.BatchedQueries != 1 {
+		t.Fatalf("timeouts %d, batched queries %d, want 1 and 1", st.Timeouts, st.BatchedQueries)
 	}
 }
 
@@ -336,7 +478,6 @@ func TestSingleIndexServedAsOneShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := New(resinfer.SingleShard(ix), Config{
-		BatchWindow:       -1,
 		RequestTimeout:    150 * time.Millisecond,
 		QualitySampleRate: 1,
 	})

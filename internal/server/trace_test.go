@@ -87,7 +87,7 @@ func hasStage(tj *traceJSON, name string) bool {
 // expected stages are present, the per-shard breakdown covers every
 // shard, and the stage sum lands close to the end-to-end total.
 func TestTracedRequestBodyFlag(t *testing.T) {
-	_, ts, queries := tracedServer(t, Config{BatchWindow: time.Millisecond})
+	_, ts, queries := tracedServer(t, Config{})
 
 	var out searchResponse
 	resp := postJSON(t, ts.URL+"/search",
@@ -136,10 +136,9 @@ func TestTracedRequestBodyFlag(t *testing.T) {
 	}
 }
 
-// TestTracedRequestHeader asks via the X-Resinfer-Trace header and uses
-// the direct (batcher-less) path, which must record the fan-out too.
+// TestTracedRequestHeader asks via the X-Resinfer-Trace header.
 func TestTracedRequestHeader(t *testing.T) {
-	_, ts, queries := tracedServer(t, Config{BatchWindow: -1})
+	_, ts, queries := tracedServer(t, Config{})
 
 	body := strings.NewReader(`{"query":[` + floats(queries[0]) + `],"k":5}`)
 	req, err := http.NewRequest("POST", ts.URL+"/search", body)
@@ -160,7 +159,7 @@ func TestTracedRequestHeader(t *testing.T) {
 	if out.Trace == nil {
 		t.Fatal("no trace in response")
 	}
-	for _, want := range []string{"decode", "admit", "fanout", "merge", "encode"} {
+	for _, want := range []string{"decode", "queue_wait", "fanout", "merge", "encode"} {
 		if !hasStage(out.Trace, want) {
 			t.Errorf("missing stage %q in %v", want, stageNames(out.Trace))
 		}
@@ -172,7 +171,7 @@ func TestTracedRequestHeader(t *testing.T) {
 
 // TestUntracedRequestHasNoTrace: without the opt-in, no trace field.
 func TestUntracedRequestHasNoTrace(t *testing.T) {
-	_, ts, queries := tracedServer(t, Config{BatchWindow: time.Millisecond})
+	_, ts, queries := tracedServer(t, Config{})
 	var out searchResponse
 	postJSON(t, ts.URL+"/search", searchRequest{Query: queries[0], K: 5}, &out)
 	if out.Trace != nil {
@@ -184,7 +183,7 @@ func TestUntracedRequestHasNoTrace(t *testing.T) {
 // is "slow", then checks the ring's contents and the worst offender's
 // shard breakdown.
 func TestSlowlogCapturesSlowRequests(t *testing.T) {
-	_, ts, queries := tracedServer(t, Config{BatchWindow: time.Millisecond, SlowLogThreshold: time.Nanosecond})
+	_, ts, queries := tracedServer(t, Config{SlowLogThreshold: time.Nanosecond})
 
 	for i := 0; i < 5; i++ {
 		var out searchResponse
@@ -218,7 +217,7 @@ func TestSlowlogCapturesSlowRequests(t *testing.T) {
 
 // TestSlowlogDisabled: a negative threshold removes the endpoint.
 func TestSlowlogDisabled(t *testing.T) {
-	_, ts, queries := tracedServer(t, Config{BatchWindow: time.Millisecond, SlowLogThreshold: -1})
+	_, ts, queries := tracedServer(t, Config{SlowLogThreshold: -1})
 	var out searchResponse
 	postJSON(t, ts.URL+"/search", searchRequest{Query: queries[0], K: 5}, &out)
 	resp, err := http.Get(ts.URL + "/debug/slowlog")
@@ -234,7 +233,7 @@ func TestSlowlogDisabled(t *testing.T) {
 // TestAccessLog checks the one-line-per-request format: method, path,
 // status, latency, batch size and remote address.
 func TestAccessLog(t *testing.T) {
-	srv, _, queries := tracedServer(t, Config{BatchWindow: time.Millisecond, AccessLog: true})
+	srv, _, queries := tracedServer(t, Config{AccessLog: true})
 	var buf syncBuffer
 	srv.access = logNew(&buf)
 	ts := httptest.NewServer(srv.Handler())
@@ -265,7 +264,7 @@ func TestAccessLog(t *testing.T) {
 
 // TestAccessLogOffByDefault: the default handler is the bare mux.
 func TestAccessLogOffByDefault(t *testing.T) {
-	srv, _, _ := tracedServer(t, Config{BatchWindow: time.Millisecond})
+	srv, _, _ := tracedServer(t, Config{})
 	if srv.access != nil {
 		t.Fatal("access logger armed without opt-in")
 	}
@@ -273,7 +272,7 @@ func TestAccessLogOffByDefault(t *testing.T) {
 
 // TestPprofGate: /debug/pprof/ exists only behind the flag.
 func TestPprofGate(t *testing.T) {
-	_, tsOff, _ := tracedServer(t, Config{BatchWindow: -1})
+	_, tsOff, _ := tracedServer(t, Config{})
 	resp, err := http.Get(tsOff.URL + "/debug/pprof/")
 	if err != nil {
 		t.Fatal(err)
@@ -283,7 +282,7 @@ func TestPprofGate(t *testing.T) {
 		t.Fatal("pprof served without opt-in")
 	}
 
-	_, tsOn, _ := tracedServer(t, Config{BatchWindow: -1, EnablePprof: true})
+	_, tsOn, _ := tracedServer(t, Config{EnablePprof: true})
 	resp, err = http.Get(tsOn.URL + "/debug/pprof/")
 	if err != nil {
 		t.Fatal(err)
