@@ -75,11 +75,11 @@ func TestPooledEvaluatorBitIdenticalToFresh(t *testing.T) {
 	}
 	taus := []float32{0.5, 5, 50, core.InfThreshold}
 	for _, mode := range []Mode{Exact, ADSampling, DDCRes, DDCPCA, DDCOPQ} {
-		dco := ix.dcos[mode].(core.PooledDCO)
+		dco := ix.modes[mode].dco
 		reused := dco.NewEvaluator()
 		for qi, q := range ds.Queries {
-			fresh, err := dco.NewQuery(q)
-			if err != nil {
+			fresh := dco.NewEvaluator()
+			if err := fresh.Reset(q); err != nil {
 				t.Fatal(err)
 			}
 			if err := reused.Reset(q); err != nil {

@@ -161,16 +161,7 @@ func (d *DCO) DeltaD() int { return d.deltaD }
 // the approximation-accuracy experiment (Table III).
 func (d *DCO) Rotated() *store.Matrix { return d.rotated }
 
-// NewQuery implements core.DCO.
-func (d *DCO) NewQuery(q []float32) (core.QueryEvaluator, error) {
-	ev := d.NewEvaluator()
-	if err := ev.Reset(q); err != nil {
-		return nil, err
-	}
-	return ev, nil
-}
-
-// NewEvaluator implements core.PooledDCO: the returned evaluator owns a
+// NewEvaluator implements core.DCO: the returned evaluator owns a
 // reusable rotated-query buffer.
 func (d *DCO) NewEvaluator() core.ResettableEvaluator {
 	return &evaluator{parent: d, flat: d.rotated.Flat(), q: make([]float32, d.dim)}

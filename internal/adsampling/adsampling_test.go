@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"resinfer/internal/core"
 	"resinfer/internal/store"
 	"resinfer/internal/vec"
 )
@@ -20,6 +21,16 @@ func gauss(r *rand.Rand, n, d int) [][]float32 {
 		data[i] = row
 	}
 	return data
+}
+
+// primed Resets ev to q. Tests build one evaluator per comparator and
+// re-prime it per query, the way Index.walk does in production.
+func primed(t testing.TB, ev core.ResettableEvaluator, q []float32) core.ResettableEvaluator {
+	t.Helper()
+	if err := ev.Reset(q); err != nil {
+		t.Fatal(err)
+	}
+	return ev
 }
 
 func TestNewErrors(t *testing.T) {
@@ -41,10 +52,7 @@ func TestExactDistancePreserved(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := gauss(r, 1, 48)[0]
-	ev, err := dco.NewQuery(q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ev := primed(t, dco.NewEvaluator(), q)
 	for id := 0; id < 20; id++ {
 		got := float64(ev.Distance(id))
 		want := vec.L2Sq64(q, data[id])
@@ -58,7 +66,7 @@ func TestCompareInfTauIsExact(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	data := gauss(r, 30, 16)
 	dco, _ := New(store.MustFromRows(data), Config{Seed: 3, DeltaD: 4})
-	ev, _ := dco.NewQuery(data[0])
+	ev := primed(t, dco.NewEvaluator(), data[0])
 	d, pruned := ev.Compare(5, float32(math.Inf(1)))
 	if pruned {
 		t.Fatal("must not prune against +Inf threshold")
@@ -79,9 +87,10 @@ func TestCompareSoundness(t *testing.T) {
 		t.Fatal(err)
 	}
 	falsePrunes, prunes := 0, 0
+	ev := dco.NewEvaluator()
 	for qi := 0; qi < 20; qi++ {
 		q := gauss(r, 1, 64)[0]
-		ev, _ := dco.NewQuery(q)
+		primed(t, ev, q)
 		for id := 0; id < 400; id++ {
 			exact := vec.L2Sq(q, data[id])
 			tau := exact * (0.5 + r.Float32()) // thresholds around the true distance
@@ -110,7 +119,7 @@ func TestPruningSavesDimensions(t *testing.T) {
 	data := gauss(r, 300, 128)
 	dco, _ := New(store.MustFromRows(data), Config{Seed: 9, DeltaD: 16})
 	q := gauss(r, 1, 128)[0]
-	ev, _ := dco.NewQuery(q)
+	ev := primed(t, dco.NewEvaluator(), q)
 	// Tiny tau forces pruning almost immediately for every point.
 	for id := range data {
 		ev.Compare(id, 0.01)
@@ -129,7 +138,7 @@ func TestNoPruneScanEqualsFull(t *testing.T) {
 	data := gauss(r, 50, 32)
 	dco, _ := New(store.MustFromRows(data), Config{Seed: 2, DeltaD: 8})
 	q := gauss(r, 1, 32)[0]
-	ev, _ := dco.NewQuery(q)
+	ev := primed(t, dco.NewEvaluator(), q)
 	// Huge tau: nothing prunes, everything scans fully.
 	for id := range data {
 		_, pruned := ev.Compare(id, 1e30)
@@ -164,7 +173,7 @@ func TestFactorsShape(t *testing.T) {
 func TestQueryDimMismatch(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	dco, _ := New(store.MustFromRows(gauss(r, 10, 8)), Config{})
-	if _, err := dco.NewQuery(make([]float32, 4)); err == nil {
+	if err := dco.NewEvaluator().Reset(make([]float32, 4)); err == nil {
 		t.Fatal("expected dimension error")
 	}
 }

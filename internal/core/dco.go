@@ -4,8 +4,15 @@
 // distance to the query exceeds the result queue's threshold τ, and only if
 // it does not, the (exact) distance itself. A DCO owns the data layout
 // required by its distance method (rotated vectors, quantization codes,
-// norms) and builds a per-query evaluator that answers exactly those
-// questions while counting the work it performed.
+// norms) and builds evaluators that answer exactly those questions while
+// counting the work they performed.
+//
+// There is one way to get an evaluator: DCO.NewEvaluator returns an
+// unprimed ResettableEvaluator with its scratch preallocated, and Reset
+// primes it for a query. Index walks consume the primed evaluator as a
+// QueryEvaluator. Production keeps evaluators in per-mode pools and Resets
+// one per search; tests build one per comparator and Reset it per query,
+// so both run the same path.
 //
 // Implementations in this repository: exact scan (this package),
 // ADSampling (internal/adsampling), and the paper's DDCres / DDCpca /
@@ -63,7 +70,7 @@ func (s *Stats) ScanRate(dim int) float64 {
 	return float64(s.DimsScanned) / float64(s.Comparisons*int64(dim))
 }
 
-// DCO builds per-query evaluators over a fixed dataset.
+// DCO builds query evaluators over a fixed dataset.
 type DCO interface {
 	// Name identifies the method (e.g. "exact", "adsampling", "ddc-res").
 	Name() string
@@ -71,14 +78,15 @@ type DCO interface {
 	Size() int
 	// Dim returns the data dimensionality.
 	Dim() int
-	// NewQuery prepares per-query state (query rotation, lookup tables,
-	// error-bound suffix tables) and returns an evaluator. The returned
-	// evaluator is NOT safe for concurrent use; create one per goroutine.
-	NewQuery(q []float32) (QueryEvaluator, error)
 	// ExtraBytes reports auxiliary memory beyond the raw float32 vectors:
 	// rotation matrices, stored norms, quantization codes (Exp-3's space
 	// accounting).
 	ExtraBytes() int64
+	// NewEvaluator returns an unprimed evaluator whose scratch (rotated
+	// query, lookup tables, error-bound suffix tables) is preallocated;
+	// callers must Reset it before use. An evaluator is NOT safe for
+	// concurrent use; keep one per goroutine.
+	NewEvaluator() ResettableEvaluator
 }
 
 // QueryEvaluator answers threshold comparisons and exact distances for one
@@ -124,14 +132,9 @@ type RotatingEvaluator interface {
 	ResetRotated(rq []float32) error
 }
 
-// PooledDCO is implemented by every DCO in this repository: NewEvaluator
-// returns an unprimed evaluator whose scratch is preallocated. Callers
-// (evaluator pools, batch searches) must Reset it before use. NewQuery is
-// equivalent to NewEvaluator followed by Reset.
-type PooledDCO interface {
-	DCO
-	NewEvaluator() ResettableEvaluator
-}
+// PooledDCO is the name DCO had while NewEvaluator was an optional
+// capability; the benchmark gate (benchmark/) is its only user.
+type PooledDCO = DCO
 
 // Exact is the baseline DCO computing every distance in full. It owns the
 // original vectors in a flat row-major matrix; other DCOs that need
@@ -164,16 +167,7 @@ func (e *Exact) ExtraBytes() int64 { return 0 }
 // builders can compute construction-time distances without an evaluator.
 func (e *Exact) Data() *store.Matrix { return e.data }
 
-// NewQuery implements DCO.
-func (e *Exact) NewQuery(q []float32) (QueryEvaluator, error) {
-	ev := e.NewEvaluator()
-	if err := ev.Reset(q); err != nil {
-		return nil, err
-	}
-	return ev, nil
-}
-
-// NewEvaluator implements PooledDCO.
+// NewEvaluator implements DCO.
 func (e *Exact) NewEvaluator() ResettableEvaluator {
 	return &exactEvaluator{parent: e, flat: e.data.Flat(), dim: e.data.Dim()}
 }

@@ -43,8 +43,8 @@ func TestExactDistanceMatchesL2(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := toy(r, 1, 8)[0]
-	ev, err := dco.NewQuery(q)
-	if err != nil {
+	ev := dco.NewEvaluator()
+	if err := ev.Reset(q); err != nil {
 		t.Fatal(err)
 	}
 	for id := range data {
@@ -58,7 +58,10 @@ func TestExactCompareNeverPrunes(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	data := toy(r, 20, 4)
 	dco, _ := NewExact(store.MustFromRows(data))
-	ev, _ := dco.NewQuery(data[0])
+	ev := dco.NewEvaluator()
+	if err := ev.Reset(data[0]); err != nil {
+		t.Fatal(err)
+	}
 	for id := range data {
 		d, pruned := ev.Compare(id, 0.001)
 		if pruned {
@@ -79,7 +82,7 @@ func TestExactCompareNeverPrunes(t *testing.T) {
 
 func TestExactQueryDimMismatch(t *testing.T) {
 	dco, _ := NewExact(store.MustFromRows([][]float32{{1, 2}}))
-	if _, err := dco.NewQuery([]float32{1}); err == nil {
+	if err := dco.NewEvaluator().Reset([]float32{1}); err == nil {
 		t.Fatal("expected dimension error")
 	}
 }

@@ -2,9 +2,11 @@ package dataset
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -308,16 +310,14 @@ func TestIvecsRoundTrip(t *testing.T) {
 	if err := WriteIvecs(&buf, rows); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadIvecs(&buf)
-	if err != nil {
+	// ivecs: per row a little-endian int32 length, then that many int32s.
+	want := []int32{3, 1, 2, 3, 3, -1, 0, 7}
+	got := make([]int32, len(want))
+	if err := binary.Read(&buf, binary.LittleEndian, got); err != nil {
 		t.Fatal(err)
 	}
-	for i := range rows {
-		for j := range rows[i] {
-			if got[i][j] != rows[i][j] {
-				t.Fatalf("ivecs mismatch at %d,%d", i, j)
-			}
-		}
+	if !slices.Equal(got, want) || buf.Len() != 0 {
+		t.Fatalf("ivecs stream decodes to %v (+%d bytes), want %v", got, buf.Len(), want)
 	}
 }
 

@@ -86,33 +86,6 @@ func WriteIvecs(w io.Writer, rows [][]int) error {
 	return bw.Flush()
 }
 
-// ReadIvecs reads all ivecs rows from r.
-func ReadIvecs(r io.Reader) ([][]int, error) {
-	br := bufio.NewReader(r)
-	var rows [][]int
-	var buf [4]byte
-	for {
-		if _, err := io.ReadFull(br, buf[:]); err != nil {
-			if errors.Is(err, io.EOF) {
-				return rows, nil
-			}
-			return nil, err
-		}
-		d := int(int32(binary.LittleEndian.Uint32(buf[:])))
-		if d < 0 || d > 1<<20 {
-			return nil, fmt.Errorf("dataset: implausible ivecs dimension %d", d)
-		}
-		row := make([]int, d)
-		for i := range row {
-			if _, err := io.ReadFull(br, buf[:]); err != nil {
-				return nil, fmt.Errorf("dataset: truncated ivecs row: %w", err)
-			}
-			row[i] = int(int32(binary.LittleEndian.Uint32(buf[:])))
-		}
-		rows = append(rows, row)
-	}
-}
-
 // SaveFvecsFile writes rows to path.
 func SaveFvecsFile(path string, rows [][]float32) error {
 	f, err := os.Create(path)

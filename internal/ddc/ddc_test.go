@@ -28,6 +28,16 @@ func getDS(t testing.TB) *dataset.Dataset {
 	return testDS
 }
 
+// primed Resets ev to q. Tests build one evaluator per comparator and
+// re-prime it per query, the way Index.walk does in production.
+func primed(t testing.TB, ev core.ResettableEvaluator, q []float32) core.ResettableEvaluator {
+	t.Helper()
+	if err := ev.Reset(q); err != nil {
+		t.Fatal(err)
+	}
+	return ev
+}
+
 func TestNewResErrors(t *testing.T) {
 	if _, err := NewRes(nil, ResConfig{}); err == nil {
 		t.Fatal("expected empty error")
@@ -41,10 +51,7 @@ func TestResDistanceExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := ds.Queries[0]
-	ev, err := r.NewQuery(q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ev := primed(t, r.NewEvaluator(), q)
 	for id := 0; id < 50; id++ {
 		got := float64(ev.Distance(id))
 		want := vec.L2Sq64(q, ds.Data[id])
@@ -58,7 +65,7 @@ func TestResCompareFallthroughIsExact(t *testing.T) {
 	ds := getDS(t)
 	r, _ := NewRes(ds.Matrix(), ResConfig{Seed: 1, InitD: 8, DeltaD: 8})
 	q := ds.Queries[1]
-	ev, _ := r.NewQuery(q)
+	ev := primed(t, r.NewEvaluator(), q)
 	for id := 0; id < 100; id++ {
 		want := vec.L2Sq64(q, ds.Data[id])
 		// Huge tau: never prunes, always exact.
@@ -75,7 +82,7 @@ func TestResCompareFallthroughIsExact(t *testing.T) {
 func TestResCompareInfTau(t *testing.T) {
 	ds := getDS(t)
 	r, _ := NewRes(ds.Matrix(), ResConfig{Seed: 1})
-	ev, _ := r.NewQuery(ds.Queries[0])
+	ev := primed(t, r.NewEvaluator(), ds.Queries[0])
 	_, pruned := ev.Compare(3, float32(math.Inf(1)))
 	if pruned {
 		t.Fatal("must not prune against +Inf")
@@ -88,8 +95,9 @@ func TestResCompareSoundness(t *testing.T) {
 	r, _ := NewRes(ds.Matrix(), ResConfig{Seed: 1, Multiplier: 3})
 	falsePrunes, prunes := 0, 0
 	rng := rand.New(rand.NewSource(4))
+	ev := r.NewEvaluator()
 	for _, q := range ds.Queries {
-		ev, _ := r.NewQuery(q)
+		primed(t, ev, q)
 		for trial := 0; trial < 200; trial++ {
 			id := rng.Intn(len(ds.Data))
 			exact := vec.L2Sq(q, ds.Data[id])
@@ -117,7 +125,7 @@ func TestResScansFewDimensions(t *testing.T) {
 	ds := getDS(t)
 	r, _ := NewRes(ds.Matrix(), ResConfig{Seed: 1, InitD: 8, DeltaD: 8})
 	q := ds.Queries[2]
-	ev, _ := r.NewQuery(q)
+	ev := primed(t, r.NewEvaluator(), q)
 	// Tau near the 10-NN distance: most points should prune early.
 	dists := make([]float32, len(ds.Data))
 	for id := range ds.Data {
@@ -148,12 +156,9 @@ func TestResSigmaTable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		rev := r.NewEvaluator().(*resEvaluator)
 		for _, q := range ds.Queries[:5] {
-			ev, err := r.NewQuery(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rev := ev.(*resEvaluator)
+			primed(t, rev, q)
 			full := vec.SuffixWeightedSq(rev.q, r.model.Sigmas)
 			k := 0
 			for d := c.initD; d < dim; d += c.deltaD {
@@ -181,7 +186,7 @@ func TestResAlgorithm1Mode(t *testing.T) {
 	ds := getDS(t)
 	r, _ := NewRes(ds.Matrix(), ResConfig{Seed: 1, InitD: 16, DeltaD: 9999})
 	q := ds.Queries[3]
-	ev, _ := r.NewQuery(q)
+	ev := primed(t, r.NewEvaluator(), q)
 	_, pruned := ev.Compare(0, 1e-6)
 	if !pruned {
 		t.Fatal("tiny tau must prune at the first test")
@@ -196,27 +201,16 @@ func TestResEstimationError(t *testing.T) {
 	ds := getDS(t)
 	r, _ := NewRes(ds.Matrix(), ResConfig{Seed: 1})
 	q := ds.Queries[0]
-	// At depth 0 the "error" is -2<q_rot, x_rot> over all dims; at full
-	// depth it is 0.
-	e, err := r.EstimationError(q, 5, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e != 0 {
-		t.Fatalf("full-depth estimation error = %v, want 0", e)
-	}
-	if _, err := r.EstimationError(q, 5, 65); err == nil {
-		t.Fatal("expected depth error")
-	}
-	// Error at depth d must satisfy dis = dis'_d + eps identity:
-	// dis' = C1 - C2 = |x|^2+|q|^2-2<q_d,x_d>; eps = -2<q_r,x_r>;
-	// dis = dis' + eps.
-	rev, _ := r.NewQuery(q)
+	// The estimation error dis − dis'_d of Eq. 2 is eps = −2⟨q_r, x_r⟩ over
+	// the residual dimensions of the rotated query and row (0 at full
+	// depth). It must satisfy the decomposition the comparator prunes on:
+	// dis' = C1 − C2 = |x|²+|q|²−2⟨q_d,x_d⟩ and dis = dis' + eps.
+	rev := primed(t, r.NewEvaluator(), q)
 	exact := float64(rev.Distance(5))
 	rq, _ := r.Model().Project(q)
 	x := r.Rotated().Row(5)
-	for _, d := range []int{8, 16, 32} {
-		eps, _ := r.EstimationError(q, 5, d)
+	for _, d := range []int{8, 16, 32, 64} {
+		eps := -2 * vec.Dot64(rq[d:], x[d:])
 		disApprox := float64(vec.NormSq(x)) + float64(vec.NormSq(rq)) -
 			2*vec.Dot64(rq[:d], x[:d])
 		if math.Abs(disApprox+eps-exact) > 1e-2*(1+exact) {
@@ -300,14 +294,11 @@ func TestPCADCOBasics(t *testing.T) {
 	if p.Name() != "ddc-pca" || p.Size() != len(ds.Data) || p.Dim() != 64 {
 		t.Fatal("metadata")
 	}
-	if len(p.Levels()) == 0 || len(p.Classifiers()) != len(p.Levels()) {
+	if len(p.Levels()) == 0 || len(p.classifiers) != len(p.Levels()) {
 		t.Fatal("levels/classifiers mismatch")
 	}
 	q := ds.Queries[0]
-	ev, err := p.NewQuery(q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ev := primed(t, p.NewEvaluator(), q)
 	// Exactness of the fallthrough.
 	for id := 0; id < 30; id++ {
 		want := vec.L2Sq64(q, ds.Data[id])
@@ -334,8 +325,9 @@ func TestPCADCOFalsePruneRate(t *testing.T) {
 		t.Fatal(err)
 	}
 	falsePrunes, keepers := 0, 0
+	ev := p.NewEvaluator()
 	for _, q := range ds.Queries {
-		ev, _ := p.NewQuery(q)
+		primed(t, ev, q)
 		// Ground truth top-20: these must essentially never prune at
 		// tau = the 20-NN distance.
 		dists := make([]float32, len(ds.Data))
@@ -385,10 +377,7 @@ func TestOPQDCOBasics(t *testing.T) {
 		t.Fatal("metadata")
 	}
 	q := ds.Queries[0]
-	ev, err := o.NewQuery(q)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ev := primed(t, o.NewEvaluator(), q)
 	for id := 0; id < 30; id++ {
 		want := vec.L2Sq(q, ds.Data[id])
 		got, pruned := ev.Compare(id, 1e30)
@@ -399,7 +388,7 @@ func TestOPQDCOBasics(t *testing.T) {
 			t.Fatalf("opq fallthrough %v want %v (must be exact)", got, want)
 		}
 	}
-	if _, err := o.NewQuery(make([]float32, 3)); err == nil {
+	if err := o.NewEvaluator().Reset(make([]float32, 3)); err == nil {
 		t.Fatal("expected dim mismatch error")
 	}
 }
@@ -414,7 +403,7 @@ func TestOPQDCOPrunesAggressively(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := ds.Queries[1]
-	ev, _ := o.NewQuery(q)
+	ev := primed(t, o.NewEvaluator(), q)
 	dists := make([]float32, len(ds.Data))
 	for id := range ds.Data {
 		dists[id] = vec.L2Sq(q, ds.Data[id])
@@ -430,7 +419,7 @@ func TestOPQDCOPrunesAggressively(t *testing.T) {
 	// And the paper's key safety property: among pruned points, almost
 	// none are true neighbors.
 	falsePrunes := 0
-	ev2, _ := o.NewQuery(q)
+	ev2 := primed(t, o.NewEvaluator(), q)
 	for id := range ds.Data {
 		if _, pruned := ev2.Compare(id, tau); pruned && dists[id] <= tau {
 			falsePrunes++
@@ -478,7 +467,3 @@ func quantile32(xs []float32, q float64) float32 {
 var _ core.DCO = (*Res)(nil)
 var _ core.DCO = (*PCADCO)(nil)
 var _ core.DCO = (*OPQDCO)(nil)
-
-var _ core.PooledDCO = (*Res)(nil)
-var _ core.PooledDCO = (*PCADCO)(nil)
-var _ core.PooledDCO = (*OPQDCO)(nil)

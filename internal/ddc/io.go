@@ -2,7 +2,6 @@ package ddc
 
 import (
 	"errors"
-	"io"
 
 	"resinfer/internal/learn"
 	"resinfer/internal/pca"
@@ -61,18 +60,6 @@ func DecodeRes(pr *persist.Reader) (*Res, error) {
 	return r, nil
 }
 
-// WriteTo serializes the comparator to w as a standalone stream.
-func (r *Res) WriteTo(w io.Writer) (int64, error) {
-	pw := persist.NewWriter(w)
-	r.Encode(pw)
-	return 0, pw.Flush()
-}
-
-// ReadRes deserializes a standalone DDCres comparator.
-func ReadRes(rd io.Reader) (*Res, error) {
-	return DecodeRes(persist.NewReader(rd))
-}
-
 // Encode writes the DDCpca comparator onto an existing persist stream.
 func (p *PCADCO) Encode(pw *persist.Writer) {
 	pw.Magic(pcaDCOMagic)
@@ -115,6 +102,9 @@ func DecodePCA(pr *persist.Reader) (*PCADCO, error) {
 		if err != nil {
 			return nil, err
 		}
+		if len(c.W) != 2 { // Compare scores (partial distance, tau)
+			return nil, errors.New("ddc: corrupt classifier width")
+		}
 		p.classifiers[i] = c
 	}
 	if rotated.Dim() != p.dim {
@@ -126,18 +116,6 @@ func DecodePCA(pr *persist.Reader) (*PCADCO, error) {
 		}
 	}
 	return p, nil
-}
-
-// WriteTo serializes the comparator to w as a standalone stream.
-func (p *PCADCO) WriteTo(w io.Writer) (int64, error) {
-	pw := persist.NewWriter(w)
-	p.Encode(pw)
-	return 0, pw.Flush()
-}
-
-// ReadPCA deserializes a standalone DDCpca comparator.
-func ReadPCA(rd io.Reader) (*PCADCO, error) {
-	return DecodePCA(persist.NewReader(rd))
 }
 
 // Encode writes the DDCopq comparator onto an existing persist stream.
@@ -180,21 +158,21 @@ func DecodeOPQ(pr *persist.Reader, data *store.Matrix) (*OPQDCO, error) {
 	if err := pr.Err(); err != nil {
 		return nil, err
 	}
-	if o.dim != data.Dim() || len(o.codes) != data.Rows()*opq.PQ.M ||
+	if o.dim != data.Dim() || opq.PQ.Dim != o.dim || len(o.codes) != data.Rows()*opq.PQ.M ||
 		len(o.resNorms) != data.Rows() {
 		return nil, errors.New("ddc: encoded OPQDCO does not match the data")
 	}
+	features := 2 // Compare scores (approximate distance, tau[, residual norm])
+	if o.useResidual {
+		features = 3
+	}
+	if len(clf.W) != features {
+		return nil, errors.New("ddc: corrupt classifier width")
+	}
+	for _, c := range o.codes { // a code indexes a K-entry lookup table row
+		if int(c) >= opq.PQ.K {
+			return nil, errors.New("ddc: corrupt PQ code")
+		}
+	}
 	return o, nil
-}
-
-// WriteTo serializes the comparator to w as a standalone stream.
-func (o *OPQDCO) WriteTo(w io.Writer) (int64, error) {
-	pw := persist.NewWriter(w)
-	o.Encode(pw)
-	return 0, pw.Flush()
-}
-
-// ReadOPQ deserializes a standalone DDCopq comparator.
-func ReadOPQ(rd io.Reader, data *store.Matrix) (*OPQDCO, error) {
-	return DecodeOPQ(persist.NewReader(rd), data)
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"resinfer/internal/core"
 	"resinfer/internal/flat"
 	"resinfer/internal/matrix"
 	"resinfer/internal/pca"
@@ -13,17 +14,28 @@ import (
 	"resinfer/internal/vec"
 )
 
+// encodeBytes and reader run the codecs the way the index containers do:
+// Encode and Decode* on a persist stream.
+func encodeBytes(t testing.TB, c interface{ Encode(*persist.Writer) }) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	pw := persist.NewWriter(&buf)
+	c.Encode(pw)
+	if err := pw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func reader(b []byte) *persist.Reader { return persist.NewReader(bytes.NewReader(b)) }
+
 func TestResRoundTrip(t *testing.T) {
 	ds := getDS(t)
 	orig, err := NewRes(ds.Matrix(), ResConfig{Seed: 41, InitD: 8, DeltaD: 16, Multiplier: 2.5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := orig.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := ReadRes(&buf)
+	loaded, err := DecodeRes(reader(encodeBytes(t, orig)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,8 +47,8 @@ func TestResRoundTrip(t *testing.T) {
 	}
 	// Identical Compare behavior on a few probes.
 	q := ds.Queries[0]
-	evA, _ := orig.NewQuery(q)
-	evB, _ := loaded.NewQuery(q)
+	evA := primed(t, orig.NewEvaluator(), q)
+	evB := primed(t, loaded.NewEvaluator(), q)
 	for id := 0; id < 50; id++ {
 		tau := float32(1.0)
 		da, pa := evA.Compare(id, tau)
@@ -50,16 +62,12 @@ func TestResRoundTrip(t *testing.T) {
 func TestResRoundTripCorruption(t *testing.T) {
 	ds := getDS(t)
 	orig, _ := NewRes(store.MustFromRows(ds.Data[:200]), ResConfig{Seed: 43})
-	var buf bytes.Buffer
-	if _, err := orig.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	b := buf.Bytes()
-	if _, err := ReadRes(bytes.NewReader(b[:len(b)/3])); err == nil {
+	b := encodeBytes(t, orig)
+	if _, err := DecodeRes(reader(b[:len(b)/3])); err == nil {
 		t.Fatal("expected truncation error")
 	}
 	bad := append([]byte("YYYYYY"), b[6:]...)
-	if _, err := ReadRes(bytes.NewReader(bad)); err == nil {
+	if _, err := DecodeRes(reader(bad)); err == nil {
 		t.Fatal("expected magic error")
 	}
 }
@@ -72,11 +80,7 @@ func TestPCADCORoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := orig.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := ReadPCA(&buf)
+	loaded, err := DecodePCA(reader(encodeBytes(t, orig)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,14 +88,21 @@ func TestPCADCORoundTrip(t *testing.T) {
 		t.Fatal("levels lost")
 	}
 	q := ds.Queries[1]
-	evA, _ := orig.NewQuery(q)
-	evB, _ := loaded.NewQuery(q)
+	evA := primed(t, orig.NewEvaluator(), q)
+	evB := primed(t, loaded.NewEvaluator(), q)
 	for id := 0; id < 50; id++ {
 		da, pa := evA.Compare(id, 2.0)
 		db, pb := evB.Compare(id, 2.0)
 		if da != db || pa != pb {
 			t.Fatalf("PCADCO Compare(%d) differs after round trip", id)
 		}
+	}
+	// Compare scores two features per level; a classifier of another width
+	// would index past its weights in the first search.
+	c := orig.classifiers[0]
+	c.W, c.Mean, c.Std = append(c.W, 0), append(c.Mean, 0), append(c.Std, 1)
+	if _, err := DecodePCA(reader(encodeBytes(t, orig))); err == nil {
+		t.Fatal("expected classifier-width error")
 	}
 }
 
@@ -104,17 +115,14 @@ func TestOPQDCORoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := orig.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := ReadOPQ(&buf, ds.Matrix())
+	enc := encodeBytes(t, orig)
+	loaded, err := DecodeOPQ(reader(enc), ds.Matrix())
 	if err != nil {
 		t.Fatal(err)
 	}
 	q := ds.Queries[2]
-	evA, _ := orig.NewQuery(q)
-	evB, _ := loaded.NewQuery(q)
+	evA := primed(t, orig.NewEvaluator(), q)
+	evB := primed(t, loaded.NewEvaluator(), q)
 	for id := 0; id < 50; id++ {
 		da, pa := evA.Compare(id, 2.0)
 		db, pb := evB.Compare(id, 2.0)
@@ -123,26 +131,30 @@ func TestOPQDCORoundTrip(t *testing.T) {
 		}
 	}
 	// Wrong data binding must be rejected.
-	var buf2 bytes.Buffer
-	if _, err := orig.WriteTo(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadOPQ(&buf2, store.MustFromRows(ds.Data[:10])); err == nil {
+	if _, err := DecodeOPQ(reader(enc), store.MustFromRows(ds.Data[:10])); err == nil {
 		t.Fatal("expected data-mismatch error")
 	}
-	if _, err := ReadOPQ(bytes.NewReader(nil), nil); err == nil {
+	if _, err := DecodeOPQ(reader(nil), nil); err == nil {
 		t.Fatal("expected missing-data error")
+	}
+	// A code indexes a K-entry row of the lookup table (K = 16 here), and
+	// Compare scores three features: both are checked at decode.
+	orig.codes[0] = 200
+	if _, err := DecodeOPQ(reader(encodeBytes(t, orig)), ds.Matrix()); err == nil {
+		t.Fatal("expected PQ-code error")
+	}
+	orig.codes[0] = 0
+	c := orig.clf
+	c.W, c.Mean, c.Std = c.W[:2], c.Mean[:2], c.Std[:2]
+	if _, err := DecodeOPQ(reader(encodeBytes(t, orig)), ds.Matrix()); err == nil {
+		t.Fatal("expected classifier-width error")
 	}
 }
 
 func TestResRoundTripPreservesExactDistances(t *testing.T) {
 	ds := getDS(t)
 	orig, _ := NewRes(store.MustFromRows(ds.Data[:300]), ResConfig{Seed: 49})
-	var buf bytes.Buffer
-	if _, err := orig.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := ReadRes(&buf)
+	loaded, err := DecodeRes(reader(encodeBytes(t, orig)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,28 +241,23 @@ func TestResDecodesFloat64RotationStream(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	first, err := ReadRes(bytes.NewReader(legacy.Bytes()))
+	first, err := DecodeRes(reader(legacy.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !vec.Equal(first.model.Rotation.Flat(), model.Rotation.Flat()) {
 		t.Fatal("decoded rotation is not the float64 rotation rounded to nearest float32")
 	}
-	var b2, b3 bytes.Buffer
-	if _, err := first.WriteTo(&b2); err != nil {
-		t.Fatal(err)
-	}
-	second, err := ReadRes(bytes.NewReader(b2.Bytes()))
+	b2 := encodeBytes(t, first)
+	second, err := DecodeRes(reader(b2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := second.WriteTo(&b3); err != nil {
-		t.Fatal(err)
+	b3 := encodeBytes(t, second)
+	if len(b2) != legacy.Len() {
+		t.Fatalf("re-encoded stream is %d bytes, the float64 stream %d: the wire format changed", len(b2), legacy.Len())
 	}
-	if b2.Len() != legacy.Len() {
-		t.Fatalf("re-encoded stream is %d bytes, the float64 stream %d: the wire format changed", b2.Len(), legacy.Len())
-	}
-	if !bytes.Equal(b2.Bytes(), b3.Bytes()) {
+	if !bytes.Equal(b2, b3) {
 		t.Fatal("second round trip is not bit-stable")
 	}
 
@@ -258,13 +265,16 @@ func TestResDecodesFloat64RotationStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// One evaluator per comparator, Reset per query, as Index.walk does.
+	preEv := pre.NewEvaluator()
+	evs := map[string]core.ResettableEvaluator{"first": first.NewEvaluator(), "second": second.NewEvaluator()}
 	for qi, q := range ds.Queries {
-		want, _, err := idx.Search(pre, q, 10)
+		want, err := idx.SearchEval(primed(t, preEv, q), 10, len(rows), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for name, r := range map[string]*Res{"first": first, "second": second} {
-			got, _, err := idx.Search(r, q, 10)
+		for name, ev := range evs {
+			got, err := idx.SearchEval(primed(t, ev, q), 10, len(rows), nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -178,22 +178,10 @@ func (o *OPQDCO) ExtraBytes() int64 {
 		int64(len(o.resNorms))*4
 }
 
-// Quantizer exposes the trained OPQ for diagnostics.
-func (o *OPQDCO) Quantizer() *quant.OPQ { return o.opq }
-
-// NewQuery implements core.DCO: build the per-query asymmetric-distance
-// lookup table (O(D·2^nbits)), after which each approximate distance costs
-// M table lookups.
-func (o *OPQDCO) NewQuery(q []float32) (core.QueryEvaluator, error) {
-	ev := o.NewEvaluator()
-	if err := ev.Reset(q); err != nil {
-		return nil, err
-	}
-	return ev, nil
-}
-
-// NewEvaluator implements core.PooledDCO: the returned evaluator owns the
-// lookup table and the rotation scratch.
+// NewEvaluator implements core.DCO: the returned evaluator owns the
+// asymmetric-distance lookup table and the rotation scratch. Its Reset
+// rebuilds the table (O(D·2^nbits)), after which each approximate distance
+// costs M table lookups.
 func (o *OPQDCO) NewEvaluator() core.ResettableEvaluator {
 	return &opqEvaluator{
 		parent: o,

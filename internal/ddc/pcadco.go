@@ -121,9 +121,6 @@ func (p *PCADCO) Model() *pca.Model { return p.model }
 // Levels exposes the trained projection depths.
 func (p *PCADCO) Levels() []int { return p.levels }
 
-// Classifiers exposes the per-level models (for retraining experiments).
-func (p *PCADCO) Classifiers() []*learn.Classifier { return p.classifiers }
-
 // Retrain refits the per-level classifiers on new training queries without
 // touching the PCA model or rotated data — the OOD mitigation of §V-C
 // (retraining with ~100 OOD queries).
@@ -180,16 +177,7 @@ func (p *PCADCO) Retrain(trainQueries [][]float32, cfg PCAConfig) error {
 	return nil
 }
 
-// NewQuery implements core.DCO.
-func (p *PCADCO) NewQuery(q []float32) (core.QueryEvaluator, error) {
-	ev := p.NewEvaluator()
-	if err := ev.Reset(q); err != nil {
-		return nil, err
-	}
-	return ev, nil
-}
-
-// NewEvaluator implements core.PooledDCO: the returned evaluator owns the
+// NewEvaluator implements core.DCO: the returned evaluator owns the
 // rotated-query buffer and the centering scratch.
 func (p *PCADCO) NewEvaluator() core.ResettableEvaluator {
 	return &pcaEvaluator{

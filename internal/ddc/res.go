@@ -9,8 +9,8 @@
 //   - DDCopq (§V-B): OPQ asymmetric distance corrected by a learned
 //     linear classifier with the quantization-residual feature.
 //
-// All three implement core.DCO (and core.PooledDCO: their evaluators carry
-// reusable scratch) and plug into the HNSW and IVF indexes. Vector payloads
+// All three implement core.DCO (their evaluators carry reusable scratch)
+// and plug into the HNSW, IVF and flat indexes. Vector payloads
 // live in flat row-major store.Matrix buffers.
 package ddc
 
@@ -30,7 +30,7 @@ type ResConfig struct {
 	// Multiplier is the error-bound multiplier m of §IV-C; the corrected
 	// distance is dis' − m·σ. Default 3 (the 99.7% Gaussian empirical
 	// rule highlighted in Fig. 2). Convert coverage probabilities with
-	// stats.MultiplierForCoverage / stats.OneSidedMultiplier.
+	// stats.NormalQuantile.
 	Multiplier float64
 	// InitD is the first projection depth tested; default 32.
 	InitD int
@@ -156,17 +156,6 @@ func (r *Res) Rotated() *store.Matrix { return r.rotated }
 // convention) — the C1 ingredient of the distance decomposition.
 func (r *Res) Norms() []float32 { return r.norms }
 
-// NewQuery implements core.DCO. Per query it rotates q (O(D²)) and builds
-// the σ table: sqrt(4·Σ_{i≥d} q_i²σ_i²) at every depth d a correction round
-// stops at, so each round reads its error bound in O(1).
-func (r *Res) NewQuery(q []float32) (core.QueryEvaluator, error) {
-	ev := r.NewEvaluator()
-	if err := ev.Reset(q); err != nil {
-		return nil, err
-	}
-	return ev, nil
-}
-
 // rounds returns how many projection depths initD + k·deltaD lie below
 // dim: the correction rounds of Algorithm 2 that end in a prune test
 // rather than in the exact distance.
@@ -174,8 +163,11 @@ func (r *Res) rounds() int {
 	return (r.dim - r.initD + r.deltaD - 1) / r.deltaD
 }
 
-// NewEvaluator implements core.PooledDCO: the returned evaluator owns the
-// rotated-query buffer, the centering scratch and the σ table.
+// NewEvaluator implements core.DCO: the returned evaluator owns the
+// rotated-query buffer, the centering scratch and the σ table. Its Reset
+// rotates q (O(D²)) and fills the σ table: sqrt(4·Σ_{i≥d} q_i²σ_i²) at every
+// depth d a correction round stops at, so each round reads its error bound
+// in O(1).
 func (r *Res) NewEvaluator() core.ResettableEvaluator {
 	return &resEvaluator{
 		parent: r,
@@ -288,18 +280,3 @@ func (ev *resEvaluator) Compare(id int, tau float32) (float32, bool) {
 }
 
 func (ev *resEvaluator) Stats() *core.Stats { return &ev.stats }
-
-// EstimationError returns dis' − dis = −2⟨q_r, x_r⟩ for point id at
-// projection depth d — the random variable of Eq. 2 whose distribution
-// Figs. 1–2 plot. Exposed for the figure-reproduction experiments.
-func (r *Res) EstimationError(q []float32, id, d int) (float64, error) {
-	rq, err := r.model.Project(q)
-	if err != nil {
-		return 0, err
-	}
-	if d < 0 || d > r.dim {
-		return 0, errors.New("ddc: depth out of range")
-	}
-	x := r.rotated.Row(id)
-	return -2 * vec.Dot64(rq[d:], x[d:]), nil
-}

@@ -95,8 +95,12 @@ func TestSearchRecallCloseToExactHNSW(t *testing.T) {
 	base := make([][]int, len(ds.Queries))
 	fing := make([][]int, len(ds.Queries))
 	var agg core.Stats
+	ev := exact.NewEvaluator() // one evaluator, Reset per query, as Index.walk does
 	for qi, q := range ds.Queries {
-		items, _, err := idx.Search(exact, q, 10, 50)
+		if err := ev.Reset(q); err != nil {
+			t.Fatal(err)
+		}
+		items, err := idx.SearchEval(ev, 10, 50, exact.Size(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -47,31 +47,12 @@ func New(size, dim int) (*Index, error) {
 // Result is a search hit.
 type Result = heap.Item
 
-// Search scans every point through dco, maintaining a k-bounded result
-// queue whose threshold drives pruning. The budget parameter of the other
-// indexes has no meaning here and is ignored.
-func (idx *Index) Search(dco core.DCO, q []float32, k int) ([]Result, core.Stats, error) {
-	if dco.Size() != idx.size {
-		return nil, core.Stats{}, fmt.Errorf("flat: DCO over %d points, index over %d", dco.Size(), idx.size)
-	}
-	if k <= 0 {
-		return nil, core.Stats{}, errors.New("flat: k must be positive")
-	}
-	ev, err := dco.NewQuery(q)
-	if err != nil {
-		return nil, core.Stats{}, err
-	}
-	out, err := idx.SearchEval(ev, k, dco.Size(), nil)
-	if err != nil {
-		return nil, core.Stats{}, err
-	}
-	return out, *ev.Stats(), nil
-}
-
-// SearchEval is the evaluator-driven search path: the caller owns ev
-// (typically pooled and already Reset for this query) and receives the
-// hits appended to dst in ascending distance order. size must be the
-// evaluator's point count; work counters accumulate in ev.Stats().
+// SearchEval scans every point through ev, maintaining a k-bounded result
+// queue whose threshold drives pruning: the caller owns ev (typically
+// pooled and already Reset for this query) and receives the hits appended
+// to dst in ascending distance order. The budget parameter of the other
+// indexes has no meaning here. size must be the evaluator's point count;
+// work counters accumulate in ev.Stats().
 func (idx *Index) SearchEval(ev core.QueryEvaluator, k, size int, dst []Result) ([]Result, error) {
 	if size != idx.size {
 		return nil, fmt.Errorf("flat: DCO over %d points, index over %d", size, idx.size)

@@ -10,6 +10,28 @@ import (
 	"resinfer/internal/store"
 )
 
+// evalSearch runs queries the way Index.walk does in production: one
+// evaluator per comparator, Reset per query, then SearchEval — the index's
+// only search entry point.
+type evalSearch struct {
+	idx  *Index
+	size int
+	ev   core.ResettableEvaluator
+}
+
+func newEvalSearch(idx *Index, dco core.DCO) *evalSearch {
+	return &evalSearch{idx: idx, size: dco.Size(), ev: dco.NewEvaluator()}
+}
+
+// search returns the hits and the work counters of one query.
+func (s *evalSearch) search(q []float32, k int) ([]Result, core.Stats, error) {
+	if err := s.ev.Reset(q); err != nil {
+		return nil, core.Stats{}, err
+	}
+	out, err := s.idx.SearchEval(s.ev, k, s.size, nil)
+	return out, *s.ev.Stats(), err
+}
+
 func TestBuildErrors(t *testing.T) {
 	if _, err := Build(nil); err == nil {
 		t.Fatal("expected empty error")
@@ -35,8 +57,9 @@ func TestFlatExactEqualsBruteForce(t *testing.T) {
 		t.Fatal(err)
 	}
 	dco, _ := core.NewExact(ds.Matrix())
+	s := newEvalSearch(idx, dco)
 	for qi, q := range ds.Queries {
-		items, _, err := idx.Search(dco, q, 10)
+		items, _, err := s.search(q, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,8 +89,9 @@ func TestFlatWithDDCresNearExact(t *testing.T) {
 	}
 	results := make([][]int, len(ds.Queries))
 	var prunedTotal, compTotal int64
+	s := newEvalSearch(idx, dco)
 	for qi, q := range ds.Queries {
-		items, st, err := idx.Search(dco, q, 10)
+		items, st, err := s.search(q, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,11 +114,11 @@ func TestFlatErrors(t *testing.T) {
 	data := store.MustFromRows([][]float32{{1, 2}, {3, 4}})
 	idx, _ := Build(data)
 	dco, _ := core.NewExact(data)
-	if _, _, err := idx.Search(dco, []float32{1, 2}, 0); err == nil {
+	if _, _, err := newEvalSearch(idx, dco).search([]float32{1, 2}, 0); err == nil {
 		t.Fatal("expected k error")
 	}
 	other, _ := core.NewExact(store.MustFromRows([][]float32{{1, 2}}))
-	if _, _, err := idx.Search(other, []float32{1, 2}, 1); err == nil {
+	if _, _, err := newEvalSearch(idx, other).search([]float32{1, 2}, 1); err == nil {
 		t.Fatal("expected size mismatch error")
 	}
 	if idx.Len() != 2 || idx.Dim() != 2 {
@@ -111,7 +135,7 @@ func TestFlatKLargerThanN(t *testing.T) {
 	mat := store.MustFromRows(data)
 	idx, _ := Build(mat)
 	dco, _ := core.NewExact(mat)
-	items, _, err := idx.Search(dco, []float32{0}, 10)
+	items, _, err := newEvalSearch(idx, dco).search([]float32{0}, 10)
 	if err != nil {
 		t.Fatal(err)
 	}

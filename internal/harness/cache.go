@@ -92,23 +92,6 @@ func Get(name string) (*Artifacts, error) {
 	return a, nil
 }
 
-// GetCustom returns artifacts for an ad-hoc profile (tests and the CLI's
-// -n/-dim overrides), cached under the profile name.
-func GetCustom(prof dataset.Profile) *Artifacts {
-	cacheMu.Lock()
-	defer cacheMu.Unlock()
-	if a, ok := cache[prof.Name]; ok {
-		return a
-	}
-	a := &Artifacts{
-		Profile: prof,
-		gt:      map[int][][]int{},
-		timings: map[string]time.Duration{},
-	}
-	cache[prof.Name] = a
-	return a
-}
-
 // Reset drops all cached artifacts (used by tests).
 func Reset() {
 	cacheMu.Lock()
@@ -239,7 +222,7 @@ const (
 var AllModes = []string{ModeExact, ModeADS, ModeOPQ, ModePCA, ModeRes}
 
 // DCO returns (building if necessary) the comparator for the given mode.
-func (a *Artifacts) DCO(mode string) (core.PooledDCO, error) {
+func (a *Artifacts) DCO(mode string) (core.DCO, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if err := a.ensureDataset(); err != nil {

@@ -7,20 +7,32 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"resinfer/internal/core"
 	"resinfer/internal/dataset"
 	"resinfer/internal/heap"
 )
 
-// tinyProfile is a fast ad-hoc profile for harness unit tests.
-func tinyProfile(name string) dataset.Profile {
-	return dataset.Profile{
-		GenConfig: dataset.GenConfig{
+// tinyArtifacts returns the artifact set of a fast ad-hoc profile, cached
+// under name the way Get caches the registered profiles, so the tests that
+// ask for the same name share one build.
+func tinyArtifacts(name string) *Artifacts {
+	cacheMu.Lock()
+	defer cacheMu.Unlock()
+	if a, ok := cache[name]; ok {
+		return a
+	}
+	a := &Artifacts{
+		Profile: dataset.Profile{GenConfig: dataset.GenConfig{
 			Name: name, N: 1500, Dim: 64, Queries: 15, TrainQueries: 40,
 			VE32: 0.8, Seed: 5,
-		},
+		}},
+		gt:      map[int][][]int{},
+		timings: map[string]time.Duration{},
 	}
+	cache[name] = a
+	return a
 }
 
 func TestRegistryCompleteness(t *testing.T) {
@@ -69,7 +81,7 @@ func TestGetCachesInstance(t *testing.T) {
 }
 
 func TestArtifactsLifecycle(t *testing.T) {
-	a := GetCustom(tinyProfile("harness-tiny"))
+	a := tinyArtifacts("harness-tiny")
 	ds, err := a.Dataset()
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +129,7 @@ func TestArtifactsLifecycle(t *testing.T) {
 }
 
 func TestSweepsProduceMonotoneWork(t *testing.T) {
-	a := GetCustom(tinyProfile("harness-tiny"))
+	a := tinyArtifacts("harness-tiny")
 	ds, err := a.Dataset()
 	if err != nil {
 		t.Fatal(err)
@@ -169,11 +181,11 @@ func TestSweepsProduceMonotoneWork(t *testing.T) {
 
 // TestSweepMatchesFreshEvaluator pins that the pooled sweep — one evaluator
 // per curve, Reset per query — returns, at every swept point, the IDs in
-// the order and the work counters of idx.Search with a fresh evaluator per
-// query: the paper curves may differ from that reference in QPS, never in
-// recall, scan rate or pruned rate.
+// the order and the work counters of idx.SearchEval with a fresh evaluator
+// (NewEvaluator + Reset) per query: the paper curves may differ from that
+// reference in QPS, never in recall, scan rate or pruned rate.
 func TestSweepMatchesFreshEvaluator(t *testing.T) {
-	a := GetCustom(tinyProfile("harness-tiny"))
+	a := tinyArtifacts("harness-tiny")
 	ds, err := a.Dataset()
 	if err != nil {
 		t.Fatal(err)
@@ -191,8 +203,8 @@ func TestSweepMatchesFreshEvaluator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	check := func(label string, dco core.PooledDCO, params []int, walk walkFunc,
-		fresh func(q []float32, param int) ([]heap.Item, core.Stats, error)) {
+	check := func(label string, dco core.DCO, params []int, walk walkFunc,
+		fresh func(ev core.QueryEvaluator, q []float32, param int) ([]heap.Item, error)) {
 		t.Helper()
 		var got [][]heap.Item // one entry per (param, query), in sweep order
 		pts, err := sweep(dco, ds.Queries, gt, k, params,
@@ -208,11 +220,15 @@ func TestSweepMatchesFreshEvaluator(t *testing.T) {
 			var agg core.Stats
 			ids := make([][]int, len(ds.Queries))
 			for qi, q := range ds.Queries {
-				want, st, err := fresh(q, param)
+				ev := dco.NewEvaluator()
+				if err := ev.Reset(q); err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				want, err := fresh(ev, q, param)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
-				agg.Add(st)
+				agg.Add(*ev.Stats())
 				if !slices.Equal(got[pi*len(ds.Queries)+qi], want) {
 					t.Fatalf("%s param %d query %d: pooled hits %v, fresh evaluator %v",
 						label, param, qi, got[pi*len(ds.Queries)+qi], want)
@@ -235,9 +251,13 @@ func TestSweepMatchesFreshEvaluator(t *testing.T) {
 			t.Fatal(err)
 		}
 		check("hnsw-"+mode, dco, []int{10, 40, 160}, hnswWalk(hidx, k, dco.Size()),
-			func(q []float32, ef int) ([]heap.Item, core.Stats, error) { return hidx.Search(dco, q, k, ef) })
+			func(ev core.QueryEvaluator, _ []float32, ef int) ([]heap.Item, error) {
+				return hidx.SearchEval(ev, k, ef, dco.Size(), nil)
+			})
 		check("ivf-"+mode, dco, []int{1, 8, 32}, ivfWalk(iidx, k, dco.Size()),
-			func(q []float32, nprobe int) ([]heap.Item, core.Stats, error) { return iidx.Search(dco, q, k, nprobe) })
+			func(ev core.QueryEvaluator, q []float32, nprobe int) ([]heap.Item, error) {
+				return iidx.SearchEval(ev, q, k, nprobe, dco.Size(), nil)
+			})
 	}
 }
 
@@ -287,7 +307,7 @@ func TestQPSAtRecall(t *testing.T) {
 func TestConcurrentArtifactAccess(t *testing.T) {
 	Reset()
 	defer Reset()
-	a := GetCustom(tinyProfile("harness-conc"))
+	a := tinyArtifacts("harness-conc")
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for i := 0; i < 8; i++ {

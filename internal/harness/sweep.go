@@ -41,13 +41,13 @@ func ivfWalk(idx *ivf.Index, k, size int) walkFunc {
 
 // SweepHNSW measures the QPS–recall curve of the graph index under dco for
 // each beam width in efs.
-func SweepHNSW(idx *hnsw.Index, dco core.PooledDCO, queries [][]float32, gt [][]int, k int, efs []int) ([]Point, error) {
+func SweepHNSW(idx *hnsw.Index, dco core.DCO, queries [][]float32, gt [][]int, k int, efs []int) ([]Point, error) {
 	return sweep(dco, queries, gt, k, efs, hnswWalk(idx, k, dco.Size()))
 }
 
 // SweepIVF measures the QPS–recall curve of the inverted-file index under
 // dco for each probe count in nprobes.
-func SweepIVF(idx *ivf.Index, dco core.PooledDCO, queries [][]float32, gt [][]int, k int, nprobes []int) ([]Point, error) {
+func SweepIVF(idx *ivf.Index, dco core.DCO, queries [][]float32, gt [][]int, k int, nprobes []int) ([]Point, error) {
 	return sweep(dco, queries, gt, k, nprobes, ivfWalk(idx, k, dco.Size()))
 }
 
@@ -56,7 +56,7 @@ func SweepIVF(idx *ivf.Index, dco core.PooledDCO, queries [][]float32, gt [][]in
 // Reset per query, hits appended to a reused slice. A comparator's
 // per-query scratch (rotated query, σ table, lookup tables) is therefore
 // allocated once per curve, not once per query, for every method alike.
-func sweep(dco core.PooledDCO, queries [][]float32, gt [][]int, k int, params []int, walk walkFunc) ([]Point, error) {
+func sweep(dco core.DCO, queries [][]float32, gt [][]int, k int, params []int, walk walkFunc) ([]Point, error) {
 	ev := dco.NewEvaluator()
 	var items []heap.Item
 	points := make([]Point, 0, len(params))

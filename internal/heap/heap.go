@@ -83,13 +83,6 @@ func (q *ResultQueue) PopMax() (Item, bool) {
 	return top, true
 }
 
-// Items returns a copy of the stored items in unspecified order.
-func (q *ResultQueue) Items() []Item {
-	out := make([]Item, len(q.items))
-	copy(out, q.items)
-	return out
-}
-
 // Sorted drains the queue and returns its contents ordered by ascending
 // distance (the final AKNN answer). The queue is empty afterwards.
 func (q *ResultQueue) Sorted() []Item {
@@ -214,14 +207,6 @@ func (q *MinQueue) PopMin() (Item, bool) {
 		i = smallest
 	}
 	return top, true
-}
-
-// PeekMin returns the closest item without removing it.
-func (q *MinQueue) PeekMin() (Item, bool) {
-	if len(q.items) == 0 {
-		return Item{}, false
-	}
-	return q.items[0], true
 }
 
 // Reset empties the queue, retaining capacity.

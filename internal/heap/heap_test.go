@@ -124,16 +124,6 @@ func TestPopMaxEmpty(t *testing.T) {
 	}
 }
 
-func TestItemsIsCopy(t *testing.T) {
-	q := NewResultQueue(2)
-	q.Push(1, 1)
-	items := q.Items()
-	items[0].Dist = 999
-	if q.Threshold() == 999 {
-		t.Fatal("Items must return a copy")
-	}
-}
-
 func TestMinQueueOrder(t *testing.T) {
 	q := NewMinQueue(0)
 	for _, d := range []float32{5, 1, 4, 2, 3} {
@@ -181,21 +171,18 @@ func TestMinQueueSortedProperty(t *testing.T) {
 
 func TestMinQueuePeekAndReset(t *testing.T) {
 	q := NewMinQueue(4)
-	if _, ok := q.PeekMin(); ok {
-		t.Fatal("PeekMin on empty must report !ok")
-	}
 	q.Push(1, 2)
 	q.Push(2, 1)
-	it, ok := q.PeekMin()
-	if !ok || it.ID != 2 {
-		t.Fatalf("PeekMin = %+v", it)
-	}
-	if q.Len() != 2 {
-		t.Fatal("Peek must not remove")
-	}
 	q.Reset()
 	if q.Len() != 0 {
 		t.Fatal("Reset must empty the queue")
+	}
+	if _, ok := q.PopMin(); ok {
+		t.Fatal("PopMin after Reset must report !ok")
+	}
+	q.Push(3, 5)
+	if it, ok := q.PopMin(); !ok || it.ID != 3 {
+		t.Fatalf("PopMin after Reset and Push = %+v", it)
 	}
 }
 

@@ -316,31 +316,11 @@ func sortItems(items []heap.Item) {
 // Result is a search hit.
 type Result = heap.Item
 
-// Search returns the approximate k nearest neighbors of q using the given
-// DCO, with beam width ef (clamped up to k). It also returns the DCO work
-// counters for the query.
-func (idx *Index) Search(dco core.DCO, q []float32, k, ef int) ([]Result, core.Stats, error) {
-	if dco.Size() != idx.data.Rows() {
-		return nil, core.Stats{}, fmt.Errorf("hnsw: DCO over %d points, index over %d", dco.Size(), idx.data.Rows())
-	}
-	if k <= 0 {
-		return nil, core.Stats{}, errors.New("hnsw: k must be positive")
-	}
-	ev, err := dco.NewQuery(q)
-	if err != nil {
-		return nil, core.Stats{}, err
-	}
-	out, err := idx.SearchEval(ev, k, ef, dco.Size(), nil)
-	if err != nil {
-		return nil, core.Stats{}, err
-	}
-	return out, *ev.Stats(), nil
-}
-
-// SearchEval is the evaluator-driven search path: the caller owns ev
-// (typically pooled and already Reset for this query) and receives the
-// hits appended to dst in ascending distance order. size must be the
-// evaluator's point count; work counters accumulate in ev.Stats().
+// SearchEval returns the approximate k nearest neighbors of the query ev
+// was Reset to, with beam width ef (clamped up to k): the caller owns ev
+// (typically pooled) and receives the hits appended to dst in ascending
+// distance order. size must be the evaluator's point count; work counters
+// accumulate in ev.Stats().
 func (idx *Index) SearchEval(ev core.QueryEvaluator, k, ef, size int, dst []Result) ([]Result, error) {
 	if size != idx.data.Rows() {
 		return nil, fmt.Errorf("hnsw: DCO over %d points, index over %d", size, idx.data.Rows())

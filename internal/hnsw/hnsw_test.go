@@ -49,11 +49,34 @@ func getFixtures(t testing.TB) (*dataset.Dataset, [][]int, *Index) {
 	return fixDS, fixGT, fixIdx
 }
 
+// evalSearch runs queries the way Index.walk does in production: one
+// evaluator per comparator, Reset per query, then SearchEval — the index's
+// only search entry point.
+type evalSearch struct {
+	idx  *Index
+	size int
+	ev   core.ResettableEvaluator
+}
+
+func newEvalSearch(idx *Index, dco core.DCO) *evalSearch {
+	return &evalSearch{idx: idx, size: dco.Size(), ev: dco.NewEvaluator()}
+}
+
+// search returns the hits and the work counters of one query.
+func (s *evalSearch) search(q []float32, k, ef int) ([]Result, core.Stats, error) {
+	if err := s.ev.Reset(q); err != nil {
+		return nil, core.Stats{}, err
+	}
+	out, err := s.idx.SearchEval(s.ev, k, ef, s.size, nil)
+	return out, *s.ev.Stats(), err
+}
+
 func searchAll(t testing.TB, idx *Index, dco core.DCO, queries [][]float32, k, ef int) ([][]int, core.Stats) {
 	var agg core.Stats
 	results := make([][]int, len(queries))
+	s := newEvalSearch(idx, dco)
 	for qi, q := range queries {
-		items, st, err := idx.Search(dco, q, k, ef)
+		items, st, err := s.search(q, k, ef)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,11 +104,11 @@ func TestSearchErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	dco, _ := core.NewExact(store.MustFromRows(ds.Data[:100]))
-	if _, _, err := idx.Search(dco, ds.Queries[0], 0, 10); err == nil {
+	if _, _, err := newEvalSearch(idx, dco).search(ds.Queries[0], 0, 10); err == nil {
 		t.Fatal("expected k error")
 	}
 	smaller, _ := core.NewExact(store.MustFromRows(ds.Data[:50]))
-	if _, _, err := idx.Search(smaller, ds.Queries[0], 5, 10); err == nil {
+	if _, _, err := newEvalSearch(idx, smaller).search(ds.Queries[0], 5, 10); err == nil {
 		t.Fatal("expected size mismatch error")
 	}
 }
@@ -102,7 +125,7 @@ func TestSearchHighRecallExact(t *testing.T) {
 func TestSearchResultsSorted(t *testing.T) {
 	ds, _, idx := getFixtures(t)
 	dco, _ := core.NewExact(ds.Matrix())
-	items, _, err := idx.Search(dco, ds.Queries[0], 10, 50)
+	items, _, err := newEvalSearch(idx, dco).search(ds.Queries[0], 10, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +264,7 @@ func TestSearchEfClampedToK(t *testing.T) {
 	ds, _, _ := getFixtures(t)
 	idx, _ := Build(store.MustFromRows(ds.Data[:300]), Config{M: 8, EfConstruction: 32, Seed: 1})
 	dco, _ := core.NewExact(store.MustFromRows(ds.Data[:300]))
-	items, _, err := idx.Search(dco, ds.Queries[0], 20, 1)
+	items, _, err := newEvalSearch(idx, dco).search(ds.Queries[0], 20, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

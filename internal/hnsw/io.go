@@ -2,7 +2,6 @@ package hnsw
 
 import (
 	"errors"
-	"io"
 
 	"resinfer/internal/persist"
 	"resinfer/internal/store"
@@ -10,6 +9,10 @@ import (
 
 // Version 2 stores the vectors as one flat matrix block.
 const indexMagic = "RIHNSW2"
+
+// maxLevels bounds a decoded graph's level count. Levels are drawn as
+// floor(-ln(U)/ln(M)), so 64 is out of reach for any buildable graph.
+const maxLevels = 64
 
 // Encode writes the index (graph structure and vectors) onto an existing
 // persist stream, so it can be composed into larger files.
@@ -47,19 +50,30 @@ func Decode(pr *persist.Reader) (*Index, error) {
 	if n <= 0 || n > persist.MaxSliceLen {
 		return nil, errors.New("hnsw: corrupt node count")
 	}
-	links := make([][][]int32, n)
+	// The header is a claim: a walk descends from maxLevel and sizes its
+	// beams from these, so they are checked before anything trusts them.
+	if m <= 0 || mMax0 <= 0 || efCon <= 0 {
+		return nil, errors.New("hnsw: corrupt graph parameters")
+	}
+	if maxLevel < 0 || maxLevel >= maxLevels {
+		return nil, errors.New("hnsw: corrupt top level")
+	}
+	// The vectors come after the adjacency, so n cannot be checked against
+	// them yet: links grows as nodes actually arrive.
+	links := make([][][]int32, 0, min(n, 1<<14))
 	for i := 0; i < n; i++ {
 		levels := pr.Int()
 		if pr.Err() != nil {
 			return nil, pr.Err()
 		}
-		if levels < 0 || levels > 64 {
+		if levels < 0 || levels > maxLevel+1 {
 			return nil, errors.New("hnsw: corrupt level count")
 		}
-		links[i] = make([][]int32, levels)
-		for l := 0; l < levels; l++ {
-			links[i][l] = pr.I32s()
+		perLevel := make([][]int32, levels)
+		for l := range perLevel {
+			perLevel[l] = pr.I32s()
 		}
+		links = append(links, perLevel)
 	}
 	data, err := store.Decode(pr)
 	if err != nil {
@@ -71,6 +85,9 @@ func Decode(pr *persist.Reader) (*Index, error) {
 	if data.Rows() != n || dim <= 0 || data.Dim() != dim || int(entry) >= n || entry < 0 {
 		return nil, errors.New("hnsw: corrupt index")
 	}
+	if maxLevel != len(links[entry])-1 {
+		return nil, errors.New("hnsw: top level is not the entry point's")
+	}
 	for node, perLevel := range links {
 		for _, lst := range perLevel {
 			for _, nb := range lst {
@@ -81,16 +98,4 @@ func Decode(pr *persist.Reader) (*Index, error) {
 		}
 	}
 	return newIndex(dim, m, mMax0, efCon, entry, maxLevel, links, data), nil
-}
-
-// WriteTo serializes the index to w as a standalone stream.
-func (idx *Index) WriteTo(w io.Writer) (int64, error) {
-	pw := persist.NewWriter(w)
-	idx.Encode(pw)
-	return 0, pw.Flush()
-}
-
-// Read deserializes a standalone index written by WriteTo.
-func Read(r io.Reader) (*Index, error) {
-	return Decode(persist.NewReader(r))
 }

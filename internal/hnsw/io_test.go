@@ -2,11 +2,30 @@ package hnsw
 
 import (
 	"bytes"
+	"encoding/binary"
+	"runtime"
 	"testing"
 
 	"resinfer/internal/core"
+	"resinfer/internal/persist"
 	"resinfer/internal/store"
 )
+
+// encodeBytes and decodeBytes run the codec the way the index containers
+// do: Encode and Decode on a persist stream.
+func encodeBytes(t testing.TB, idx *Index) []byte {
+	var buf bytes.Buffer
+	pw := persist.NewWriter(&buf)
+	idx.Encode(pw)
+	if err := pw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func decodeBytes(b []byte) (*Index, error) {
+	return Decode(persist.NewReader(bytes.NewReader(b)))
+}
 
 func TestIndexRoundTrip(t *testing.T) {
 	ds, _, _ := getFixtures(t)
@@ -14,11 +33,7 @@ func TestIndexRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := idx.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Read(&buf)
+	loaded, err := decodeBytes(encodeBytes(t, idx))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,11 +43,11 @@ func TestIndexRoundTrip(t *testing.T) {
 	}
 	// Identical searches.
 	dco, _ := core.NewExact(store.MustFromRows(ds.Data[:800]))
-	a, _, err := idx.Search(dco, ds.Queries[0], 10, 40)
+	a, _, err := newEvalSearch(idx, dco).search(ds.Queries[0], 10, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := loaded.Search(dco, ds.Queries[0], 10, 40)
+	b, _, err := newEvalSearch(loaded, dco).search(ds.Queries[0], 10, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,16 +61,71 @@ func TestIndexRoundTrip(t *testing.T) {
 func TestIndexReadRejectsCorruption(t *testing.T) {
 	ds, _, _ := getFixtures(t)
 	idx, _ := Build(store.MustFromRows(ds.Data[:200]), Config{M: 8, EfConstruction: 40, Seed: 53})
-	var buf bytes.Buffer
-	if _, err := idx.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	good := buf.Bytes()
-	if _, err := Read(bytes.NewReader(good[:len(good)/2])); err == nil {
+	good := encodeBytes(t, idx)
+	if _, err := decodeBytes(good[:len(good)/2]); err == nil {
 		t.Fatal("expected truncation error")
 	}
 	bad := append([]byte("WRONGXY"), good[7:]...)
-	if _, err := Read(bytes.NewReader(bad)); err == nil {
+	if _, err := decodeBytes(bad); err == nil {
 		t.Fatal("expected magic error")
+	}
+}
+
+// TestDecodeRejectsLyingHeader: every header word a walk trusts is checked
+// at decode. The top level is the telling one: a stream that claims level
+// 1<<34 used to load, and the next search spun through 1<<34 empty levels
+// of greedy descent.
+func TestDecodeRejectsLyingHeader(t *testing.T) {
+	ds, _, _ := getFixtures(t)
+	idx, err := Build(store.MustFromRows(ds.Data[:200]), Config{M: 8, EfConstruction: 40, Seed: 57})
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := encodeBytes(t, idx)
+	loaded, err := decodeBytes(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(encodeBytes(t, loaded), good) {
+		t.Fatal("a valid stream does not round-trip bit-identically")
+	}
+	// Header layout after the magic: dim, m, mMax0, efCon, entry, maxLevel,
+	// node count — one little-endian int64 each.
+	word := func(i int) int { return len(indexMagic) + 8*i }
+	type lie struct {
+		name string
+		off  int
+		v    int64
+	}
+	cases := []lie{
+		{"maxLevel 1<<34", word(5), 1 << 34},
+		{"maxLevel negative", word(5), -1},
+		{"maxLevel above the entry point's", word(5), int64(idx.MaxLevel()) + 1},
+		{"m zero", word(1), 0},
+		{"mMax0 negative", word(2), -4},
+		{"efCon zero", word(3), 0},
+	}
+	if idx.MaxLevel() > 0 {
+		cases = append(cases, lie{"maxLevel below a node's levels", word(5), int64(idx.MaxLevel()) - 1})
+	}
+	for _, c := range cases {
+		bad := bytes.Clone(good)
+		binary.LittleEndian.PutUint64(bad[c.off:], uint64(c.v))
+		if _, err := decodeBytes(bad); err == nil {
+			t.Errorf("%s: Decode accepted the stream", c.name)
+		}
+	}
+	// A node count with nothing behind it must not size the adjacency.
+	huge := bytes.Clone(good[:word(7)])
+	binary.LittleEndian.PutUint64(huge[word(6):], 1<<31)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = decodeBytes(huge)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Error("node count 1<<31 with no nodes: Decode accepted the stream")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Errorf("node count 1<<31 with no nodes: allocated %d bytes", grew)
 	}
 }

@@ -2,7 +2,6 @@ package ivf
 
 import (
 	"errors"
-	"io"
 
 	"resinfer/internal/persist"
 	"resinfer/internal/store"
@@ -41,7 +40,9 @@ func Decode(pr *persist.Reader) (*Index, error) {
 	if err := pr.Err(); err != nil {
 		return nil, err
 	}
-	if nl <= 0 || nl > persist.MaxSliceLen {
+	// One list per centroid, and the centroids have already arrived: nl is
+	// checked against them before it sizes anything.
+	if dim <= 0 || nl != centroids.Rows() || centroids.Dim() != dim {
 		return nil, errors.New("ivf: corrupt list count")
 	}
 	lists := make([][]int32, nl)
@@ -53,7 +54,7 @@ func Decode(pr *persist.Reader) (*Index, error) {
 	if err := pr.Err(); err != nil {
 		return nil, err
 	}
-	if dim <= 0 || centroids.Rows() != nl || centroids.Dim() != dim || total != size {
+	if total != size {
 		return nil, errors.New("ivf: corrupt index")
 	}
 	for _, lst := range lists {
@@ -64,16 +65,4 @@ func Decode(pr *persist.Reader) (*Index, error) {
 		}
 	}
 	return newIndex(dim, centroids, lists, size), nil
-}
-
-// WriteTo serializes the index to w as a standalone stream.
-func (idx *Index) WriteTo(w io.Writer) (int64, error) {
-	pw := persist.NewWriter(w)
-	idx.Encode(pw)
-	return 0, pw.Flush()
-}
-
-// Read deserializes a standalone index written by WriteTo.
-func Read(r io.Reader) (*Index, error) {
-	return Decode(persist.NewReader(r))
 }

@@ -86,32 +86,12 @@ func newIndex(dim int, centroids *store.Matrix, lists [][]int32, size int) *Inde
 // Result is a search hit.
 type Result = heap.Item
 
-// Search scans the nprobe closest inverted lists with the given DCO and
-// returns the approximate k nearest neighbors plus the query's work
-// counters.
-func (idx *Index) Search(dco core.DCO, q []float32, k, nprobe int) ([]Result, core.Stats, error) {
-	if dco.Size() != idx.size {
-		return nil, core.Stats{}, fmt.Errorf("ivf: DCO over %d points, index over %d", dco.Size(), idx.size)
-	}
-	if k <= 0 {
-		return nil, core.Stats{}, errors.New("ivf: k must be positive")
-	}
-	ev, err := dco.NewQuery(q)
-	if err != nil {
-		return nil, core.Stats{}, err
-	}
-	out, err := idx.SearchEval(ev, q, k, nprobe, dco.Size(), nil)
-	if err != nil {
-		return nil, core.Stats{}, err
-	}
-	return out, *ev.Stats(), nil
-}
-
-// SearchEval is the evaluator-driven search path: the caller owns ev
-// (typically pooled and already Reset for this query) and receives the
-// hits appended to dst in ascending distance order. q is the query in the
-// index's space (it drives centroid probing); size must be the
-// evaluator's point count; work counters accumulate in ev.Stats().
+// SearchEval scans the nprobe closest inverted lists through ev and
+// returns the approximate k nearest neighbors: the caller owns ev
+// (typically pooled and already Reset to q) and receives the hits appended
+// to dst in ascending distance order. q is the query in the index's space
+// (it drives centroid probing); size must be the evaluator's point count;
+// work counters accumulate in ev.Stats().
 func (idx *Index) SearchEval(ev core.QueryEvaluator, q []float32, k, nprobe, size int, dst []Result) ([]Result, error) {
 	if size != idx.size {
 		return nil, fmt.Errorf("ivf: DCO over %d points, index over %d", size, idx.size)
@@ -154,9 +134,6 @@ func (idx *Index) NList() int { return len(idx.lists) }
 
 // Centroids exposes the coarse quantizer (read-only by convention).
 func (idx *Index) Centroids() *store.Matrix { return idx.centroids }
-
-// List returns inverted list c (read-only by convention).
-func (idx *Index) List(c int) []int32 { return idx.lists[c] }
 
 // IndexBytes reports the memory held by centroids and lists (Exp-3's space
 // accounting).

@@ -47,6 +47,28 @@ func getFixtures(t testing.TB) (*dataset.Dataset, [][]int, *Index) {
 	return fixDS, fixGT, fixIdx
 }
 
+// evalSearch runs queries the way Index.walk does in production: one
+// evaluator per comparator, Reset per query, then SearchEval — the index's
+// only search entry point.
+type evalSearch struct {
+	idx  *Index
+	size int
+	ev   core.ResettableEvaluator
+}
+
+func newEvalSearch(idx *Index, dco core.DCO) *evalSearch {
+	return &evalSearch{idx: idx, size: dco.Size(), ev: dco.NewEvaluator()}
+}
+
+// search returns the hits and the work counters of one query.
+func (s *evalSearch) search(q []float32, k, nprobe int) ([]Result, core.Stats, error) {
+	if err := s.ev.Reset(q); err != nil {
+		return nil, core.Stats{}, err
+	}
+	out, err := s.idx.SearchEval(s.ev, q, k, nprobe, s.size, nil)
+	return out, *s.ev.Stats(), err
+}
+
 func TestBuildErrors(t *testing.T) {
 	if _, err := Build(nil, Config{}); err == nil {
 		t.Fatal("expected empty error")
@@ -66,7 +88,7 @@ func TestListsPartitionData(t *testing.T) {
 	seen := make([]bool, idx.Len())
 	total := 0
 	for c := 0; c < idx.NList(); c++ {
-		for _, id := range idx.List(c) {
+		for _, id := range idx.lists[c] {
 			if seen[id] {
 				t.Fatalf("point %d in two lists", id)
 			}
@@ -82,11 +104,11 @@ func TestListsPartitionData(t *testing.T) {
 func TestSearchErrors(t *testing.T) {
 	ds, _, idx := getFixtures(t)
 	dco, _ := core.NewExact(ds.Matrix())
-	if _, _, err := idx.Search(dco, ds.Queries[0], 0, 4); err == nil {
+	if _, _, err := newEvalSearch(idx, dco).search(ds.Queries[0], 0, 4); err == nil {
 		t.Fatal("expected k error")
 	}
 	smaller, _ := core.NewExact(store.MustFromRows(ds.Data[:10]))
-	if _, _, err := idx.Search(smaller, ds.Queries[0], 5, 4); err == nil {
+	if _, _, err := newEvalSearch(idx, smaller).search(ds.Queries[0], 5, 4); err == nil {
 		t.Fatal("expected size mismatch error")
 	}
 }
@@ -96,8 +118,9 @@ func TestSearchFullProbeIsExact(t *testing.T) {
 	ds, gt, idx := getFixtures(t)
 	dco, _ := core.NewExact(ds.Matrix())
 	results := make([][]int, len(ds.Queries))
+	s := newEvalSearch(idx, dco)
 	for qi, q := range ds.Queries {
-		items, _, err := idx.Search(dco, q, 10, idx.NList())
+		items, _, err := s.search(q, 10, idx.NList())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,10 +136,11 @@ func TestSearchFullProbeIsExact(t *testing.T) {
 func TestRecallGrowsWithNProbe(t *testing.T) {
 	ds, gt, idx := getFixtures(t)
 	dco, _ := core.NewExact(ds.Matrix())
+	s := newEvalSearch(idx, dco)
 	recallAt := func(nprobe int) float64 {
 		results := make([][]int, len(ds.Queries))
 		for qi, q := range ds.Queries {
-			items, _, err := idx.Search(dco, q, 10, nprobe)
+			items, _, err := s.search(q, 10, nprobe)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -152,8 +176,9 @@ func TestSearchWithDCOsPreservesRecall(t *testing.T) {
 	run := func(dco core.DCO) (float64, core.Stats) {
 		var agg core.Stats
 		results := make([][]int, len(ds.Queries))
+		s := newEvalSearch(idx, dco)
 		for qi, q := range ds.Queries {
-			items, st, err := idx.Search(dco, q, 10, 16)
+			items, st, err := s.search(q, 10, 16)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -186,8 +211,9 @@ func TestIVFPrunedRateHigh(t *testing.T) {
 		t.Fatal(err)
 	}
 	var agg core.Stats
+	s := newEvalSearch(idx, res)
 	for _, q := range ds.Queries {
-		_, st, err := idx.Search(res, q, 10, 16)
+		_, st, err := s.search(q, 10, 16)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,10 +236,11 @@ func TestNProbeClamp(t *testing.T) {
 	ds, _, idx := getFixtures(t)
 	dco, _ := core.NewExact(ds.Matrix())
 	// nprobe <= 0 clamps to 1; larger than NList clamps to NList.
-	if _, _, err := idx.Search(dco, ds.Queries[0], 5, 0); err != nil {
+	s := newEvalSearch(idx, dco)
+	if _, _, err := s.search(ds.Queries[0], 5, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := idx.Search(dco, ds.Queries[0], 5, 1<<20); err != nil {
+	if _, _, err := s.search(ds.Queries[0], 5, 1<<20); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -149,17 +149,12 @@ func NearestCentroidRows(centroids [][]float32, x []float32) (int, float32) {
 	return best, bestD
 }
 
-// NearestCentroids returns the indices of the nprobe closest centroids to
-// x, ordered by ascending distance. This is the IVF probe-selection step.
-func NearestCentroids(centroids *store.Matrix, x []float32, nprobe int) []int {
-	out, _ := NearestCentroidsInto(centroids, x, nprobe, nil, nil)
-	return out
-}
-
-// NearestCentroidsInto is NearestCentroids with caller-provided scratch:
-// out receives the probe order (appended to out[:0]), dists is a
-// len-K distance scratch grown as needed. Both scratches are returned for
-// reuse. Allocation-free once the scratches have reached capacity.
+// NearestCentroidsInto returns the indices of the nprobe closest centroids
+// to x, ordered by ascending distance — the IVF probe-selection step — using
+// caller-provided scratch: out receives the probe order (appended to
+// out[:0]), dists is a len-K distance scratch grown as needed. Both
+// scratches are returned for reuse. Allocation-free once the scratches have
+// reached capacity.
 func NearestCentroidsInto(centroids *store.Matrix, x []float32, nprobe int, out []int, dists []float32) ([]int, []float32) {
 	k := centroids.Rows()
 	if nprobe > k {

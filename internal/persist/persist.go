@@ -251,107 +251,107 @@ func (r *Reader) Bool() bool {
 	return buf[0] != 0
 }
 
-// Bytes reads a length-prefixed byte slice.
-func (r *Reader) Bytes() []byte {
+// A length prefix is a claim, not a fact: a reader that allocates the
+// claimed size up front lets eight bytes from a peer or a damaged file
+// reserve gigabytes. Every slice reader below therefore grows its result
+// as payload actually arrives — at most growElems elements ahead of what
+// has been read, doubling after that — so allocation stays proportional to
+// the bytes the stream delivered, and a stream that ends early yields nil
+// plus the read error, never a zero-filled slice of the claimed length.
+
+// growElems is how many elements a slice reader allocates before any of
+// them has been read, and the least it grows by afterwards.
+const growElems = blockFloats
+
+// grown returns s with spare capacity for more elements: double the
+// current capacity, at least growElems, never beyond the n the stream
+// claims — so a slice that fills ends with capacity exactly n.
+func grown[T any](s []T, n int) []T {
+	if len(s) < cap(s) {
+		return s
+	}
+	c := 2 * cap(s)
+	if c < growElems {
+		c = growElems
+	}
+	if c > n {
+		c = n
+	}
+	out := make([]T, len(s), c)
+	copy(out, s)
+	return out
+}
+
+// readSlice reads a length prefix and that many elements, one get each.
+func readSlice[T any](r *Reader, get func() T) []T {
 	n := r.Len()
+	out := []T{}
+	for len(out) < n && r.err == nil {
+		out = grown(out, n)
+		for len(out) < cap(out) && r.err == nil {
+			out = append(out, get())
+		}
+	}
 	if r.err != nil {
 		return nil
 	}
-	p := make([]byte, n)
-	r.read(p)
-	return p
+	return out
+}
+
+// Bytes reads a length-prefixed byte slice.
+func (r *Reader) Bytes() []byte {
+	n := r.Len()
+	out := []byte{}
+	for len(out) < n && r.err == nil {
+		out = grown(out, n)
+		r.read(out[len(out):cap(out)])
+		out = out[:cap(out)]
+	}
+	if r.err != nil {
+		return nil
+	}
+	return out
 }
 
 // String reads a length-prefixed string.
 func (r *Reader) String() string { return string(r.Bytes()) }
 
 // F32s reads a length-prefixed []float32.
-func (r *Reader) F32s() []float32 {
-	n := r.Len()
-	if r.err != nil {
-		return nil
-	}
-	out := make([]float32, n)
-	for i := range out {
-		out[i] = r.F32()
-	}
-	return out
-}
+func (r *Reader) F32s() []float32 { return readSlice(r, r.F32) }
 
 // F64s reads a length-prefixed []float64.
-func (r *Reader) F64s() []float64 {
-	n := r.Len()
-	if r.err != nil {
-		return nil
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = r.F64()
-	}
-	return out
-}
+func (r *Reader) F64s() []float64 { return readSlice(r, r.F64) }
 
 // Ints reads a length-prefixed []int.
-func (r *Reader) Ints() []int {
-	n := r.Len()
-	if r.err != nil {
-		return nil
-	}
-	out := make([]int, n)
-	for i := range out {
-		out[i] = int(r.I64())
-	}
-	return out
-}
+func (r *Reader) Ints() []int { return readSlice(r, r.Int) }
 
 // I32s reads a length-prefixed []int32.
 func (r *Reader) I32s() []int32 {
-	n := r.Len()
-	if r.err != nil {
-		return nil
-	}
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(r.U32())
-	}
-	return out
+	return readSlice(r, func() int32 { return int32(r.U32()) })
 }
 
 // F32Block reads a length-prefixed []float32 written by F32Block.
 func (r *Reader) F32Block() []float32 {
 	n := r.Len()
-	if r.err != nil {
-		return nil
-	}
-	out := make([]float32, n)
-	buf := make([]byte, 0, 4*blockFloats)
-	for off := 0; off < n; {
-		c := n - off
+	out := []float32{}
+	buf := make([]byte, 0, 4*min(n, blockFloats))
+	for len(out) < n && r.err == nil {
+		out = grown(out, n)
+		c := cap(out) - len(out)
 		if c > blockFloats {
 			c = blockFloats
 		}
 		buf = buf[:4*c]
 		r.read(buf)
-		if r.err != nil {
-			return nil
-		}
 		for i := 0; i < c; i++ {
-			out[off+i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
+			out = append(out, math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:])))
 		}
-		off += c
+	}
+	if r.err != nil {
+		return nil
 	}
 	return out
 }
 
 // F32Mat reads a length-prefixed [][]float32.
-func (r *Reader) F32Mat() [][]float32 {
-	n := r.Len()
-	if r.err != nil {
-		return nil
-	}
-	out := make([][]float32, n)
-	for i := range out {
-		out[i] = r.F32s()
-	}
-	return out
-}
+func (r *Reader) F32Mat() [][]float32 { return readSlice(r, r.F32s) }

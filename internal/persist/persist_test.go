@@ -3,10 +3,13 @@ package persist
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestRoundTripScalars(t *testing.T) {
@@ -232,5 +235,79 @@ func TestF32BlockMatchesF32s(t *testing.T) {
 	wb.Flush()
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatal("F32Block must be byte-compatible with F32s")
+	}
+}
+
+// TestLengthPrefixAloneAllocatesNothing: a length prefix is a claim. A
+// stream that claims 1<<27 elements and then ends must fail fast with an
+// EOF error and a nil slice, having allocated next to nothing — not the
+// 512 MiB (and six seconds of zero-filling) the claim asks for.
+func TestLengthPrefixAloneAllocatesNothing(t *testing.T) {
+	var prefix bytes.Buffer
+	w := NewWriter(&prefix)
+	w.Int(1 << 27)
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	readers := map[string]func(*Reader) bool{ // each reports whether it returned nil
+		"Bytes":    func(r *Reader) bool { return r.Bytes() == nil },
+		"F32s":     func(r *Reader) bool { return r.F32s() == nil },
+		"F64s":     func(r *Reader) bool { return r.F64s() == nil },
+		"Ints":     func(r *Reader) bool { return r.Ints() == nil },
+		"I32s":     func(r *Reader) bool { return r.I32s() == nil },
+		"F32Block": func(r *Reader) bool { return r.F32Block() == nil },
+		"F32Mat":   func(r *Reader) bool { return r.F32Mat() == nil },
+	}
+	for name, read := range readers {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		start := time.Now()
+		r := NewReader(bytes.NewReader(prefix.Bytes()))
+		isNil := read(r)
+		elapsed := time.Since(start)
+		runtime.ReadMemStats(&after)
+		if err := r.Err(); !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("%s: err = %v, want an EOF error", name, err)
+		}
+		if !isNil {
+			t.Errorf("%s: returned a slice next to the error", name)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+			t.Errorf("%s: allocated %d bytes for an 8-byte stream", name, grew)
+		}
+		if elapsed >= 100*time.Millisecond {
+			t.Errorf("%s: took %v", name, elapsed)
+		}
+	}
+}
+
+// TestSliceReadersGrowToExactCapacity: growing with the payload must not
+// leave a loaded index holding more memory than its slices need.
+func TestSliceReadersGrowToExactCapacity(t *testing.T) {
+	const n = 3*growElems + 17 // several growth steps, not a multiple of one
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	xs := make([]float32, n)
+	for i := range xs {
+		xs[i] = float32(i)
+	}
+	w.F32Block(xs)
+	w.F32s(xs)
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	r := NewReader(&buf)
+	for name, got := range map[string][]float32{"F32Block": r.F32Block(), "F32s": r.F32s()} {
+		if r.Err() != nil {
+			t.Fatal(r.Err())
+		}
+		if len(got) != n || cap(got) != n {
+			t.Fatalf("%s: len %d cap %d, want %d and %d", name, len(got), cap(got), n, n)
+		}
+		for i, v := range got {
+			if v != xs[i] {
+				t.Fatalf("%s[%d] = %v, want %v", name, i, v, xs[i])
+			}
+		}
 	}
 }

@@ -40,8 +40,12 @@ func DecodePQ(r *persist.Reader) (*PQ, error) {
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	if nb < 0 || nb > persist.MaxSliceLen {
-		return nil, errors.New("quant: corrupt codebook count")
+	// Bounds has arrived in full, so M+1 == len(Bounds) ties the codebook
+	// count to bytes actually read before it sizes anything.
+	if pq.Dim <= 0 || pq.M <= 0 || pq.M != nb || len(pq.Bounds) != pq.M+1 ||
+		pq.Bounds[0] != 0 || pq.Bounds[pq.M] != pq.Dim ||
+		pq.Nbits < 1 || pq.Nbits > 8 || pq.K != 1<<pq.Nbits {
+		return nil, errors.New("quant: corrupt encoded PQ")
 	}
 	pq.Codebooks = make([][][]float32, nb)
 	for i := range pq.Codebooks {
@@ -50,13 +54,18 @@ func DecodePQ(r *persist.Reader) (*PQ, error) {
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	if pq.Dim <= 0 || pq.M <= 0 || pq.M != nb || len(pq.Bounds) != pq.M+1 ||
-		pq.Bounds[pq.M] != pq.Dim || pq.K != 1<<pq.Nbits {
-		return nil, errors.New("quant: corrupt encoded PQ")
-	}
-	for _, cb := range pq.Codebooks {
-		if len(cb) != pq.K {
+	// Encode and BuildLUT slice a vector by Bounds and hand each piece to a
+	// distance kernel next to a centroid: the widths must be positive (so
+	// Bounds ascends from 0 to Dim) and every centroid must match its own.
+	for m, cb := range pq.Codebooks {
+		width := pq.Bounds[m+1] - pq.Bounds[m]
+		if width <= 0 || len(cb) != pq.K {
 			return nil, errors.New("quant: corrupt codebook size")
+		}
+		for _, c := range cb {
+			if len(c) != width {
+				return nil, errors.New("quant: corrupt centroid width")
+			}
 		}
 	}
 	return pq, nil

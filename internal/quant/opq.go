@@ -195,20 +195,3 @@ func (o *OPQ) ReconstructionError(x []float32) (float32, error) {
 	}
 	return o.PQ.ReconstructionError(y)
 }
-
-// QuantizationError returns the mean reconstruction error of the given
-// rows — the objective OPQ minimizes, exposed for tests and diagnostics.
-func (o *OPQ) QuantizationError(data *store.Matrix) (float64, error) {
-	if data == nil || data.Rows() == 0 {
-		return 0, errors.New("quant: empty data")
-	}
-	var s float64
-	for i := 0; i < data.Rows(); i++ {
-		e, err := o.ReconstructionError(data.Row(i))
-		if err != nil {
-			return 0, err
-		}
-		s += float64(e)
-	}
-	return s / float64(data.Rows()), nil
-}

@@ -1,12 +1,14 @@
 package quant
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"resinfer/internal/matrix"
+	"resinfer/internal/persist"
 	"resinfer/internal/store"
 	"resinfer/internal/vec"
 )
@@ -215,10 +217,15 @@ func TestOPQImprovesOverIdentityStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opqErr, err := opq.QuantizationError(subMat(mat, 300))
-	if err != nil {
-		t.Fatal(err)
+	var opqErr float64 // the objective OPQ minimizes, over the same rows
+	for _, row := range data[:300] {
+		e, err := opq.ReconstructionError(row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opqErr += float64(e)
 	}
+	opqErr /= 300
 	if opqErr > pqErr*1.05 {
 		t.Fatalf("OPQ error %v should not exceed PQ error %v", opqErr, pqErr)
 	}
@@ -285,5 +292,43 @@ func BenchmarkLUTDistance(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = lut.Distance(code)
+	}
+}
+
+// TestDecodePQRejectsCorruptShape: Encode and BuildLUT slice vectors by
+// Bounds and hand the pieces to a distance kernel next to a centroid, so a
+// decoded PQ whose shape words disagree with each other must be refused,
+// not left to panic inside the first search.
+func TestDecodePQRejectsCorruptShape(t *testing.T) {
+	r := rand.New(rand.NewSource(21))
+	data := gaussData(r, 200, 8)
+	roundTrip := func(corrupt func(*PQ)) error {
+		pq, err := TrainPQ(data, PQConfig{M: 3, Nbits: 2, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		corrupt(pq)
+		var buf bytes.Buffer
+		w := persist.NewWriter(&buf)
+		pq.EncodeTo(w)
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		_, err = DecodePQ(persist.NewReader(&buf))
+		return err
+	}
+	if err := roundTrip(func(*PQ) {}); err != nil {
+		t.Fatalf("a valid PQ does not round-trip: %v", err)
+	}
+	for name, corrupt := range map[string]func(*PQ){
+		"empty subspace":      func(pq *PQ) { pq.Bounds[1] = pq.Bounds[2] },
+		"bounds start past 0": func(pq *PQ) { pq.Bounds[0] = 1 },
+		"short centroid":      func(pq *PQ) { pq.Codebooks[0][3] = pq.Codebooks[0][3][:1] },
+		"nbits beyond a byte": func(pq *PQ) { pq.Nbits, pq.K = 9, 512 },
+		"subspace count lies": func(pq *PQ) { pq.M = 1 << 31 },
+	} {
+		if err := roundTrip(corrupt); err == nil {
+			t.Errorf("%s: DecodePQ accepted the stream", name)
+		}
 	}
 }

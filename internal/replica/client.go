@@ -206,31 +206,3 @@ func (c *Client) ShardSearch(ctx context.Context, base string, shard int, q []fl
 	st := resinfer.SearchStats{Comparisons: sr.Comparisons, Pruned: sr.Pruned, ShardsOK: 1}
 	return ns, st, nil
 }
-
-// Status mirrors GET /internal/replica/status: the primary's applied
-// LSN and row count, for diagnostics and tests.
-type Status struct {
-	AppliedLSN uint64 `json:"applied_lsn"`
-	Points     int    `json:"points"`
-}
-
-// FetchStatus reads a peer's replication status document.
-func (c *Client) FetchStatus(ctx context.Context, base string) (Status, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/internal/replica/status", nil)
-	if err != nil {
-		return Status{}, err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return Status{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return Status{}, fmt.Errorf("replica: %s/internal/replica/status: %s", base, resp.Status)
-	}
-	var st Status
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return Status{}, err
-	}
-	return st, nil
-}

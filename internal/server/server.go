@@ -176,8 +176,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server serves one index. Create with New, expose with Handler or
-// ListenAndServe, stop with Close.
+// Server serves one index. Create with New, expose with Handler or Serve,
+// stop with Close.
 type Server struct {
 	idx      Engine
 	mut      Mutator // non-nil when idx is also a mutable index
@@ -332,12 +332,6 @@ func (s *Server) Close() {
 	if s.quality != nil {
 		s.quality.Close()
 	}
-}
-
-// ListenAndServe serves on addr until ctx is cancelled, then shuts down
-// gracefully.
-func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
-	return s.Serve(ctx, addr, nil)
 }
 
 // batchSizeHeader carries the query count of a request so the

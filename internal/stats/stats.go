@@ -1,5 +1,5 @@
 // Package stats provides the scalar statistics the distance-correction
-// machinery needs: Gaussian CDF / quantile functions (the multiplier m of
+// machinery needs: the Gaussian quantile function (the multiplier m of
 // DDCres is a probit value), summary statistics, empirical quantiles, and
 // histograms used to reproduce the error-distribution figures (Figs. 1–2).
 package stats
@@ -10,15 +10,12 @@ import (
 	"sort"
 )
 
-// NormalCDF returns P(Z <= x) for Z ~ N(0, 1).
-func NormalCDF(x float64) float64 {
-	return 0.5 * math.Erfc(-x/math.Sqrt2)
-}
-
 // NormalQuantile returns the probit function: the x such that
-// NormalCDF(x) = p, for p in (0, 1). This is the multiplier m used by the
-// DDCres error bound: a two-sided coverage of q corresponds to
-// m = NormalQuantile((1+q)/2), e.g. q = 0.997 -> m ≈ 3.
+// P(Z <= x) = p for Z ~ N(0, 1) and p in (0, 1). This is the multiplier m
+// used by the DDCres error bound: a two-sided coverage of q corresponds to
+// m = NormalQuantile((1+q)/2), e.g. q = 0.997 -> m ≈ 3; the pruning test
+// only errs on one side (a point wrongly pruned when dis <= tau), so a
+// one-sided coverage of q corresponds to m = NormalQuantile(q).
 func NormalQuantile(p float64) float64 {
 	if p <= 0 {
 		return math.Inf(-1)
@@ -27,21 +24,6 @@ func NormalQuantile(p float64) float64 {
 		return math.Inf(1)
 	}
 	return -math.Sqrt2 * math.Erfcinv(2*p)
-}
-
-// MultiplierForCoverage converts a two-sided Gaussian coverage probability
-// (e.g. 0.997) into the sigma multiplier m (≈ 3 for 0.997). Because the
-// pruning test only errs on one side (a point wrongly pruned when
-// dis <= tau), the one-sided variant OneSidedMultiplier is usually what the
-// DCOs want; both are provided.
-func MultiplierForCoverage(q float64) float64 {
-	return NormalQuantile((1 + q) / 2)
-}
-
-// OneSidedMultiplier converts a one-sided coverage probability (e.g. 0.995)
-// into the sigma multiplier m with P(Z <= m) = q.
-func OneSidedMultiplier(q float64) float64 {
-	return NormalQuantile(q)
 }
 
 // Summary holds moments of a sample.
@@ -169,23 +151,4 @@ func NewHistogram(xs []float64, lo, hi float64, nbins int) *Histogram {
 func (h *Histogram) BinCenter(i int) float64 {
 	w := (h.Hi - h.Lo) / float64(len(h.Counts))
 	return h.Lo + w*(float64(i)+0.5)
-}
-
-// Peakiness returns the fraction of mass in the central frac-wide band
-// around zero. A more concentrated error distribution (PCA projection)
-// scores higher than a flat one (random projection) — the Fig. 1 contrast
-// reduced to a single number.
-func (h *Histogram) Peakiness(frac float64) float64 {
-	if h.Total == 0 {
-		return 0
-	}
-	half := frac * (h.Hi - h.Lo) / 2
-	inside := 0
-	for i, c := range h.Counts {
-		center := h.BinCenter(i)
-		if math.Abs(center) <= half {
-			inside += c
-		}
-	}
-	return float64(inside) / float64(h.Total)
 }

@@ -7,6 +7,10 @@ import (
 	"testing/quick"
 )
 
+// normalCDF is P(Z <= x) for Z ~ N(0, 1): the reference NormalQuantile is
+// inverted against.
+func normalCDF(x float64) float64 { return 0.5 * math.Erfc(-x/math.Sqrt2) }
+
 func TestNormalCDFKnownValues(t *testing.T) {
 	cases := []struct{ x, want float64 }{
 		{0, 0.5},
@@ -15,8 +19,8 @@ func TestNormalCDFKnownValues(t *testing.T) {
 		{3, 0.99865},
 	}
 	for _, c := range cases {
-		if got := NormalCDF(c.x); math.Abs(got-c.want) > 1e-4 {
-			t.Errorf("NormalCDF(%v) = %v, want %v", c.x, got, c.want)
+		if got := normalCDF(c.x); math.Abs(got-c.want) > 1e-4 {
+			t.Errorf("normalCDF(%v) = %v, want %v", c.x, got, c.want)
 		}
 	}
 }
@@ -28,7 +32,7 @@ func TestNormalQuantileRoundTrip(t *testing.T) {
 			return true
 		}
 		x := NormalQuantile(p)
-		return math.Abs(NormalCDF(x)-p) < 1e-9
+		return math.Abs(normalCDF(x)-p) < 1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -45,21 +49,23 @@ func TestNormalQuantileEdges(t *testing.T) {
 }
 
 func TestMultiplierForCoverage(t *testing.T) {
-	// Empirical rule: 99.7% two-sided coverage ~ 3 sigma.
-	if m := MultiplierForCoverage(0.997); math.Abs(m-2.9677) > 1e-3 {
-		t.Errorf("MultiplierForCoverage(0.997) = %v, want ~2.97", m)
+	// The DDCres multiplier for a two-sided coverage q is
+	// NormalQuantile((1+q)/2). Empirical rule: 99.7% ~ 3 sigma.
+	if m := NormalQuantile((1 + 0.997) / 2); math.Abs(m-2.9677) > 1e-3 {
+		t.Errorf("multiplier for 0.997 coverage = %v, want ~2.97", m)
 	}
-	if m := MultiplierForCoverage(0.95); math.Abs(m-1.95996) > 1e-4 {
-		t.Errorf("MultiplierForCoverage(0.95) = %v, want 1.96", m)
+	if m := NormalQuantile((1 + 0.95) / 2); math.Abs(m-1.95996) > 1e-4 {
+		t.Errorf("multiplier for 0.95 coverage = %v, want 1.96", m)
 	}
 }
 
 func TestOneSidedMultiplier(t *testing.T) {
-	if m := OneSidedMultiplier(0.995); math.Abs(m-2.5758) > 1e-3 {
-		t.Errorf("OneSidedMultiplier(0.995) = %v, want ~2.576", m)
+	// One-sided coverage q: the multiplier is NormalQuantile(q).
+	if m := NormalQuantile(0.995); math.Abs(m-2.5758) > 1e-3 {
+		t.Errorf("one-sided multiplier for 0.995 = %v, want ~2.576", m)
 	}
-	if m := OneSidedMultiplier(0.5); math.Abs(m) > 1e-12 {
-		t.Errorf("OneSidedMultiplier(0.5) = %v, want 0", m)
+	if m := NormalQuantile(0.5); math.Abs(m) > 1e-12 {
+		t.Errorf("one-sided multiplier for 0.5 = %v, want 0", m)
 	}
 }
 
@@ -163,11 +169,21 @@ func TestHistogramPeakiness(t *testing.T) {
 		tight[i] = 0.05 * r.NormFloat64()
 		loose[i] = 1.0 * r.NormFloat64()
 	}
+	// Mass in the bins whose centre lies in the central fifth of the range:
+	// the Fig. 1 contrast (PCA vs random projection error) as one number.
+	central := func(h *Histogram) float64 {
+		inside := 0
+		for i, c := range h.Counts {
+			if math.Abs(h.BinCenter(i)) <= 0.1*(h.Hi-h.Lo) {
+				inside += c
+			}
+		}
+		return float64(inside) / float64(h.Total)
+	}
 	ht := NewHistogram(tight, -3, 3, 60)
 	hl := NewHistogram(loose, -3, 3, 60)
-	if ht.Peakiness(0.2) <= hl.Peakiness(0.2) {
-		t.Fatalf("tight %v should be peakier than loose %v",
-			ht.Peakiness(0.2), hl.Peakiness(0.2))
+	if central(ht) <= central(hl) {
+		t.Fatalf("tight %v should be peakier than loose %v", central(ht), central(hl))
 	}
 }
 

@@ -17,16 +17,11 @@ func L2SqRange(a, b []float32, lo, hi int) float32 {
 	return L2Sq(a[lo:hi], b[lo:hi])
 }
 
-// SuffixNormSq returns, for each cut position d in [0, len(a)], the squared
-// norm of the suffix a[d:]. out[len(a)] is 0. The result is computed in a
-// single backwards pass with float64 accumulation so that successive
-// entries are consistent (out[d] = out[d+1] + a[d]^2).
-func SuffixNormSq(a []float32) []float64 {
-	return SuffixNormSqInto(make([]float64, len(a)+1), a)
-}
-
-// SuffixNormSqInto is SuffixNormSq writing into out, which must have
-// length len(a)+1. It returns out.
+// SuffixNormSqInto writes into out, which must have length len(a)+1, the
+// squared norm of the suffix a[d:] for each cut position d in [0, len(a)],
+// and returns out. out[len(a)] is 0. The result is computed in a single
+// backwards pass with float64 accumulation so that successive entries are
+// consistent (out[d] = out[d+1] + a[d]^2).
 func SuffixNormSqInto(out []float64, a []float32) []float64 {
 	out[len(a)] = 0
 	var s float64

@@ -123,11 +123,11 @@ func TestL2SqRangeSplits(t *testing.T) {
 
 func TestSuffixNormSq(t *testing.T) {
 	a := []float32{3, 4, 0}
-	got := SuffixNormSq(a)
+	got := SuffixNormSqInto(make([]float64, len(a)+1), a)
 	want := []float64{25, 16, 0, 0}
 	for i := range want {
 		if math.Abs(got[i]-want[i]) > 1e-9 {
-			t.Fatalf("SuffixNormSq[%d] = %v, want %v", i, got[i], want[i])
+			t.Fatalf("SuffixNormSqInto[%d] = %v, want %v", i, got[i], want[i])
 		}
 	}
 }
@@ -136,7 +136,7 @@ func TestSuffixNormSqMonotone(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		a := randVec(r, 1+r.Intn(100))
-		s := SuffixNormSq(a)
+		s := SuffixNormSqInto(make([]float64, len(a)+1), a)
 		for i := 0; i < len(s)-1; i++ {
 			if s[i] < s[i+1] {
 				return false
@@ -305,13 +305,6 @@ func TestSuffixIntoMatchesAllocating(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("SuffixWeightedSqInto[%d] = %v want %v", i, got[i], want[i])
-		}
-	}
-	gotN := SuffixNormSqInto(out, a)
-	wantN := SuffixNormSq(a)
-	for i := range wantN {
-		if gotN[i] != wantN[i] {
-			t.Fatalf("SuffixNormSqInto[%d] = %v want %v", i, gotN[i], wantN[i])
 		}
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 )
 
 // StreamMagic starts every WAL tail stream, versioned separately from
@@ -133,11 +134,8 @@ func (sr *StreamReader) Next() (Record, error) {
 	if plen < payloadFixed || plen > payloadFixed+4*maxDim {
 		return Record{}, fmt.Errorf("%w: implausible payload length %d", ErrStreamCorrupt, plen)
 	}
-	if cap(sr.payload) < plen {
-		sr.payload = make([]byte, plen)
-	}
-	sr.payload = sr.payload[:plen]
-	if _, err := io.ReadFull(sr.br, sr.payload); err != nil {
+	var err error
+	if sr.payload, err = readPayload(sr.br, sr.payload, plen); err != nil {
 		return Record{}, fmt.Errorf("%w: torn payload: %v", ErrStreamCorrupt, err)
 	}
 	if crc32.ChecksumIEEE(sr.payload) != wantCRC {
@@ -152,6 +150,22 @@ func (sr *StreamReader) Next() (Record, error) {
 	}
 	sr.last = rec.LSN
 	return rec, nil
+}
+
+// readPayload reads an n-byte record payload into buf's storage and returns
+// it, growing buf as bytes arrive: a record header may claim 16 MiB, and a
+// peer (or a torn segment tail) that sends only the header must not make
+// the reader reserve it.
+func readPayload(br *bufio.Reader, buf []byte, n int) ([]byte, error) {
+	buf = buf[:0]
+	for len(buf) < n {
+		c := min(n-len(buf), 1<<16)
+		buf = slices.Grow(buf, c)[:len(buf)+c]
+		if _, err := io.ReadFull(br, buf[len(buf)-c:]); err != nil {
+			return buf, err
+		}
+	}
+	return buf, nil
 }
 
 // decodePayload decodes one CRC-verified record payload. It returns

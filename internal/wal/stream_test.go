@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"runtime"
 	"testing"
 )
 
@@ -248,4 +249,62 @@ func TestReplayLSNCollisionRejoin(t *testing.T) {
 	if len(recs) != 1 || recs[0].ID != 9 {
 		t.Fatalf("cursor past snapshot: %+v, want the reissued upsert only", recs)
 	}
+}
+
+// FuzzStreamReader feeds arbitrary bytes to the decoder a follower points at
+// a peer's /internal/replica/wal response. Whatever arrives, Next returns —
+// a record, io.EOF or ErrStreamCorrupt, never a panic — records come out in
+// strictly increasing LSN order, and the reader allocates in proportion to
+// the bytes it was given, not to what a record header claims.
+func FuzzStreamReader(f *testing.F) {
+	var buf bytes.Buffer
+	sw := NewStreamWriter(&buf)
+	for _, r := range []Record{
+		{LSN: 5, Op: OpUpsert, Shard: 2, ID: 41, Vec: []float32{1.5, -2.25, 8}},
+		{LSN: 6, Op: OpDelete, Shard: 0, ID: 41},
+		{LSN: 7, Op: OpCheckpoint, Durable: 6},
+		{LSN: 9, Op: OpUpsert, Shard: 1, ID: 42},
+	} {
+		if err := sw.Write(r); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := sw.Flush(); err != nil {
+		f.Fatal(err)
+	}
+	stream := buf.Bytes()
+	f.Add(stream)
+	for _, cut := range []int{len(stream) - 1, len(stream) / 2, len(StreamMagic) + 3, len(StreamMagic), 3, 0} {
+		f.Add(stream[:cut])
+	}
+	// A header that claims the largest payload the format allows, and
+	// nothing behind it.
+	f.Add(append([]byte(StreamMagic), 0x19, 0x00, 0x00, 0x01, 0, 0, 0, 0))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		sr := NewStreamReader(bytes.NewReader(data))
+		var last uint64
+		for n := 0; ; n++ {
+			rec, err := sr.Next()
+			if err != nil {
+				if !errors.Is(err, io.EOF) && !errors.Is(err, ErrStreamCorrupt) {
+					t.Fatalf("Next returned %v: neither io.EOF nor ErrStreamCorrupt", err)
+				}
+				break
+			}
+			if rec.LSN <= last {
+				t.Fatalf("record %d: lsn %d after %d", n, rec.LSN, last)
+			}
+			last = rec.LSN
+			if n > len(data) {
+				t.Fatalf("%d records out of %d bytes", n, len(data))
+			}
+		}
+		runtime.ReadMemStats(&after)
+		// 64 KiB of read buffer, at most 64 KiB of payload ahead of the bytes.
+		if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(256<<10+8*len(data)); grew > limit {
+			t.Fatalf("reading %d bytes allocated %d (limit %d)", len(data), grew, limit)
+		}
+	})
 }

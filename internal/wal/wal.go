@@ -682,11 +682,7 @@ func scanSegment(path string, floor uint64, fn func(Record) error) (last uint64,
 		if plen < payloadFixed || plen > payloadFixed+4*maxDim {
 			return last, true, nil // implausible length: torn/garbage tail
 		}
-		if cap(payload) < plen {
-			payload = make([]byte, plen)
-		}
-		payload = payload[:plen]
-		if _, err := io.ReadFull(br, payload); err != nil {
+		if payload, err = readPayload(br, payload, plen); err != nil {
 			return last, true, nil // torn payload
 		}
 		if crc32.ChecksumIEEE(payload) != wantCRC {

@@ -581,7 +581,9 @@ func (mx *MutableIndex) save(w io.Writer) (uint64, error) {
 	pw.Int(len(m.enables))
 	for _, e := range m.enables {
 		pw.String(string(e.mode))
-		pw.Bool(e.withTraining)
+		// A byte RESSTRM2 reserves here: it once said whether the call was
+		// EnableWithTraining, which nothing ever read back.
+		pw.Bool(len(e.trainQueries) > 0)
 		encodeOptions(pw, e.opts)
 		pw.F32Mat(e.trainQueries)
 	}
@@ -649,12 +651,10 @@ func LoadMutable(r io.Reader, opts *MutableOptions) (*MutableIndex, error) {
 	}
 	enables := make([]recordedEnable, 0, nEnables)
 	for i := 0; i < nEnables; i++ {
-		e := recordedEnable{
-			mode:         Mode(pr.String()),
-			withTraining: pr.Bool(),
-			opts:         decodeOptions(pr),
-			trainQueries: pr.F32Mat(),
-		}
+		e := recordedEnable{mode: Mode(pr.String())}
+		pr.Bool() // reserved byte, see save
+		e.opts = decodeOptions(pr)
+		e.trainQueries = pr.F32Mat()
 		if err := pr.Err(); err != nil {
 			return nil, err
 		}

@@ -59,7 +59,6 @@ type recordedEnable struct {
 	mode         Mode
 	trainQueries [][]float32
 	opts         *Options
-	withTraining bool
 }
 
 // shardSeg is the mutable extension of one shard. Its RWMutex guards the
@@ -522,7 +521,7 @@ func (sx *ShardedIndex) compactShard(s int, wait bool) (bool, compactInfo, error
 		return false, compactInfo{}, fmt.Errorf("resinfer: compacting shard %d: %w", s, err)
 	}
 	var leadShare float64
-	if res, ok := newIdx.dcos[DDCRes].(*ddc.Res); ok {
+	if res, ok := newIdx.modes[DDCRes].dco.(*ddc.Res); ok {
 		leadShare = res.LeadShare()
 	}
 	seg.mu.Lock()

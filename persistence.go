@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
-	"sync"
 
 	"resinfer/internal/adsampling"
 	"resinfer/internal/core"
@@ -62,22 +60,17 @@ func (ix *Index) encode(pw *persist.Writer) error {
 		return fmt.Errorf("resinfer: cannot serialize index kind %q", ix.kind)
 	}
 
+	modes := ix.Modes() // sorted: deterministic files
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	modes := make([]string, 0, len(ix.dcos))
-	for m := range ix.dcos {
-		if m != Exact { // Exact is rebuilt from the vectors
-			modes = append(modes, string(m))
+	pw.Int(len(modes) - 1) // Exact is rebuilt from the vectors
+	for _, m := range modes {
+		if m == Exact {
+			continue
 		}
-	}
-	sort.Strings(modes) // deterministic files
-	pw.Int(len(modes))
-	for _, ms := range modes {
-		m := Mode(ms)
-		pw.String(ms)
-		switch m {
-		case ADSampling:
-			d := ix.dcos[m].(*adsampling.DCO)
+		pw.String(string(m))
+		switch d := ix.modes[m].dco.(type) {
+		case *adsampling.DCO:
 			pw.Magic(adsMagic)
 			// Tuning comes from the DCO itself, not ix.opts: Enable may
 			// have trained it with per-call options.
@@ -85,12 +78,12 @@ func (ix *Index) encode(pw *persist.Writer) error {
 			pw.Int(d.DeltaD())
 			matrix.EncodeF32(pw, d.Rotation())
 			d.Rotated().Encode(pw)
-		case DDCRes:
-			ix.dcos[m].(*ddc.Res).Encode(pw)
-		case DDCPCA:
-			ix.dcos[m].(*ddc.PCADCO).Encode(pw)
-		case DDCOPQ:
-			ix.dcos[m].(*ddc.OPQDCO).Encode(pw)
+		case *ddc.Res:
+			d.Encode(pw)
+		case *ddc.PCADCO:
+			d.Encode(pw)
+		case *ddc.OPQDCO:
+			d.Encode(pw)
 		default:
 			return fmt.Errorf("resinfer: cannot serialize mode %s", m)
 		}
@@ -125,8 +118,8 @@ func decodeIndex(pr *persist.Reader) (*Index, error) {
 		return nil, err
 	}
 	ix := &Index{kind: kind, userDim: userDim, metric: ms,
-		opts: (*Options)(nil).withDefaults(),
-		dcos: map[Mode]core.DCO{}, pools: map[Mode]*sync.Pool{}}
+		opts:  (*Options)(nil).withDefaults(),
+		modes: map[Mode]enabledMode{}}
 	ix.opts.Metric = mk
 	switch kind {
 	case HNSW:
@@ -164,6 +157,15 @@ func decodeIndex(pr *persist.Reader) (*Index, error) {
 		return nil, errors.New("resinfer: stream carries no vectors")
 	}
 	ix.dim = ix.data.Dim()
+	// Searches size the caller's query by userDim and the comparators'
+	// scratch by dim; the metric reduction fixes how the two relate.
+	wantDim := userDim
+	if mk == InnerProduct {
+		wantDim++ // rows carry one augmenting coordinate
+	}
+	if ix.dim != wantDim {
+		return nil, fmt.Errorf("resinfer: stream stores %d-d rows for %d-d %s queries", ix.dim, userDim, mk)
+	}
 	exact, err := core.NewExact(ix.data)
 	if err != nil {
 		return nil, err

@@ -2,6 +2,7 @@ package resinfer
 
 import (
 	"bytes"
+	"encoding/binary"
 	"path/filepath"
 	"testing"
 )
@@ -160,6 +161,14 @@ func TestLoadRejectsCorruption(t *testing.T) {
 		if _, err := Load(bytes.NewReader(good[:cut])); err == nil {
 			t.Fatalf("expected truncation error at %d", cut)
 		}
+	}
+	// A query dimensionality the stored rows do not have: searches size
+	// the caller's query by one and the comparators' scratch by the other.
+	userDim := len(fileMagic) + 8 + len(HNSW) + 8 + len(L2) // after magic, kind, metric
+	lying := bytes.Clone(good)
+	binary.LittleEndian.PutUint64(lying[userDim:], 1<<40)
+	if _, err := Load(bytes.NewReader(lying)); err == nil {
+		t.Fatal("expected query-dimensionality error")
 	}
 }
 

@@ -28,6 +28,7 @@ package resinfer
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"resinfer/internal/adsampling"
@@ -203,10 +204,11 @@ type session struct {
 	items []heap.Item // raw index hits before Neighbor conversion
 }
 
-func newSessionPool(dco core.PooledDCO, dim int) *sync.Pool {
-	return &sync.Pool{New: func() any {
-		return &session{ev: dco.NewEvaluator(), qbuf: make([]float32, dim)}
-	}}
+// enabledMode is a trained comparator and the pool of sessions whose
+// evaluators it built.
+type enabledMode struct {
+	dco  core.DCO
+	pool *sync.Pool
 }
 
 // Index is an AKNN index with swappable distance computation.
@@ -230,8 +232,7 @@ type Index struct {
 	flatIdx *flat.Index
 
 	mu    sync.RWMutex
-	dcos  map[Mode]core.DCO
-	pools map[Mode]*sync.Pool // per-mode session pools, keyed like dcos
+	modes map[Mode]enabledMode
 }
 
 // New builds an index of the given kind over data (rows of equal length,
@@ -259,8 +260,7 @@ func New(data [][]float32, kind IndexKind, opts *Options) (*Index, error) {
 		userDim: len(data[0]),
 		metric:  ms,
 		opts:    o,
-		dcos:    map[Mode]core.DCO{},
-		pools:   map[Mode]*sync.Pool{},
+		modes:   map[Mode]enabledMode{},
 	}
 	exact, err := core.NewExact(mat)
 	if err != nil {
@@ -296,13 +296,14 @@ func New(data [][]float32, kind IndexKind, opts *Options) (*Index, error) {
 	return ix, nil
 }
 
-// installDCO publishes a trained comparator and its evaluator pool.
+// installDCO publishes a trained comparator and its session pool.
 func (ix *Index) installDCO(mode Mode, dco core.DCO) {
+	dim := ix.dim
+	pool := &sync.Pool{New: func() any {
+		return &session{ev: dco.NewEvaluator(), qbuf: make([]float32, dim)}
+	}}
 	ix.mu.Lock()
-	ix.dcos[mode] = dco
-	if p, ok := dco.(core.PooledDCO); ok {
-		ix.pools[mode] = newSessionPool(p, ix.dim)
-	}
+	ix.modes[mode] = enabledMode{dco: dco, pool: pool}
 	ix.mu.Unlock()
 }
 
@@ -348,7 +349,7 @@ type rotation struct {
 func (ix *Index) rotationOf(mode Mode) rotation {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	switch d := ix.dcos[mode].(type) {
+	switch d := ix.modes[mode].dco.(type) {
 	case *adsampling.DCO:
 		return rotation{ads: d.Rotation()}
 	case *ddc.Res:
@@ -365,7 +366,7 @@ func (ix *Index) enable(mode Mode, trainQueries [][]float32, opts *Options, rot 
 		o = opts.withDefaults()
 	}
 	ix.mu.RLock()
-	_, done := ix.dcos[mode]
+	_, done := ix.modes[mode]
 	ix.mu.RUnlock()
 	if done {
 		return nil
@@ -423,7 +424,7 @@ func (ix *Index) enable(mode Mode, trainQueries [][]float32, opts *Options, rot 
 func (ix *Index) Enabled(mode Mode) bool {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	_, ok := ix.dcos[mode]
+	_, ok := ix.modes[mode]
 	return ok
 }
 
@@ -431,12 +432,12 @@ func (ix *Index) Enabled(mode Mode) bool {
 // it with release (or pool.Put) when the search is done.
 func (ix *Index) acquire(mode Mode) (*session, *sync.Pool, error) {
 	ix.mu.RLock()
-	pool, ok := ix.pools[mode]
+	em, ok := ix.modes[mode]
 	ix.mu.RUnlock()
 	if !ok {
 		return nil, nil, fmt.Errorf("resinfer: mode %s not enabled", mode)
 	}
-	return pool.Get().(*session), pool, nil
+	return em.pool.Get().(*session), em.pool, nil
 }
 
 // Search returns the approximate k nearest neighbors of q using the given
@@ -563,13 +564,14 @@ func (ix *Index) Dim() int { return ix.dim }
 // the dimensionality of the data passed to New, independent of metric.
 func (ix *Index) QueryDim() int { return ix.userDim }
 
-// Modes lists the currently enabled comparators.
+// Modes lists the currently enabled comparators in name order.
 func (ix *Index) Modes() []Mode {
 	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	out := make([]Mode, 0, len(ix.dcos))
-	for m := range ix.dcos {
+	out := make([]Mode, 0, len(ix.modes))
+	for m := range ix.modes {
 		out = append(out, m)
 	}
+	ix.mu.RUnlock()
+	slices.Sort(out)
 	return out
 }

@@ -3,6 +3,7 @@ package resinfer
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -105,8 +106,9 @@ func TestHNSWLifecycle(t *testing.T) {
 			t.Fatalf("%s recall = %v", m, r)
 		}
 	}
-	if len(ix.Modes()) != 5 {
-		t.Fatalf("modes = %v", ix.Modes())
+	// Name order, every call: /healthz and the metric registration list it.
+	if want := []Mode{ADSampling, DDCOPQ, DDCPCA, DDCRes, Exact}; !slices.Equal(ix.Modes(), want) {
+		t.Fatalf("modes = %v, want %v", ix.Modes(), want)
 	}
 }
 

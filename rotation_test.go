@@ -186,7 +186,7 @@ func TestReEnableKeepsRecordedOptions(t *testing.T) {
 		t.Fatalf("%d recorded enables, want 1", got)
 	}
 	for s, sh := range mx.shards {
-		if got := sh.dcos[ADSampling].(interface{ DeltaD() int }).DeltaD(); got != 16 {
+		if got := sh.modes[ADSampling].dco.(interface{ DeltaD() int }).DeltaD(); got != 16 {
 			t.Errorf("shard %d runs adsampling with DeltaD %d, want the 16 it was enabled with", s, got)
 		}
 	}

@@ -365,7 +365,7 @@ func partitionRows(data [][]float32, nShards int, strategy ShardStrategy) ([][][
 // DDCRes) on every shard: its rotation once, over the rows of all shards,
 // then each shard's comparator around that rotation, in parallel.
 func (sx *ShardedIndex) Enable(mode Mode, opts *Options) error {
-	return sx.enableAll(mode, nil, opts, false)
+	return sx.enableAll(mode, nil, opts)
 }
 
 // EnableWithTraining trains and installs any comparator on every shard the
@@ -375,10 +375,10 @@ func (sx *ShardedIndex) Enable(mode Mode, opts *Options) error {
 // partitioned). DDCOPQ trains its rotation jointly with its codebooks, so
 // there every shard keeps one of its own.
 func (sx *ShardedIndex) EnableWithTraining(mode Mode, trainQueries [][]float32, opts *Options) error {
-	return sx.enableAll(mode, trainQueries, opts, true)
+	return sx.enableAll(mode, trainQueries, opts)
 }
 
-func (sx *ShardedIndex) enableAll(mode Mode, trainQueries [][]float32, opts *Options, withTraining bool) error {
+func (sx *ShardedIndex) enableAll(mode Mode, trainQueries [][]float32, opts *Options) error {
 	if sx.mut != nil {
 		// Serialize against compaction swaps so the new comparator lands on
 		// every shard's current base, and record the call so a compacted
@@ -435,7 +435,7 @@ func (sx *ShardedIndex) enableAll(mode Mode, trainQueries [][]float32, opts *Opt
 	}
 	if sx.mut != nil {
 		sx.mut.enables = append(sx.mut.enables, recordedEnable{
-			mode: mode, trainQueries: trainQueries, opts: opts, withTraining: withTraining,
+			mode: mode, trainQueries: trainQueries, opts: opts,
 		})
 	}
 	return nil
@@ -1033,8 +1033,9 @@ func (sx *ShardedIndex) QueryDim() int { return sx.userDim }
 // NumShards returns the shard count.
 func (sx *ShardedIndex) NumShards() int { return len(sx.shards) }
 
-// Modes lists the comparators enabled on every shard. It returns an
-// empty list on a corrupt index with no shards rather than panicking.
+// Modes lists the comparators enabled on every shard, in name order. It
+// returns an empty list on a corrupt index with no shards rather than
+// panicking.
 func (sx *ShardedIndex) Modes() []Mode {
 	out := []Mode{}
 	if len(sx.shards) == 0 || sx.shards[0] == nil {
@@ -1108,16 +1109,16 @@ func decodeSharded(pr *persist.Reader) (*ShardedIndex, error) {
 	if userDim <= 0 {
 		return nil, fmt.Errorf("resinfer: corrupt query dimensionality %d", userDim)
 	}
+	// shards and globalID grow as shards actually arrive: nShards is a
+	// claim until then.
 	sx := &ShardedIndex{
 		strategy: strategy,
-		shards:   make([]*Index, nShards),
-		globalID: make([][]int, nShards),
-		n:        n,
 		userDim:  userDim,
 		workers:  runtime.GOMAXPROCS(0),
 	}
+	rows := 0
 	for s := 0; s < nShards; s++ {
-		sx.globalID[s] = pr.Ints()
+		gids := pr.Ints()
 		if err := pr.Err(); err != nil {
 			return nil, err
 		}
@@ -1125,13 +1126,25 @@ func decodeSharded(pr *persist.Reader) (*ShardedIndex, error) {
 		if err != nil {
 			return nil, fmt.Errorf("resinfer: decoding shard %d: %w", s, err)
 		}
-		if len(sx.globalID[s]) != sh.Len() {
+		if len(gids) != sh.Len() {
 			return nil, fmt.Errorf("resinfer: shard %d has %d rows but %d global IDs",
-				s, sh.Len(), len(sx.globalID[s]))
+				s, sh.Len(), len(gids))
 		}
-		sx.shards[s] = sh
+		if s > 0 && (sh.kind != sx.shards[0].kind || sh.metric.kind != sx.shards[0].metric.kind || sh.dim != sx.shards[0].dim) {
+			return nil, fmt.Errorf("resinfer: shard %d is a %d-d %s %s index, shard 0 a %d-d %s %s one",
+				s, sh.dim, sh.metric.kind, sh.kind, sx.shards[0].dim, sx.shards[0].metric.kind, sx.shards[0].kind)
+		}
+		if sh.userDim != userDim {
+			return nil, fmt.Errorf("resinfer: shard %d takes %d-d queries, the index %d-d ones", s, sh.userDim, userDim)
+		}
+		rows += sh.Len()
+		sx.shards = append(sx.shards, sh)
+		sx.globalID = append(sx.globalID, gids)
 		sx.internRotations(s)
 	}
+	// The recorded n sizes the mutation maps and is what Len reports: take
+	// the rows that arrived (a compacted mutable index records a stale one).
+	sx.n = rows
 	sx.kind = sx.shards[0].Kind()
 	sx.metric = sx.shards[0].Metric()
 	sx.initFanPool()
@@ -1146,14 +1159,14 @@ func decodeSharded(pr *persist.Reader) (*ShardedIndex, error) {
 // matrix. Rotations that differ — a file written when every shard trained
 // its own — stay as they are.
 func (sx *ShardedIndex) internRotations(s int) {
-	for mode, dco := range sx.shards[s].dcos {
+	for mode, em := range sx.shards[s].modes {
 		mine := sx.shards[s].rotationOf(mode)
 		for _, prev := range sx.shards[:s] {
 			theirs := prev.rotationOf(mode)
 			if mine.model != nil && theirs.model != nil && mine.model.Intern(theirs.model) {
 				break
 			}
-			if ads, ok := dco.(*adsampling.DCO); ok && theirs.ads != nil && ads.InternRotation(theirs.ads) {
+			if ads, ok := em.dco.(*adsampling.DCO); ok && theirs.ads != nil && ads.InternRotation(theirs.ads) {
 				break
 			}
 		}

@@ -211,6 +211,20 @@ func TestLoadShardedRejectsCorruption(t *testing.T) {
 	if _, err := LoadSharded(bytes.NewReader(mangled)); err == nil {
 		t.Fatal("expected bad-magic error")
 	}
+	// Shards that disagree on structure cannot be one index: the fan-out
+	// budget, the merge and the rotate-once cache all assume they agree.
+	other, err := New(ds.Data[:sx.shards[1].Len()], HNSW, &Options{HNSWEfConstruction: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sx.shards[1] = other
+	buf.Reset()
+	if err := sx.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadSharded(&buf); err == nil {
+		t.Fatal("expected mismatched-shard error")
+	}
 }
 
 // An InnerProduct sharded index augments each shard's vectors with a
