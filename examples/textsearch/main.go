@@ -31,7 +31,7 @@ func main() {
 
 	// The selection signal the paper recommends: variance preserved by a
 	// 32-dim PCA. Low values favor DDCopq; high values favor DDCres.
-	model, err := pca.Train(ds.Data, pca.Config{SampleSize: 4000, Seed: 1})
+	model, err := pca.Train(pca.Config{SampleSize: 4000, Seed: 1}, ds.Matrix())
 	if err != nil {
 		log.Fatal(err)
 	}

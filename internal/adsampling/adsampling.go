@@ -11,16 +11,22 @@
 //
 // which is the squared form of the paper's √(D/d)·‖·‖ > (1+ε0/√d)·√τ test.
 // ε0 trades pruning aggressiveness against failure probability 2e^(-c·ε0²).
+//
+// The random orthogonal matrix is held as a mean-free pca.Model (Mean nil:
+// it projects by the rotation alone, which is vec.MatVec), the one type the
+// index shares, inherits and interns rotations in, whatever comparator they
+// belong to. The comparator writes and reads its own RIADS2 stream.
 package adsampling
 
 import (
 	"errors"
 	"math"
 	"math/rand"
-	"slices"
 
 	"resinfer/internal/core"
 	"resinfer/internal/matrix"
+	"resinfer/internal/pca"
+	"resinfer/internal/persist"
 	"resinfer/internal/store"
 	"resinfer/internal/vec"
 )
@@ -37,11 +43,11 @@ type Config struct {
 
 // DCO is the ADSampling comparator.
 type DCO struct {
-	rotated  *store.Matrix
-	rotation *store.Matrix // D x D, row-major
-	dim      int
-	eps0     float64
-	deltaD   int
+	rotated *store.Matrix
+	model   *pca.Model // mean-free: Rotation is the D x D random orthogonal matrix
+	dim     int
+	eps0    float64
+	deltaD  int
 	// factors[d] caches (1+eps0/sqrt(d))^2 * d / D for each test depth d,
 	// so the per-round prune test is one multiply and one compare:
 	// prune iff partial > tau * factors[d].
@@ -63,39 +69,36 @@ func (cfg *Config) withDefaults(dim int) {
 // New builds the DCO by rotating data with a fresh random orthogonal
 // matrix drawn from cfg.Seed.
 func New(data *store.Matrix, cfg Config) (*DCO, error) {
-	return NewFromRotation(data, nil, cfg)
+	return NewFromModel(data, nil, cfg)
 }
 
-// NewRotation draws the dim x dim random orthogonal matrix of seed.
-func NewRotation(dim int, seed int64) *store.Matrix {
-	return matrix.RandomOrthogonal(dim, rand.New(rand.NewSource(seed))).F32()
+// NewRotation draws the dim x dim random orthogonal matrix of seed, as the
+// mean-free model every rotating comparator is built around.
+func NewRotation(dim int, seed int64) *pca.Model {
+	return &pca.Model{Dim: dim, Rotation: matrix.RandomOrthogonal(dim, rand.New(rand.NewSource(seed))).F32()}
 }
 
-// NewFromRotation builds the DCO over data around a rotation drawn
-// elsewhere — once for all shards of a sharded index, or for the base a
-// compaction replaces — which it shares (Rotation() is the same pointer);
-// nil draws one from cfg.Seed.
-func NewFromRotation(data, rot *store.Matrix, cfg Config) (*DCO, error) {
+// NewFromModel builds the DCO over data around a rotation drawn elsewhere —
+// once for all shards of a sharded index, or for the base a compaction
+// replaces — which it shares (Model() is the same pointer); nil draws one
+// from cfg.Seed.
+func NewFromModel(data *store.Matrix, model *pca.Model, cfg Config) (*DCO, error) {
 	if data == nil || data.Rows() == 0 {
 		return nil, errors.New("adsampling: empty data")
 	}
-	if rot == nil {
-		rot = NewRotation(data.Dim(), cfg.Seed)
+	if model == nil {
+		model = NewRotation(data.Dim(), cfg.Seed)
 	}
-	rotated, err := store.New(data.Rows(), data.Dim())
+	rotated, err := model.ProjectMatrix(data, 0)
 	if err != nil {
 		return nil, err
 	}
-	d, err := NewWithRotation(rotated, rot, cfg) // checks rot's shape against the rows
-	if err != nil {
-		return nil, err
-	}
-	matrix.RotateRows(rotated, rot, data)
-	return d, nil
+	cfg.withDefaults(model.Dim)
+	return newDCO(rotated, model, cfg), nil
 }
 
 // NewWithRotation builds the DCO reusing pre-rotated data and its rotation
-// matrix (used by tests and by index serialization).
+// matrix (used by tests and by Decode).
 func NewWithRotation(rotated, rot *store.Matrix, cfg Config) (*DCO, error) {
 	if rotated == nil || rotated.Rows() == 0 {
 		return nil, errors.New("adsampling: empty data")
@@ -105,18 +108,18 @@ func NewWithRotation(rotated, rot *store.Matrix, cfg Config) (*DCO, error) {
 		return nil, errors.New("adsampling: rotation shape mismatch")
 	}
 	cfg.withDefaults(dim)
-	return newDCO(rotated, rot, cfg), nil
+	return newDCO(rotated, &pca.Model{Dim: dim, Rotation: rot}, cfg), nil
 }
 
-func newDCO(rotated, rot *store.Matrix, cfg Config) *DCO {
+func newDCO(rotated *store.Matrix, model *pca.Model, cfg Config) *DCO {
 	dim := rotated.Dim()
 	d := &DCO{
-		rotated:  rotated,
-		rotation: rot,
-		dim:      dim,
-		eps0:     cfg.Epsilon0,
-		deltaD:   cfg.DeltaD,
-		factors:  make([]float32, dim+1),
+		rotated: rotated,
+		model:   model,
+		dim:     dim,
+		eps0:    cfg.Epsilon0,
+		deltaD:  cfg.DeltaD,
+		factors: make([]float32, dim+1),
 	}
 	for k := 1; k <= dim; k++ {
 		mult := 1 + cfg.Epsilon0/math.Sqrt(float64(k))
@@ -136,23 +139,10 @@ func (d *DCO) Dim() int { return d.dim }
 
 // ExtraBytes implements core.DCO: the D×D rotation matrix, D² floats as in
 // the paper's Exp-3 space accounting.
-func (d *DCO) ExtraBytes() int64 { return d.rotation.Bytes() }
+func (d *DCO) ExtraBytes() int64 { return d.model.Rotation.Bytes() }
 
-// Rotation exposes the rotation matrix for serialization.
-func (d *DCO) Rotation() *store.Matrix { return d.rotation }
-
-// InternRotation makes d rotate through rot when rot equals its own
-// rotation element for element, and reports whether it now does.
-func (d *DCO) InternRotation(rot *store.Matrix) bool {
-	if d.rotation != rot && slices.Equal(d.rotation.Flat(), rot.Flat()) {
-		d.rotation = rot
-	}
-	return d.rotation == rot
-}
-
-// Epsilon0 returns the effective significance parameter (defaults
-// applied), so serialization records what the comparator actually uses.
-func (d *DCO) Epsilon0() float64 { return d.eps0 }
+// Model exposes the mean-free model holding the rotation matrix.
+func (d *DCO) Model() *pca.Model { return d.model }
 
 // DeltaD returns the effective dimension increment per test round.
 func (d *DCO) DeltaD() int { return d.deltaD }
@@ -183,14 +173,14 @@ func (ev *evaluator) Reset(q []float32) error {
 }
 
 // Rotation implements core.RotatingEvaluator.
-func (ev *evaluator) Rotation() *store.Matrix { return ev.parent.rotation }
+func (ev *evaluator) Rotation() *store.Matrix { return ev.parent.model.Rotation }
 
 // Rotate implements core.RotatingEvaluator.
 func (ev *evaluator) Rotate(dst, q []float32) error {
 	if len(q) != ev.parent.dim || len(dst) != ev.parent.dim {
 		return errors.New("adsampling: query dimension mismatch")
 	}
-	vec.MatVec(dst, ev.parent.rotation.Flat(), ev.parent.dim, q)
+	vec.MatVec(dst, ev.parent.model.Rotation.Flat(), ev.parent.dim, q)
 	return nil
 }
 
@@ -240,3 +230,33 @@ func (ev *evaluator) Compare(id int, tau float32) (float32, bool) {
 }
 
 func (ev *evaluator) Stats() *core.Stats { return &ev.stats }
+
+// Version 2 stores the rotated vectors as one flat matrix block.
+const magic = "RIADS2"
+
+// Encode writes the comparator (tuning, rotation, rotated vectors) onto an
+// existing persist stream. The tuning is the comparator's own: Enable may
+// have trained it with per-call options.
+func (d *DCO) Encode(pw *persist.Writer) {
+	pw.Magic(magic)
+	pw.F64(d.eps0)
+	pw.Int(d.deltaD)
+	matrix.EncodeF32(pw, d.model.Rotation)
+	d.rotated.Encode(pw)
+}
+
+// Decode reads a comparator previously written by Encode.
+func Decode(pr *persist.Reader) (*DCO, error) {
+	pr.Magic(magic)
+	eps := pr.F64()
+	deltaD := pr.Int()
+	rot, err := matrix.DecodeF32(pr)
+	if err != nil {
+		return nil, err
+	}
+	rotated, err := store.Decode(pr)
+	if err != nil {
+		return nil, err
+	}
+	return NewWithRotation(rotated, rot, Config{Epsilon0: eps, DeltaD: deltaD})
+}

@@ -191,14 +191,14 @@ func TestNewWithRotationValidation(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	data := gauss(r, 10, 8)
 	dco, _ := New(store.MustFromRows(data), Config{Seed: 4})
-	re, err := NewWithRotation(dco.rotated, dco.Rotation(), Config{})
+	re, err := NewWithRotation(dco.rotated, dco.model.Rotation, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if re.Dim() != 8 || re.Size() != 10 {
 		t.Fatal("metadata mismatch")
 	}
-	if _, err := NewWithRotation(nil, dco.Rotation(), Config{}); err == nil {
+	if _, err := NewWithRotation(nil, dco.model.Rotation, Config{}); err == nil {
 		t.Fatal("expected empty error")
 	}
 }

@@ -77,7 +77,7 @@ func TestVE32CalibrationSurvivesGeneration(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := pca.Train(ds.Data, pca.Config{})
+		m, err := pca.Train(pca.Config{}, ds.Matrix())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -177,7 +177,7 @@ func TestResDecodesFloat64RotationStream(t *testing.T) {
 	ds := getDS(t)
 	rows := ds.Data[:500]
 	const dim = 64
-	cov, mean64, err := matrix.Covariance(rows)
+	cov, mean64, err := matrix.Covariance(store.MustFromRows(rows))
 	if err != nil {
 		t.Fatal(err)
 	}

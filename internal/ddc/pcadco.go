@@ -55,7 +55,7 @@ func NewPCAFromModel(data *store.Matrix, trainQueries [][]float32, model *pca.Mo
 	}
 	if model == nil {
 		var err error
-		model, err = pca.Train(data.ToRows(), pca.Config{SampleSize: cfg.PCASample, Seed: cfg.Seed})
+		model, err = pca.Train(pca.Config{SampleSize: cfg.PCASample, Seed: cfg.Seed}, data)
 		if err != nil {
 			return nil, err
 		}
@@ -137,18 +137,18 @@ func (p *PCADCO) Retrain(trainQueries [][]float32, cfg PCAConfig) error {
 	// Collect labeled samples in the ROTATED space: rotation preserves
 	// exact distances, and the approximate distance at level l is the
 	// prefix distance over the first l rotated coordinates.
-	tq, err := store.FromRows(trainQueries)
-	if err != nil {
-		return err
-	}
-	rq, err := p.model.ProjectMatrix(tq, cfg.Workers)
-	if err != nil {
-		return err
+	rq := make([][]float32, len(trainQueries))
+	cent := make([]float32, p.dim)
+	for i, q := range trainQueries {
+		rq[i] = make([]float32, p.dim)
+		if err := p.model.ProjectInto(rq[i], q, cent); err != nil {
+			return fmt.Errorf("ddc: training query %d: %w", i, err)
+		}
 	}
 	cc := cfg.Collect
 	cc.Seed = cfg.Seed
 	cc.Workers = cfg.Workers
-	samples, err := CollectSamples(p.rotated, rq.ToRows(), cc)
+	samples, err := CollectSamples(p.rotated, rq, cc)
 	if err != nil {
 		return err
 	}

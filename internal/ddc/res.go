@@ -78,7 +78,7 @@ func NewResFromModel(data *store.Matrix, model *pca.Model, cfg ResConfig) (*Res,
 	refit := model != nil
 	if !refit {
 		var err error
-		model, err = pca.Train(data.ToRows(), pca.Config{SampleSize: cfg.PCASample, Seed: cfg.Seed})
+		model, err = pca.Train(pca.Config{SampleSize: cfg.PCASample, Seed: cfg.Seed}, data)
 		if err != nil {
 			return nil, err
 		}

@@ -640,6 +640,6 @@ func topKByRandomPrefix(ads *adsampling.DCO, q []float32, d, k int) ([]int, erro
 		return nil, fmt.Errorf("harness: query dim %d, want %d", len(q), ads.Dim())
 	}
 	rq := make([]float32, ads.Dim())
-	vec.MatVec(rq, ads.Rotation().Flat(), ads.Dim(), q)
+	vec.MatVec(rq, ads.Model().Rotation.Flat(), ads.Dim(), q)
 	return topKByApprox(ads.Rotated(), rq, d, k), nil
 }

@@ -144,14 +144,6 @@ func (c *Classifier) Score(x []float64) float64 {
 	return z
 }
 
-// Predict returns the predicted label for x.
-func (c *Classifier) Predict(x []float64) int {
-	if c.Score(x) > 0 {
-		return 1
-	}
-	return 0
-}
-
 // AdjustBoundary shifts the intercept B so that the label-0 recall on the
 // given set — the fraction of label-0 rows predicted 0; a label-0 row
 // predicted 1 is a wrongly pruned true neighbor — is at least target while

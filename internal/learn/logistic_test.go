@@ -42,6 +42,14 @@ func TestTrainErrors(t *testing.T) {
 	}
 }
 
+// predict is the label the classifier's decision boundary assigns x.
+func predict(c *Classifier, x []float64) int {
+	if c.Score(x) > 0 {
+		return 1
+	}
+	return 0
+}
+
 func TestTrainSeparable(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	x, y := separable2D(r, 2000, 2.0)
@@ -51,7 +59,7 @@ func TestTrainSeparable(t *testing.T) {
 	}
 	correct := 0
 	for i := range x {
-		if c.Predict(x[i]) == y[i] {
+		if predict(c, x[i]) == y[i] {
 			correct++
 		}
 	}
@@ -88,7 +96,7 @@ func recall(c *Classifier, x [][]float64, y []int, label int) float64 {
 			continue
 		}
 		n++
-		if c.Predict(row) == label {
+		if predict(c, row) == label {
 			ok++
 		}
 	}

@@ -244,20 +244,25 @@ func accumulateOuter(cov *Matrix, cent []float64, from, to int) {
 	}
 }
 
-// Covariance returns the D x D covariance matrix of the given float32 rows
-// (population covariance, mean removed), along with the mean vector.
-func Covariance(data [][]float32) (*Matrix, []float64, error) {
-	if len(data) == 0 || len(data[0]) == 0 {
+// Covariance returns the D x D covariance matrix (population covariance,
+// mean removed) of the rows of the given matrices, along with the mean
+// vector. Rows are visited matrix by matrix in argument order, so the result
+// is that of the one matrix holding them all, bit for bit.
+func Covariance(data ...*store.Matrix) (*Matrix, []float64, error) {
+	if len(data) == 0 || data[0] == nil {
 		return nil, nil, errors.New("matrix: Covariance needs non-empty data")
 	}
-	n, d := len(data), len(data[0])
+	n, d := 0, data[0].Dim()
 	mean := make([]float64, d)
-	for _, row := range data {
-		if len(row) != d {
+	for _, m := range data {
+		if m == nil || m.Dim() != d {
 			return nil, nil, errors.New("matrix: ragged data in Covariance")
 		}
-		for j, v := range row {
-			mean[j] += float64(v)
+		n += m.Rows()
+		for i := 0; i < m.Rows(); i++ {
+			for j, v := range m.Row(i) {
+				mean[j] += float64(v)
+			}
 		}
 	}
 	for j := range mean {
@@ -272,12 +277,14 @@ func Covariance(data [][]float32) (*Matrix, []float64, error) {
 	half := (d + 1) / 2
 	par.Range(half, 0, func(lo, hi int) {
 		cent := make([]float64, d)
-		for _, row := range data {
-			for j, v := range row {
-				cent[j] = float64(v) - mean[j]
+		for _, m := range data {
+			for i := 0; i < m.Rows(); i++ {
+				for j, v := range m.Row(i) {
+					cent[j] = float64(v) - mean[j]
+				}
+				accumulateOuter(cov, cent, lo, hi)
+				accumulateOuter(cov, cent, max(d-hi, half), d-lo)
 			}
-			accumulateOuter(cov, cent, lo, hi)
-			accumulateOuter(cov, cent, max(d-hi, half), d-lo)
 		}
 	})
 	inv := 1 / float64(n)

@@ -5,10 +5,12 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"resinfer/internal/persist"
+	"resinfer/internal/store"
 	"resinfer/internal/vec"
 )
 
@@ -246,7 +248,7 @@ func TestGramSchmidtRankDeficient(t *testing.T) {
 }
 
 func TestCovarianceKnown(t *testing.T) {
-	data := [][]float32{{1, 0}, {-1, 0}, {0, 2}, {0, -2}}
+	data := store.MustFromRows([][]float32{{1, 0}, {-1, 0}, {0, 2}, {0, -2}})
 	cov, mean, err := Covariance(data)
 	if err != nil {
 		t.Fatal(err)
@@ -279,7 +281,8 @@ func TestCovarianceSameForAnyWorkerCount(t *testing.T) {
 			}
 		}
 		runtime.GOMAXPROCS(1)
-		want, mean, err := Covariance(data)
+		mat := store.MustFromRows(data)
+		want, mean, err := Covariance(mat)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -296,7 +299,7 @@ func TestCovarianceSameForAnyWorkerCount(t *testing.T) {
 		}
 		for _, procs := range []int{2, 3, 8} {
 			runtime.GOMAXPROCS(procs)
-			got, _, err := Covariance(data)
+			got, _, err := Covariance(mat)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -306,14 +309,25 @@ func TestCovarianceSameForAnyWorkerCount(t *testing.T) {
 				}
 			}
 		}
+		// The same rows split over several matrices sum in the same order.
+		got, gotMean, err := Covariance(store.MustFromRows(data[:7]), store.MustFromRows(data[7:8]), store.MustFromRows(data[8:]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.Data, want.Data) || !slices.Equal(gotMean, mean) {
+			t.Fatalf("d=%d: covariance of the split rows differs from that of their concatenation", d)
+		}
 	}
 }
 
 func TestCovarianceErrors(t *testing.T) {
-	if _, _, err := Covariance(nil); err == nil {
+	if _, _, err := Covariance(); err == nil {
 		t.Fatal("expected empty error")
 	}
-	if _, _, err := Covariance([][]float32{{1, 2}, {3}}); err == nil {
+	if _, _, err := Covariance(nil); err == nil {
+		t.Fatal("expected nil-matrix error")
+	}
+	if _, _, err := Covariance(store.MustFromRows([][]float32{{1, 2}}), store.MustFromRows([][]float32{{3}})); err == nil {
 		t.Fatal("expected ragged error")
 	}
 }

@@ -18,24 +18,9 @@ import (
 	"resinfer/internal/vec"
 )
 
-// NormalizeForCosine returns unit-normalized copies of rows. Rows with
-// zero norm are rejected: cosine similarity is undefined for them.
-func NormalizeForCosine(rows [][]float32) ([][]float32, error) {
-	out := make([][]float32, len(rows))
-	for i, row := range rows {
-		n := vec.Norm(row)
-		if n == 0 {
-			return nil, errors.New("metric: zero vector has no cosine direction")
-		}
-		c := vec.Clone(row)
-		vec.Scale(c, 1/n)
-		out[i] = c
-	}
-	return out, nil
-}
-
 // NormalizeForCosineInto writes the unit-normalized q into dst (same
-// length) and returns dst, allocating nothing. A zero vector is rejected.
+// length; dst may be q itself) and returns dst, allocating nothing. A zero
+// vector is rejected: cosine similarity is undefined for it.
 func NormalizeForCosineInto(dst, q []float32) ([]float32, error) {
 	if len(dst) != len(q) {
 		return nil, errors.New("metric: normalize scratch length mismatch")
@@ -60,46 +45,23 @@ func CosineFromSqDist(d float32) float32 {
 // IPTransform holds the augmentation parameters of the inner-product
 // reduction.
 type IPTransform struct {
-	Dim    int     // original dimensionality
-	MaxSq  float64 // R²: the maximum squared norm among the data rows
-	QNorms bool    // reserved for symmetric variants
+	Dim   int     // original dimensionality
+	MaxSq float64 // R²: the maximum squared norm among the data rows
 }
 
-// NewIPTransform scans the data rows and returns the transform plus the
-// augmented rows (x, sqrt(R²−‖x‖²)).
-func NewIPTransform(rows [][]float32) (*IPTransform, [][]float32, error) {
-	if len(rows) == 0 || len(rows[0]) == 0 {
-		return nil, nil, errors.New("metric: empty data")
+// DataInto writes the augmented data row (x, sqrt(R²−‖x‖²)) into dst (length
+// Dim+1; dst[:Dim] may be x itself) and returns dst, allocating nothing.
+func (t *IPTransform) DataInto(dst, x []float32) ([]float32, error) {
+	if len(x) != t.Dim || len(dst) != t.Dim+1 {
+		return nil, errors.New("metric: data row dimension mismatch")
 	}
-	dim := len(rows[0])
-	var maxSq float64
-	for _, row := range rows {
-		if len(row) != dim {
-			return nil, nil, errors.New("metric: ragged data")
-		}
-		if n := float64(vec.NormSq(row)); n > maxSq {
-			maxSq = n
-		}
+	rem := t.MaxSq - float64(vec.NormSq(x))
+	if rem < 0 {
+		rem = 0
 	}
-	t := &IPTransform{Dim: dim, MaxSq: maxSq}
-	out := make([][]float32, len(rows))
-	for i, row := range rows {
-		aug := make([]float32, dim+1)
-		copy(aug, row)
-		rem := maxSq - float64(vec.NormSq(row))
-		if rem < 0 {
-			rem = 0
-		}
-		aug[dim] = float32(math.Sqrt(rem))
-		out[i] = aug
-	}
-	return t, out, nil
-}
-
-// Query augments a query vector with a zero coordinate.
-func (t *IPTransform) Query(q []float32) ([]float32, error) {
-	aug := make([]float32, t.Dim+1)
-	return t.QueryInto(aug, q)
+	copy(dst, x)
+	dst[t.Dim] = float32(math.Sqrt(rem))
+	return dst, nil
 }
 
 // QueryInto writes the augmented query into dst (length Dim+1) and

@@ -22,10 +22,41 @@ func randRows(r *rand.Rand, n, d int) [][]float32 {
 	return rows
 }
 
+// normalizeRows is the data side of the cosine reduction as the index
+// applies it: every row through NormalizeForCosineInto, into a fresh copy.
+func normalizeRows(rows [][]float32) ([][]float32, error) {
+	out := make([][]float32, len(rows))
+	for i, row := range rows {
+		var err error
+		if out[i], err = NormalizeForCosineInto(make([]float32, len(row)), row); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// augmentRows is the data side of the inner-product reduction as the index
+// applies it: R² is the largest squared norm, every row goes through DataInto.
+func augmentRows(t testing.TB, rows [][]float32) (*IPTransform, [][]float32) {
+	tr := &IPTransform{Dim: len(rows[0])}
+	for _, row := range rows {
+		tr.MaxSq = max(tr.MaxSq, float64(vec.NormSq(row)))
+	}
+	out := make([][]float32, len(rows))
+	for i, row := range rows {
+		var err error
+		if out[i], err = tr.DataInto(make([]float32, tr.Dim+1), row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return tr, out
+}
+
 func TestNormalizeForCosine(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	rows := randRows(r, 50, 8)
-	norm, err := NormalizeForCosine(rows)
+	first := vec.Clone(rows[0])
+	norm, err := normalizeRows(rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,12 +65,18 @@ func TestNormalizeForCosine(t *testing.T) {
 			t.Fatalf("row %d not unit norm", i)
 		}
 	}
-	// Input untouched.
-	if vec.Norm(rows[0]) == 1 {
-		t.Skip("unlikely: input already unit")
+	if !vec.Equal(rows[0], first) {
+		t.Fatal("input modified")
 	}
-	if _, err := NormalizeForCosine([][]float32{{0, 0}}); err == nil {
+	// In place (dst is q) gives the same bits.
+	if _, err := NormalizeForCosineInto(rows[0], rows[0]); err != nil || !vec.Equal(rows[0], norm[0]) {
+		t.Fatalf("in-place normalization differs (err %v)", err)
+	}
+	if _, err := NormalizeForCosineInto(make([]float32, 2), []float32{0, 0}); err == nil {
 		t.Fatal("expected zero-vector error")
+	}
+	if _, err := NormalizeForCosineInto(make([]float32, 3), []float32{1, 2}); err == nil {
+		t.Fatal("expected scratch-length error")
 	}
 }
 
@@ -50,11 +87,11 @@ func TestCosineOrderEquivalence(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		rows := randRows(r, 30, 6)
 		q := randRows(r, 1, 6)[0]
-		norm, err := NormalizeForCosine(rows)
+		norm, err := normalizeRows(rows)
 		if err != nil {
 			return true // zero vectors: skip
 		}
-		nq, err := NormalizeForCosine([][]float32{q})
+		nq, err := normalizeRows([][]float32{q})
 		if err != nil {
 			return true
 		}
@@ -104,21 +141,22 @@ func TestCosineFromSqDist(t *testing.T) {
 }
 
 func TestIPTransformErrors(t *testing.T) {
-	if _, _, err := NewIPTransform(nil); err == nil {
-		t.Fatal("expected empty error")
+	tr := &IPTransform{Dim: 2, MaxSq: 5}
+	if _, err := tr.DataInto(make([]float32, 3), []float32{3}); err == nil {
+		t.Fatal("expected ragged-row error")
 	}
-	if _, _, err := NewIPTransform([][]float32{{1, 2}, {3}}); err == nil {
-		t.Fatal("expected ragged error")
+	if _, err := tr.DataInto(make([]float32, 2), []float32{1, 2}); err == nil {
+		t.Fatal("expected data scratch-length error")
+	}
+	if _, err := tr.QueryInto(make([]float32, 2), []float32{1, 2}); err == nil {
+		t.Fatal("expected query scratch-length error")
 	}
 }
 
 func TestIPTransformAugmentedNorms(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	rows := randRows(r, 40, 5)
-	tr, aug, err := NewIPTransform(rows)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr, aug := augmentRows(t, rows)
 	// Every augmented row has norm exactly R.
 	for i, row := range aug {
 		if len(row) != 6 {
@@ -137,11 +175,8 @@ func TestIPOrderEquivalence(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		rows := randRows(r, 25, 4)
 		q := randRows(r, 1, 4)[0]
-		tr, aug, err := NewIPTransform(rows)
-		if err != nil {
-			return false
-		}
-		aq, err := tr.Query(q)
+		tr, aug := augmentRows(t, rows)
+		aq, err := tr.QueryInto(make([]float32, tr.Dim+1), q)
 		if err != nil {
 			return false
 		}
@@ -175,11 +210,8 @@ func TestIPRecovery(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	rows := randRows(r, 20, 6)
 	q := randRows(r, 1, 6)[0]
-	tr, aug, err := NewIPTransform(rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	aq, _ := tr.Query(q)
+	tr, aug := augmentRows(t, rows)
+	aq, _ := tr.QueryInto(make([]float32, tr.Dim+1), q)
 	for i := range rows {
 		d := vec.L2Sq(aq, aug[i])
 		got := float64(tr.IPFromSqDist(d, q))
@@ -188,7 +220,7 @@ func TestIPRecovery(t *testing.T) {
 			t.Fatalf("row %d: recovered IP %v, want %v", i, got, want)
 		}
 	}
-	if _, err := tr.Query(q[:2]); err == nil {
+	if _, err := tr.QueryInto(make([]float32, tr.Dim+1), q[:2]); err == nil {
 		t.Fatal("expected dim error")
 	}
 }

@@ -5,6 +5,10 @@
 // the per-dimension variances σ²ᵢ of the rotated space needed by the
 // DDCres error bound (Eq. 3), and variance-explained accounting used to
 // pick between PCA- and quantization-based methods (Exp-1 discussion).
+//
+// A Model is also the one type every rotating comparator holds its rotation
+// in: ADSampling's random orthogonal matrix is a mean-free Model (Mean nil,
+// no variances), which projects by the rotation alone.
 package pca
 
 import (
@@ -22,7 +26,7 @@ import (
 // Model is a trained PCA rotation.
 type Model struct {
 	Dim      int           // data dimensionality D
-	Mean     []float32     // training mean, subtracted before rotation
+	Mean     []float32     // training mean, subtracted before rotation; nil for a mean-free model
 	Rotation *store.Matrix // D x D; row i is the i-th principal direction
 	// Variances holds the variance of each rotated dimension in descending
 	// order (the eigenvalues of the covariance matrix). Variances[i] is the
@@ -42,21 +46,37 @@ type Config struct {
 	Seed       int64
 }
 
-// Train fits a PCA model on data (n rows of equal dimension).
-func Train(data [][]float32, cfg Config) (*Model, error) {
-	if len(data) == 0 || len(data[0]) == 0 {
+// Train fits a PCA model on the rows of the given matrices, visited in
+// argument order: the model of several matrices is the model of the one
+// matrix holding all their rows, bit for bit.
+func Train(cfg Config, data ...*store.Matrix) (*Model, error) {
+	n := 0
+	for _, m := range data {
+		if m == nil || m.Dim() != data[0].Dim() {
+			return nil, errors.New("pca: empty or ragged data")
+		}
+		n += m.Rows()
+	}
+	if n == 0 {
 		return nil, errors.New("pca: empty data")
 	}
-	rows := data
-	if cfg.SampleSize > 0 && cfg.SampleSize < len(data) {
-		rng := rand.New(rand.NewSource(cfg.Seed))
-		idx := rng.Perm(len(data))[:cfg.SampleSize]
-		rows = make([][]float32, cfg.SampleSize)
-		for i, j := range idx {
-			rows[i] = data[j]
+	if cfg.SampleSize > 0 && cfg.SampleSize < n {
+		sample, err := store.New(cfg.SampleSize, data[0].Dim())
+		if err != nil {
+			return nil, err
 		}
+		rng := rand.New(rand.NewSource(cfg.Seed))
+		for i, j := range rng.Perm(n)[:cfg.SampleSize] {
+			k := 0
+			for j >= data[k].Rows() {
+				j -= data[k].Rows()
+				k++
+			}
+			sample.SetRow(i, data[k].Row(j))
+		}
+		data = []*store.Matrix{sample}
 	}
-	cov, mean64, err := matrix.Covariance(rows)
+	cov, mean64, err := matrix.Covariance(data...)
 	if err != nil {
 		return nil, err
 	}
@@ -85,9 +105,9 @@ func Train(data [][]float32, cfg Config) (*Model, error) {
 	return m, nil
 }
 
-// Project rotates x into the PCA basis: y = R (x - mean). The output has
-// the same dimension; callers truncate to the first d coordinates for a
-// d-dimensional projection.
+// Project rotates x into the PCA basis: y = R (x - mean), y = R x for a
+// mean-free model. The output has the same dimension; callers truncate to
+// the first d coordinates for a d-dimensional projection.
 func (m *Model) Project(x []float32) ([]float32, error) {
 	dst := make([]float32, m.Dim)
 	if err := m.ProjectInto(dst, x, make([]float32, m.Dim)); err != nil {
@@ -111,8 +131,11 @@ func (m *Model) ProjectInto(dst, x, cent []float32) error {
 
 // project is ProjectInto once the lengths are known to match.
 func (m *Model) project(dst, x, cent []float32) {
-	vec.SubInto(cent, x, m.Mean)
-	vec.MatVec(dst, m.Rotation.Flat(), m.Dim, cent)
+	if m.Mean != nil {
+		vec.SubInto(cent, x, m.Mean)
+		x = cent
+	}
+	vec.MatVec(dst, m.Rotation.Flat(), m.Dim, x)
 }
 
 // ProjectMatrix rotates every row of data into a fresh flat matrix using

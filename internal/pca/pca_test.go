@@ -3,6 +3,7 @@ package pca
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -26,8 +27,70 @@ func anisotropic(r *rand.Rand, n int, vars []float64) [][]float32 {
 }
 
 func TestTrainErrors(t *testing.T) {
-	if _, err := Train(nil, Config{}); err == nil {
+	if _, err := Train(Config{}); err == nil {
 		t.Fatal("expected empty error")
+	}
+	if _, err := Train(Config{}, nil); err == nil {
+		t.Fatal("expected nil-matrix error")
+	}
+	a, b := store.MustFromRows([][]float32{{1, 2}, {3, 4}}), store.MustFromRows([][]float32{{1}})
+	if _, err := Train(Config{}, a, b); err == nil {
+		t.Fatal("expected ragged error")
+	}
+}
+
+// TestTrainOverSeveralMatrices: rows are visited in argument order, so the
+// model of a data set split over matrices is the model of the whole, bit for
+// bit — sampled or not. That is what lets a sharded index train one rotation
+// over its shards' matrices without gathering their rows.
+func TestTrainOverSeveralMatrices(t *testing.T) {
+	r := rand.New(rand.NewSource(21))
+	data := anisotropic(r, 900, []float64{9, 5, 3, 2, 1, 0.5})
+	for _, cfg := range []Config{{}, {SampleSize: 300, Seed: 4}} {
+		whole, err := Train(cfg, store.MustFromRows(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		split, err := Train(cfg, store.MustFromRows(data[:100]), store.MustFromRows(data[100:101]), store.MustFromRows(data[101:]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(split.Mean, whole.Mean) || !slices.Equal(split.Rotation.Flat(), whole.Rotation.Flat()) ||
+			!slices.Equal(split.Variances, whole.Variances) || !slices.Equal(split.Sigmas, whole.Sigmas) {
+			t.Fatalf("SampleSize %d: model of the split rows differs from the model of their concatenation", cfg.SampleSize)
+		}
+	}
+}
+
+// TestMeanFreeModelProjectsLikeMatVec: a model without a mean — the form
+// ADSampling's random rotation takes — projects by the rotation alone, with
+// exactly the bits of vec.MatVec, one row at a time or a matrix at once.
+func TestMeanFreeModelProjectsLikeMatVec(t *testing.T) {
+	r := rand.New(rand.NewSource(22))
+	data := anisotropic(r, 40, []float64{4, 3, 2, 1, 1})
+	trained, err := Train(Config{}, store.MustFromRows(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := &Model{Dim: trained.Dim, Rotation: trained.Rotation}
+	mat := store.MustFromRows(data)
+	rotated, err := m.ProjectMatrix(mat, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]float32, m.Dim)
+	for i, row := range data {
+		vec.MatVec(want, m.Rotation.Flat(), m.Dim, row)
+		got, err := m.Project(row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) || !slices.Equal(rotated.Row(i), want) {
+			t.Fatalf("row %d: mean-free projection differs from vec.MatVec", i)
+		}
+	}
+	if re := m.Refit(rotated); re.Mean != nil || re.Rotation != m.Rotation {
+		t.Fatal("Refit of a mean-free model grew a mean or copied the rotation")
 	}
 }
 
@@ -35,7 +98,7 @@ func TestVariancesDescendingAndRecovered(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	vars := []float64{16, 9, 4, 1}
 	data := anisotropic(r, 20000, vars)
-	m, err := Train(data, Config{})
+	m, err := Train(Config{}, store.MustFromRows(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +120,7 @@ func TestProjectPreservesDistances(t *testing.T) {
 	// distances).
 	r := rand.New(rand.NewSource(2))
 	data := anisotropic(r, 500, []float64{5, 3, 2, 1, 0.5, 0.2})
-	m, err := Train(data, Config{})
+	m, err := Train(Config{}, store.MustFromRows(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +143,7 @@ func TestProjectPreservesDistances(t *testing.T) {
 func TestProjectDimensionMismatch(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	data := anisotropic(r, 100, []float64{1, 1})
-	m, _ := Train(data, Config{})
+	m, _ := Train(Config{}, store.MustFromRows(data))
 	if _, err := m.Project([]float32{1}); err != nil {
 		// good
 	} else {
@@ -91,7 +154,7 @@ func TestProjectDimensionMismatch(t *testing.T) {
 func TestVarianceExplainedMonotone(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	data := anisotropic(r, 3000, []float64{10, 5, 2, 1, 0.5, 0.1})
-	m, _ := Train(data, Config{})
+	m, _ := Train(Config{}, store.MustFromRows(data))
 	f := func(du, dv uint8) bool {
 		a, b := int(du)%7, int(dv)%7
 		if a > b {
@@ -116,7 +179,7 @@ func TestVarianceExplainedMonotone(t *testing.T) {
 func TestResidualVariancePlusLeadEqualsTotal(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	data := anisotropic(r, 2000, []float64{4, 3, 2, 1})
-	m, _ := Train(data, Config{})
+	m, _ := Train(Config{}, store.MustFromRows(data))
 	// residual(d) = Σ_{i>=d} σ²ᵢ, the variance mass left at depth d.
 	residual := func(d int) (s float64) {
 		for _, v := range m.Variances[d:] {
@@ -144,8 +207,8 @@ func TestSkewControlsVE(t *testing.T) {
 		skewed[i] = math.Pow(0.75, float64(i))
 		flat[i] = 1
 	}
-	ms, _ := Train(anisotropic(r, 4000, skewed), Config{})
-	mf, _ := Train(anisotropic(r, 4000, flat), Config{})
+	ms, _ := Train(Config{}, store.MustFromRows(anisotropic(r, 4000, skewed)))
+	mf, _ := Train(Config{}, store.MustFromRows(anisotropic(r, 4000, flat)))
 	if ms.VarianceExplained(8) <= mf.VarianceExplained(8)+0.1 {
 		t.Fatalf("skewed VE(8)=%v should far exceed flat VE(8)=%v",
 			ms.VarianceExplained(8), mf.VarianceExplained(8))
@@ -156,8 +219,8 @@ func TestSampledTrainingClose(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	vars := []float64{8, 4, 2, 1}
 	data := anisotropic(r, 20000, vars)
-	full, _ := Train(data, Config{})
-	sampled, err := Train(data, Config{SampleSize: 4000, Seed: 3})
+	full, _ := Train(Config{}, store.MustFromRows(data))
+	sampled, err := Train(Config{SampleSize: 4000, Seed: 3}, store.MustFromRows(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +235,7 @@ func TestSampledTrainingClose(t *testing.T) {
 func TestSigmasMatchVariances(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
 	data := anisotropic(r, 1000, []float64{9, 4, 1})
-	m, _ := Train(data, Config{})
+	m, _ := Train(Config{}, store.MustFromRows(data))
 	for i := range m.Variances {
 		if math.Abs(float64(m.Sigmas[i])*float64(m.Sigmas[i])-m.Variances[i]) > 1e-3 {
 			t.Fatalf("sigma[%d]^2 != variance", i)
@@ -186,7 +249,7 @@ func TestSigmasMatchVariances(t *testing.T) {
 func TestProjectMatrix(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	data := anisotropic(r, 50, []float64{2, 1, 0.5})
-	m, _ := Train(data, Config{})
+	m, _ := Train(Config{}, store.MustFromRows(data))
 	mat := store.MustFromRows(data)
 	for _, workers := range []int{0, 1, 3, 50, 64} {
 		rot, err := m.ProjectMatrix(mat, workers)
@@ -228,7 +291,7 @@ func TestRefitRecoversEigenvalueSigmas(t *testing.T) {
 			row[j] += 2 // a mean the model has to remove
 		}
 	}
-	m, err := Train(data, Config{})
+	m, err := Train(Config{}, store.MustFromRows(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +315,7 @@ func TestRefitRecoversEigenvalueSigmas(t *testing.T) {
 	if !re.Intern(m) || re.Rotation != m.Rotation {
 		t.Fatal("Intern does not recognise a shared rotation")
 	}
-	other, err := Train(data[:1500], Config{})
+	other, err := Train(Config{}, store.MustFromRows(data[:1500]))
 	if err != nil {
 		t.Fatal(err)
 	}

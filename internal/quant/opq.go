@@ -184,14 +184,3 @@ func (o *OPQ) BuildLUTInto(lut *LUT, rotScratch, q []float32) error {
 	}
 	return o.PQ.BuildLUTInto(lut, rotScratch)
 }
-
-// ReconstructionError returns ||Rx - decode(encode(Rx))||² for x. Rotation
-// is an isometry, so this equals the reconstruction error in the original
-// space.
-func (o *OPQ) ReconstructionError(x []float32) (float32, error) {
-	y, err := o.Rotate(x)
-	if err != nil {
-		return 0, err
-	}
-	return o.PQ.ReconstructionError(y)
-}

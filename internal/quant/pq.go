@@ -216,21 +216,6 @@ func (l *LUT) Distance(code []byte) float32 {
 	return s
 }
 
-// ReconstructionError returns ||x - decode(encode(x))||², the quantization
-// residual energy. DDCopq feeds this per-point value to its linear
-// classifier as the third feature.
-func (pq *PQ) ReconstructionError(x []float32) (float32, error) {
-	code, err := pq.Encode(x)
-	if err != nil {
-		return 0, err
-	}
-	dec, err := pq.Decode(code)
-	if err != nil {
-		return 0, err
-	}
-	return vec.L2Sq(x, dec), nil
-}
-
 // CodeBytes returns the storage in bytes for n encoded points: the paper's
 // n·M·nbits bits (§VI-B).
 func (pq *PQ) CodeBytes(n int) int {

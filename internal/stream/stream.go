@@ -18,6 +18,7 @@ package stream
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"resinfer/internal/heap"
@@ -52,9 +53,6 @@ func (m *Memtable) Len() int { return len(m.ids) }
 
 // Dim returns the vector dimensionality.
 func (m *Memtable) Dim() int { return m.dim }
-
-// Seq returns the current write sequence number.
-func (m *Memtable) Seq() uint64 { return m.seq }
 
 // Has reports whether the memtable holds a row for id.
 func (m *Memtable) Has(id int) bool {
@@ -109,19 +107,12 @@ func (m *Memtable) Remove(id int) bool {
 	return true
 }
 
-// Snapshot deep-copies the current contents: the IDs, one row copy per
-// ID, and the sequence number marking the snapshot point. Used by the
-// compactor so the build can proceed off-lock while writes continue.
-func (m *Memtable) Snapshot() (ids []int, rows [][]float32, seq uint64) {
-	ids = make([]int, len(m.ids))
-	copy(ids, m.ids)
-	rows = make([][]float32, len(m.ids))
-	for i := range rows {
-		row := make([]float32, m.dim)
-		copy(row, m.Vec(i))
-		rows[i] = row
-	}
-	return ids, rows, m.seq
+// Snapshot deep-copies the current contents: the IDs, their rows as one
+// flat row-major buffer (row i at [i*Dim : (i+1)*Dim]), and the sequence
+// number marking the snapshot point. Used by the compactor so the build can
+// proceed off-lock while writes continue.
+func (m *Memtable) Snapshot() (ids []int, vecs []float32, seq uint64) {
+	return slices.Clone(m.ids), slices.Clone(m.vecs), m.seq
 }
 
 // CompactAfter returns a fresh memtable holding only the rows written

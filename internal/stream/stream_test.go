@@ -3,6 +3,7 @@ package stream
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"resinfer/internal/heap"
@@ -67,7 +68,7 @@ func TestMemtableCompactAfter(t *testing.T) {
 	m := NewMemtable(1)
 	m.Add(1, vecOf(1))
 	m.Add(2, vecOf(2))
-	snap := m.Seq()
+	_, _, snap := m.Snapshot()
 	m.Add(3, vecOf(3))   // fresh after snapshot
 	m.Add(1, vecOf(1.5)) // overwrite after snapshot
 	rest := m.CompactAfter(snap)
@@ -77,21 +78,23 @@ func TestMemtableCompactAfter(t *testing.T) {
 	if !rest.Has(3) || !rest.Has(1) || rest.Has(2) {
 		t.Fatalf("survivors have 3=%v 1=%v 2=%v", rest.Has(3), rest.Has(1), rest.Has(2))
 	}
-	if rest.Seq() != m.Seq() {
-		t.Fatalf("sequence must carry over: %d vs %d", rest.Seq(), m.Seq())
+	if rest.seq != m.seq {
+		t.Fatalf("sequence must carry over: %d vs %d", rest.seq, m.seq)
 	}
 }
 
 func TestMemtableSnapshotIsDeepCopy(t *testing.T) {
 	m := NewMemtable(2)
 	m.Add(4, vecOf(1, 1))
-	ids, rows, _ := m.Snapshot()
+	m.Add(7, vecOf(2, 3))
+	ids, vecs, _ := m.Snapshot()
 	m.Add(4, vecOf(9, 9)) // overwrite in place after the snapshot
-	if rows[0][0] != 1 || rows[0][1] != 1 {
-		t.Fatalf("snapshot row mutated to %v", rows[0])
+	m.Remove(7)           // swap-with-last after the snapshot
+	if !slices.Equal(vecs, []float32{1, 1, 2, 3}) {
+		t.Fatalf("snapshot rows mutated to %v", vecs)
 	}
-	if ids[0] != 4 {
-		t.Fatalf("snapshot id = %d", ids[0])
+	if !slices.Equal(ids, []int{4, 7}) {
+		t.Fatalf("snapshot ids = %v", ids)
 	}
 }
 
@@ -161,8 +164,8 @@ func TestMemtableCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Len() != 2 || got.Dim() != 3 || got.Seq() != m.Seq() {
-		t.Fatalf("decoded len=%d dim=%d seq=%d", got.Len(), got.Dim(), got.Seq())
+	if got.Len() != 2 || got.Dim() != 3 || got.seq != m.seq {
+		t.Fatalf("decoded len=%d dim=%d seq=%d", got.Len(), got.Dim(), got.seq)
 	}
 	for i := 0; i < got.Len(); i++ {
 		id := got.ID(i)

@@ -179,28 +179,6 @@ func Clone(a []float32) []float32 {
 	return out
 }
 
-// Zero sets every element of a to zero.
-func Zero(a []float32) {
-	for i := range a {
-		a[i] = 0
-	}
-}
-
-// ArgMin returns the index of the smallest element of a, or -1 if a is
-// empty. Ties resolve to the lowest index.
-func ArgMin(a []float32) int {
-	if len(a) == 0 {
-		return -1
-	}
-	best, idx := a[0], 0
-	for i := 1; i < len(a); i++ {
-		if a[i] < best {
-			best, idx = a[i], i
-		}
-	}
-	return idx
-}
-
 // Mean returns the arithmetic mean of a (0 for empty input), accumulated in
 // float64.
 func Mean(a []float32) float64 {
@@ -221,19 +199,6 @@ func Equal(a, b []float32) bool {
 	}
 	for i := range a {
 		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// ApproxEqual reports whether a and b are element-wise equal within eps.
-func ApproxEqual(a, b []float32, eps float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if math.Abs(float64(a[i])-float64(b[i])) > eps {
 			return false
 		}
 	}

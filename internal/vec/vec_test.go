@@ -205,41 +205,12 @@ func TestAddSubClone(t *testing.T) {
 	}
 }
 
-func TestArgMin(t *testing.T) {
-	if got := ArgMin(nil); got != -1 {
-		t.Fatalf("ArgMin(nil) = %d", got)
-	}
-	if got := ArgMin([]float32{5, 1, 3, 1}); got != 1 {
-		t.Fatalf("ArgMin = %d, want 1 (first of ties)", got)
-	}
-}
-
 func TestMean(t *testing.T) {
 	if got := Mean(nil); got != 0 {
 		t.Fatalf("Mean(nil) = %v", got)
 	}
 	if got := Mean([]float32{1, 2, 3}); math.Abs(got-2) > 1e-12 {
 		t.Fatalf("Mean = %v, want 2", got)
-	}
-}
-
-func TestApproxEqual(t *testing.T) {
-	if !ApproxEqual([]float32{1, 2}, []float32{1.0000001, 2}, 1e-3) {
-		t.Fatal("ApproxEqual should accept tiny differences")
-	}
-	if ApproxEqual([]float32{1}, []float32{1, 2}, 1) {
-		t.Fatal("ApproxEqual must reject length mismatch")
-	}
-	if ApproxEqual([]float32{1}, []float32{2}, 0.5) {
-		t.Fatal("ApproxEqual must reject large differences")
-	}
-}
-
-func TestZero(t *testing.T) {
-	a := []float32{1, 2, 3}
-	Zero(a)
-	if !Equal(a, []float32{0, 0, 0}) {
-		t.Fatal("Zero")
 	}
 }
 

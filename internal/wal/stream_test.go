@@ -226,8 +226,8 @@ func TestReplayLSNCollisionRejoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	if got := l2.NextLSN(); got != 4 {
-		t.Fatalf("NextLSN after collision rejoin = %d, want 4 (torn slot reissued)", got)
+	if got := l2.LastLSN(); got != 3 {
+		t.Fatalf("LastLSN after collision rejoin = %d, want 3 (torn slot reissued)", got)
 	}
 	if lsn, err := l2.AppendUpsert(0, 9, []float32{9}); err != nil || lsn != 4 {
 		t.Fatalf("reissued append: lsn=%d err=%v, want 4", lsn, err)

@@ -566,13 +566,6 @@ func (l *Log) Close() error {
 	return nil
 }
 
-// NextLSN returns the LSN the next append will receive.
-func (l *Log) NextLSN() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.nextLSN
-}
-
 // LastLSN returns the LSN of the most recent append (0 if none yet).
 func (l *Log) LastLSN() uint64 {
 	l.mu.Lock()

@@ -103,8 +103,8 @@ func TestOpenContinuesLSNAndMinFloor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := l2.NextLSN(); got != 6 {
-		t.Fatalf("NextLSN after reopen = %d, want 6", got)
+	if got := l2.LastLSN(); got != 5 {
+		t.Fatalf("LastLSN after reopen = %d, want 5", got)
 	}
 	if lsn, _ := l2.AppendDelete(0, 3); lsn != 6 {
 		t.Fatalf("continued lsn = %d, want 6", lsn)

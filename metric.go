@@ -3,8 +3,11 @@ package resinfer
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"resinfer/internal/metric"
+	"resinfer/internal/store"
+	"resinfer/internal/vec"
 )
 
 // MetricKind selects the similarity measure exposed by the index. All
@@ -24,54 +27,88 @@ const (
 	InnerProduct MetricKind = "ip"
 )
 
-// metricState carries the query-side transformation of a non-L2 index.
+// metricState is the metric reduction of one index: the kind and, for
+// InnerProduct, the augmentation parameters of its rows.
 type metricState struct {
 	kind MetricKind
 	ip   *metric.IPTransform
 }
 
-// prepareData applies the metric reduction to the raw data rows before
-// index construction. Returns the (possibly transformed) rows.
-func prepareData(data [][]float32, kind MetricKind) ([][]float32, *metricState, error) {
+// checkVector reports what keeps v from being a dim-d vector of an index:
+// the wrong dimensionality, or a NaN/±Inf component (which would poison
+// exact scans and corrupt comparator training). The caller wraps the reason
+// in ErrInvalidVector.
+func checkVector(v []float32, dim int) error {
+	if len(v) != dim {
+		return fmt.Errorf("dim %d, index expects %d", len(v), dim)
+	}
+	for i, x := range v {
+		if f := float64(x); math.IsNaN(f) || math.IsInf(f, 0) {
+			return fmt.Errorf("component %d is %v", i, x)
+		}
+	}
+	return nil
+}
+
+// ingest is the one way rows enter an index: it copies n caller-space rows
+// into a fresh matrix in the internal space of the metric reduction, checking
+// each once (see checkVector) on the way. row(i) returns the i-th row and the
+// ID an error names it by. Cosine rows are unit-normalized where they land;
+// InnerProduct rows gain the augmenting coordinate sqrt(R²−‖x‖²), R² being
+// the largest squared norm among these rows.
+func ingest(n int, row func(i int) (id int, v []float32), kind MetricKind) (*store.Matrix, *metricState, error) {
+	dim := 0
+	if n > 0 {
+		_, first := row(0)
+		dim = len(first)
+	}
+	if dim == 0 {
+		return nil, nil, errors.New("resinfer: empty data")
+	}
+	ms := &metricState{kind: kind}
+	idim := dim
 	switch kind {
-	case "", L2:
-		return data, &metricState{kind: L2}, nil
-	case Cosine:
-		norm, err := metric.NormalizeForCosine(data)
-		if err != nil {
-			return nil, nil, err
-		}
-		return norm, &metricState{kind: Cosine}, nil
+	case L2, Cosine:
 	case InnerProduct:
-		tr, aug, err := metric.NewIPTransform(data)
-		if err != nil {
-			return nil, nil, err
-		}
-		return aug, &metricState{kind: InnerProduct, ip: tr}, nil
+		ms.ip = &metric.IPTransform{Dim: dim}
+		idim++
+	default:
+		return nil, nil, fmt.Errorf("resinfer: unknown metric %q", kind)
 	}
-	return nil, nil, fmt.Errorf("resinfer: unknown metric %q", kind)
+	mat, err := store.New(n, idim)
+	if err != nil {
+		return nil, nil, fmt.Errorf("resinfer: %w", err)
+	}
+	for i := 0; i < n; i++ {
+		id, v := row(i)
+		if err := checkVector(v, dim); err != nil {
+			return nil, nil, fmt.Errorf("%w: row %d: %v", ErrInvalidVector, id, err)
+		}
+		dst := mat.Row(i)[:dim]
+		copy(dst, v)
+		switch kind {
+		case Cosine:
+			if _, err := metric.NormalizeForCosineInto(dst, dst); err != nil {
+				return nil, nil, fmt.Errorf("resinfer: row %d: %w", id, err)
+			}
+		case InnerProduct:
+			ms.ip.MaxSq = max(ms.ip.MaxSq, float64(vec.NormSq(dst)))
+		}
+	}
+	if kind == InnerProduct {
+		for i := 0; i < n; i++ {
+			r := mat.Row(i)
+			if _, err := ms.ip.DataInto(r, r[:dim]); err != nil {
+				return nil, nil, err
+			}
+		}
+	}
+	return mat, ms, nil
 }
 
-// transformQuery maps a caller query into the index's internal space.
-func (ms *metricState) transformQuery(q []float32) ([]float32, error) {
-	switch ms.kind {
-	case L2:
-		return q, nil
-	case Cosine:
-		norm, err := metric.NormalizeForCosine([][]float32{q})
-		if err != nil {
-			return nil, err
-		}
-		return norm[0], nil
-	case InnerProduct:
-		return ms.ip.Query(q)
-	}
-	return nil, errors.New("resinfer: metric state corrupt")
-}
-
-// transformInto is transformQuery writing into dst (internal
-// dimensionality), the allocation-free path for pooled searches. For L2
-// the query needs no transformation and is returned as-is.
+// transformInto maps a caller query into the index's internal space, writing
+// into dst (internal dimensionality) and allocating nothing. For L2 the query
+// needs no transformation and is returned as-is.
 func (ms *metricState) transformInto(dst, q []float32) ([]float32, error) {
 	switch ms.kind {
 	case L2:

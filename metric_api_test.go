@@ -2,9 +2,11 @@ package resinfer
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"resinfer/internal/vec"
@@ -251,5 +253,38 @@ func TestSearchBatchMalformedFailsFast(t *testing.T) {
 		if r.Err == nil {
 			t.Fatal("mode not enabled must surface per query")
 		}
+	}
+}
+
+// TestConstructorsRejectNonFiniteRows: construction validates a row the way
+// Add does. A NaN used to pass New and surface later, as Enable(DDCRes)
+// failing with "tqli failed to converge" and naming nothing.
+func TestConstructorsRejectNonFiniteRows(t *testing.T) {
+	data := randData(11, 500, 48)
+	data[7][3] = float32(math.NaN())
+	check := func(name string, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrInvalidVector) {
+			t.Fatalf("%s = %v, want ErrInvalidVector", name, err)
+		}
+		if msg := err.Error(); !strings.Contains(msg, "row 7") || !strings.Contains(msg, "component 3") {
+			t.Fatalf("%s = %q, want row 7 and component 3 named", name, msg)
+		}
+	}
+	for _, mk := range []MetricKind{L2, Cosine, InnerProduct} {
+		o := &Options{Metric: mk}
+		_, err := New(data, Flat, o)
+		check("New", err)
+		_, err = NewSharded(data, Flat, 4, &ShardOptions{Index: o})
+		check("NewSharded", err)
+		_, err = NewMutable(data, Flat, 4, &MutableOptions{Index: o, DisableAutoCompact: true})
+		check("NewMutable", err)
+	}
+	data[7][3] = float32(math.Inf(-1))
+	_, err := New(data, Flat, nil)
+	check("New(-Inf)", err)
+	data[7] = data[7][:3]
+	if _, err := New(data, Flat, nil); !errors.Is(err, ErrInvalidVector) || !strings.Contains(err.Error(), "row 7") {
+		t.Fatalf("New(ragged) = %v, want ErrInvalidVector naming row 7", err)
 	}
 }

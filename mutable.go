@@ -686,23 +686,7 @@ func LoadMutable(r io.Reader, opts *MutableOptions) (*MutableIndex, error) {
 		}
 		m.segs[s].mem = mem
 		m.segs[s].dead = dead
-		// Recount the hidden base rows (enableMutation saw empty segments).
-		seg := m.segs[s]
-		seg.hidden = 0
-		for _, gid := range dead.IDs() {
-			if _, ok := seg.baseHas[gid]; ok {
-				seg.hidden++
-			}
-		}
-		for i := 0; i < mem.Len(); i++ {
-			gid := mem.ID(i)
-			if _, ok := seg.baseHas[gid]; !ok {
-				continue
-			}
-			if !dead.Has(gid) {
-				seg.hidden++
-			}
-		}
+		m.segs[s].recountHidden() // enableMutation saw empty segments
 	}
 	// Rebuild the ownership map against the decoded segments: base rows
 	// that are tombstoned or shadowed are not live, memtable rows are.
@@ -751,27 +735,12 @@ func LoadMutable(r io.Reader, opts *MutableOptions) (*MutableIndex, error) {
 }
 
 // SaveFile writes the mutable index to a file.
-func (mx *MutableIndex) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := mx.Save(f); err != nil {
-		return err
-	}
-	return f.Sync()
-}
+func (mx *MutableIndex) SaveFile(path string) error { return saveFile(path, mx.Save) }
 
 // LoadMutableFile reads a mutable index from a file written by SaveFile;
 // opts behaves exactly as in LoadMutable.
 func LoadMutableFile(path string, opts *MutableOptions) (*MutableIndex, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return LoadMutable(f, opts)
+	return loadFile(path, func(r io.Reader) (*MutableIndex, error) { return LoadMutable(r, opts) })
 }
 
 // encodeOptions writes an optional Options block field by field (the

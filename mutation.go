@@ -3,7 +3,6 @@ package resinfer
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,6 +10,7 @@ import (
 	"resinfer/internal/ddc"
 	"resinfer/internal/fault"
 	"resinfer/internal/heap"
+	"resinfer/internal/metric"
 	"resinfer/internal/retry"
 	"resinfer/internal/stream"
 	"resinfer/internal/wal"
@@ -22,10 +22,10 @@ import (
 // refused (503 — the searches still work), anything else — a failed
 // shard rebuild, a WAL append failure — is internal (500).
 var (
-	// ErrInvalidVector reports a vector rejected at the mutation
-	// boundary: wrong dimensionality, or a NaN/±Inf component (which
-	// would poison exact memtable scans and corrupt comparator
-	// retraining on compaction).
+	// ErrInvalidVector reports a vector rejected by a constructor (New,
+	// NewSharded, NewMutable) or a mutation (Add, Upsert): wrong
+	// dimensionality, or a NaN/±Inf component (which would poison exact
+	// scans and corrupt comparator training).
 	ErrInvalidVector = errors.New("resinfer: invalid vector")
 	// ErrDegraded reports a mutation on an index that degraded itself to
 	// read-only after a persistent WAL failure: the durability contract
@@ -73,6 +73,24 @@ type shardSeg struct {
 	baseHas    map[int]struct{} // global IDs present in the current base segment
 	hidden     int              // base rows invisible (tombstoned or shadowed by a memtable row)
 	compacting bool             // claimed by a running compaction (guarded by mutState.mu)
+}
+
+// recountHidden recomputes hidden from the segments as they stand: the base
+// rows that are tombstoned, plus those a live memtable row shadows. The
+// caller holds mu, or owns a seg no search can reach yet.
+func (seg *shardSeg) recountHidden() {
+	seg.hidden = 0
+	for _, gid := range seg.dead.IDs() {
+		if _, ok := seg.baseHas[gid]; ok {
+			seg.hidden++
+		}
+	}
+	for i := 0; i < seg.mem.Len(); i++ {
+		gid := seg.mem.ID(i)
+		if _, ok := seg.baseHas[gid]; ok && !seg.dead.Has(gid) {
+			seg.hidden++
+		}
+	}
 }
 
 // mutState is the index-wide streaming state. Its mutex serializes
@@ -175,23 +193,14 @@ func (sx *ShardedIndex) enableMutation(indexOpts *Options) {
 // negated dot product for InnerProduct) are directly comparable with the
 // merge keys of base-segment hits.
 func (sx *ShardedIndex) scanRow(v []float32) ([]float32, error) {
-	if len(v) != sx.userDim {
-		return nil, fmt.Errorf("%w: dim %d, index expects %d", ErrInvalidVector, len(v), sx.userDim)
-	}
-	for i, x := range v {
-		if f := float64(x); math.IsNaN(f) || math.IsInf(f, 0) {
-			return nil, fmt.Errorf("%w: component %d is %v", ErrInvalidVector, i, x)
-		}
+	if err := checkVector(v, sx.userDim); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrInvalidVector, err)
 	}
 	row := make([]float32, len(v))
-	copy(row, v)
 	if sx.metric == Cosine {
-		norm, _, err := prepareData([][]float32{row}, Cosine)
-		if err != nil {
-			return nil, err
-		}
-		row = norm[0]
+		return metric.NormalizeForCosineInto(row, v)
 	}
+	copy(row, v)
 	return row, nil
 }
 
@@ -360,23 +369,6 @@ func (sx *ShardedIndex) searchShardMut(s int, out *shardOut, fs *fanScratch) {
 	}
 }
 
-// baseUserRows extracts the caller-space vectors of one base index — the
-// rows a compaction feeds back into New. For L2 the internal rows are the
-// caller's; for Cosine they are the normalized rows (re-normalizing is
-// the identity); for InnerProduct the augmentation coordinate is
-// truncated off.
-func (sx *ShardedIndex) baseUserRows(base *Index) [][]float32 {
-	rows := make([][]float32, base.Len())
-	for i := range rows {
-		r := base.data.Row(i)
-		if sx.metric == InnerProduct {
-			r = r[:sx.userDim:sx.userDim]
-		}
-		rows[i] = r
-	}
-	return rows
-}
-
 // compactInfo describes one finished shard compaction.
 type compactInfo struct {
 	shard     int
@@ -445,7 +437,7 @@ func (sx *ShardedIndex) compactShard(s int, wait bool) (bool, compactInfo, error
 	seg.mu.RLock()
 	base := sx.shards[s]
 	baseIDs := sx.globalID[s]
-	memIDs, memRows, seqSnap := seg.mem.Snapshot()
+	memIDs, memVecs, seqSnap := seg.mem.Snapshot()
 	deadSnap := seg.dead.Clone()
 	seg.mu.RUnlock()
 
@@ -453,12 +445,13 @@ func (sx *ShardedIndex) compactShard(s int, wait bool) (bool, compactInfo, error
 		return false, compactInfo{}, nil
 	}
 
+	// The rebuilt base holds the base rows that are neither tombstoned nor
+	// shadowed by a memtable row (keep lists them), then the memtable rows.
 	memSet := make(map[int]struct{}, len(memIDs))
 	for _, id := range memIDs {
 		memSet[id] = struct{}{}
 	}
-	userRows := sx.baseUserRows(base)
-	rows := make([][]float32, 0, len(baseIDs)+len(memIDs))
+	keep := make([]int, 0, len(baseIDs))
 	ids := make([]int, 0, len(baseIDs)+len(memIDs))
 	for local, gid := range baseIDs {
 		if deadSnap.Has(gid) {
@@ -467,12 +460,11 @@ func (sx *ShardedIndex) compactShard(s int, wait bool) (bool, compactInfo, error
 		if _, shadowed := memSet[gid]; shadowed {
 			continue
 		}
-		rows = append(rows, userRows[local])
+		keep = append(keep, local)
 		ids = append(ids, gid)
 	}
-	rows = append(rows, memRows...)
 	ids = append(ids, memIDs...)
-	if len(rows) == 0 {
+	if len(ids) == 0 {
 		// Every row of the shard is deleted; there is nothing to build an
 		// index over. Leave the segments in place — searches already filter
 		// everything out — and let a future insert trigger the rebuild.
@@ -485,7 +477,16 @@ func (sx *ShardedIndex) compactShard(s int, wait bool) (bool, compactInfo, error
 		}
 	}
 	buildStart := time.Now()
-	newIdx, err := New(rows, sx.kind, opts)
+	// Both segments hold caller-space rows: a base row in its leading userDim
+	// coordinates (InnerProduct's augmenting coordinate follows them; a
+	// Cosine row is already unit length), a memtable row as it is.
+	newIdx, err := newIndex(len(ids), func(i int) (int, []float32) {
+		if i < len(keep) {
+			return ids[i], base.data.Row(keep[i])[:sx.userDim]
+		}
+		off := (i - len(keep)) * sx.userDim
+		return ids[i], memVecs[off : off+sx.userDim]
+	}, sx.kind, opts.withDefaults())
 	if err != nil {
 		return false, compactInfo{}, fmt.Errorf("resinfer: compacting shard %d: %w", s, err)
 	}
@@ -531,28 +532,14 @@ func (sx *ShardedIndex) compactShard(s int, wait bool) (bool, compactInfo, error
 	seg.mem = seg.mem.CompactAfter(seqSnap)
 	seg.dead.Subtract(deadSnap)
 	seg.baseHas = newBaseHas
-	seg.hidden = 0
-	for _, gid := range seg.dead.IDs() {
-		if _, ok := newBaseHas[gid]; ok {
-			seg.hidden++
-		}
-	}
-	for i := 0; i < seg.mem.Len(); i++ {
-		gid := seg.mem.ID(i)
-		if _, ok := newBaseHas[gid]; !ok {
-			continue
-		}
-		if !seg.dead.Has(gid) {
-			seg.hidden++
-		}
-	}
+	seg.recountHidden()
 	swapDur := time.Since(swapStart)
 	seg.mu.Unlock()
 	m.mu.Unlock()
 
 	return true, compactInfo{
 		shard:     s,
-		rows:      len(rows),
+		rows:      len(ids),
 		memRows:   len(memIDs),
 		dead:      deadSnap.Len(),
 		buildDur:  buildDur,

@@ -12,7 +12,6 @@ import (
 	"resinfer/internal/flat"
 	"resinfer/internal/hnsw"
 	"resinfer/internal/ivf"
-	"resinfer/internal/matrix"
 	"resinfer/internal/metric"
 	"resinfer/internal/persist"
 	"resinfer/internal/store"
@@ -21,10 +20,7 @@ import (
 // Version 2 of the on-disk format stores vector payloads as flat
 // row-major matrix blocks (store.Matrix) written in bulk, instead of
 // per-row length-prefixed slices.
-const (
-	fileMagic = "RESINFER2"
-	adsMagic  = "RIADS2"
-)
+const fileMagic = "RESINFER2"
 
 // Save serializes the index — structure, vectors, and every enabled
 // comparator — so a later Load skips both construction and training.
@@ -69,24 +65,13 @@ func (ix *Index) encode(pw *persist.Writer) error {
 			continue
 		}
 		pw.String(string(m))
-		switch d := ix.modes[m].dco.(type) {
-		case *adsampling.DCO:
-			pw.Magic(adsMagic)
-			// Tuning comes from the DCO itself, not ix.opts: Enable may
-			// have trained it with per-call options.
-			pw.F64(d.Epsilon0())
-			pw.Int(d.DeltaD())
-			matrix.EncodeF32(pw, d.Rotation())
-			d.Rotated().Encode(pw)
-		case *ddc.Res:
-			d.Encode(pw)
-		case *ddc.PCADCO:
-			d.Encode(pw)
-		case *ddc.OPQDCO:
-			d.Encode(pw)
-		default:
+		// Every comparator but Exact writes itself, tuning included: Enable
+		// may have trained it with per-call options.
+		d, ok := ix.modes[m].dco.(interface{ Encode(*persist.Writer) })
+		if !ok {
 			return fmt.Errorf("resinfer: cannot serialize mode %s", m)
 		}
+		d.Encode(pw)
 	}
 	return pw.Err()
 }
@@ -187,20 +172,7 @@ func decodeIndex(pr *persist.Reader) (*Index, error) {
 		var dco core.DCO
 		switch m {
 		case ADSampling:
-			pr.Magic(adsMagic)
-			eps := pr.F64()
-			deltaD := pr.Int()
-			rot, derr := matrix.DecodeF32(pr)
-			if derr != nil {
-				return nil, derr
-			}
-			rotated, derr := store.Decode(pr)
-			if derr != nil {
-				return nil, derr
-			}
-			dco, err = adsampling.NewWithRotation(rotated, rot, adsampling.Config{
-				Epsilon0: eps, DeltaD: deltaD,
-			})
+			dco, err = adsampling.Decode(pr)
 		case DDCRes:
 			dco, err = ddc.DecodeRes(pr)
 		case DDCPCA:
@@ -223,24 +195,34 @@ func decodeIndex(pr *persist.Reader) (*Index, error) {
 }
 
 // SaveFile writes the index to a file.
-func (ix *Index) SaveFile(path string) error {
+func (ix *Index) SaveFile(path string) error { return saveFile(path, ix.Save) }
+
+// LoadFile reads an index from a file written by SaveFile.
+func LoadFile(path string) (*Index, error) { return loadFile(path, Load) }
+
+// saveFile creates (or truncates) path, writes it with save and syncs it.
+func saveFile(path string, save func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	if err := ix.Save(f); err != nil {
+	if err := save(f); err != nil {
 		return err
 	}
-	return f.Sync()
+	if err := f.Sync(); err != nil {
+		return err
+	}
+	return f.Close()
 }
 
-// LoadFile reads an index from a file written by SaveFile.
-func LoadFile(path string) (*Index, error) {
+// loadFile opens path and reads it with load.
+func loadFile[T any](path string, load func(io.Reader) (T, error)) (T, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		var zero T
+		return zero, err
 	}
 	defer f.Close()
-	return Load(f)
+	return load(f)
 }

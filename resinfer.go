@@ -241,26 +241,28 @@ type Index struct {
 // is always available; other modes are trained on demand via Enable /
 // EnableWithTraining.
 func New(data [][]float32, kind IndexKind, opts *Options) (*Index, error) {
-	if len(data) == 0 || len(data[0]) == 0 {
-		return nil, errors.New("resinfer: empty data")
-	}
-	o := opts.withDefaults()
-	prepared, ms, err := prepareData(data, o.Metric)
+	return newIndex(len(data), func(i int) (int, []float32) { return i, data[i] }, kind, opts.withDefaults())
+}
+
+// newIndex ingests n caller-space rows (see ingest) and builds an index of
+// the given kind over them: what New, every shard of NewSharded and every
+// compaction do. o has its defaults applied.
+func newIndex(n int, row func(i int) (id int, v []float32), kind IndexKind, o Options) (*Index, error) {
+	mat, ms, err := ingest(n, row, o.Metric)
 	if err != nil {
 		return nil, err
-	}
-	mat, err := store.FromRows(prepared)
-	if err != nil {
-		return nil, fmt.Errorf("resinfer: %w", err)
 	}
 	ix := &Index{
 		kind:    kind,
 		data:    mat,
 		dim:     mat.Dim(),
-		userDim: len(data[0]),
+		userDim: mat.Dim(),
 		metric:  ms,
 		opts:    o,
 		modes:   map[Mode]enabledMode{},
+	}
+	if ms.kind == InnerProduct {
+		ix.userDim = ms.ip.Dim
 	}
 	exact, err := core.NewExact(mat)
 	if err != nil {
@@ -314,7 +316,7 @@ func (ix *Index) Enable(mode Mode, opts *Options) error {
 	case Exact:
 		return nil
 	case ADSampling, DDCRes:
-		return ix.enable(mode, nil, opts, rotation{})
+		return ix.enable(mode, nil, opts, nil)
 	case DDCPCA, DDCOPQ:
 		return fmt.Errorf("resinfer: mode %s needs training queries; use EnableWithTraining", mode)
 	}
@@ -328,39 +330,28 @@ func (ix *Index) EnableWithTraining(mode Mode, trainQueries [][]float32, opts *O
 	case Exact:
 		return nil
 	case ADSampling, DDCRes, DDCPCA, DDCOPQ:
-		return ix.enable(mode, trainQueries, opts, rotation{})
+		return ix.enable(mode, trainQueries, opts, nil)
 	}
 	return fmt.Errorf("resinfer: unknown mode %q", mode)
 }
 
-// rotation is the part of a rotating comparator that does not depend on the
-// rows it covers: the PCA model of ddc-res and ddc-pca, the random
-// orthogonal matrix of adsampling. A ShardedIndex trains one per mode and
-// builds every shard's comparator around it, and a compacted shard takes
-// over the one of the base it replaces, so a fan-out rotates its query
-// once. With the zero value every comparator trains its own.
-type rotation struct {
-	model *pca.Model
-	ads   *store.Matrix
-}
-
 // rotationOf returns the rotation mode's installed comparator is built
-// around, the zero value when there is none.
-func (ix *Index) rotationOf(mode Mode) rotation {
+// around, the part of it that does not depend on the rows it covers: the PCA
+// model of ddc-res and ddc-pca, the mean-free model holding adsampling's
+// random orthogonal matrix. A ShardedIndex trains one per mode and builds
+// every shard's comparator around it, and a compacted shard takes over the
+// one of the base it replaces, so a fan-out rotates its query once. It is nil
+// when there is none; around a nil rotation a comparator trains its own.
+func (ix *Index) rotationOf(mode Mode) *pca.Model {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	switch d := ix.modes[mode].dco.(type) {
-	case *adsampling.DCO:
-		return rotation{ads: d.Rotation()}
-	case *ddc.Res:
-		return rotation{model: d.Model()}
-	case *ddc.PCADCO:
-		return rotation{model: d.Model()}
+	if d, ok := ix.modes[mode].dco.(interface{ Model() *pca.Model }); ok {
+		return d.Model()
 	}
-	return rotation{}
+	return nil
 }
 
-func (ix *Index) enable(mode Mode, trainQueries [][]float32, opts *Options, rot rotation) error {
+func (ix *Index) enable(mode Mode, trainQueries [][]float32, opts *Options, rot *pca.Model) error {
 	o := ix.opts
 	if opts != nil {
 		o = opts.withDefaults()
@@ -376,11 +367,10 @@ func (ix *Index) enable(mode Mode, trainQueries [][]float32, opts *Options, rot 
 	if len(trainQueries) > 0 && ix.metric.kind != L2 {
 		transformed := make([][]float32, len(trainQueries))
 		for i, tq := range trainQueries {
-			tt, err := ix.metric.transformQuery(tq)
-			if err != nil {
+			var err error
+			if transformed[i], err = ix.metric.transformInto(make([]float32, ix.dim), tq); err != nil {
 				return err
 			}
-			transformed[i] = tt
 		}
 		trainQueries = transformed
 	}
@@ -388,18 +378,18 @@ func (ix *Index) enable(mode Mode, trainQueries [][]float32, opts *Options, rot 
 	var err error
 	switch mode {
 	case ADSampling:
-		dco, err = adsampling.NewFromRotation(ix.data, rot.ads, adsampling.Config{
+		dco, err = adsampling.NewFromModel(ix.data, rot, adsampling.Config{
 			Epsilon0: o.ADSEpsilon0, DeltaD: o.DeltaD, Seed: o.Seed,
 		})
 	case DDCRes:
-		dco, err = ddc.NewResFromModel(ix.data, rot.model, ddc.ResConfig{
+		dco, err = ddc.NewResFromModel(ix.data, rot, ddc.ResConfig{
 			Multiplier: o.ResMultiplier, InitD: o.DeltaD, DeltaD: o.DeltaD, Seed: o.Seed,
 		})
 	case DDCPCA:
 		if len(trainQueries) == 0 {
 			return errors.New("resinfer: DDCPCA needs training queries")
 		}
-		dco, err = ddc.NewPCAFromModel(ix.data, trainQueries, rot.model, ddc.PCAConfig{
+		dco, err = ddc.NewPCAFromModel(ix.data, trainQueries, rot, ddc.PCAConfig{
 			TargetRecall: o.TargetRecall, Seed: o.Seed,
 			Collect: ddc.CollectConfig{K: 100, NegPerQuery: 100},
 		})

@@ -21,14 +21,10 @@ var rotating = []Mode{DDCRes, DDCPCA, ADSampling}
 func rotationMatrix(t testing.TB, sx *ShardedIndex, s int, mode Mode) *store.Matrix {
 	t.Helper()
 	rot := sx.shards[s].rotationOf(mode)
-	switch {
-	case rot.model != nil:
-		return rot.model.Rotation
-	case rot.ads != nil:
-		return rot.ads
+	if rot == nil {
+		t.Fatalf("shard %d has no rotation for %s", s, mode)
 	}
-	t.Fatalf("shard %d has no rotation for %s", s, mode)
-	return nil
+	return rot.Rotation
 }
 
 // sharedRotations asserts that all shards rotate each mode's queries
@@ -118,7 +114,7 @@ func TestShardsShareOneRotation(t *testing.T) {
 // whatever their number.
 func TestLegacyPerShardRotations(t *testing.T) {
 	ds, gt := apiFixtures(t)
-	parts, ids, err := partitionRows(ds.Data, 4, RoundRobin)
+	ids, err := partitionRows(len(ds.Data), 4, RoundRobin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,8 +122,12 @@ func TestLegacyPerShardRotations(t *testing.T) {
 		kind: HNSW, strategy: RoundRobin, metric: L2, globalID: ids,
 		n: len(ds.Data), userDim: len(ds.Data[0]), workers: 2,
 	}
-	for s := range parts {
-		ix, err := New(parts[s], HNSW, &Options{Seed: int64(s)})
+	for s := range ids {
+		part := make([][]float32, len(ids[s]))
+		for i, gid := range ids[s] {
+			part[i] = ds.Data[gid]
+		}
+		ix, err := New(part, HNSW, &Options{Seed: int64(s)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -267,7 +266,7 @@ func NewSharded(data [][]float32, kind IndexKind, nShards int, opts *ShardOption
 	if o.Strategy == "" {
 		o.Strategy = RoundRobin
 	}
-	parts, ids, err := partitionRows(data, nShards, o.Strategy)
+	ids, err := partitionRows(len(data), nShards, o.Strategy)
 	if err != nil {
 		return nil, err
 	}
@@ -283,13 +282,15 @@ func NewSharded(data [][]float32, kind IndexKind, nShards int, opts *ShardOption
 	if sx.workers <= 0 {
 		sx.workers = runtime.GOMAXPROCS(0)
 	}
+	ixo := o.Index.withDefaults()
 	errs := make([]error, nShards)
 	var wg sync.WaitGroup
-	for s := range parts {
+	for s := range ids {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			sx.shards[s], errs[s] = New(parts[s], kind, o.Index)
+			gids := ids[s]
+			sx.shards[s], errs[s] = newIndex(len(gids), func(i int) (int, []float32) { return gids[i], data[gids[i]] }, kind, ixo)
 		}(s)
 	}
 	wg.Wait()
@@ -328,37 +329,32 @@ func SingleShard(ix *Index) *ShardedIndex {
 	return sx
 }
 
-// partitionRows splits data into nShards parts and returns, per shard, the
-// rows and their global row indices.
-func partitionRows(data [][]float32, nShards int, strategy ShardStrategy) ([][][]float32, [][]int, error) {
-	parts := make([][][]float32, nShards)
+// partitionRows deals n rows to nShards shards and returns the ID table:
+// ids[s][local] is the global row index of shard s's local row.
+func partitionRows(n, nShards int, strategy ShardStrategy) ([][]int, error) {
 	ids := make([][]int, nShards)
 	switch strategy {
 	case RoundRobin:
-		per := (len(data) + nShards - 1) / nShards
-		for s := range parts {
-			parts[s] = make([][]float32, 0, per)
+		per := (n + nShards - 1) / nShards
+		for s := range ids {
 			ids[s] = make([]int, 0, per)
 		}
-		for i, row := range data {
-			s := i % nShards
-			parts[s] = append(parts[s], row)
-			ids[s] = append(ids[s], i)
+		for i := 0; i < n; i++ {
+			ids[i%nShards] = append(ids[i%nShards], i)
 		}
 	case Contiguous:
-		for s := range parts {
-			lo := s * len(data) / nShards
-			hi := (s + 1) * len(data) / nShards
-			parts[s] = data[lo:hi]
+		for s := range ids {
+			lo := s * n / nShards
+			hi := (s + 1) * n / nShards
 			ids[s] = make([]int, hi-lo)
 			for i := range ids[s] {
 				ids[s][i] = lo + i
 			}
 		}
 	default:
-		return nil, nil, fmt.Errorf("resinfer: unknown shard strategy %q", strategy)
+		return nil, fmt.Errorf("resinfer: unknown shard strategy %q", strategy)
 	}
-	return parts, ids, nil
+	return ids, nil
 }
 
 // Enable trains and installs a self-calibrating comparator (ADSampling or
@@ -400,17 +396,17 @@ func (sx *ShardedIndex) enableAll(mode Mode, trainQueries [][]float32, opts *Opt
 	}
 	// The rotation is trained here, once, over the rows of all shards;
 	// ddc-opq trains its own jointly with its codebooks, per shard.
-	var rot rotation
+	var rot *pca.Model
 	var err error
 	switch mode {
 	case ADSampling:
-		rot.ads = adsampling.NewRotation(sx.shards[0].dim, o.Seed)
+		rot = adsampling.NewRotation(sx.shards[0].dim, o.Seed)
 	case DDCRes, DDCPCA:
-		var rows [][]float32
-		for _, sh := range sx.shards {
-			rows = append(rows, sh.data.ToRows()...)
+		mats := make([]*store.Matrix, len(sx.shards))
+		for s, sh := range sx.shards {
+			mats[s] = sh.data
 		}
-		rot.model, err = pca.Train(rows, pca.Config{Seed: o.Seed})
+		rot, err = pca.Train(pca.Config{Seed: o.Seed}, mats...)
 	case DDCOPQ:
 	default:
 		err = fmt.Errorf("unknown mode %q", mode)
@@ -1159,14 +1155,13 @@ func decodeSharded(pr *persist.Reader) (*ShardedIndex, error) {
 // matrix. Rotations that differ — a file written when every shard trained
 // its own — stay as they are.
 func (sx *ShardedIndex) internRotations(s int) {
-	for mode, em := range sx.shards[s].modes {
+	for mode := range sx.shards[s].modes {
 		mine := sx.shards[s].rotationOf(mode)
+		if mine == nil {
+			continue
+		}
 		for _, prev := range sx.shards[:s] {
-			theirs := prev.rotationOf(mode)
-			if mine.model != nil && theirs.model != nil && mine.model.Intern(theirs.model) {
-				break
-			}
-			if ads, ok := em.dco.(*adsampling.DCO); ok && theirs.ads != nil && ads.InternRotation(theirs.ads) {
+			if theirs := prev.rotationOf(mode); theirs != nil && mine.Intern(theirs) {
 				break
 			}
 		}
@@ -1174,24 +1169,7 @@ func (sx *ShardedIndex) internRotations(s int) {
 }
 
 // SaveFile writes the sharded index to a file.
-func (sx *ShardedIndex) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := sx.Save(f); err != nil {
-		return err
-	}
-	return f.Sync()
-}
+func (sx *ShardedIndex) SaveFile(path string) error { return saveFile(path, sx.Save) }
 
 // LoadShardedFile reads a sharded index from a file written by SaveFile.
-func LoadShardedFile(path string) (*ShardedIndex, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return LoadSharded(f)
-}
+func LoadShardedFile(path string) (*ShardedIndex, error) { return loadFile(path, LoadSharded) }
