@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"text/tabwriter"
 	"time"
 
@@ -254,7 +255,9 @@ func RunExp3(w io.Writer) error {
 		}
 		rows := []row{
 			{"base-data", 0, baseMB},
-			{"hnsw-index", a.Timing("hnsw").Seconds(), float64(hnswIdx.GraphBytes()) / (1 << 20)},
+			// The graph is built by hnsw.Config's default, GOMAXPROCS inserting
+			// goroutines, and its time scales with them: say how many.
+			{fmt.Sprintf("hnsw-index (%d workers)", runtime.GOMAXPROCS(0)), a.Timing("hnsw").Seconds(), float64(hnswIdx.GraphBytes()) / (1 << 20)},
 			{"ivf-index", a.Timing("ivf").Seconds(), float64(ivfIdx.IndexBytes()) / (1 << 20)},
 		}
 		for _, mode := range []string{ModeADS, ModeRes, ModePCA, ModeOPQ} {

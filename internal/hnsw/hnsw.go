@@ -3,6 +3,13 @@
 // of the paper's evaluation. Construction uses exact distances; search
 // takes any core.DCO, so the same graph serves HNSW (exact), HNSW++
 // (ADSampling) and the HNSW-DDC* variants by swapping the comparator.
+//
+// Build inserts from Config.Workers goroutines under one mutex per node
+// (hnswlib's scheme): a searcher copies the popped node's list out from
+// under its lock, a wirer locks one neighbour at a time, and one more mutex
+// guards the entry point, held for a whole insert only by a node that opens
+// a new top layer. A node's back-links go in bottom-up, after its searches.
+// Built or loaded, the lists end up packed in one slab in node order.
 package hnsw
 
 import (
@@ -12,6 +19,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"resinfer/internal/core"
 	"resinfer/internal/heap"
@@ -28,7 +36,10 @@ type Config struct {
 	// The paper uses 500; the harness overrides per experiment.
 	EfConstruction int
 	Seed           int64
-	// Workers parallelizes insertion; default GOMAXPROCS.
+	// Workers is the number of inserting goroutines; default GOMAXPROCS, at
+	// most n-1. Levels are drawn from Seed alone, but which neighbours an
+	// insert finds depends on what was wired when it searched: the graph is
+	// a pure function of (data, cfg) only at Workers: 1.
 	Workers int
 }
 
@@ -94,214 +105,236 @@ func Build(data *store.Matrix, cfg Config) (*Index, error) {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
 	n := data.Rows()
-	idx := newIndex(data.Dim(), cfg.M, 2*cfg.M, cfg.EfConstruction, 0, 0, make([][][]int32, n), data)
+	b := &builder{
+		Index: newIndex(data.Dim(), cfg.M, 2*cfg.M, cfg.EfConstruction, 0, 0, make([][][]int32, n), data),
+		locks: make([]sync.Mutex, n),
+	}
 	mult := 1 / math.Log(float64(cfg.M))
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	// Pre-draw levels so parallel insertion stays deterministic in
-	// structure-independent state.
-	levels := make([]int, n)
-	for i := range levels {
-		levels[i] = int(math.Floor(-math.Log(1-rng.Float64()) * mult))
+	// Levels are pre-drawn as every node's list headers, before the first
+	// insert: whoever reaches a node finds them, and no header moves.
+	for i := range b.links {
+		b.links[i] = make([][]int32, 1+int(math.Floor(-math.Log(1-rng.Float64())*mult)))
 	}
-	idx.links[0] = make([][]int32, levels[0]+1)
-	idx.maxLevel = levels[0]
+	b.maxLevel = len(b.links[0]) - 1
 
-	var mu sync.RWMutex
 	var wg sync.WaitGroup
-	next := make(chan int, cfg.Workers)
-	for w := 0; w < cfg.Workers; w++ {
+	for w := min(cfg.Workers, n-1); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range next {
-				idx.insert(i, levels[i], &mu)
+			// A new index's pool hands out epoch 0 and a build stamps once per
+			// layer search, a few per node: it cannot wrap.
+			s := &buildCtx{searchCtx: b.ctxPool.Get().(*searchCtx)}
+			defer b.ctxPool.Put(s.searchCtx)
+			for i := int(b.next.Add(1)); i < n; i = int(b.next.Add(1)) {
+				b.insert(i, s)
 			}
 		}()
 	}
-	for i := 1; i < n; i++ {
-		next <- i
-	}
-	close(next)
 	wg.Wait()
-	return idx, nil
+	pack(b.links)
+	return b.Index, nil
 }
 
-// insert wires node i with the given level into the graph. Reads take the
-// RLock; the final wiring takes the write lock.
-func (idx *Index) insert(i, level int, mu *sync.RWMutex) {
-	q := idx.data.Row(i)
-	nodeLinks := make([][]int32, level+1)
+// builder is what exists only while Build runs. locks[i] guards every list
+// of node i (a goroutine holds at most one at a time); top guards entry and
+// maxLevel; next hands out node ids in order.
+type builder struct {
+	*Index
+	locks []sync.Mutex
+	top   sync.Mutex
+	next  atomic.Int64
+}
 
-	mu.RLock()
-	ep := idx.entry
-	maxL := idx.maxLevel
+// buildCtx is one worker's scratch: the search scratch SearchEval uses, the
+// copy of a locked node's neighbours, and the candidate and selection
+// buffers of a layer search or a shrink.
+type buildCtx struct {
+	*searchCtx
+	nbrs        []int32
+	found, kept []heap.Item
+}
+
+// insert links node i into the graph. Its own lists are set as its layer
+// searches end, top-down, while nothing links to it; its back-links then go
+// in bottom-up, so whoever reaches i at layer l finds its lists at and below
+// l in place. Only a node that opens a new top layer holds top throughout.
+func (b *builder) insert(i int, s *buildCtx) {
+	level, q := len(b.links[i])-1, b.data.Row(i)
+	b.top.Lock()
+	ep, maxL := b.entry, b.maxLevel
+	if level > maxL {
+		defer b.top.Unlock()
+	} else {
+		b.top.Unlock()
+	}
 	// Greedy descent on the layers above the node's level.
-	curDist := vec.L2Sq(q, idx.data.Row(int(ep)))
+	curDist := vec.L2Sq(q, b.data.Row(int(ep)))
 	for l := maxL; l > level; l-- {
-		ep, curDist = idx.greedyStep(q, ep, curDist, l)
-	}
-	// Beam search per layer from min(level, maxL) down to 0, collecting
-	// neighbor candidates.
-	type layerResult struct {
-		level int
-		cands []heap.Item
-	}
-	var results []layerResult
-	for l := min(level, maxL); l >= 0; l-- {
-		w := idx.searchLayerExact(q, ep, curDist, l, idx.efCon, i)
-		if len(w) > 0 {
-			ep, curDist = int32(w[0].ID), w[0].Dist
-		}
-		results = append(results, layerResult{l, w})
-	}
-	mu.RUnlock()
-
-	mu.Lock()
-	defer mu.Unlock()
-	for _, lr := range results {
-		maxConn := idx.m
-		if lr.level == 0 {
-			maxConn = idx.mMax0
-		}
-		selected := idx.selectNeighbors(q, lr.cands, idx.m)
-		neigh := make([]int32, 0, len(selected))
-		for _, s := range selected {
-			neigh = append(neigh, int32(s.ID))
-		}
-		nodeLinks[lr.level] = neigh
-		// Bidirectional wiring with shrink on overflow.
-		for _, s := range selected {
-			nb := int32(s.ID)
-			if len(idx.links[nb]) <= lr.level {
-				continue // neighbor was wired below this level concurrently
-			}
-			lst := append(idx.links[nb][lr.level], int32(i))
-			if len(lst) > maxConn {
-				lst = idx.shrink(nb, lst, maxConn)
-			}
-			idx.links[nb][lr.level] = lst
-		}
-	}
-	idx.links[i] = nodeLinks
-	if level > idx.maxLevel {
-		idx.maxLevel = level
-		idx.entry = int32(i)
-	}
-}
-
-// greedyStep walks to the closest neighbor of ep at layer l until no
-// improvement. Caller must hold at least the read lock.
-func (idx *Index) greedyStep(q []float32, ep int32, curDist float32, l int) (int32, float32) {
-	for {
-		improved := false
-		if int(ep) < len(idx.links) && idx.links[ep] != nil && l < len(idx.links[ep]) {
-			for _, nb := range idx.links[ep][l] {
-				d := vec.L2Sq(q, idx.data.Row(int(nb)))
-				if d < curDist {
-					curDist = d
-					ep = nb
-					improved = true
+		for improved := true; improved; {
+			improved = false
+			for _, nb := range b.neighbors(ep, l, s) {
+				if d := vec.L2Sq(q, b.data.Row(int(nb))); d < curDist {
+					curDist, ep, improved = d, nb, true
 				}
 			}
 		}
-		if !improved {
-			return ep, curDist
+	}
+	from := min(level, maxL)
+	for l := from; l >= 0; l-- {
+		found := b.searchLayer(q, ep, curDist, l, s)
+		ep, curDist = int32(found[0].ID), found[0].Dist
+		s.kept = b.selectNeighbors(found, b.m, s.kept[:0])
+		lst := make([]int32, 0, b.maxConn(l)+1)
+		for _, k := range s.kept {
+			lst = append(lst, int32(k.ID))
 		}
+		b.locks[i].Lock()
+		b.links[i][l] = lst
+		b.locks[i].Unlock()
+	}
+	for l := 0; l <= from; l++ {
+		maxConn := b.maxConn(l)
+		// The copy is the selection itself: nobody appended to i's layer-l
+		// list before its first back-link at l went in.
+		for _, nb := range b.neighbors(int32(i), l, s) {
+			b.locks[nb].Lock()
+			lst := append(b.links[nb][l], int32(i))
+			if len(lst) > maxConn {
+				lst = b.shrink(nb, lst, maxConn, s)
+			}
+			b.links[nb][l] = lst
+			b.locks[nb].Unlock()
+		}
+	}
+	if level > maxL {
+		b.maxLevel, b.entry = level, int32(i)
 	}
 }
 
-// searchLayerExact is the construction-time beam search with exact
-// distances; skip excludes the node being inserted. Returns candidates in
-// ascending distance order.
-func (idx *Index) searchLayerExact(q []float32, ep int32, epDist float32, l, ef, skip int) []heap.Item {
-	visited := map[int32]struct{}{ep: {}}
-	cands := heap.NewMinQueue(ef)
-	w := heap.NewResultQueue(ef)
-	cands.Push(int(ep), epDist)
-	if int(ep) != skip {
-		w.Push(int(ep), epDist)
+// maxConn is the degree cap at layer l.
+func (idx *Index) maxConn(l int) int {
+	if l == 0 {
+		return idx.mMax0
 	}
-	for cands.Len() > 0 {
-		c, _ := cands.PopMin()
-		if c.Dist > w.Threshold() {
+	return idx.m
+}
+
+// neighbors copies node's layer-l list out from under its lock into the
+// worker's scratch; the copy is valid until the worker's next call.
+func (b *builder) neighbors(node int32, l int, s *buildCtx) []int32 {
+	b.locks[node].Lock()
+	s.nbrs = append(s.nbrs[:0], b.links[node][l]...)
+	b.locks[node].Unlock()
+	return s.nbrs
+}
+
+// searchLayer is the construction-time beam search at layer l with exact
+// distances. It returns up to efCon candidates in ascending distance order,
+// ep among them, valid until the worker's next search or shrink.
+func (b *builder) searchLayer(q []float32, ep int32, epDist float32, l int, s *buildCtx) []heap.Item {
+	s.epoch++
+	s.visited[ep] = s.epoch
+	s.cands.Reset()
+	s.w.Reset(b.efCon)
+	s.cands.Push(int(ep), epDist)
+	s.w.Push(int(ep), epDist)
+	for s.cands.Len() > 0 {
+		c, _ := s.cands.PopMin()
+		if c.Dist > s.w.Threshold() {
 			break
 		}
-		node := int32(c.ID)
-		if int(node) >= len(idx.links) || idx.links[node] == nil || l >= len(idx.links[node]) {
-			continue
-		}
-		for _, nb := range idx.links[node][l] {
-			if _, ok := visited[nb]; ok {
+		for _, nb := range b.neighbors(int32(c.ID), l, s) {
+			if s.visited[nb] == s.epoch {
 				continue
 			}
-			visited[nb] = struct{}{}
-			d := vec.L2Sq(q, idx.data.Row(int(nb)))
-			if !w.Full() || d < w.Threshold() {
-				cands.Push(int(nb), d)
-				if int(nb) != skip {
-					w.Push(int(nb), d)
-				}
+			s.visited[nb] = s.epoch
+			d := vec.L2Sq(q, b.data.Row(int(nb)))
+			if !s.w.Full() || d < s.w.Threshold() {
+				s.cands.Push(int(nb), d)
+				s.w.Push(int(nb), d)
 			}
 		}
 	}
-	return w.Sorted()
+	s.found = s.w.AppendSorted(s.found[:0])
+	return s.found
 }
 
 // selectNeighbors applies the HNSW heuristic (Algorithm 4): keep a
 // candidate only if it is closer to the query than to every already
-// selected neighbor, which spreads links across directions.
-func (idx *Index) selectNeighbors(q []float32, cands []heap.Item, m int) []heap.Item {
+// selected neighbor, which spreads links across directions. The selection
+// is appended to dst, which must be empty.
+func (idx *Index) selectNeighbors(cands []heap.Item, m int, dst []heap.Item) []heap.Item {
 	if len(cands) <= m {
-		return cands
+		return append(dst, cands...)
 	}
-	selected := make([]heap.Item, 0, m)
 	for _, c := range cands {
-		if len(selected) >= m {
+		if len(dst) >= m {
 			break
 		}
 		good := true
-		for _, s := range selected {
+		for _, s := range dst {
 			if vec.L2Sq(idx.data.Row(c.ID), idx.data.Row(s.ID)) < c.Dist {
 				good = false
 				break
 			}
 		}
 		if good {
-			selected = append(selected, c)
+			dst = append(dst, c)
 		}
 	}
-	// Fill remaining slots with the nearest discarded candidates.
-	if len(selected) < m {
-		chosen := make(map[int]struct{}, len(selected))
-		for _, s := range selected {
-			chosen[s.ID] = struct{}{}
-		}
-		for _, c := range cands {
-			if len(selected) >= m {
-				break
-			}
-			if _, ok := chosen[c.ID]; !ok {
-				selected = append(selected, c)
-			}
+	// Fill remaining slots with the nearest discarded candidates. The kept
+	// ones are a subsequence of cands, so one index into each finds them.
+	for c, k, kept := 0, 0, len(dst); len(dst) < m && c < len(cands); c++ {
+		if k < kept && cands[c].ID == dst[k].ID {
+			k++
+		} else {
+			dst = append(dst, cands[c])
 		}
 	}
-	return selected
+	return dst
 }
 
 // shrink re-selects maxConn neighbors for node nb from the overflowing
-// list using the same heuristic.
-func (idx *Index) shrink(nb int32, lst []int32, maxConn int) []int32 {
-	cands := make([]heap.Item, 0, len(lst))
+// list, in place, using the same heuristic. The caller holds nb's lock.
+func (b *builder) shrink(nb int32, lst []int32, maxConn int, s *buildCtx) []int32 {
+	row := b.data.Row(int(nb))
+	s.found = s.found[:0]
 	for _, o := range lst {
-		cands = append(cands, heap.Item{ID: int(o), Dist: vec.L2Sq(idx.data.Row(int(nb)), idx.data.Row(int(o)))})
+		s.found = append(s.found, heap.Item{ID: int(o), Dist: vec.L2Sq(row, b.data.Row(int(o)))})
 	}
-	sortItems(cands)
-	sel := idx.selectNeighbors(idx.data.Row(int(nb)), cands, maxConn)
-	out := make([]int32, 0, len(sel))
-	for _, s := range sel {
-		out = append(out, int32(s.ID))
+	sortItems(s.found)
+	s.kept = b.selectNeighbors(s.found, maxConn, s.kept[:0])
+	lst = lst[:0]
+	for _, k := range s.kept {
+		lst = append(lst, int32(k.ID))
 	}
-	return out
+	return lst
+}
+
+// pack moves every adjacency list into one slab and every node's level
+// headers into one array, both in node order, so a walk's lists sit where
+// the node ids say and not where the allocator put them. Each list keeps
+// cap == len: appending to one cannot reach the next.
+func pack(links [][][]int32) {
+	var nHdr, nIDs int
+	for _, perLevel := range links {
+		nHdr += len(perLevel)
+		for _, lst := range perLevel {
+			nIDs += len(lst)
+		}
+	}
+	hdrs, slab := make([][]int32, 0, nHdr), make([]int32, 0, nIDs)
+	for i, perLevel := range links {
+		h := len(hdrs)
+		for _, lst := range perLevel {
+			at := len(slab)
+			slab = append(slab, lst...)
+			hdrs = append(hdrs, slab[at:len(slab):len(slab)])
+		}
+		links[i] = hdrs[h:len(hdrs):len(hdrs)]
+	}
 }
 
 func sortItems(items []heap.Item) {

@@ -1,6 +1,7 @@
 package hnsw
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -175,29 +176,24 @@ func TestDDCresBeatsADSamplingScanRate(t *testing.T) {
 	}
 }
 
-func TestGraphInvariants(t *testing.T) {
-	ds, _, _ := getFixtures(t)
-	idx, _ := Build(store.MustFromRows(ds.Data[:1000]), Config{M: 8, EfConstruction: 64, Seed: 7})
-	if idx.Len() != 1000 || idx.Dim() != 128 {
-		t.Fatal("metadata")
-	}
-	// Degree caps hold; no self-links; neighbor ids valid and reach the
-	// linking level.
-	for node := int32(0); node < 1000; node++ {
+// checkGraph asserts what every built graph must satisfy whatever the
+// worker count: degree caps hold, no self-links, neighbor ids are valid and
+// reach the linking level, and the entry point is a tallest node.
+func checkGraph(t *testing.T, idx *Index) {
+	t.Helper()
+	n, tallest := int32(idx.Len()), 0
+	for node := int32(0); node < n; node++ {
+		tallest = max(tallest, len(idx.links[node])-1)
 		for l := 0; l < len(idx.links[node]); l++ {
-			maxConn := idx.m
-			if l == 0 {
-				maxConn = idx.mMax0
-			}
 			lst := idx.Neighbors(node, l)
-			if len(lst) > maxConn {
-				t.Fatalf("node %d level %d degree %d > %d", node, l, len(lst), maxConn)
+			if len(lst) > idx.maxConn(l) {
+				t.Fatalf("node %d level %d degree %d > %d", node, l, len(lst), idx.maxConn(l))
 			}
 			for _, nb := range lst {
 				if nb == node {
 					t.Fatalf("self link at node %d", node)
 				}
-				if nb < 0 || nb >= 1000 {
+				if nb < 0 || nb >= n {
 					t.Fatalf("bad neighbor id %d", nb)
 				}
 				if len(idx.links[nb]) <= l {
@@ -206,18 +202,14 @@ func TestGraphInvariants(t *testing.T) {
 			}
 		}
 	}
-	if idx.MaxLevel() < 0 || int(idx.Entry()) >= 1000 {
-		t.Fatal("entry metadata")
-	}
-	if idx.GraphBytes() <= 0 {
-		t.Fatal("GraphBytes must be positive")
+	if e := idx.Entry(); e < 0 || e >= n || len(idx.links[e])-1 != idx.MaxLevel() || idx.MaxLevel() != tallest {
+		t.Fatalf("entry %d at level %d, MaxLevel %d, tallest node %d", e, len(idx.links[e])-1, idx.MaxLevel(), tallest)
 	}
 }
 
-func TestLayer0Connectivity(t *testing.T) {
-	ds, _, _ := getFixtures(t)
-	idx, _ := Build(store.MustFromRows(ds.Data[:2000]), Config{M: 8, EfConstruction: 64, Seed: 9})
-	seen := make([]bool, 2000)
+// reachable counts the nodes a layer-0 walk from the entry point finds.
+func reachable(idx *Index) int {
+	seen := make([]bool, idx.Len())
 	queue := []int32{idx.Entry()}
 	seen[idx.Entry()] = true
 	count := 1
@@ -232,8 +224,69 @@ func TestLayer0Connectivity(t *testing.T) {
 			}
 		}
 	}
-	if float64(count)/2000 < 0.99 {
+	return count
+}
+
+func TestGraphInvariants(t *testing.T) {
+	ds, _, _ := getFixtures(t)
+	idx, _ := Build(store.MustFromRows(ds.Data[:1000]), Config{M: 8, EfConstruction: 64, Seed: 7})
+	if idx.Len() != 1000 || idx.Dim() != 128 {
+		t.Fatal("metadata")
+	}
+	checkGraph(t, idx)
+	if idx.GraphBytes() <= 0 {
+		t.Fatal("GraphBytes must be positive")
+	}
+}
+
+func TestLayer0Connectivity(t *testing.T) {
+	ds, _, _ := getFixtures(t)
+	idx, _ := Build(store.MustFromRows(ds.Data[:2000]), Config{M: 8, EfConstruction: 64, Seed: 9})
+	if count := reachable(idx); float64(count)/2000 < 0.99 {
 		t.Fatalf("layer-0 reachability %d/2000", count)
+	}
+}
+
+// TestBuildParallelInvariants: a graph built by several goroutines is as
+// good as the one-worker graph: same invariants, same reachability, recall
+// within 0.01. The tall case (M = 2: about half the nodes have upper layers,
+// so inserts that open a top layer collide with the rest) is there for the
+// invariants; four links on layer 0 promise neither a connected layer nor a
+// recall that repeats to 0.01 (0.51 – 0.59 over 30 builds).
+func TestBuildParallelInvariants(t *testing.T) {
+	ds, _, _ := getFixtures(t)
+	const n = 2000
+	mat := store.MustFromRows(ds.Data[:n])
+	gt, err := dataset.BruteForceKNN(ds.Data[:n], ds.Queries, 10, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dco, _ := core.NewExact(mat)
+	for _, c := range []struct {
+		m   int
+		tol float64
+	}{{8, 0.01}, {2, 0.1}} {
+		m := c.m
+		var base float64
+		for _, workers := range []int{1, 2, 8} {
+			idx, err := Build(mat, Config{M: m, EfConstruction: 64, Seed: 9, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkGraph(t, idx)
+			if count := reachable(idx); m > 2 && float64(count)/n < 0.99 {
+				t.Fatalf("M=%d workers=%d: layer-0 reachability %d/%d", m, workers, count, n)
+			}
+			results, _ := searchAll(t, idx, dco, ds.Queries, 10, 100)
+			r := dataset.Recall(results, gt, 10)
+			if workers == 1 {
+				base = r
+			}
+			t.Logf("M=%d workers=%d: max level %d, recall@10 %.4f", m, workers, idx.MaxLevel(), r)
+			if r < base-c.tol {
+				t.Fatalf("M=%d workers=%d: recall@10 %v, one worker %v", m, workers, r, base)
+			}
+		}
 	}
 }
 
@@ -270,5 +323,22 @@ func TestSearchEfClampedToK(t *testing.T) {
 	}
 	if len(items) != 20 {
 		t.Fatalf("ef < k must clamp; got %d results", len(items))
+	}
+}
+
+// BenchmarkBuild shows how construction scales with Config.Workers.
+func BenchmarkBuild(b *testing.B) {
+	ds, _, _ := getFixtures(b)
+	const n = 2000
+	mat := store.MustFromRows(ds.Data[:n])
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := Build(mat, Config{M: 16, EfConstruction: 200, Seed: 5, Workers: workers}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*(n-1)), "ns/insert")
+		})
 	}
 }

@@ -97,5 +97,6 @@ func Decode(pr *persist.Reader) (*Index, error) {
 			}
 		}
 	}
+	pack(links) // sized from the lists that arrived, as Build leaves them
 	return newIndex(dim, m, mMax0, efCon, entry, maxLevel, links, data), nil
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"resinfer/internal/core"
 	"resinfer/internal/persist"
@@ -127,5 +128,54 @@ func TestDecodeRejectsLyingHeader(t *testing.T) {
 	}
 	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
 		t.Errorf("node count 1<<31 with no nodes: allocated %d bytes", grew)
+	}
+}
+
+// TestPackedAdjacency: whether built or loaded, the lists are consecutive
+// sub-slices of one backing array in (node, level) order, each with cap ==
+// len, so an append through Neighbors cannot reach the next list; and the
+// packing is invisible in the bytes.
+func TestPackedAdjacency(t *testing.T) {
+	ds, _, _ := getFixtures(t)
+	built, err := Build(store.MustFromRows(ds.Data[:600]), Config{M: 4, EfConstruction: 40, Seed: 59})
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := encodeBytes(t, built)
+	loaded, err := decodeBytes(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(encodeBytes(t, loaded), good) {
+		t.Fatal("Encode(Decode(Encode(g))) differs from Encode(g)")
+	}
+	for name, idx := range map[string]*Index{"built": built, "loaded": loaded} {
+		var next unsafe.Pointer // one past the previous non-empty list
+		var prev []int32
+		for node := int32(0); int(node) < idx.Len(); node++ {
+			for l := range idx.links[node] {
+				lst := idx.Neighbors(node, l)
+				if cap(lst) != len(lst) {
+					t.Fatalf("%s: node %d level %d has cap %d > len %d", name, node, l, cap(lst), len(lst))
+				}
+				if len(lst) == 0 {
+					continue
+				}
+				if next != nil && unsafe.Pointer(unsafe.SliceData(lst)) != next {
+					t.Fatalf("%s: node %d level %d does not start where the previous list ends", name, node, l)
+				}
+				next = unsafe.Add(unsafe.Pointer(unsafe.SliceData(lst)), 4*len(lst))
+				if prev != nil {
+					first := lst[0]
+					if _ = append(prev, -1); lst[0] != first {
+						t.Fatalf("%s: an append to the list before node %d level %d overwrote it", name, node, l)
+					}
+				}
+				prev = lst
+			}
+		}
+		if int64(uintptr(next)-uintptr(unsafe.Pointer(unsafe.SliceData(idx.Neighbors(0, 0))))) != idx.GraphBytes() {
+			t.Fatalf("%s: the lists do not fill one slab of GraphBytes() = %d", name, idx.GraphBytes())
+		}
 	}
 }
