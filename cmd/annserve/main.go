@@ -234,10 +234,10 @@ func main() {
 // (format auto-detected from the magic: mutable, sharded or single), the
 // recovered durable state of a WAL directory, or a fresh build over a
 // synthetic dataset (onto which any checkpoint-less WAL records are
-// replayed — the same seed rebuilds the same base, so recovery works
-// even before the first compaction checkpoint exists). It returns the
-// sharded engine and, when the index is mutable, the MutableIndex that
-// embeds it; a single-index file is served as its one shard.
+// replayed — the same seed rebuilds the same base byte for byte, HNSW
+// graphs too, so recovery works before the first compaction checkpoint
+// exists). It returns the sharded engine and, when the index is mutable,
+// the MutableIndex that embeds it; a single file is served as one shard.
 func buildOrLoad(loadPath, savePath, kindFlag, metric, modesFlag string,
 	shards, n, dim, train int, seed int64,
 	mutable bool, compactThresh int, threshSet, noAutoCompact bool,

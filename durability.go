@@ -94,8 +94,8 @@ func RecoverMutable(opts *MutableOptions) (mx *MutableIndex, found bool, err err
 // LSN > after onto sx — which must be mutation-enabled and not yet
 // serving — and attaches the log so subsequent mutations append to it.
 // Replay re-executes the recorded mutations through the exact ingest
-// path, so the recovered index is bit-identical to one that never
-// crashed.
+// path onto a base that rebuilds byte for byte, so a recovered index of
+// any kind is bit-identical to one that never crashed.
 func attachWAL(sx *ShardedIndex, o MutableOptions, after uint64) (WALRecovery, error) {
 	lg, err := wal.Open(o.WALDir, o.WALSync, after)
 	if err != nil {

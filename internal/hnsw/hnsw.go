@@ -4,12 +4,16 @@
 // takes any core.DCO, so the same graph serves HNSW (exact), HNSW++
 // (ADSampling) and the HNSW-DDC* variants by swapping the comparator.
 //
-// Build inserts from Config.Workers goroutines under one mutex per node
-// (hnswlib's scheme): a searcher copies the popped node's list out from
-// under its lock, a wirer locks one neighbour at a time, and one more mutex
-// guards the entry point, held for a whole insert only by a node that opens
-// a new top layer. A node's back-links go in bottom-up, after its searches.
-// Built or loaded, the lists end up packed in one slab in node order.
+// Build inserts in batch-synchronous rounds (ParlayANN's scheme, Manohar et
+// al., PPoPP 2024). Node 0 starts the graph; nodes 1…n−1 follow in batches
+// [lo, lo+min(lo, max(1, n/50))), so a batch never outgrows the graph it
+// joins. Phase 1: every batch node searches the graph as the batch found it
+// and writes only its own lists. Phase 2: the one worker that owns a target
+// appends its back-links in ascending node id and shrinks the list once if
+// it overflowed. Neither phase writes a list another goroutine reads, so
+// the build takes no lock, and the graph — and every byte Encode writes —
+// is a pure function of (data, cfg) at any worker count. Built or loaded,
+// the lists end up packed in one slab in node order.
 package hnsw
 
 import (
@@ -19,10 +23,10 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"resinfer/internal/core"
 	"resinfer/internal/heap"
+	"resinfer/internal/par"
 	"resinfer/internal/store"
 	"resinfer/internal/vec"
 )
@@ -36,10 +40,8 @@ type Config struct {
 	// The paper uses 500; the harness overrides per experiment.
 	EfConstruction int
 	Seed           int64
-	// Workers is the number of inserting goroutines; default GOMAXPROCS, at
-	// most n-1. Levels are drawn from Seed alone, but which neighbours an
-	// insert finds depends on what was wired when it searched: the graph is
-	// a pure function of (data, cfg) only at Workers: 1.
+	// Workers is the number of building goroutines; default GOMAXPROCS, at
+	// most n-1. It sets the speed only: every count builds the same graph.
 	Workers int
 }
 
@@ -87,6 +89,10 @@ func newIndex(dim, m, mMax0, efCon int, entry int32, maxLevel int, links [][][]i
 	return idx
 }
 
+// batchFrac caps a batch at n/batchFrac nodes: a batch is as large as the
+// graph it joins until that reaches 2 % of n.
+const batchFrac = 50
+
 // Build constructs the graph over the rows of data using exact distances.
 func Build(data *store.Matrix, cfg Config) (*Index, error) {
 	if data == nil || data.Rows() == 0 {
@@ -105,111 +111,109 @@ func Build(data *store.Matrix, cfg Config) (*Index, error) {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
 	n := data.Rows()
-	b := &builder{
-		Index: newIndex(data.Dim(), cfg.M, 2*cfg.M, cfg.EfConstruction, 0, 0, make([][][]int32, n), data),
-		locks: make([]sync.Mutex, n),
-	}
+	idx := newIndex(data.Dim(), cfg.M, 2*cfg.M, cfg.EfConstruction, 0, 0, make([][][]int32, n), data)
 	mult := 1 / math.Log(float64(cfg.M))
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	// Levels are pre-drawn as every node's list headers, before the first
-	// insert: whoever reaches a node finds them, and no header moves.
-	for i := range b.links {
-		b.links[i] = make([][]int32, 1+int(math.Floor(-math.Log(1-rng.Float64())*mult)))
+	// batch: the level of node i is len(links[i])-1, and no header moves.
+	for i := range idx.links {
+		idx.links[i] = make([][]int32, 1+int(math.Floor(-math.Log(1-rng.Float64())*mult)))
 	}
-	b.maxLevel = len(b.links[0]) - 1
+	idx.maxLevel = len(idx.links[0]) - 1
 
-	var wg sync.WaitGroup
-	for w := min(cfg.Workers, n-1); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// A new index's pool hands out epoch 0 and a build stamps once per
-			// layer search, a few per node: it cannot wrap.
-			s := &buildCtx{searchCtx: b.ctxPool.Get().(*searchCtx)}
-			defer b.ctxPool.Put(s.searchCtx)
-			for i := int(b.next.Add(1)); i < n; i = int(b.next.Add(1)) {
-				b.insert(i, s)
+	workers := min(cfg.Workers, n-1)
+	scratch := make([]*buildCtx, workers)
+	for w := range scratch {
+		scratch[w] = &buildCtx{visited: make([]uint32, n)}
+	}
+	for lo, hi := 1, 0; lo < n; lo = hi {
+		hi = min(n, lo+min(lo, max(1, n/batchFrac)))
+		par.Range(workers, workers, func(w, _ int) {
+			for i := lo + w; i < hi; i += workers {
+				idx.link(i, scratch[w])
 			}
-		}()
+		})
+		par.Range(workers, workers, func(w, _ int) { idx.wire(lo, hi, w, workers, scratch[w]) })
+		for i := lo; i < hi; i++ {
+			if l := len(idx.links[i]) - 1; l > idx.maxLevel {
+				idx.maxLevel, idx.entry = l, int32(i)
+			}
+		}
 	}
-	wg.Wait()
-	pack(b.links)
-	return b.Index, nil
+	pack(idx.links)
+	return idx, nil
 }
 
-// builder is what exists only while Build runs. locks[i] guards every list
-// of node i (a goroutine holds at most one at a time); top guards entry and
-// maxLevel; next hands out node ids in order.
-type builder struct {
-	*Index
-	locks []sync.Mutex
-	top   sync.Mutex
-	next  atomic.Int64
-}
-
-// buildCtx is one worker's scratch: the search scratch SearchEval uses, the
-// copy of a locked node's neighbours, and the candidate and selection
-// buffers of a layer search or a shrink.
+// buildCtx is one worker's scratch: searchCtx's visited marks (stamped a
+// few times per node, so the epoch cannot wrap) and queues, the buffers of
+// a layer search or a shrink, and the (node, level) lists a batch overfilled.
+// The pad keeps the queue headers a cache line from the next worker's: two
+// workers writing them on one line search a quarter slower.
 type buildCtx struct {
-	*searchCtx
-	nbrs        []int32
+	visited     []uint32
+	epoch       uint32
+	cands       heap.MinQueue
+	w           heap.ResultQueue
 	found, kept []heap.Item
+	full        [][2]int32
+	_           [64]byte
 }
 
-// insert links node i into the graph. Its own lists are set as its layer
-// searches end, top-down, while nothing links to it; its back-links then go
-// in bottom-up, so whoever reaches i at layer l finds its lists at and below
-// l in place. Only a node that opens a new top layer holds top throughout.
-func (b *builder) insert(i int, s *buildCtx) {
-	level, q := len(b.links[i])-1, b.data.Row(i)
-	b.top.Lock()
-	ep, maxL := b.entry, b.maxLevel
-	if level > maxL {
-		defer b.top.Unlock()
-	} else {
-		b.top.Unlock()
-	}
+// link is phase 1 for node i: it searches the graph as its batch found it,
+// entry point included, and writes the selections as i's own lists. Every
+// list it reads belongs to a node before the batch, and nothing writes
+// those until phase 2.
+func (idx *Index) link(i int, s *buildCtx) {
+	ep, maxL := idx.entry, idx.maxLevel
+	level, q := len(idx.links[i])-1, idx.data.Row(i)
 	// Greedy descent on the layers above the node's level.
-	curDist := vec.L2Sq(q, b.data.Row(int(ep)))
+	curDist := vec.L2Sq(q, idx.data.Row(int(ep)))
 	for l := maxL; l > level; l-- {
 		for improved := true; improved; {
 			improved = false
-			for _, nb := range b.neighbors(ep, l, s) {
-				if d := vec.L2Sq(q, b.data.Row(int(nb))); d < curDist {
+			for _, nb := range idx.links[ep][l] {
+				if d := vec.L2Sq(q, idx.data.Row(int(nb))); d < curDist {
 					curDist, ep, improved = d, nb, true
 				}
 			}
 		}
 	}
-	from := min(level, maxL)
-	for l := from; l >= 0; l-- {
-		found := b.searchLayer(q, ep, curDist, l, s)
+	for l := min(level, maxL); l >= 0; l-- {
+		found := idx.searchLayer(q, ep, curDist, l, s)
 		ep, curDist = int32(found[0].ID), found[0].Dist
-		s.kept = b.selectNeighbors(found, b.m, s.kept[:0])
-		lst := make([]int32, 0, b.maxConn(l)+1)
+		s.kept = idx.selectNeighbors(found, idx.m, s.kept[:0])
+		lst := make([]int32, 0, idx.maxConn(l)+1)
 		for _, k := range s.kept {
 			lst = append(lst, int32(k.ID))
 		}
-		b.locks[i].Lock()
-		b.links[i][l] = lst
-		b.locks[i].Unlock()
+		idx.links[i][l] = lst
 	}
-	for l := 0; l <= from; l++ {
-		maxConn := b.maxConn(l)
-		// The copy is the selection itself: nobody appended to i's layer-l
-		// list before its first back-link at l went in.
-		for _, nb := range b.neighbors(int32(i), l, s) {
-			b.locks[nb].Lock()
-			lst := append(b.links[nb][l], int32(i))
-			if len(lst) > maxConn {
-				lst = b.shrink(nb, lst, maxConn, s)
+}
+
+// wire is phase 2 for batch [lo, hi): worker w of workers appends the
+// back-links to the targets it owns, those ≡ w mod workers, walking the
+// batch in ascending node id, then re-selects each list that overflowed,
+// once — a hub that gains k links in a batch is shrunk once, not k times.
+// Every target sees the same appends in the same order whoever owns it, so
+// the graph does not depend on the worker count.
+func (idx *Index) wire(lo, hi, w, workers int, s *buildCtx) {
+	s.full = s.full[:0]
+	for i := lo; i < hi; i++ {
+		for l, own := range idx.links[i] {
+			for _, t := range own {
+				if int(t)%workers != w {
+					continue
+				}
+				idx.links[t][l] = append(idx.links[t][l], int32(i))
+				if len(idx.links[t][l]) == idx.maxConn(l)+1 {
+					s.full = append(s.full, [2]int32{t, int32(l)})
+				}
 			}
-			b.links[nb][l] = lst
-			b.locks[nb].Unlock()
 		}
 	}
-	if level > maxL {
-		b.maxLevel, b.entry = level, int32(i)
+	for _, f := range s.full {
+		t, l := f[0], int(f[1])
+		idx.links[t][l] = idx.shrink(t, idx.links[t][l], idx.maxConn(l), s)
 	}
 }
 
@@ -221,23 +225,14 @@ func (idx *Index) maxConn(l int) int {
 	return idx.m
 }
 
-// neighbors copies node's layer-l list out from under its lock into the
-// worker's scratch; the copy is valid until the worker's next call.
-func (b *builder) neighbors(node int32, l int, s *buildCtx) []int32 {
-	b.locks[node].Lock()
-	s.nbrs = append(s.nbrs[:0], b.links[node][l]...)
-	b.locks[node].Unlock()
-	return s.nbrs
-}
-
 // searchLayer is the construction-time beam search at layer l with exact
 // distances. It returns up to efCon candidates in ascending distance order,
 // ep among them, valid until the worker's next search or shrink.
-func (b *builder) searchLayer(q []float32, ep int32, epDist float32, l int, s *buildCtx) []heap.Item {
+func (idx *Index) searchLayer(q []float32, ep int32, epDist float32, l int, s *buildCtx) []heap.Item {
 	s.epoch++
 	s.visited[ep] = s.epoch
 	s.cands.Reset()
-	s.w.Reset(b.efCon)
+	s.w.Reset(idx.efCon)
 	s.cands.Push(int(ep), epDist)
 	s.w.Push(int(ep), epDist)
 	for s.cands.Len() > 0 {
@@ -245,12 +240,12 @@ func (b *builder) searchLayer(q []float32, ep int32, epDist float32, l int, s *b
 		if c.Dist > s.w.Threshold() {
 			break
 		}
-		for _, nb := range b.neighbors(int32(c.ID), l, s) {
+		for _, nb := range idx.links[c.ID][l] {
 			if s.visited[nb] == s.epoch {
 				continue
 			}
 			s.visited[nb] = s.epoch
-			d := vec.L2Sq(q, b.data.Row(int(nb)))
+			d := vec.L2Sq(q, idx.data.Row(int(nb)))
 			if !s.w.Full() || d < s.w.Threshold() {
 				s.cands.Push(int(nb), d)
 				s.w.Push(int(nb), d)
@@ -297,15 +292,15 @@ func (idx *Index) selectNeighbors(cands []heap.Item, m int, dst []heap.Item) []h
 }
 
 // shrink re-selects maxConn neighbors for node nb from the overflowing
-// list, in place, using the same heuristic. The caller holds nb's lock.
-func (b *builder) shrink(nb int32, lst []int32, maxConn int, s *buildCtx) []int32 {
-	row := b.data.Row(int(nb))
+// list, in place, using the same heuristic. Only nb's owner calls it.
+func (idx *Index) shrink(nb int32, lst []int32, maxConn int, s *buildCtx) []int32 {
+	row := idx.data.Row(int(nb))
 	s.found = s.found[:0]
 	for _, o := range lst {
-		s.found = append(s.found, heap.Item{ID: int(o), Dist: vec.L2Sq(row, b.data.Row(int(o)))})
+		s.found = append(s.found, heap.Item{ID: int(o), Dist: vec.L2Sq(row, idx.data.Row(int(o)))})
 	}
 	sortItems(s.found)
-	s.kept = b.selectNeighbors(s.found, maxConn, s.kept[:0])
+	s.kept = idx.selectNeighbors(s.found, maxConn, s.kept[:0])
 	lst = lst[:0]
 	for _, k := range s.kept {
 		lst = append(lst, int32(k.ID))

@@ -1,7 +1,9 @@
 package hnsw
 
 import (
+	"crypto/sha256"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -247,44 +249,37 @@ func TestLayer0Connectivity(t *testing.T) {
 	}
 }
 
-// TestBuildParallelInvariants: a graph built by several goroutines is as
-// good as the one-worker graph: same invariants, same reachability, recall
-// within 0.01. The tall case (M = 2: about half the nodes have upper layers,
-// so inserts that open a top layer collide with the rest) is there for the
-// invariants; four links on layer 0 promise neither a connected layer nor a
-// recall that repeats to 0.01 (0.51 – 0.59 over 30 builds).
+// TestBuildParallelInvariants: the graph is a pure function of (data, cfg)
+// — Encode writes one sha256 at Workers 1, 2 and 8 under GOMAXPROCS 1 and 2
+// — and it keeps the invariants and, at M = 8, a connected layer 0. The
+// tall case (M = 2: about half the nodes have upper layers, so batches open
+// new top layers) is there for the invariants; four links on layer 0
+// promise no connected layer.
 func TestBuildParallelInvariants(t *testing.T) {
 	ds, _, _ := getFixtures(t)
 	const n = 2000
 	mat := store.MustFromRows(ds.Data[:n])
-	gt, err := dataset.BruteForceKNN(ds.Data[:n], ds.Queries, 10, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dco, _ := core.NewExact(mat)
-	for _, c := range []struct {
-		m   int
-		tol float64
-	}{{8, 0.01}, {2, 0.1}} {
-		m := c.m
-		var base float64
-		for _, workers := range []int{1, 2, 8} {
-			idx, err := Build(mat, Config{M: m, EfConstruction: 64, Seed: 9, Workers: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkGraph(t, idx)
-			if count := reachable(idx); m > 2 && float64(count)/n < 0.99 {
-				t.Fatalf("M=%d workers=%d: layer-0 reachability %d/%d", m, workers, count, n)
-			}
-			results, _ := searchAll(t, idx, dco, ds.Queries, 10, 100)
-			r := dataset.Recall(results, gt, 10)
-			if workers == 1 {
-				base = r
-			}
-			t.Logf("M=%d workers=%d: max level %d, recall@10 %.4f", m, workers, idx.MaxLevel(), r)
-			if r < base-c.tol {
-				t.Fatalf("M=%d workers=%d: recall@10 %v, one worker %v", m, workers, r, base)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, m := range []int{8, 2} {
+		var want [sha256.Size]byte
+		for _, procs := range []int{1, 2} {
+			runtime.GOMAXPROCS(procs)
+			for _, workers := range []int{1, 2, 8} {
+				idx, err := Build(mat, Config{M: m, EfConstruction: 64, Seed: 9, Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkGraph(t, idx)
+				if count := reachable(idx); m > 2 && float64(count)/n < 0.99 {
+					t.Fatalf("M=%d workers=%d: layer-0 reachability %d/%d", m, workers, count, n)
+				}
+				got := sha256.Sum256(encodeBytes(t, idx))
+				if procs == 1 && workers == 1 {
+					want = got
+					t.Logf("M=%d: max level %d, sha256 %x", m, idx.MaxLevel(), got[:6])
+				} else if got != want {
+					t.Fatalf("M=%d GOMAXPROCS=%d workers=%d: Encode sha256 %x, one worker's %x", m, procs, workers, got[:6], want[:6])
+				}
 			}
 		}
 	}

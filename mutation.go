@@ -237,8 +237,8 @@ func (sx *ShardedIndex) mutUpsert(id int, v []float32) (int, error) {
 	}
 	if m.wal != nil {
 		// Log the caller-space vector: replay re-executes this exact
-		// path (same validation, same Cosine normalization), so a
-		// recovered index is bit-identical to one that never crashed.
+		// path (same validation, same Cosine normalization), so any kind
+		// of recovered index is bit-identical to one that never crashed.
 		lsn, err := m.walAppend(func() (uint64, error) { return m.wal.AppendUpsert(s, id, v) })
 		if err != nil {
 			return 0, err

@@ -2,8 +2,11 @@ package resinfer
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"io"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -183,6 +186,45 @@ func TestSaveDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatal("Save must be deterministic for the same index")
+	}
+}
+
+// TestSaveBytesReproducible: at GOMAXPROCS 2, three builds from one seed
+// save one stream, for a single HNSW index and for a four-shard one whose
+// shards build side by side — the graph does not depend on how the build's
+// goroutines were scheduled.
+func TestSaveBytesReproducible(t *testing.T) {
+	ds, _ := apiFixtures(t)
+	data := ds.Data[:1200]
+	opts := &Options{Seed: 11, HNSWEfConstruction: 60}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	type saver interface {
+		Enable(Mode, *Options) error
+		Save(io.Writer) error
+	}
+	for name, build := range map[string]func() (saver, error){
+		"New":          func() (saver, error) { return New(data, HNSW, opts) },
+		"NewSharded/4": func() (saver, error) { return NewSharded(data, HNSW, 4, &ShardOptions{Index: opts}) },
+	} {
+		var want [sha256.Size]byte
+		for run := 0; run < 3; run++ {
+			ix, err := build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ix.Enable(DDCRes, nil); err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := ix.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if got := sha256.Sum256(buf.Bytes()); run == 0 {
+				want = got
+			} else if got != want {
+				t.Fatalf("%s: build %d saved sha256 %x, build 0 %x", name, run, got[:6], want[:6])
+			}
+		}
 	}
 }
 

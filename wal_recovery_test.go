@@ -2,18 +2,23 @@ package resinfer
 
 // Crash-recovery pin-downs for the write-ahead log: an index recovered
 // from its WAL must be bit-identical to one that never crashed — same
-// IDs, same distances, same order — including when the final record is
+// IDs, same distances, same order, and for a rebuilt base the same graph
+// bytes, whatever the index kind — including when the final record is
 // torn (dropped, not fatal), when recovery starts from a compaction
 // checkpoint snapshot, and when it starts from a user-saved snapshot
 // with only the log tail replayed.
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"testing"
+
+	"resinfer/internal/persist"
 )
 
 // assertIdentical requires two searches to agree exactly — IDs and
@@ -185,6 +190,73 @@ func TestWALCrashRecoveryGolden(t *testing.T) {
 	}
 	if ok, _ := rec2.Delete(id); !ok {
 		t.Fatalf("post-recovery id %d not live after second recovery", id)
+	}
+}
+
+// TestWALCrashRecoveryGoldenHNSW is the HNSW twin: a checkpoint-less
+// recovery rebuilds every shard's graph from the same rows, and the rebuilt
+// shards must be the crashed index's byte for byte — two builds agree
+// however their goroutines were scheduled.
+func TestWALCrashRecoveryGoldenHNSW(t *testing.T) {
+	dir := t.TempDir()
+	rng := rand.New(rand.NewSource(78))
+	data := randRows(rng, 1000, mutDim)
+	index := &Options{Seed: 3, HNSWEfConstruction: 60}
+	wopts := &MutableOptions{Index: index, DisableAutoCompact: true, WALDir: dir, WALSync: WALSyncNone()}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+
+	build := func(o *MutableOptions) *MutableIndex {
+		mx, err := NewMutable(data, HNSW, 2, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := mx.Enable(DDCRes, nil); err != nil {
+			t.Fatal(err)
+		}
+		return mx
+	}
+	encoded := func(mx *MutableIndex) []byte {
+		var buf bytes.Buffer
+		pw := persist.NewWriter(&buf)
+		if err := mx.encodeSharded(pw); err != nil {
+			t.Fatal(err)
+		}
+		if err := pw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	mx := build(wopts)
+	control := build(&MutableOptions{Index: index, DisableAutoCompact: true})
+	defer control.Close()
+	model := liveModel{}
+	for i, v := range data {
+		model[i] = v
+	}
+	p := &mutatePair{t: t, a: mx, b: control, model: model, rng: rng}
+	p.script(120)
+
+	// Crash: abandon mx without Save or Close; the rebuild replays the WAL.
+	rec := build(wopts)
+	defer rec.Close()
+	if wr := rec.WALRecovery(); wr.Upserts != p.ups || wr.Deletes != p.dels {
+		t.Fatalf("replayed %d upserts / %d deletes, want %d / %d", wr.Upserts, wr.Deletes, p.ups, p.dels)
+	}
+	if got, want := encoded(rec), encoded(mx); !bytes.Equal(got, want) {
+		t.Fatalf("recovered shards encode to %d bytes that differ from the crashed index's %d", len(got), len(want))
+	}
+	for _, q := range randRows(rng, 20, mutDim) {
+		for _, mode := range []Mode{Exact, DDCRes} {
+			got, err := rec.Search(q, 10, mode, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := control.Search(q, 10, mode, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertIdentical(t, got, want)
+		}
 	}
 }
 
