@@ -35,7 +35,10 @@ func fuzzOptions(metric MetricKind) *Options {
 	return &Options{Seed: 3, Metric: metric, HNSWM: 4, HNSWEfConstruction: 16, DeltaD: 2}
 }
 
-// fuzzEnable turns on the two self-calibrating comparators.
+// fuzzEnable turns on the two self-calibrating comparators. ddc-res
+// re-bases the index, so every seed below is a RESINFER3 stream whose rows
+// lie in a PCA basis the stream carries: re-based InnerProduct HNSW and IVF
+// indexes, sharded ones, and mutable ones with memtable rows and tombstones.
 func fuzzEnable(f *testing.F, ix interface{ Enable(Mode, *Options) error }) {
 	for _, m := range []Mode{DDCRes, ADSampling} {
 		if err := ix.Enable(m, nil); err != nil {

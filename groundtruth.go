@@ -8,12 +8,10 @@ import (
 )
 
 // gtScratch is the pooled per-scan state of GroundTruthSearch: the
-// bounded result queue, the Cosine query normalization buffer, and the
-// admitted-ID → shard attribution map. Everything is capacity-reused so
-// steady-state ground-truth scans allocate nothing.
+// bounded result queue and the admitted-ID → shard attribution map. Both
+// are capacity-reused so steady-state ground-truth scans allocate nothing.
 type gtScratch struct {
 	rq      *heap.ResultQueue
-	qbuf    []float32
 	shardOf map[int]int
 }
 
@@ -49,23 +47,15 @@ func (sx *ShardedIndex) GroundTruthSearch(dst []Neighbor, shards []int, q []floa
 		delete(gs.shardOf, id)
 	}
 
-	// qScan is the query in "scan space": normalized for Cosine (both
-	// base and memtable rows are stored normalized), raw otherwise. For
-	// InnerProduct the base rows are norm-augmented but not scaled, so a
-	// raw dot product over the first userDim coordinates is the true
-	// inner product — identical to the memtable key and the merge key.
-	qScan := q
-	if sx.metric == Cosine {
-		if len(gs.qbuf) != sx.userDim {
-			gs.qbuf = make([]float32, sx.userDim) //resinfer:alloc-ok lazy one-time scratch growth
-		}
-		var err error
-		ms := metricState{kind: Cosine}
-		qScan, err = ms.transformInto(gs.qbuf, q)
-		if err != nil {
-			return dst, shards, 0, err
-		}
+	// Base rows are scored by each shard's exact evaluator, primed as a
+	// fan-out primes it (rotated once per distinct basis); memtable rows in
+	// scan space, the internal query less InnerProduct's augmentation.
+	fs := sx.fanPool.Get().(*fanScratch)
+	defer sx.fanPool.Put(fs)
+	if err := sx.begin(fs, q, k, Exact, 0); err != nil {
+		return dst, shards, 0, err
 	}
+	qScan := fs.tq[:sx.userDim]
 	ip := sx.metric == InnerProduct
 
 	rq := gs.rq
@@ -78,25 +68,33 @@ func (sx *ShardedIndex) GroundTruthSearch(dst []Neighbor, shards []int, q []floa
 		}
 		base := sx.shards[s]
 		gids := sx.globalID[s]
-		flat := base.data.Flat()
-		stride := base.data.Dim()
-		rows := base.data.Rows()
-		for i := 0; i < rows; i++ {
+		sess, pool, err := base.acquire(Exact)
+		if err == nil {
+			if err = fs.prime(sess.ev); err != nil {
+				pool.Put(sess)
+			}
+		}
+		if err != nil {
+			if seg != nil {
+				seg.mu.RUnlock()
+			}
+			return dst, shards, 0, err
+		}
+		for i := 0; i < base.n; i++ {
 			gid := gids[i]
 			if seg != nil && (seg.dead.Has(gid) || seg.mem.Has(gid)) {
 				continue
 			}
-			var key float32
+			key := sess.ev.Distance(i)
 			if ip {
-				key = -vec.DotFlat(qScan, flat, i*stride)
-			} else {
-				key = vec.L2SqFlat(qScan, flat, i*stride)
+				key = -base.Score(Neighbor{Distance: key}, q)
 			}
 			comparisons++
 			if key < rq.Threshold() && rq.Push(gid, key) {
 				gs.shardOf[gid] = s
 			}
 		}
+		pool.Put(sess)
 		if seg != nil {
 			mem := seg.mem
 			for i := 0; i < mem.Len(); i++ {

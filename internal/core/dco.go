@@ -23,6 +23,7 @@ import (
 	"errors"
 	"math"
 
+	"resinfer/internal/pca"
 	"resinfer/internal/store"
 	"resinfer/internal/vec"
 )
@@ -136,19 +137,26 @@ type RotatingEvaluator interface {
 // capability; the benchmark gate (benchmark/) is its only user.
 type PooledDCO = DCO
 
-// Exact is the baseline DCO computing every distance in full. It owns the
-// original vectors in a flat row-major matrix; other DCOs that need
-// original-space exact distances (e.g. DDCopq) share the same matrix.
+// Exact is the baseline DCO computing every distance in full over the
+// index's one copy of its rows. Once a PCA mode re-bases the index they lie
+// in the PCA basis, and the evaluator rotates the query there first.
 type Exact struct {
-	data *store.Matrix
+	data  *store.Matrix
+	basis *pca.Model // nil: data lies in the space queries arrive in
 }
 
 // NewExact wraps a flat matrix in an exact DCO.
-func NewExact(data *store.Matrix) (*Exact, error) {
+func NewExact(data *store.Matrix) (*Exact, error) { return NewExactIn(data, nil) }
+
+// NewExactIn is NewExact over rows basis projected (nil: none).
+func NewExactIn(data *store.Matrix, basis *pca.Model) (*Exact, error) {
 	if data == nil || data.Rows() == 0 {
 		return nil, errors.New("core: empty data")
 	}
-	return &Exact{data: data}, nil
+	if basis != nil && basis.Dim != data.Dim() {
+		return nil, errors.New("core: basis dimension mismatch")
+	}
+	return &Exact{data: data, basis: basis}, nil
 }
 
 // Name implements DCO.
@@ -167,9 +175,43 @@ func (e *Exact) ExtraBytes() int64 { return 0 }
 // builders can compute construction-time distances without an evaluator.
 func (e *Exact) Data() *store.Matrix { return e.data }
 
-// NewEvaluator implements DCO.
+// NewEvaluator implements DCO; over rows in a basis, a RotatingEvaluator.
 func (e *Exact) NewEvaluator() ResettableEvaluator {
-	return &exactEvaluator{parent: e, flat: e.data.Flat(), dim: e.data.Dim()}
+	ev := exactEvaluator{parent: e, flat: e.data.Flat(), dim: e.data.Dim()}
+	if e.basis == nil {
+		return &ev
+	}
+	return &rotatingExact{exactEvaluator: ev, rq: make([]float32, ev.dim), cent: make([]float32, ev.dim)}
+}
+
+// rotatingExact scans rows in a basis with the query rotated into rq.
+type rotatingExact struct {
+	exactEvaluator
+	rq, cent []float32
+}
+
+func (ev *rotatingExact) Reset(q []float32) error {
+	if err := ev.Rotate(ev.rq, q); err != nil {
+		return err
+	}
+	return ev.ResetRotated(ev.rq)
+}
+
+// Rotation implements RotatingEvaluator.
+func (ev *rotatingExact) Rotation() *store.Matrix { return ev.parent.basis.Rotation }
+
+// Rotate implements RotatingEvaluator: the projection into the basis.
+func (ev *rotatingExact) Rotate(dst, q []float32) error {
+	return ev.parent.basis.ProjectInto(dst, q, ev.cent)
+}
+
+// ResetRotated implements RotatingEvaluator.
+func (ev *rotatingExact) ResetRotated(rq []float32) error {
+	if len(rq) != ev.dim {
+		return errors.New("core: rotated query dimension mismatch")
+	}
+	copy(ev.rq, rq)
+	return ev.exactEvaluator.Reset(ev.rq)
 }
 
 type exactEvaluator struct {

@@ -10,61 +10,43 @@ import (
 	"resinfer/internal/store"
 )
 
-// Version 2 of the comparator streams stores vector payloads as flat
-// row-major matrix blocks (store.Matrix) instead of per-row slices.
+// Version 3 of the DDCres and DDCpca streams holds the comparator alone: the
+// index stream writes its rows and basis once; norms are recomputed.
 const (
-	resMagic    = "RIRES2"
-	pcaDCOMagic = "RIDPC2"
+	resMagic    = "RIRES3"
+	pcaDCOMagic = "RIDPC3"
 	opqDCOMagic = "RIDOQ2"
 )
 
-// Encode writes the DDCres comparator (PCA model, rotated vectors, norms,
-// tuning) onto an existing persist stream.
+// Encode writes the DDCres tuning onto an existing persist stream; the
+// rows and the model it was built over are the caller's to write.
 func (r *Res) Encode(pw *persist.Writer) {
 	pw.Magic(resMagic)
-	r.model.Encode(pw)
-	r.rotated.Encode(pw)
-	pw.F32s(r.norms)
 	pw.F64(float64(r.m))
 	pw.Int(r.initD)
 	pw.Int(r.deltaD)
 }
 
-// DecodeRes reads a DDCres comparator previously written by Encode.
-func DecodeRes(pr *persist.Reader) (*Res, error) {
+// DecodeRes reads a DDCres comparator written by Encode and builds it over
+// rotated, the rows model projected, as NewResRotated does.
+func DecodeRes(pr *persist.Reader, rotated *store.Matrix, model *pca.Model) (*Res, error) {
 	pr.Magic(resMagic)
-	model, err := pca.Decode(pr)
-	if err != nil {
-		return nil, err
-	}
-	rotated, err := store.Decode(pr)
-	if err != nil {
-		return nil, err
-	}
-	r := &Res{
-		model:   model,
-		dim:     model.Dim,
-		rotated: rotated,
-	}
-	r.norms = pr.F32s()
-	r.m = float32(pr.F64())
-	r.initD = pr.Int()
-	r.deltaD = pr.Int()
+	m := pr.F64()
+	initD := pr.Int()
+	deltaD := pr.Int()
 	if err := pr.Err(); err != nil {
 		return nil, err
 	}
-	if rotated.Dim() != r.dim || len(r.norms) != rotated.Rows() ||
-		r.initD <= 0 || r.initD > r.dim || r.deltaD <= 0 || r.m <= 0 {
+	if model == nil || !(m > 0) || initD <= 0 || deltaD <= 0 {
 		return nil, errors.New("ddc: corrupt encoded Res")
 	}
-	return r, nil
+	return NewResRotated(rotated, model, ResConfig{Multiplier: m, InitD: initD, DeltaD: deltaD})
 }
 
-// Encode writes the DDCpca comparator onto an existing persist stream.
+// Encode writes the DDCpca levels and classifiers onto an existing persist
+// stream; the rows and the model are the caller's to write, as for Res.
 func (p *PCADCO) Encode(pw *persist.Writer) {
 	pw.Magic(pcaDCOMagic)
-	p.model.Encode(pw)
-	p.rotated.Encode(pw)
 	pw.Ints(p.levels)
 	pw.Int(len(p.classifiers))
 	for _, c := range p.classifiers {
@@ -72,16 +54,12 @@ func (p *PCADCO) Encode(pw *persist.Writer) {
 	}
 }
 
-// DecodePCA reads a DDCpca comparator previously written by Encode.
-func DecodePCA(pr *persist.Reader) (*PCADCO, error) {
+// DecodePCA reads a DDCpca comparator written by Encode over rotated, the
+// rows model projected.
+func DecodePCA(pr *persist.Reader, rotated *store.Matrix, model *pca.Model) (*PCADCO, error) {
 	pr.Magic(pcaDCOMagic)
-	model, err := pca.Decode(pr)
-	if err != nil {
-		return nil, err
-	}
-	rotated, err := store.Decode(pr)
-	if err != nil {
-		return nil, err
+	if model == nil {
+		return nil, errors.New("ddc: DDCpca stream with no model")
 	}
 	p := &PCADCO{
 		model:   model,
@@ -106,9 +84,6 @@ func DecodePCA(pr *persist.Reader) (*PCADCO, error) {
 			return nil, errors.New("ddc: corrupt classifier width")
 		}
 		p.classifiers[i] = c
-	}
-	if rotated.Dim() != p.dim {
-		return nil, errors.New("ddc: corrupt encoded PCADCO")
 	}
 	for _, l := range p.levels {
 		if l <= 0 || l >= p.dim {

@@ -2,13 +2,9 @@ package ddc
 
 import (
 	"bytes"
-	"math"
+	"strings"
 	"testing"
 
-	"resinfer/internal/core"
-	"resinfer/internal/flat"
-	"resinfer/internal/matrix"
-	"resinfer/internal/pca"
 	"resinfer/internal/persist"
 	"resinfer/internal/store"
 	"resinfer/internal/vec"
@@ -35,7 +31,7 @@ func TestResRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := DecodeRes(reader(encodeBytes(t, orig)))
+	loaded, err := DecodeRes(reader(encodeBytes(t, orig)), orig.Rotated(), orig.Model())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,12 +59,15 @@ func TestResRoundTripCorruption(t *testing.T) {
 	ds := getDS(t)
 	orig, _ := NewRes(store.MustFromRows(ds.Data[:200]), ResConfig{Seed: 43})
 	b := encodeBytes(t, orig)
-	if _, err := DecodeRes(reader(b[:len(b)/3])); err == nil {
+	if _, err := DecodeRes(reader(b[:len(b)/3]), orig.Rotated(), orig.Model()); err == nil {
 		t.Fatal("expected truncation error")
 	}
 	bad := append([]byte("YYYYYY"), b[6:]...)
-	if _, err := DecodeRes(reader(bad)); err == nil {
+	if _, err := DecodeRes(reader(bad), orig.Rotated(), orig.Model()); err == nil {
 		t.Fatal("expected magic error")
+	}
+	if _, err := DecodeRes(reader(b), orig.Rotated(), nil); err == nil {
+		t.Fatal("expected an error for a stream with no model")
 	}
 }
 
@@ -80,7 +79,7 @@ func TestPCADCORoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := DecodePCA(reader(encodeBytes(t, orig)))
+	loaded, err := DecodePCA(reader(encodeBytes(t, orig)), orig.rotated, orig.model)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +100,7 @@ func TestPCADCORoundTrip(t *testing.T) {
 	// would index past its weights in the first search.
 	c := orig.classifiers[0]
 	c.W, c.Mean, c.Std = append(c.W, 0), append(c.Mean, 0), append(c.Std, 1)
-	if _, err := DecodePCA(reader(encodeBytes(t, orig))); err == nil {
+	if _, err := DecodePCA(reader(encodeBytes(t, orig)), orig.rotated, orig.model); err == nil {
 		t.Fatal("expected classifier-width error")
 	}
 }
@@ -154,7 +153,7 @@ func TestOPQDCORoundTrip(t *testing.T) {
 func TestResRoundTripPreservesExactDistances(t *testing.T) {
 	ds := getDS(t)
 	orig, _ := NewRes(store.MustFromRows(ds.Data[:300]), ResConfig{Seed: 49})
-	loaded, err := DecodeRes(reader(encodeBytes(t, orig)))
+	loaded, err := DecodeRes(reader(encodeBytes(t, orig)), orig.Rotated(), orig.Model())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,126 +165,29 @@ func TestResRoundTripPreservesExactDistances(t *testing.T) {
 	}
 }
 
-// TestResDecodesFloat64RotationStream hand-encodes the RIRES2/RIPCA1 stream
-// a version that kept rotations in float64 wrote — rotation straight from
-// the eigensolver, so almost no element is float32-representable, and rows
-// rotated with float64 accumulation — and checks that it loads: the
-// rotation narrows to the nearest float32, a flat ddc-res scan returns the
-// same top-k as the comparator this version holds in memory for that
-// state, and re-encoding is bit-stable from the first round trip on.
-func TestResDecodesFloat64RotationStream(t *testing.T) {
+// TestDecodeResRejectsV2Stream: a RIRES2 stream carried its own model and
+// rotated rows; version 3 reads the index's. The old stream is refused, by
+// an error that names both versions.
+func TestDecodeResRejectsV2Stream(t *testing.T) {
 	ds := getDS(t)
-	rows := ds.Data[:500]
-	const dim = 64
-	cov, mean64, err := matrix.Covariance(store.MustFromRows(rows))
+	orig, err := NewRes(store.MustFromRows(ds.Data[:100]), ResConfig{Seed: 51})
 	if err != nil {
 		t.Fatal(err)
 	}
-	vals, rot64, err := matrix.EigenSym(cov)
-	if err != nil {
-		t.Fatal(err)
-	}
-	model := &pca.Model{Dim: dim, Mean: make([]float32, dim), Rotation: rot64.F32(),
-		Variances: vals, Sigmas: make([]float32, dim)}
-	for i := range vals {
-		model.Mean[i] = float32(mean64[i])
-		model.Variances[i] = math.Max(vals[i], 0)
-		model.Sigmas[i] = float32(math.Sqrt(model.Variances[i]))
-	}
-	inexact := 0
-	for _, v := range rot64.Data {
-		if float64(float32(v)) != v {
-			inexact++
-		}
-	}
-	if inexact < len(rot64.Data)/2 {
-		t.Fatalf("only %d of %d rotation elements are not float32-representable", inexact, len(rot64.Data))
-	}
-	rotated, _ := store.New(len(rows), dim)
-	cent := make([]float64, dim)
-	for i, row := range rows {
-		for j, v := range row {
-			cent[j] = float64(v - model.Mean[j])
-		}
-		y, err := rot64.Apply(cent)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j, v := range y {
-			rotated.Row(i)[j] = float32(v)
-		}
-	}
-	pre, err := newResFromRotated(rotated, model, ResConfig{InitD: 8, DeltaD: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var legacy bytes.Buffer
-	pw := persist.NewWriter(&legacy)
+	var v2 bytes.Buffer
+	pw := persist.NewWriter(&v2)
 	pw.Magic("RIRES2")
-	pw.Magic("RIPCA1")
-	pw.Int(dim)
-	pw.F32s(model.Mean)
-	pw.Magic("RIMAT1")
-	pw.Int(dim)
-	pw.Int(dim)
-	pw.F64s(rot64.Data)
-	pw.F64s(model.Variances)
-	pw.F32s(model.Sigmas)
-	rotated.Encode(pw)
-	pw.F32s(pre.norms)
-	pw.F64(float64(pre.m))
-	pw.Int(pre.initD)
-	pw.Int(pre.deltaD)
+	orig.Model().Encode(pw)
+	orig.Rotated().Encode(pw)
+	pw.F32s(orig.Norms())
+	pw.F64(3)
+	pw.Int(32)
+	pw.Int(32)
 	if err := pw.Flush(); err != nil {
 		t.Fatal(err)
 	}
-
-	first, err := DecodeRes(reader(legacy.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !vec.Equal(first.model.Rotation.Flat(), model.Rotation.Flat()) {
-		t.Fatal("decoded rotation is not the float64 rotation rounded to nearest float32")
-	}
-	b2 := encodeBytes(t, first)
-	second, err := DecodeRes(reader(b2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b3 := encodeBytes(t, second)
-	if len(b2) != legacy.Len() {
-		t.Fatalf("re-encoded stream is %d bytes, the float64 stream %d: the wire format changed", len(b2), legacy.Len())
-	}
-	if !bytes.Equal(b2, b3) {
-		t.Fatal("second round trip is not bit-stable")
-	}
-
-	idx, err := flat.New(len(rows), dim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One evaluator per comparator, Reset per query, as Index.walk does.
-	preEv := pre.NewEvaluator()
-	evs := map[string]core.ResettableEvaluator{"first": first.NewEvaluator(), "second": second.NewEvaluator()}
-	for qi, q := range ds.Queries {
-		want, err := idx.SearchEval(primed(t, preEv, q), 10, len(rows), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for name, ev := range evs {
-			got, err := idx.SearchEval(primed(t, ev, q), 10, len(rows), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("query %d, %s decode: %d hits, want %d", qi, name, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("query %d, %s decode: hit %d = %+v, want %+v", qi, name, i, got[i], want[i])
-				}
-			}
-		}
+	_, err = DecodeRes(reader(v2.Bytes()), orig.Rotated(), orig.Model())
+	if err == nil || !strings.Contains(err.Error(), "RIRES2") || !strings.Contains(err.Error(), "RIRES3") {
+		t.Fatalf("decoding a RIRES2 stream: %v, want an error naming RIRES2 and RIRES3", err)
 	}
 }

@@ -41,29 +41,19 @@ type PCADCO struct {
 }
 
 // NewPCA trains PCA, collects labeled samples from trainQueries, and fits
-// one linear classifier per projection level.
+// one linear classifier per projection level, over a rotated copy it owns.
 func NewPCA(data *store.Matrix, trainQueries [][]float32, cfg PCAConfig) (*PCADCO, error) {
-	return NewPCAFromModel(data, trainQueries, nil, cfg)
+	rotated, model, err := project(data, cfg.PCASample, cfg.Seed, cfg.Workers)
+	if err != nil {
+		return nil, err
+	}
+	return NewPCARotated(rotated, trainQueries, model, cfg)
 }
 
-// NewPCAFromModel is NewPCA around a PCA model trained elsewhere (see
-// NewResFromModel; nil trains one on data): the model is shared, the rows
-// are rotated with it and the per-level classifiers are fit on them.
-func NewPCAFromModel(data *store.Matrix, trainQueries [][]float32, model *pca.Model, cfg PCAConfig) (*PCADCO, error) {
-	if data == nil || data.Rows() == 0 {
-		return nil, errors.New("ddc: empty data")
-	}
-	if model == nil {
-		var err error
-		model, err = pca.Train(pca.Config{SampleSize: cfg.PCASample, Seed: cfg.Seed}, data)
-		if err != nil {
-			return nil, err
-		}
-	}
+// NewPCARotated is NewPCA over rows model already projected, sharing both
+// (see NewResRotated).
+func NewPCARotated(rotated *store.Matrix, trainQueries [][]float32, model *pca.Model, cfg PCAConfig) (*PCADCO, error) {
 	dim := model.Dim
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
 	if cfg.TargetRecall == 0 {
 		cfg.TargetRecall = 0.995
 	}
@@ -85,10 +75,6 @@ func NewPCAFromModel(data *store.Matrix, trainQueries [][]float32, model *pca.Mo
 		}
 	}
 
-	rotated, err := model.ProjectMatrix(data, cfg.Workers)
-	if err != nil {
-		return nil, err
-	}
 	p := &PCADCO{rotated: rotated, model: model, levels: levels, dim: dim}
 	if err := p.Retrain(trainQueries, cfg); err != nil {
 		return nil, err

@@ -17,7 +17,6 @@ package ddc
 import (
 	"errors"
 	"math"
-	"runtime"
 
 	"resinfer/internal/core"
 	"resinfer/internal/pca"
@@ -56,44 +55,29 @@ type Res struct {
 	deltaD  int
 }
 
-// NewRes trains PCA on data and builds the DDCres comparator.
+// NewRes trains PCA on data and builds DDCres over a rotated copy it owns.
 func NewRes(data *store.Matrix, cfg ResConfig) (*Res, error) {
-	return NewResFromModel(data, nil, cfg)
-}
-
-// NewResFromModel builds DDCres over data around a PCA model trained
-// elsewhere — over all shards of a sharded index, or for the base a
-// compaction replaces; a nil model is trained on data. The rotation is
-// shared with model (Model().Rotation is the same pointer), while the
-// per-dimension σ of the Eq. 3 bound is refit from data's rotated rows
-// (pca.Model.Refit): the bound follows these rows, and the rotation, which
-// can never make a distance wrong, is kept.
-func NewResFromModel(data *store.Matrix, model *pca.Model, cfg ResConfig) (*Res, error) {
-	if data == nil || data.Rows() == 0 {
-		return nil, errors.New("ddc: empty data")
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
-	refit := model != nil
-	if !refit {
-		var err error
-		model, err = pca.Train(pca.Config{SampleSize: cfg.PCASample, Seed: cfg.Seed}, data)
-		if err != nil {
-			return nil, err
-		}
-	}
-	rotated, err := model.ProjectMatrix(data, cfg.Workers)
+	rotated, model, err := project(data, cfg.PCASample, cfg.Seed, cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
-	if refit {
-		model = model.Refit(rotated)
-	}
-	return newResFromRotated(rotated, model, cfg)
+	return NewResRotated(rotated, model, cfg)
 }
 
-func newResFromRotated(rotated *store.Matrix, model *pca.Model, cfg ResConfig) (*Res, error) {
+// project trains PCA on data and rotates data's rows into its basis.
+func project(data *store.Matrix, sample int, seed int64, workers int) (*store.Matrix, *pca.Model, error) {
+	model, err := pca.Train(pca.Config{SampleSize: sample, Seed: seed}, data)
+	if err != nil {
+		return nil, nil, err
+	}
+	rotated, err := model.ProjectMatrix(data, workers)
+	return rotated, model, err
+}
+
+// NewResRotated builds DDCres over rows model already projected, an index's
+// own rows once re-based, sharing rows and model. The σ of the Eq. 3 bound
+// are model's, so it should be fit to these rows (pca.Train or Refit).
+func NewResRotated(rotated *store.Matrix, model *pca.Model, cfg ResConfig) (*Res, error) {
 	dim := model.Dim
 	if cfg.Multiplier <= 0 {
 		cfg.Multiplier = 3
@@ -135,7 +119,10 @@ func (r *Res) Size() int { return r.rotated.Rows() }
 func (r *Res) Dim() int { return r.dim }
 
 // ExtraBytes implements core.DCO: rotation matrix (D² floats) plus the
-// per-point norms (§VII Exp-3's space accounting for DDCres).
+// per-point norms (§VII Exp-3's space accounting for DDCres). Inside an
+// index that is all it adds: the rotated rows are the index's one copy of
+// its rows, which a PCA mode re-bases rather than duplicates. A standalone
+// NewRes also owns a rotated copy of the rows it was given.
 func (r *Res) ExtraBytes() int64 {
 	return r.model.Rotation.Bytes() + int64(len(r.norms))*4
 }

@@ -46,7 +46,7 @@ type Config struct {
 }
 
 // Index is a built HNSW graph over a fixed dataset. Search is safe for
-// concurrent use; the graph is immutable after Build.
+// concurrent use; the graph is immutable after Build (see Rebase).
 type Index struct {
 	dim      int
 	m        int
@@ -350,8 +350,8 @@ type Result = heap.Item
 // distance order. size must be the evaluator's point count; work counters
 // accumulate in ev.Stats().
 func (idx *Index) SearchEval(ev core.QueryEvaluator, k, ef, size int, dst []Result) ([]Result, error) {
-	if size != idx.data.Rows() {
-		return nil, fmt.Errorf("hnsw: DCO over %d points, index over %d", size, idx.data.Rows())
+	if size != len(idx.links) {
+		return nil, fmt.Errorf("hnsw: DCO over %d points, index over %d", size, len(idx.links))
 	}
 	if k <= 0 {
 		return nil, errors.New("hnsw: k must be positive")
@@ -428,7 +428,7 @@ func (idx *Index) SearchEval(ev core.QueryEvaluator, k, ef, size int, dst []Resu
 func (idx *Index) Dim() int { return idx.dim }
 
 // Len returns the number of indexed points.
-func (idx *Index) Len() int { return idx.data.Rows() }
+func (idx *Index) Len() int { return len(idx.links) }
 
 // MaxLevel returns the top layer of the graph.
 func (idx *Index) MaxLevel() int { return idx.maxLevel }
@@ -448,6 +448,10 @@ func (idx *Index) Neighbors(node int32, level int) []int32 {
 
 // Data returns the indexed vectors (read-only by convention).
 func (idx *Index) Data() *store.Matrix { return idx.data }
+
+// Rebase points the graph at its rows in another orthonormal basis, where
+// the graph is the same. Searches read no row; Encode and Data must wait.
+func (idx *Index) Rebase(data *store.Matrix) { idx.data = data }
 
 // GraphBytes reports the memory consumed by adjacency lists (Exp-3's index
 // space accounting).

@@ -162,6 +162,24 @@ func (m *Model) ProjectMatrix(data *store.Matrix, workers int) (*store.Matrix, e
 	return out, nil
 }
 
+// Unproject maps rows this model projected back to the space they were
+// projected from, x = Rᵀy + mean, into a fresh matrix: what the rows were,
+// up to float rounding.
+func (m *Model) Unproject(rotated *store.Matrix) (*store.Matrix, error) {
+	inv := &Model{Dim: m.Dim, Rotation: m.Rotation.Clone()} // Rᵀ
+	for i := 0; i < m.Dim; i++ {
+		for j := 0; j < i; j++ {
+			a, b := inv.Rotation.Row(i), inv.Rotation.Row(j)
+			a[j], b[i] = b[i], a[j]
+		}
+	}
+	out, err := inv.ProjectMatrix(rotated, 0)
+	for i := 0; err == nil && m.Mean != nil && i < out.Rows(); i++ {
+		vec.Axpy(1, m.Mean, out.Row(i))
+	}
+	return out, err
+}
+
 // Refit returns a model for rows this model did not train on: it shares m's
 // mean and rotation (the same slices, not copies) and takes Variances and
 // Sigmas from rotated, rows already projected by m. Variances[i] is the

@@ -55,8 +55,8 @@ func checkVector(v []float32, dim int) error {
 // each once (see checkVector) on the way. row(i) returns the i-th row and the
 // ID an error names it by. Cosine rows are unit-normalized where they land;
 // InnerProduct rows gain the augmenting coordinate sqrt(R²−‖x‖²), R² being
-// the largest squared norm among these rows.
-func ingest(n int, row func(i int) (id int, v []float32), kind MetricKind) (*store.Matrix, *metricState, error) {
+// the largest of maxSq and the squared norms of these rows.
+func ingest(n int, row func(i int) (id int, v []float32), kind MetricKind, maxSq float64) (*store.Matrix, *metricState, error) {
 	dim := 0
 	if n > 0 {
 		_, first := row(0)
@@ -70,7 +70,7 @@ func ingest(n int, row func(i int) (id int, v []float32), kind MetricKind) (*sto
 	switch kind {
 	case L2, Cosine:
 	case InnerProduct:
-		ms.ip = &metric.IPTransform{Dim: dim}
+		ms.ip = &metric.IPTransform{Dim: dim, MaxSq: maxSq}
 		idim++
 	default:
 		return nil, nil, fmt.Errorf("resinfer: unknown metric %q", kind)

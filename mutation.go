@@ -3,6 +3,7 @@ package resinfer
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,8 +12,11 @@ import (
 	"resinfer/internal/fault"
 	"resinfer/internal/heap"
 	"resinfer/internal/metric"
+	"resinfer/internal/pca"
 	"resinfer/internal/retry"
+	"resinfer/internal/store"
 	"resinfer/internal/stream"
+	"resinfer/internal/vec"
 	"resinfer/internal/wal"
 )
 
@@ -381,10 +385,9 @@ type compactInfo struct {
 }
 
 // inherit installs the recorded comparators ix, a rebuilt base, lacks, each
-// built around the rotation old's comparator of that mode uses: ix rotates
-// its rows with it, ddc-res refits the σ of its error bound on them, ddc-pca
-// refits its classifiers, and the eigensolver does not run. A mode old does
-// not have (or ddc-opq) trains from scratch.
+// built around the rotation old's comparator of that mode uses (ix's rows
+// are in old's basis already, see compactRows): the eigensolver does not
+// run. A mode old does not have (or ddc-opq) trains from scratch.
 func (ix *Index) inherit(old *Index, enables []recordedEnable) error {
 	for _, e := range enables {
 		if err := ix.enable(e.mode, e.trainQueries, e.opts, old.rotationOf(e.mode)); err != nil {
@@ -392,6 +395,57 @@ func (ix *Index) inherit(old *Index, enables []recordedEnable) error {
 		}
 	}
 	return nil
+}
+
+// compactRows is what a compaction of base builds on, with its metric state
+// and basis (σ refit): base's rows at keep as they are, then the memtable
+// rows ingested and, on a re-based base, projected once. InnerProduct's R
+// only grows: raised to R', a kept row's coordinate a = sqrt(R²−‖x‖²)
+// moves to sqrt(R'²−R²+a²) along its axis, in a basis y = B(x−μ) column D
+// of B, where a = μ_D + ⟨axis, y⟩.
+func (base *Index) compactRows(keep, memIDs []int, memVecs []float32) (*store.Matrix, *metricState, *pca.Model, error) {
+	rows, basis := base.rows()
+	ms, d := base.metric, base.userDim
+	var maxSq float64
+	if ms.kind == InnerProduct {
+		maxSq = ms.ip.MaxSq
+	}
+	mat, err := store.New(len(keep)+len(memIDs), base.dim)
+	var fresh *store.Matrix
+	if err == nil && len(memIDs) > 0 {
+		fresh, ms, err = ingest(len(memIDs), func(i int) (int, []float32) { return memIDs[i], memVecs[i*d : (i+1)*d] }, ms.kind, maxSq)
+		if err == nil && basis != nil {
+			fresh, err = basis.ProjectMatrix(fresh, 0)
+		}
+	}
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	for i, l := range keep {
+		mat.SetRow(i, rows.Row(l))
+	}
+	if fresh != nil {
+		copy(mat.Flat()[len(keep)*base.dim:], fresh.Flat())
+	}
+	if ms.kind == InnerProduct && ms.ip.MaxSq > maxSq {
+		last, mu := base.dim-1, 0.0
+		axis := make([]float32, base.dim)
+		axis[last] = 1
+		if basis != nil {
+			for i := range axis {
+				axis[i] = basis.Rotation.Row(i)[last]
+			}
+			mu = float64(basis.Mean[last])
+		}
+		for i := range keep {
+			a := mu + float64(vec.Dot(axis, mat.Row(i)))
+			vec.Axpy(float32(math.Sqrt(ms.ip.MaxSq-maxSq+a*a)-a), axis, mat.Row(i))
+		}
+	}
+	if basis != nil {
+		basis = basis.Refit(mat)
+	}
+	return mat, ms, basis, nil
 }
 
 // compactShard rebuilds shard s from its live rows — base minus
@@ -477,16 +531,11 @@ func (sx *ShardedIndex) compactShard(s int, wait bool) (bool, compactInfo, error
 		}
 	}
 	buildStart := time.Now()
-	// Both segments hold caller-space rows: a base row in its leading userDim
-	// coordinates (InnerProduct's augmenting coordinate follows them; a
-	// Cosine row is already unit length), a memtable row as it is.
-	newIdx, err := newIndex(len(ids), func(i int) (int, []float32) {
-		if i < len(keep) {
-			return ids[i], base.data.Row(keep[i])[:sx.userDim]
-		}
-		off := (i - len(keep)) * sx.userDim
-		return ids[i], memVecs[off : off+sx.userDim]
-	}, sx.kind, opts.withDefaults())
+	mat, ms, basis, err := base.compactRows(keep, memIDs, memVecs)
+	var newIdx *Index
+	if err == nil {
+		newIdx, err = buildIndex(mat, ms, basis, sx.kind, opts.withDefaults())
+	}
 	if err != nil {
 		return false, compactInfo{}, fmt.Errorf("resinfer: compacting shard %d: %w", s, err)
 	}

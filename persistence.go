@@ -13,14 +13,14 @@ import (
 	"resinfer/internal/hnsw"
 	"resinfer/internal/ivf"
 	"resinfer/internal/metric"
+	"resinfer/internal/pca"
 	"resinfer/internal/persist"
 	"resinfer/internal/store"
 )
 
-// Version 2 of the on-disk format stores vector payloads as flat
-// row-major matrix blocks (store.Matrix) written in bulk, instead of
-// per-row length-prefixed slices.
-const fileMagic = "RESINFER2"
+// Version 3 writes an index's rows once, in the basis a PCA mode re-based
+// them into, then that basis; version 2 files are not read.
+const fileMagic = "RESINFER3"
 
 // Save serializes the index — structure, vectors, and every enabled
 // comparator — so a later Load skips both construction and training.
@@ -36,6 +36,9 @@ func (ix *Index) Save(w io.Writer) error {
 // codec-level half of Save, shared with the sharded container format,
 // which embeds one index stream per shard.
 func (ix *Index) encode(pw *persist.Writer) error {
+	modes := ix.Modes() // sorted: deterministic files
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
 	pw.Magic(fileMagic)
 	pw.String(string(ix.kind))
 	pw.String(string(ix.metric.kind))
@@ -45,7 +48,7 @@ func (ix *Index) encode(pw *persist.Writer) error {
 	}
 	switch ix.kind {
 	case HNSW:
-		ix.hnswIdx.Encode(pw)
+		ix.hnswIdx.Encode(pw) // the graph's rows are the index's
 	case IVF:
 		ix.ivfIdx.Encode(pw)
 		// IVF does not embed the vectors; write them explicitly.
@@ -55,10 +58,10 @@ func (ix *Index) encode(pw *persist.Writer) error {
 	default:
 		return fmt.Errorf("resinfer: cannot serialize index kind %q", ix.kind)
 	}
-
-	modes := ix.Modes() // sorted: deterministic files
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
+	pw.Bool(ix.basis != nil)
+	if ix.basis != nil {
+		ix.basis.Encode(pw)
+	}
 	pw.Int(len(modes) - 1) // Exact is rebuilt from the vectors
 	for _, m := range modes {
 		if m == Exact {
@@ -141,7 +144,7 @@ func decodeIndex(pr *persist.Reader) (*Index, error) {
 	if ix.data == nil || ix.data.Rows() == 0 {
 		return nil, errors.New("resinfer: stream carries no vectors")
 	}
-	ix.dim = ix.data.Dim()
+	ix.n, ix.dim = ix.data.Rows(), ix.data.Dim()
 	// Searches size the caller's query by userDim and the comparators'
 	// scratch by dim; the metric reduction fixes how the two relate.
 	wantDim := userDim
@@ -151,7 +154,13 @@ func decodeIndex(pr *persist.Reader) (*Index, error) {
 	if ix.dim != wantDim {
 		return nil, fmt.Errorf("resinfer: stream stores %d-d rows for %d-d %s queries", ix.dim, userDim, mk)
 	}
-	exact, err := core.NewExact(ix.data)
+	var err error
+	if pr.Bool() {
+		if ix.basis, err = pca.Decode(pr); err != nil {
+			return nil, err
+		}
+	}
+	exact, err := core.NewExactIn(ix.data, ix.basis) // checks the basis's dimension
 	if err != nil {
 		return nil, err
 	}
@@ -174,20 +183,26 @@ func decodeIndex(pr *persist.Reader) (*Index, error) {
 		case ADSampling:
 			dco, err = adsampling.Decode(pr)
 		case DDCRes:
-			dco, err = ddc.DecodeRes(pr)
+			dco, err = ddc.DecodeRes(pr, ix.data, ix.basis)
 		case DDCPCA:
-			dco, err = ddc.DecodePCA(pr)
-		case DDCOPQ:
-			dco, err = ddc.DecodeOPQ(pr, ix.data)
+			dco, err = ddc.DecodePCA(pr, ix.data, ix.basis)
+		case DDCOPQ: // its exact fallback reads rows in the internal space
+			internal := ix.data
+			if ix.basis != nil {
+				internal, err = ix.basis.Unproject(ix.data)
+			}
+			if err == nil {
+				dco, err = ddc.DecodeOPQ(pr, internal)
+			}
 		default:
 			return nil, fmt.Errorf("resinfer: unknown mode %q in stream", m)
 		}
 		if err != nil {
 			return nil, err
 		}
-		if dco.Size() != ix.data.Rows() {
+		if dco.Size() != ix.n {
 			return nil, fmt.Errorf("resinfer: mode %s covers %d points, index has %d",
-				m, dco.Size(), ix.data.Rows())
+				m, dco.Size(), ix.n)
 		}
 		ix.installDCO(m, dco)
 	}

@@ -26,7 +26,6 @@
 package resinfer
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -218,20 +217,26 @@ type enabledMode struct {
 // call Search, SearchInto and SearchBatch concurrently — searches
 // share the immutable index structure and draw per-query evaluators from
 // a pool. Enable* calls serialize internally and may run concurrently
-// with searches; a mode becomes visible to searches atomically.
+// with searches; a mode becomes visible to searches atomically. The rows
+// are held once: the first PCA mode re-bases them (see enable).
 type Index struct {
 	kind    IndexKind
-	data    *store.Matrix // rows in the internal (metric-reduced) space
-	dim     int           // internal dimensionality
-	userDim int           // dimensionality callers present queries in
+	n       int // rows, fixed at construction
+	dim     int // internal dimensionality
+	userDim int // dimensionality callers present queries in
 	metric  *metricState
 	opts    Options
 
-	hnswIdx *hnsw.Index
-	ivfIdx  *ivf.Index
+	hnswIdx *hnsw.Index // its rows are data, re-based with it
+	ivfIdx  *ivf.Index  // centroids in the internal space, whatever the basis
 	flatIdx *flat.Index
 
+	enableMu sync.Mutex // one Enable* at a time: train, re-base, install
+
+	// mu guards what follows; a re-base replaces data and basis.
 	mu    sync.RWMutex
+	data  *store.Matrix // the rows: in the internal space, or in basis
+	basis *pca.Model    // nil until a PCA mode re-bases the index
 	modes map[Mode]enabledMode
 }
 
@@ -245,16 +250,24 @@ func New(data [][]float32, kind IndexKind, opts *Options) (*Index, error) {
 }
 
 // newIndex ingests n caller-space rows (see ingest) and builds an index of
-// the given kind over them: what New, every shard of NewSharded and every
-// compaction do. o has its defaults applied.
+// the given kind over them: what New and every shard of NewSharded do. o
+// has its defaults applied.
 func newIndex(n int, row func(i int) (id int, v []float32), kind IndexKind, o Options) (*Index, error) {
-	mat, ms, err := ingest(n, row, o.Metric)
+	mat, ms, err := ingest(n, row, o.Metric, 0)
 	if err != nil {
 		return nil, err
 	}
+	return buildIndex(mat, ms, nil, kind, o)
+}
+
+// buildIndex builds an index of the given kind over mat, its rows: in the
+// internal space of ms or, compacting a re-based shard, projected by basis.
+func buildIndex(mat *store.Matrix, ms *metricState, basis *pca.Model, kind IndexKind, o Options) (*Index, error) {
 	ix := &Index{
 		kind:    kind,
+		n:       mat.Rows(),
 		data:    mat,
+		basis:   basis,
 		dim:     mat.Dim(),
 		userDim: mat.Dim(),
 		metric:  ms,
@@ -264,7 +277,7 @@ func newIndex(n int, row func(i int) (id int, v []float32), kind IndexKind, o Op
 	if ms.kind == InnerProduct {
 		ix.userDim = ms.ip.Dim
 	}
-	exact, err := core.NewExact(mat)
+	exact, err := core.NewExactIn(mat, basis)
 	if err != nil {
 		return nil, err
 	}
@@ -284,6 +297,13 @@ func newIndex(n int, row func(i int) (id int, v []float32), kind IndexKind, o Op
 		idx, err := ivf.Build(mat, ivf.Config{NList: o.IVFNList, Seed: o.Seed})
 		if err != nil {
 			return nil, err
+		}
+		if basis != nil { // probes compare centroids with the unrotated query
+			c, err := basis.Unproject(idx.Centroids())
+			if err != nil {
+				return nil, err
+			}
+			copy(idx.Centroids().Flat(), c.Flat())
 		}
 		ix.ivfIdx = idx
 	case Flat:
@@ -337,11 +357,12 @@ func (ix *Index) EnableWithTraining(mode Mode, trainQueries [][]float32, opts *O
 
 // rotationOf returns the rotation mode's installed comparator is built
 // around, the part of it that does not depend on the rows it covers: the PCA
-// model of ddc-res and ddc-pca, the mean-free model holding adsampling's
-// random orthogonal matrix. A ShardedIndex trains one per mode and builds
-// every shard's comparator around it, and a compacted shard takes over the
-// one of the base it replaces, so a fan-out rotates its query once. It is nil
-// when there is none; around a nil rotation a comparator trains its own.
+// model of ddc-res and ddc-pca (the index's basis), the mean-free model
+// holding adsampling's random orthogonal matrix. A ShardedIndex trains one
+// per mode and builds every shard's comparator around it, and a compacted
+// shard takes over the one of the base it replaces, so a fan-out rotates its
+// query once. It is nil when there is none; around a nil rotation a
+// comparator trains its own.
 func (ix *Index) rotationOf(mode Mode) *pca.Model {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
@@ -351,16 +372,20 @@ func (ix *Index) rotationOf(mode Mode) *pca.Model {
 	return nil
 }
 
+// enable trains mode's comparator around rot (see rotationOf; nil trains
+// one) and installs it.
 func (ix *Index) enable(mode Mode, trainQueries [][]float32, opts *Options, rot *pca.Model) error {
+	ix.enableMu.Lock()
+	defer ix.enableMu.Unlock()
+	if ix.Enabled(mode) {
+		return nil
+	}
 	o := ix.opts
 	if opts != nil {
 		o = opts.withDefaults()
 	}
-	ix.mu.RLock()
-	_, done := ix.modes[mode]
-	ix.mu.RUnlock()
-	if done {
-		return nil
+	if (mode == DDCPCA || mode == DDCOPQ) && len(trainQueries) == 0 {
+		return fmt.Errorf("resinfer: %s needs training queries", mode)
 	}
 	// Training queries live in the caller's space; move them into the
 	// internal (metric-reduced) space the comparators operate in.
@@ -374,40 +399,80 @@ func (ix *Index) enable(mode Mode, trainQueries [][]float32, opts *Options, rot 
 		}
 		trainQueries = transformed
 	}
-	var dco core.DCO
+	// The first PCA mode re-bases the rows, so exact, ddc-res, ddc-pca and
+	// the graph read one matrix: into rot's basis with σ refit to them, or
+	// into one trained on them. The other modes read rows in the internal
+	// space, on a re-based index derived through the basis inverse.
+	rows, basis := ix.rows()
+	rebase := basis == nil && (mode == DDCRes || mode == DDCPCA)
 	var err error
-	switch mode {
-	case ADSampling:
-		dco, err = adsampling.NewFromModel(ix.data, rot, adsampling.Config{
+	switch {
+	case rebase && rot == nil:
+		if basis, err = pca.Train(pca.Config{Seed: o.Seed}, rows); err == nil {
+			rows, err = basis.ProjectMatrix(rows, 0)
+		}
+	case rebase:
+		if rows, err = rot.ProjectMatrix(rows, 0); err == nil {
+			basis = rot.Refit(rows)
+		}
+	case basis != nil && (mode == ADSampling || mode == DDCOPQ):
+		rows, err = basis.Unproject(rows)
+	}
+	var dco core.DCO
+	switch {
+	case err != nil:
+	case mode == ADSampling:
+		dco, err = adsampling.NewFromModel(rows, rot, adsampling.Config{
 			Epsilon0: o.ADSEpsilon0, DeltaD: o.DeltaD, Seed: o.Seed,
 		})
-	case DDCRes:
-		dco, err = ddc.NewResFromModel(ix.data, rot, ddc.ResConfig{
-			Multiplier: o.ResMultiplier, InitD: o.DeltaD, DeltaD: o.DeltaD, Seed: o.Seed,
+	case mode == DDCRes:
+		dco, err = ddc.NewResRotated(rows, basis, ddc.ResConfig{
+			Multiplier: o.ResMultiplier, InitD: o.DeltaD, DeltaD: o.DeltaD,
 		})
-	case DDCPCA:
-		if len(trainQueries) == 0 {
-			return errors.New("resinfer: DDCPCA needs training queries")
-		}
-		dco, err = ddc.NewPCAFromModel(ix.data, trainQueries, rot, ddc.PCAConfig{
+	case mode == DDCPCA:
+		dco, err = ddc.NewPCARotated(rows, trainQueries, basis, ddc.PCAConfig{
 			TargetRecall: o.TargetRecall, Seed: o.Seed,
 			Collect: ddc.CollectConfig{K: 100, NegPerQuery: 100},
 		})
-	case DDCOPQ:
-		if len(trainQueries) == 0 {
-			return errors.New("resinfer: DDCOPQ needs training queries")
-		}
-		dco, err = ddc.NewOPQ(ix.data, trainQueries, ddc.OPQConfig{
+	case mode == DDCOPQ:
+		dco, err = ddc.NewOPQ(rows, trainQueries, ddc.OPQConfig{
 			M: o.OPQSubspaces, TargetRecall: o.TargetRecall, Seed: o.Seed,
 			OPQSample: 8192,
 			Collect:   ddc.CollectConfig{K: 100, NegPerQuery: 100},
 		})
+	}
+	if err == nil && rebase {
+		err = ix.rebase(rows, basis)
 	}
 	if err != nil {
 		return fmt.Errorf("resinfer: enabling %s: %w", mode, err)
 	}
 	ix.installDCO(mode, dco)
 	return nil
+}
+
+// rebase makes rows, the index's rows projected by basis, its one copy:
+// exact and the graph move onto them, and the old rows are let go.
+func (ix *Index) rebase(rows *store.Matrix, basis *pca.Model) error {
+	exact, err := core.NewExactIn(rows, basis)
+	if err != nil {
+		return err
+	}
+	ix.mu.Lock()
+	if ix.hnswIdx != nil {
+		ix.hnswIdx.Rebase(rows)
+	}
+	ix.data, ix.basis = rows, basis
+	ix.mu.Unlock()
+	ix.installDCO(Exact, exact)
+	return nil
+}
+
+// rows returns the index's rows and their basis (nil: the internal space).
+func (ix *Index) rows() (*store.Matrix, *pca.Model) {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	return ix.data, ix.basis
 }
 
 // Enabled reports whether the mode's comparator is ready.
@@ -419,7 +484,7 @@ func (ix *Index) Enabled(mode Mode) bool {
 }
 
 // acquire checks out a pooled session for the mode. The caller must return
-// it with release (or pool.Put) when the search is done.
+// it with pool.Put when the search is done.
 func (ix *Index) acquire(mode Mode) (*session, *sync.Pool, error) {
 	ix.mu.RLock()
 	em, ok := ix.modes[mode]
@@ -485,11 +550,7 @@ func (ix *Index) searchShard(dst []Neighbor, fs *fanScratch, k int) ([]Neighbor,
 	if err != nil {
 		return dst, SearchStats{}, err
 	}
-	if rev, ok := s.ev.(core.RotatingEvaluator); ok {
-		err = fs.reset(rev)
-	} else {
-		err = s.ev.Reset(fs.tq)
-	}
+	err = fs.prime(s.ev)
 	var st SearchStats
 	if err == nil {
 		dst, st, err = ix.walk(s, dst, fs.tq, k, fs.budget)
@@ -505,14 +566,13 @@ func (ix *Index) searchShard(dst []Neighbor, fs *fanScratch, k int) ([]Neighbor,
 func (ix *Index) walk(s *session, dst []Neighbor, tq []float32, k, budget int) ([]Neighbor, SearchStats, error) {
 	var err error
 	s.items = s.items[:0]
-	size := ix.data.Rows()
 	switch ix.kind {
 	case HNSW:
-		s.items, err = ix.hnswIdx.SearchEval(s.ev, k, budget, size, s.items)
+		s.items, err = ix.hnswIdx.SearchEval(s.ev, k, budget, ix.n, s.items)
 	case IVF:
-		s.items, err = ix.ivfIdx.SearchEval(s.ev, tq, k, budget, size, s.items)
+		s.items, err = ix.ivfIdx.SearchEval(s.ev, tq, k, budget, ix.n, s.items)
 	case Flat:
-		s.items, err = ix.flatIdx.SearchEval(s.ev, k, size, s.items)
+		s.items, err = ix.flatIdx.SearchEval(s.ev, k, ix.n, s.items)
 	default:
 		//resinfer:alloc-ok unreachable-by-construction kind guard
 		err = fmt.Errorf("resinfer: unknown index kind %q", ix.kind)
@@ -544,7 +604,7 @@ func SIMDLevel() string { return vec.Level() }
 func (ix *Index) Kind() IndexKind { return ix.kind }
 
 // Len returns the number of indexed vectors.
-func (ix *Index) Len() int { return ix.data.Rows() }
+func (ix *Index) Len() int { return ix.n }
 
 // Dim returns the internal vector dimensionality (after any metric
 // reduction; InnerProduct augments rows with one coordinate).

@@ -76,7 +76,8 @@ type ShardedIndex struct {
 	workers  int          // shard fan-out width for single-query Search
 	qmetric  *metricState // the query-side metric transform, the same for every shard
 	fanPool  sync.Pool
-	gtPool   sync.Pool // gtScratch for GroundTruthSearch (groundtruth.go)
+	gtPool   sync.Pool  // gtScratch for GroundTruthSearch (groundtruth.go)
+	enableMu sync.Mutex // one Enable* at a time
 
 	// mut holds the streaming-ingestion state (per-shard memtables,
 	// tombstones, the ID allocator). nil on an immutable index, in which
@@ -210,6 +211,16 @@ func (fs *fanScratch) reset(ev core.RotatingEvaluator) error {
 		return ev.Reset(fs.tq)
 	}
 	return ev.ResetRotated(slot.rq)
+}
+
+// prime resets ev for fs's query, from the rotate-once cache when ev rotates.
+//
+//resinfer:noalloc
+func (fs *fanScratch) prime(ev core.ResettableEvaluator) error {
+	if rev, ok := ev.(core.RotatingEvaluator); ok {
+		return fs.reset(rev)
+	}
+	return ev.Reset(fs.tq)
 }
 
 // begin readies fs for one query: the query parameters every probe reads,
@@ -375,6 +386,8 @@ func (sx *ShardedIndex) EnableWithTraining(mode Mode, trainQueries [][]float32, 
 }
 
 func (sx *ShardedIndex) enableAll(mode Mode, trainQueries [][]float32, opts *Options) error {
+	sx.enableMu.Lock()
+	defer sx.enableMu.Unlock()
 	if sx.mut != nil {
 		// Serialize against compaction swaps so the new comparator lands on
 		// every shard's current base, and record the call so a compacted
@@ -395,7 +408,8 @@ func (sx *ShardedIndex) enableAll(mode Mode, trainQueries [][]float32, opts *Opt
 		o = opts.withDefaults()
 	}
 	// The rotation is trained here, once, over the rows of all shards;
-	// ddc-opq trains its own jointly with its codebooks, per shard.
+	// ddc-opq trains its own jointly with its codebooks, per shard. A second
+	// PCA mode reuses the basis the first re-based the shards into.
 	var rot *pca.Model
 	var err error
 	switch mode {
@@ -404,9 +418,11 @@ func (sx *ShardedIndex) enableAll(mode Mode, trainQueries [][]float32, opts *Opt
 	case DDCRes, DDCPCA:
 		mats := make([]*store.Matrix, len(sx.shards))
 		for s, sh := range sx.shards {
-			mats[s] = sh.data
+			mats[s], _ = sh.rows()
 		}
-		rot, err = pca.Train(pca.Config{Seed: o.Seed}, mats...)
+		if _, basis := sx.shards[0].rows(); basis == nil {
+			rot, err = pca.Train(pca.Config{Seed: o.Seed}, mats...)
+		}
 	case DDCOPQ:
 	default:
 		err = fmt.Errorf("unknown mode %q", mode)
