@@ -39,6 +39,8 @@ func fuzzOptions(metric MetricKind) *Options {
 // re-bases the index, so every seed below is a RESINFER3 stream whose rows
 // lie in a PCA basis the stream carries: re-based InnerProduct HNSW and IVF
 // indexes, sharded ones, and mutable ones with memtable rows and tombstones.
+// A sharded seed writes each mode's rotation once and back-references it
+// from the other shard, so the fuzzer mutates back-references too.
 func fuzzEnable(f *testing.F, ix interface{ Enable(Mode, *Options) error }) {
 	for _, m := range []Mode{DDCRes, ADSampling} {
 		if err := ix.Enable(m, nil); err != nil {
@@ -93,8 +95,8 @@ func checkLoad(t *testing.T, data []byte, load func(io.Reader) (fuzzEngine, func
 		t.Fatalf("loading %d bytes did not return within 20 s", len(data))
 	}
 	// Proportional, with room for what a loaded index legitimately builds
-	// around its bytes: float64 rotations narrowed to float32, per-row map
-	// entries of a mutable index, evaluator pools and fan-out scratch.
+	// around its bytes: per-row map entries of a mutable index, evaluator
+	// pools and fan-out scratch.
 	if limit := uint64(4<<20 + 64*len(data)); grew > limit {
 		t.Fatalf("loading %d bytes allocated %d (limit %d)", len(data), grew, limit)
 	}

@@ -14,8 +14,8 @@
 //
 // The random orthogonal matrix is held as a mean-free pca.Model (Mean nil:
 // it projects by the rotation alone, which is vec.MatVec), the one type the
-// index shares, inherits and interns rotations in, whatever comparator they
-// belong to. The comparator writes and reads its own RIADS2 stream.
+// index shares, inherits and persists rotations in, whatever comparator they
+// belong to. The comparator writes and reads its own RIADS3 stream.
 package adsampling
 
 import (
@@ -231,8 +231,9 @@ func (ev *evaluator) Compare(id int, tau float32) (float32, bool) {
 
 func (ev *evaluator) Stats() *core.Stats { return &ev.stats }
 
-// Version 2 stores the rotated vectors as one flat matrix block.
-const magic = "RIADS2"
+// Version 3 writes the rotation as a pca.Model, once per stream however
+// many comparators share it.
+const magic = "RIADS3"
 
 // Encode writes the comparator (tuning, rotation, rotated vectors) onto an
 // existing persist stream. The tuning is the comparator's own: Enable may
@@ -241,16 +242,17 @@ func (d *DCO) Encode(pw *persist.Writer) {
 	pw.Magic(magic)
 	pw.F64(d.eps0)
 	pw.Int(d.deltaD)
-	matrix.EncodeF32(pw, d.model.Rotation)
+	d.model.Encode(pw)
 	d.rotated.Encode(pw)
 }
 
-// Decode reads a comparator previously written by Encode.
+// Decode reads a comparator previously written by Encode. Comparators that
+// shared a rotation when saved share one again.
 func Decode(pr *persist.Reader) (*DCO, error) {
 	pr.Magic(magic)
 	eps := pr.F64()
 	deltaD := pr.Int()
-	rot, err := matrix.DecodeF32(pr)
+	model, err := pca.Decode(pr)
 	if err != nil {
 		return nil, err
 	}
@@ -258,5 +260,5 @@ func Decode(pr *persist.Reader) (*DCO, error) {
 	if err != nil {
 		return nil, err
 	}
-	return NewWithRotation(rotated, rot, Config{Epsilon0: eps, DeltaD: deltaD})
+	return NewWithRotation(rotated, model.Rotation, Config{Epsilon0: eps, DeltaD: deltaD})
 }

@@ -37,7 +37,7 @@ func DecodeRes(pr *persist.Reader, rotated *store.Matrix, model *pca.Model) (*Re
 	if err := pr.Err(); err != nil {
 		return nil, err
 	}
-	if model == nil || !(m > 0) || initD <= 0 || deltaD <= 0 {
+	if model == nil || len(model.Sigmas) != model.Dim || !(m > 0) || initD <= 0 || deltaD <= 0 {
 		return nil, errors.New("ddc: corrupt encoded Res")
 	}
 	return NewResRotated(rotated, model, ResConfig{Multiplier: m, InitD: initD, DeltaD: deltaD})

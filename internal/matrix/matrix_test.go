@@ -1,7 +1,6 @@
 package matrix
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"runtime"
@@ -9,7 +8,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"resinfer/internal/persist"
 	"resinfer/internal/store"
 	"resinfer/internal/vec"
 )
@@ -149,56 +147,6 @@ func TestF32MatVecMatchesApply(t *testing.T) {
 	for i := range y32 {
 		if math.Abs(float64(y32[i])-y64[i]) > 1e-4 {
 			t.Fatalf("MatVec mismatch at %d: %v vs %v", i, y32[i], y64[i])
-		}
-	}
-}
-
-// TestCodecF32 checks the rotation codec: a float32 rotation round-trips
-// bit-exactly, a stream holding float64 values that float32 cannot
-// represent (what earlier versions wrote) decodes to their nearest float32,
-// and impossible shapes are rejected.
-func TestCodecF32(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	want := randomMatrix(r, 3, 5).F32()
-	var buf bytes.Buffer
-	pw := persist.NewWriter(&buf)
-	EncodeF32(pw, want)
-	if err := pw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeF32(persist.NewReader(bytes.NewReader(buf.Bytes())))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Rows() != 3 || got.Dim() != 5 || !vec.Equal(got.Flat(), want.Flat()) {
-		t.Fatal("round trip changed the rotation")
-	}
-
-	encode64 := func(rows, cols int, data []float64) *persist.Reader {
-		var b bytes.Buffer
-		w := persist.NewWriter(&b)
-		w.Magic(matMagic)
-		w.Int(rows)
-		w.Int(cols)
-		w.F64s(data)
-		if err := w.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		return persist.NewReader(bytes.NewReader(b.Bytes()))
-	}
-	legacy := []float64{1.0 / 3, math.Pi, -1e-9, 0.1}
-	got, err = DecodeF32(encode64(2, 2, legacy))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range legacy {
-		if got.Flat()[i] != float32(v) {
-			t.Fatalf("element %d: %v, want %v", i, got.Flat()[i], float32(v))
-		}
-	}
-	for _, shape := range [][2]int{{0, 4}, {4, 0}, {-2, -2}, {3, 2}, {1 << 40, 1 << 40}} {
-		if _, err := DecodeF32(encode64(shape[0], shape[1], legacy)); err == nil {
-			t.Fatalf("shape %v with 4 elements decoded", shape)
 		}
 	}
 }

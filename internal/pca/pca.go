@@ -15,7 +15,6 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"slices"
 
 	"resinfer/internal/matrix"
 	"resinfer/internal/par"
@@ -202,21 +201,6 @@ func (m *Model) Refit(rotated *store.Matrix) *Model {
 		out.Sigmas[j] = float32(math.Sqrt(out.Variances[j]))
 	}
 	return out
-}
-
-// Intern makes m share o's mean and rotation when they are equal element
-// for element, and reports whether the two now rotate through the same
-// matrix. A loader calls it so models that were one object when saved are
-// one object again.
-func (m *Model) Intern(o *Model) bool {
-	if m.Rotation == o.Rotation {
-		return true
-	}
-	if !slices.Equal(m.Mean, o.Mean) || !slices.Equal(m.Rotation.Flat(), o.Rotation.Flat()) {
-		return false
-	}
-	m.Mean, m.Rotation = o.Mean, o.Rotation
-	return true
 }
 
 // VarianceExplained returns the fraction of total variance captured by the

@@ -1,12 +1,14 @@
 package pca
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"slices"
 	"testing"
 	"testing/quick"
 
+	"resinfer/internal/persist"
 	"resinfer/internal/store"
 	"resinfer/internal/vec"
 )
@@ -312,18 +314,61 @@ func TestRefitRecoversEigenvalueSigmas(t *testing.T) {
 			t.Errorf("sigma[%d] = %v from rotated rows, %v from the eigenvalue", i, got, want)
 		}
 	}
-	if !re.Intern(m) || re.Rotation != m.Rotation {
-		t.Fatal("Intern does not recognise a shared rotation")
-	}
-	other, err := Train(Config{}, store.MustFromRows(data[:1500]))
+}
+
+// TestEncodeWritesSharedRotationOnce: a model and its Refit share a mean and
+// a rotation, so one stream carries the pair once and decodes two models
+// that share them again, with σ bit-identical to the encoded ones. A
+// mean-free model decodes mean-free.
+func TestEncodeWritesSharedRotationOnce(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	data := store.MustFromRows(anisotropic(r, 400, []float64{9, 4, 1, 0.5, 0.25, 0.1}))
+	m, err := Train(Config{}, data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if other.Intern(m) {
-		t.Fatal("Intern merged two different rotations")
+	rotated, err := m.ProjectMatrix(data, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	clone := &Model{Dim: m.Dim, Mean: append([]float32(nil), m.Mean...), Rotation: m.Rotation.Clone()}
-	if !clone.Intern(m) || clone.Rotation != m.Rotation {
-		t.Fatal("Intern left an element-for-element equal rotation unshared")
+	free := &Model{Dim: m.Dim, Rotation: m.Rotation.Clone()}
+	models := []*Model{m, m.Refit(rotated), free}
+
+	encode := func(ms ...*Model) []byte {
+		var buf bytes.Buffer
+		pw := persist.NewWriter(&buf)
+		for _, x := range ms {
+			x.Encode(pw)
+		}
+		if err := pw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	if grew := len(encode(m, models[1])) - len(encode(m)); grew >= 4*m.Dim*m.Dim {
+		t.Errorf("a Refit adds %d bytes to its model's stream: the shared rotation was written twice", grew)
+	}
+
+	pr := persist.NewReader(bytes.NewReader(encode(models...)))
+	var got []*Model
+	for range models {
+		x, err := Decode(pr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, x)
+	}
+	if got[1].Rotation != got[0].Rotation || &got[1].Mean[0] != &got[0].Mean[0] {
+		t.Error("the refit model decoded its own rotation or mean")
+	}
+	if got[2].Mean != nil || got[2].Variances != nil || got[2].Rotation == got[0].Rotation {
+		t.Error("the mean-free model did not decode as its own mean-free rotation")
+	}
+	for i, want := range models {
+		if !slices.Equal(got[i].Rotation.Flat(), want.Rotation.Flat()) ||
+			!slices.Equal(got[i].Mean, want.Mean) || !slices.Equal(got[i].Sigmas, want.Sigmas) ||
+			!slices.Equal(got[i].Variances, want.Variances) {
+			t.Errorf("model %d did not round-trip bit for bit", i)
+		}
 	}
 }

@@ -25,8 +25,9 @@ const MaxSliceLen = 1 << 31
 // Writer encodes values to an underlying stream, retaining the first
 // error.
 type Writer struct {
-	w   *bufio.Writer
-	err error
+	w    *bufio.Writer
+	err  error
+	refs map[any]int // Shared: each key written so far, by table index
 }
 
 // NewWriter wraps w.
@@ -171,11 +172,62 @@ func (w *Writer) F32Block(xs []float32) {
 	}
 }
 
+// Shared writes the marker of an object several parts of a stream hold, so
+// the stream carries it once. The first call with a key writes a "new"
+// marker and returns true: the caller encodes the object next. Every later
+// call writes the table index of that first copy and returns false. One
+// table spans the stream, whatever nests inside it.
+func (w *Writer) Shared(key any) bool {
+	if i, ok := w.refs[key]; ok {
+		w.Int(i)
+		return false
+	}
+	if w.refs == nil {
+		w.refs = map[any]int{}
+	}
+	w.refs[key] = len(w.refs)
+	w.Int(-1)
+	return true
+}
+
 // Reader decodes values from an underlying stream, retaining the first
 // error.
 type Reader struct {
-	r   *bufio.Reader
-	err error
+	r    *bufio.Reader
+	err  error
+	objs []any // Shared: the objects decoded so far, in table order
+}
+
+// Shared reads what Writer.Shared wrote: decode's object after a "new"
+// marker, or the object an earlier call returned for a back-reference. A
+// back-reference past the table, or to an object of another type, is an
+// error. Every table entry costs the stream eight bytes.
+func Shared[T any](r *Reader, decode func() (T, error)) (T, error) {
+	var zero T
+	i := r.Int()
+	if r.err != nil {
+		return zero, r.err
+	}
+	if i == -1 {
+		slot := len(r.objs)
+		r.objs = append(r.objs, nil) // numbered before what nests inside it, as written
+		v, err := decode()
+		if err != nil {
+			return zero, err
+		}
+		r.objs[slot] = v
+		return v, nil
+	}
+	if i < 0 || i >= len(r.objs) {
+		r.err = fmt.Errorf("persist: back-reference %d with %d shared objects decoded", i, len(r.objs))
+		return zero, r.err
+	}
+	v, ok := r.objs[i].(T)
+	if !ok {
+		r.err = fmt.Errorf("persist: back-reference %d is a %T, want a %T", i, r.objs[i], zero)
+		return zero, r.err
+	}
+	return v, nil
 }
 
 // NewReader wraps r.

@@ -311,3 +311,116 @@ func TestSliceReadersGrowToExactCapacity(t *testing.T) {
 		}
 	}
 }
+
+// box is a shared object for the back-reference tests.
+type box struct{ v []float32 }
+
+func decodeBox(r *Reader) (*box, error) {
+	b := &box{v: r.F32s()}
+	return b, r.Err()
+}
+
+// TestSharedWritesEachObjectOnce: a key seen again is a back-reference,
+// and decoding it returns the very object its first copy decoded to.
+func TestSharedWritesEachObjectOnce(t *testing.T) {
+	a, b := &box{v: []float32{1, 2}}, &box{v: []float32{3}}
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	for _, x := range []*box{a, b, a, a, b} {
+		if w.Shared(x) {
+			w.F32s(x.v)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if want := 5*8 + (8 + 4*2) + (8 + 4); buf.Len() != want {
+		t.Errorf("stream holds %d bytes, want %d: five markers and two payloads", buf.Len(), want)
+	}
+	r := NewReader(&buf)
+	var got []*box
+	for range 5 {
+		x, err := Shared(r, func() (*box, error) { return decodeBox(r) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, x)
+	}
+	if got[0] == got[1] || got[2] != got[0] || got[3] != got[0] || got[4] != got[1] {
+		t.Error("back-references do not resolve to the objects their first copies decoded")
+	}
+	if got[0].v[1] != 2 || got[1].v[0] != 3 {
+		t.Error("payloads did not round-trip")
+	}
+}
+
+// TestSharedRejectsBadReferences: a back-reference the table cannot honour,
+// or a shared object whose length prefix claims more than arrives, is an
+// error — never a panic — having allocated next to nothing.
+func TestSharedRejectsBadReferences(t *testing.T) {
+	cases := map[string]struct {
+		write func(w *Writer)
+		read  func(r *Reader) error // decodes two shared objects
+	}{
+		"past the table": {
+			write: func(w *Writer) { w.Int(-1); w.F32s([]float32{1}); w.Int(1) },
+		},
+		"negative": {
+			write: func(w *Writer) { w.Int(-1); w.F32s([]float32{1}); w.Int(-2) },
+		},
+		"to its own unfinished slot": {
+			write: func(w *Writer) { w.Int(-1); w.Int(0) },
+			read: func(r *Reader) error {
+				_, err := Shared(r, func() (*box, error) {
+					if _, err := Shared(r, func() (*box, error) { return decodeBox(r) }); err != nil {
+						return nil, err
+					}
+					return decodeBox(r)
+				})
+				return err
+			},
+		},
+		"of the wrong type": {
+			write: func(w *Writer) { w.Int(-1); w.F32s([]float32{1}); w.Int(0) },
+			read: func(r *Reader) error {
+				if _, err := Shared(r, func() (*box, error) { return decodeBox(r) }); err != nil {
+					return err
+				}
+				_, err := Shared(r, func() (string, error) { return r.String(), r.Err() })
+				return err
+			},
+		},
+		"claims more than arrives": {
+			write: func(w *Writer) { w.Int(-1); w.Int(1 << 27) },
+		},
+	}
+	for name, c := range cases {
+		var buf bytes.Buffer
+		w := NewWriter(&buf)
+		c.write(w)
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		read := c.read
+		if read == nil {
+			read = func(r *Reader) error {
+				for range 2 {
+					if _, err := Shared(r, func() (*box, error) { return decodeBox(r) }); err != nil {
+						return err
+					}
+				}
+				return nil
+			}
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := read(NewReader(bytes.NewReader(buf.Bytes())))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: decoded without an error", name)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+			t.Errorf("%s: allocated %d bytes for a %d-byte stream", name, grew, buf.Len())
+		}
+	}
+}

@@ -3,13 +3,13 @@ package quant
 import (
 	"errors"
 
-	"resinfer/internal/matrix"
 	"resinfer/internal/persist"
+	"resinfer/internal/store"
 )
 
 const (
 	pqMagic  = "RIPQ1"
-	opqMagic = "RIOPQ1"
+	opqMagic = "RIOPQ2" // version 2: the rotation in float32
 )
 
 // EncodeTo writes the product quantizer to w.
@@ -74,14 +74,14 @@ func DecodePQ(r *persist.Reader) (*PQ, error) {
 // EncodeTo writes the OPQ (rotation + PQ) to w.
 func (o *OPQ) EncodeTo(w *persist.Writer) {
 	w.Magic(opqMagic)
-	matrix.EncodeF32(w, o.Rotation)
+	o.Rotation.Encode(w)
 	o.PQ.EncodeTo(w)
 }
 
 // DecodeOPQ reads an OPQ written by EncodeTo.
 func DecodeOPQ(r *persist.Reader) (*OPQ, error) {
 	r.Magic(opqMagic)
-	rot, err := matrix.DecodeF32(r)
+	rot, err := store.Decode(r)
 	if err != nil {
 		return nil, err
 	}

@@ -24,12 +24,13 @@ const (
 
 // streamMagic marks the segment-aware mutable container: a header (ID
 // allocator, compaction knobs, WAL position, recorded comparator
-// trainings), the embedded RESSHARD2 sharded payload, and one memtable +
+// trainings), the embedded RESSHARD3 sharded payload, and one memtable +
 // tombstone section per shard — so an index saved mid-compaction, with a
-// non-empty memtable and pending tombstones, round-trips losslessly.
-// Version 2 added the applied-WAL-LSN header field, the durability
-// anchor recovery replays the log against.
-const streamMagic = "RESSTRM2"
+// non-empty memtable and pending tombstones, round-trips losslessly. The
+// header's applied-WAL-LSN field is the durability anchor recovery replays
+// the log against. Version 3 embeds RESSHARD3 and records an enable as its
+// mode, options and training queries alone.
+const streamMagic = "RESSTRM3"
 
 // MutableOptions tunes a streaming (mutable) sharded index. The zero
 // value gives round-robin sharding, a 1024-row compaction threshold, and
@@ -581,9 +582,6 @@ func (mx *MutableIndex) save(w io.Writer) (uint64, error) {
 	pw.Int(len(m.enables))
 	for _, e := range m.enables {
 		pw.String(string(e.mode))
-		// A byte RESSTRM2 reserves here: it once said whether the call was
-		// EnableWithTraining, which nothing ever read back.
-		pw.Bool(len(e.trainQueries) > 0)
 		encodeOptions(pw, e.opts)
 		pw.F32Mat(e.trainQueries)
 	}
@@ -652,7 +650,6 @@ func LoadMutable(r io.Reader, opts *MutableOptions) (*MutableIndex, error) {
 	enables := make([]recordedEnable, 0, nEnables)
 	for i := 0; i < nEnables; i++ {
 		e := recordedEnable{mode: Mode(pr.String())}
-		pr.Bool() // reserved byte, see save
 		e.opts = decodeOptions(pr)
 		e.trainQueries = pr.F32Mat()
 		if err := pr.Err(); err != nil {

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"io"
+	"math"
 	"path/filepath"
 	"runtime"
 	"testing"
@@ -299,5 +300,71 @@ func TestSaveLoadPreservesADSamplingTuning(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), second.Bytes()) {
 		t.Fatal("re-saving a loaded index with custom ADSampling tuning must reproduce the stream")
+	}
+}
+
+// TestLoadAnswersBitIdentical: a saved-then-loaded index answers every
+// mode with the top-10 IDs and float distances of the index it was saved
+// from, on every index kind, whole and in four shards whose comparators
+// share one rotation per mode.
+func TestLoadAnswersBitIdentical(t *testing.T) {
+	ds, _ := apiFixtures(t)
+	data, train := ds.Data[:1024], ds.Train[:30] // 256 rows a shard: one per OPQ centroid
+	modes := []Mode{Exact, DDCRes, DDCPCA, ADSampling, DDCOPQ}
+	type engine interface {
+		EnableWithTraining(Mode, [][]float32, *Options) error
+		Save(io.Writer) error
+		SearchInto([]Neighbor, []float32, int, Mode, int) ([]Neighbor, SearchStats, error)
+	}
+	for _, kind := range []IndexKind{Flat, HNSW, IVF} {
+		opts := &Options{Seed: 5, HNSWEfConstruction: 40, IVFNList: 16}
+		for name, build := range map[string]func() (engine, func(io.Reader) (engine, error), error){
+			"Index": func() (engine, func(io.Reader) (engine, error), error) {
+				ix, err := New(data, kind, opts)
+				return ix, func(r io.Reader) (engine, error) { return Load(r) }, err
+			},
+			"ShardedIndex/4": func() (engine, func(io.Reader) (engine, error), error) {
+				sx, err := NewSharded(data, kind, 4, &ShardOptions{Index: opts})
+				return sx, func(r io.Reader) (engine, error) { return LoadSharded(r) }, err
+			},
+		} {
+			ix, load, err := build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range modes[1:] {
+				if err := ix.EnableWithTraining(m, train, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var buf bytes.Buffer
+			if err := ix.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := load(&buf)
+			if err != nil {
+				t.Fatalf("%s %s: %v", kind, name, err)
+			}
+			for _, m := range modes {
+				for qi, q := range ds.Queries[:5] {
+					want, _, err := ix.SearchInto(nil, q, 10, m, 40)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, _, err := loaded.SearchInto(nil, q, 10, m, 40)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(got) != len(want) {
+						t.Fatalf("%s %s %s query %d: %d hits after loading, %d before", kind, name, m, qi, len(got), len(want))
+					}
+					for i := range want {
+						if got[i].ID != want[i].ID || math.Float32bits(got[i].Distance) != math.Float32bits(want[i].Distance) {
+							t.Fatalf("%s %s %s query %d hit %d: %+v after loading, %+v before", kind, name, m, qi, i, got[i], want[i])
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -2,6 +2,7 @@ package resinfer
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"runtime"
 	"strings"
@@ -359,21 +360,44 @@ func TestEnableOrderIndependent(t *testing.T) {
 	}
 }
 
-// TestLoadRejectsV2: version 3 is the only index format read; a version 2
-// stream fails with an error that names both versions.
+// TestLoadRejectsV2: version 3 is the only index, sharded and mutable
+// format read; a version 2 stream fails with an error that names both
+// versions.
 func TestLoadRejectsV2(t *testing.T) {
 	ds, _ := apiFixtures(t)
 	ix, err := New(ds.Data[:200], Flat, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := ix.Save(&buf); err != nil {
+	sx, err := NewSharded(ds.Data[:200], Flat, 2, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	v2 := bytes.Replace(buf.Bytes(), []byte("RESINFER3"), []byte("RESINFER2"), 1)
-	_, err = Load(bytes.NewReader(v2))
-	if err == nil || !strings.Contains(err.Error(), "RESINFER2") || !strings.Contains(err.Error(), "RESINFER3") {
-		t.Fatalf("loading a RESINFER2 stream: %v, want an error naming RESINFER2 and RESINFER3", err)
+	mx, err := NewMutable(ds.Data[:200], Flat, 2, &MutableOptions{DisableAutoCompact: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mx.Close()
+	for _, c := range []struct {
+		v3   string
+		save func(io.Writer) error
+		load func(io.Reader) error
+	}{
+		{"RESINFER3", ix.Save, func(r io.Reader) error { _, err := Load(r); return err }},
+		{"RESSHARD3", sx.Save, func(r io.Reader) error { _, err := LoadSharded(r); return err }},
+		{"RESSTRM3", mx.Save, func(r io.Reader) error {
+			_, err := LoadMutable(r, &MutableOptions{DisableAutoCompact: true})
+			return err
+		}},
+	} {
+		var buf bytes.Buffer
+		if err := c.save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		v2 := strings.TrimSuffix(c.v3, "3") + "2"
+		err := c.load(bytes.NewReader(bytes.Replace(buf.Bytes(), []byte(c.v3), []byte(v2), 1)))
+		if err == nil || !strings.Contains(err.Error(), v2) || !strings.Contains(err.Error(), c.v3) {
+			t.Errorf("loading a %s stream: %v, want an error naming %s and %s", v2, err, v2, c.v3)
+		}
 	}
 }

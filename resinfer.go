@@ -541,7 +541,7 @@ func (ix *Index) searchSession(s *session, dst []Neighbor, q []float32, k, budge
 // searchShard is SearchInto for one probe of a sharded fan-out, k apart
 // (a mutable shard over-fetches): fs holds the query already in the
 // internal space, and a rotating evaluator is primed from fs's rotate-once
-// cache, so shards whose comparators share a rotation share the D² rotation
+// slot, so shards whose comparators share a rotation share the D² rotation
 // of the query too.
 //
 //resinfer:noalloc

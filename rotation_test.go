@@ -109,9 +109,11 @@ func TestShardsShareOneRotation(t *testing.T) {
 
 // TestLegacyPerShardRotations assembles the shape every index had before
 // rotations were shared — four Index values, each with a PCA of its own
-// rows — and checks that it saves, loads with its four rotations still
-// distinct, and answers: the fan-out rotates once per distinct rotation,
-// whatever their number.
+// rows — and checks that it saves its four rotations as distinct objects,
+// loads them distinct, and answers: the fan-out's one rotate-once slot holds
+// the first probe's rotation, and every probe whose rotation differs
+// rotates the query for itself. That mismatch path is what this test
+// covers.
 func TestLegacyPerShardRotations(t *testing.T) {
 	ds, gt := apiFixtures(t)
 	ids, err := partitionRows(len(ds.Data), 4, RoundRobin)
@@ -156,6 +158,61 @@ func TestLegacyPerShardRotations(t *testing.T) {
 		}
 		if r := shardedRecallOf(t, sx, ds.Queries, gt, DDCRes, 100); r < 0.99 {
 			t.Errorf("recall %.4f with per-shard rotations, want >= 0.99", r)
+		}
+	}
+}
+
+// TestRotationWrittenOnce: the shards of an index share a rotation per
+// mode, so a saved stream carries it once and a loaded index shares it
+// again. Enabling adsampling on four shards grows Save by the rotated rows
+// and one D x D float32 rotation; ddc-res, which re-bases the rows in place,
+// by one rotation, one mean and the shards' own variances. Each leaves a
+// constant per shard beside that, never a second rotation.
+func TestRotationWrittenOnce(t *testing.T) {
+	ds, _ := apiFixtures(t)
+	const shards, perShard = 4, 256 // perShard bounds magics, headers and length prefixes
+	data := ds.Data[:1000]
+	n, d := len(data), len(data[0])
+	sx, err := NewSharded(data, Flat, shards, &ShardOptions{Index: &Options{Seed: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := func() int {
+		var buf bytes.Buffer
+		if err := sx.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Len()
+	}
+	for _, step := range []struct {
+		mode Mode
+		want int // bytes the mode adds beyond its per-shard constants
+	}{
+		{ADSampling, 4*n*d + 4*d*d},
+		{DDCRes, 4*d*d + 4*d + shards*8*d},
+	} {
+		before := size()
+		if err := sx.Enable(step.mode, nil); err != nil {
+			t.Fatal(err)
+		}
+		if grew := size() - before; grew < step.want || grew >= step.want+shards*perShard {
+			t.Errorf("enabling %s grew Save by %d bytes, want %d plus under %d of headers",
+				step.mode, grew, step.want, shards*perShard)
+		}
+	}
+	var buf bytes.Buffer
+	if err := sx.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadSharded(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []Mode{ADSampling, DDCRes} {
+		for s := 1; s < shards; s++ {
+			if rotationMatrix(t, loaded, s, m) != rotationMatrix(t, loaded, 0, m) {
+				t.Errorf("%s: loaded shard %d rotates through its own matrix", m, s)
+			}
 		}
 	}
 }

@@ -36,8 +36,9 @@ const (
 	Contiguous ShardStrategy = "contiguous"
 )
 
-// Version 2 embeds the v2 single-index streams (flat matrix payloads).
-const shardMagic = "RESSHARD2"
+// Version 3 embeds version 3 single-index streams, and a rotation the
+// shards share is written once, by the first shard that holds it.
+const shardMagic = "RESSHARD3"
 
 // ShardOptions tunes sharded construction and serving. The zero value (or
 // nil) gives round-robin assignment and GOMAXPROCS-wide fan-out.
@@ -156,64 +157,49 @@ type fanScratch struct {
 	next         atomic.Int32   // next unprobed shard of the plain fan-out
 	helpers      sync.WaitGroup // the plain fan-out's helper goroutines
 
-	// The rotate-once cache: tq rotated by each distinct rotation among the
-	// shards' comparators, by the first probe that needs it (see reset).
-	// rotMu guards nrot and the keys.
-	rotMu sync.Mutex
-	nrot  int
-	rots  []rotSlot // one per shard: the most distinct rotations a fan can meet
+	// The rotate-once slot: tq rotated by the first probe of the fan that
+	// rotates (see reset).
+	rot rotSlot
 }
 
-// rotSlot is tq rotated through key; rq may be read once ready is set.
+// rotSlot is tq rotated through key. claimed goes to the probe that fills
+// it; key and rq may be read once ready is set.
 type rotSlot struct {
-	key   *store.Matrix
-	ready atomic.Bool
-	rq    []float32
+	claimed, ready atomic.Bool
+	key            *store.Matrix
+	rq             []float32
 }
 
-// reset primes ev for fs's query. The first probe of a fan to arrive with
-// ev's rotation rotates the query into the cache, and every later one
-// resets from there. One that arrives while the first is still rotating —
-// the second worker of a parallel fan-out, started in the same microsecond —
-// rotates for itself: that takes as long as waiting would, and does not
-// park a core that then needs a thread wake-up to come back. So a fan
-// rotates once per distinct rotation and, at most, once more per extra
-// worker, however many shards there are.
+// reset primes ev for fs's query. A fan is one mode, and every shard's
+// comparator of a mode is built around one rotation, so the first probe to
+// arrive rotates the query into the slot and every later one resets from
+// there. One that arrives while the first is still rotating — the second
+// worker of a parallel fan-out, started in the same microsecond — rotates
+// for itself: that takes as long as waiting would, and does not park a core
+// that then needs a thread wake-up to come back. So does one whose rotation
+// is not the slot's: an index assembled from shards that each trained their
+// own. A fan rotates once and, at most, once more per extra worker, however
+// many shards there are.
 //
 //resinfer:noalloc
 func (fs *fanScratch) reset(ev core.RotatingEvaluator) error {
-	key := ev.Rotation()
-	var slot *rotSlot
-	fs.rotMu.Lock()
-	for i := 0; i < fs.nrot && slot == nil; i++ {
-		if fs.rots[i].key == key {
-			slot = &fs.rots[i]
-		}
-	}
-	first := slot == nil
-	if first {
-		slot = &fs.rots[fs.nrot]
-		fs.nrot++
-		slot.key = key
-		slot.ready.Store(false)
-	}
-	fs.rotMu.Unlock()
-	switch {
-	case first:
+	slot := &fs.rot
+	if slot.claimed.CompareAndSwap(false, true) {
 		if len(slot.rq) != len(fs.tq) {
 			slot.rq = make([]float32, len(fs.tq)) //resinfer:alloc-ok lazy one-time scratch growth
 		}
 		if err := ev.Rotate(slot.rq, fs.tq); err != nil {
 			return err // ready stays unset: the others rotate, and fail, themselves
 		}
+		slot.key = ev.Rotation()
 		slot.ready.Store(true)
-	case !slot.ready.Load():
+	} else if !slot.ready.Load() || slot.key != ev.Rotation() {
 		return ev.Reset(fs.tq)
 	}
 	return ev.ResetRotated(slot.rq)
 }
 
-// prime resets ev for fs's query, from the rotate-once cache when ev rotates.
+// prime resets ev for fs's query, from the rotate-once slot when ev rotates.
 //
 //resinfer:noalloc
 func (fs *fanScratch) prime(ev core.ResettableEvaluator) error {
@@ -224,12 +210,13 @@ func (fs *fanScratch) prime(ev core.ResettableEvaluator) error {
 }
 
 // begin readies fs for one query: the query parameters every probe reads,
-// q moved into the internal space, an empty rotate-once cache.
+// q moved into the internal space, an empty rotate-once slot.
 //
 //resinfer:noalloc
 func (sx *ShardedIndex) begin(fs *fanScratch, q []float32, k int, mode Mode, budget int) (err error) {
 	fs.q, fs.k, fs.mode, fs.budget = q, k, mode, budget
-	fs.nrot = 0
+	fs.rot.claimed.Store(false)
+	fs.rot.ready.Store(false)
 	fs.tq, err = sx.qmetric.transformInto(fs.tqbuf, q)
 	return err
 }
@@ -249,7 +236,6 @@ func (sx *ShardedIndex) initFanPool() {
 			cancels:  make([]context.CancelFunc, n),
 			rq:       heap.NewResultQueue(16),
 			tqbuf:    make([]float32, dim),
-			rots:     make([]rotSlot, n),
 		}
 	}
 	sx.gtPool.New = func() any {
@@ -509,13 +495,12 @@ var errFanAbandoned = errors.New("resinfer: every shard abandoned at deadline")
 
 // searchFan queries the shards through pooled per-shard result buffers,
 // then merges into dst. The query is moved into the internal space once,
-// here, and rotated once per distinct rotation among the shards'
-// comparators, by the first probe that needs it (fanScratch.reset). A nil
-// ctx is the plain path: the caller and up to workers-1 helpers probe the
-// shards, any shard error fails the whole query, nothing is traced, and the
-// query allocates nothing at steady state beyond what spawning the helpers
-// costs (nothing at all for workers <= 1). A non-nil ctx is the
-// deadline-aware path: one goroutine per shard, stragglers abandoned when
+// here, and rotated once, by the first probe that needs it
+// (fanScratch.reset). A nil ctx is the plain path: the caller and up to
+// workers-1 helpers probe the shards, any shard error fails the whole
+// query, nothing is traced, and the query allocates nothing at steady
+// state beyond what spawning the helpers costs (nothing at all for
+// workers <= 1). A non-nil ctx is the deadline-aware path: one goroutine per shard, stragglers abandoned when
 // ctx expires, failed or abandoned shards skipped by the merge and counted
 // in SearchStats.ShardsFailed, stage timings recorded into tr when non-nil.
 //
@@ -565,7 +550,7 @@ func (sx *ShardedIndex) searchFan(ctx context.Context, dst []Neighbor, q []float
 	}
 	if !abandoned {
 		// Straggler goroutines of an abandoned fan still own slots of fs,
-		// and still read its query and rotate-once cache; that scratch goes
+		// and still read its query and rotate-once slot; that scratch goes
 		// to the garbage collector instead of racing them through the pool.
 		sx.fanPool.Put(fs)
 	}
@@ -1080,7 +1065,7 @@ func (sx *ShardedIndex) Save(w io.Writer) error {
 
 // encodeSharded writes the sharded container onto an existing persist
 // stream. It is the codec-level half of Save, shared with the mutable
-// RESSTRM2 container, which embeds it between its own header and the
+// RESSTRM3 container, which embeds it between its own header and the
 // per-shard streaming segments. The caller must hold whatever locks make
 // sx.shards/globalID stable.
 func (sx *ShardedIndex) encodeSharded(pw *persist.Writer) error {
@@ -1105,7 +1090,8 @@ func LoadSharded(r io.Reader) (*ShardedIndex, error) {
 
 // decodeSharded reads one sharded container from an existing persist
 // reader (the codec-level half of LoadSharded, shared with the mutable
-// RESSTRM2 container).
+// RESSTRM3 container). Shards whose comparators shared a rotation when
+// saved share it again: the stream holds one copy and back-references.
 func decodeSharded(pr *persist.Reader) (*ShardedIndex, error) {
 	pr.Magic(shardMagic)
 	strategy := ShardStrategy(pr.String())
@@ -1152,7 +1138,6 @@ func decodeSharded(pr *persist.Reader) (*ShardedIndex, error) {
 		rows += sh.Len()
 		sx.shards = append(sx.shards, sh)
 		sx.globalID = append(sx.globalID, gids)
-		sx.internRotations(s)
 	}
 	// The recorded n sizes the mutation maps and is what Len reports: take
 	// the rows that arrived (a compacted mutable index records a stale one).
@@ -1161,27 +1146,6 @@ func decodeSharded(pr *persist.Reader) (*ShardedIndex, error) {
 	sx.metric = sx.shards[0].Metric()
 	sx.initFanPool()
 	return sx, nil
-}
-
-// internRotations makes the comparators of freshly decoded shard s share
-// the rotation of an earlier shard's comparator of the same mode when the
-// two are equal element for element. The stream holds one copy per shard;
-// rotations that were one object when the index was saved become one again,
-// so a loaded index rotates a query once per fan-out and holds one D x D
-// matrix. Rotations that differ — a file written when every shard trained
-// its own — stay as they are.
-func (sx *ShardedIndex) internRotations(s int) {
-	for mode := range sx.shards[s].modes {
-		mine := sx.shards[s].rotationOf(mode)
-		if mine == nil {
-			continue
-		}
-		for _, prev := range sx.shards[:s] {
-			if theirs := prev.rotationOf(mode); theirs != nil && mine.Intern(theirs) {
-				break
-			}
-		}
-	}
 }
 
 // SaveFile writes the sharded index to a file.
