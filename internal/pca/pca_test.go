@@ -2,6 +2,7 @@ package pca
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -370,5 +371,26 @@ func TestEncodeWritesSharedRotationOnce(t *testing.T) {
 			!slices.Equal(got[i].Variances, want.Variances) {
 			t.Errorf("model %d did not round-trip bit for bit", i)
 		}
+	}
+}
+
+// BenchmarkTrain times the whole PCA fit — covariance plus eigensolver —
+// at the benchmark gate's shape (4 000 × 420) and at the paper's widest
+// dimension (2 000 × 960), on seeded rows with a geometrically decaying
+// spectrum.
+func BenchmarkTrain(b *testing.B) {
+	for _, shape := range []struct{ n, d int }{{4000, 420}, {2000, 960}} {
+		vars := make([]float64, shape.d)
+		for i := range vars {
+			vars[i] = math.Pow(0.98, float64(i))
+		}
+		data := store.MustFromRows(anisotropic(rand.New(rand.NewSource(1)), shape.n, vars))
+		b.Run(fmt.Sprintf("%dx%d", shape.n, shape.d), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := Train(Config{}, data); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

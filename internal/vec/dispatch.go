@@ -13,22 +13,25 @@ import "os"
 // not synchronized, so ForceGeneric must not race with in-flight searches
 // (call it from TestMain or before serving starts).
 var (
-	dotImpl  = DotGeneric
-	l2sqImpl = L2SqGeneric
-	level    = "generic"
+	dotImpl        = DotGeneric
+	l2sqImpl       = L2SqGeneric
+	axpyRows64Impl = axpyRows64Generic
+	rot64Impl      = rot64Generic
+	level          = "generic"
 )
 
 // Level reports which kernel implementation is active: "avx2+fma", "neon"
 // or "generic".
 func Level() string { return level }
 
-// ForceGeneric routes Dot and L2Sq (and everything built on them) to the
-// portable scalar kernels, regardless of CPU features. Golden tests that
-// need the deterministic 8-way scalar accumulation order call this; the
-// RESINFER_NOSIMD=1 environment variable has the same effect without a
-// code change.
+// ForceGeneric routes Dot and L2Sq (and everything built on them), and the
+// float64 row kernels, to the portable scalar kernels, regardless of CPU
+// features. Golden tests that need the deterministic 8-way scalar
+// accumulation order call this; the RESINFER_NOSIMD=1 environment variable
+// has the same effect without a code change.
 func ForceGeneric() {
 	dotImpl, l2sqImpl = DotGeneric, L2SqGeneric
+	axpyRows64Impl, rot64Impl = axpyRows64Generic, rot64Generic
 	level = "generic"
 }
 

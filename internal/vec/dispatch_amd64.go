@@ -20,6 +20,12 @@ func dotAVX2(a, b []float32) float32
 //go:noescape
 func l2sqAVX2(a, b []float32) float32
 
+//go:noescape
+func axpyRows64AVX2(y, a []float64, x [][]float64)
+
+//go:noescape
+func rot64AVX2(x, y []float64, c, s float64)
+
 func hasAVX2FMA() bool {
 	maxID, _, _, _ := cpuid(0, 0)
 	if maxID < 7 {
@@ -47,5 +53,6 @@ func init() {
 		return
 	}
 	dotImpl, l2sqImpl = dotAVX2, l2sqAVX2
+	axpyRows64Impl, rot64Impl = axpyRows64AVX2, rot64AVX2
 	level = "avx2+fma"
 }

@@ -4,4 +4,5 @@ package vec
 
 // Architectures without assembly kernels (and any build with the `noasm`
 // tag) keep the package-default generic dispatch: dotImpl/l2sqImpl stay
-// on DotGeneric/L2SqGeneric and Level() reports "generic".
+// on DotGeneric/L2SqGeneric, the float64 row kernels on their Go loops,
+// and Level() reports "generic".

@@ -159,8 +159,10 @@ func TestKernelPanicsOnShortB(t *testing.T) {
 
 // TestForceGeneric checks the scalar-path switch golden tests rely on.
 func TestForceGeneric(t *testing.T) {
-	savedDot, savedL2, savedLevel := dotImpl, l2sqImpl, level
-	defer func() { dotImpl, l2sqImpl, level = savedDot, savedL2, savedLevel }()
+	savedDot, savedL2, savedAxpy, savedRot, savedLevel := dotImpl, l2sqImpl, axpyRows64Impl, rot64Impl, level
+	defer func() {
+		dotImpl, l2sqImpl, axpyRows64Impl, rot64Impl, level = savedDot, savedL2, savedAxpy, savedRot, savedLevel
+	}()
 
 	ForceGeneric()
 	if Level() != "generic" {

@@ -16,7 +16,9 @@
 // kernels use wider lanes and fused multiply-add, so their sums can differ
 // from the generic ones by normal floating-point reassociation error.
 // Reductions that feed statistics or training use the float64 variants to
-// avoid cancellation.
+// avoid cancellation. The float64 row kernels training sweeps its matrices
+// with (float64.go) are dispatched the same way but never reassociate:
+// both paths give the scalar loop's bits.
 package vec
 
 import "math"
