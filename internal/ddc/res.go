@@ -28,8 +28,8 @@ import (
 type ResConfig struct {
 	// Multiplier is the error-bound multiplier m of §IV-C; the corrected
 	// distance is dis' − m·σ. Default 3 (the 99.7% Gaussian empirical
-	// rule highlighted in Fig. 2). Convert coverage probabilities with
-	// stats.NormalQuantile.
+	// rule highlighted in Fig. 2). m is a standard-normal quantile: a
+	// one-sided coverage q takes m = Φ⁻¹(q), e.g. 2.576 for 0.995.
 	Multiplier float64
 	// InitD is the first projection depth tested; default 32.
 	InitD int

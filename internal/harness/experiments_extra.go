@@ -10,7 +10,6 @@ import (
 	"resinfer/internal/dataset"
 	"resinfer/internal/ddc"
 	"resinfer/internal/matrix"
-	"resinfer/internal/stats"
 	"resinfer/internal/vec"
 )
 
@@ -73,11 +72,11 @@ func RunFig1(w io.Writer) error {
 	pcaErrs := sampleErrs(rqPCA, nil, 128, n)
 	randErrs := sampleErrs(rqRand, rotateRand, 128, n)
 	report := func(label string, resDim int, errs []float64) {
-		s := stats.Summarize(errs)
+		s := Summarize(errs)
 		// Robust spread: half the central-99% interval. The paper's
 		// visual contrast (Fig. 1.1's concentrated PCA spike vs the flat
 		// random histogram) reduces to this number.
-		qs, qerr := stats.Quantiles(errs, []float64{0.005, 0.995})
+		qs, qerr := Quantiles(errs, []float64{0.005, 0.995})
 		hw := 0.0
 		if qerr == nil {
 			hw = (qs[1] - qs[0]) / 2
@@ -146,7 +145,7 @@ func RunFig2(w io.Writer) error {
 					errsAll = append(errsAll, -2*vec.Dot64(rq[d:], x[d:]))
 				}
 			}
-			s := stats.Summarize(errsAll)
+			s := Summarize(errsAll)
 			sigPred := sigPredSum / float64(nq)
 			cover := func(mult float64) float64 {
 				in := 0
@@ -157,7 +156,7 @@ func RunFig2(w io.Writer) error {
 				}
 				return float64(in) / float64(len(errsAll))
 			}
-			q997, err := stats.Quantile(absAll(errsAll), 0.997)
+			q997, err := Quantile(absAll(errsAll), 0.997)
 			if err != nil {
 				return err
 			}

@@ -7,6 +7,12 @@
 // snapshot can be replayed onto a reloaded (or deterministically
 // rebuilt) index.
 //
+// Every record is one frame (frame.go): appendFrame writes it, to a
+// segment or to a replica's tail stream (stream.go), and frameReader
+// reads it back, from a segment at recovery or from a stream on a
+// follower. The two paths differ only in their magic and in what a torn
+// frame means: the end of a crashed segment, or a transport error.
+//
 // Durability is tunable per log: SyncAlways fsyncs every record before
 // the append returns (an acknowledged mutation survives machine
 // failure), SyncInterval(d) fsyncs from a background flusher (bounded
@@ -26,12 +32,9 @@ package wal
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -137,18 +140,9 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	}
 }
 
-const (
-	// segMagic starts every segment file.
-	segMagic = "RESWAL01"
-	// recHeaderLen is the fixed per-record prefix: u32 payload length +
-	// u32 CRC32 of the payload.
-	recHeaderLen = 8
-	// payloadFixed is the payload size before the vector components:
-	// u64 lsn + u8 op + u32 shard + i64 id + u32 dim.
-	payloadFixed = 8 + 1 + 4 + 8 + 4
-	// maxDim bounds decoded vector lengths as a corruption guard.
-	maxDim = 1 << 22
-)
+// segMagic starts every segment file; the record frames (frame.go)
+// follow it.
+const segMagic = "RESWAL01"
 
 // ErrClosed reports an append on a closed log.
 var ErrClosed = errors.New("wal: log is closed")
@@ -288,23 +282,23 @@ func listSegments(dir string) ([]segment, error) {
 // AppendUpsert logs an upsert of (id, v) routed to shard and returns
 // its LSN. The record is durable per the sync policy when this returns.
 func (l *Log) AppendUpsert(shard, id int, v []float32) (uint64, error) {
-	return l.append(OpUpsert, shard, int64(id), v)
+	return l.append(Record{Op: OpUpsert, Shard: shard, ID: id, Vec: v})
 }
 
 // AppendDelete logs the delete of id on shard and returns its LSN.
 func (l *Log) AppendDelete(shard, id int) (uint64, error) {
-	return l.append(OpDelete, shard, int64(id), nil)
+	return l.append(Record{Op: OpDelete, Shard: shard, ID: id})
 }
 
-// append serializes and writes one record (one write syscall), then
-// syncs per policy.
-func (l *Log) append(op Op, shard int, id int64, v []float32) (uint64, error) {
+// append assigns r the next LSN, writes its frame (one write syscall),
+// then syncs per policy.
+func (l *Log) append(r Record) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.appendLocked(op, shard, id, v)
+	return l.appendLocked(r)
 }
 
-func (l *Log) appendLocked(op Op, shard int, id int64, v []float32) (uint64, error) {
+func (l *Log) appendLocked(r Record) (uint64, error) {
 	var t0 time.Time
 	if l.obs != nil {
 		t0 = time.Now()
@@ -332,25 +326,9 @@ func (l *Log) appendLocked(op Op, shard int, id int64, v []float32) (uint64, err
 			return 0, err
 		}
 	}
-	lsn := l.nextLSN
-	plen := payloadFixed + 4*len(v)
-	need := recHeaderLen + plen
-	if cap(l.appendBuf) < need {
-		l.appendBuf = make([]byte, need)
-	}
-	buf := l.appendBuf[:need]
-	p := buf[recHeaderLen:]
-	binary.LittleEndian.PutUint64(p[0:], lsn)
-	p[8] = byte(op)
-	binary.LittleEndian.PutUint32(p[9:], uint32(shard))
-	binary.LittleEndian.PutUint64(p[13:], uint64(id))
-	binary.LittleEndian.PutUint32(p[21:], uint32(len(v)))
-	for i, x := range v {
-		binary.LittleEndian.PutUint32(p[payloadFixed+4*i:], math.Float32bits(x))
-	}
-	binary.LittleEndian.PutUint32(buf[0:], uint32(plen))
-	binary.LittleEndian.PutUint32(buf[4:], crc32.ChecksumIEEE(p))
-	if _, err := l.f.Write(buf); err != nil {
+	r.LSN = l.nextLSN
+	l.appendBuf = appendFrame(l.appendBuf[:0], r)
+	if _, err := l.f.Write(l.appendBuf); err != nil {
 		// A failed write may have left part of the record on disk. Try to
 		// truncate the segment back to the last acknowledged boundary: if
 		// that succeeds the log is exactly as it was before this append —
@@ -364,7 +342,7 @@ func (l *Log) appendLocked(op Op, shard int, id int64, v []float32) (uint64, err
 		}
 		return 0, err
 	}
-	l.off += int64(len(buf))
+	l.off += int64(len(l.appendBuf))
 	l.nextLSN++
 	var syncDur time.Duration
 	switch l.policy.mode {
@@ -400,7 +378,7 @@ func (l *Log) appendLocked(op Op, shard int, id int64, v []float32) (uint64, err
 	if l.obs != nil {
 		l.obs(time.Since(t0), syncDur)
 	}
-	return lsn, nil
+	return r.LSN, nil
 }
 
 // openSegmentLocked creates the next segment file, named after the
@@ -502,7 +480,7 @@ func (l *Log) Checkpoint(durable uint64) error {
 		l.f = nil
 		l.dirty = false
 	}
-	if _, err := l.appendLocked(OpCheckpoint, 0, int64(durable), nil); err != nil {
+	if _, err := l.appendLocked(Record{Op: OpCheckpoint, Durable: durable}); err != nil {
 		return err
 	}
 	// The checkpoint record marks a recovery boundary regardless of the
@@ -642,9 +620,9 @@ func (l *Log) Replay(after uint64, fn func(Record) error) (ReplayStats, error) {
 }
 
 // scanSegment decodes one segment file, calling fn per record. It
-// returns the last valid LSN seen (0 if none), whether the segment
-// ended in a torn tail, and a fatal error for real corruption or a
-// callback failure. LSNs must be strictly increasing and above floor.
+// returns the last valid LSN seen (floor if none), whether the segment
+// ended in a torn tail, and a fatal error for a bad record or a callback
+// failure. LSNs must be strictly increasing and above floor.
 func scanSegment(path string, floor uint64, fn func(Record) error) (last uint64, torn bool, err error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -660,58 +638,20 @@ func scanSegment(path string, floor uint64, fn func(Record) error) (last uint64,
 	if string(magic) != segMagic {
 		return 0, false, fmt.Errorf("wal: bad segment magic %q", magic)
 	}
-	hdr := make([]byte, recHeaderLen)
-	var payload []byte
-	last = floor
+	fr := frameReader{br: br, last: floor}
 	for {
-		if _, err := io.ReadFull(br, hdr); err != nil {
-			if errors.Is(err, io.EOF) {
-				return last, false, nil // clean end
-			}
-			return last, true, nil // torn header
+		rec, err := fr.next()
+		switch {
+		case errors.Is(err, io.EOF):
+			return fr.last, false, nil
+		case errors.Is(err, errTorn):
+			return fr.last, true, nil
+		case err != nil:
+			return fr.last, false, fmt.Errorf("wal: %w", err)
 		}
-		plen := int(binary.LittleEndian.Uint32(hdr[0:]))
-		wantCRC := binary.LittleEndian.Uint32(hdr[4:])
-		if plen < payloadFixed || plen > payloadFixed+4*maxDim {
-			return last, true, nil // implausible length: torn/garbage tail
-		}
-		if payload, err = readPayload(br, payload, plen); err != nil {
-			return last, true, nil // torn payload
-		}
-		if crc32.ChecksumIEEE(payload) != wantCRC {
-			return last, true, nil // torn or bit-rotted record
-		}
-		rec := Record{
-			LSN:   binary.LittleEndian.Uint64(payload[0:]),
-			Op:    Op(payload[8]),
-			Shard: int(binary.LittleEndian.Uint32(payload[9:])),
-		}
-		id := int64(binary.LittleEndian.Uint64(payload[13:]))
-		dim := int(binary.LittleEndian.Uint32(payload[21:]))
-		if plen != payloadFixed+4*dim {
-			return last, true, nil
-		}
-		switch rec.Op {
-		case OpUpsert:
-			rec.ID = int(id)
-			rec.Vec = make([]float32, dim)
-			for i := range rec.Vec {
-				rec.Vec[i] = math.Float32frombits(binary.LittleEndian.Uint32(payload[payloadFixed+4*i:]))
-			}
-		case OpDelete:
-			rec.ID = int(id)
-		case OpCheckpoint:
-			rec.Durable = uint64(id)
-		default:
-			return last, false, fmt.Errorf("wal: unknown op %d at lsn %d", rec.Op, rec.LSN)
-		}
-		if rec.LSN <= last {
-			return last, false, fmt.Errorf("wal: non-monotone lsn %d after %d", rec.LSN, last)
-		}
-		last = rec.LSN
 		if fn != nil {
 			if err := fn(rec); err != nil {
-				return last, false, err
+				return fr.last, false, err
 			}
 		}
 	}

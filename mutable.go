@@ -606,14 +606,8 @@ func (mx *MutableIndex) save(w io.Writer) (uint64, error) {
 // replayed onto the loaded index before it is returned, and subsequent
 // mutations append to the log.
 func LoadMutable(r io.Reader, opts *MutableOptions) (*MutableIndex, error) {
-	var magic [8]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return nil, fmt.Errorf("resinfer: reading mutable-index magic: %w", err)
-	}
-	if string(magic[:]) != streamMagic {
-		return nil, fmt.Errorf("resinfer: bad mutable-index magic %q (want %s)", magic, streamMagic)
-	}
 	pr := persist.NewReader(r)
+	pr.Magic(streamMagic)
 	nextID := pr.Int()
 	rr := pr.Int()
 	liveN := pr.I64()

@@ -9,12 +9,13 @@ package resinfer
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"sort"
-	"strings"
 	"sync"
 	"testing"
 
+	"resinfer/internal/persist"
 	"resinfer/internal/vec"
 )
 
@@ -559,7 +560,7 @@ func TestMutableSaveLoadMidCompaction(t *testing.T) {
 	defer loaded.Close()
 	// The pre-WAL header version is no longer read.
 	v1 := append([]byte("RESSTRM1"), buf.Bytes()[8:]...)
-	if _, err := LoadMutable(bytes.NewReader(v1), nil); err == nil || !strings.Contains(err.Error(), "bad mutable-index magic") {
+	if _, err := LoadMutable(bytes.NewReader(v1), nil); !errors.Is(err, persist.ErrBadMagic) {
 		t.Fatalf("RESSTRM1 stream: err = %v, want bad-magic refusal", err)
 	}
 
