@@ -118,6 +118,8 @@ func FuzzLoad(f *testing.F) {
 			addSeeds(f, buf.Bytes())
 		}
 	}
+	// Inverted lists over 50 rows, then 60 rows: Load must refuse it.
+	addSeeds(f, coverStream(f, IVF, rows[:50], rows))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkLoad(t, data, func(r io.Reader) (fuzzEngine, func(), error) {
 			ix, err := Load(r)

@@ -52,6 +52,34 @@ func TestFlatLayoutBitIdenticalToRowsScan(t *testing.T) {
 	}
 }
 
+// TestFlatComparesEveryRow: a Flat search is IVF's scan of its one list,
+// so every mode compares every row once, whatever the budget.
+func TestFlatComparesEveryRow(t *testing.T) {
+	ds, _ := apiFixtures(t)
+	rows := ds.Data[:400]
+	ix, err := New(rows, Flat, &Options{Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	modes := []Mode{Exact, ADSampling, DDCRes, DDCPCA, DDCOPQ}
+	for _, m := range modes[1:] {
+		if err := ix.EnableWithTraining(m, ds.Train[:30], nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, m := range modes {
+		for _, budget := range []int{0, 1, 1 << 20} {
+			_, st, err := ix.SearchInto(nil, ds.Queries[0], 10, m, budget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Comparisons != int64(len(rows)) {
+				t.Errorf("%s budget %d: %d comparisons over %d rows", m, budget, st.Comparisons, len(rows))
+			}
+		}
+	}
+}
+
 // TestPooledEvaluatorBitIdenticalToFresh asserts that an evaluator that
 // has been Reset and reused across many queries answers exactly like a
 // freshly built one, for every DCO in the repository.

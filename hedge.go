@@ -29,9 +29,8 @@ type ShardHedger func(ctx context.Context, shard int, q []float32, k int, mode M
 // re-issued through fn, and the first good answer wins. The plain paths
 // (Search, SearchInto, SearchBatch) are untouched, so the unhedged
 // steady state stays allocation-free. Install before serving begins;
-// the delay may be retuned live with SetHedgeDelay. A delay <= 0 leaves
-// the hedger armed for failure-triggered retries off (hedging fully
-// disabled) until a positive delay is set.
+// the delay may be retuned live with SetHedgeDelay. While the delay is
+// <= 0 no query is hedged, failure-triggered retries included.
 func (sx *ShardedIndex) SetShardHedger(fn ShardHedger, delay time.Duration) {
 	sx.hedger = fn
 	sx.hedgeDelayNs.Store(int64(delay))

@@ -28,6 +28,7 @@ import (
 	"resinfer/internal/core"
 	"resinfer/internal/heap"
 	"resinfer/internal/hnsw"
+	"resinfer/internal/store"
 	"resinfer/internal/vec"
 )
 
@@ -49,9 +50,10 @@ type edgeMeta struct {
 	sig       uint64  // SRP signature of d_res
 }
 
-// Finger wraps a built HNSW index with per-edge geometry.
+// Finger wraps a built HNSW index and its rows with per-edge geometry.
 type Finger struct {
 	idx       *hnsw.Index
+	data      *store.Matrix
 	l         int
 	errFactor float32
 	rvs       [][]float32  // L random projection vectors
@@ -60,10 +62,14 @@ type Finger struct {
 	edges     [][]edgeMeta // aligned with idx.Neighbors(node, 0)
 }
 
-// Build precomputes edge metadata for every layer-0 edge of idx.
-func Build(idx *hnsw.Index, cfg Config) (*Finger, error) {
+// Build precomputes edge metadata for every layer-0 edge of idx, the graph
+// over the rows of data.
+func Build(idx *hnsw.Index, data *store.Matrix, cfg Config) (*Finger, error) {
 	if idx == nil || idx.Len() == 0 {
 		return nil, errors.New("finger: empty index")
+	}
+	if data == nil || data.Rows() != idx.Len() || data.Dim() != idx.Dim() {
+		return nil, errors.New("finger: the rows are not the graph's")
 	}
 	if cfg.L <= 0 || cfg.L > 64 {
 		cfg.L = 64
@@ -75,6 +81,7 @@ func Build(idx *hnsw.Index, cfg Config) (*Finger, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	f := &Finger{
 		idx:       idx,
+		data:      data,
 		l:         cfg.L,
 		errFactor: float32(cfg.ErrorFactor),
 		rvs:       make([][]float32, cfg.L),
@@ -89,7 +96,6 @@ func Build(idx *hnsw.Index, cfg Config) (*Finger, error) {
 		}
 		f.rvs[j] = rv
 	}
-	data := idx.Data()
 	for n := 0; n < data.Rows(); n++ {
 		row := data.Row(n)
 		f.normSq[n] = vec.NormSq(row)
@@ -154,8 +160,7 @@ func (f *Finger) Search(q []float32, k, ef int) ([]hnsw.Result, core.Stats, erro
 		ef = k
 	}
 	var stats core.Stats
-	idx := f.idx
-	data := idx.Data()
+	idx, data := f.idx, f.data
 	dim := idx.Dim()
 	qNormSq := vec.NormSq(q)
 	// Per-query sketch: ⟨r_j, q⟩ for all j.

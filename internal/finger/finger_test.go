@@ -8,6 +8,7 @@ import (
 	"resinfer/internal/core"
 	"resinfer/internal/dataset"
 	"resinfer/internal/hnsw"
+	"resinfer/internal/store"
 	"resinfer/internal/vec"
 )
 
@@ -48,14 +49,18 @@ func getFixtures(t testing.TB) (*dataset.Dataset, [][]int, *hnsw.Index) {
 }
 
 func TestBuildErrors(t *testing.T) {
-	if _, err := Build(nil, Config{}); err == nil {
+	if _, err := Build(nil, nil, Config{}); err == nil {
 		t.Fatal("expected nil-index error")
+	}
+	ds, _, idx := getFixtures(t)
+	if _, err := Build(idx, store.MustFromRows(ds.Data[:10]), Config{}); err == nil {
+		t.Fatal("expected rows-mismatch error")
 	}
 }
 
 func TestEdgeMetadataGeometry(t *testing.T) {
 	ds, _, idx := getFixtures(t)
-	f, err := Build(idx, Config{Seed: 7})
+	f, err := Build(idx, fixDS.Matrix(), Config{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +91,7 @@ func TestEdgeMetadataGeometry(t *testing.T) {
 
 func TestSearchRecallCloseToExactHNSW(t *testing.T) {
 	ds, gt, idx := getFixtures(t)
-	f, err := Build(idx, Config{Seed: 7, ErrorFactor: 1.1})
+	f, err := Build(idx, fixDS.Matrix(), Config{Seed: 7, ErrorFactor: 1.1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +137,7 @@ func TestSearchRecallCloseToExactHNSW(t *testing.T) {
 
 func TestSearchResultsSortedAndExactDistances(t *testing.T) {
 	ds, _, idx := getFixtures(t)
-	f, _ := Build(idx, Config{Seed: 7})
+	f, _ := Build(idx, fixDS.Matrix(), Config{Seed: 7})
 	items, _, err := f.Search(ds.Queries[0], 10, 50)
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +158,7 @@ func TestSearchResultsSortedAndExactDistances(t *testing.T) {
 
 func TestSearchErrors(t *testing.T) {
 	_, _, idx := getFixtures(t)
-	f, _ := Build(idx, Config{Seed: 7})
+	f, _ := Build(idx, fixDS.Matrix(), Config{Seed: 7})
 	if _, _, err := f.Search(fixDS.Queries[0], 0, 10); err == nil {
 		t.Fatal("expected k error")
 	}
@@ -161,7 +166,7 @@ func TestSearchErrors(t *testing.T) {
 
 func TestExtraBytesScalesWithIndex(t *testing.T) {
 	_, _, idx := getFixtures(t)
-	f, _ := Build(idx, Config{Seed: 7})
+	f, _ := Build(idx, fixDS.Matrix(), Config{Seed: 7})
 	eb := f.ExtraBytes()
 	if eb <= 0 {
 		t.Fatal("ExtraBytes must be positive")
@@ -176,7 +181,7 @@ func TestExtraBytesScalesWithIndex(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	_, _, idx := getFixtures(t)
-	f, err := Build(idx, Config{L: 999, Seed: 1}) // clamps to 64
+	f, err := Build(idx, fixDS.Matrix(), Config{L: 999, Seed: 1}) // clamps to 64
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -323,7 +323,7 @@ func (a *Artifacts) Finger() (*finger.Finger, error) {
 		return a.fing, nil
 	}
 	err := a.timed("finger", func() error {
-		f, err := finger.Build(a.hnswIdx, finger.Config{Seed: a.Profile.Seed, ErrorFactor: 1.1})
+		f, err := finger.Build(a.hnswIdx, a.ds.Matrix(), finger.Config{Seed: a.Profile.Seed, ErrorFactor: 1.1})
 		if err != nil {
 			return err
 		}

@@ -14,6 +14,9 @@
 // the build takes no lock, and the graph — and every byte Encode writes —
 // is a pure function of (data, cfg) at any worker count. Built or loaded,
 // the lists end up packed in one slab in node order.
+//
+// The graph is topology only: Build reads the rows while it inserts and
+// keeps none of them. A search reads distances through its evaluator.
 package hnsw
 
 import (
@@ -46,7 +49,7 @@ type Config struct {
 }
 
 // Index is a built HNSW graph over a fixed dataset. Search is safe for
-// concurrent use; the graph is immutable after Build (see Rebase).
+// concurrent use; the graph is immutable after Build.
 type Index struct {
 	dim      int
 	m        int
@@ -57,7 +60,6 @@ type Index struct {
 	// links[node][level] holds the node's neighbors at that level;
 	// len(links[node]) == levels(node)+1.
 	links [][][]int32
-	data  *store.Matrix
 	// ctxPool recycles per-search scratch (epoch-stamped visited marks and
 	// both traversal queues) so steady-state searches allocate nothing.
 	ctxPool sync.Pool
@@ -73,12 +75,12 @@ type searchCtx struct {
 	w       *heap.ResultQueue
 }
 
-func newIndex(dim, m, mMax0, efCon int, entry int32, maxLevel int, links [][][]int32, data *store.Matrix) *Index {
+func newIndex(dim, m, mMax0, efCon int, entry int32, maxLevel int, links [][][]int32) *Index {
 	idx := &Index{
 		dim: dim, m: m, mMax0: mMax0, efCon: efCon,
-		entry: entry, maxLevel: maxLevel, links: links, data: data,
+		entry: entry, maxLevel: maxLevel, links: links,
 	}
-	n := data.Rows()
+	n := len(links)
 	idx.ctxPool.New = func() any {
 		return &searchCtx{
 			visited: make([]uint32, n),
@@ -111,7 +113,7 @@ func Build(data *store.Matrix, cfg Config) (*Index, error) {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
 	n := data.Rows()
-	idx := newIndex(data.Dim(), cfg.M, 2*cfg.M, cfg.EfConstruction, 0, 0, make([][][]int32, n), data)
+	idx := newIndex(data.Dim(), cfg.M, 2*cfg.M, cfg.EfConstruction, 0, 0, make([][][]int32, n))
 	mult := 1 / math.Log(float64(cfg.M))
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	// Levels are pre-drawn as every node's list headers, before the first
@@ -124,7 +126,7 @@ func Build(data *store.Matrix, cfg Config) (*Index, error) {
 	workers := min(cfg.Workers, n-1)
 	scratch := make([]*buildCtx, workers)
 	for w := range scratch {
-		scratch[w] = &buildCtx{visited: make([]uint32, n)}
+		scratch[w] = &buildCtx{data: data, visited: make([]uint32, n)}
 	}
 	for lo, hi := 1, 0; lo < n; lo = hi {
 		hi = min(n, lo+min(lo, max(1, n/batchFrac)))
@@ -144,12 +146,14 @@ func Build(data *store.Matrix, cfg Config) (*Index, error) {
 	return idx, nil
 }
 
-// buildCtx is one worker's scratch: searchCtx's visited marks (stamped a
-// few times per node, so the epoch cannot wrap) and queues, the buffers of
-// a layer search or a shrink, and the (node, level) lists a batch overfilled.
+// buildCtx is one worker's scratch: the rows the graph is built over (the
+// built Index keeps none), searchCtx's visited marks (stamped a few times
+// per node, so the epoch cannot wrap) and queues, the buffers of a layer
+// search or a shrink, and the (node, level) lists a batch overfilled.
 // The pad keeps the queue headers a cache line from the next worker's: two
 // workers writing them on one line search a quarter slower.
 type buildCtx struct {
+	data        *store.Matrix
 	visited     []uint32
 	epoch       uint32
 	cands       heap.MinQueue
@@ -165,14 +169,14 @@ type buildCtx struct {
 // those until phase 2.
 func (idx *Index) link(i int, s *buildCtx) {
 	ep, maxL := idx.entry, idx.maxLevel
-	level, q := len(idx.links[i])-1, idx.data.Row(i)
+	level, q := len(idx.links[i])-1, s.data.Row(i)
 	// Greedy descent on the layers above the node's level.
-	curDist := vec.L2Sq(q, idx.data.Row(int(ep)))
+	curDist := vec.L2Sq(q, s.data.Row(int(ep)))
 	for l := maxL; l > level; l-- {
 		for improved := true; improved; {
 			improved = false
 			for _, nb := range idx.links[ep][l] {
-				if d := vec.L2Sq(q, idx.data.Row(int(nb))); d < curDist {
+				if d := vec.L2Sq(q, s.data.Row(int(nb))); d < curDist {
 					curDist, ep, improved = d, nb, true
 				}
 			}
@@ -181,7 +185,7 @@ func (idx *Index) link(i int, s *buildCtx) {
 	for l := min(level, maxL); l >= 0; l-- {
 		found := idx.searchLayer(q, ep, curDist, l, s)
 		ep, curDist = int32(found[0].ID), found[0].Dist
-		s.kept = idx.selectNeighbors(found, idx.m, s.kept[:0])
+		s.kept = idx.selectNeighbors(s.data, found, idx.m, s.kept[:0])
 		lst := make([]int32, 0, idx.maxConn(l)+1)
 		for _, k := range s.kept {
 			lst = append(lst, int32(k.ID))
@@ -245,7 +249,7 @@ func (idx *Index) searchLayer(q []float32, ep int32, epDist float32, l int, s *b
 				continue
 			}
 			s.visited[nb] = s.epoch
-			d := vec.L2Sq(q, idx.data.Row(int(nb)))
+			d := vec.L2Sq(q, s.data.Row(int(nb)))
 			if !s.w.Full() || d < s.w.Threshold() {
 				s.cands.Push(int(nb), d)
 				s.w.Push(int(nb), d)
@@ -260,7 +264,7 @@ func (idx *Index) searchLayer(q []float32, ep int32, epDist float32, l int, s *b
 // candidate only if it is closer to the query than to every already
 // selected neighbor, which spreads links across directions. The selection
 // is appended to dst, which must be empty.
-func (idx *Index) selectNeighbors(cands []heap.Item, m int, dst []heap.Item) []heap.Item {
+func (idx *Index) selectNeighbors(data *store.Matrix, cands []heap.Item, m int, dst []heap.Item) []heap.Item {
 	if len(cands) <= m {
 		return append(dst, cands...)
 	}
@@ -270,7 +274,7 @@ func (idx *Index) selectNeighbors(cands []heap.Item, m int, dst []heap.Item) []h
 		}
 		good := true
 		for _, s := range dst {
-			if vec.L2Sq(idx.data.Row(c.ID), idx.data.Row(s.ID)) < c.Dist {
+			if vec.L2Sq(data.Row(c.ID), data.Row(s.ID)) < c.Dist {
 				good = false
 				break
 			}
@@ -294,13 +298,13 @@ func (idx *Index) selectNeighbors(cands []heap.Item, m int, dst []heap.Item) []h
 // shrink re-selects maxConn neighbors for node nb from the overflowing
 // list, in place, using the same heuristic. Only nb's owner calls it.
 func (idx *Index) shrink(nb int32, lst []int32, maxConn int, s *buildCtx) []int32 {
-	row := idx.data.Row(int(nb))
+	row := s.data.Row(int(nb))
 	s.found = s.found[:0]
 	for _, o := range lst {
-		s.found = append(s.found, heap.Item{ID: int(o), Dist: vec.L2Sq(row, idx.data.Row(int(o)))})
+		s.found = append(s.found, heap.Item{ID: int(o), Dist: vec.L2Sq(row, s.data.Row(int(o)))})
 	}
 	sortItems(s.found)
-	s.kept = idx.selectNeighbors(s.found, maxConn, s.kept[:0])
+	s.kept = idx.selectNeighbors(s.data, s.found, maxConn, s.kept[:0])
 	lst = lst[:0]
 	for _, k := range s.kept {
 		lst = append(lst, int32(k.ID))
@@ -445,13 +449,6 @@ func (idx *Index) Neighbors(node int32, level int) []int32 {
 	}
 	return idx.links[node][level]
 }
-
-// Data returns the indexed vectors (read-only by convention).
-func (idx *Index) Data() *store.Matrix { return idx.data }
-
-// Rebase points the graph at its rows in another orthonormal basis, where
-// the graph is the same. Searches read no row; Encode and Data must wait.
-func (idx *Index) Rebase(data *store.Matrix) { idx.data = data }
 
 // GraphBytes reports the memory consumed by adjacency lists (Exp-3's index
 // space accounting).

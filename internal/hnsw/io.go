@@ -4,18 +4,19 @@ import (
 	"errors"
 
 	"resinfer/internal/persist"
-	"resinfer/internal/store"
 )
 
-// Version 2 stores the vectors as one flat matrix block.
+// indexMagic opens a graph. In an index file the rows follow the graph as
+// one flat matrix block, written and read by the index that owns them.
 const indexMagic = "RIHNSW2"
 
 // maxLevels bounds a decoded graph's level count. Levels are drawn as
 // floor(-ln(U)/ln(M)), so 64 is out of reach for any buildable graph.
 const maxLevels = 64
 
-// Encode writes the index (graph structure and vectors) onto an existing
-// persist stream, so it can be composed into larger files.
+// Encode writes the graph onto an existing persist stream, so it can be
+// composed into larger files. The rows are not the graph's and are not
+// written.
 func (idx *Index) Encode(pw *persist.Writer) {
 	pw.Magic(indexMagic)
 	pw.Int(idx.dim)
@@ -31,10 +32,10 @@ func (idx *Index) Encode(pw *persist.Writer) {
 			pw.I32s(lst)
 		}
 	}
-	idx.data.Encode(pw)
 }
 
-// Decode reads an index previously written by Encode.
+// Decode reads a graph previously written by Encode. The caller checks
+// that the rows it is searched over number Len() and have Dim() coordinates.
 func Decode(pr *persist.Reader) (*Index, error) {
 	pr.Magic(indexMagic)
 	dim := pr.Int()
@@ -58,8 +59,8 @@ func Decode(pr *persist.Reader) (*Index, error) {
 	if maxLevel < 0 || maxLevel >= maxLevels {
 		return nil, errors.New("hnsw: corrupt top level")
 	}
-	// The vectors come after the adjacency, so n cannot be checked against
-	// them yet: links grows as nodes actually arrive.
+	// Nothing before the adjacency bounds n: links grows as nodes actually
+	// arrive.
 	links := make([][][]int32, 0, min(n, 1<<14))
 	for i := 0; i < n; i++ {
 		levels := pr.Int()
@@ -75,14 +76,10 @@ func Decode(pr *persist.Reader) (*Index, error) {
 		}
 		links = append(links, perLevel)
 	}
-	data, err := store.Decode(pr)
-	if err != nil {
-		return nil, err
-	}
 	if err := pr.Err(); err != nil {
 		return nil, err
 	}
-	if data.Rows() != n || dim <= 0 || data.Dim() != dim || int(entry) >= n || entry < 0 {
+	if dim <= 0 || int(entry) >= n || entry < 0 {
 		return nil, errors.New("hnsw: corrupt index")
 	}
 	if maxLevel != len(links[entry])-1 {
@@ -98,5 +95,5 @@ func Decode(pr *persist.Reader) (*Index, error) {
 		}
 	}
 	pack(links) // sized from the lists that arrived, as Build leaves them
-	return newIndex(dim, m, mMax0, efCon, entry, maxLevel, links, data), nil
+	return newIndex(dim, m, mMax0, efCon, entry, maxLevel, links), nil
 }

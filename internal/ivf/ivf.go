@@ -1,7 +1,9 @@
 // Package ivf implements the inverted-file index (IVF) of §II-A: data is
 // clustered with k-means; at query time the nprobe closest clusters are
 // scanned through a pluggable core.DCO, so the same index serves IVF
-// (exact), IVF++ (ADSampling) and the IVF-DDC* variants.
+// (exact), IVF++ (ADSampling) and the IVF-DDC* variants. With one list
+// (OneList) it is the exhaustive scan of the paper's Table III: every query
+// meets every point, and the result queue's threshold prunes most of them.
 package ivf
 
 import (
@@ -20,10 +22,7 @@ type Config struct {
 	// NList is the number of clusters; default max(16, √n) (the paper uses
 	// 4096 at million scale, ≈ √n points per list).
 	NList int
-	// TrainIters bounds the k-means iterations; default 20.
-	TrainIters int
-	Seed       int64
-	Workers    int
+	Seed  int64
 }
 
 // Index is a built IVF index. Search is safe for concurrent use.
@@ -59,12 +58,7 @@ func Build(data *store.Matrix, cfg Config) (*Index, error) {
 	if cfg.NList > n {
 		cfg.NList = n
 	}
-	res, err := kmeans.Train(data, kmeans.Config{
-		K:        cfg.NList,
-		MaxIters: cfg.TrainIters,
-		Seed:     cfg.Seed,
-		Workers:  cfg.Workers,
-	})
+	res, err := kmeans.Train(data, kmeans.Config{K: cfg.NList, Seed: cfg.Seed})
 	if err != nil {
 		return nil, fmt.Errorf("ivf: clustering: %w", err)
 	}
@@ -73,6 +67,21 @@ func Build(data *store.Matrix, cfg Config) (*Index, error) {
 		idx.lists[c] = append(idx.lists[c], int32(i))
 	}
 	return idx, nil
+}
+
+// OneList is the flat index over n points of dimensionality dim: one zero
+// centroid and one list 0…n−1, so every search scans every point in id
+// order, whatever its nprobe. It runs no k-means.
+func OneList(n, dim int) (*Index, error) {
+	zero, err := store.New(1, dim)
+	if err != nil || n <= 0 {
+		return nil, fmt.Errorf("ivf: invalid one-list shape %dx%d", n, dim)
+	}
+	all := make([]int32, n)
+	for i := range all {
+		all[i] = int32(i)
+	}
+	return newIndex(dim, zero, [][]int32{all}, n), nil
 }
 
 func newIndex(dim int, centroids *store.Matrix, lists [][]int32, size int) *Index {

@@ -1,6 +1,7 @@
 package ivf
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -242,5 +243,123 @@ func TestNProbeClamp(t *testing.T) {
 	}
 	if _, _, err := s.search(ds.Queries[0], 5, 1<<20); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// The flat index is OneList: the tests below scan every point, whatever
+// the nprobe.
+
+func TestFlatBuildErrors(t *testing.T) {
+	if _, err := OneList(0, 5); err == nil {
+		t.Fatal("expected invalid-shape error")
+	}
+	if _, err := OneList(5, 0); err == nil {
+		t.Fatal("expected invalid-shape error")
+	}
+}
+
+func TestFlatExactEqualsBruteForce(t *testing.T) {
+	ds, err := dataset.Generate(dataset.GenConfig{
+		Name: "flat-test", N: 1200, Dim: 32, Queries: 10, VE32: 0.8, Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gt, err := dataset.BruteForceKNN(ds.Data, ds.Queries, 10, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := OneList(len(ds.Data), ds.Dim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dco, _ := core.NewExact(ds.Matrix())
+	s := newEvalSearch(idx, dco)
+	for qi, q := range ds.Queries {
+		items, st, err := s.search(q, 10, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Comparisons != int64(len(ds.Data)) {
+			t.Fatalf("query %d: %d comparisons over %d points", qi, st.Comparisons, len(ds.Data))
+		}
+		for i, it := range items {
+			if it.ID != gt[qi][i] {
+				t.Fatalf("query %d result %d: %d vs gt %d", qi, i, it.ID, gt[qi][i])
+			}
+		}
+	}
+}
+
+func TestFlatWithDDCresNearExact(t *testing.T) {
+	ds, err := dataset.Generate(dataset.GenConfig{
+		Name: "flat-ddc", N: 2000, Dim: 64, Queries: 15, VE32: 0.85, Seed: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gt, err := dataset.BruteForceKNN(ds.Data, ds.Queries, 10, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, _ := OneList(len(ds.Data), ds.Dim)
+	dco, err := ddc.NewRes(ds.Matrix(), ddc.ResConfig{Seed: 7, InitD: 16, DeltaD: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := make([][]int, len(ds.Queries))
+	var prunedTotal, compTotal int64
+	s := newEvalSearch(idx, dco)
+	for qi, q := range ds.Queries {
+		items, st, err := s.search(q, 10, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prunedTotal += st.Pruned
+		compTotal += st.Comparisons
+		for _, it := range items {
+			results[qi] = append(results[qi], it.ID)
+		}
+	}
+	if r := dataset.Recall(results, gt, 10); r < 0.99 {
+		t.Fatalf("flat DDCres recall = %v", r)
+	}
+	// The queue threshold tightens quickly, so the bulk of the scan prunes.
+	if rate := float64(prunedTotal) / float64(compTotal); rate < 0.5 {
+		t.Fatalf("flat scan pruned rate %v too low", rate)
+	}
+}
+
+func TestFlatErrors(t *testing.T) {
+	data := store.MustFromRows([][]float32{{1, 2}, {3, 4}})
+	idx, _ := OneList(data.Rows(), data.Dim())
+	dco, _ := core.NewExact(data)
+	if _, _, err := newEvalSearch(idx, dco).search([]float32{1, 2}, 0, 1); err == nil {
+		t.Fatal("expected k error")
+	}
+	other, _ := core.NewExact(store.MustFromRows([][]float32{{1, 2}}))
+	if _, _, err := newEvalSearch(idx, other).search([]float32{1, 2}, 1, 1); err == nil {
+		t.Fatal("expected size mismatch error")
+	}
+	if idx.Len() != 2 || idx.Dim() != 2 || idx.NList() != 1 {
+		t.Fatal("metadata")
+	}
+}
+
+func TestFlatKLargerThanN(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	data := make([][]float32, 5)
+	for i := range data {
+		data[i] = []float32{float32(r.NormFloat64())}
+	}
+	mat := store.MustFromRows(data)
+	idx, _ := OneList(mat.Rows(), mat.Dim())
+	dco, _ := core.NewExact(mat)
+	items, _, err := newEvalSearch(idx, dco).search([]float32{0}, 10, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(items) != 5 {
+		t.Fatalf("k>n should return all %d points, got %d", 5, len(items))
 	}
 }

@@ -125,7 +125,14 @@ func (h *Histogram) Mean() float64 {
 // a uniform in-bucket distribution. Observations in the +Inf overflow
 // bucket clamp to the largest finite bound.
 func (h *Histogram) Quantile(p float64) float64 {
-	counts := h.snapshot()
+	return bucketQuantile(h.bounds, h.snapshot(), p)
+}
+
+// bucketQuantile is the p-th quantile of the observations counted over
+// bounds (len(counts) == len(bounds)+1, the last the +Inf bucket), by
+// linear interpolation inside the bucket holding the target rank; 0 with
+// no observations.
+func bucketQuantile(bounds []float64, counts []uint64, p float64) float64 {
 	var total uint64
 	for _, c := range counts {
 		total += c
@@ -147,21 +154,20 @@ func (h *Histogram) Quantile(p float64) float64 {
 		prev := cum
 		cum += c
 		if float64(cum) >= target {
-			if i == len(h.bounds) {
+			if i == len(bounds) {
 				// Overflow bucket: no finite upper bound to interpolate
 				// toward; report the largest finite bound (a floor).
-				return h.bounds[len(h.bounds)-1]
+				return bounds[len(bounds)-1]
 			}
 			lo := 0.0
 			if i > 0 {
-				lo = h.bounds[i-1]
+				lo = bounds[i-1]
 			}
-			hi := h.bounds[i]
 			frac := (target - float64(prev)) / float64(c)
-			return lo + (hi-lo)*frac
+			return lo + (bounds[i]-lo)*frac
 		}
 	}
-	return h.bounds[len(h.bounds)-1]
+	return bounds[len(bounds)-1]
 }
 
 // CountAtOrBelow returns, from one consistent snapshot, the number of

@@ -99,22 +99,6 @@ func (w *Window) Observe(v float64) {
 	s.sum += v
 }
 
-// merged sums the live slots into scratch counts. Callers hold w.mu.
-func (w *Window) merged(counts []uint64) (total uint64, sum float64) {
-	for i := range counts {
-		counts[i] = 0
-	}
-	for si := range w.slots {
-		s := &w.slots[si]
-		for i, c := range s.counts {
-			counts[i] += c
-		}
-		total += s.n
-		sum += s.sum
-	}
-	return total, sum
-}
-
 // Count returns the number of observations currently inside the window.
 func (w *Window) Count() uint64 {
 	w.mu.Lock()
@@ -152,37 +136,12 @@ func (w *Window) Quantile(p float64) float64 {
 	defer w.mu.Unlock()
 	w.rotate()
 	counts := make([]uint64, len(w.bounds)+1)
-	total, _ := w.merged(counts)
-	if total == 0 {
-		return 0
-	}
-	if p < 0 {
-		p = 0
-	} else if p > 1 {
-		p = 1
-	}
-	target := p * float64(total)
-	if target < 1 {
-		target = 1
-	}
-	var cum uint64
-	for i, c := range counts {
-		prev := cum
-		cum += c
-		if float64(cum) >= target {
-			if i == len(w.bounds) {
-				return w.bounds[len(w.bounds)-1]
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = w.bounds[i-1]
-			}
-			hi := w.bounds[i]
-			frac := (target - float64(prev)) / float64(c)
-			return lo + (hi-lo)*frac
+	for si := range w.slots {
+		for i, c := range w.slots[si].counts {
+			counts[i] += c
 		}
 	}
-	return w.bounds[len(w.bounds)-1]
+	return bucketQuantile(w.bounds, counts, p)
 }
 
 // EWMA is an exponentially weighted moving average with atomic loads

@@ -9,7 +9,6 @@ import (
 	"resinfer/internal/adsampling"
 	"resinfer/internal/core"
 	"resinfer/internal/ddc"
-	"resinfer/internal/flat"
 	"resinfer/internal/hnsw"
 	"resinfer/internal/ivf"
 	"resinfer/internal/metric"
@@ -46,18 +45,14 @@ func (ix *Index) encode(pw *persist.Writer) error {
 	if ix.metric.kind == InnerProduct {
 		pw.F64(ix.metric.ip.MaxSq)
 	}
+	// The structure (a Flat index's one list is implied), then its rows.
 	switch ix.kind {
 	case HNSW:
-		ix.hnswIdx.Encode(pw) // the graph's rows are the index's
+		ix.hnswIdx.Encode(pw)
 	case IVF:
 		ix.ivfIdx.Encode(pw)
-		// IVF does not embed the vectors; write them explicitly.
-		ix.data.Encode(pw)
-	case Flat:
-		ix.data.Encode(pw)
-	default:
-		return fmt.Errorf("resinfer: cannot serialize index kind %q", ix.kind)
 	}
+	ix.data.Encode(pw)
 	pw.Bool(ix.basis != nil)
 	if ix.basis != nil {
 		ix.basis.Encode(pw)
@@ -109,42 +104,40 @@ func decodeIndex(pr *persist.Reader) (*Index, error) {
 		opts:  (*Options)(nil).withDefaults(),
 		modes: map[Mode]enabledMode{}}
 	ix.opts.Metric = mk
+	// The structure, then the rows; the structure must cover exactly them.
+	var covers interface {
+		Len() int
+		Dim() int
+	}
+	var err error
 	switch kind {
 	case HNSW:
-		idx, err := hnsw.Decode(pr)
-		if err != nil {
-			return nil, err
-		}
-		ix.hnswIdx = idx
-		ix.data = idx.Data()
+		ix.hnswIdx, err = hnsw.Decode(pr)
+		covers = ix.hnswIdx
 	case IVF:
-		idx, err := ivf.Decode(pr)
-		if err != nil {
-			return nil, err
-		}
-		ix.ivfIdx = idx
-		ix.data, err = store.Decode(pr)
-		if err != nil {
-			return nil, err
-		}
+		ix.ivfIdx, err = ivf.Decode(pr)
+		covers = ix.ivfIdx
 	case Flat:
-		var err error
-		ix.data, err = store.Decode(pr)
-		if err != nil {
-			return nil, err
-		}
-		idx, err := flat.New(ix.data.Rows(), ix.data.Dim())
-		if err != nil {
-			return nil, err
-		}
-		ix.flatIdx = idx
 	default:
 		return nil, fmt.Errorf("resinfer: unknown index kind %q in stream", kind)
 	}
-	if ix.data == nil || ix.data.Rows() == 0 {
-		return nil, errors.New("resinfer: stream carries no vectors")
+	if err != nil {
+		return nil, err
+	}
+	if ix.data, err = store.Decode(pr); err != nil {
+		return nil, err
 	}
 	ix.n, ix.dim = ix.data.Rows(), ix.data.Dim()
+	if kind == Flat {
+		if ix.ivfIdx, err = ivf.OneList(ix.n, ix.dim); err != nil {
+			return nil, err
+		}
+		covers = ix.ivfIdx
+	}
+	if covers.Len() != ix.n || covers.Dim() != ix.dim {
+		return nil, fmt.Errorf("resinfer: %s index over %d %d-d points, stream stores %d %d-d rows",
+			kind, covers.Len(), covers.Dim(), ix.n, ix.dim)
+	}
 	// Searches size the caller's query by userDim and the comparators'
 	// scratch by dim; the metric reduction fixes how the two relate.
 	wantDim := userDim
@@ -154,7 +147,6 @@ func decodeIndex(pr *persist.Reader) (*Index, error) {
 	if ix.dim != wantDim {
 		return nil, fmt.Errorf("resinfer: stream stores %d-d rows for %d-d %s queries", ix.dim, userDim, mk)
 	}
-	var err error
 	if pr.Bool() {
 		if ix.basis, err = pca.Decode(pr); err != nil {
 			return nil, err

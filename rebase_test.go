@@ -30,8 +30,8 @@ func saveLoad(t *testing.T, ix *Index) *Index {
 	return out
 }
 
-// oneCopy asserts that ix holds its rows once: exact, ddc-res and, for
-// HNSW, the graph read the index's own matrix, which lies in the basis.
+// oneCopy asserts that ix holds its rows once: exact and ddc-res read the
+// index's own matrix, which lies in the basis.
 func oneCopy(t *testing.T, ix *Index) {
 	t.Helper()
 	rows, basis := ix.rows()
@@ -41,16 +41,12 @@ func oneCopy(t *testing.T, ix *Index) {
 	ix.mu.RLock()
 	exact := ix.modes[Exact].dco.(*core.Exact)
 	res := ix.modes[DDCRes].dco.(*ddc.Res)
-	graph := ix.hnswIdx
 	ix.mu.RUnlock()
 	if exact.Data() != rows || res.Rotated() != rows {
 		t.Errorf("%s: exact reads %p, ddc-res %p, the index holds %p", ix.kind, exact.Data(), res.Rotated(), rows)
 	}
 	if exact.NewEvaluator().(core.RotatingEvaluator).Rotation() != basis.Rotation || res.Model() != basis {
 		t.Errorf("%s: exact and ddc-res rotate through other models than the index's basis", ix.kind)
-	}
-	if graph != nil && graph.Data() != rows {
-		t.Errorf("%s: the graph reads %p, the index holds %p", ix.kind, graph.Data(), rows)
 	}
 }
 
@@ -93,7 +89,7 @@ func enableCostsExtraBytes(t *testing.T, eng interface{ Enable(Mode, *Options) e
 }
 
 // TestRowsStoredOnce: an index with ddc-res enabled holds its rows once,
-// in the PCA basis. Exact, ddc-res and the graph read one matrix — as built,
+// in the PCA basis. Exact and ddc-res read one matrix — as built,
 // after a compaction, and after Save → Load — and Enable costs the live
 // heap what ExtraBytes reports, not another n·D floats.
 func TestRowsStoredOnce(t *testing.T) {

@@ -33,7 +33,6 @@ import (
 	"resinfer/internal/adsampling"
 	"resinfer/internal/core"
 	"resinfer/internal/ddc"
-	"resinfer/internal/flat"
 	"resinfer/internal/heap"
 	"resinfer/internal/hnsw"
 	"resinfer/internal/ivf"
@@ -79,7 +78,8 @@ const (
 	// nprobe, the number of clusters scanned.
 	IVF IndexKind = "ivf"
 	// Flat scans every point through the comparator (the linear-scan
-	// setting of the paper's Table III); the budget parameter is ignored.
+	// setting of the paper's Table III): it is IVF with one list holding
+	// every point, so the budget parameter is ignored.
 	Flat IndexKind = "flat"
 )
 
@@ -227,9 +227,11 @@ type Index struct {
 	metric  *metricState
 	opts    Options
 
-	hnswIdx *hnsw.Index // its rows are data, re-based with it
-	ivfIdx  *ivf.Index  // centroids in the internal space, whatever the basis
-	flatIdx *flat.Index
+	// The structure over data's rows, holding none of them: the graph, or
+	// the lists (Flat's is one list) with centroids in the internal space,
+	// whatever the basis.
+	hnswIdx *hnsw.Index
+	ivfIdx  *ivf.Index
 
 	enableMu sync.Mutex // one Enable* at a time: train, re-base, install
 
@@ -307,11 +309,9 @@ func buildIndex(mat *store.Matrix, ms *metricState, basis *pca.Model, kind Index
 		}
 		ix.ivfIdx = idx
 	case Flat:
-		idx, err := flat.Build(mat)
-		if err != nil {
+		if ix.ivfIdx, err = ivf.OneList(ix.n, ix.dim); err != nil {
 			return nil, err
 		}
-		ix.flatIdx = idx
 	default:
 		return nil, fmt.Errorf("resinfer: unknown index kind %q", kind)
 	}
@@ -399,8 +399,8 @@ func (ix *Index) enable(mode Mode, trainQueries [][]float32, opts *Options, rot 
 		}
 		trainQueries = transformed
 	}
-	// The first PCA mode re-bases the rows, so exact, ddc-res, ddc-pca and
-	// the graph read one matrix: into rot's basis with σ refit to them, or
+	// The first PCA mode re-bases the rows, so exact, ddc-res and ddc-pca
+	// read one matrix: into rot's basis with σ refit to them, or
 	// into one trained on them. The other modes read rows in the internal
 	// space, on a re-based index derived through the basis inverse.
 	rows, basis := ix.rows()
@@ -452,16 +452,15 @@ func (ix *Index) enable(mode Mode, trainQueries [][]float32, opts *Options, rot 
 }
 
 // rebase makes rows, the index's rows projected by basis, its one copy:
-// exact and the graph move onto them, and the old rows are let go.
+// exact moves onto them, and the old rows are let go. The structure stays:
+// a rotation changes no distance, so the graph and the lists are the same
+// in either basis.
 func (ix *Index) rebase(rows *store.Matrix, basis *pca.Model) error {
 	exact, err := core.NewExactIn(rows, basis)
 	if err != nil {
 		return err
 	}
 	ix.mu.Lock()
-	if ix.hnswIdx != nil {
-		ix.hnswIdx.Rebase(rows)
-	}
 	ix.data, ix.basis = rows, basis
 	ix.mu.Unlock()
 	ix.installDCO(Exact, exact)
@@ -565,17 +564,10 @@ func (ix *Index) searchShard(dst []Neighbor, fs *fanScratch, k int) ([]Neighbor,
 //resinfer:noalloc
 func (ix *Index) walk(s *session, dst []Neighbor, tq []float32, k, budget int) ([]Neighbor, SearchStats, error) {
 	var err error
-	s.items = s.items[:0]
-	switch ix.kind {
-	case HNSW:
-		s.items, err = ix.hnswIdx.SearchEval(s.ev, k, budget, ix.n, s.items)
-	case IVF:
-		s.items, err = ix.ivfIdx.SearchEval(s.ev, tq, k, budget, ix.n, s.items)
-	case Flat:
-		s.items, err = ix.flatIdx.SearchEval(s.ev, k, ix.n, s.items)
-	default:
-		//resinfer:alloc-ok unreachable-by-construction kind guard
-		err = fmt.Errorf("resinfer: unknown index kind %q", ix.kind)
+	if ix.hnswIdx != nil {
+		s.items, err = ix.hnswIdx.SearchEval(s.ev, k, budget, ix.n, s.items[:0])
+	} else { // IVF, and Flat as its one list
+		s.items, err = ix.ivfIdx.SearchEval(s.ev, tq, k, budget, ix.n, s.items[:0])
 	}
 	if err != nil {
 		return dst, SearchStats{}, err
