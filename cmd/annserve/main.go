@@ -386,13 +386,11 @@ func parseModes(s string) ([]resinfer.Mode, error) {
 		if part == "" {
 			continue
 		}
-		m := resinfer.Mode(part)
-		switch m {
-		case resinfer.Exact, resinfer.ADSampling, resinfer.DDCRes, resinfer.DDCPCA, resinfer.DDCOPQ:
-			out = append(out, m)
-		default:
-			return nil, fmt.Errorf("unknown mode %q", part)
+		m, err := resinfer.ParseMode(part)
+		if err != nil {
+			return nil, err
 		}
+		out = append(out, m)
 	}
 	return out, nil
 }

@@ -1,10 +1,16 @@
 package resinfer
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
+
+	"resinfer/internal/fault"
 )
 
 // gtNaive is a per-metric reference ranking computed with plain float64
@@ -246,5 +252,121 @@ func TestGroundTruthSearchValidation(t *testing.T) {
 	}
 	if len(ns) != len(data) || len(owners) != len(data) {
 		t.Fatalf("k>n returned %d results, want %d", len(ns), len(data))
+	}
+}
+
+// TestGroundTruthSearchStructures runs ground truth over HNSW and IVF
+// shards — each scanned through its Flat view, on rows a ddc-res re-base
+// rotated — of a mutable index with deletes, upserts and fresh adds: the
+// answers match the naive oracle over the live rows, each is attributed to
+// the shard that owns it, and an armed shard.search fault and an installed
+// shard observer see none of it. The first samples build the views
+// concurrently.
+func TestGroundTruthSearchStructures(t *testing.T) {
+	const n, dim, k, shards = 360, 40, 10, 3
+	for _, kind := range []IndexKind{HNSW, IVF} {
+		for _, metric := range []MetricKind{L2, Cosine, InnerProduct} {
+			name := string(kind) + "/" + string(metric)
+			rng := rand.New(rand.NewSource(11))
+			row := func() []float32 {
+				v := make([]float32, dim)
+				for j := range v {
+					v[j] = float32(rng.NormFloat64())
+				}
+				return v
+			}
+			data := make([][]float32, n)
+			live := map[int][]float32{}
+			for i := range data {
+				data[i] = row()
+				live[i] = data[i]
+			}
+			mx, err := NewMutable(data, kind, shards, &MutableOptions{
+				Index:              &Options{Metric: metric, Seed: 3, HNSWEfConstruction: 40},
+				DisableAutoCompact: true,
+			})
+			if err != nil {
+				t.Fatalf("%s: NewMutable: %v", name, err)
+			}
+			if err := mx.Enable(DDCRes, nil); err != nil {
+				t.Fatalf("%s: Enable: %v", name, err)
+			}
+			for id := 0; id < 30; id++ {
+				if _, err := mx.Delete(id); err != nil {
+					t.Fatal(err)
+				}
+				delete(live, id)
+			}
+			for id := 30; id < 60; id++ {
+				v := row()
+				if _, err := mx.Upsert(id, v); err != nil {
+					t.Fatal(err)
+				}
+				live[id] = v
+			}
+			for i := 0; i < 30; i++ {
+				v := row()
+				id, err := mx.Add(v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				live[id] = v
+			}
+
+			// The first samples race each other to build every shard's Flat
+			// view, beside served searches.
+			var wg sync.WaitGroup
+			for w := 0; w < 4; w++ {
+				wg.Add(1)
+				go func(q []float32) {
+					defer wg.Done()
+					if _, _, _, err := mx.GroundTruthSearch(nil, nil, q, k); err != nil {
+						t.Error(err)
+					}
+					if _, err := mx.Search(q, k, DDCRes, 40); err != nil {
+						t.Error(err)
+					}
+				}(row())
+			}
+			wg.Wait()
+
+			var observed atomic.Int64
+			mx.SetShardObserver(func(int, time.Duration, SearchStats) { observed.Add(1) })
+			remove := fault.Inject(fault.Injection{
+				Site: fault.SiteShardSearch, Arg: fault.AnyArg, Err: errors.New("injected: shard down"),
+			})
+			var dst []Neighbor
+			var owners []int
+			for qi := 0; qi < 8; qi++ {
+				q := row()
+				var comp int
+				dst, owners, comp, err = mx.GroundTruthSearch(dst[:0], owners[:0], q, k)
+				if err != nil {
+					remove()
+					t.Fatalf("%s: GroundTruthSearch: %v", name, err)
+				}
+				if want := n + 60; comp != want { // every base row, every memtable row
+					t.Errorf("%s: scanned %d rows, want %d", name, comp, want)
+				}
+				gotIDs := make([]int, len(dst))
+				mx.mut.mu.Lock()
+				for i, nb := range dst {
+					gotIDs[i] = nb.ID
+					if s, ok := mx.mut.owner[nb.ID]; !ok || s != owners[i] {
+						t.Errorf("%s: neighbor %d attributed to shard %d, owner %d (live %v)", name, nb.ID, owners[i], s, ok)
+					}
+				}
+				mx.mut.mu.Unlock()
+				want := gtNaive(live, q, metric, k)
+				if ov := gtOverlap(want, gotIDs); ov < k-1 || gotIDs[0] != want[0] {
+					t.Errorf("%s: ground truth %v, naive oracle %v", name, gotIDs, want)
+				}
+			}
+			remove()
+			if got := observed.Load(); got != 0 {
+				t.Errorf("%s: the shard observer saw %d ground-truth probes", name, got)
+			}
+			mx.Close()
+		}
 	}
 }

@@ -474,14 +474,12 @@ func (s *Server) resolveParams(k int, mode string, budget int) (batchKey, error)
 	if budget <= 0 {
 		budget = s.cfg.DefaultBudget
 	}
-	m := resinfer.Mode(mode)
 	if mode == "" {
-		m = s.cfg.DefaultMode
+		mode = string(s.cfg.DefaultMode)
 	}
-	switch m {
-	case resinfer.Exact, resinfer.ADSampling, resinfer.DDCRes, resinfer.DDCPCA, resinfer.DDCOPQ:
-	default:
-		return batchKey{}, fmt.Errorf("unknown mode %q", mode)
+	m, err := resinfer.ParseMode(mode)
+	if err != nil {
+		return batchKey{}, err
 	}
 	return batchKey{k: k, mode: m, budget: budget}, nil
 }

@@ -232,15 +232,7 @@ func (mx *MutableIndex) Close() {
 }
 
 // Add ingests a fresh vector and returns its assigned global ID.
-func (mx *MutableIndex) Add(v []float32) (int, error) {
-	id, err := mx.mutUpsert(-1, v)
-	if err != nil {
-		return 0, err
-	}
-	mx.inserts.Add(1)
-	mx.maybeKick()
-	return id, nil
-}
+func (mx *MutableIndex) Add(v []float32) (int, error) { return mx.Upsert(-1, v) }
 
 // Upsert writes a vector under an explicit global ID (replacing the live
 // row if one exists); a negative ID asks for auto-assignment. It returns
@@ -353,8 +345,8 @@ func (mx *MutableIndex) runCompact(s int, wait bool) (bool, error) {
 		return false, nil
 	}
 	mx.compactions.Add(1)
-	mx.lastBuildMs.Store(info.buildDur.Milliseconds())
-	swap := info.swapDur.Microseconds()
+	mx.lastBuildMs.Store(info.BuildDuration.Milliseconds())
+	swap := info.SwapDuration.Microseconds()
 	mx.lastSwapMicros.Store(swap)
 	for {
 		cur := mx.maxSwapMicros.Load()
@@ -363,15 +355,7 @@ func (mx *MutableIndex) runCompact(s int, wait bool) (bool, error) {
 		}
 	}
 	if fn := mx.compactObs.Load(); fn != nil {
-		(*fn)(CompactionInfo{
-			Shard:         info.shard,
-			Rows:          info.rows,
-			MemtableRows:  info.memRows,
-			Tombstones:    info.dead,
-			BuildDuration: info.buildDur,
-			SwapDuration:  info.swapDur,
-			LeadShare:     info.leadShare,
-		})
+		(*fn)(info)
 	}
 	return true, nil
 }
@@ -588,7 +572,7 @@ func (mx *MutableIndex) save(w io.Writer) (uint64, error) {
 	if err := mx.encodeSharded(pw); err != nil {
 		return 0, err
 	}
-	for _, seg := range m.segs {
+	for _, seg := range mx.segs {
 		seg.mu.RLock()
 		seg.mem.Encode(pw)
 		seg.dead.Encode(pw)
@@ -662,7 +646,7 @@ func LoadMutable(r io.Reader, opts *MutableOptions) (*MutableIndex, error) {
 	m := sx.mut
 	m.enables = enables
 	m.rr = rr
-	for s := range m.segs {
+	for s, seg := range sx.segs {
 		mem, err := stream.DecodeMemtable(pr)
 		if err != nil {
 			return nil, fmt.Errorf("resinfer: decoding shard %d memtable: %w", s, err)
@@ -675,27 +659,27 @@ func LoadMutable(r io.Reader, opts *MutableOptions) (*MutableIndex, error) {
 		if err != nil {
 			return nil, fmt.Errorf("resinfer: decoding shard %d tombstones: %w", s, err)
 		}
-		m.segs[s].mem = mem
-		m.segs[s].dead = dead
-		m.segs[s].recountHidden() // enableMutation saw empty segments
+		seg.mem = mem
+		seg.dead = dead
+		seg.recountHidden() // enableMutation saw empty segments
 	}
 	// Rebuild the ownership map against the decoded segments: base rows
 	// that are tombstoned or shadowed are not live, memtable rows are.
 	clear(m.owner)
 	maxID := -1
-	for s := range m.segs {
+	for s, seg := range sx.segs {
 		for _, gid := range sx.globalID[s] {
 			if gid > maxID {
 				maxID = gid
 			}
-			if m.segs[s].dead.Has(gid) || m.segs[s].mem.Has(gid) {
+			if seg.dead.Has(gid) || seg.mem.Has(gid) {
 				continue
 			}
 			m.owner[gid] = s
 		}
 	}
-	for s := range m.segs {
-		mem := m.segs[s].mem
+	for s, seg := range sx.segs {
+		mem := seg.mem
 		for i := 0; i < mem.Len(); i++ {
 			id := mem.ID(i)
 			if id > maxID {

@@ -10,7 +10,6 @@ import (
 
 	"resinfer/internal/ddc"
 	"resinfer/internal/fault"
-	"resinfer/internal/heap"
 	"resinfer/internal/metric"
 	"resinfer/internal/pca"
 	"resinfer/internal/retry"
@@ -46,14 +45,16 @@ var (
 // short stall, not an exponential one).
 var walAppendPolicy = retry.Policy{Attempts: 3, Base: 5 * time.Millisecond, Factor: 1}
 
-// This file is the streaming-ingestion substrate of ShardedIndex: each
-// shard pairs its immutable base index with an append-only memtable
-// segment (exact brute-force scan, so recall on fresh vectors is
-// perfect) and a tombstone set for deletes; a compaction rebuilds a
-// shard's base from the live rows off the serving path and hot-swaps it
-// under the shard's RWMutex with zero search downtime. The public
-// lifecycle wrapper — background compaction, counters, persistence —
-// lives in MutableIndex (mutable.go).
+// This file is the streaming-ingestion substrate of ShardedIndex. Every
+// shard, mutable or not, pairs its base index with an append-only memtable
+// segment (exact brute-force scan, so recall on fresh vectors is perfect)
+// and a tombstone set for deletes, and every probe reads all three (see
+// probe); on an index that never mutates both stay empty. A mutable index
+// adds the writer state (mutState): mutations fill the segments, and a
+// compaction rebuilds a shard's base from the live rows off the serving
+// path and hot-swaps it under the shard's RWMutex with zero search
+// downtime. The public lifecycle wrapper — background compaction,
+// counters, persistence — lives in MutableIndex (mutable.go).
 
 // recordedEnable remembers one Enable/EnableWithTraining call so a
 // compacted shard's rebuilt base index gets the same comparators with the
@@ -65,16 +66,16 @@ type recordedEnable struct {
 	opts         *Options
 }
 
-// shardSeg is the mutable extension of one shard. Its RWMutex guards the
-// shard's entire serving state — sx.shards[s], sx.globalID[s], mem and
-// dead — against searches: searches hold the read lock for the duration
-// of one shard probe; mutations and the compaction hot swap take the
-// write lock briefly.
+// shardSeg is one shard's segments. Its RWMutex guards the shard's entire
+// serving state — sx.shards[s], sx.globalID[s], mem and dead — against
+// searches: searches hold the read lock for the duration of one shard
+// probe; mutations and the compaction hot swap take the write lock
+// briefly.
 type shardSeg struct {
 	mu         sync.RWMutex
 	mem        *stream.Memtable
 	dead       *stream.Tombstones
-	baseHas    map[int]struct{} // global IDs present in the current base segment
+	baseHas    map[int]struct{} // global IDs present in the current base segment (nil until enableMutation)
 	hidden     int              // base rows invisible (tombstoned or shadowed by a memtable row)
 	compacting bool             // claimed by a running compaction (guarded by mutState.mu)
 }
@@ -97,13 +98,13 @@ func (seg *shardSeg) recountHidden() {
 	}
 }
 
-// mutState is the index-wide streaming state. Its mutex serializes
-// mutations (Add/Upsert/Delete), compaction swaps, Enable calls, and
-// Save on a mutable index; searches never take it.
+// mutState is the index-wide writer state; the segments it writes are
+// ShardedIndex.segs. Its mutex serializes mutations (Add/Upsert/Delete),
+// compaction swaps, Enable calls, and Save on a mutable index; searches
+// never take it.
 type mutState struct {
 	mu        sync.Mutex
-	compacted *sync.Cond // on mu; broadcast when any shardSeg.compacting clears
-	segs      []*shardSeg
+	compacted *sync.Cond  // on mu; broadcast when any shardSeg.compacting clears
 	owner     map[int]int // live global ID → owning shard
 	nextID    int         // next auto-assigned global ID
 	rr        int         // round-robin cursor for fresh inserts
@@ -161,26 +162,21 @@ func (m *mutState) walAppend(do func() (uint64, error)) (uint64, error) {
 	return 0, derr
 }
 
-// enableMutation installs the streaming segments on a freshly built or
-// loaded sharded index. indexOpts is retained for compaction rebuilds.
+// enableMutation installs the writer state on a freshly built or loaded
+// sharded index, whose segments are still empty. indexOpts is retained for
+// compaction rebuilds.
 func (sx *ShardedIndex) enableMutation(indexOpts *Options) {
 	m := &mutState{
-		segs:      make([]*shardSeg, len(sx.shards)),
 		owner:     make(map[int]int, sx.n),
 		indexOpts: indexOpts,
-		rr:        0,
 	}
 	m.compacted = sync.NewCond(&m.mu)
 	maxID := -1
-	for s := range sx.shards {
-		m.segs[s] = &shardSeg{
-			mem:     stream.NewMemtable(sx.userDim),
-			dead:    stream.NewTombstones(),
-			baseHas: make(map[int]struct{}, len(sx.globalID[s])),
-		}
+	for s, seg := range sx.segs {
+		seg.baseHas = make(map[int]struct{}, len(sx.globalID[s]))
 		for _, gid := range sx.globalID[s] {
 			m.owner[gid] = s
-			m.segs[s].baseHas[gid] = struct{}{}
+			seg.baseHas[gid] = struct{}{}
 			if gid > maxID {
 				maxID = gid
 			}
@@ -231,12 +227,12 @@ func (sx *ShardedIndex) mutUpsert(id int, v []float32) (int, error) {
 	fresh := false
 	if id < 0 {
 		id = m.nextID
-		s = m.rr % len(m.segs)
+		s = m.rr % len(sx.segs)
 		fresh = true
 	} else if prev, live := m.owner[id]; live {
 		s = prev // replacement routes to the owning shard so the old row is shadowed there
 	} else {
-		s = m.rr % len(m.segs)
+		s = m.rr % len(sx.segs)
 		fresh = true
 	}
 	if m.wal != nil {
@@ -257,7 +253,7 @@ func (sx *ShardedIndex) mutUpsert(id int, v []float32) (int, error) {
 		m.owner[id] = s
 		m.liveN.Add(1)
 	}
-	seg := m.segs[s]
+	seg := sx.segs[s]
 	seg.mu.Lock()
 	appended := seg.mem.Add(id, row)
 	if appended {
@@ -294,7 +290,7 @@ func (sx *ShardedIndex) mutDelete(id int) (bool, error) {
 		}
 		m.appliedLSN.Store(lsn)
 	}
-	seg := m.segs[s]
+	seg := sx.segs[s]
 	seg.mu.Lock()
 	hadMem := seg.mem.Remove(id)
 	if _, inBase := seg.baseHas[id]; inBase && !hadMem && !seg.dead.Has(id) {
@@ -311,77 +307,6 @@ func (sx *ShardedIndex) mutDelete(id int) (bool, error) {
 	delete(m.owner, id)
 	m.liveN.Add(-1)
 	return true, nil
-}
-
-// searchShardMut probes one shard of a mutable index: the base index is
-// over-fetched by the shard's hidden-row bound (tombstones plus memtable
-// rows, so filtering can never starve the result below k), hits are
-// translated to global IDs and merge keys (mergeReady), tombstoned and
-// shadowed base hits are dropped, and the memtable is scanned exactly into
-// the same bounded queue. The shard read lock is held for the whole probe
-// so a concurrent hot swap can never tear the (base, globalID, segments)
-// triple.
-//
-//resinfer:noalloc
-func (sx *ShardedIndex) searchShardMut(s int, out *shardOut, fs *fanScratch) {
-	k := fs.k
-	seg := sx.mut.segs[s]
-	seg.mu.RLock()
-	defer seg.mu.RUnlock()
-	base := sx.shards[s]
-	// Over-fetch by exactly the number of invisible base rows: filtering
-	// them can then never starve the shard's contribution below k, and a
-	// pure-ingest workload (nothing hidden) pays no over-fetch at all.
-	kEff := k + seg.hidden
-	out.ns, out.st, out.err = base.searchShard(out.ns[:0], fs, kEff)
-	if out.err != nil {
-		return
-	}
-	if out.rq == nil {
-		out.rq = heap.NewResultQueue(k)
-	}
-	rq := out.rq
-	rq.Reset(k)
-	sx.mergeReady(base, sx.globalID[s], out.ns, fs.q)
-	for _, n := range out.ns {
-		if seg.dead.Has(n.ID) || seg.mem.Has(n.ID) {
-			continue
-		}
-		if n.Distance < rq.Threshold() {
-			rq.Push(n.ID, n.Distance)
-		}
-	}
-	// The memtable stores rows in the scan space (see scanRow), which is the
-	// internal space less InnerProduct's augmentation coordinate.
-	memComp := seg.mem.Scan(fs.tq[:sx.userDim], sx.metric == InnerProduct, rq)
-	if memComp > 0 {
-		tot := out.st.Comparisons + int64(memComp)
-		out.st.ScanRate = (out.st.ScanRate*float64(out.st.Comparisons) + float64(memComp)) / float64(tot)
-		out.st.Comparisons = tot
-		if tot > 0 {
-			out.st.PrunedRate = float64(out.st.Pruned) / float64(tot)
-		}
-	}
-	out.ns = out.ns[:0]
-	nres := rq.Len()
-	for i := 0; i < nres; i++ {
-		out.ns = append(out.ns, Neighbor{})
-	}
-	for i := nres - 1; i >= 0; i-- {
-		it, _ := rq.PopMax()
-		out.ns[i] = Neighbor{ID: it.ID, Distance: it.Dist}
-	}
-}
-
-// compactInfo describes one finished shard compaction.
-type compactInfo struct {
-	shard     int
-	rows      int           // rows in the rebuilt base
-	memRows   int           // memtable rows folded in
-	dead      int           // tombstones retired
-	buildDur  time.Duration // off-path rebuild + retrain time
-	swapDur   time.Duration // write-lock hold time of the hot swap
-	leadShare float64       // CompactionInfo.LeadShare
 }
 
 // inherit installs the recorded comparators ix, a rebuilt base, lacks, each
@@ -460,17 +385,17 @@ func (base *Index) compactRows(keep, memIDs []int, memVecs []float32) (*store.Ma
 // after its snapshot. It returns false when there was nothing to do (no
 // pending segments, an unawaited concurrent compaction, or every row is
 // deleted).
-func (sx *ShardedIndex) compactShard(s int, wait bool) (bool, compactInfo, error) {
+func (sx *ShardedIndex) compactShard(s int, wait bool) (bool, CompactionInfo, error) {
 	m := sx.mut
-	if s < 0 || s >= len(m.segs) {
-		return false, compactInfo{}, fmt.Errorf("resinfer: shard %d out of range", s)
+	if s < 0 || s >= len(sx.segs) {
+		return false, CompactionInfo{}, fmt.Errorf("resinfer: shard %d out of range", s)
 	}
 	m.mu.Lock()
-	seg := m.segs[s]
+	seg := sx.segs[s]
 	for seg.compacting {
 		if !wait {
 			m.mu.Unlock()
-			return false, compactInfo{}, nil
+			return false, CompactionInfo{}, nil
 		}
 		m.compacted.Wait()
 	}
@@ -496,7 +421,7 @@ func (sx *ShardedIndex) compactShard(s int, wait bool) (bool, compactInfo, error
 	seg.mu.RUnlock()
 
 	if len(memIDs) == 0 && deadSnap.Len() == 0 {
-		return false, compactInfo{}, nil
+		return false, CompactionInfo{}, nil
 	}
 
 	// The rebuilt base holds the base rows that are neither tombstoned nor
@@ -522,12 +447,12 @@ func (sx *ShardedIndex) compactShard(s int, wait bool) (bool, compactInfo, error
 		// Every row of the shard is deleted; there is nothing to build an
 		// index over. Leave the segments in place — searches already filter
 		// everything out — and let a future insert trigger the rebuild.
-		return false, compactInfo{}, nil
+		return false, CompactionInfo{}, nil
 	}
 
 	if fault.Active() {
 		if ferr := fault.CheckArg(fault.SiteCompactBuild, s); ferr != nil {
-			return false, compactInfo{}, fmt.Errorf("resinfer: compacting shard %d: %w", s, ferr)
+			return false, CompactionInfo{}, fmt.Errorf("resinfer: compacting shard %d: %w", s, ferr)
 		}
 	}
 	buildStart := time.Now()
@@ -537,10 +462,10 @@ func (sx *ShardedIndex) compactShard(s int, wait bool) (bool, compactInfo, error
 		newIdx, err = buildIndex(mat, ms, basis, sx.kind, opts.withDefaults())
 	}
 	if err != nil {
-		return false, compactInfo{}, fmt.Errorf("resinfer: compacting shard %d: %w", s, err)
+		return false, CompactionInfo{}, fmt.Errorf("resinfer: compacting shard %d: %w", s, err)
 	}
 	if err := newIdx.inherit(base, enables); err != nil {
-		return false, compactInfo{}, fmt.Errorf("resinfer: compacting shard %d: %w", s, err)
+		return false, CompactionInfo{}, fmt.Errorf("resinfer: compacting shard %d: %w", s, err)
 	}
 	buildDur := time.Since(buildStart)
 
@@ -551,7 +476,7 @@ func (sx *ShardedIndex) compactShard(s int, wait bool) (bool, compactInfo, error
 
 	if fault.Active() {
 		if ferr := fault.CheckArg(fault.SiteCompactSwap, s); ferr != nil {
-			return false, compactInfo{}, fmt.Errorf("resinfer: swapping compacted shard %d: %w", s, ferr)
+			return false, CompactionInfo{}, fmt.Errorf("resinfer: swapping compacted shard %d: %w", s, ferr)
 		}
 	}
 	// Hot swap: everything after the snapshot point survives in the
@@ -568,7 +493,7 @@ func (sx *ShardedIndex) compactShard(s int, wait bool) (bool, compactInfo, error
 	// wait.
 	if err := newIdx.inherit(base, m.enables); err != nil {
 		m.mu.Unlock()
-		return false, compactInfo{}, fmt.Errorf("resinfer: compacting shard %d: %w", s, err)
+		return false, CompactionInfo{}, fmt.Errorf("resinfer: compacting shard %d: %w", s, err)
 	}
 	var leadShare float64
 	if res, ok := newIdx.modes[DDCRes].dco.(*ddc.Res); ok {
@@ -586,20 +511,20 @@ func (sx *ShardedIndex) compactShard(s int, wait bool) (bool, compactInfo, error
 	seg.mu.Unlock()
 	m.mu.Unlock()
 
-	return true, compactInfo{
-		shard:     s,
-		rows:      len(ids),
-		memRows:   len(memIDs),
-		dead:      deadSnap.Len(),
-		buildDur:  buildDur,
-		swapDur:   swapDur,
-		leadShare: leadShare,
+	return true, CompactionInfo{
+		Shard:         s,
+		Rows:          len(ids),
+		MemtableRows:  len(memIDs),
+		Tombstones:    deadSnap.Len(),
+		BuildDuration: buildDur,
+		SwapDuration:  swapDur,
+		LeadShare:     leadShare,
 	}, nil
 }
 
 // segDepth returns one shard's pending segment sizes.
 func (sx *ShardedIndex) segDepth(s int) (mem, dead int) {
-	seg := sx.mut.segs[s]
+	seg := sx.segs[s]
 	seg.mu.RLock()
 	defer seg.mu.RUnlock()
 	return seg.mem.Len(), seg.dead.Len()

@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"resinfer/internal/adsampling"
 	"resinfer/internal/core"
@@ -65,6 +66,16 @@ const (
 	// distances (§V-B); requires training queries.
 	DDCOPQ Mode = "ddc-opq"
 )
+
+// ParseMode returns the mode named s, or an error naming s when no mode
+// has that name.
+func ParseMode(s string) (Mode, error) {
+	switch m := Mode(s); m {
+	case Exact, ADSampling, DDCRes, DDCPCA, DDCOPQ:
+		return m, nil
+	}
+	return "", fmt.Errorf("resinfer: unknown mode %q", s)
+}
 
 // IndexKind selects the AKNN index structure.
 type IndexKind string
@@ -232,6 +243,9 @@ type Index struct {
 	// whatever the basis.
 	hnswIdx *hnsw.Index
 	ivfIdx  *ivf.Index
+	// flat is the Flat view of an HNSW or IVF index's rows, the one list
+	// ground truth walks (see flatView), built on first use.
+	flat atomic.Pointer[ivf.Index]
 
 	enableMu sync.Mutex // one Enable* at a time: train, re-base, install
 
@@ -534,14 +548,14 @@ func (ix *Index) searchSession(s *session, dst []Neighbor, q []float32, k, budge
 	if err := s.ev.Reset(tq); err != nil {
 		return dst, SearchStats{}, err
 	}
-	return ix.walk(s, dst, tq, k, budget)
+	return ix.walk(s, dst, tq, k, budget, false)
 }
 
 // searchShard is SearchInto for one probe of a sharded fan-out, k apart
-// (a mutable shard over-fetches): fs holds the query already in the
-// internal space, and a rotating evaluator is primed from fs's rotate-once
-// slot, so shards whose comparators share a rotation share the D² rotation
-// of the query too.
+// (a shard with hidden rows over-fetches): fs holds the query already in
+// the internal space, and a rotating evaluator is primed from fs's
+// rotate-once slot, so shards whose comparators share a rotation share the
+// D² rotation of the query too. With fs.flat set it walks ix's Flat view.
 //
 //resinfer:noalloc
 func (ix *Index) searchShard(dst []Neighbor, fs *fanScratch, k int) ([]Neighbor, SearchStats, error) {
@@ -552,22 +566,29 @@ func (ix *Index) searchShard(dst []Neighbor, fs *fanScratch, k int) ([]Neighbor,
 	err = fs.prime(s.ev)
 	var st SearchStats
 	if err == nil {
-		dst, st, err = ix.walk(s, dst, fs.tq, k, fs.budget)
+		dst, st, err = ix.walk(s, dst, fs.tq, k, fs.budget, fs.flat)
 	}
 	pool.Put(s)
 	return dst, st, err
 }
 
 // walk runs the index traversal for the query s.ev was reset to (tq, in
-// the internal space) and appends the hits to dst.
+// the internal space) — or, with flat set, the scan of ix's Flat view —
+// and appends the hits to dst.
 //
 //resinfer:noalloc
-func (ix *Index) walk(s *session, dst []Neighbor, tq []float32, k, budget int) ([]Neighbor, SearchStats, error) {
+func (ix *Index) walk(s *session, dst []Neighbor, tq []float32, k, budget int, flat bool) ([]Neighbor, SearchStats, error) {
 	var err error
-	if ix.hnswIdx != nil {
+	if ix.hnswIdx != nil && !flat {
 		s.items, err = ix.hnswIdx.SearchEval(s.ev, k, budget, ix.n, s.items[:0])
-	} else { // IVF, and Flat as its one list
-		s.items, err = ix.ivfIdx.SearchEval(s.ev, tq, k, budget, ix.n, s.items[:0])
+	} else { // IVF, Flat as its one list, and any index's Flat view
+		lists := ix.ivfIdx
+		if flat {
+			lists, err = ix.flatView()
+		}
+		if err == nil {
+			s.items, err = lists.SearchEval(s.ev, tq, k, budget, ix.n, s.items[:0])
+		}
 	}
 	if err != nil {
 		return dst, SearchStats{}, err
@@ -582,6 +603,26 @@ func (ix *Index) walk(s *session, dst []Neighbor, tq []float32, k, budget int) (
 		ScanRate:    st.ScanRate(ix.dim),
 		PrunedRate:  st.PrunedRate(),
 	}, nil
+}
+
+// flatView returns the Flat index over ix's rows: ivfIdx itself on a Flat
+// index, otherwise one list 0…n−1 built on first use, so an index that is
+// never asked for ground truth holds none.
+//
+//resinfer:noalloc
+func (ix *Index) flatView() (*ivf.Index, error) {
+	if ix.kind == Flat {
+		return ix.ivfIdx, nil
+	}
+	if v := ix.flat.Load(); v != nil {
+		return v, nil
+	}
+	v, err := ivf.OneList(ix.n, ix.dim) //resinfer:alloc-ok built once per index
+	if err != nil {
+		return nil, err
+	}
+	ix.flat.CompareAndSwap(nil, v)
+	return ix.flat.Load(), nil
 }
 
 // SIMDLevel reports which distance-kernel implementation runtime dispatch

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math/rand"
 	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -148,6 +150,19 @@ func TestSearchErrors(t *testing.T) {
 	}
 	if err := ix.EnableWithTraining(DDCOPQ, nil, nil); err == nil {
 		t.Fatal("expected missing-training error")
+	}
+}
+
+func TestParseMode(t *testing.T) {
+	for _, m := range []Mode{Exact, ADSampling, DDCRes, DDCPCA, DDCOPQ} {
+		if got, err := ParseMode(string(m)); err != nil || got != m {
+			t.Fatalf("ParseMode(%q) = %q, %v", m, got, err)
+		}
+	}
+	for _, s := range []string{"wat", "", "EXACT"} {
+		if _, err := ParseMode(s); err == nil || !strings.Contains(err.Error(), strconv.Quote(s)) {
+			t.Fatalf("ParseMode(%q): error %v does not name the mode", s, err)
+		}
 	}
 }
 

@@ -19,6 +19,7 @@ import (
 	"resinfer/internal/pca"
 	"resinfer/internal/persist"
 	"resinfer/internal/store"
+	"resinfer/internal/stream"
 )
 
 // ShardStrategy selects how NewSharded assigns data rows to shards.
@@ -77,12 +78,15 @@ type ShardedIndex struct {
 	workers  int          // shard fan-out width for single-query Search
 	qmetric  *metricState // the query-side metric transform, the same for every shard
 	fanPool  sync.Pool
-	gtPool   sync.Pool  // gtScratch for GroundTruthSearch (groundtruth.go)
 	enableMu sync.Mutex // one Enable* at a time
 
-	// mut holds the streaming-ingestion state (per-shard memtables,
-	// tombstones, the ID allocator). nil on an immutable index, in which
-	// case every path below is identical to the read-only build.
+	// segs holds every shard's segments (see shardSeg): on an index that
+	// never mutates, an empty memtable and tombstone set each, so every
+	// shard answers through one probe.
+	segs []*shardSeg
+
+	// mut holds the writer state of a mutable index (the ID allocator,
+	// ownership, the WAL). nil on an immutable index.
 	mut *mutState
 
 	// shardObs, when non-nil, receives every shard probe's duration and
@@ -117,9 +121,9 @@ func (sx *ShardedIndex) SetShardObserver(fn func(shard int, d time.Duration, st 
 
 // shardOut is one shard's contribution before the merge. The ns slice holds
 // global IDs and merge keys (see mergeReady) and is pooled and reused across
-// queries; rq is the per-shard combining queue of the mutable path (base
-// hits + memtable hits), allocated lazily.
-// done, t0 and d are only used by the deadline-aware fan-out: done is
+// queries; rq is the probe's combining queue (base hits + memtable hits),
+// allocated lazily. t0 and d time a probe that is observed or traced.
+// done is only used by the deadline-aware fan-out: it is
 // written exclusively by the coordinating goroutine (after receiving the
 // shard's completion over a channel, which orders the slot's other
 // fields), and marks slots that are safe to merge — an abandoned
@@ -146,14 +150,17 @@ type fanScratch struct {
 	complete []bool
 	cancels  []context.CancelFunc
 	rq       *heap.ResultQueue
-	seen     map[int]struct{} // mutable-path merge dedup, reused across queries
+	seen     map[int]struct{} // merge dedup, reused across queries
 
 	// The query every probe of this fan runs: q as the caller passed it,
 	// tq in the internal space (one metric transform for all shards: q
-	// itself for L2, tqbuf otherwise).
+	// itself for L2, tqbuf otherwise). flat walks each shard's Flat view
+	// instead of its structure (ground truth); timed times every probe
+	// into its slot (a traced fan).
 	q, tq, tqbuf []float32
 	k, budget    int
 	mode         Mode
+	flat, timed  bool
 	next         atomic.Int32   // next unprobed shard of the plain fan-out
 	helpers      sync.WaitGroup // the plain fan-out's helper goroutines
 
@@ -210,20 +217,28 @@ func (fs *fanScratch) prime(ev core.ResettableEvaluator) error {
 }
 
 // begin readies fs for one query: the query parameters every probe reads,
-// q moved into the internal space, an empty rotate-once slot.
+// q moved into the internal space, an empty rotate-once slot, an untimed
+// walk of each shard's structure.
 //
 //resinfer:noalloc
 func (sx *ShardedIndex) begin(fs *fanScratch, q []float32, k int, mode Mode, budget int) (err error) {
 	fs.q, fs.k, fs.mode, fs.budget = q, k, mode, budget
+	fs.flat, fs.timed = false, false
 	fs.rot.claimed.Store(false)
 	fs.rot.ready.Store(false)
 	fs.tq, err = sx.qmetric.transformInto(fs.tqbuf, q)
 	return err
 }
 
+// initFanPool readies a freshly assembled index to serve: the query-side
+// metric, the fan-out pool, and every shard's (empty) segments.
 func (sx *ShardedIndex) initFanPool() {
 	n := len(sx.shards)
 	dim := sx.shards[0].dim
+	sx.segs = make([]*shardSeg, n)
+	for s := range sx.segs {
+		sx.segs[s] = &shardSeg{mem: stream.NewMemtable(sx.userDim), dead: stream.NewTombstones()}
+	}
 	sx.qmetric = &metricState{kind: sx.metric}
 	if sx.metric == InnerProduct {
 		sx.qmetric.ip = &metric.IPTransform{Dim: sx.userDim}
@@ -237,9 +252,6 @@ func (sx *ShardedIndex) initFanPool() {
 			rq:       heap.NewResultQueue(16),
 			tqbuf:    make([]float32, dim),
 		}
-	}
-	sx.gtPool.New = func() any {
-		return &gtScratch{rq: heap.NewResultQueue(16), shardOf: make(map[int]int, 32)}
 	}
 }
 
@@ -525,8 +537,9 @@ func (sx *ShardedIndex) searchFan(ctx context.Context, dst []Neighbor, q []float
 	var fanStart time.Time
 	if tr != nil {
 		fanStart = time.Now()
+		fs.timed = true
 	}
-	abandoned := sx.fanDeadline(ctx, fs, tr != nil)
+	abandoned := sx.fanDeadline(ctx, fs)
 	var mergeStart time.Time
 	if tr != nil {
 		for s := range outs {
@@ -590,10 +603,10 @@ func (sx *ShardedIndex) fanDrain(fs *fanScratch) {
 // completion is delivered over a buffered channel (so abandoned probes
 // never block) and marks its slot done — the channel receive orders the
 // straggler's writes before the coordinator's reads, making per-slot
-// access race-free without locking. Shard timings land in the slot, not
-// in tr: a straggler finishing after the caller has released the trace
-// must not touch it, so searchFan emits trace entries for done shards
-// only, after the fan returns.
+// access race-free without locking. Shard timings land in the slot (see
+// searchShardObs), not in tr: a straggler finishing after the caller has
+// released the trace must not touch it, so searchFan emits trace entries
+// for done shards only, after the fan returns.
 //
 // With a hedger installed (SetShardHedger) and a positive hedge delay,
 // a shard that has not answered when the delay expires — exactly the
@@ -604,7 +617,7 @@ func (sx *ShardedIndex) fanDrain(fs *fanScratch) {
 // call), and a hedge that answers first is counted as a win. A shard
 // counts as failed only when every path — local probe and hedge — has
 // failed, so partial results now mean all replicas of a shard are down.
-func (sx *ShardedIndex) fanDeadline(ctx context.Context, fs *fanScratch, timed bool) (abandoned bool) {
+func (sx *ShardedIndex) fanDeadline(ctx context.Context, fs *fanScratch) (abandoned bool) {
 	n := len(sx.shards)
 	outs := fs.outs
 	for s := 0; s < n; s++ {
@@ -618,14 +631,7 @@ func (sx *ShardedIndex) fanDeadline(ctx context.Context, fs *fanScratch, timed b
 	doneCh := make(chan int, 2*n)
 	for s := range sx.shards {
 		go func(s int) {
-			var t0 time.Time
-			if timed {
-				t0 = time.Now()
-			}
 			sx.searchShardObs(s, fs)
-			if timed {
-				outs[s].t0, outs[s].d = t0, time.Since(t0)
-			}
 			doneCh <- s
 		}(s)
 	}
@@ -645,12 +651,12 @@ func (sx *ShardedIndex) fanDeadline(ctx context.Context, fs *fanScratch, timed b
 		sx.hedged.Add(1)
 		go func() {
 			var t0 time.Time
-			if timed {
+			if fs.timed {
 				t0 = time.Now()
 			}
 			h := &fs.houts[s]
 			h.ns, h.st, h.err = sx.hedger(hctx, s, fs.q, fs.k, fs.mode, fs.budget)
-			if timed {
+			if fs.timed {
 				h.t0, h.d = t0, time.Since(t0)
 			}
 			doneCh <- n + s
@@ -758,12 +764,13 @@ func (sx *ShardedIndex) cancelHedges(fs *fanScratch) {
 	}
 }
 
-// searchShardObs runs fs's query on one shard into fs.outs[s], timing the
-// probe when a shard observer is installed. The untimed path costs a single
-// branch. A panic inside the probe (index bug, or an injected fault) is
-// isolated here into a per-shard error rather than killing the process;
-// the recover costs an open-coded defer, keeping the steady-state path
-// allocation-free.
+// searchShardObs runs fs's query on one shard into fs.outs[s]: the served
+// probe. It reads the clock once around the probe when a shard observer is
+// installed or the fan is traced, and the slot's (t0, d) feeds both. The
+// untimed path costs a single branch. A panic inside the probe (index bug,
+// or an injected fault) is isolated here into a per-shard error rather
+// than killing the process; the recover costs an open-coded defer, keeping
+// the steady-state path allocation-free.
 //
 //resinfer:noalloc
 func (sx *ShardedIndex) searchShardObs(s int, fs *fanScratch) {
@@ -783,21 +790,75 @@ func (sx *ShardedIndex) searchShardObs(s int, fs *fanScratch) {
 			return
 		}
 	}
-	var t0 time.Time
-	if sx.shardObs != nil {
-		t0 = time.Now()
+	if sx.shardObs == nil && !fs.timed {
+		sx.probe(s, out, fs)
+		return
 	}
-	if sx.mut != nil {
-		sx.searchShardMut(s, out, fs)
-	} else {
-		out.ns, out.st, out.err = sx.shards[s].searchShard(out.ns[:0], fs, fs.k)
-		if out.err == nil {
-			sx.mergeReady(sx.shards[s], sx.globalID[s], out.ns, fs.q)
+	t0 := time.Now()
+	sx.probe(s, out, fs)
+	out.t0, out.d = t0, time.Since(t0)
+	if sx.shardObs != nil {
+		sx.shardObs(s, out.d, out.st)
+	}
+}
+
+// probe is the one shard probe, served or ground truth: under the shard's
+// segment read lock (so a concurrent hot swap can never tear the base,
+// globalID and segments), the base is over-fetched by the shard's hidden
+// rows (tombstoned or shadowed, so filtering can never starve the result
+// below k), its hits are translated to global IDs and merge keys
+// (mergeReady), hidden hits are dropped, and the memtable is scanned
+// exactly into the same bounded queue.
+//
+//resinfer:noalloc
+func (sx *ShardedIndex) probe(s int, out *shardOut, fs *fanScratch) {
+	seg := sx.segs[s]
+	seg.mu.RLock()
+	defer seg.mu.RUnlock()
+	base := sx.shards[s]
+	out.ns, out.st, out.err = base.searchShard(out.ns[:0], fs, fs.k+seg.hidden)
+	if out.err != nil {
+		return
+	}
+	if out.rq == nil {
+		out.rq = heap.NewResultQueue(fs.k) //resinfer:alloc-ok lazy once-per-slot queue
+	}
+	rq := out.rq
+	rq.Reset(fs.k)
+	sx.mergeReady(base, sx.globalID[s], out.ns, fs.q)
+	for _, n := range out.ns {
+		if seg.dead.Has(n.ID) || seg.mem.Has(n.ID) {
+			continue
+		}
+		if n.Distance < rq.Threshold() {
+			rq.Push(n.ID, n.Distance)
 		}
 	}
-	if sx.shardObs != nil {
-		sx.shardObs(s, time.Since(t0), out.st)
+	// The memtable stores rows in the scan space (see scanRow), which is the
+	// internal space less InnerProduct's augmentation coordinate.
+	if memComp := seg.mem.Scan(fs.tq[:sx.userDim], sx.metric == InnerProduct, rq); memComp > 0 {
+		tot := out.st.Comparisons + int64(memComp)
+		out.st.ScanRate = (out.st.ScanRate*float64(out.st.Comparisons) + float64(memComp)) / float64(tot)
+		out.st.Comparisons = tot
+		out.st.PrunedRate = float64(out.st.Pruned) / float64(tot)
 	}
+	out.ns = drain(out.ns[:0], rq)
+}
+
+// drain empties rq into dst in ascending merge-key order.
+//
+//resinfer:noalloc
+func drain(dst []Neighbor, rq *heap.ResultQueue) []Neighbor {
+	start := len(dst)
+	for i := 0; i < rq.Len(); i++ {
+		dst = append(dst, Neighbor{})
+	}
+	items := dst[start:]
+	for i := len(items) - 1; i >= 0; i-- {
+		it, _ := rq.PopMax()
+		items[i] = Neighbor{ID: it.ID, Distance: it.Dist}
+	}
+	return dst
 }
 
 // mergeReady rewrites one shard's hits in place into the form every shardOut
@@ -820,10 +881,10 @@ func (sx *ShardedIndex) mergeReady(base *Index, gids []int, ns []Neighbor, q []f
 }
 
 // merge k-way-merges the per-shard results — already global IDs and merge
-// keys, see mergeReady — through the bounded result queue. On a mutable
-// index tombstoned and shadowed rows are already filtered out (see
-// searchShardMut); the merge additionally drops any duplicate global ID so
-// a row can never be reported twice across segments.
+// keys, see mergeReady — through the bounded result queue. Tombstoned and
+// shadowed rows are already filtered out (see probe); the merge
+// additionally drops any duplicate global ID so a row can never be
+// reported twice across shards.
 //
 // In partial mode (the deadline-aware fan) a failed or abandoned shard
 // is skipped and counted in ShardsFailed instead of failing the query;
@@ -837,13 +898,10 @@ func (sx *ShardedIndex) merge(dst []Neighbor, fs *fanScratch, partial bool) ([]N
 	var firstErr error
 	rq := fs.rq
 	rq.Reset(fs.k)
-	mutable := sx.mut != nil
-	if mutable {
-		if fs.seen == nil {
-			fs.seen = make(map[int]struct{}, 4*fs.k) //resinfer:alloc-ok lazy once-per-scratch dedup map
-		} else {
-			clear(fs.seen)
-		}
+	if fs.seen == nil {
+		fs.seen = make(map[int]struct{}, 4*fs.k) //resinfer:alloc-ok lazy once-per-scratch dedup map
+	} else {
+		clear(fs.seen)
 	}
 	for s := range fs.outs {
 		out := &fs.outs[s]
@@ -885,12 +943,10 @@ func (sx *ShardedIndex) merge(dst []Neighbor, fs *fanScratch, partial bool) ([]N
 		agg.Pruned += st.Pruned
 		scanWeighted += st.ScanRate * float64(st.Comparisons)
 		for _, n := range out.ns {
-			if mutable {
-				if _, dup := fs.seen[n.ID]; dup {
-					continue
-				}
-				fs.seen[n.ID] = struct{}{}
+			if _, dup := fs.seen[n.ID]; dup {
+				continue
 			}
+			fs.seen[n.ID] = struct{}{}
 			if n.Distance < rq.Threshold() {
 				rq.Push(n.ID, n.Distance)
 			}
@@ -906,16 +962,7 @@ func (sx *ShardedIndex) merge(dst []Neighbor, fs *fanScratch, partial bool) ([]N
 		}
 		return dst, agg, firstErr
 	}
-	start := len(dst)
-	for i := 0; i < rq.Len(); i++ {
-		dst = append(dst, Neighbor{})
-	}
-	items := dst[start:]
-	for i := len(items) - 1; i >= 0; i-- {
-		it, _ := rq.PopMax()
-		items[i] = Neighbor{ID: it.ID, Distance: it.Dist}
-	}
-	return dst, agg, nil
+	return drain(dst, rq), agg, nil
 }
 
 // SearchBatch runs SearchInto for every query concurrently across up to

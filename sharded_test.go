@@ -3,9 +3,12 @@ package resinfer
 import (
 	"bytes"
 	"context"
+	"sync"
 	"testing"
+	"time"
 
 	"resinfer/internal/dataset"
+	"resinfer/internal/obs"
 )
 
 func shardedRecallOf(t testing.TB, sx *ShardedIndex, queries [][]float32, gt [][]int, mode Mode, budget int) float64 {
@@ -313,5 +316,40 @@ func TestSingleShardMatchesIndex(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestShardTraceMatchesObserver: a traced, observed fan times each probe
+// once, so the trace's shard stage and the observer's duration are one
+// measurement.
+func TestShardTraceMatchesObserver(t *testing.T) {
+	sx, err := NewSharded(randData(3, 400, 16), Flat, 4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	observed := map[int]time.Duration{}
+	sx.SetShardObserver(func(shard int, d time.Duration, _ SearchStats) {
+		mu.Lock()
+		observed[shard] = d
+		mu.Unlock()
+	})
+	for _, q := range randData(4, 5, 16) {
+		clear(observed)
+		tr := obs.NewTrace()
+		if _, _, err := sx.SearchCtx(context.Background(), nil, q, 10, Exact, 0, tr); err != nil {
+			t.Fatal(err)
+		}
+		snap := tr.Snapshot()
+		if len(snap.Shards) != 4 {
+			t.Fatalf("trace holds %d shard stages, want 4", len(snap.Shards))
+		}
+		mu.Lock()
+		for _, sh := range snap.Shards {
+			if d, ok := observed[sh.Shard]; !ok || d != sh.Dur {
+				t.Errorf("shard %d: trace %v, observer %v", sh.Shard, sh.Dur, d)
+			}
+		}
+		mu.Unlock()
 	}
 }
