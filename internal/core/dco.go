@@ -96,10 +96,11 @@ type QueryEvaluator interface {
 	// Distance returns the exact squared Euclidean distance to point id.
 	Distance(id int) float32
 	// Compare decides whether dist(q, id) > tau. When pruned is true the
-	// candidate may be discarded and dist holds the (corrected)
-	// approximate distance — usable as an ordering hint but not exact.
-	// When pruned is false, dist is the exact distance. A tau of +Inf
-	// (result queue still filling) always takes the exact path.
+	// candidate may be discarded and dist estimates the full distance: the
+	// HNSW walk keys its beam by it, so it must be neither a bound nor a
+	// prefix sum, and it is never an answer. When pruned is false, dist is
+	// the exact distance. A tau of +Inf (result queue still filling)
+	// always takes the exact path.
 	Compare(id int, tau float32) (dist float32, pruned bool)
 	// Stats returns the accumulated work counters.
 	Stats() *Stats

@@ -58,8 +58,8 @@ func (p *PCADCO) Encode(pw *persist.Writer) {
 // rows model projected.
 func DecodePCA(pr *persist.Reader, rotated *store.Matrix, model *pca.Model) (*PCADCO, error) {
 	pr.Magic(pcaDCOMagic)
-	if model == nil {
-		return nil, errors.New("ddc: DDCpca stream with no model")
+	if model == nil || len(model.Variances) != model.Dim {
+		return nil, errors.New("ddc: DDCpca stream with no model spectrum")
 	}
 	p := &PCADCO{
 		model:   model,
@@ -90,6 +90,7 @@ func DecodePCA(pr *persist.Reader, rotated *store.Matrix, model *pca.Model) (*PC
 			return nil, errors.New("ddc: corrupt level")
 		}
 	}
+	p.fillVarTail()
 	return p, nil
 }
 

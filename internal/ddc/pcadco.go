@@ -38,6 +38,9 @@ type PCADCO struct {
 	classifiers []*learn.Classifier
 	levels      []int
 	dim         int
+	// varTail[li] is Σ_{i≥levels[li]} σ_i²: the expected square of the
+	// unscanned coordinates of a row, which the PCA basis centres.
+	varTail []float32
 }
 
 // NewPCA trains PCA, collects labeled samples from trainQueries, and fits
@@ -76,10 +79,23 @@ func NewPCARotated(rotated *store.Matrix, trainQueries [][]float32, model *pca.M
 	}
 
 	p := &PCADCO{rotated: rotated, model: model, levels: levels, dim: dim}
+	p.fillVarTail()
 	if err := p.Retrain(trainQueries, cfg); err != nil {
 		return nil, err
 	}
 	return p, nil
+}
+
+// fillVarTail sums the model's variances beyond each level.
+func (p *PCADCO) fillVarTail() {
+	p.varTail = make([]float32, len(p.levels))
+	for li, level := range p.levels {
+		var s float64
+		for _, v := range p.model.Variances[level:] {
+			s += v
+		}
+		p.varTail[li] = float32(s)
+	}
 }
 
 // Name implements core.DCO.
@@ -164,13 +180,14 @@ func (p *PCADCO) Retrain(trainQueries [][]float32, cfg PCAConfig) error {
 }
 
 // NewEvaluator implements core.DCO: the returned evaluator owns the
-// rotated-query buffer and the centering scratch.
+// rotated-query buffer, the centering scratch and the tail table.
 func (p *PCADCO) NewEvaluator() core.ResettableEvaluator {
 	return &pcaEvaluator{
 		parent: p,
 		flat:   p.rotated.Flat(),
 		q:      make([]float32, p.dim),
 		cent:   make([]float32, p.dim),
+		tail:   make([]float32, len(p.levels)),
 	}
 }
 
@@ -179,7 +196,10 @@ type pcaEvaluator struct {
 	flat   []float32 // rotated vectors, row-major
 	q      []float32 // rotated query (owned scratch)
 	cent   []float32 // centering scratch
-	stats  core.Stats
+	// tail[li] is Σ_{i≥levels[li]} (q_i² + σ_i²), the expected distance
+	// over the coordinates a prune at that level leaves unscanned.
+	tail  []float32
+	stats core.Stats
 }
 
 // Reset projects q into the evaluator's scratch and zeroes the counters.
@@ -204,6 +224,9 @@ func (ev *pcaEvaluator) ResetRotated(rq []float32) error {
 		return errors.New("ddc: rotated query dimension mismatch")
 	}
 	copy(ev.q, rq)
+	for li, level := range ev.parent.levels {
+		ev.tail[li] = vec.NormSq(ev.q[level:]) + ev.parent.varTail[li]
+	}
 	ev.stats = core.Stats{}
 	return nil
 }
@@ -216,8 +239,9 @@ func (ev *pcaEvaluator) Distance(id int) float32 {
 
 // Compare accumulates the prefix distance level by level; at each trained
 // level the classifier votes on (dis'_l, τ). The first prune vote discards
-// the candidate; if no level prunes, the scan completes and the distance
-// is exact.
+// the candidate and returns the prefix plus the expected tail, an estimate
+// of the full distance; if no level prunes, the scan completes and the
+// distance is exact.
 func (ev *pcaEvaluator) Compare(id int, tau float32) (float32, bool) {
 	ev.stats.Comparisons++
 	p := ev.parent
@@ -237,7 +261,7 @@ func (ev *pcaEvaluator) Compare(id int, tau float32) (float32, bool) {
 		feat[0] = float64(partial)
 		if p.classifiers[li].Score(feat[:]) > 0 {
 			ev.stats.Pruned++
-			return partial, true
+			return partial + ev.tail[li], true
 		}
 	}
 	partial += vec.L2SqRangeFlat(ev.q, ev.flat, base, prev, p.dim)

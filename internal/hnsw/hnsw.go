@@ -4,6 +4,11 @@
 // takes any core.DCO, so the same graph serves HNSW (exact), HNSW++
 // (ADSampling) and the HNSW-DDC* variants by swapping the comparator.
 //
+// The layer-0 search is HNSW++ as ADSampling defines it (Gao & Long,
+// SIGMOD 2023): the comparator prunes against the k-th exact distance,
+// not the beam's ef-th, and a pruned candidate still steers the beam by
+// its estimated distance (see SearchEval).
+//
 // Build inserts in batch-synchronous rounds (ParlayANN's scheme, Manohar et
 // al., PPoPP 2024). Node 0 starts the graph; nodes 1…n−1 follow in batches
 // [lo, lo+min(lo, max(1, n/50))), so a batch never outgrows the graph it
@@ -60,8 +65,9 @@ type Index struct {
 	// links[node][level] holds the node's neighbors at that level;
 	// len(links[node]) == levels(node)+1.
 	links [][][]int32
-	// ctxPool recycles per-search scratch (epoch-stamped visited marks and
-	// both traversal queues) so steady-state searches allocate nothing.
+	// ctxPool recycles per-search scratch (epoch-stamped visited marks, the
+	// traversal queues and the result queue) so steady-state searches
+	// allocate nothing.
 	ctxPool sync.Pool
 }
 
@@ -72,7 +78,7 @@ type searchCtx struct {
 	visited []uint32
 	epoch   uint32
 	cands   *heap.MinQueue
-	w       *heap.ResultQueue
+	w, r    *heap.ResultQueue
 }
 
 func newIndex(dim, m, mMax0, efCon int, entry int32, maxLevel int, links [][][]int32) *Index {
@@ -86,6 +92,7 @@ func newIndex(dim, m, mMax0, efCon int, entry int32, maxLevel int, links [][][]i
 			visited: make([]uint32, n),
 			cands:   heap.NewMinQueue(64),
 			w:       heap.NewResultQueue(16),
+			r:       heap.NewResultQueue(16),
 		}
 	}
 	return idx
@@ -353,6 +360,14 @@ type Result = heap.Item
 // (typically pooled) and receives the hits appended to dst in ascending
 // distance order. size must be the evaluator's point count; work counters
 // accumulate in ev.Stats().
+//
+// The layer-0 walk is HNSW++ (Gao & Long, SIGMOD 2023): a k-sized result
+// queue r holds exact distances only, and its k-th distance is the τ every
+// Compare prunes against. The ef-sized beam w only steers the walk: every
+// neighbour enters it under the usual rule, a pruned one at the estimate
+// Compare returned. The answer is r, so no estimate reaches it; under the
+// exact comparator, which never prunes, r holds the k smallest exact
+// distances the beam visited.
 func (idx *Index) SearchEval(ev core.QueryEvaluator, k, ef, size int, dst []Result) ([]Result, error) {
 	if size != len(idx.links) {
 		return nil, fmt.Errorf("hnsw: DCO over %d points, index over %d", size, len(idx.links))
@@ -381,9 +396,6 @@ func (idx *Index) SearchEval(ev core.QueryEvaluator, k, ef, size int, dst []Resu
 			}
 		}
 	}
-	// Layer-0 beam search driven by the DCO: candidates whose corrected
-	// approximate distance already exceeds the beam threshold are pruned
-	// without an exact computation (the refinement loop of §I).
 	ctx := idx.ctxPool.Get().(*searchCtx)
 	ctx.epoch++
 	if ctx.epoch == 0 { // wrapped: clear the stale marks once
@@ -394,11 +406,13 @@ func (idx *Index) SearchEval(ev core.QueryEvaluator, k, ef, size int, dst []Resu
 	}
 	visited, epoch := ctx.visited, ctx.epoch
 	visited[ep] = epoch
-	cands, w := ctx.cands, ctx.w
+	cands, w, r := ctx.cands, ctx.w, ctx.r
 	cands.Reset()
 	w.Reset(ef)
+	r.Reset(k)
 	cands.Push(int(ep), curDist)
 	w.Push(int(ep), curDist)
+	r.Push(int(ep), curDist)
 	for cands.Len() > 0 {
 		c, _ := cands.PopMin()
 		if c.Dist > w.Threshold() {
@@ -409,9 +423,9 @@ func (idx *Index) SearchEval(ev core.QueryEvaluator, k, ef, size int, dst []Resu
 				continue
 			}
 			visited[nb] = epoch
-			d, pruned := ev.Compare(int(nb), w.Threshold())
-			if pruned {
-				continue
+			d, pruned := ev.Compare(int(nb), r.Threshold())
+			if !pruned {
+				r.Push(int(nb), d)
 			}
 			if !w.Full() || d < w.Threshold() {
 				cands.Push(int(nb), d)
@@ -419,11 +433,7 @@ func (idx *Index) SearchEval(ev core.QueryEvaluator, k, ef, size int, dst []Resu
 			}
 		}
 	}
-	start := len(dst)
-	dst = w.AppendSorted(dst)
-	if len(dst)-start > k {
-		dst = dst[:start+k]
-	}
+	dst = r.AppendSorted(dst)
 	idx.ctxPool.Put(ctx)
 	return dst, nil
 }

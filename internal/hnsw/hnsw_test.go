@@ -3,7 +3,9 @@ package hnsw
 import (
 	"crypto/sha256"
 	"fmt"
+	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -318,6 +320,152 @@ func TestSearchEfClampedToK(t *testing.T) {
 	}
 	if len(items) != 20 {
 		t.Fatalf("ef < k must clamp; got %d results", len(items))
+	}
+}
+
+// kthEval wraps an evaluator and checks, call by call, the walk's
+// contract with it: the τ of each Compare is the k-th smallest exact
+// distance the walk has seen (the layer-0 entry's, which the descent
+// found with Distance, and every unpruned Compare's), +Inf until there
+// are k of them. It also keeps each exact distance by id.
+type kthEval struct {
+	core.ResettableEvaluator
+	t              *testing.T
+	k              int
+	entryID        int
+	entryDist      float32
+	seen           []float32 // unpruned Compare distances, in call order
+	exact          map[int]float32
+	finite, pruned int
+}
+
+func (e *kthEval) Reset(q []float32) error {
+	e.entryDist, e.seen = float32(math.Inf(1)), e.seen[:0]
+	clear(e.exact)
+	return e.ResettableEvaluator.Reset(q)
+}
+
+// Distance tracks the descent the way the walk does: the entry of layer 0
+// is the first node at the smallest distance.
+func (e *kthEval) Distance(id int) float32 {
+	d := e.ResettableEvaluator.Distance(id)
+	if d < e.entryDist {
+		e.entryID, e.entryDist = id, d
+	}
+	return d
+}
+
+func (e *kthEval) Compare(id int, tau float32) (float32, bool) {
+	want := float32(math.Inf(1))
+	if len(e.seen)+1 >= e.k {
+		sorted := append([]float32{e.entryDist}, e.seen...)
+		slices.Sort(sorted)
+		want = sorted[e.k-1]
+	}
+	if math.Float32bits(tau) != math.Float32bits(want) {
+		e.t.Fatalf("Compare after %d exact distances got τ %v, want the k-th %v", len(e.seen)+1, tau, want)
+	}
+	if !math.IsInf(float64(tau), 1) {
+		e.finite++
+	}
+	d, pruned := e.ResettableEvaluator.Compare(id, tau)
+	if pruned {
+		e.pruned++
+	} else {
+		e.seen = append(e.seen, d)
+		e.exact[id] = d
+	}
+	return d, pruned
+}
+
+// TestSearchEvalPrunesAgainstKth pins HNSW++'s layer-0 walk: Compare
+// prunes against the k-th exact distance, not the beam's ef-th, and the
+// answer holds exact distances only, never a pruned estimate.
+func TestSearchEvalPrunesAgainstKth(t *testing.T) {
+	ds, _, idx := getFixtures(t)
+	res, err := ddc.NewRes(ds.Matrix(), ddc.ResConfig{Seed: 4, InitD: 16, DeltaD: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k, ef = 10, 100
+	ev := &kthEval{ResettableEvaluator: res.NewEvaluator(), t: t, k: k, exact: map[int]float32{}}
+	for qi, q := range ds.Queries {
+		if err := ev.Reset(q); err != nil {
+			t.Fatal(err)
+		}
+		hits, err := idx.SearchEval(ev, k, ef, res.Size(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev.exact[ev.entryID] = ev.entryDist
+		if len(hits) != k {
+			t.Fatalf("query %d: %d hits, want %d", qi, len(hits), k)
+		}
+		for _, h := range hits {
+			if d, ok := ev.exact[h.ID]; !ok || math.Float32bits(d) != math.Float32bits(h.Dist) {
+				t.Fatalf("query %d: hit %d at %v, exact distance %v (known %v)", qi, h.ID, h.Dist, d, ok)
+			}
+		}
+	}
+	if ev.finite == 0 || ev.pruned == 0 {
+		t.Fatalf("walk never pruned: %d finite τ, %d pruned", ev.finite, ev.pruned)
+	}
+}
+
+// ratioEval records, for every pruned Compare, the returned value over the
+// exact distance.
+type ratioEval struct {
+	core.ResettableEvaluator
+	sum float64
+	n   int
+}
+
+func (e *ratioEval) Compare(id int, tau float32) (float32, bool) {
+	d, pruned := e.ResettableEvaluator.Compare(id, tau)
+	if pruned {
+		if exact := e.ResettableEvaluator.Distance(id); exact > 0 {
+			e.sum += float64(d / exact)
+			e.n++
+		}
+	}
+	return d, pruned
+}
+
+// TestPrunedDistanceIsAnEstimate: the walk keys its beam by the value a
+// pruned Compare returns, so every comparator must return an estimate of
+// the full distance there, not a bound or a prefix sum of it.
+func TestPrunedDistanceIsAnEstimate(t *testing.T) {
+	ds, _, idx := getFixtures(t)
+	ads, err := adsampling.New(ds.Matrix(), adsampling.Config{Seed: 3, DeltaD: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ddc.NewRes(ds.Matrix(), ddc.ResConfig{Seed: 4, InitD: 16, DeltaD: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pca, err := ddc.NewPCA(ds.Matrix(), ds.Train, ddc.PCAConfig{Levels: []int{16, 32, 64}, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dco := range []core.DCO{res, pca, ads} {
+		ev := &ratioEval{ResettableEvaluator: dco.NewEvaluator()}
+		for _, q := range ds.Queries {
+			if err := ev.Reset(q); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := idx.SearchEval(ev, 10, 100, dco.Size(), nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if ev.n == 0 {
+			t.Fatalf("%s: nothing pruned", dco.Name())
+		}
+		mean := ev.sum / float64(ev.n)
+		t.Logf("%s: mean pruned/exact %.3f over %d pruned candidates", dco.Name(), mean, ev.n)
+		if mean < 0.8 || mean > 1.25 {
+			t.Errorf("%s: mean pruned/exact distance %.3f outside [0.8, 1.25]", dco.Name(), mean)
+		}
 	}
 }
 

@@ -4,6 +4,11 @@
 // (exact), IVF++ (ADSampling) and the IVF-DDC* variants. With one list
 // (OneList) it is the exhaustive scan of the paper's Table III: every query
 // meets every point, and the result queue's threshold prunes most of them.
+//
+// The scan prunes as ADSampling's IVF++ does: against the k-th distance
+// of a k-sized queue of exact distances. IVF++'s layout, each list's rows
+// stored contiguously, is not done: lists hold ids into the index's one
+// matrix.
 package ivf
 
 import (

@@ -14,16 +14,20 @@ import (
 // sha256 of the sharded probe's answers: ground truth (IDs, distance bits
 // and shard attribution) across every index kind and metric, on immutable
 // and on scripted mutable indexes, then the served answers of an immutable
-// 4-shard HNSW index through both fan-outs. A change to the probe that
-// moves a single bit of any answer changes a hash.
-var probePins = map[string][2]string{
+// 4-shard HNSW index through both fan-outs, one hash for Exact and one for
+// DDCRes. A change to the probe that moves a single bit of any answer
+// changes a hash; the Exact hash holds across any change to how the walk
+// treats pruned candidates, since exact never prunes.
+var probePins = map[string][3]string{
 	"avx2+fma": {
 		"900163fa275b16660c6a985f903cd5ee88ac5500ba5f8f567f6d1153f83bfda6",
-		"12ae7ad084db2b28988c8b9a22edad5e16b2f3de7cb9deaef2672e63d8bdce29",
+		"b20c56e8f01d3058d2748c3de7a7f4417b85225ff21dffdd0b7379001b99cb97",
+		"1b6bb068cc91ab39b7a037150f5a325b11fb6a60128b0eac3ad18f9438209c42",
 	},
 	"generic": {
 		"aa3d691092cd0d906fc243d77c616ad9ee1c6268e62cec65a4ef8b3c15e2cdfe",
-		"cb6c7bbc12f51cbc405b5a7cbaf86c0f99b15581166396baae54ca6768bc5328",
+		"37bc08fe427796a9fe727010f226f95cfaaacdc3adce3cc58e6f2f4ec1c83210",
+		"b77832f8b045b396bd1dda1b37fde7061337b0bd0cdd2c05df25fae4951c344a",
 	},
 }
 
@@ -116,7 +120,7 @@ func TestShardProbeAnswersPinned(t *testing.T) {
 		}
 	}
 
-	served := sha256.New()
+	served := map[Mode]hash.Hash{Exact: sha256.New(), DDCRes: sha256.New()}
 	sx, err := NewSharded(data, HNSW, 4, &ShardOptions{Index: opts(L2), SearchWorkers: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -130,19 +134,21 @@ func TestShardProbeAnswersPinned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			hashNeighbors(served, ns, nil)
+			hashNeighbors(served[mode], ns, nil)
 			ns, _, err = sx.SearchCtx(context.Background(), nil, q, k, mode, 40, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			hashNeighbors(served, ns, nil)
+			hashNeighbors(served[mode], ns, nil)
 		}
 	}
 
 	if got := hex.EncodeToString(gt.Sum(nil)); got != pins[0] {
 		t.Errorf("ground-truth answers moved: sha256 %s, pinned %s", got, pins[0])
 	}
-	if got := hex.EncodeToString(served.Sum(nil)); got != pins[1] {
-		t.Errorf("served answers moved: sha256 %s, pinned %s", got, pins[1])
+	for i, mode := range []Mode{Exact, DDCRes} {
+		if got := hex.EncodeToString(served[mode].Sum(nil)); got != pins[1+i] {
+			t.Errorf("served %s answers moved: sha256 %s, pinned %s", mode, got, pins[1+i])
+		}
 	}
 }
