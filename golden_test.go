@@ -7,6 +7,8 @@ package resinfer
 // in the same order, so equality here is exact, not approximate.
 
 import (
+	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -75,6 +77,71 @@ func TestFlatComparesEveryRow(t *testing.T) {
 			}
 			if st.Comparisons != int64(len(rows)) {
 				t.Errorf("%s budget %d: %d comparisons over %d rows", m, budget, st.Comparisons, len(rows))
+			}
+		}
+	}
+}
+
+// TestHNSWScansFromBreakEven: an HNSW search whose beam width, or k, reaches
+// ⌈n / 2M⌉ answers by the scan of its Flat view — bit-equal to a Flat index
+// over the same rows and options, one comparison per row — and one step
+// below it walks the graph, comparing fewer rows and scoring every hit at
+// its true distance.
+func TestHNSWScansFromBreakEven(t *testing.T) {
+	ds, _ := apiFixtures(t)
+	rows := ds.Data[:1500]
+	opts := &Options{Seed: 4, HNSWM: 16, HNSWEfConstruction: 40}
+	hx, err := New(rows, HNSW, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fx, err := New(rows, Flat, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	modes := []Mode{Exact, ADSampling, DDCRes}
+	for _, m := range modes[1:] {
+		for _, ix := range []*Index{hx, fx} {
+			if err := ix.Enable(m, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	breakEven := (len(rows) + 2*opts.HNSWM - 1) / (2 * opts.HNSWM)
+	n := int64(len(rows))
+	for _, m := range modes {
+		for qi, q := range ds.Queries[:5] {
+			for _, c := range []struct{ k, budget int }{
+				{10, breakEven},
+				{breakEven, 10}, // the beam is clamped up to k
+				{10, math.MaxInt},
+			} {
+				got, st, err := hx.SearchInto(nil, q, c.k, m, c.budget)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, _, err := fx.SearchInto(nil, q, c.k, m, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.Comparisons != n {
+					t.Errorf("%s q%d k %d ef %d: %d comparisons over %d rows, want a scan", m, qi, c.k, c.budget, st.Comparisons, n)
+				}
+				if !slices.Equal(got, want) {
+					t.Errorf("%s q%d k %d ef %d: HNSW answered %v, Flat %v", m, qi, c.k, c.budget, got, want)
+				}
+			}
+			got, st, err := hx.SearchInto(nil, q, 10, m, breakEven-1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Comparisons >= n {
+				t.Errorf("%s q%d ef %d: %d comparisons over %d rows, want a walk", m, qi, breakEven-1, st.Comparisons, n)
+			}
+			for _, h := range got {
+				if want := vec.L2Sq64(q, rows[h.ID]); math.Abs(float64(h.Distance)-want) > 1e-3*want {
+					t.Errorf("%s q%d: id %d scored %v, true distance %v", m, qi, h.ID, h.Distance, want)
+				}
 			}
 		}
 	}

@@ -8,6 +8,8 @@ import (
 
 	"resinfer/internal/core"
 	"resinfer/internal/dataset"
+	"resinfer/internal/pca"
+	"resinfer/internal/store"
 	"resinfer/internal/vec"
 )
 
@@ -224,10 +226,99 @@ func TestResExtraBytes(t *testing.T) {
 	ds := getDS(t)
 	r, _ := NewRes(ds.Matrix(), ResConfig{Seed: 1})
 	// D² float32 for the rotation (the paper's Exp-3 accounting) + one
-	// float32 norm per point.
-	want := int64(64*64*4 + len(ds.Data)*4)
+	// float32 norm per point + the n × InitD prefix table.
+	want := int64(64*64*4 + len(ds.Data)*4 + len(ds.Data)*32*4)
 	if r.ExtraBytes() != want {
 		t.Fatalf("ExtraBytes = %d, want %d", r.ExtraBytes(), want)
+	}
+}
+
+// TestResPrefixTable: the prefix table holds each rotated row's first InitD
+// coordinates however the comparator was built — trained, re-based onto
+// an index's rows, over an inherited rotation refit to new rows, decoded —
+// and Compare reading round 0 from it answers bit for bit as it does
+// reading the row. With dim ≤ InitD there is no table.
+func TestResPrefixTable(t *testing.T) {
+	for _, dim := range []int{33, 420} {
+		ds, err := dataset.Generate(dataset.GenConfig{
+			Name: "prefix", N: 600, Dim: dim, Queries: 4, VE32: 0.7, Seed: int64(dim),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, fresh := ds.Matrix(), store.MustFromRows(ds.Queries)
+		trained, err := NewRes(rows, ResConfig{Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		model, err := pca.Train(pca.Config{Seed: 5}, rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rebased, err := model.ProjectMatrix(rows, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		enabled, err := NewResRotated(rebased, model, ResConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		moved, err := trained.Model().ProjectMatrix(fresh, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inherited, err := NewResRotated(moved, trained.Model().Refit(moved), ResConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		decoded, err := DecodeRes(reader(encodeBytes(t, trained)), trained.Rotated(), trained.Model())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, r := range map[string]*Res{"NewRes": trained, "Enable": enabled, "Refit": inherited, "DecodeRes": decoded} {
+			if len(r.pre) != r.Size()*r.initD {
+				t.Fatalf("%d-d %s: table of %d floats, want %d × %d", dim, name, len(r.pre), r.Size(), r.initD)
+			}
+			for i := 0; i < r.Size(); i++ {
+				if !vec.Equal(r.pre[i*r.initD:(i+1)*r.initD], r.Rotated().Row(i)[:r.initD]) {
+					t.Fatalf("%d-d %s: row %d's table entry is not its prefix", dim, name, i)
+				}
+			}
+		}
+		rowOnly := *trained
+		rowOnly.pre = nil
+		for qi, q := range ds.Queries {
+			exact := make([]float32, rows.Rows())
+			gt := primed(t, trained.NewEvaluator(), q)
+			for i := range exact {
+				exact[i] = gt.Distance(i)
+			}
+			ev := primed(t, trained.NewEvaluator(), q)
+			ref := primed(t, rowOnly.NewEvaluator(), q)
+			kth := quantile32(exact, 10/float64(len(exact)))
+			for _, tau := range []float32{kth, core.InfThreshold, 1e-6} {
+				for i := range exact {
+					d, p := ev.Compare(i, tau)
+					rd, rp := ref.Compare(i, tau)
+					if math.Float32bits(d) != math.Float32bits(rd) || p != rp {
+						t.Fatalf("%d-d q%d τ %v row %d: table (%v, %v), row only (%v, %v)", dim, qi, tau, i, d, p, rd, rp)
+					}
+				}
+			}
+			if *ev.Stats() != *ref.Stats() {
+				t.Fatalf("%d-d q%d: stats %+v, row only %+v", dim, qi, *ev.Stats(), *ref.Stats())
+			}
+		}
+	}
+	ds := getDS(t)
+	for _, initD := range []int{64, 100} {
+		r, err := NewRes(ds.Matrix(), ResConfig{Seed: 1, InitD: initD})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.pre != nil || r.ExtraBytes() != int64(64*64*4+len(ds.Data)*4) {
+			t.Fatalf("dim 64, InitD %d: a table of %d floats, ExtraBytes %d", initD, len(r.pre), r.ExtraBytes())
+		}
 	}
 }
 

@@ -48,11 +48,17 @@ type ResConfig struct {
 type Res struct {
 	rotated *store.Matrix
 	norms   []float32 // ‖x−μ‖² per point in the rotated space
-	model   *pca.Model
-	dim     int
-	m       float32
-	initD   int
-	deltaD  int
+	// pre holds each rotated row's first initD coordinates, n × initD
+	// contiguous: round 0 of Compare reads it, so a scan in id order
+	// streams one dense table instead of picking a prefix out of every
+	// 4·dim-byte row. A copy kept for speed; nil when dim ≤ initD, where
+	// round 0 is the whole row.
+	pre    []float32
+	model  *pca.Model
+	dim    int
+	m      float32
+	initD  int
+	deltaD int
 }
 
 // NewRes trains PCA on data and builds DDCres over a rotated copy it owns.
@@ -103,8 +109,14 @@ func NewResRotated(rotated *store.Matrix, model *pca.Model, cfg ResConfig) (*Res
 		initD:   cfg.InitD,
 		deltaD:  cfg.DeltaD,
 	}
+	if r.rounds() > 0 {
+		r.pre = make([]float32, 0, rotated.Rows()*r.initD)
+	}
 	for i := 0; i < rotated.Rows(); i++ {
 		r.norms[i] = vec.NormSq(rotated.Row(i))
+		if r.pre != nil {
+			r.pre = append(r.pre, rotated.Row(i)[:r.initD]...)
+		}
 	}
 	return r, nil
 }
@@ -119,12 +131,14 @@ func (r *Res) Size() int { return r.rotated.Rows() }
 func (r *Res) Dim() int { return r.dim }
 
 // ExtraBytes implements core.DCO: rotation matrix (D² floats) plus the
-// per-point norms (§VII Exp-3's space accounting for DDCres). Inside an
-// index that is all it adds: the rotated rows are the index's one copy of
-// its rows, which a PCA mode re-bases rather than duplicates. A standalone
-// NewRes also owns a rotated copy of the rows it was given.
+// per-point norms (§VII Exp-3's space accounting for DDCres), plus the
+// n × initD prefix table, which Exp-3 does not count: a copy kept for
+// speed, not state the method needs. Inside an index that is all it adds:
+// the rotated rows are the index's one copy of its rows, which a PCA mode
+// re-bases rather than duplicates. A standalone NewRes also owns a rotated
+// copy of the rows it was given.
 func (r *Res) ExtraBytes() int64 {
-	return r.model.Rotation.Bytes() + int64(len(r.norms))*4
+	return r.model.Rotation.Bytes() + int64(len(r.norms)+len(r.pre))*4
 }
 
 // Model exposes the PCA model (variance spectrum, rotation) for
@@ -159,6 +173,7 @@ func (r *Res) NewEvaluator() core.ResettableEvaluator {
 	return &resEvaluator{
 		parent: r,
 		flat:   r.rotated.Flat(),
+		pre:    r.pre,
 		q:      make([]float32, r.dim),
 		cent:   make([]float32, r.dim),
 		sigma:  make([]float32, r.rounds()),
@@ -168,6 +183,7 @@ func (r *Res) NewEvaluator() core.ResettableEvaluator {
 type resEvaluator struct {
 	parent *Res
 	flat   []float32 // rotated vectors, row-major
+	pre    []float32 // the parent's prefix table (nil: none)
 	q      []float32 // rotated query (owned scratch)
 	cent   []float32 // centering scratch for the PCA projection
 	qNorm  float32
@@ -241,11 +257,18 @@ func (ev *resEvaluator) Compare(id int, tau float32) (float32, bool) {
 	var c2 float32
 	d := 0
 	next := p.initD
+	// Round 0 reads the prefix table, the same values as the row's first
+	// initD coordinates; every later round reads the row.
+	src, off := ev.flat, base
+	if ev.pre != nil {
+		src, off = ev.pre, id*p.initD
+	}
 	for k := 0; ; k++ {
 		if next > p.dim {
 			next = p.dim
 		}
-		c2 += 2 * vec.DotRangeFlat(ev.q, ev.flat, base, d, next)
+		c2 += 2 * vec.DotRangeFlat(ev.q, src, off, d, next)
+		src, off = ev.flat, base
 		ev.stats.DimsScanned += int64(next - d)
 		d = next
 		approx := c1 - c2

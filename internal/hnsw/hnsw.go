@@ -438,6 +438,12 @@ func (idx *Index) SearchEval(ev core.QueryEvaluator, k, ef, size int, dst []Resu
 	return dst, nil
 }
 
+// ScanFrom is the break-even beam width ⌈n / 2M⌉: from it on, ef layer-0
+// expansions read about as many neighbour lists as there are points, so a
+// caller that holds the rows scans them instead. ef ≥ ScanFrom() is
+// ef·2M ≥ n without the product that could overflow.
+func (idx *Index) ScanFrom() int { return (len(idx.links) + idx.mMax0 - 1) / idx.mMax0 }
+
 // Dim returns the indexed dimensionality.
 func (idx *Index) Dim() int { return idx.dim }
 

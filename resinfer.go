@@ -244,7 +244,7 @@ type Index struct {
 	hnswIdx *hnsw.Index
 	ivfIdx  *ivf.Index
 	// flat is the Flat view of an HNSW or IVF index's rows, the one list
-	// ground truth walks (see flatView), built on first use.
+	// ground truth and an HNSW scan read (see flatView), built on first use.
 	flat atomic.Pointer[ivf.Index]
 
 	enableMu sync.Mutex // one Enable* at a time: train, re-base, install
@@ -510,17 +510,20 @@ func (ix *Index) acquire(mode Mode) (*session, *sync.Pool, error) {
 
 // Search returns the approximate k nearest neighbors of q using the given
 // mode. budget is the index's quality knob: beam width ef for HNSW, probe
-// count for IVF; values below k are clamped up.
+// count for IVF; values below k are clamped up. An HNSW index whose ef
+// reaches ⌈n / 2M⌉ scans its rows instead of walking: past that, a walk
+// would read about as many neighbour lists as there are rows.
 func (ix *Index) Search(q []float32, k int, mode Mode, budget int) ([]Neighbor, error) {
 	ns, _, err := ix.SearchInto(nil, q, k, mode, budget)
 	return ns, err
 }
 
 // SearchInto is Search appending the hits to dst, plus the
-// distance-computation work counters. A caller that reuses dst across
-// queries (dst = res[:0]) keeps the steady-state search path free of
-// allocations: the evaluator, its scratch tables and the index's
-// traversal state all come from pools.
+// distance-computation work counters (Comparisons is n when an HNSW index
+// scans, see Search). A caller that reuses dst across queries
+// (dst = res[:0]) keeps the steady-state search path free of allocations:
+// the evaluator, its scratch tables and the index's traversal state all
+// come from pools.
 //
 //resinfer:noalloc
 func (ix *Index) SearchInto(dst []Neighbor, q []float32, k int, mode Mode, budget int) ([]Neighbor, SearchStats, error) {
@@ -574,16 +577,17 @@ func (ix *Index) searchShard(dst []Neighbor, fs *fanScratch, k int) ([]Neighbor,
 
 // walk runs the index traversal for the query s.ev was reset to (tq, in
 // the internal space) — or, with flat set, the scan of ix's Flat view —
-// and appends the hits to dst.
+// and appends the hits to dst. An HNSW index walks its graph only below
+// the break-even beam width (hnsw.Index.ScanFrom); from there it scans.
 //
 //resinfer:noalloc
 func (ix *Index) walk(s *session, dst []Neighbor, tq []float32, k, budget int, flat bool) ([]Neighbor, SearchStats, error) {
 	var err error
-	if ix.hnswIdx != nil && !flat {
+	if ix.hnswIdx != nil && !flat && max(budget, k) < ix.hnswIdx.ScanFrom() {
 		s.items, err = ix.hnswIdx.SearchEval(s.ev, k, budget, ix.n, s.items[:0])
 	} else { // IVF, Flat as its one list, and any index's Flat view
 		lists := ix.ivfIdx
-		if flat {
+		if flat || ix.hnswIdx != nil {
 			lists, err = ix.flatView()
 		}
 		if err == nil {
@@ -606,8 +610,9 @@ func (ix *Index) walk(s *session, dst []Neighbor, tq []float32, k, budget int, f
 }
 
 // flatView returns the Flat index over ix's rows: ivfIdx itself on a Flat
-// index, otherwise one list 0…n−1 built on first use, so an index that is
-// never asked for ground truth holds none.
+// index, otherwise one list 0…n−1 (4n bytes) built on first use by any
+// scanning search — ground truth, or an HNSW search at or past the
+// break-even ef — so an index that never scans holds none.
 //
 //resinfer:noalloc
 func (ix *Index) flatView() (*ivf.Index, error) {
