@@ -148,17 +148,15 @@ func (f *Finger) ExtraBytes() int64 {
 	return edges + perNode + rvs
 }
 
-// Search runs the layer-0 beam search with FINGER estimates: each
-// neighbor's distance is first approximated from edge metadata; only
-// candidates whose estimate passes the beam threshold get an exact
-// distance.
+// Search runs the layer-0 beam search with FINGER estimates, at beam
+// width ef clamped up to k and down to the point count: each neighbor's
+// distance is first approximated from edge metadata; only candidates whose
+// estimate passes the beam threshold get an exact distance.
 func (f *Finger) Search(q []float32, k, ef int) ([]hnsw.Result, core.Stats, error) {
 	if k <= 0 {
 		return nil, core.Stats{}, errors.New("finger: k must be positive")
 	}
-	if ef < k {
-		ef = k
-	}
+	ef = min(max(ef, k), f.idx.Len())
 	var stats core.Stats
 	idx, data := f.idx, f.data
 	dim := idx.Dim()
@@ -193,16 +191,11 @@ func (f *Finger) Search(q []float32, k, ef int) ([]hnsw.Result, core.Stats, erro
 
 	visited := make([]bool, idx.Len())
 	visited[ep] = true
-	cands := heap.NewMinQueue(ef)
-	w := heap.NewResultQueue(ef)
-	cands.Push(int(ep), curDist)
+	var w heap.Beam
+	w.Reset(ef)
 	w.Push(int(ep), curDist)
 	invL := float32(math.Pi) / float32(f.l)
-	for cands.Len() > 0 {
-		c, _ := cands.PopMin()
-		if c.Dist > w.Threshold() {
-			break
-		}
+	for c, ok := w.Pop(); ok; c, ok = w.Pop() {
 		cid := c.ID
 		distQC := c.Dist
 		cNormSq := f.normSq[cid]
@@ -250,16 +243,11 @@ func (f *Finger) Search(q []float32, k, ef int) ([]hnsw.Result, core.Stats, erro
 			d := vec.L2Sq(q, data.Row(int(nb)))
 			stats.DimsScanned += int64(dim)
 			stats.ExactDistances++
-			if !w.Full() || d < w.Threshold() {
-				cands.Push(int(nb), d)
-				w.Push(int(nb), d)
+			if w.Push(int(nb), d) {
 				tau = w.Threshold()
 			}
 		}
 	}
-	all := w.Sorted()
-	if len(all) > k {
-		all = all[:k]
-	}
-	return all, stats, nil
+	all := w.AppendSorted(nil)
+	return all[:min(k, len(all))], stats, nil
 }

@@ -2,6 +2,7 @@ package finger
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -161,6 +162,23 @@ func TestSearchErrors(t *testing.T) {
 	f, _ := Build(idx, fixDS.Matrix(), Config{Seed: 7})
 	if _, _, err := f.Search(fixDS.Queries[0], 0, 10); err == nil {
 		t.Fatal("expected k error")
+	}
+}
+
+// A beam never holds more than n nodes, so ef past n is ef = n.
+func TestSearchEfClampedToLen(t *testing.T) {
+	_, _, idx := getFixtures(t)
+	f, _ := Build(idx, fixDS.Matrix(), Config{Seed: 7})
+	atN, _, err := f.Search(fixDS.Queries[0], 10, idx.Len())
+	if err != nil {
+		t.Fatal(err)
+	}
+	atMax, _, err := f.Search(fixDS.Queries[0], 10, math.MaxInt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(atMax, atN) {
+		t.Fatalf("ef = MaxInt answered %v, ef = n answered %v", atMax, atN)
 	}
 }
 

@@ -1,8 +1,8 @@
-// Package heap provides the two priority queues AKNN search needs: a
-// bounded max-heap result queue Q whose worst distance is the pruning
-// threshold tau consumed by every DCO, and an unbounded min-heap candidate
-// queue used by graph traversal. Both are specialized to (id, dist) pairs
-// and avoid interface boxing on the hot path.
+// Package heap provides the two bounded queues AKNN search needs: a
+// max-heap result queue Q whose worst distance is the pruning threshold
+// tau consumed by every DCO, and the sorted beam that drives best-first
+// graph search. Both are specialized to (id, dist) pairs and avoid
+// interface boxing on the hot path.
 package heap
 
 import "math"
@@ -148,66 +148,95 @@ func (q *ResultQueue) siftDown(i int) {
 	}
 }
 
-// MinQueue is an unbounded min-heap of (id, dist) pairs: the candidate
-// frontier of greedy graph search, always expanding the closest unvisited
-// node first.
-type MinQueue struct {
-	items []Item
+// Beam is the candidate list of best-first graph search, DiskANN's sorted
+// list of size L (Subramanya et al., NeurIPS 2019): the ef closest items
+// offered so far in ascending distance, each marked once it is expanded.
+// Pop hands out the closest unexpanded item, and the search has converged
+// when none is left. One list does the work of a frontier min-heap beside
+// a result max-heap: an item the beam evicts is at or beyond its
+// threshold, where the two-heap loop would stop. Call Reset before use.
+type Beam struct {
+	ef    int
+	items []beamItem // ascending Dist; equal distances in push order
+	next  int        // no item before next is unexpanded
 }
 
-// NewMinQueue returns an empty candidate queue with the given capacity hint.
-func NewMinQueue(capHint int) *MinQueue {
-	if capHint < 0 {
-		capHint = 0
+type beamItem struct {
+	Item
+	expanded bool
+}
+
+// Reset re-bounds the beam to the ef closest items and empties it,
+// retaining the backing storage so pooled searches allocate nothing.
+func (b *Beam) Reset(ef int) {
+	if ef <= 0 {
+		ef = 1
 	}
-	return &MinQueue{items: make([]Item, 0, capHint)}
+	b.ef, b.next = ef, 0
+	if cap(b.items) < ef {
+		b.items = make([]beamItem, 0, ef)
+	} else {
+		b.items = b.items[:0]
+	}
 }
 
-// Len returns the number of stored items.
-func (q *MinQueue) Len() int { return len(q.items) }
+// Threshold returns the ef-th distance once the beam is full, or +Inf
+// while it is filling: the bound a candidate must beat to be admitted.
+func (b *Beam) Threshold() float32 {
+	if len(b.items) < b.ef {
+		return float32(math.Inf(1))
+	}
+	return b.items[len(b.items)-1].Dist
+}
 
-// Push inserts (id, dist).
-func (q *MinQueue) Push(id int, dist float32) {
-	q.items = append(q.items, Item{ID: id, Dist: dist})
-	i := len(q.items) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if q.items[parent].Dist <= q.items[i].Dist {
-			break
+// Push offers (id, dist) and reports whether it was admitted: always while
+// the beam is filling, then only below Threshold, evicting the farthest
+// item. It goes after any items at an equal distance.
+//
+//resinfer:noalloc
+func (b *Beam) Push(id int, dist float32) bool {
+	n := len(b.items)
+	if n == b.ef {
+		if dist >= b.items[n-1].Dist {
+			return false
 		}
-		q.items[parent], q.items[i] = q.items[i], q.items[parent]
-		i = parent
+	} else {
+		b.items = b.items[:n+1]
 	}
+	lo, hi := 0, n
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); b.items[m].Dist <= dist {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	copy(b.items[lo+1:], b.items[lo:])
+	b.items[lo] = beamItem{Item: Item{ID: id, Dist: dist}}
+	b.next = min(b.next, lo)
+	return true
 }
 
-// PopMin removes and returns the closest item. ok is false when empty.
-func (q *MinQueue) PopMin() (Item, bool) {
-	if len(q.items) == 0 {
+// Pop marks the closest unexpanded item expanded and returns it. ok is
+// false when every item in the beam has been expanded.
+//
+//resinfer:noalloc
+func (b *Beam) Pop() (Item, bool) {
+	for b.next < len(b.items) && b.items[b.next].expanded {
+		b.next++
+	}
+	if b.next == len(b.items) {
 		return Item{}, false
 	}
-	top := q.items[0]
-	last := len(q.items) - 1
-	q.items[0] = q.items[last]
-	q.items = q.items[:last]
-	n := last
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && q.items[l].Dist < q.items[smallest].Dist {
-			smallest = l
-		}
-		if r < n && q.items[r].Dist < q.items[smallest].Dist {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		q.items[i], q.items[smallest] = q.items[smallest], q.items[i]
-		i = smallest
-	}
-	return top, true
+	b.items[b.next].expanded = true
+	return b.items[b.next].Item, true
 }
 
-// Reset empties the queue, retaining capacity.
-func (q *MinQueue) Reset() { q.items = q.items[:0] }
+// AppendSorted appends the beam's items to dst in ascending distance order
+// and returns the extended slice.
+func (b *Beam) AppendSorted(dst []Item) []Item {
+	for _, it := range b.items {
+		dst = append(dst, it.Item)
+	}
+	return dst
+}

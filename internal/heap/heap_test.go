@@ -124,65 +124,123 @@ func TestPopMaxEmpty(t *testing.T) {
 	}
 }
 
+// The beam is the candidate frontier of graph search: with room for every
+// push it pops like a min-queue, closest first, and reports !ok once every
+// item has been handed out.
 func TestMinQueueOrder(t *testing.T) {
-	q := NewMinQueue(0)
+	var b Beam
+	b.Reset(8)
 	for _, d := range []float32{5, 1, 4, 2, 3} {
-		q.Push(int(d), d)
+		b.Push(int(d), d)
 	}
 	prev := float32(-1)
-	for q.Len() > 0 {
-		it, ok := q.PopMin()
+	for i := 0; i < 5; i++ {
+		it, ok := b.Pop()
 		if !ok {
-			t.Fatal("unexpected empty")
+			t.Fatalf("Pop %d reported empty", i)
 		}
 		if it.Dist < prev {
-			t.Fatalf("PopMin out of order: %v after %v", it.Dist, prev)
+			t.Fatalf("Pop out of order: %v after %v", it.Dist, prev)
 		}
 		prev = it.Dist
 	}
-	if _, ok := q.PopMin(); ok {
-		t.Fatal("PopMin on empty must report !ok")
+	if _, ok := b.Pop(); ok {
+		t.Fatal("Pop with every item expanded must report !ok")
 	}
 }
 
-// Property: MinQueue pops in non-decreasing order for any input stream.
+// Property: a beam with room for every push pops each item once, in
+// non-decreasing order, for any input stream.
 func TestMinQueueSortedProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		q := NewMinQueue(-1)
 		n := 1 + r.Intn(200)
+		var b Beam
+		b.Reset(n)
 		for i := 0; i < n; i++ {
-			q.Push(i, float32(r.NormFloat64()))
+			if !b.Push(i, float32(r.NormFloat64())) {
+				return false
+			}
 		}
 		prev := float32(math.Inf(-1))
-		for q.Len() > 0 {
-			it, _ := q.PopMin()
-			if it.Dist < prev {
+		for i := 0; i < n; i++ {
+			it, ok := b.Pop()
+			if !ok || it.Dist < prev {
 				return false
 			}
 			prev = it.Dist
 		}
-		return true
+		_, ok := b.Pop()
+		return !ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }
 
-func TestMinQueuePeekAndReset(t *testing.T) {
-	q := NewMinQueue(4)
-	q.Push(1, 2)
-	q.Push(2, 1)
-	q.Reset()
-	if q.Len() != 0 {
-		t.Fatal("Reset must empty the queue")
+// Property: over any stream of pushes and pops, Beam(ef) admits exactly
+// what ResultQueue(ef) admits, at the same threshold, and holds the same
+// distances; Pop hands out each held item once, closest unexpanded first
+// and equal distances in push order.
+// Distances are drawn from a few values so that ties are common.
+func TestBeamMatchesResultQueue(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		ef := 1 + r.Intn(20)
+		var b Beam
+		b.Reset(ef)
+		q := NewResultQueue(ef)
+		popped := map[int]bool{}
+		// pop checks one Pop against the beam's contents: it hands out the
+		// first item not yet handed out, by distance and then push order
+		// (ids rise with pushes), and !ok means there is none.
+		pop := func() (more, good bool) {
+			it, ok := b.Pop()
+			first := Item{ID: -1}
+			for _, h := range b.AppendSorted(nil) {
+				if !popped[h.ID] && (first.ID < 0 || h.Dist < first.Dist || h.Dist == first.Dist && h.ID < first.ID) {
+					first = h
+				}
+			}
+			if !ok {
+				return false, first.ID < 0
+			}
+			popped[it.ID] = true
+			return true, first.ID == it.ID
+		}
+		for i, n := 0, 1+r.Intn(300); i < n; i++ {
+			if r.Intn(3) == 0 {
+				if _, good := pop(); !good {
+					return false
+				}
+				continue
+			}
+			d := float32(r.Intn(8))
+			if b.Push(i, d) != q.Push(i, d) || b.Threshold() != q.Threshold() {
+				return false
+			}
+		}
+		held, want := b.AppendSorted(nil), q.Sorted()
+		if len(held) != len(want) {
+			return false
+		}
+		for i := range want {
+			if held[i].Dist != want[i].Dist {
+				return false
+			}
+		}
+		for {
+			more, good := pop()
+			if !good {
+				return false
+			}
+			if !more {
+				return true
+			}
+		}
 	}
-	if _, ok := q.PopMin(); ok {
-		t.Fatal("PopMin after Reset must report !ok")
-	}
-	q.Push(3, 5)
-	if it, ok := q.PopMin(); !ok || it.ID != 3 {
-		t.Fatalf("PopMin after Reset and Push = %+v", it)
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -25,11 +25,13 @@
 package hnsw
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 
 	"resinfer/internal/core"
@@ -66,19 +68,19 @@ type Index struct {
 	// len(links[node]) == levels(node)+1.
 	links [][][]int32
 	// ctxPool recycles per-search scratch (epoch-stamped visited marks, the
-	// traversal queues and the result queue) so steady-state searches
-	// allocate nothing.
+	// beam and the result queue) so steady-state searches allocate nothing.
 	ctxPool sync.Pool
 }
 
-// searchCtx is the per-search scratch recycled by ctxPool. The visited
-// array is epoch-stamped: marking is visited[i] = epoch, so consecutive
-// searches skip the O(n) clear.
+// searchCtx is the per-search scratch recycled by ctxPool: the layer-0
+// beam w, the k-sized result queue r, and the visited array. That array is
+// epoch-stamped: marking is visited[i] = epoch, so consecutive searches
+// skip the O(n) clear.
 type searchCtx struct {
 	visited []uint32
 	epoch   uint32
-	cands   *heap.MinQueue
-	w, r    *heap.ResultQueue
+	w       heap.Beam
+	r       heap.ResultQueue
 }
 
 func newIndex(dim, m, mMax0, efCon int, entry int32, maxLevel int, links [][][]int32) *Index {
@@ -88,12 +90,7 @@ func newIndex(dim, m, mMax0, efCon int, entry int32, maxLevel int, links [][][]i
 	}
 	n := len(links)
 	idx.ctxPool.New = func() any {
-		return &searchCtx{
-			visited: make([]uint32, n),
-			cands:   heap.NewMinQueue(64),
-			w:       heap.NewResultQueue(16),
-			r:       heap.NewResultQueue(16),
-		}
+		return &searchCtx{visited: make([]uint32, n)}
 	}
 	return idx
 }
@@ -154,17 +151,16 @@ func Build(data *store.Matrix, cfg Config) (*Index, error) {
 }
 
 // buildCtx is one worker's scratch: the rows the graph is built over (the
-// built Index keeps none), searchCtx's visited marks (stamped a few times
-// per node, so the epoch cannot wrap) and queues, the buffers of a layer
-// search or a shrink, and the (node, level) lists a batch overfilled.
-// The pad keeps the queue headers a cache line from the next worker's: two
-// workers writing them on one line search a quarter slower.
+// built Index keeps none), searchCtx's visited marks (stamped once per
+// layer a node searches, so the epoch cannot wrap) and beam, the buffers of
+// a layer search or a shrink, and the (node, level) lists a batch
+// overfilled. The pad keeps the beam header a cache line from the next
+// worker's: two workers writing them on one line search a quarter slower.
 type buildCtx struct {
 	data        *store.Matrix
 	visited     []uint32
 	epoch       uint32
-	cands       heap.MinQueue
-	w           heap.ResultQueue
+	w           heap.Beam
 	found, kept []heap.Item
 	full        [][2]int32
 	_           [64]byte
@@ -173,25 +169,23 @@ type buildCtx struct {
 // link is phase 1 for node i: it searches the graph as its batch found it,
 // entry point included, and writes the selections as i's own lists. Every
 // list it reads belongs to a node before the batch, and nothing writes
-// those until phase 2.
+// those until phase 2. Above i's level the search is a beam of one, which
+// is greedy descent: it admits only strictly closer nodes, and a visited
+// node is never closer than the current best.
 func (idx *Index) link(i int, s *buildCtx) {
 	ep, maxL := idx.entry, idx.maxLevel
 	level, q := len(idx.links[i])-1, s.data.Row(i)
-	// Greedy descent on the layers above the node's level.
 	curDist := vec.L2Sq(q, s.data.Row(int(ep)))
-	for l := maxL; l > level; l-- {
-		for improved := true; improved; {
-			improved = false
-			for _, nb := range idx.links[ep][l] {
-				if d := vec.L2Sq(q, s.data.Row(int(nb))); d < curDist {
-					curDist, ep, improved = d, nb, true
-				}
-			}
+	for l := maxL; l >= 0; l-- {
+		ef := idx.efCon
+		if l > level {
+			ef = 1
 		}
-	}
-	for l := min(level, maxL); l >= 0; l-- {
-		found := idx.searchLayer(q, ep, curDist, l, s)
+		found := idx.searchLayer(q, ep, curDist, l, ef, s)
 		ep, curDist = int32(found[0].ID), found[0].Dist
+		if l > level {
+			continue
+		}
 		s.kept = idx.selectNeighbors(s.data, found, idx.m, s.kept[:0])
 		lst := make([]int32, 0, idx.maxConn(l)+1)
 		for _, k := range s.kept {
@@ -237,30 +231,20 @@ func (idx *Index) maxConn(l int) int {
 }
 
 // searchLayer is the construction-time beam search at layer l with exact
-// distances. It returns up to efCon candidates in ascending distance order,
-// ep among them, valid until the worker's next search or shrink.
-func (idx *Index) searchLayer(q []float32, ep int32, epDist float32, l int, s *buildCtx) []heap.Item {
+// distances. It returns up to ef candidates in ascending distance order,
+// valid until the worker's next search or shrink.
+func (idx *Index) searchLayer(q []float32, ep int32, epDist float32, l, ef int, s *buildCtx) []heap.Item {
 	s.epoch++
 	s.visited[ep] = s.epoch
-	s.cands.Reset()
-	s.w.Reset(idx.efCon)
-	s.cands.Push(int(ep), epDist)
+	s.w.Reset(ef)
 	s.w.Push(int(ep), epDist)
-	for s.cands.Len() > 0 {
-		c, _ := s.cands.PopMin()
-		if c.Dist > s.w.Threshold() {
-			break
-		}
+	for c, ok := s.w.Pop(); ok; c, ok = s.w.Pop() {
 		for _, nb := range idx.links[c.ID][l] {
 			if s.visited[nb] == s.epoch {
 				continue
 			}
 			s.visited[nb] = s.epoch
-			d := vec.L2Sq(q, s.data.Row(int(nb)))
-			if !s.w.Full() || d < s.w.Threshold() {
-				s.cands.Push(int(nb), d)
-				s.w.Push(int(nb), d)
-			}
+			s.w.Push(int(nb), vec.L2Sq(q, s.data.Row(int(nb))))
 		}
 	}
 	s.found = s.w.AppendSorted(s.found[:0])
@@ -310,7 +294,7 @@ func (idx *Index) shrink(nb int32, lst []int32, maxConn int, s *buildCtx) []int3
 	for _, o := range lst {
 		s.found = append(s.found, heap.Item{ID: int(o), Dist: vec.L2Sq(row, s.data.Row(int(o)))})
 	}
-	sortItems(s.found)
+	slices.SortStableFunc(s.found, func(a, b heap.Item) int { return cmp.Compare(a.Dist, b.Dist) })
 	s.kept = idx.selectNeighbors(s.data, s.found, maxConn, s.kept[:0])
 	lst = lst[:0]
 	for _, k := range s.kept {
@@ -343,31 +327,23 @@ func pack(links [][][]int32) {
 	}
 }
 
-func sortItems(items []heap.Item) {
-	// Insertion sort: candidate lists are short (≤ a few hundred).
-	for i := 1; i < len(items); i++ {
-		for j := i; j > 0 && items[j].Dist < items[j-1].Dist; j-- {
-			items[j], items[j-1] = items[j-1], items[j]
-		}
-	}
-}
-
 // Result is a search hit.
 type Result = heap.Item
 
 // SearchEval returns the approximate k nearest neighbors of the query ev
-// was Reset to, with beam width ef (clamped up to k): the caller owns ev
-// (typically pooled) and receives the hits appended to dst in ascending
-// distance order. size must be the evaluator's point count; work counters
-// accumulate in ev.Stats().
+// was Reset to, with beam width ef, clamped up to k and down to the point
+// count, which no beam can exceed: the caller owns ev (typically pooled)
+// and receives the hits appended to dst in ascending distance order. size
+// must be the evaluator's point count; work counters accumulate in
+// ev.Stats().
 //
 // The layer-0 walk is HNSW++ (Gao & Long, SIGMOD 2023): a k-sized result
 // queue r holds exact distances only, and its k-th distance is the τ every
 // Compare prunes against. The ef-sized beam w only steers the walk: every
-// neighbour enters it under the usual rule, a pruned one at the estimate
-// Compare returned. The answer is r, so no estimate reaches it; under the
-// exact comparator, which never prunes, r holds the k smallest exact
-// distances the beam visited.
+// neighbour is offered to it, a pruned one at the estimate Compare
+// returned. The answer is r, so no estimate reaches it; under the exact
+// comparator, which never prunes, r holds the k smallest exact distances
+// the beam visited.
 func (idx *Index) SearchEval(ev core.QueryEvaluator, k, ef, size int, dst []Result) ([]Result, error) {
 	if size != len(idx.links) {
 		return nil, fmt.Errorf("hnsw: DCO over %d points, index over %d", size, len(idx.links))
@@ -375,9 +351,7 @@ func (idx *Index) SearchEval(ev core.QueryEvaluator, k, ef, size int, dst []Resu
 	if k <= 0 {
 		return nil, errors.New("hnsw: k must be positive")
 	}
-	if ef < k {
-		ef = k
-	}
+	ef = min(max(ef, k), size)
 	ep := idx.entry
 	curDist := ev.Distance(int(ep))
 	for l := idx.maxLevel; l > 0; l-- {
@@ -406,18 +380,12 @@ func (idx *Index) SearchEval(ev core.QueryEvaluator, k, ef, size int, dst []Resu
 	}
 	visited, epoch := ctx.visited, ctx.epoch
 	visited[ep] = epoch
-	cands, w, r := ctx.cands, ctx.w, ctx.r
-	cands.Reset()
+	w, r := &ctx.w, &ctx.r
 	w.Reset(ef)
-	r.Reset(k)
-	cands.Push(int(ep), curDist)
+	r.Reset(min(k, size))
 	w.Push(int(ep), curDist)
 	r.Push(int(ep), curDist)
-	for cands.Len() > 0 {
-		c, _ := cands.PopMin()
-		if c.Dist > w.Threshold() {
-			break
-		}
+	for c, ok := w.Pop(); ok; c, ok = w.Pop() {
 		for _, nb := range idx.links[c.ID][0] {
 			if visited[nb] == epoch {
 				continue
@@ -427,10 +395,7 @@ func (idx *Index) SearchEval(ev core.QueryEvaluator, k, ef, size int, dst []Resu
 			if !pruned {
 				r.Push(int(nb), d)
 			}
-			if !w.Full() || d < w.Threshold() {
-				cands.Push(int(nb), d)
-				w.Push(int(nb), d)
-			}
+			w.Push(int(nb), d)
 		}
 	}
 	dst = r.AppendSorted(dst)

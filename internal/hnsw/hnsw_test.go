@@ -321,6 +321,30 @@ func TestSearchEfClampedToK(t *testing.T) {
 	if len(items) != 20 {
 		t.Fatalf("ef < k must clamp; got %d results", len(items))
 	}
+	// No beam holds more than n nodes, so ef past n is ef = n.
+	atN, _, err := newEvalSearch(idx, dco).search(ds.Queries[0], 20, idx.Len())
+	if err != nil {
+		t.Fatal(err)
+	}
+	atMax, _, err := newEvalSearch(idx, dco).search(ds.Queries[0], 20, math.MaxInt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(atMax, atN) {
+		t.Fatalf("ef = MaxInt answered %v, ef = n answered %v", atMax, atN)
+	}
+	// Nor does a result queue: k past n is k = n.
+	kN, _, err := newEvalSearch(idx, dco).search(ds.Queries[0], idx.Len(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kMax, _, err := newEvalSearch(idx, dco).search(ds.Queries[0], math.MaxInt, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(kMax, kN) {
+		t.Fatalf("k = MaxInt answered %d hits, k = n answered %d", len(kMax), len(kN))
+	}
 }
 
 // kthEval wraps an evaluator and checks, call by call, the walk's

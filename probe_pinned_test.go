@@ -19,17 +19,24 @@ import (
 // changes a hash; the Exact hash holds across any change to how the walk
 // treats pruned candidates, since exact never prunes. At budget 40 every
 // ≈ 112-row shard is past its break-even ef ⌈112 / 32⌉, so the served
-// answers are scans of the shards' Flat views.
-var probePins = map[string][3]string{
+// answers are scans of the shards' Flat views. The last two hashes pin the
+// graph walk itself: a single HNSW index over the same rows with M 4 is
+// searched at budget 40, below its break-even ef ⌈450 / 8⌉ = 57, once
+// under Exact and once under DDCRes.
+var probePins = map[string][5]string{
 	"avx2+fma": {
 		"900163fa275b16660c6a985f903cd5ee88ac5500ba5f8f567f6d1153f83bfda6",
 		"b20c56e8f01d3058d2748c3de7a7f4417b85225ff21dffdd0b7379001b99cb97",
 		"68149888590b14567618d3e43198f74dd6eae3a590720ab00fc48744d564cb73",
+		"5c4499690b5ce939d3e5b1c3b87f532193e830c2742fea6170c041323dd0fb25",
+		"88430b2d476b2d3309b8d2f92d0955e6edc673ae399a9ab30c58c3ce907ec688",
 	},
 	"generic": {
 		"aa3d691092cd0d906fc243d77c616ad9ee1c6268e62cec65a4ef8b3c15e2cdfe",
 		"37bc08fe427796a9fe727010f226f95cfaaacdc3adce3cc58e6f2f4ec1c83210",
 		"e854c6907d4efb78e0f86a3acab67eaefc852b54b38f64e84dc0e072b3a20054",
+		"9192862f08b2a129a4c64f91a182f7a293141f10a2930dda07d47d4521655644",
+		"1df2d7fc553f28bc465310f985ee52649f6efd4a12290342bc9ab83b76a2662c",
 	},
 }
 
@@ -145,12 +152,35 @@ func TestShardProbeAnswersPinned(t *testing.T) {
 		}
 	}
 
+	walked := map[Mode]hash.Hash{Exact: sha256.New(), DDCRes: sha256.New()}
+	wopts := opts(L2)
+	wopts.HNSWM = 4
+	ix, err := New(data, HNSW, wopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Enable(DDCRes, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []Mode{Exact, DDCRes} {
+		for _, q := range queries {
+			ns, _, err := ix.SearchInto(nil, q, k, mode, 40)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hashNeighbors(walked[mode], ns, nil)
+		}
+	}
+
 	if got := hex.EncodeToString(gt.Sum(nil)); got != pins[0] {
 		t.Errorf("ground-truth answers moved: sha256 %s, pinned %s", got, pins[0])
 	}
 	for i, mode := range []Mode{Exact, DDCRes} {
 		if got := hex.EncodeToString(served[mode].Sum(nil)); got != pins[1+i] {
 			t.Errorf("served %s answers moved: sha256 %s, pinned %s", mode, got, pins[1+i])
+		}
+		if got := hex.EncodeToString(walked[mode].Sum(nil)); got != pins[3+i] {
+			t.Errorf("walked %s answers moved: sha256 %s, pinned %s", mode, got, pins[3+i])
 		}
 	}
 }
