@@ -229,6 +229,12 @@ func (ev *evaluator) Compare(id int, tau float32) (float32, bool) {
 	return partial, false
 }
 
+// Prune implements core.ResettableEvaluator: it rules out nothing in
+// bulk; its hypothesis test runs row by row in Compare.
+//
+//resinfer:noalloc
+func (ev *evaluator) Prune(ids []int32, _ float32, _ []int32) []int32 { return ids }
+
 func (ev *evaluator) Stats() *core.Stats { return &ev.stats }
 
 // Version 3 writes the rotation as a pca.Model, once per stream however

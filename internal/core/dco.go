@@ -110,10 +110,29 @@ type QueryEvaluator interface {
 // query, reusing its scratch buffers (rotated query, suffix tables, lookup
 // tables) instead of allocating fresh ones. Reset zeroes the work counters.
 // A reset evaluator must answer exactly like a freshly built one.
+//
+// It is also the evaluator a scan holds, so it answers for a block of ids
+// at a time too.
 type ResettableEvaluator interface {
 	QueryEvaluator
 	Reset(q []float32) error
+	// Prune rules out, in bulk, ids of a block of at most PruneBlock ids
+	// that Compare(id, tau) would prune, and returns the others in order:
+	// keep extended by them, or ids itself, uncopied, from an evaluator
+	// that rules out nothing in bulk. Each id it rules out is counted in
+	// Stats exactly as that Compare would count it; survivors are not
+	// counted, since the caller then Compares each one. A tau of +Inf
+	// keeps every id. Since Compare with a smaller tau prunes all that
+	// Prune prunes, a scan may Prune a block under the tau it starts with
+	// and Compare the survivors under the tau of the moment, and answer
+	// exactly as Compare alone would.
+	Prune(ids []int32, tau float32, keep []int32) []int32
 }
+
+// PruneBlock is how many ids a scan hands Prune at a time, and how many
+// round-0 inner products an evaluator computes in one kernel call. Sizes
+// from 16 to 256 measured within 7 % of each other.
+const PruneBlock = 64
 
 // RotatingEvaluator is a ResettableEvaluator whose Reset begins by rotating
 // the query: D² multiply-adds that depend on the query and on Rotation
@@ -246,6 +265,11 @@ func (ev *exactEvaluator) Compare(id int, tau float32) (float32, bool) {
 	_ = tau
 	return d, false
 }
+
+// Prune implements ResettableEvaluator: an exact distance prunes nothing.
+//
+//resinfer:noalloc
+func (ev *exactEvaluator) Prune(ids []int32, _ float32, _ []int32) []int32 { return ids }
 
 func (ev *exactEvaluator) Stats() *Stats { return &ev.stats }
 

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"resinfer/internal/adsampling"
 	"resinfer/internal/core"
 	"resinfer/internal/dataset"
 	"resinfer/internal/pca"
@@ -558,3 +559,116 @@ func quantile32(xs []float32, q float64) float32 {
 var _ core.DCO = (*Res)(nil)
 var _ core.DCO = (*PCADCO)(nil)
 var _ core.DCO = (*OPQDCO)(nil)
+
+// TestPruneAgreesWithCompare holds ddc-res's bulk round 0 to Compare: every
+// id Prune rules out is one Compare(id, τ) prunes in round 0, with the
+// estimate Prune's own test derives; Prune followed by Compare over the
+// survivors counts exactly what Compare over every id counts; τ = +Inf, or
+// no prefix table (dim ≤ InitD), keeps every id. The comparators that rule
+// out nothing in bulk hand back their input, uncopied and uncounted.
+func TestPruneAgreesWithCompare(t *testing.T) {
+	for _, dim := range []int{33, 420} {
+		ds, err := dataset.Generate(dataset.GenConfig{
+			Name: "prune", N: 300, Dim: dim, Queries: 3, VE32: 0.7, Seed: int64(dim),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := NewRes(ds.Matrix(), ResConfig{Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Every id out of order, then a run of repeats: 300 + 30 ids,
+		// handed to Prune core.PruneBlock at a time as a scan does, the
+		// last block a short one.
+		ids := make([]int32, 0, 330)
+		for _, i := range rand.New(rand.NewSource(int64(dim))).Perm(r.Size()) {
+			ids = append(ids, int32(i))
+		}
+		ids = append(ids, ids[:30]...)
+		for qi, q := range ds.Queries {
+			gt := primed(t, r.NewEvaluator(), q)
+			exact := make([]float32, r.Size())
+			for i := range exact {
+				exact[i] = gt.Distance(i)
+			}
+			for _, tau := range []float32{quantile32(exact, 0.03), quantile32(exact, 0.5), 1e-6, core.InfThreshold} {
+				pr := primed(t, r.NewEvaluator(), q)
+				one := primed(t, r.NewEvaluator(), q).(*resEvaluator)
+				all := primed(t, r.NewEvaluator(), q)
+				var keep []int32
+				for b := 0; b < len(ids); b += core.PruneBlock {
+					keep = append(keep, pr.Prune(ids[b:min(b+core.PruneBlock, len(ids))], tau, nil)...)
+				}
+				if math.IsInf(float64(tau), 1) && (len(keep) != len(ids) || *pr.Stats() != (core.Stats{})) {
+					t.Fatalf("%d-d q%d: τ = +Inf kept %d of %d ids, counted %+v", dim, qi, len(keep), len(ids), *pr.Stats())
+				}
+				j := 0
+				for _, id := range ids {
+					before := *all.Stats()
+					d, pruned := all.Compare(int(id), tau)
+					if j < len(keep) && keep[j] == id {
+						j++
+						continue
+					}
+					if len(one.Prune([]int32{id}, tau, nil)) != 0 {
+						t.Fatalf("%d-d q%d τ %v: id %d dropped in a block, kept alone", dim, qi, tau, id)
+					}
+					est, _ := one.test(r.norms[id]+one.qNorm, 2*one.dots[0], 0, tau)
+					after := *all.Stats()
+					if !pruned || math.Float32bits(d) != math.Float32bits(est) ||
+						after.Comparisons-before.Comparisons != 1 || after.DimsScanned-before.DimsScanned != int64(r.initD) {
+						t.Fatalf("%d-d q%d τ %v: Prune dropped id %d (estimate %v); Compare answers (%v, %v) after %d dims",
+							dim, qi, tau, id, est, d, pruned, after.DimsScanned-before.DimsScanned)
+					}
+				}
+				if j != len(keep) {
+					t.Fatalf("%d-d q%d τ %v: Prune kept %d ids, %d of them in order", dim, qi, tau, len(keep), j)
+				}
+				for _, id := range keep {
+					pr.Compare(int(id), tau)
+				}
+				if *pr.Stats() != *all.Stats() {
+					t.Fatalf("%d-d q%d τ %v: Prune + Compare count %+v, Compare alone %+v", dim, qi, tau, *pr.Stats(), *all.Stats())
+				}
+			}
+		}
+	}
+
+	ds := getDS(t)
+	q, ids := ds.Queries[0], []int32{4, 2, 2, 9, 0}
+	rows, err := NewRes(ds.Matrix(), ResConfig{Seed: 1, InitD: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact, err := core.NewExact(ds.Matrix())
+	if err != nil {
+		t.Fatal(err)
+	}
+	inBasis, err := core.NewExactIn(rows.Rotated(), rows.Model())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ads, err := adsampling.New(ds.Matrix(), adsampling.Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pcaDCO, err := NewPCA(ds.Matrix(), ds.Train, PCAConfig{Seed: 2, Collect: CollectConfig{K: 20, NegPerQuery: 40}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opq, err := NewOPQ(ds.Matrix(), ds.Train, OPQConfig{M: 8, Nbits: 6, OPQIters: 2, Seed: 4, Collect: CollectConfig{K: 20, NegPerQuery: 40}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, dco := range map[string]core.DCO{
+		"ddc-res, dim ≤ InitD": rows, "exact": exact, "exact in a basis": inBasis,
+		"adsampling": ads, "ddc-pca": pcaDCO, "ddc-opq": opq,
+	} {
+		ev := primed(t, dco.NewEvaluator(), q)
+		got := ev.Prune(ids, 1e-6, make([]int32, 0, 8))
+		if len(got) != len(ids) || &got[0] != &ids[0] || *ev.Stats() != (core.Stats{}) {
+			t.Fatalf("%s: Prune returned %v (counted %+v), want its input back", name, got, *ev.Stats())
+		}
+	}
+}

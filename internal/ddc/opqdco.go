@@ -253,4 +253,10 @@ func (ev *opqEvaluator) Compare(id int, tau float32) (float32, bool) {
 	return vec.L2SqFlat(ev.q, ev.flat, id*p.dim), false
 }
 
+// Prune implements core.ResettableEvaluator: it rules out nothing in
+// bulk; its code lookup and classifier run row by row in Compare.
+//
+//resinfer:noalloc
+func (ev *opqEvaluator) Prune(ids []int32, _ float32, _ []int32) []int32 { return ids }
+
 func (ev *opqEvaluator) Stats() *core.Stats { return &ev.stats }

@@ -270,4 +270,10 @@ func (ev *pcaEvaluator) Compare(id int, tau float32) (float32, bool) {
 	return partial, false
 }
 
+// Prune implements core.ResettableEvaluator: it rules out nothing in
+// bulk; its classifiers vote row by row in Compare.
+//
+//resinfer:noalloc
+func (ev *pcaEvaluator) Prune(ids []int32, _ float32, _ []int32) []int32 { return ids }
+
 func (ev *pcaEvaluator) Stats() *core.Stats { return &ev.stats }

@@ -49,10 +49,11 @@ type Res struct {
 	rotated *store.Matrix
 	norms   []float32 // ‖x−μ‖² per point in the rotated space
 	// pre holds each rotated row's first initD coordinates, n × initD
-	// contiguous: round 0 of Compare reads it, so a scan in id order
-	// streams one dense table instead of picking a prefix out of every
-	// 4·dim-byte row. A copy kept for speed; nil when dim ≤ initD, where
-	// round 0 is the whole row.
+	// contiguous: round 0 reads it, in Compare one row at a time and in
+	// Prune a block of ids per vec.DotRows call, so a scan streams one
+	// dense table instead of picking a prefix out of every 4·dim-byte row.
+	// A copy kept for speed; nil when dim ≤ initD, where round 0 is the
+	// whole row.
 	pre    []float32
 	model  *pca.Model
 	dim    int
@@ -187,7 +188,8 @@ type resEvaluator struct {
 	q      []float32 // rotated query (owned scratch)
 	cent   []float32 // centering scratch for the PCA projection
 	qNorm  float32
-	sigma  []float32 // error-bound σ at depth initD + k·deltaD
+	sigma  []float32                // error-bound σ at depth initD + k·deltaD
+	dots   [core.PruneBlock]float32 // Prune's round-0 inner products
 	stats  core.Stats
 }
 
@@ -271,22 +273,58 @@ func (ev *resEvaluator) Compare(id int, tau float32) (float32, bool) {
 		src, off = ev.flat, base
 		ev.stats.DimsScanned += int64(next - d)
 		d = next
-		approx := c1 - c2
 		if d >= p.dim {
 			// All dimensions consumed: the decomposition is exact
 			// (C3 folded into C2). Clamp float cancellation noise.
+			approx := c1 - c2
 			if approx < 0 {
 				approx = 0
 			}
 			ev.stats.ExactDistances++
 			return approx, false
 		}
-		if approx-p.m*ev.sigma[k] > tau {
+		if approx, pruned := ev.test(c1, c2, k, tau); pruned {
 			ev.stats.Pruned++
 			return approx, true
 		}
 		next = d + p.deltaD
 	}
+}
+
+// test is the prune test of round k: the estimate C1 − C2 and whether its
+// lower bound, the estimate less m·σ, exceeds tau. Compare and Prune both
+// decide through it, so round 0 is one float expression whichever of the
+// two runs it (arm64 may fuse the multiply-subtract, in both alike).
+func (ev *resEvaluator) test(c1, c2 float32, k int, tau float32) (float32, bool) {
+	approx := c1 - c2
+	return approx, approx-ev.parent.m*ev.sigma[k] > tau
+}
+
+// Prune implements core.ResettableEvaluator: round 0 of Compare for a
+// block of at most core.PruneBlock ids, its inner products taken by one
+// vec.DotRows call over the prefix table. With no prefix table (dim ≤
+// initD, where round 0 reads the whole row and ends in the exact
+// distance) or a tau of +Inf it keeps every id.
+//
+//resinfer:noalloc
+func (ev *resEvaluator) Prune(ids []int32, tau float32, keep []int32) []int32 {
+	p := ev.parent
+	if ev.pre == nil || math.IsInf(float64(tau), 1) {
+		return ids
+	}
+	dots := ev.dots[:len(ids)]
+	vec.DotRows(ev.q[:p.initD], ev.pre, ids, dots)
+	kept := len(keep)
+	for i, id := range ids {
+		if _, pruned := ev.test(p.norms[id]+ev.qNorm, 2*dots[i], 0, tau); !pruned {
+			keep = append(keep, id)
+		}
+	}
+	out := int64(len(ids) - (len(keep) - kept))
+	ev.stats.Comparisons += out
+	ev.stats.Pruned += out
+	ev.stats.DimsScanned += out * int64(p.initD)
+	return keep
 }
 
 func (ev *resEvaluator) Stats() *core.Stats { return &ev.stats }

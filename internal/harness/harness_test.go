@@ -204,11 +204,11 @@ func TestSweepMatchesFreshEvaluator(t *testing.T) {
 		t.Fatal(err)
 	}
 	check := func(label string, dco core.DCO, params []int, walk walkFunc,
-		fresh func(ev core.QueryEvaluator, q []float32, param int) ([]heap.Item, error)) {
+		fresh func(ev core.ResettableEvaluator, q []float32, param int) ([]heap.Item, error)) {
 		t.Helper()
 		var got [][]heap.Item // one entry per (param, query), in sweep order
 		pts, err := sweep(dco, ds.Queries, gt, k, params,
-			func(ev core.QueryEvaluator, q []float32, param int, dst []heap.Item) ([]heap.Item, error) {
+			func(ev core.ResettableEvaluator, q []float32, param int, dst []heap.Item) ([]heap.Item, error) {
 				dst, err := walk(ev, q, param, dst)
 				got = append(got, slices.Clone(dst))
 				return dst, err
@@ -251,11 +251,11 @@ func TestSweepMatchesFreshEvaluator(t *testing.T) {
 			t.Fatal(err)
 		}
 		check("hnsw-"+mode, dco, []int{10, 40, 160}, hnswWalk(hidx, k, dco.Size()),
-			func(ev core.QueryEvaluator, _ []float32, ef int) ([]heap.Item, error) {
+			func(ev core.ResettableEvaluator, _ []float32, ef int) ([]heap.Item, error) {
 				return hidx.SearchEval(ev, k, ef, dco.Size(), nil)
 			})
 		check("ivf-"+mode, dco, []int{1, 8, 32}, ivfWalk(iidx, k, dco.Size()),
-			func(ev core.QueryEvaluator, q []float32, nprobe int) ([]heap.Item, error) {
+			func(ev core.ResettableEvaluator, q []float32, nprobe int) ([]heap.Item, error) {
 				return iidx.SearchEval(ev, q, k, nprobe, dco.Size(), nil)
 			})
 	}

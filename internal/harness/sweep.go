@@ -25,16 +25,16 @@ type Point struct {
 
 // walkFunc runs one index traversal at one swept parameter for the query ev
 // was Reset to, appending the hits to dst.
-type walkFunc func(ev core.QueryEvaluator, q []float32, param int, dst []heap.Item) ([]heap.Item, error)
+type walkFunc func(ev core.ResettableEvaluator, q []float32, param int, dst []heap.Item) ([]heap.Item, error)
 
 func hnswWalk(idx *hnsw.Index, k, size int) walkFunc {
-	return func(ev core.QueryEvaluator, _ []float32, ef int, dst []heap.Item) ([]heap.Item, error) {
+	return func(ev core.ResettableEvaluator, _ []float32, ef int, dst []heap.Item) ([]heap.Item, error) {
 		return idx.SearchEval(ev, k, ef, size, dst)
 	}
 }
 
 func ivfWalk(idx *ivf.Index, k, size int) walkFunc {
-	return func(ev core.QueryEvaluator, q []float32, nprobe int, dst []heap.Item) ([]heap.Item, error) {
+	return func(ev core.ResettableEvaluator, q []float32, nprobe int, dst []heap.Item) ([]heap.Item, error) {
 		return idx.SearchEval(ev, q, k, nprobe, size, dst)
 	}
 }

@@ -6,7 +6,11 @@
 // meets every point, and the result queue's threshold prunes most of them.
 //
 // The scan prunes as ADSampling's IVF++ does: against the k-th distance
-// of a k-sized queue of exact distances. IVF++'s layout, each list's rows
+// of a k-sized queue of exact distances. It walks each list in blocks of
+// core.PruneBlock ids: the evaluator's Prune rules out in bulk the ids its
+// first test already rejects under the block's starting τ (ddc-res's
+// round 0 over its prefix table, one kernel call per block), and only the
+// survivors are Compared one by one. IVF++'s layout, each list's rows
 // stored contiguously, is not done: lists hold ids into the index's one
 // matrix.
 package ivf
@@ -46,6 +50,7 @@ type searchCtx struct {
 	rq     *heap.ResultQueue
 	probes []int
 	cdists []float32
+	keep   []int32 // a block's survivors of ev.Prune
 }
 
 // Build clusters the rows of data into cfg.NList inverted lists.
@@ -92,7 +97,7 @@ func OneList(n, dim int) (*Index, error) {
 func newIndex(dim int, centroids *store.Matrix, lists [][]int32, size int) *Index {
 	idx := &Index{dim: dim, centroids: centroids, lists: lists, size: size}
 	idx.ctxPool.New = func() any {
-		return &searchCtx{rq: heap.NewResultQueue(16)}
+		return &searchCtx{rq: heap.NewResultQueue(16), keep: make([]int32, 0, core.PruneBlock)}
 	}
 	return idx
 }
@@ -100,19 +105,31 @@ func newIndex(dim int, centroids *store.Matrix, lists [][]int32, size int) *Inde
 // Result is a search hit.
 type Result = heap.Item
 
+var errK = errors.New("ivf: k must be positive")
+
 // SearchEval scans the nprobe closest inverted lists through ev and
 // returns the approximate k nearest neighbors: the caller owns ev
 // (typically pooled and already Reset to q) and receives the hits appended
 // to dst in ascending distance order. q is the query in the index's space
 // (it drives centroid probing); size must be the evaluator's point count;
-// work counters accumulate in ev.Stats().
-func (idx *Index) SearchEval(ev core.QueryEvaluator, q []float32, k, nprobe, size int, dst []Result) ([]Result, error) {
+// work counters accumulate in ev.Stats(). A k past the point count is
+// clamped to it.
+//
+// A list is scanned core.PruneBlock ids at a time: ev.Prune rules out, in
+// bulk, the ids Compare would prune under the τ the block starts with, and
+// only the survivors are Compared, each under the τ of the moment. τ only
+// falls, so this answers, and counts, exactly as Compare over every id.
+//
+//resinfer:noalloc
+func (idx *Index) SearchEval(ev core.ResettableEvaluator, q []float32, k, nprobe, size int, dst []Result) ([]Result, error) {
 	if size != idx.size {
+		//resinfer:alloc-ok cold invalid-argument path
 		return nil, fmt.Errorf("ivf: DCO over %d points, index over %d", size, idx.size)
 	}
 	if k <= 0 {
-		return nil, errors.New("ivf: k must be positive")
+		return nil, errK
 	}
+	k = min(k, idx.size)
 	if nprobe <= 0 {
 		nprobe = 1
 	}
@@ -121,14 +138,18 @@ func (idx *Index) SearchEval(ev core.QueryEvaluator, q []float32, k, nprobe, siz
 	rq := ctx.rq
 	rq.Reset(k)
 	for _, c := range ctx.probes {
-		for _, id := range idx.lists[c] {
-			tau := rq.Threshold()
-			d, pruned := ev.Compare(int(id), tau)
-			if pruned {
-				continue
-			}
-			if d < tau {
-				rq.Push(int(id), d)
+		for list := idx.lists[c]; len(list) > 0; {
+			blk := list[:min(len(list), core.PruneBlock)]
+			list = list[len(blk):]
+			for _, id := range ev.Prune(blk, rq.Threshold(), ctx.keep[:0]) {
+				tau := rq.Threshold()
+				d, pruned := ev.Compare(int(id), tau)
+				if pruned {
+					continue
+				}
+				if d < tau {
+					rq.Push(int(id), d)
+				}
 			}
 		}
 	}

@@ -1,6 +1,8 @@
 package ivf
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -9,6 +11,8 @@ import (
 	"resinfer/internal/core"
 	"resinfer/internal/dataset"
 	"resinfer/internal/ddc"
+	"resinfer/internal/heap"
+	"resinfer/internal/kmeans"
 	"resinfer/internal/store"
 )
 
@@ -361,5 +365,93 @@ func TestFlatKLargerThanN(t *testing.T) {
 	}
 	if len(items) != 5 {
 		t.Fatalf("k>n should return all %d points, got %d", 5, len(items))
+	}
+}
+
+// scanPerRow is the scan as it ran before blocks: one Compare per id of
+// the probed lists, each under the τ of the moment. It is the reference
+// SearchEval's block pruning must reproduce bit for bit.
+func scanPerRow(idx *Index, ev core.QueryEvaluator, q []float32, k, nprobe int) []Result {
+	probes, _ := kmeans.NearestCentroidsInto(idx.centroids, q, max(nprobe, 1), nil, nil)
+	rq := heap.NewResultQueue(min(k, idx.size))
+	for _, c := range probes {
+		for _, id := range idx.lists[c] {
+			tau := rq.Threshold()
+			d, pruned := ev.Compare(int(id), tau)
+			if pruned {
+				continue
+			}
+			if d < tau {
+				rq.Push(int(id), d)
+			}
+		}
+	}
+	return rq.Sorted()
+}
+
+// TestBlockScanMatchesPerRowScan: over Flat and a multi-list IVF, at
+// nprobe 1, 4 and every list, with exact, adsampling and ddc-res, and at
+// k = 10 and k > n, SearchEval answers the same (id, distance bits) and
+// counts the same core.Stats as the per-row scan. n = 1 000 is not a
+// multiple of core.PruneBlock, so every list ends mid-block.
+func TestBlockScanMatchesPerRowScan(t *testing.T) {
+	ds, err := dataset.Generate(dataset.GenConfig{
+		Name: "block-scan", N: 1000, Dim: 96, Queries: 8, VE32: 0.8, Seed: 38,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	flat, err := OneList(len(ds.Data), ds.Dim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lists, err := Build(ds.Matrix(), Config{NList: 12, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact, _ := core.NewExact(ds.Matrix())
+	ads, err := adsampling.New(ds.Matrix(), adsampling.Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ddc.NewRes(ds.Matrix(), ddc.ResConfig{Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pruned int64
+	for _, idx := range []*Index{flat, lists} {
+		for _, dco := range []core.DCO{exact, ads, res} {
+			s, ref := newEvalSearch(idx, dco), dco.NewEvaluator()
+			for _, nprobe := range []int{1, 4, idx.NList()} {
+				for _, k := range []int{10, len(ds.Data) + 5} {
+					for qi, q := range ds.Queries {
+						got, st, err := s.search(q, k, nprobe)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if err := ref.Reset(q); err != nil {
+							t.Fatal(err)
+						}
+						want := scanPerRow(idx, ref, q, k, nprobe)
+						label := fmt.Sprintf("%d lists, %s, nprobe %d, k %d, q%d", idx.NList(), dco.Name(), nprobe, k, qi)
+						if len(got) != len(want) {
+							t.Fatalf("%s: %d hits, per-row scan %d", label, len(got), len(want))
+						}
+						for i := range got {
+							if got[i].ID != want[i].ID || math.Float32bits(got[i].Dist) != math.Float32bits(want[i].Dist) {
+								t.Fatalf("%s: hit %d is %+v, per-row scan %+v", label, i, got[i], want[i])
+							}
+						}
+						if st != *ref.Stats() {
+							t.Fatalf("%s: counted %+v, per-row scan %+v", label, st, *ref.Stats())
+						}
+						pruned += st.Pruned
+					}
+				}
+			}
+		}
+	}
+	if pruned == 0 {
+		t.Fatal("no comparator pruned: the test compared nothing but exact paths")
 	}
 }

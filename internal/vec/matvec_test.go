@@ -1,6 +1,7 @@
 package vec
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -89,4 +90,48 @@ func FuzzMatVecEquivalence(f *testing.F) {
 		}
 		checkMatVec(t, vals[dim:dim+rows*dim], rows, dim, vals[:dim])
 	})
+}
+
+// TestDotRowsMatchesDot holds DotRows to its contract: every output has
+// the bits of Dot over that row, for ids repeated and out of order and
+// for no ids at all; an id outside the table or a short out panics before
+// the kernel reads anything; and a call allocates nothing.
+func TestDotRowsMatchesDot(t *testing.T) {
+	t.Logf("dispatch level: %s", Level())
+	rng := rand.New(rand.NewSource(6))
+	const rows = 37
+	ids := []int32{5, 0, 36, 5, 17, 1, 36, 2, 9, 9, 30, 0}
+	for _, dim := range []int{1, 7, 8, 31, 32, 33, 64, 420} {
+		q, tab := randSlice(rng, dim), randSlice(rng, rows*dim)
+		out := make([]float32, len(ids)+1)
+		out[len(ids)] = 42
+		DotRows(q, tab, ids, out)
+		for i, id := range ids {
+			if want := Dot(q, tab[int(id)*dim:int(id+1)*dim]); math.Float32bits(out[i]) != math.Float32bits(want) {
+				t.Errorf("dim %d: out[%d] (row %d) = %v, Dot = %v (must be bit-identical)", dim, i, id, out[i], want)
+			}
+		}
+		if out[len(ids)] != 42 {
+			t.Errorf("dim %d: DotRows wrote past len(ids)", dim)
+		}
+		DotRows(q, tab, nil, nil)
+		if a := testing.AllocsPerRun(100, func() { DotRows(q, tab, ids, out) }); a != 0 {
+			t.Errorf("dim %d: DotRows allocates %v times per call", dim, a)
+		}
+		for name, f := range map[string]func(){
+			"id past the table": func() { DotRows(q, tab, []int32{3, rows}, out) },
+			"negative id":       func() { DotRows(q, tab, []int32{-1}, out) },
+			"short table":       func() { DotRows(q, tab[:rows*dim-1], []int32{rows - 1}, out) },
+			"short out":         func() { DotRows(q, tab, ids, out[:len(ids)-1]) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("dim %d, %s: DotRows did not panic", dim, name)
+					}
+				}()
+				f()
+			}()
+		}
+	}
 }

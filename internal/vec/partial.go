@@ -101,3 +101,33 @@ func MatVec(dst, rot []float32, dim int, x []float32) {
 		dst[i] = dotImpl(rot[i*dim:(i+1)*dim], x)
 	}
 }
+
+// DotRows writes Dot(q, row ids[i] of tab) into out[i] for every i, where
+// tab is a row-major table of len(q)-float rows: the batched form of
+// DotFlat that a scan uses to test a block of rows in one call. Each
+// output is bit-identical to Dot of that row through the dispatched kernel
+// (on amd64 one assembly call replays dotAVX2 row by row; elsewhere it is
+// a loop over Dot). It checks every id and the length of out before the
+// kernel reads anything, and panics on a row outside tab or an out shorter
+// than ids, which only a bug can cause.
+func DotRows(q, tab []float32, ids []int32, out []float32) {
+	if len(out) < len(ids) {
+		panic("vec: DotRows out shorter than ids")
+	}
+	d := len(q)
+	for _, id := range ids {
+		if id < 0 || (int(id)+1)*d > len(tab) {
+			panic("vec: DotRows row out of range")
+		}
+	}
+	dotRowsImpl(q, tab, ids, out)
+}
+
+// dotRowsLoop is DotRows as a loop over the dispatched Dot kernel.
+func dotRowsLoop(q, tab []float32, ids []int32, out []float32) {
+	d := len(q)
+	for i, id := range ids {
+		base := int(id) * d
+		out[i] = dotImpl(q, tab[base:base+d])
+	}
+}

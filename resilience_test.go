@@ -6,9 +6,15 @@ package resinfer_test
 // process. All of these run under -race in CI's chaos leg.
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -16,6 +22,7 @@ import (
 
 	"resinfer"
 	"resinfer/internal/fault"
+	"resinfer/internal/server"
 )
 
 func buildChaosSharded(t testing.TB, nShards int) *resinfer.ShardedIndex {
@@ -498,5 +505,106 @@ func TestMutableCloseRacesInFlight(t *testing.T) {
 	wg.Wait()
 	if _, err := mx.Search(q, 5, resinfer.Exact, 0); err != nil {
 		t.Fatalf("search after close: %v", err)
+	}
+}
+
+// TestHugeKClampedToRows: a k past the rows an index holds, up to
+// math.MaxInt, answers every row in ascending distance instead of sizing a
+// queue by k — which panicked (makeslice) on an Index and ran a sharded
+// index out of memory. Over POST /search one request could do either to
+// the server. IVF probes every list (budget n) so that every row is
+// reachable.
+func TestHugeKClampedToRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	data := make([][]float32, 300)
+	for i := range data {
+		data[i] = make([]float32, 16)
+		for j := range data[i] {
+			data[i][j] = float32(rng.NormFloat64())
+		}
+	}
+	q := data[7]
+	huge := []int{len(data) + 1, 1 << 40, math.MaxInt}
+	check := func(label string, n, k int, got []resinfer.Neighbor, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s k=%d: %v", label, k, err)
+		}
+		if len(got) != min(k, n) {
+			t.Fatalf("%s k=%d: %d neighbours, want %d", label, k, len(got), min(k, n))
+		}
+		seen := map[int]bool{}
+		for i, nb := range got {
+			if seen[nb.ID] || (i > 0 && nb.Distance < got[i-1].Distance) {
+				t.Fatalf("%s k=%d: hit %d (%+v) repeated or out of order", label, k, i, nb)
+			}
+			seen[nb.ID] = true
+		}
+	}
+
+	for _, kind := range []resinfer.IndexKind{resinfer.Flat, resinfer.IVF, resinfer.HNSW} {
+		ix, err := resinfer.New(data, kind, &resinfer.Options{Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ix.Enable(resinfer.DDCRes, nil); err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range []resinfer.Mode{resinfer.Exact, resinfer.DDCRes} {
+			for _, k := range huge {
+				got, err := ix.Search(q, k, mode, len(data))
+				check(fmt.Sprintf("Index %v %s", kind, mode), len(data), k, got, err)
+			}
+		}
+	}
+
+	sx, err := resinfer.NewSharded(data, resinfer.HNSW, 3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range huge {
+		got, err := sx.Search(q, k, resinfer.Exact, 0)
+		check("ShardedIndex", len(data), k, got, err)
+	}
+
+	mx, err := resinfer.NewMutable(data, resinfer.HNSW, 2, &resinfer.MutableOptions{DisableAutoCompact: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mx.Close()
+	for i := 0; i < 5; i++ {
+		if _, err := mx.Add(data[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, id := range []int{3, 301} {
+		if _, err := mx.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, k := range huge {
+		got, err := mx.Search(q, k, resinfer.Exact, 0)
+		check("MutableIndex", mx.Len(), k, got, err)
+	}
+
+	srv := server.New(sx, server.Config{})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	for _, k := range huge {
+		body, _ := json.Marshal(map[string]any{"query": q, "k": k})
+		resp, err := http.Post(ts.URL+"/search", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out struct {
+			Neighbors []resinfer.Neighbor `json:"neighbors"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&out)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST /search k=%d: status %d", k, resp.StatusCode)
+		}
+		check("POST /search", len(data), k, out.Neighbors, err)
 	}
 }

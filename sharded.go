@@ -218,10 +218,14 @@ func (fs *fanScratch) prime(ev core.ResettableEvaluator) error {
 
 // begin readies fs for one query: the query parameters every probe reads,
 // q moved into the internal space, an empty rotate-once slot, an untimed
-// walk of each shard's structure.
+// walk of each shard's structure. A k past the rows the index holds is
+// clamped to them before any probe or merge sizes a queue by it.
 //
 //resinfer:noalloc
 func (sx *ShardedIndex) begin(fs *fanScratch, q []float32, k int, mode Mode, budget int) (err error) {
+	if n := max(sx.Len(), 1); k > n {
+		k = n
+	}
 	fs.q, fs.k, fs.mode, fs.budget = q, k, mode, budget
 	fs.flat, fs.timed = false, false
 	fs.rot.claimed.Store(false)
