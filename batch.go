@@ -29,9 +29,8 @@ func validateBatch(queries [][]float32, k, budget, userDim int) error {
 		return fmt.Errorf("resinfer: batch budget must be non-negative, got %d", budget)
 	}
 	for qi, q := range queries {
-		if len(q) != userDim {
-			return fmt.Errorf("resinfer: batch query %d has dim %d, index expects %d",
-				qi, len(q), userDim)
+		if err := checkQuery(q, userDim); err != nil {
+			return fmt.Errorf("resinfer: batch query %d: %w", qi, err)
 		}
 	}
 	return nil

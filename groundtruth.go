@@ -21,9 +21,8 @@ import "fmt"
 //
 //resinfer:noalloc
 func (sx *ShardedIndex) GroundTruthSearch(dst []Neighbor, shards []int, q []float32, k int) ([]Neighbor, []int, int, error) {
-	if len(q) != sx.userDim {
-		//resinfer:alloc-ok cold invalid-argument path
-		return dst, shards, 0, fmt.Errorf("resinfer: query dim %d, index expects %d", len(q), sx.userDim)
+	if err := checkQuery(q, sx.userDim); err != nil {
+		return dst, shards, 0, err
 	}
 	if k <= 0 {
 		//resinfer:alloc-ok cold invalid-argument path

@@ -67,8 +67,8 @@ func (sx *ShardedIndex) SearchShardGlobal(s int, q []float32, k int, mode Mode, 
 	if s < 0 || s >= len(sx.shards) {
 		return nil, SearchStats{}, fmt.Errorf("resinfer: shard %d out of range [0,%d)", s, len(sx.shards))
 	}
-	if len(q) != sx.userDim {
-		return nil, SearchStats{}, fmt.Errorf("resinfer: query dim %d, index expects %d", len(q), sx.userDim)
+	if err := checkQuery(q, sx.userDim); err != nil {
+		return nil, SearchStats{}, err
 	}
 	fs := sx.fanPool.Get().(*fanScratch)
 	if err := sx.begin(fs, q, k, mode, budget); err != nil {

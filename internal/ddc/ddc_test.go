@@ -3,6 +3,7 @@ package ddc
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -145,10 +146,10 @@ func TestResScansFewDimensions(t *testing.T) {
 	}
 }
 
-// TestResSigmaTable pins the block-boundary σ table against the full
-// per-depth suffix table (σ_d = sqrt(4·Σ_{i≥d} q_i²σ_i²) at every d, what
-// Reset built before it skipped the depths nobody reads): one entry per
-// depth Compare can stop at, bit-equal to the full table there. DDCres
+// TestResSigmaTable pins the block-boundary bound table m·σ against the
+// full per-depth suffix table (σ_d = sqrt(4·Σ_{i≥d} q_i²σ_i²) at every d,
+// what Reset built before it skipped the depths nobody reads): one entry
+// per depth Compare can stop at, bit-equal to m times the full table there. DDCres
 // must also prune earlier than a random rotation would — proxy check: PCA
 // concentrates variance, so σ at depth 32 is far below σ at depth 0.
 func TestResSigmaTable(t *testing.T) {
@@ -165,16 +166,16 @@ func TestResSigmaTable(t *testing.T) {
 			full := vec.SuffixWeightedSq(rev.q, r.model.Sigmas)
 			k := 0
 			for d := c.initD; d < dim; d += c.deltaD {
-				if k >= len(rev.sigma) {
-					t.Fatalf("(%d,%d): no σ entry for depth %d", c.initD, c.deltaD, d)
+				if k >= len(rev.bound) {
+					t.Fatalf("(%d,%d): no bound entry for depth %d", c.initD, c.deltaD, d)
 				}
-				if want := float32(math.Sqrt(4 * full[d])); rev.sigma[k] != want {
-					t.Fatalf("(%d,%d): σ at depth %d = %v, full table has %v", c.initD, c.deltaD, d, rev.sigma[k], want)
+				if want := r.m * float32(math.Sqrt(4*full[d])); rev.bound[k] != want {
+					t.Fatalf("(%d,%d): m·σ at depth %d = %v, full table has %v", c.initD, c.deltaD, d, rev.bound[k], want)
 				}
 				k++
 			}
-			if k != len(rev.sigma) {
-				t.Fatalf("(%d,%d): %d σ entries for %d readable depths", c.initD, c.deltaD, len(rev.sigma), k)
+			if k != len(rev.bound) {
+				t.Fatalf("(%d,%d): %d bound entries for %d readable depths", c.initD, c.deltaD, len(rev.bound), k)
 			}
 			if c.initD == 32 && full[32] > full[0]*0.7*0.7 {
 				t.Fatalf("σ²[32]=%v should decay strongly from σ²[0]=%v on skewed data", full[32], full[0])
@@ -614,7 +615,7 @@ func TestPruneAgreesWithCompare(t *testing.T) {
 					if len(one.Prune([]int32{id}, tau, nil)) != 0 {
 						t.Fatalf("%d-d q%d τ %v: id %d dropped in a block, kept alone", dim, qi, tau, id)
 					}
-					est, _ := one.test(r.norms[id]+one.qNorm, 2*one.dots[0], 0, tau)
+					est := r.norms[id] + one.qNorm - 2*vec.Dot(one.q[:r.initD], r.Rotated().Row(int(id))[:r.initD])
 					after := *all.Stats()
 					if !pruned || math.Float32bits(d) != math.Float32bits(est) ||
 						after.Comparisons-before.Comparisons != 1 || after.DimsScanned-before.DimsScanned != int64(r.initD) {
@@ -669,6 +670,114 @@ func TestPruneAgreesWithCompare(t *testing.T) {
 		got := ev.Prune(ids, 1e-6, make([]int32, 0, 8))
 		if len(got) != len(ids) || &got[0] != &ids[0] || *ev.Stats() != (core.Stats{}) {
 			t.Fatalf("%s: Prune returned %v (counted %+v), want its input back", name, got, *ev.Stats())
+		}
+	}
+}
+
+// TestCompareResumesAfterPrune holds the hand-off from Prune to Compare to
+// its contract: Compare over a block's survivors, in order, answers exactly
+// what a fresh evaluator's Compare answers (value bits, prune flag and
+// counters), and so does every Compare the hand-off must not serve —
+// survivors out of order or skipped, an id Prune ruled out or never saw,
+// survivors of an earlier block after another Prune, survivors after a
+// Reset to another query, and ids a caller wrote over its keep.
+func TestCompareResumesAfterPrune(t *testing.T) {
+	for _, dim := range []int{33, 420} {
+		ds, err := dataset.Generate(dataset.GenConfig{
+			Name: "resume", N: 300, Dim: dim, Queries: 3, VE32: 0.7, Seed: int64(dim) + 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := NewRes(ds.Matrix(), ResConfig{Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		perm := rand.New(rand.NewSource(int64(dim))).Perm(r.Size())
+		blk, blk2 := make([]int32, core.PruneBlock), make([]int32, core.PruneBlock)
+		for i := range blk {
+			blk[i], blk2[i] = int32(perm[i]), int32(perm[core.PruneBlock+i])
+		}
+		for qi, q := range ds.Queries {
+			gt := primed(t, r.NewEvaluator(), q)
+			exact := make([]float32, r.Size())
+			for i := range exact {
+				exact[i] = gt.Distance(i)
+			}
+			tau := quantile32(exact, 0.2)
+			// check Compares id under τ on ev and on a fresh evaluator
+			// reset to q.
+			check := func(what string, ev core.ResettableEvaluator, q []float32, id int32, tau float32) {
+				t.Helper()
+				fresh := primed(t, r.NewEvaluator(), q)
+				before := *ev.Stats()
+				d, pruned := ev.Compare(int(id), tau)
+				wd, wpruned := fresh.Compare(int(id), tau)
+				after := *ev.Stats()
+				delta := core.Stats{
+					Comparisons: after.Comparisons - before.Comparisons, Pruned: after.Pruned - before.Pruned,
+					ExactDistances: after.ExactDistances - before.ExactDistances, DimsScanned: after.DimsScanned - before.DimsScanned,
+				}
+				if math.Float32bits(d) != math.Float32bits(wd) || pruned != wpruned || delta != *fresh.Stats() {
+					t.Fatalf("%d-d q%d, %s: Compare(%d, %v) = (%v, %v) counting %+v; fresh (%v, %v) counting %+v",
+						dim, qi, what, id, tau, d, pruned, delta, wd, wpruned, *fresh.Stats())
+				}
+			}
+			prune := func(ev core.ResettableEvaluator, blk []int32) []int32 {
+				return ev.Prune(blk, tau, make([]int32, 0, core.PruneBlock))
+			}
+			ev := primed(t, r.NewEvaluator(), q)
+			keep := prune(ev, blk)
+			if len(keep) == 0 || len(keep) == len(blk) {
+				t.Fatalf("%d-d q%d: τ at the 0.2 quantile kept %d of %d ids", dim, qi, len(keep), len(blk))
+			}
+			var out []int32 // ids of blk Prune ruled out
+			for _, id := range blk {
+				if !slices.Contains(keep, id) {
+					out = append(out, id)
+				}
+			}
+			for i, id := range keep { // in order, τ falling as a scan's does
+				check("in order", ev, q, id, tau*float32(1-0.01*float64(i)))
+			}
+
+			ev = primed(t, r.NewEvaluator(), q)
+			keep = prune(ev, blk)
+			for i := len(keep) - 1; i >= 0; i-- {
+				check("out of order", ev, q, keep[i], tau)
+			}
+
+			ev = primed(t, r.NewEvaluator(), q)
+			keep = prune(ev, blk)
+			check("ruled out", ev, q, out[0], tau)
+			check("never seen", ev, q, blk2[0], tau)
+			for i := 1; i < len(keep); i += 2 {
+				check("skipping", ev, q, keep[i], tau)
+			}
+
+			ev = primed(t, r.NewEvaluator(), q)
+			keep = prune(ev, blk)
+			prune(ev, blk2)
+			for _, id := range keep {
+				check("after another Prune", ev, q, id, tau)
+			}
+
+			other := ds.Queries[(qi+1)%len(ds.Queries)]
+			ev = primed(t, r.NewEvaluator(), q)
+			keep = prune(ev, blk)
+			primed(t, ev, other)
+			for _, id := range keep {
+				check("after Reset", ev, other, id, tau)
+			}
+
+			ev = primed(t, r.NewEvaluator(), q)
+			keep = prune(ev, blk)
+			kept := slices.Clone(keep)
+			keep[0], keep[1] = out[0], kept[0]
+			check("overwritten keep", ev, q, keep[0], tau)
+			for _, id := range kept {
+				check("after overwritten keep", ev, q, id, tau)
+			}
 		}
 	}
 }

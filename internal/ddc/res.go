@@ -49,11 +49,11 @@ type Res struct {
 	rotated *store.Matrix
 	norms   []float32 // ‖x−μ‖² per point in the rotated space
 	// pre holds each rotated row's first initD coordinates, n × initD
-	// contiguous: round 0 reads it, in Compare one row at a time and in
-	// Prune a block of ids per vec.DotRows call, so a scan streams one
-	// dense table instead of picking a prefix out of every 4·dim-byte row.
-	// A copy kept for speed; nil when dim ≤ initD, where round 0 is the
-	// whole row.
+	// contiguous: round 0 reads it, in Prune a block of ids per
+	// vec.PruneRows call and in Compare one row at a time (for an id Prune
+	// did not just keep), so a scan streams one dense table instead of
+	// picking a prefix out of every 4·dim-byte row. A copy kept for speed;
+	// nil when dim ≤ initD, where round 0 is the whole row.
 	pre    []float32
 	model  *pca.Model
 	dim    int
@@ -166,10 +166,10 @@ func (r *Res) rounds() int {
 }
 
 // NewEvaluator implements core.DCO: the returned evaluator owns the
-// rotated-query buffer, the centering scratch and the σ table. Its Reset
-// rotates q (O(D²)) and fills the σ table: sqrt(4·Σ_{i≥d} q_i²σ_i²) at every
-// depth d a correction round stops at, so each round reads its error bound
-// in O(1).
+// rotated-query buffer, the centering scratch and the bound table. Its
+// Reset rotates q (O(D²)) and fills the bound table: m·σ, σ being
+// sqrt(4·Σ_{i≥d} q_i²σ_i²), at every depth d a correction round stops at,
+// so each round reads its error bound in O(1).
 func (r *Res) NewEvaluator() core.ResettableEvaluator {
 	return &resEvaluator{
 		parent: r,
@@ -177,10 +177,15 @@ func (r *Res) NewEvaluator() core.ResettableEvaluator {
 		pre:    r.pre,
 		q:      make([]float32, r.dim),
 		cent:   make([]float32, r.dim),
-		sigma:  make([]float32, r.rounds()),
+		bound:  make([]float32, r.rounds()),
 	}
 }
 
+// resEvaluator is one query's DDCres state. Prune records the ids it keeps
+// and their round-0 sums C2 = 2·⟨q, x⟩ over the first initD coordinates;
+// Compare, called on the next of them in order, resumes from that C2 at
+// round 1, and any other Compare runs round 0 itself. C2 does not depend
+// on τ, so either way the answer and the counters are the same.
 type resEvaluator struct {
 	parent *Res
 	flat   []float32 // rotated vectors, row-major
@@ -188,13 +193,16 @@ type resEvaluator struct {
 	q      []float32 // rotated query (owned scratch)
 	cent   []float32 // centering scratch for the PCA projection
 	qNorm  float32
-	sigma  []float32                // error-bound σ at depth initD + k·deltaD
-	dots   [core.PruneBlock]float32 // Prune's round-0 inner products
-	stats  core.Stats
+	bound  []float32 // error bound m·σ at depth initD + k·deltaD
+	// Prune's survivors and their C2; Compare has resumed surv[:next].
+	surv        [core.PruneBlock]int32
+	survC2      [core.PruneBlock]float32
+	nSurv, next int
+	stats       core.Stats
 }
 
-// Reset projects q into the evaluator's scratch, rebuilds the σ table and
-// zeroes the counters.
+// Reset projects q into the evaluator's scratch, rebuilds the bound table,
+// forgets Prune's survivors and zeroes the counters.
 func (ev *resEvaluator) Reset(q []float32) error {
 	if err := ev.Rotate(ev.q, q); err != nil {
 		return err
@@ -223,16 +231,17 @@ func (ev *resEvaluator) ResetRotated(rq []float32) error {
 	sig := p.model.Sigmas
 	var s float64
 	hi := p.dim
-	for k := len(ev.sigma) - 1; k >= 0; k-- {
+	for k := len(ev.bound) - 1; k >= 0; k-- {
 		lo := p.initD + k*p.deltaD
 		for i := hi - 1; i >= lo; i-- {
 			t := float64(ev.q[i]) * float64(sig[i])
 			s += t * t
 		}
-		ev.sigma[k] = float32(math.Sqrt(4 * s))
+		ev.bound[k] = p.m * float32(math.Sqrt(4*s))
 		hi = lo
 	}
 	ev.qNorm = vec.NormSq(ev.q)
+	ev.nSurv, ev.next = 0, 0
 	ev.stats = core.Stats{}
 	return nil
 }
@@ -256,75 +265,63 @@ func (ev *resEvaluator) Compare(id int, tau float32) (float32, bool) {
 		return vec.L2SqFlat(ev.q, ev.flat, base), false
 	}
 	c1 := p.norms[id] + ev.qNorm
+	// Round 0 is Prune's C2 for the next id it kept, else read from the
+	// prefix table (the same values as the row's first initD coordinates)
+	// or, with none, from the row; every later round reads the row.
 	var c2 float32
-	d := 0
-	next := p.initD
-	// Round 0 reads the prefix table, the same values as the row's first
-	// initD coordinates; every later round reads the row.
-	src, off := ev.flat, base
-	if ev.pre != nil {
-		src, off = ev.pre, id*p.initD
+	switch {
+	case ev.next < ev.nSurv && int(ev.surv[ev.next]) == id:
+		c2 = ev.survC2[ev.next]
+		ev.next++
+	case ev.pre != nil:
+		c2 = 2 * vec.DotRangeFlat(ev.q, ev.pre, id*p.initD, 0, p.initD)
+	default:
+		c2 = 2 * vec.DotRangeFlat(ev.q, ev.flat, base, 0, p.initD)
 	}
-	for k := 0; ; k++ {
-		if next > p.dim {
-			next = p.dim
-		}
-		c2 += 2 * vec.DotRangeFlat(ev.q, src, off, d, next)
-		src, off = ev.flat, base
-		ev.stats.DimsScanned += int64(next - d)
-		d = next
-		if d >= p.dim {
-			// All dimensions consumed: the decomposition is exact
-			// (C3 folded into C2). Clamp float cancellation noise.
-			approx := c1 - c2
-			if approx < 0 {
-				approx = 0
-			}
-			ev.stats.ExactDistances++
-			return approx, false
-		}
-		if approx, pruned := ev.test(c1, c2, k, tau); pruned {
+	d := p.initD
+	ev.stats.DimsScanned += int64(d)
+	for k := 0; d < p.dim; k++ {
+		// One subtraction against the stored bound, nothing to fuse:
+		// vec.PruneRows tests round 0 with the same expression.
+		if approx := c1 - c2; approx-ev.bound[k] > tau {
 			ev.stats.Pruned++
 			return approx, true
 		}
-		next = d + p.deltaD
+		next := min(d+p.deltaD, p.dim)
+		c2 += 2 * vec.DotRangeFlat(ev.q, ev.flat, base, d, next)
+		ev.stats.DimsScanned += int64(next - d)
+		d = next
 	}
-}
-
-// test is the prune test of round k: the estimate C1 − C2 and whether its
-// lower bound, the estimate less m·σ, exceeds tau. Compare and Prune both
-// decide through it, so round 0 is one float expression whichever of the
-// two runs it (arm64 may fuse the multiply-subtract, in both alike).
-func (ev *resEvaluator) test(c1, c2 float32, k int, tau float32) (float32, bool) {
+	// All dimensions consumed: the decomposition is exact (C3 folded into
+	// C2). Clamp float cancellation noise.
 	approx := c1 - c2
-	return approx, approx-ev.parent.m*ev.sigma[k] > tau
+	if approx < 0 {
+		approx = 0
+	}
+	ev.stats.ExactDistances++
+	return approx, false
 }
 
 // Prune implements core.ResettableEvaluator: round 0 of Compare for a
-// block of at most core.PruneBlock ids, its inner products taken by one
-// vec.DotRows call over the prefix table. With no prefix table (dim ≤
-// initD, where round 0 reads the whole row and ends in the exact
-// distance) or a tau of +Inf it keeps every id.
+// block of at most core.PruneBlock ids in one vec.PruneRows call over the
+// prefix table, which also prefetches each survivor's round-1 lines. It
+// records the survivors and their C2 for Compare to resume from. With no
+// prefix table (dim ≤ initD, where round 0 reads the whole row and ends in
+// the exact distance) or a tau of +Inf it keeps every id.
 //
 //resinfer:noalloc
 func (ev *resEvaluator) Prune(ids []int32, tau float32, keep []int32) []int32 {
-	p := ev.parent
+	ev.nSurv, ev.next = 0, 0
 	if ev.pre == nil || math.IsInf(float64(tau), 1) {
 		return ids
 	}
-	dots := ev.dots[:len(ids)]
-	vec.DotRows(ev.q[:p.initD], ev.pre, ids, dots)
-	kept := len(keep)
-	for i, id := range ids {
-		if _, pruned := ev.test(p.norms[id]+ev.qNorm, 2*dots[i], 0, tau); !pruned {
-			keep = append(keep, id)
-		}
-	}
-	out := int64(len(ids) - (len(keep) - kept))
+	p := ev.parent
+	ev.nSurv = vec.PruneRows(ev.q[:p.initD], ev.pre, ids, p.norms, ev.qNorm, ev.bound[0], tau, ev.flat, p.dim, ev.surv[:], ev.survC2[:])
+	out := int64(len(ids) - ev.nSurv)
 	ev.stats.Comparisons += out
 	ev.stats.Pruned += out
 	ev.stats.DimsScanned += out * int64(p.initD)
-	return keep
+	return append(keep, ev.surv[:ev.nSurv]...)
 }
 
 func (ev *resEvaluator) Stats() *core.Stats { return &ev.stats }

@@ -15,7 +15,7 @@ import "os"
 var (
 	dotImpl        = DotGeneric
 	l2sqImpl       = L2SqGeneric
-	dotRowsImpl    = dotRowsLoop
+	pruneRowsImpl  = pruneRowsLoop
 	axpyRows64Impl = axpyRows64Generic
 	rot64Impl      = rot64Generic
 	level          = "generic"
@@ -25,13 +25,13 @@ var (
 // or "generic".
 func Level() string { return level }
 
-// ForceGeneric routes Dot, L2Sq and DotRows (and everything built on
+// ForceGeneric routes Dot, L2Sq and PruneRows (and everything built on
 // them), and the float64 row kernels, to the portable scalar kernels,
 // regardless of CPU features. Golden tests that need the deterministic 8-way scalar
 // accumulation order call this; the RESINFER_NOSIMD=1 environment variable
 // has the same effect without a code change.
 func ForceGeneric() {
-	dotImpl, l2sqImpl, dotRowsImpl = DotGeneric, L2SqGeneric, dotRowsLoop
+	dotImpl, l2sqImpl, pruneRowsImpl = DotGeneric, L2SqGeneric, pruneRowsLoop
 	axpyRows64Impl, rot64Impl = axpyRows64Generic, rot64Generic
 	level = "generic"
 }

@@ -21,7 +21,7 @@ func dotAVX2(a, b []float32) float32
 func l2sqAVX2(a, b []float32) float32
 
 //go:noescape
-func dotRowsAVX2(q, tab []float32, ids []int32, out []float32)
+func pruneRowsAVX2(q, pre []float32, ids []int32, norms []float32, qNorm, bound, tau float32, rows []float32, stride int, keep []int32, c2 []float32) int
 
 //go:noescape
 func axpyRows64AVX2(y, a []float64, x [][]float64)
@@ -55,7 +55,7 @@ func init() {
 	if noSIMDEnv() || !hasAVX2FMA() {
 		return
 	}
-	dotImpl, l2sqImpl, dotRowsImpl = dotAVX2, l2sqAVX2, dotRowsAVX2
+	dotImpl, l2sqImpl, pruneRowsImpl = dotAVX2, l2sqAVX2, pruneRowsAVX2
 	axpyRows64Impl, rot64Impl = axpyRows64AVX2, rot64AVX2
 	level = "avx2+fma"
 }

@@ -3,6 +3,7 @@ package vec
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -92,42 +93,82 @@ func FuzzMatVecEquivalence(f *testing.F) {
 	})
 }
 
-// TestDotRowsMatchesDot holds DotRows to its contract: every output has
-// the bits of Dot over that row, for ids repeated and out of order and
-// for no ids at all; an id outside the table or a short out panics before
-// the kernel reads anything; and a call allocates nothing.
-func TestDotRowsMatchesDot(t *testing.T) {
+// TestPruneRowsMatchesReference holds PruneRows to a Go loop over Dot:
+// the same ids kept, in order, with the bits of their 2·Dot, for ids
+// repeated and out of order and for none at all; τ of −Inf, +Inf, at
+// quantiles and exactly at an id's (norms + qNorm) − c − bound, which keeps
+// it, as does a NaN estimate. A bad id or short output panics before the
+// kernel reads anything, and a call allocates nothing.
+func TestPruneRowsMatchesReference(t *testing.T) {
 	t.Logf("dispatch level: %s", Level())
 	rng := rand.New(rand.NewSource(6))
 	const rows = 37
-	ids := []int32{5, 0, 36, 5, 17, 1, 36, 2, 9, 9, 30, 0}
-	for _, dim := range []int{1, 7, 8, 31, 32, 33, 64, 420} {
-		q, tab := randSlice(rng, dim), randSlice(rng, rows*dim)
-		out := make([]float32, len(ids)+1)
-		out[len(ids)] = 42
-		DotRows(q, tab, ids, out)
-		for i, id := range ids {
-			if want := Dot(q, tab[int(id)*dim:int(id+1)*dim]); math.Float32bits(out[i]) != math.Float32bits(want) {
-				t.Errorf("dim %d: out[%d] (row %d) = %v, Dot = %v (must be bit-identical)", dim, i, id, out[i], want)
+	ids := []int32{5, 0, 36, 5, 17, 1, 36, 2, 9, 9, 30, 0, 3, 22, 14, 8}
+	for _, dim := range []int{1, 7, 8, 31, 32, 33, 64} {
+		stride := dim + 5
+		q, pre, tab := randSlice(rng, dim), randSlice(rng, rows*dim), randSlice(rng, rows*stride)
+		norms := make([]float32, rows)
+		for i := range norms {
+			norms[i] = 4 * rng.Float32()
+		}
+		norms[3] = float32(math.NaN())
+		const qNorm, bound = 1.5, 0.25
+		est := func(id int32) (float32, float32) {
+			c := 2 * Dot(q, pre[int(id)*dim:int(id+1)*dim])
+			return c, (norms[id] + qNorm) - c - bound
+		}
+		var vals []float32
+		for _, id := range ids {
+			if _, v := est(id); !math.IsNaN(float64(v)) {
+				vals = append(vals, v)
 			}
 		}
-		if out[len(ids)] != 42 {
-			t.Errorf("dim %d: DotRows wrote past len(ids)", dim)
+		slices.Sort(vals)
+		taus := []float32{float32(math.Inf(-1)), float32(math.Inf(1)), vals[len(vals)/2], vals[len(vals)/10], vals[len(vals)*9/10]}
+		keep, c2 := make([]int32, len(ids)+1), make([]float32, len(ids)+1)
+		for _, tau := range taus {
+			for _, blk := range [][]int32{ids, ids[3:9], nil} {
+				keep[len(blk)], c2[len(blk)] = -7, 42
+				n := PruneRows(q, pre, blk, norms, qNorm, bound, tau, tab, stride, keep, c2)
+				var want []int32
+				for _, id := range blk {
+					if c, v := est(id); !(v > tau) {
+						if len(want) >= n || keep[len(want)] != id || math.Float32bits(c2[len(want)]) != math.Float32bits(c) {
+							t.Fatalf("dim %d τ %v: kept %v / %v, reference keeps id %d with c %v as its %d-th", dim, tau, keep[:n], c2[:n], id, c, len(want))
+						}
+						want = append(want, id)
+					}
+				}
+				if n != len(want) || keep[len(blk)] != -7 || c2[len(blk)] != 42 {
+					t.Fatalf("dim %d τ %v: kept %d ids, reference %d, or wrote past len(ids)", dim, tau, n, len(want))
+				}
+				if slices.Contains(blk, 3) && !slices.Contains(want, 3) {
+					t.Fatalf("dim %d τ %v: a NaN estimate was pruned", dim, tau)
+				}
+			}
 		}
-		DotRows(q, tab, nil, nil)
-		if a := testing.AllocsPerRun(100, func() { DotRows(q, tab, ids, out) }); a != 0 {
-			t.Errorf("dim %d: DotRows allocates %v times per call", dim, a)
+		for _, id := range ids[:4] {
+			_, v := est(id)
+			if n := PruneRows(q, pre, []int32{id}, norms, qNorm, bound, v, tab, stride, keep, c2); n != 1 {
+				t.Errorf("dim %d: τ equal to id %d's estimate less the bound pruned it", dim, id)
+			}
+		}
+		if a := testing.AllocsPerRun(100, func() { PruneRows(q, pre, ids, norms, qNorm, bound, vals[0], tab, stride, keep, c2) }); a != 0 {
+			t.Errorf("dim %d: PruneRows allocates %v times per call", dim, a)
 		}
 		for name, f := range map[string]func(){
-			"id past the table": func() { DotRows(q, tab, []int32{3, rows}, out) },
-			"negative id":       func() { DotRows(q, tab, []int32{-1}, out) },
-			"short table":       func() { DotRows(q, tab[:rows*dim-1], []int32{rows - 1}, out) },
-			"short out":         func() { DotRows(q, tab, ids, out[:len(ids)-1]) },
+			"id past the table": func() { PruneRows(q, pre, []int32{3, rows}, norms, 0, 0, 0, tab, stride, keep, c2) },
+			"negative id":       func() { PruneRows(q, pre, []int32{-1}, norms, 0, 0, 0, tab, stride, keep, c2) },
+			"short pre":         func() { PruneRows(q, pre[:rows*dim-1], []int32{rows - 1}, norms, 0, 0, 0, tab, stride, keep, c2) },
+			"short norms":       func() { PruneRows(q, pre, []int32{rows - 1}, norms[:rows-1], 0, 0, 0, tab, stride, keep, c2) },
+			"short rows":        func() { PruneRows(q, pre, []int32{rows - 1}, norms, 0, 0, 0, tab[:rows*stride-1], stride, keep, c2) },
+			"short keep":        func() { PruneRows(q, pre, ids, norms, 0, 0, 0, tab, stride, keep[:len(ids)-1], c2) },
+			"short c2":          func() { PruneRows(q, pre, ids, norms, 0, 0, 0, tab, stride, keep, c2[:len(ids)-1]) },
 		} {
 			func() {
 				defer func() {
 					if recover() == nil {
-						t.Errorf("dim %d, %s: DotRows did not panic", dim, name)
+						t.Errorf("dim %d, %s: PruneRows did not panic", dim, name)
 					}
 				}()
 				f()

@@ -102,32 +102,45 @@ func MatVec(dst, rot []float32, dim int, x []float32) {
 	}
 }
 
-// DotRows writes Dot(q, row ids[i] of tab) into out[i] for every i, where
-// tab is a row-major table of len(q)-float rows: the batched form of
-// DotFlat that a scan uses to test a block of rows in one call. Each
-// output is bit-identical to Dot of that row through the dispatched kernel
-// (on amd64 one assembly call replays dotAVX2 row by row; elsewhere it is
-// a loop over Dot). It checks every id and the length of out before the
-// kernel reads anything, and panics on a row outside tab or an out shorter
-// than ids, which only a bug can cause.
-func DotRows(q, tab []float32, ids []int32, out []float32) {
-	if len(out) < len(ids) {
-		panic("vec: DotRows out shorter than ids")
+// PruneRows runs round 0 of DDCres's incremental test (Algorithm 2) over a
+// block of rows. For each ids[i] in order it takes c = 2·Dot(q, row id of
+// pre), pre being a row-major table of len(q)-float rows, and keeps the id
+// unless (norms[id] + qNorm) − c − bound > tau; a NaN keeps it, as Go's >
+// does. The kept ids and their c land in keep and c2 at matching
+// positions, and it returns how many it kept. Every c has Dot's bits. On
+// amd64 it is one assembly call, with no branch on the test, that also
+// prefetches for each kept id the two cache lines of its row of rows
+// (stride floats apart) from coordinate len(q) on: what the row's next
+// round reads. Elsewhere it is a loop over Dot with no prefetch. It checks
+// every id against norms, pre and rows, and the room in keep and c2,
+// before the kernel reads anything, and panics on a failure, which only a
+// bug can cause.
+//
+//resinfer:noalloc
+func PruneRows(q, pre []float32, ids []int32, norms []float32, qNorm, bound, tau float32, rows []float32, stride int, keep []int32, c2 []float32) int {
+	if len(keep) < len(ids) || len(c2) < len(ids) {
+		panic("vec: PruneRows output shorter than ids")
 	}
-	d := len(q)
+	var hi uint32 // the largest id; a negative one wraps past MaxInt32
 	for _, id := range ids {
-		if id < 0 || (int(id)+1)*d > len(tab) {
-			panic("vec: DotRows row out of range")
-		}
+		hi = max(hi, uint32(id))
 	}
-	dotRowsImpl(q, tab, ids, out)
+	if n := uint64(hi) + 1; len(ids) > 0 && (int32(hi) < 0 || n > uint64(len(norms)) || n*uint64(len(q)) > uint64(len(pre)) || n*uint64(stride) > uint64(len(rows))) {
+		panic("vec: PruneRows row out of range")
+	}
+	return pruneRowsImpl(q, pre, ids, norms, qNorm, bound, tau, rows, stride, keep, c2)
 }
 
-// dotRowsLoop is DotRows as a loop over the dispatched Dot kernel.
-func dotRowsLoop(q, tab []float32, ids []int32, out []float32) {
-	d := len(q)
-	for i, id := range ids {
-		base := int(id) * d
-		out[i] = dotImpl(q, tab[base:base+d])
+// pruneRowsLoop is PruneRows as a loop over the dispatched Dot kernel,
+// without the prefetch.
+func pruneRowsLoop(q, pre []float32, ids []int32, norms []float32, qNorm, bound, tau float32, _ []float32, _ int, keep []int32, c2 []float32) int {
+	d, n := len(q), 0
+	for _, id := range ids {
+		c := 2 * dotImpl(q, pre[int(id)*d:int(id+1)*d])
+		keep[n], c2[n] = id, c
+		if !((norms[id]+qNorm)-c-bound > tau) {
+			n++
+		}
 	}
+	return n
 }

@@ -159,9 +159,9 @@ func TestKernelPanicsOnShortB(t *testing.T) {
 
 // TestForceGeneric checks the scalar-path switch golden tests rely on.
 func TestForceGeneric(t *testing.T) {
-	savedDot, savedL2, savedRows, savedAxpy, savedRot, savedLevel := dotImpl, l2sqImpl, dotRowsImpl, axpyRows64Impl, rot64Impl, level
+	savedDot, savedL2, savedRows, savedAxpy, savedRot, savedLevel := dotImpl, l2sqImpl, pruneRowsImpl, axpyRows64Impl, rot64Impl, level
 	defer func() {
-		dotImpl, l2sqImpl, dotRowsImpl, axpyRows64Impl, rot64Impl, level = savedDot, savedL2, savedRows, savedAxpy, savedRot, savedLevel
+		dotImpl, l2sqImpl, pruneRowsImpl, axpyRows64Impl, rot64Impl, level = savedDot, savedL2, savedRows, savedAxpy, savedRot, savedLevel
 	}()
 
 	ForceGeneric()
@@ -170,9 +170,9 @@ func TestForceGeneric(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(4))
 	a, b := randSlice(rng, 129), randSlice(rng, 129)
-	out := make([]float32, 1)
-	DotRows(a, b, []int32{0}, out)
-	if Dot(a, b) != DotGeneric(a, b) || L2Sq(a, b) != L2SqGeneric(a, b) || out[0] != DotGeneric(a, b) {
+	keep, c2 := make([]int32, 1), make([]float32, 1)
+	PruneRows(a, b, []int32{0}, []float32{0}, 0, 0, 0, b, len(b), keep, c2)
+	if Dot(a, b) != DotGeneric(a, b) || L2Sq(a, b) != L2SqGeneric(a, b) || c2[0] != 2*DotGeneric(a, b) {
 		t.Fatal("forced-generic kernels are not bit-identical to the generic reference")
 	}
 }

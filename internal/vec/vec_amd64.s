@@ -13,8 +13,8 @@
 // DOT_ACC leaves in X0 the inner product of the CX floats at SI and DI,
 // advancing SI and DI past them; it clobbers CX, DX and Y0–Y7. Four YMM
 // accumulators over 32-float blocks, one over 8-float blocks, a fixed
-// reduction, then the scalar tail folded in: dotAVX2 and dotRowsAVX2 both
-// expand it, so a row of DotRows has exactly Dot's bits. Its labels are
+// reduction, then the scalar tail folded in: dotAVX2 and pruneRowsAVX2 both
+// expand it, so a row of PruneRows has exactly Dot's bits. Its labels are
 // local to the function that expands it.
 #define DOT_ACC \
 	VXORPS Y0, Y0, Y0; \
@@ -150,34 +150,68 @@ l2_done:
 	MOVSS X0, ret+48(FP)
 	RET
 
-// func dotRowsAVX2(q, tab []float32, ids []int32, out []float32)
+// func pruneRowsAVX2(q, pre []float32, ids []int32, norms []float32, qNorm, bound, tau float32, rows []float32, stride int, keep []int32, c2 []float32) int
 //
-// out[i] = dotAVX2(q, row ids[i] of tab), rows len(q) floats apart: one
-// DOT_ACC per row, so every output has Dot's bits. DotRows has checked
-// each id against tab and out's length.
-TEXT ·dotRowsAVX2(SB), NOSPLIT, $0-96
-	MOVQ tab_base+24(FP), R11
+// PruneRows' kernel. Per id: c = 2·dotAVX2(q, row id of pre) through one
+// DOT_ACC, so c has Dot's bits; then (norms[id] + qNorm) − c − bound
+// against tau, one rounding per step as Go evaluates it. id and c are
+// stored at keep[n] and c2[n] whatever the test says, and n advances by
+// SETLS's 0 or 1 (unordered sets CF, so a NaN keeps the id). A kept id's
+// round-1 lines, rows + 4·(id·stride + len(q)) and the line after, are
+// prefetched; a pruned id prefetches its own entry of ids instead, a line
+// already in cache, so no branch depends on the test. PruneRows has
+// checked every id against norms, pre and rows, and the room in keep and
+// c2. Each row reloads q and the other rarely read arguments from the
+// frame: DOT_ACC leaves too few registers to hold them.
+TEXT ·pruneRowsAVX2(SB), NOSPLIT, $0-200
+	MOVQ pre_base+24(FP), R11
 	MOVQ ids_base+48(FP), R8
 	MOVQ ids_len+56(FP), R9
-	MOVQ out_base+72(FP), R10
+	MOVQ keep_base+144(FP), R10
+	MOVQ c2_base+168(FP), R13
 	MOVQ q_len+8(FP), R12
-	SHLQ $2, R12           // R12 = row stride in bytes
+	SHLQ $2, R12           // R12 = row stride of pre in bytes
+	VMOVSS qNorm+96(FP), X8
+	VMOVSS bound+100(FP), X9
+	VMOVSS tau+104(FP), X10
+	XORQ BX, BX            // BX = ids kept so far
 	TESTQ R9, R9
-	JZ   rows_done
+	JZ   prune_done
 
-rows_next:
-	MOVL (R8), AX          // AX = ids[i], non-negative (checked)
-	IMULQ R12, AX
-	LEAQ (R11)(AX*1), DI   // DI = row ids[i]
+prune_next:
+	MOVL (R8), AX          // AX = id, non-negative (checked)
+	MOVQ AX, DI
+	IMULQ R12, DI
+	ADDQ R11, DI           // DI = row id of pre
 	MOVQ q_base+0(FP), SI
 	MOVQ q_len+8(FP), CX
 	DOT_ACC
-	VMOVSS X0, (R10)
+	VADDSS X0, X0, X0      // c = 2·dot
+	MOVQ norms_base+72(FP), DX
+	VMOVSS (DX)(AX*4), X1
+	VADDSS X8, X1, X1      // norms[id] + qNorm
+	VSUBSS X0, X1, X1      // − c
+	VSUBSS X9, X1, X1      // − bound
+	MOVL AX, (R10)(BX*4)   // keep[n] = id
+	VMOVSS X0, (R13)(BX*4) // c2[n] = c
+	XORL CX, CX
+	VUCOMISS X10, X1
+	SETLS CX               // CX = 1 unless X1 > tau
+	MOVQ stride+136(FP), DX
+	IMULQ AX, DX
+	ADDQ q_len+8(FP), DX
+	MOVQ rows_base+112(FP), SI
+	LEAQ (SI)(DX*4), DX    // DX = coordinate len(q) of row id of rows
+	TESTQ CX, CX
+	CMOVQEQ R8, DX
+	PREFETCHT0 (DX)
+	PREFETCHT0 64(DX)
+	ADDQ CX, BX
 	ADDQ $4, R8
-	ADDQ $4, R10
 	DECQ R9
-	JNZ  rows_next
+	JNZ  prune_next
 
-rows_done:
+prune_done:
 	VZEROUPPER
+	MOVQ BX, ret+192(FP)
 	RET

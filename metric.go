@@ -50,6 +50,19 @@ func checkVector(v []float32, dim int) error {
 	return nil
 }
 
+// checkQuery is checkVector at a search entry, the reason wrapped in
+// ErrInvalidVector: a NaN or ±Inf component would otherwise reach the
+// comparators, and a scan answers such a query with no neighbours and no
+// error. A query over HTTP cannot carry one (JSON has no NaN, and decoding
+// rejects a number like 1e39 that overflows a float32), so this guards the
+// library's entry points.
+func checkQuery(q []float32, dim int) error {
+	if err := checkVector(q, dim); err != nil {
+		return fmt.Errorf("%w: query: %v", ErrInvalidVector, err)
+	}
+	return nil
+}
+
 // ingest is the one way rows enter an index: it copies n caller-space rows
 // into a fresh matrix in the internal space of the metric reduction, checking
 // each once (see checkVector) on the way. row(i) returns the i-th row and the

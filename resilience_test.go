@@ -608,3 +608,75 @@ func TestHugeKClampedToRows(t *testing.T) {
 		check("POST /search", len(data), k, out.Neighbors, err)
 	}
 }
+
+// TestNonFiniteQueryRejected: a query with a NaN or ±Inf component is an
+// ErrInvalidVector at every search entry. Before, every scan (Flat, IVF,
+// HNSW past ScanFrom, a sharded or mutable index) answered it with no
+// neighbours and a nil error, and a walk (HNSW at budget 10 over 1 000
+// rows) with NaN or +Inf distances.
+func TestNonFiniteQueryRejected(t *testing.T) {
+	rng := rand.New(rand.NewSource(39))
+	data := make([][]float32, 1000)
+	for i := range data {
+		data[i] = make([]float32, 16)
+		for j := range data[i] {
+			data[i][j] = float32(rng.NormFloat64())
+		}
+	}
+	check := func(label string, err error) {
+		t.Helper()
+		if !errors.Is(err, resinfer.ErrInvalidVector) {
+			t.Fatalf("%s: error %v, want ErrInvalidVector", label, err)
+		}
+	}
+	for _, bad := range []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))} {
+		q := append([]float32(nil), data[7]...)
+		q[5] = bad
+		for _, kind := range []resinfer.IndexKind{resinfer.Flat, resinfer.IVF, resinfer.HNSW} {
+			ix, err := resinfer.New(data, kind, &resinfer.Options{Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ix.Enable(resinfer.DDCRes, nil); err != nil {
+				t.Fatal(err)
+			}
+			for _, mode := range []resinfer.Mode{resinfer.Exact, resinfer.DDCRes} {
+				for _, budget := range []int{10, 200} {
+					label := fmt.Sprintf("Index %v %s budget %d, component %v", kind, mode, budget, bad)
+					_, err := ix.Search(q, 10, mode, budget)
+					check(label, err)
+					_, err = ix.SearchBatch([][]float32{data[0], q}, 10, mode, budget, 1)
+					check(label+" batch", err)
+				}
+			}
+		}
+
+		sx, err := resinfer.NewSharded(data, resinfer.HNSW, 3, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = sx.Search(q, 10, resinfer.Exact, 0)
+		check("ShardedIndex", err)
+		_, _, err = sx.SearchCtx(context.Background(), nil, q, 10, resinfer.Exact, 0, nil)
+		check("ShardedIndex ctx", err)
+		_, err = sx.SearchBatch([][]float32{q}, 10, resinfer.Exact, 0, 1)
+		check("ShardedIndex batch", err)
+		_, _, _, err = sx.GroundTruthSearch(nil, nil, q, 10)
+		check("ShardedIndex ground truth", err)
+
+		mx, err := resinfer.NewMutable(data, resinfer.HNSW, 2, &resinfer.MutableOptions{DisableAutoCompact: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := mx.Add(data[3]); err != nil {
+			t.Fatal(err)
+		}
+		_, err = mx.Search(q, 10, resinfer.Exact, 0)
+		check("MutableIndex", err)
+		_, err = mx.SearchBatch([][]float32{q}, 10, resinfer.Exact, 0, 1)
+		check("MutableIndex batch", err)
+		_, _, _, err = mx.GroundTruthSearch(nil, nil, q, 10)
+		check("MutableIndex ground truth", err)
+		mx.Close()
+	}
+}

@@ -527,9 +527,8 @@ func (ix *Index) Search(q []float32, k int, mode Mode, budget int) ([]Neighbor, 
 //
 //resinfer:noalloc
 func (ix *Index) SearchInto(dst []Neighbor, q []float32, k int, mode Mode, budget int) ([]Neighbor, SearchStats, error) {
-	if len(q) != ix.userDim {
-		//resinfer:alloc-ok cold invalid-argument path
-		return dst, SearchStats{}, fmt.Errorf("resinfer: query dim %d, index expects %d", len(q), ix.userDim)
+	if err := checkQuery(q, ix.userDim); err != nil {
+		return dst, SearchStats{}, err
 	}
 	s, pool, err := ix.acquire(mode)
 	if err != nil {

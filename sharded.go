@@ -152,11 +152,12 @@ type fanScratch struct {
 	rq       *heap.ResultQueue
 	seen     map[int]struct{} // merge dedup, reused across queries
 
-	// The query every probe of this fan runs: q as the caller passed it,
-	// tq in the internal space (one metric transform for all shards: q
-	// itself for L2, tqbuf otherwise). flat walks each shard's Flat view
-	// instead of its structure (ground truth); timed times every probe
-	// into its slot (a traced fan).
+	// The query every probe of this fan runs: q a copy of the caller's
+	// (a probe abandoned at a deadline, or a losing hedge, may still read
+	// it after the search returns), tq in the internal space (one metric
+	// transform for all shards: q itself for L2, tqbuf otherwise). flat
+	// walks each shard's Flat view instead of its structure (ground
+	// truth); timed times every probe into its slot (a traced fan).
 	q, tq, tqbuf []float32
 	k, budget    int
 	mode         Mode
@@ -226,11 +227,11 @@ func (sx *ShardedIndex) begin(fs *fanScratch, q []float32, k int, mode Mode, bud
 	if n := max(sx.Len(), 1); k > n {
 		k = n
 	}
-	fs.q, fs.k, fs.mode, fs.budget = q, k, mode, budget
+	fs.q, fs.k, fs.mode, fs.budget = append(fs.q[:0], q...), k, mode, budget
 	fs.flat, fs.timed = false, false
 	fs.rot.claimed.Store(false)
 	fs.rot.ready.Store(false)
-	fs.tq, err = sx.qmetric.transformInto(fs.tqbuf, q)
+	fs.tq, err = sx.qmetric.transformInto(fs.tqbuf, fs.q)
 	return err
 }
 
@@ -254,6 +255,7 @@ func (sx *ShardedIndex) initFanPool() {
 			complete: make([]bool, n),
 			cancels:  make([]context.CancelFunc, n),
 			rq:       heap.NewResultQueue(16),
+			q:        make([]float32, 0, sx.userDim),
 			tqbuf:    make([]float32, dim),
 		}
 	}
@@ -522,9 +524,8 @@ var errFanAbandoned = errors.New("resinfer: every shard abandoned at deadline")
 //
 //resinfer:noalloc
 func (sx *ShardedIndex) searchFan(ctx context.Context, dst []Neighbor, q []float32, k int, mode Mode, budget, workers int, tr *obs.Trace) ([]Neighbor, SearchStats, error) {
-	if len(q) != sx.userDim {
-		//resinfer:alloc-ok cold invalid-argument path
-		return dst, SearchStats{}, fmt.Errorf("resinfer: query dim %d, index expects %d", len(q), sx.userDim)
+	if err := checkQuery(q, sx.userDim); err != nil {
+		return dst, SearchStats{}, err
 	}
 	fs := sx.fanPool.Get().(*fanScratch)
 	if err := sx.begin(fs, q, k, mode, budget); err != nil {
