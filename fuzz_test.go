@@ -7,6 +7,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"resinfer/internal/core"
 )
 
 // The three loaders below decode bytes that arrive from disk or, through
@@ -27,6 +29,20 @@ func fuzzRows(n, dim int) [][]float32 {
 		}
 	}
 	return rows
+}
+
+// wideRows have more coordinates than exact's prefix bound reads, and at
+// least as many rows as coordinates: an index of them in no basis is a seed
+// whose loading trains the index's model over the loaded rows.
+var wideRows = fuzzRows(core.PrefixDim+4, core.PrefixDim+2)
+
+// saveBytes is what ix.Save writes.
+func saveBytes(f *testing.F, ix interface{ Save(io.Writer) error }) []byte {
+	var buf bytes.Buffer
+	if err := ix.Save(&buf); err != nil {
+		f.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // fuzzOptions keeps the seed indexes small: a low-degree graph and a
@@ -120,6 +136,11 @@ func FuzzLoad(f *testing.F) {
 	}
 	// Inverted lists over 50 rows, then 60 rows: Load must refuse it.
 	addSeeds(f, coverStream(f, IVF, rows[:50], rows))
+	wide, err := New(wideRows, Flat, fuzzOptions(L2))
+	if err != nil {
+		f.Fatal(err)
+	}
+	addSeeds(f, saveBytes(f, wide))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkLoad(t, data, func(r io.Reader) (fuzzEngine, func(), error) {
 			ix, err := Load(r)
@@ -144,6 +165,11 @@ func FuzzLoadSharded(f *testing.F) {
 			addSeeds(f, buf.Bytes())
 		}
 	}
+	wide, err := NewSharded(wideRows, Flat, 2, &ShardOptions{Index: fuzzOptions(L2)})
+	if err != nil {
+		f.Fatal(err)
+	}
+	addSeeds(f, saveBytes(f, wide))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkLoad(t, data, func(r io.Reader) (fuzzEngine, func(), error) {
 			sx, err := LoadSharded(r)
@@ -184,6 +210,12 @@ func FuzzLoadMutable(f *testing.F) {
 			addSeeds(f, buf.Bytes())
 		}
 	}
+	wide, err := NewMutable(wideRows, Flat, 2, &MutableOptions{Index: fuzzOptions(L2), DisableAutoCompact: true})
+	if err != nil {
+		f.Fatal(err)
+	}
+	addSeeds(f, saveBytes(f, wide))
+	wide.Close()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkLoad(t, data, func(r io.Reader) (fuzzEngine, func(), error) {
 			mx, err := LoadMutable(r, &MutableOptions{DisableAutoCompact: true})

@@ -278,11 +278,11 @@ func TestResPrefixTable(t *testing.T) {
 			t.Fatal(err)
 		}
 		for name, r := range map[string]*Res{"NewRes": trained, "Enable": enabled, "Refit": inherited, "DecodeRes": decoded} {
-			if len(r.pre) != r.Size()*r.initD {
-				t.Fatalf("%d-d %s: table of %d floats, want %d × %d", dim, name, len(r.pre), r.Size(), r.initD)
+			if len(r.pre.Pre()) != r.Size()*r.initD {
+				t.Fatalf("%d-d %s: table of %d floats, want %d × %d", dim, name, len(r.pre.Pre()), r.Size(), r.initD)
 			}
 			for i := 0; i < r.Size(); i++ {
-				if !vec.Equal(r.pre[i*r.initD:(i+1)*r.initD], r.Rotated().Row(i)[:r.initD]) {
+				if !vec.Equal(r.pre.Pre()[i*r.initD:(i+1)*r.initD], r.Rotated().Row(i)[:r.initD]) {
 					t.Fatalf("%d-d %s: row %d's table entry is not its prefix", dim, name, i)
 				}
 			}
@@ -319,7 +319,7 @@ func TestResPrefixTable(t *testing.T) {
 			t.Fatal(err)
 		}
 		if r.pre != nil || r.ExtraBytes() != int64(64*64*4+len(ds.Data)*4) {
-			t.Fatalf("dim 64, InitD %d: a table of %d floats, ExtraBytes %d", initD, len(r.pre), r.ExtraBytes())
+			t.Fatalf("dim 64, InitD %d: a table (%v), ExtraBytes %d", initD, r.pre != nil, r.ExtraBytes())
 		}
 	}
 }
@@ -646,7 +646,7 @@ func TestPruneAgreesWithCompare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inBasis, err := core.NewExactIn(rows.Rotated(), rows.Model())
+	inBasis, err := core.NewExactIn(rows.Rotated(), rows.Model(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

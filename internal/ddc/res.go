@@ -48,13 +48,11 @@ type ResConfig struct {
 type Res struct {
 	rotated *store.Matrix
 	norms   []float32 // ‖x−μ‖² per point in the rotated space
-	// pre holds each rotated row's first initD coordinates, n × initD
-	// contiguous: round 0 reads it, in Prune a block of ids per
-	// vec.PruneRows call and in Compare one row at a time (for an id Prune
-	// did not just keep), so a scan streams one dense table instead of
-	// picking a prefix out of every 4·dim-byte row. A copy kept for speed;
-	// nil when dim ≤ initD, where round 0 is the whole row.
-	pre    []float32
+	// pre holds each rotated row's first initD coordinates and norms: round
+	// 0 reads it, in Prune a block of ids per call and in Compare one row at
+	// a time (for an id Prune did not just keep). A copy kept for speed; nil
+	// when dim ≤ initD, where round 0 is the whole row.
+	pre    *core.PrefixTable
 	model  *pca.Model
 	dim    int
 	m      float32
@@ -110,14 +108,18 @@ func NewResRotated(rotated *store.Matrix, model *pca.Model, cfg ResConfig) (*Res
 		initD:   cfg.InitD,
 		deltaD:  cfg.DeltaD,
 	}
+	var pre []float32
 	if r.rounds() > 0 {
-		r.pre = make([]float32, 0, rotated.Rows()*r.initD)
+		pre = make([]float32, 0, rotated.Rows()*r.initD)
 	}
 	for i := 0; i < rotated.Rows(); i++ {
 		r.norms[i] = vec.NormSq(rotated.Row(i))
-		if r.pre != nil {
-			r.pre = append(r.pre, rotated.Row(i)[:r.initD]...)
+		if pre != nil {
+			pre = append(pre, rotated.Row(i)[:r.initD]...)
 		}
+	}
+	if pre != nil {
+		r.pre = core.NewPrefixTable(pre, r.norms, nil, r.initD)
 	}
 	return r, nil
 }
@@ -139,7 +141,10 @@ func (r *Res) Dim() int { return r.dim }
 // re-bases rather than duplicates. A standalone NewRes also owns a rotated
 // copy of the rows it was given.
 func (r *Res) ExtraBytes() int64 {
-	return r.model.Rotation.Bytes() + int64(len(r.norms)+len(r.pre))*4
+	if r.pre != nil {
+		return r.model.Rotation.Bytes() + r.pre.Bytes()
+	}
+	return r.model.Rotation.Bytes() + int64(len(r.norms))*4
 }
 
 // Model exposes the PCA model (variance spectrum, rotation) for
@@ -171,14 +176,17 @@ func (r *Res) rounds() int {
 // sqrt(4·Σ_{i≥d} q_i²σ_i²), at every depth d a correction round stops at,
 // so each round reads its error bound in O(1).
 func (r *Res) NewEvaluator() core.ResettableEvaluator {
-	return &resEvaluator{
+	ev := &resEvaluator{
 		parent: r,
 		flat:   r.rotated.Flat(),
-		pre:    r.pre,
 		q:      make([]float32, r.dim),
 		cent:   make([]float32, r.dim),
 		bound:  make([]float32, r.rounds()),
 	}
+	if r.pre != nil {
+		ev.pre = r.pre.Pre()
+	}
+	return ev
 }
 
 // resEvaluator is one query's DDCres state. Prune records the ids it keeps
@@ -282,7 +290,7 @@ func (ev *resEvaluator) Compare(id int, tau float32) (float32, bool) {
 	ev.stats.DimsScanned += int64(d)
 	for k := 0; d < p.dim; k++ {
 		// One subtraction against the stored bound, nothing to fuse:
-		// vec.PruneRows tests round 0 with the same expression.
+		// core.PrefixTable.Prune tests round 0 with the same expression.
 		if approx := c1 - c2; approx-ev.bound[k] > tau {
 			ev.stats.Pruned++
 			return approx, true
@@ -303,9 +311,10 @@ func (ev *resEvaluator) Compare(id int, tau float32) (float32, bool) {
 }
 
 // Prune implements core.ResettableEvaluator: round 0 of Compare for a
-// block of at most core.PruneBlock ids in one vec.PruneRows call over the
-// prefix table, which also prefetches each survivor's round-1 lines. It
-// records the survivors and their C2 for Compare to resume from. With no
+// block of at most core.PruneBlock ids in one call over the prefix table
+// (core.PrefixTable.Prune, no factor), which also prefetches each
+// survivor's round-1 lines. It records the survivors and their C2 for
+// Compare to resume from. With no
 // prefix table (dim ≤ initD, where round 0 reads the whole row and ends in
 // the exact distance) or a tau of +Inf it keeps every id.
 //
@@ -316,11 +325,7 @@ func (ev *resEvaluator) Prune(ids []int32, tau float32, keep []int32) []int32 {
 		return ids
 	}
 	p := ev.parent
-	ev.nSurv = vec.PruneRows(ev.q[:p.initD], ev.pre, ids, p.norms, ev.qNorm, ev.bound[0], tau, ev.flat, p.dim, ev.surv[:], ev.survC2[:])
-	out := int64(len(ids) - ev.nSurv)
-	ev.stats.Comparisons += out
-	ev.stats.Pruned += out
-	ev.stats.DimsScanned += out * int64(p.initD)
+	ev.nSurv = p.pre.Prune(&ev.stats, ev.q, ids, ev.qNorm, ev.bound[0], tau, ev.flat, p.dim, ev.surv[:], ev.survC2[:])
 	return append(keep, ev.surv[:ev.nSurv]...)
 }
 

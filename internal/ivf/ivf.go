@@ -116,9 +116,11 @@ var errK = errors.New("ivf: k must be positive")
 // clamped to it.
 //
 // A list is scanned core.PruneBlock ids at a time: ev.Prune rules out, in
-// bulk, the ids Compare would prune under the τ the block starts with, and
-// only the survivors are Compared, each under the τ of the moment. τ only
-// falls, so this answers, and counts, exactly as Compare over every id.
+// bulk, ids Compare would prune under the τ the block starts with, or whose
+// distance is at least that τ, and only the survivors are Compared, each
+// under the τ of the moment. τ only falls, so this answers exactly as
+// Compare over every id (and counts exactly as it, for an evaluator that
+// rules out only what Compare would prune).
 //
 //resinfer:noalloc
 func (idx *Index) SearchEval(ev core.ResettableEvaluator, q []float32, k, nprobe, size int, dst []Result) ([]Result, error) {

@@ -3,7 +3,6 @@ package server
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"time"
@@ -67,11 +66,11 @@ type compactResponse struct {
 	Compacted int `json:"compacted"`
 }
 
-// decodeStrict decodes one JSON value rejecting unknown fields, so a
-// client typo ("vektor") fails loudly with a 400 instead of silently
-// mutating nothing — or the wrong row.
-func decodeStrict(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// decodeStrict decodes one JSON value of at most maxBody bytes rejecting
+// unknown fields, so a client typo ("vektor") fails loudly with a 400
+// instead of silently mutating nothing — or the wrong row.
+func (s *Server) decodeStrict(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody()))
 	dec.DisallowUnknownFields()
 	return dec.Decode(v)
 }
@@ -104,8 +103,8 @@ func (s *Server) failMutation(w http.ResponseWriter, err error) {
 func (s *Server) handleUpsert(w http.ResponseWriter, r *http.Request) {
 	s.metrics.requests.Inc()
 	var req upsertRequest
-	if err := decodeStrict(r, &req); err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if err := s.decodeStrict(w, r, &req); err != nil {
+		s.failDecode(w, err)
 		return
 	}
 	if len(req.Vector) == 0 {
@@ -128,8 +127,8 @@ func (s *Server) handleUpsert(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	s.metrics.requests.Inc()
 	var req deleteRequest
-	if err := decodeStrict(r, &req); err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if err := s.decodeStrict(w, r, &req); err != nil {
+		s.failDecode(w, err)
 		return
 	}
 	if req.ID == nil || *req.ID < 0 {

@@ -298,3 +298,36 @@ func TestServerImmutableIndexHasNoMutationEndpoints(t *testing.T) {
 		t.Fatal("immutable /stats must omit the mutation section")
 	}
 }
+
+// TestRequestBodyCapped checks the cap on a body that carries one vector:
+// a /search or /upsert body of exactly maxBody bytes is answered, and one
+// byte more is refused with 413 before the decoder has read it all. The
+// padding sits inside the JSON value, so the decoder must read every byte.
+func TestRequestBodyCapped(t *testing.T) {
+	mx, srv, ts := mutableFixture(t)
+	limit := int(srv.maxBody())
+	v, err := json.Marshal(make([]float32, mx.QueryDim()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ path, head string }{
+		{"/search", `{"k":3,"query":` + string(v)},
+		{"/upsert", `{"vector":` + string(v)},
+	} {
+		for _, extra := range []int{0, 1} {
+			body := c.head + strings.Repeat(" ", limit+extra-len(c.head)-1) + "}"
+			resp, err := http.Post(ts.URL+c.path, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			want := http.StatusOK
+			if extra > 0 {
+				want = http.StatusRequestEntityTooLarge
+			}
+			if resp.StatusCode != want {
+				t.Errorf("%s with a %d-byte body (cap %d): status %d, want %d", c.path, len(body), limit, resp.StatusCode, want)
+			}
+		}
+	}
+}

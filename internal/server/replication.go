@@ -79,8 +79,8 @@ type shardSearchResponse struct {
 func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
 	s.metrics.requests.Inc()
 	var req shardSearchRequest
-	if err := decodeStrict(r, &req); err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if err := s.decodeStrict(w, r, &req); err != nil {
+		s.failDecode(w, err)
 		return
 	}
 	if req.Shard < 0 || req.Shard >= s.idx.NumShards() {

@@ -495,6 +495,23 @@ func (s *Server) fail(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, errorResponse{Error: err.Error()})
 }
 
+// maxBody caps the body of a request that carries one vector (/search,
+// /upsert, /delete, a peer's shard probe): 4 KiB for the rest of the
+// request plus 64 bytes a coordinate, four times the longest float32 JSON
+// writes. Decoding stops there, before the dimension check could reject
+// what an unbounded body had already made the server buffer and parse.
+func (s *Server) maxBody() int64 { return 4<<10 + 64*int64(s.idx.QueryDim()) }
+
+// failDecode answers a body that did not decode: 413 past maxBody, 400
+// otherwise.
+func (s *Server) failDecode(w http.ResponseWriter, err error) {
+	if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+		s.fail(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body over %d bytes", tooBig.Limit))
+		return
+	}
+	s.fail(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+}
+
 // statusClientClosedRequest is nginx's conventional code for a request
 // the client abandoned; no standard constant exists.
 const statusClientClosedRequest = 499
@@ -527,8 +544,8 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	s.metrics.requests.Inc()
 	var req searchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBody())).Decode(&req); err != nil {
+		s.failDecode(w, err)
 		return
 	}
 	if len(req.Query) == 0 {

@@ -21,7 +21,7 @@ func dotAVX2(a, b []float32) float32
 func l2sqAVX2(a, b []float32) float32
 
 //go:noescape
-func pruneRowsAVX2(q, pre []float32, ids []int32, norms []float32, qNorm, bound, tau float32, rows []float32, stride int, keep []int32, c2 []float32) int
+func pruneRowsAVX2(q, pre []float32, ids []int32, norms, fac []float32, qNorm, bound, tau float32, rows []float32, stride int, keep []int32, c2 []float32) int
 
 //go:noescape
 func axpyRows64AVX2(y, a []float64, x [][]float64)

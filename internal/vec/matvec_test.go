@@ -1,6 +1,7 @@
 package vec
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -96,8 +97,11 @@ func FuzzMatVecEquivalence(f *testing.F) {
 // TestPruneRowsMatchesReference holds PruneRows to a Go loop over Dot:
 // the same ids kept, in order, with the bits of their 2·Dot, for ids
 // repeated and out of order and for none at all; τ of −Inf, +Inf, at
-// quantiles and exactly at an id's (norms + qNorm) − c − bound, which keeps
-// it, as does a NaN estimate. A bad id or short output panics before the
+// quantiles and exactly at an id's (norms + qNorm) − c − bound·fac, which
+// keeps it, as does a NaN estimate. It does so with no factor (ddc-res's
+// test, bound subtracted as it is), with an all-ones factor, which keeps and
+// hands back exactly what no factor does, and with random factors (exact's
+// prefix bound). A bad id or short input or output panics before the
 // kernel reads anything, and a call allocates nothing.
 func TestPruneRowsMatchesReference(t *testing.T) {
 	t.Logf("dispatch level: %s", Level())
@@ -112,58 +116,90 @@ func TestPruneRowsMatchesReference(t *testing.T) {
 			norms[i] = 4 * rng.Float32()
 		}
 		norms[3] = float32(math.NaN())
+		ones, random := make([]float32, rows), make([]float32, rows)
+		for i := range ones {
+			ones[i], random[i] = 1, 2*rng.Float32()
+		}
 		const qNorm, bound = 1.5, 0.25
-		est := func(id int32) (float32, float32) {
-			c := 2 * Dot(q, pre[int(id)*dim:int(id+1)*dim])
-			return c, (norms[id] + qNorm) - c - bound
-		}
-		var vals []float32
-		for _, id := range ids {
-			if _, v := est(id); !math.IsNaN(float64(v)) {
-				vals = append(vals, v)
+		// kept[f] records, per τ and block, what factor f kept and its c.
+		kept := map[string][]float32{}
+		for _, f := range []struct {
+			name string
+			fac  []float32
+		}{{"nil", nil}, {"ones", ones}, {"random", random}} {
+			fac := f.fac
+			est := func(id int32) (float32, float32) {
+				c := 2 * Dot(q, pre[int(id)*dim:int(id+1)*dim])
+				if fac == nil {
+					return c, (norms[id] + qNorm) - c - bound
+				}
+				return c, (norms[id] + qNorm) - c - float32(bound*fac[id])
 			}
-		}
-		slices.Sort(vals)
-		taus := []float32{float32(math.Inf(-1)), float32(math.Inf(1)), vals[len(vals)/2], vals[len(vals)/10], vals[len(vals)*9/10]}
-		keep, c2 := make([]int32, len(ids)+1), make([]float32, len(ids)+1)
-		for _, tau := range taus {
-			for _, blk := range [][]int32{ids, ids[3:9], nil} {
-				keep[len(blk)], c2[len(blk)] = -7, 42
-				n := PruneRows(q, pre, blk, norms, qNorm, bound, tau, tab, stride, keep, c2)
-				var want []int32
-				for _, id := range blk {
-					if c, v := est(id); !(v > tau) {
-						if len(want) >= n || keep[len(want)] != id || math.Float32bits(c2[len(want)]) != math.Float32bits(c) {
-							t.Fatalf("dim %d τ %v: kept %v / %v, reference keeps id %d with c %v as its %d-th", dim, tau, keep[:n], c2[:n], id, c, len(want))
+			var vals []float32
+			for _, id := range ids {
+				if _, v := est(id); !math.IsNaN(float64(v)) {
+					vals = append(vals, v)
+				}
+			}
+			slices.Sort(vals)
+			taus := []float32{float32(math.Inf(-1)), float32(math.Inf(1)), vals[len(vals)/2], vals[len(vals)/10], vals[len(vals)*9/10]}
+			keep, c2 := make([]int32, len(ids)+1), make([]float32, len(ids)+1)
+			for ti, tau := range taus {
+				for bi, blk := range [][]int32{ids, ids[3:9], nil} {
+					keep[len(blk)], c2[len(blk)] = -7, 42
+					n := PruneRows(q, pre, blk, norms, fac, qNorm, bound, tau, tab, stride, keep, c2)
+					var want []int32
+					for _, id := range blk {
+						if c, v := est(id); !(v > tau) {
+							if len(want) >= n || keep[len(want)] != id || math.Float32bits(c2[len(want)]) != math.Float32bits(c) {
+								t.Fatalf("dim %d fac %s τ %v: kept %v / %v, reference keeps id %d with c %v as its %d-th", dim, f.name, tau, keep[:n], c2[:n], id, c, len(want))
+							}
+							want = append(want, id)
 						}
-						want = append(want, id)
 					}
-				}
-				if n != len(want) || keep[len(blk)] != -7 || c2[len(blk)] != 42 {
-					t.Fatalf("dim %d τ %v: kept %d ids, reference %d, or wrote past len(ids)", dim, tau, n, len(want))
-				}
-				if slices.Contains(blk, 3) && !slices.Contains(want, 3) {
-					t.Fatalf("dim %d τ %v: a NaN estimate was pruned", dim, tau)
+					if n != len(want) || keep[len(blk)] != -7 || c2[len(blk)] != 42 {
+						t.Fatalf("dim %d fac %s τ %v: kept %d ids, reference %d, or wrote past len(ids)", dim, f.name, tau, n, len(want))
+					}
+					if slices.Contains(blk, 3) && !slices.Contains(want, 3) {
+						t.Fatalf("dim %d fac %s τ %v: a NaN estimate was pruned", dim, f.name, tau)
+					}
+					if f.name == "random" {
+						continue
+					}
+					key := fmt.Sprint(ti, bi)
+					got := make([]float32, 0, 2*n)
+					for i := 0; i < n; i++ {
+						got = append(got, float32(keep[i]), c2[i])
+					}
+					if prev, ok := kept[key]; ok && !slices.EqualFunc(prev, got, func(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) }) {
+						t.Fatalf("dim %d τ %v: an all-ones factor kept %v, no factor %v", dim, tau, got, prev)
+					}
+					kept[key] = got
 				}
 			}
-		}
-		for _, id := range ids[:4] {
-			_, v := est(id)
-			if n := PruneRows(q, pre, []int32{id}, norms, qNorm, bound, v, tab, stride, keep, c2); n != 1 {
-				t.Errorf("dim %d: τ equal to id %d's estimate less the bound pruned it", dim, id)
+			for _, id := range ids[:4] {
+				_, v := est(id)
+				if n := PruneRows(q, pre, []int32{id}, norms, fac, qNorm, bound, v, tab, stride, keep, c2); n != 1 {
+					t.Errorf("dim %d fac %s: τ equal to id %d's estimate less the bound pruned it", dim, f.name, id)
+				}
+			}
+			if a := testing.AllocsPerRun(100, func() { PruneRows(q, pre, ids, norms, fac, qNorm, bound, vals[0], tab, stride, keep, c2) }); a != 0 {
+				t.Errorf("dim %d fac %s: PruneRows allocates %v times per call", dim, f.name, a)
 			}
 		}
-		if a := testing.AllocsPerRun(100, func() { PruneRows(q, pre, ids, norms, qNorm, bound, vals[0], tab, stride, keep, c2) }); a != 0 {
-			t.Errorf("dim %d: PruneRows allocates %v times per call", dim, a)
-		}
+		keep, c2 := make([]int32, len(ids)), make([]float32, len(ids))
 		for name, f := range map[string]func(){
-			"id past the table": func() { PruneRows(q, pre, []int32{3, rows}, norms, 0, 0, 0, tab, stride, keep, c2) },
-			"negative id":       func() { PruneRows(q, pre, []int32{-1}, norms, 0, 0, 0, tab, stride, keep, c2) },
-			"short pre":         func() { PruneRows(q, pre[:rows*dim-1], []int32{rows - 1}, norms, 0, 0, 0, tab, stride, keep, c2) },
-			"short norms":       func() { PruneRows(q, pre, []int32{rows - 1}, norms[:rows-1], 0, 0, 0, tab, stride, keep, c2) },
-			"short rows":        func() { PruneRows(q, pre, []int32{rows - 1}, norms, 0, 0, 0, tab[:rows*stride-1], stride, keep, c2) },
-			"short keep":        func() { PruneRows(q, pre, ids, norms, 0, 0, 0, tab, stride, keep[:len(ids)-1], c2) },
-			"short c2":          func() { PruneRows(q, pre, ids, norms, 0, 0, 0, tab, stride, keep, c2[:len(ids)-1]) },
+			"id past the table": func() { PruneRows(q, pre, []int32{3, rows}, norms, nil, 0, 0, 0, tab, stride, keep, c2) },
+			"negative id":       func() { PruneRows(q, pre, []int32{-1}, norms, nil, 0, 0, 0, tab, stride, keep, c2) },
+			"short pre":         func() { PruneRows(q, pre[:rows*dim-1], []int32{rows - 1}, norms, nil, 0, 0, 0, tab, stride, keep, c2) },
+			"short norms":       func() { PruneRows(q, pre, []int32{rows - 1}, norms[:rows-1], nil, 0, 0, 0, tab, stride, keep, c2) },
+			"short fac":         func() { PruneRows(q, pre, []int32{rows - 1}, norms, random[:rows-1], 0, 0, 0, tab, stride, keep, c2) },
+			"empty fac":         func() { PruneRows(q, pre, []int32{0}, norms, random[:0], 0, 0, 0, tab, stride, keep, c2) },
+			"short rows": func() {
+				PruneRows(q, pre, []int32{rows - 1}, norms, nil, 0, 0, 0, tab[:rows*stride-1], stride, keep, c2)
+			},
+			"short keep": func() { PruneRows(q, pre, ids, norms, nil, 0, 0, 0, tab, stride, keep[:len(ids)-1], c2) },
+			"short c2":   func() { PruneRows(q, pre, ids, norms, nil, 0, 0, 0, tab, stride, keep, c2[:len(ids)-1]) },
 		} {
 			func() {
 				defer func() {

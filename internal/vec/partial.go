@@ -102,22 +102,24 @@ func MatVec(dst, rot []float32, dim int, x []float32) {
 	}
 }
 
-// PruneRows runs round 0 of DDCres's incremental test (Algorithm 2) over a
-// block of rows. For each ids[i] in order it takes c = 2·Dot(q, row id of
-// pre), pre being a row-major table of len(q)-float rows, and keeps the id
-// unless (norms[id] + qNorm) − c − bound > tau; a NaN keeps it, as Go's >
-// does. The kept ids and their c land in keep and c2 at matching
-// positions, and it returns how many it kept. Every c has Dot's bits. On
-// amd64 it is one assembly call, with no branch on the test, that also
-// prefetches for each kept id the two cache lines of its row of rows
-// (stride floats apart) from coordinate len(q) on: what the row's next
-// round reads. Elsewhere it is a loop over Dot with no prefetch. It checks
-// every id against norms, pre and rows, and the room in keep and c2,
-// before the kernel reads anything, and panics on a failure, which only a
-// bug can cause.
+// PruneRows runs round 0 of DDCres's incremental test (Algorithm 2), or
+// exact search's prefix bound, over a block of rows. For each ids[i] in
+// order it takes c = 2·Dot(q, row id of pre), pre being a row-major table
+// of len(q)-float rows, and keeps the id unless
+// (norms[id] + qNorm) − c − bound·fac[id] > tau; a NaN keeps it, as Go's >
+// does. A nil fac is a factor of 1 with no multiply: the test is then
+// (norms[id] + qNorm) − c − bound, bit for bit. The kept ids and their c
+// land in keep and c2 at matching positions, and it returns how many it
+// kept. Every c has Dot's bits. On amd64 it is one assembly call, with no
+// branch on the test, that also prefetches for each kept id the two cache
+// lines of its row of rows (stride floats apart) from coordinate len(q) on:
+// what the row's next round reads. Elsewhere it is a loop over Dot with no
+// prefetch. It checks every id against norms, fac, pre and rows, and the
+// room in keep and c2, before the kernel reads anything, and panics on a
+// failure, which only a bug can cause.
 //
 //resinfer:noalloc
-func PruneRows(q, pre []float32, ids []int32, norms []float32, qNorm, bound, tau float32, rows []float32, stride int, keep []int32, c2 []float32) int {
+func PruneRows(q, pre []float32, ids []int32, norms, fac []float32, qNorm, bound, tau float32, rows []float32, stride int, keep []int32, c2 []float32) int {
 	if len(keep) < len(ids) || len(c2) < len(ids) {
 		panic("vec: PruneRows output shorter than ids")
 	}
@@ -125,20 +127,26 @@ func PruneRows(q, pre []float32, ids []int32, norms []float32, qNorm, bound, tau
 	for _, id := range ids {
 		hi = max(hi, uint32(id))
 	}
-	if n := uint64(hi) + 1; len(ids) > 0 && (int32(hi) < 0 || n > uint64(len(norms)) || n*uint64(len(q)) > uint64(len(pre)) || n*uint64(stride) > uint64(len(rows))) {
+	if n := uint64(hi) + 1; len(ids) > 0 && (int32(hi) < 0 || n > uint64(len(norms)) || fac != nil && n > uint64(len(fac)) || n*uint64(len(q)) > uint64(len(pre)) || n*uint64(stride) > uint64(len(rows))) {
 		panic("vec: PruneRows row out of range")
 	}
-	return pruneRowsImpl(q, pre, ids, norms, qNorm, bound, tau, rows, stride, keep, c2)
+	return pruneRowsImpl(q, pre, ids, norms, fac, qNorm, bound, tau, rows, stride, keep, c2)
 }
 
 // pruneRowsLoop is PruneRows as a loop over the dispatched Dot kernel,
-// without the prefetch.
-func pruneRowsLoop(q, pre []float32, ids []int32, norms []float32, qNorm, bound, tau float32, _ []float32, _ int, keep []int32, c2 []float32) int {
+// without the prefetch. The conversion rounds bound·fac[id] on its own, as
+// the assembly does, where a compiler could otherwise fuse it into the
+// subtraction.
+func pruneRowsLoop(q, pre []float32, ids []int32, norms, fac []float32, qNorm, bound, tau float32, _ []float32, _ int, keep []int32, c2 []float32) int {
 	d, n := len(q), 0
 	for _, id := range ids {
 		c := 2 * dotImpl(q, pre[int(id)*d:int(id+1)*d])
 		keep[n], c2[n] = id, c
-		if !((norms[id]+qNorm)-c-bound > tau) {
+		b := bound
+		if fac != nil {
+			b = float32(bound * fac[id])
+		}
+		if !((norms[id]+qNorm)-c-b > tau) {
 			n++
 		}
 	}

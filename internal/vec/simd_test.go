@@ -171,7 +171,7 @@ func TestForceGeneric(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	a, b := randSlice(rng, 129), randSlice(rng, 129)
 	keep, c2 := make([]int32, 1), make([]float32, 1)
-	PruneRows(a, b, []int32{0}, []float32{0}, 0, 0, 0, b, len(b), keep, c2)
+	PruneRows(a, b, []int32{0}, []float32{0}, nil, 0, 0, 0, b, len(b), keep, c2)
 	if Dot(a, b) != DotGeneric(a, b) || L2Sq(a, b) != L2SqGeneric(a, b) || c2[0] != 2*DotGeneric(a, b) {
 		t.Fatal("forced-generic kernels are not bit-identical to the generic reference")
 	}

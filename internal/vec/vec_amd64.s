@@ -150,30 +150,32 @@ l2_done:
 	MOVSS X0, ret+48(FP)
 	RET
 
-// func pruneRowsAVX2(q, pre []float32, ids []int32, norms []float32, qNorm, bound, tau float32, rows []float32, stride int, keep []int32, c2 []float32) int
+// func pruneRowsAVX2(q, pre []float32, ids []int32, norms, fac []float32, qNorm, bound, tau float32, rows []float32, stride int, keep []int32, c2 []float32) int
 //
 // PruneRows' kernel. Per id: c = 2·dotAVX2(q, row id of pre) through one
-// DOT_ACC, so c has Dot's bits; then (norms[id] + qNorm) − c − bound
-// against tau, one rounding per step as Go evaluates it. id and c are
-// stored at keep[n] and c2[n] whatever the test says, and n advances by
-// SETLS's 0 or 1 (unordered sets CF, so a NaN keeps the id). A kept id's
-// round-1 lines, rows + 4·(id·stride + len(q)) and the line after, are
-// prefetched; a pruned id prefetches its own entry of ids instead, a line
-// already in cache, so no branch depends on the test. PruneRows has
-// checked every id against norms, pre and rows, and the room in keep and
-// c2. Each row reloads q and the other rarely read arguments from the
-// frame: DOT_ACC leaves too few registers to hold them.
-TEXT ·pruneRowsAVX2(SB), NOSPLIT, $0-200
+// DOT_ACC, so c has Dot's bits; then (norms[id] + qNorm) − c − bound·fac[id]
+// against tau, one rounding per step as Go evaluates it, the product
+// rounded on its own (VMULSS, no fused multiply-subtract). A nil fac
+// subtracts bound itself: the branch on it goes the same way for every id.
+// id and c are stored at keep[n] and c2[n] whatever the test says, and n
+// advances by SETLS's 0 or 1 (unordered sets CF, so a NaN keeps the id). A
+// kept id's round-1 lines, rows + 4·(id·stride + len(q)) and the line
+// after, are prefetched; a pruned id prefetches its own entry of ids
+// instead, a line already in cache, so no branch depends on the test.
+// PruneRows has checked every id against norms, fac, pre and rows, and the
+// room in keep and c2. Each row reloads q and the other rarely read
+// arguments from the frame: DOT_ACC leaves too few registers to hold them.
+TEXT ·pruneRowsAVX2(SB), NOSPLIT, $0-224
 	MOVQ pre_base+24(FP), R11
 	MOVQ ids_base+48(FP), R8
 	MOVQ ids_len+56(FP), R9
-	MOVQ keep_base+144(FP), R10
-	MOVQ c2_base+168(FP), R13
+	MOVQ keep_base+168(FP), R10
+	MOVQ c2_base+192(FP), R13
 	MOVQ q_len+8(FP), R12
 	SHLQ $2, R12           // R12 = row stride of pre in bytes
-	VMOVSS qNorm+96(FP), X8
-	VMOVSS bound+100(FP), X9
-	VMOVSS tau+104(FP), X10
+	VMOVSS qNorm+120(FP), X8
+	VMOVSS bound+124(FP), X9
+	VMOVSS tau+128(FP), X10
 	XORQ BX, BX            // BX = ids kept so far
 	TESTQ R9, R9
 	JZ   prune_done
@@ -191,16 +193,26 @@ prune_next:
 	VMOVSS (DX)(AX*4), X1
 	VADDSS X8, X1, X1      // norms[id] + qNorm
 	VSUBSS X0, X1, X1      // − c
+	MOVQ fac_base+96(FP), DX
+	TESTQ DX, DX
+	JZ   prune_nofac
+	VMULSS (DX)(AX*4), X9, X2
+	VSUBSS X2, X1, X1      // − bound·fac[id]
+	JMP  prune_test
+
+prune_nofac:
 	VSUBSS X9, X1, X1      // − bound
+
+prune_test:
 	MOVL AX, (R10)(BX*4)   // keep[n] = id
 	VMOVSS X0, (R13)(BX*4) // c2[n] = c
 	XORL CX, CX
 	VUCOMISS X10, X1
 	SETLS CX               // CX = 1 unless X1 > tau
-	MOVQ stride+136(FP), DX
+	MOVQ stride+160(FP), DX
 	IMULQ AX, DX
 	ADDQ q_len+8(FP), DX
-	MOVQ rows_base+112(FP), SI
+	MOVQ rows_base+136(FP), SI
 	LEAQ (SI)(DX*4), DX    // DX = coordinate len(q) of row id of rows
 	TESTQ CX, CX
 	CMOVQEQ R8, DX
@@ -213,5 +225,5 @@ prune_next:
 
 prune_done:
 	VZEROUPPER
-	MOVQ BX, ret+192(FP)
+	MOVQ BX, ret+216(FP)
 	RET

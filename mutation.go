@@ -459,7 +459,7 @@ func (sx *ShardedIndex) compactShard(s int, wait bool) (bool, CompactionInfo, er
 	mat, ms, basis, err := base.compactRows(keep, memIDs, memVecs)
 	var newIdx *Index
 	if err == nil {
-		newIdx, err = buildIndex(mat, ms, basis, sx.kind, opts.withDefaults())
+		newIdx, err = buildIndex(mat, ms, basis, sx.kind, opts.withDefaults(), func() *pca.Model { return base.model })
 	}
 	if err != nil {
 		return false, CompactionInfo{}, fmt.Errorf("resinfer: compacting shard %d: %w", s, err)
@@ -498,6 +498,9 @@ func (sx *ShardedIndex) compactShard(s int, wait bool) (bool, CompactionInfo, er
 	var leadShare float64
 	if res, ok := newIdx.modes[DDCRes].dco.(*ddc.Res); ok {
 		leadShare = res.LeadShare()
+	}
+	if basis == nil {
+		sx.model = nil // no longer the model of the shards' rows
 	}
 	seg.mu.Lock()
 	swapStart := time.Now()

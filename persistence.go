@@ -74,9 +74,15 @@ func (ix *Index) encode(pw *persist.Writer) error {
 	return pw.Err()
 }
 
-// Load deserializes an index written by Save.
+// Load deserializes an index written by Save. No file holds an index's
+// PCA model: one whose rows are in no basis trains it again over them, as
+// New did.
 func Load(r io.Reader) (*Index, error) {
-	return decodeIndex(persist.NewReader(r))
+	ix, err := decodeIndex(persist.NewReader(r))
+	if err != nil || ix.basis != nil {
+		return ix, err
+	}
+	return ix, ix.adopt(constructionModel(ix.opts.Seed, ix.data))
 }
 
 // decodeIndex reads one index stream from an existing persist reader. It
@@ -152,11 +158,9 @@ func decodeIndex(pr *persist.Reader) (*Index, error) {
 			return nil, err
 		}
 	}
-	exact, err := core.NewExactIn(ix.data, ix.basis) // checks the basis's dimension
-	if err != nil {
+	if err := ix.adopt(nil); err != nil { // checks the basis's dimension
 		return nil, err
 	}
-	ix.installDCO(Exact, exact)
 
 	nModes := pr.Int()
 	if err := pr.Err(); err != nil {

@@ -246,6 +246,12 @@ type Index struct {
 	// flat is the Flat view of an HNSW or IVF index's rows, the one list
 	// ground truth and an HNSW scan read (see flatView), built on first use.
 	flat atomic.Pointer[ivf.Index]
+	// model is the PCA model trained where the index was built or loaded
+	// (a shard's is its sharded index's, a compacted shard's its
+	// predecessor's), set before the index is shared: exact prunes on it
+	// while the rows are in no basis, and the first PCA mode re-bases onto
+	// it. nil where none was trained (see constructionModel).
+	model *pca.Model
 
 	enableMu sync.Mutex // one Enable* at a time: train, re-base, install
 
@@ -260,25 +266,53 @@ type Index struct {
 // row index = neighbor ID). The rows are copied into one contiguous
 // row-major buffer; the caller's slices are not retained. The Exact mode
 // is always available; other modes are trained on demand via Enable /
-// EnableWithTraining.
+// EnableWithTraining. Beside the structure, New trains the index's PCA
+// model (see constructionModel), which exact prunes on and the first PCA
+// mode re-bases onto.
 func New(data [][]float32, kind IndexKind, opts *Options) (*Index, error) {
-	return newIndex(len(data), func(i int) (int, []float32) { return i, data[i] }, kind, opts.withDefaults())
-}
-
-// newIndex ingests n caller-space rows (see ingest) and builds an index of
-// the given kind over them: what New and every shard of NewSharded do. o
-// has its defaults applied.
-func newIndex(n int, row func(i int) (id int, v []float32), kind IndexKind, o Options) (*Index, error) {
-	mat, ms, err := ingest(n, row, o.Metric, 0)
+	o := opts.withDefaults()
+	mat, ms, err := ingest(len(data), func(i int) (int, []float32) { return i, data[i] }, o.Metric, 0)
 	if err != nil {
 		return nil, err
 	}
-	return buildIndex(mat, ms, nil, kind, o)
+	return buildIndex(mat, ms, nil, kind, o, func() *pca.Model { return constructionModel(o.Seed, mat) })
+}
+
+// trainModel is the one place an index's PCA model is trained, over the
+// rows of mats in order: the model a PCA mode re-bases the index onto. With
+// no sample cap it depends on the rows alone, not on seed.
+func trainModel(seed int64, mats ...*store.Matrix) (*pca.Model, error) {
+	return pca.Train(pca.Config{Seed: seed}, mats...)
+}
+
+// constructionModel is trainModel where an index is built or loaded. It
+// trains only where exact's prefix bound can use the model, rows of more
+// than core.PrefixDim coordinates, and where there are at least as many
+// rows as coordinates, so the D² covariance is no larger than the rows that
+// arrived. Otherwise, or when training fails, there is no model: exact
+// prunes nothing and the first PCA mode trains its own.
+func constructionModel(seed int64, mats ...*store.Matrix) *pca.Model {
+	n, d := 0, mats[0].Dim()
+	for _, m := range mats {
+		n += m.Rows()
+	}
+	if d <= core.PrefixDim || n < d {
+		return nil
+	}
+	model, err := trainModel(seed, mats...)
+	if err != nil {
+		return nil
+	}
+	return model
 }
 
 // buildIndex builds an index of the given kind over mat, its rows: in the
 // internal space of ms or, compacting a re-based shard, projected by basis.
-func buildIndex(mat *store.Matrix, ms *metricState, basis *pca.Model, kind IndexKind, o Options) (*Index, error) {
+// model, which may block, runs beside the structure build and returns the
+// index's PCA model (see adopt).
+func buildIndex(mat *store.Matrix, ms *metricState, basis *pca.Model, kind IndexKind, o Options, model func() *pca.Model) (*Index, error) {
+	trained := make(chan *pca.Model, 1)
+	go func() { trained <- model() }()
 	ix := &Index{
 		kind:    kind,
 		n:       mat.Rows(),
@@ -293,11 +327,7 @@ func buildIndex(mat *store.Matrix, ms *metricState, basis *pca.Model, kind Index
 	if ms.kind == InnerProduct {
 		ix.userDim = ms.ip.Dim
 	}
-	exact, err := core.NewExactIn(mat, basis)
-	if err != nil {
-		return nil, err
-	}
-	ix.installDCO(Exact, exact)
+	var err error
 	switch kind {
 	case HNSW:
 		idx, err := hnsw.Build(mat, hnsw.Config{
@@ -329,7 +359,20 @@ func buildIndex(mat *store.Matrix, ms *metricState, basis *pca.Model, kind Index
 	default:
 		return nil, fmt.Errorf("resinfer: unknown index kind %q", kind)
 	}
-	return ix, nil
+	return ix, ix.adopt(<-trained)
+}
+
+// adopt makes model the index's PCA model and installs Exact over its rows
+// with it: on rows in no basis exact prunes on model's prefix, on rows in a
+// basis on the basis's (see core.NewExactIn). nil is no model.
+func (ix *Index) adopt(model *pca.Model) error {
+	exact, err := core.NewExactIn(ix.data, ix.basis, model)
+	if err != nil {
+		return err
+	}
+	ix.model = model
+	ix.installDCO(Exact, exact)
+	return nil
 }
 
 // installDCO publishes a trained comparator and its session pool.
@@ -414,15 +457,19 @@ func (ix *Index) enable(mode Mode, trainQueries [][]float32, opts *Options, rot 
 		trainQueries = transformed
 	}
 	// The first PCA mode re-bases the rows, so exact, ddc-res and ddc-pca
-	// read one matrix: into rot's basis with σ refit to them, or
-	// into one trained on them. The other modes read rows in the internal
+	// read one matrix: into rot's basis with σ refit to them, or into the
+	// index's model, trained on them at construction (here, if there is
+	// none). The other modes read rows in the internal
 	// space, on a re-based index derived through the basis inverse.
 	rows, basis := ix.rows()
 	rebase := basis == nil && (mode == DDCRes || mode == DDCPCA)
 	var err error
 	switch {
 	case rebase && rot == nil:
-		if basis, err = pca.Train(pca.Config{Seed: o.Seed}, rows); err == nil {
+		if basis = ix.model; basis == nil {
+			basis, err = trainModel(o.Seed, rows)
+		}
+		if err == nil {
 			rows, err = basis.ProjectMatrix(rows, 0)
 		}
 	case rebase:
@@ -470,7 +517,7 @@ func (ix *Index) enable(mode Mode, trainQueries [][]float32, opts *Options, rot 
 // a rotation changes no distance, so the graph and the lists are the same
 // in either basis.
 func (ix *Index) rebase(rows *store.Matrix, basis *pca.Model) error {
-	exact, err := core.NewExactIn(rows, basis)
+	exact, err := core.NewExactIn(rows, basis, nil)
 	if err != nil {
 		return err
 	}

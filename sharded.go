@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -79,6 +80,15 @@ type ShardedIndex struct {
 	qmetric  *metricState // the query-side metric transform, the same for every shard
 	fanPool  sync.Pool
 	enableMu sync.Mutex // one Enable* at a time
+
+	// model is the PCA model trained over every shard's rows in shard
+	// order where the index was built or loaded, each shard's model while
+	// its rows are in no basis: the rotation the first PCA mode re-bases
+	// the shards onto. A compaction of a shard in no basis clears it (the
+	// rows it was trained on are gone), and Enable then trains one over the
+	// rows of the moment. Guarded like the shards (enableMu, and mut.mu on
+	// a mutable index).
+	model *pca.Model
 
 	// segs holds every shard's segments (see shardSeg): on an index that
 	// never mutates, an empty memtable and tombstone set each, so every
@@ -298,22 +308,41 @@ func NewSharded(data [][]float32, kind IndexKind, nShards int, opts *ShardOption
 		sx.workers = runtime.GOMAXPROCS(0)
 	}
 	ixo := o.Index.withDefaults()
+	// Every shard ingests its rows and builds beside the one training of
+	// the sharded model over all their rows, in shard order: the first
+	// shard to ask for the model trains it once all have ingested, the
+	// others wait for it.
+	mats := make([]*store.Matrix, nShards)
 	errs := make([]error, nShards)
-	var wg sync.WaitGroup
+	var ingested, built sync.WaitGroup
+	ingested.Add(nShards)
+	model := sync.OnceValue(func() *pca.Model {
+		ingested.Wait()
+		if slices.Contains(mats, nil) {
+			return nil // a shard failed; NewSharded returns its error
+		}
+		return constructionModel(ixo.Seed, mats...)
+	})
 	for s := range ids {
-		wg.Add(1)
+		built.Add(1)
 		go func(s int) {
-			defer wg.Done()
+			defer built.Done()
 			gids := ids[s]
-			sx.shards[s], errs[s] = newIndex(len(gids), func(i int) (int, []float32) { return gids[i], data[gids[i]] }, kind, ixo)
+			mat, ms, err := ingest(len(gids), func(i int) (int, []float32) { return gids[i], data[gids[i]] }, ixo.Metric, 0)
+			mats[s] = mat
+			ingested.Done()
+			if errs[s] = err; err == nil {
+				sx.shards[s], errs[s] = buildIndex(mat, ms, nil, kind, ixo, model)
+			}
 		}(s)
 	}
-	wg.Wait()
+	built.Wait()
 	for s, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("resinfer: building shard %d: %w", s, err)
 		}
 	}
+	sx.model = model()
 	sx.metric = sx.shards[0].Metric()
 	sx.initFanPool()
 	return sx, nil
@@ -339,6 +368,9 @@ func SingleShard(ix *Index) *ShardedIndex {
 		n:        ix.Len(),
 		userDim:  ix.QueryDim(),
 		workers:  1,
+	}
+	if _, basis := ix.rows(); basis == nil {
+		sx.model = ix.model // trained on every row the index holds
 	}
 	sx.initFanPool()
 	return sx
@@ -411,21 +443,20 @@ func (sx *ShardedIndex) enableAll(mode Mode, trainQueries [][]float32, opts *Opt
 	if opts != nil {
 		o = opts.withDefaults()
 	}
-	// The rotation is trained here, once, over the rows of all shards;
-	// ddc-opq trains its own jointly with its codebooks, per shard. A second
-	// PCA mode reuses the basis the first re-based the shards into.
+	// The rotation is the sharded model, or trained here, once, over the
+	// rows of all shards; ddc-opq trains its own jointly with its codebooks,
+	// per shard. A second PCA mode reuses the basis the first re-based the
+	// shards into.
 	var rot *pca.Model
 	var err error
 	switch mode {
 	case ADSampling:
 		rot = adsampling.NewRotation(sx.shards[0].dim, o.Seed)
 	case DDCRes, DDCPCA:
-		mats := make([]*store.Matrix, len(sx.shards))
-		for s, sh := range sx.shards {
-			mats[s], _ = sh.rows()
-		}
 		if _, basis := sx.shards[0].rows(); basis == nil {
-			rot, err = pca.Train(pca.Config{Seed: o.Seed}, mats...)
+			if rot = sx.model; rot == nil {
+				rot, err = trainModel(o.Seed, sx.mats()...)
+			}
 		}
 	case DDCOPQ:
 	default:
@@ -1196,8 +1227,29 @@ func decodeSharded(pr *persist.Reader) (*ShardedIndex, error) {
 	sx.n = rows
 	sx.kind = sx.shards[0].Kind()
 	sx.metric = sx.shards[0].Metric()
+	// No file holds the model: train it again over the loaded rows, as
+	// NewSharded did over the rows it was given.
+	if _, basis := sx.shards[0].rows(); basis == nil {
+		sx.model = constructionModel(sx.shards[0].opts.Seed, sx.mats()...)
+		for _, sh := range sx.shards {
+			if _, basis := sh.rows(); basis == nil {
+				if err := sh.adopt(sx.model); err != nil {
+					return nil, err
+				}
+			}
+		}
+	}
 	sx.initFanPool()
 	return sx, nil
+}
+
+// mats returns every shard's rows, in shard order.
+func (sx *ShardedIndex) mats() []*store.Matrix {
+	mats := make([]*store.Matrix, len(sx.shards))
+	for s, sh := range sx.shards {
+		mats[s], _ = sh.rows()
+	}
+	return mats
 }
 
 // SaveFile writes the sharded index to a file.
