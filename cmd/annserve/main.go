@@ -67,7 +67,7 @@ func main() {
 
 		k          = flag.Int("k", 10, "default k when a request omits it")
 		budget     = flag.Int("budget", 100, "default search budget when a request omits it")
-		batchMax   = flag.Int("batch-max", 64, "cap on queued queries one execution slot takes at once")
+		batchMax   = flag.Int("batch-max", 64, "cap on queued queries one execution slot takes at once, and on the queries of one /search/batch request")
 		maxConc    = flag.Int("max-concurrent", 0, "max concurrent batch executions (0 = GOMAXPROCS)")
 		workers    = flag.Int("workers", 0, "SearchBatch worker count (0 = GOMAXPROCS)")
 		reqTimeout = flag.Duration("request-timeout", 30*time.Second, "end-to-end deadline per search request: past it the merged partial result is served (or 503 with require_full)")

@@ -32,102 +32,128 @@ func (noPrune) Prune(ids []int32, _ float32, _ []int32) []int32 { return ids }
 // TestExactPruneIsLossless holds exact's prefix bound to the scan it
 // replaces, on rows of more dimensions than the bound reads and at least
 // as many rows as dimensions, so every index trains a model at
-// construction. Flat, IVF at one probe and at every list, and HNSW past
+// construction: at 96 dimensions, where it tests the bound at
+// core.PrefixDim only, and at 160, where it tests the survivors again at
+// core.DeepDim. Flat, IVF at one probe and at every list, and HNSW past
 // its break-even ef, each on raw rows and on the same rows re-based by
 // Enable(DDCRes), answer in-distribution queries, queries shifted 2 and 4
 // standard deviations off the data, and queries equal to a row, over rows
-// that include duplicates, and over rows that lie inside the model's
-// leading subspace (no tail), at k 1, 10 and n + 5. Every answer has the
-// ids and distance bits of the same index with the bound switched off, and
-// a scan over every row the ids of dataset.BruteForceKNN; a scan counts n
-// comparisons, each ruled-out row P dimensions and every other row D.
+// that include duplicates and near ties (a row nudged by one ulp), and
+// over rows that lie inside an affine subspace of fewer dimensions than
+// one of the bounds reads (no tail: that bound is the distance itself, so
+// ties are decided by the margin alone), at k 1, 10 and n + 5. A row equal
+// or next to the query passes the first bound, so duplicates and near ties
+// reach the second. Every answer has the ids and distance bits of the
+// same index with the bound switched off, and a scan over every row the
+// ids of dataset.BruteForceKNN; a scan counts n comparisons, and each
+// ruled-out row PrefixDim dimensions or, past the second bound, DeepDim,
+// and every other row D; at 160 dimensions the second bound rules out
+// rows on every index.
 func TestExactPruneIsLossless(t *testing.T) {
-	const n, dim, nq = 600, 96, 12
-	cfg := dataset.GenConfig{Name: "lossless", N: n - 20, Dim: dim, Queries: nq, VE32: 0.6, Seed: 41}
-	ds, err := dataset.Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Scaled so a row's tail norm exceeds 1: a bound that dropped the
-	// tail's factor would then rule out rows it must keep.
-	scale := func(rows [][]float32) [][]float32 {
-		out := make([][]float32, len(rows))
-		for i, r := range rows {
-			out[i] = slices.Clone(r)
-			vec.Scale(out[i], 10)
-		}
-		return out
-	}
-	base := scale(ds.Data)
-	dup := append(base, base[:20]...) // rows 580… repeat rows 0…19
-	// Rows in a 40-dimensional affine subspace: the model's leading 64
-	// directions hold all of their spread.
-	rng := rand.New(rand.NewSource(43))
-	basis := make([][]float32, 40)
-	for i := range basis {
-		basis[i] = make([]float32, dim)
-		for j := range basis[i] {
-			basis[i][j] = float32(rng.NormFloat64())
-		}
-	}
-	flat := make([][]float32, n)
-	for r := range flat {
-		flat[r] = make([]float32, dim)
-		for j := range flat[r] {
-			flat[r][j] = 3
-		}
-		for i, b := range basis {
-			z := float32(rng.NormFloat64() / float64(i+1))
-			for j := range b {
-				flat[r][j] += z * b[j]
-			}
-		}
-	}
-	queries := map[string][][]float32{"in-distribution": scale(ds.Queries)}
-	for _, shift := range []float64{2, 4} {
-		ood, err := dataset.OODQueries(cfg, nq, shift, 5)
+	const n, nq = 600, 12
+	for _, c := range []struct{ dim, rank int }{{96, 40}, {160, 100}} {
+		cfg := dataset.GenConfig{Name: "lossless", N: n, Dim: c.dim, Queries: nq, VE32: 0.6, Seed: 41}
+		ds, err := dataset.Generate(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		queries[fmt.Sprintf("shift %v", shift)] = scale(ood)
-	}
-	opts := &Options{Seed: 2, HNSWM: 8, HNSWEfConstruction: 40, IVFNList: 8}
-	for rowsName, rows := range map[string][][]float32{"duplicated rows": dup, "rows with no tail": flat} {
-		qs := map[string][][]float32{"a row": {rows[5], rows[0], rows[n-1]}}
-		if rowsName == "duplicated rows" {
-			maps.Copy(qs, queries)
+		// Scaled so a row's tail norm exceeds 1: a bound that dropped the
+		// tail's factor would then rule out rows it must keep.
+		scale := func(rows [][]float32) [][]float32 {
+			out := make([][]float32, len(rows))
+			for i, r := range rows {
+				out[i] = slices.Clone(r)
+				vec.Scale(out[i], 10)
+			}
+			return out
 		}
-		for _, kind := range []IndexKind{Flat, IVF, HNSW} {
-			for _, rebased := range []bool{false, true} {
-				ix, err := New(rows, kind, opts)
-				if err != nil {
-					t.Fatal(err)
+		// Rows n−30… repeat rows 0…19, and rows n−10… are rows 20…29 with
+		// a coordinate each one ulp away.
+		ties := func(rows [][]float32) [][]float32 {
+			for i := range 20 {
+				rows[n-30+i] = slices.Clone(rows[i])
+			}
+			for i := range 10 {
+				r := slices.Clone(rows[20+i])
+				r[i] = math.Nextafter32(r[i], float32(math.Inf(1)))
+				rows[n-10+i] = r
+			}
+			return rows
+		}
+		// Rows in a c.rank-dimensional affine subspace: the model's
+		// leading directions hold all of their spread.
+		rng := rand.New(rand.NewSource(43))
+		basis := make([][]float32, c.rank)
+		for i := range basis {
+			basis[i] = make([]float32, c.dim)
+			for j := range basis[i] {
+				basis[i][j] = float32(rng.NormFloat64())
+			}
+		}
+		flat := make([][]float32, n)
+		for r := range flat {
+			flat[r] = make([]float32, c.dim)
+			for j := range flat[r] {
+				flat[r][j] = 3
+			}
+			for i, b := range basis {
+				z := float32(rng.NormFloat64() / float64(i+1))
+				for j := range b {
+					flat[r][j] += z * b[j]
 				}
-				if ix.model == nil {
-					t.Fatalf("%s %s: no model trained at construction", rowsName, kind)
-				}
-				if rebased {
-					if err := ix.Enable(DDCRes, nil); err != nil {
+			}
+		}
+		queries := map[string][][]float32{"in-distribution": scale(ds.Queries)}
+		for _, shift := range []float64{2, 4} {
+			ood, err := dataset.OODQueries(cfg, nq, shift, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			queries[fmt.Sprintf("shift %v", shift)] = scale(ood)
+		}
+		opts := &Options{Seed: 2, HNSWM: 8, HNSWEfConstruction: 40, IVFNList: 8}
+		for rowsName, rows := range map[string][][]float32{"duplicated rows": ties(scale(ds.Data)), "rows with no tail": ties(flat)} {
+			qs := map[string][][]float32{"a row": {rows[5], rows[0], rows[20], rows[n-1]}}
+			if rowsName == "duplicated rows" {
+				maps.Copy(qs, queries)
+			}
+			for _, kind := range []IndexKind{Flat, IVF, HNSW} {
+				for _, rebased := range []bool{false, true} {
+					ix, err := New(rows, kind, opts)
+					if err != nil {
 						t.Fatal(err)
 					}
+					name := fmt.Sprintf("%dd %s %s rebased=%v", c.dim, rowsName, kind, rebased)
+					if ix.model == nil {
+						t.Fatalf("%s: no model trained at construction", name)
+					}
+					if rebased {
+						if err := ix.Enable(DDCRes, nil); err != nil {
+							t.Fatal(err)
+						}
+					}
+					budgets := map[string]int{"": 1}
+					switch kind {
+					case IVF:
+						budgets = map[string]int{"nprobe 1": 1, "every list": ix.ivfIdx.NList()}
+					case HNSW:
+						budgets = map[string]int{"scan": ix.hnswIdx.ScanFrom()}
+					}
+					deep := checkLossless(t, name, ix, rows, qs, budgets)
+					if c.dim > core.DeepDim && deep == 0 {
+						t.Fatalf("%s: the bound at depth %d ruled out no row", name, core.DeepDim)
+					}
 				}
-				budgets := map[string]int{"": 1}
-				switch kind {
-				case IVF:
-					budgets = map[string]int{"nprobe 1": 1, "every list": ix.ivfIdx.NList()}
-				case HNSW:
-					budgets = map[string]int{"scan": ix.hnswIdx.ScanFrom()}
-				}
-				checkLossless(t, fmt.Sprintf("%s %s rebased=%v", rowsName, kind, rebased), ix, rows, qs, budgets)
 			}
 		}
 	}
 }
 
 // checkLossless runs every query of qs at every budget and k on ix, with
-// exact's bound and then without it, and compares. Budgets named "nprobe 1"
-// scan part of the rows; the others scan them all.
-func checkLossless(t *testing.T, name string, ix *Index, rows [][]float32, qs map[string][][]float32, budgets map[string]int) {
+// exact's bound and then without it, compares, and returns how many rows
+// the bound at core.DeepDim ruled out. Budgets named "nprobe 1" scan part
+// of the rows; the others scan them all.
+func checkLossless(t *testing.T, name string, ix *Index, rows [][]float32, qs map[string][][]float32, budgets map[string]int) int64 {
 	t.Helper()
 	n, d := int64(ix.Len()), int64(ix.Dim())
 	type answer struct {
@@ -160,7 +186,7 @@ func checkLossless(t *testing.T, name string, ix *Index, rows [][]float32, qs ma
 	ix.mu.RUnlock()
 	ix.installDCO(Exact, noPruneDCO{exact})
 	ref := run()
-	var ruledOut int64
+	var ruledOut, deep int64
 	for key, got := range pruned {
 		want := ref[key]
 		if len(got.hits) != len(want.hits) {
@@ -171,9 +197,21 @@ func checkLossless(t *testing.T, name string, ix *Index, rows [][]float32, qs ma
 				t.Fatalf("%s %s: hit %d is %+v, %+v without the bound", name, key, i, h, w)
 			}
 		}
-		ruledOut += got.st.Pruned
+		// The dimensions read: PrefixDim a ruled-out row, PrefixDim more
+		// for each one the second bound ruled out, D every other row.
+		st := got.st
+		ruledOut += st.Pruned
+		dims := int64(math.Round(st.ScanRate * float64(st.Comparisons*d)))
+		extra := dims - core.PrefixDim*st.Pruned - d*(st.Comparisons-st.Pruned)
+		if extra%core.PrefixDim != 0 || extra < 0 || extra > core.PrefixDim*st.Pruned || d <= core.DeepDim && extra != 0 {
+			t.Fatalf("%s %s: %d dimensions read for %d comparisons, %d ruled out", name, key, dims, st.Comparisons, st.Pruned)
+		}
+		deep += extra / core.PrefixDim
 		if !got.every {
 			continue
+		}
+		if st.Comparisons != n {
+			t.Fatalf("%s %s: %d comparisons, want %d", name, key, st.Comparisons, n)
 		}
 		truth, err := dataset.BruteForceKNN(rows, [][]float32{got.q}, got.k, 1)
 		if err != nil {
@@ -183,18 +221,29 @@ func checkLossless(t *testing.T, name string, ix *Index, rows [][]float32, qs ma
 		for i, h := range got.hits {
 			ids[i] = h.ID
 		}
-		if !slices.Equal(sortedInts(ids), sortedInts(truth[0])) {
+		if !slices.Equal(tieClasses(ids, len(rows)), tieClasses(truth[0], len(rows))) {
 			t.Fatalf("%s %s: ids %v, brute force %v", name, key, ids, truth[0])
-		}
-		st := got.st
-		dims := core.PrefixDim*st.Pruned + d*(st.Comparisons-st.Pruned)
-		if st.Comparisons != n || st.ScanRate != float64(dims)/float64(st.Comparisons*d) {
-			t.Fatalf("%s %s: %d comparisons at scan rate %v, want %d at %v", name, key, st.Comparisons, st.ScanRate, n, float64(dims)/float64(n*d))
 		}
 	}
 	if ruledOut == 0 {
 		t.Fatalf("%s: the bound ruled out no row", name)
 	}
+	return deep
+}
+
+// tieClasses maps each id of a row the lossless test's rows repeat or
+// nudge (rows n−30…) to the row it copies, so that an index and
+// dataset.BruteForceKNN may break a tie between the two differently, and
+// sorts them.
+func tieClasses(ids []int, n int) []int {
+	out := make([]int, len(ids))
+	for i, id := range ids {
+		if id >= n-30 {
+			id -= n - 30
+		}
+		out[i] = id
+	}
+	return sortedInts(out)
 }
 
 func sortedInts(a []int) []int {

@@ -162,10 +162,18 @@ type RotatingEvaluator interface {
 type PooledDCO = DCO
 
 // PrefixDim is P, how many leading coordinates of a row in a PCA basis
-// exact's prefix bound reads. At d = 420 and 60 % of the variance in the
-// first 32 dimensions, 71 % of rows survive the bound at P = 32, 15 % at 64
-// and 5 % at 96; the table costs 4·P bytes a row, so P = 64.
+// exact's prefix bound reads first. At d = 420 and 60 % of the variance in
+// the first 32 dimensions, 71 % of rows survive the bound at P = 32, 15 % at
+// 64 and 5 % at 96, and 3.5 % survive the bound at 64 and then DeepDim (at
+// n = 4 000, counting the first 64-id block, which a scan reads in full
+// while its result queue fills: 2 % of the other rows); the table costs
+// 4·P bytes a row, so P = 64.
 const PrefixDim = 64
+
+// DeepDim is the depth of exact's second bound, which tests the survivors
+// of the first on the next PrefixDim coordinates before their full rows are
+// read; rows of at most DeepDim coordinates skip it.
+const DeepDim = 2 * PrefixDim
 
 // Exact is the baseline DCO computing every distance in full over the
 // index's one copy of its rows. Once a PCA mode re-bases the index they lie
@@ -183,19 +191,33 @@ const PrefixDim = 64
 // ‖b_⊥‖. On rows the model re-based, b is the stored row and a the rotated
 // query. On raw rows, a and b are the model's projections of q − μ and
 // x − μ onto its first P directions, and the tails come from the
-// difference of the squared norms.
+// difference of the squared norms. On rows of more than DeepDim
+// coordinates, a row that passes the bound at P = PrefixDim is tested
+// again at P = DeepDim, by adding the next PrefixDim coordinates' inner
+// product to the first's, before its full row is read.
 type Exact struct {
 	data  *store.Matrix
 	basis *pca.Model // nil: data lies in the space queries arrive in
 	// prefix is the bound's table (nil: exact prunes nothing). On raw rows
 	// only, model is the model it projects with and proj the first
-	// PrefixDim rows of its rotation, which project a query onto it.
+	// PrefixDim rows of its rotation, or DeepDim rows with a second bound,
+	// which project a query onto it.
 	prefix *PrefixTable
 	model  *pca.Model
 	proj   []float32
+	// The second bound (deepFac nil: none) reads a survivor's coordinates
+	// PrefixDim…DeepDim−1 at next[id·stride + PrefixDim:], which is where
+	// the first bound's kernel prefetches for it: the row itself on
+	// re-based rows; on raw rows a projected n × PrefixDim table led by one
+	// row of padding. deepFac is ‖b_{≥DeepDim}‖ per row. Without a second
+	// bound, next and stride are the rows, whose survivors are read whole.
+	next    []float32
+	stride  int
+	deepFac []float32
 	// slack is the share of ‖q − μ‖² a raw query's tail is raised by, and
-	// margin, times maxNorm + ‖a‖², what the bound must exceed τ by.
-	slack, margin, maxNorm float64
+	// margin, times maxNorm + ‖a‖², what the bound must exceed τ by; the
+	// deep ones are the second bound's.
+	slack, margin, deepSlack, deepMargin, maxNorm float64
 }
 
 // NewExact wraps a flat matrix in an exact DCO, which prunes nothing.
@@ -211,83 +233,123 @@ func NewExactIn(data *store.Matrix, basis, model *pca.Model) (*Exact, error) {
 	if basis != nil && basis.Dim != data.Dim() {
 		return nil, errors.New("core: basis dimension mismatch")
 	}
-	e := &Exact{data: data, basis: basis}
-	var eta float64 // ‖R_P R_Pᵀ − I‖: 0 on re-based rows, which need no R_P
-	switch d := data.Dim(); {
+	d := data.Dim()
+	e := &Exact{data: data, basis: basis, next: data.Flat(), stride: d}
+	var eta, deepEta float64 // ‖R_P R_Pᵀ − I‖: 0 on re-based rows, which need no R_P
+	switch {
 	case d <= PrefixDim:
 	case basis != nil:
-		e.prefix = rebasedPrefix(data)
+		e.prefix, e.deepFac = rebasedPrefix(data)
 	case model != nil && model.Dim == d:
-		e.model, e.proj = model, model.Rotation.Flat()[:PrefixDim*d]
-		eta = orthoError(e.proj, d)
-		e.prefix = rawPrefix(data, e.proj, model.Mean, eta)
+		p := PrefixDim
+		if d > DeepDim {
+			p = DeepDim
+			deepEta = orthoError(model.Rotation.Flat()[:p*d], d)
+		}
+		e.model, e.proj = model, model.Rotation.Flat()[:p*d]
+		eta = orthoError(e.proj[:PrefixDim*d], d)
+		var deep []float32
+		e.prefix, deep, e.deepFac = rawPrefix(data, e.proj, model.Mean, eta, deepEta)
+		if deep != nil {
+			e.next, e.stride = deep, PrefixDim
+		}
 	}
 	if e.prefix != nil {
 		for _, v := range e.prefix.norms {
 			e.maxNorm = max(e.maxNorm, float64(v))
 		}
-		// The margin. Let u = 2⁻²⁴, D the dimension, S = maxNorm + ‖a‖²,
-		// which bounds 2‖a‖‖b‖ and half of every distance. A pruned row
-		// must have a float32 exact distance above τ, which holds when the
-		// computed bound exceeds the bound in exact arithmetic, which is
-		// ≤ dist, by at most margin·S less what the float32 distance can
-		// fall short of dist by:
-		//   - the float32 L2Sq over D coordinates: ≤ (D+2)u·dist ≤ 2(D+2)u·S;
-		//   - 2⟨a_P, b_P⟩ in float32 over P coordinates: ≤ (P+1)u·S;
-		//   - rounding norms, ‖a‖², the bound, the factor, their product,
-		//     τ + margin and the three sums of the test to float32: ≤ 16u·S;
-		//   - on raw rows, the query's float32 projection a_P, off by at
-		//     most κ‖a‖ with κ = √P·(D+2)u·(1+η) (D-term float32 dots, one
-		//     rounding of q − μ): 2⟨a_P, b_P⟩ moves by ≤ κ·S;
-		//   - on raw rows, R_P's distance η from orthonormal: 2⟨R_P v, R_P w⟩
-		//     is within η·S of the exact projections' and, their squared
-		//     norms within η‖·‖², each tail is raised by η‖·‖² (a query's
-		//     by η + 3κ, which also covers its projection) before its square
-		//     root, so it never falls below the true one.
-		// The row side is computed in float64, so b_P is off by a rounding
-		// only. margin = 2η + (√P + 2)(D + P + 8)u covers the sum, since
-		// (√P+2)(D+P+8) ≥ √P(D+2) + 2D + P + 21 for every P ≥ 1.
-		d, p := float64(data.Dim()), float64(PrefixDim)
-		u := math.Ldexp(1, -24)
-		kappa := math.Sqrt(p) * (d + 2) * u * (1 + eta)
-		e.slack = eta + 3*kappa
-		e.margin = 2*eta + (math.Sqrt(p)+2)*(d+p+8)*u
+		e.slack, e.margin = boundMargin(d, PrefixDim, eta)
+		if e.deepFac != nil {
+			e.deepSlack, e.deepMargin = boundMargin(d, DeepDim, deepEta)
+		}
 	}
 	return e, nil
 }
 
+// boundMargin returns, for the bound at depth p over d-dimensional rows
+// whose projection is eta from orthonormal, the share of ‖q − μ‖² a raw
+// query's tail is raised by and the margin, relative to maxNorm + ‖a‖², the
+// bound must exceed τ by.
+//
+// The margin. Let u = 2⁻²⁴, D the dimension, S = maxNorm + ‖a‖², which
+// bounds 2‖a‖‖b‖ and half of every distance. A pruned row must have a
+// float32 exact distance above τ, which holds when the computed bound
+// exceeds the bound in exact arithmetic, which is ≤ dist, by at most
+// margin·S less what the float32 distance can fall short of dist by:
+//   - the float32 L2Sq over D coordinates: ≤ (D+2)u·dist ≤ 2(D+2)u·S;
+//   - 2⟨a_P, b_P⟩ in float32 over P coordinates: ≤ (P+1)u·S, however its
+//     P products are summed, so also as the second bound sums them: the
+//     first bound's sum of PrefixDim plus the next PrefixDim's;
+//   - rounding norms, ‖a‖², the bound, the factor, their product, τ +
+//     margin and the three sums of the test to float32: ≤ 16u·S;
+//   - on raw rows, the query's float32 projection a_P, off by at most κ‖a‖
+//     with κ = √P·(D+2)u·(1+η) (D-term float32 dots, one rounding of
+//     q − μ): 2⟨a_P, b_P⟩ moves by ≤ κ·S;
+//   - on raw rows, R_P's distance η from orthonormal: 2⟨R_P v, R_P w⟩ is
+//     within η·S of the exact projections' and, their squared norms within
+//     η‖·‖², each tail is raised by η‖·‖² (a query's by η + 3κ, which also
+//     covers its projection) before its square root, so it never falls
+//     below the true one.
+//
+// The row side is computed in float64, so b_P is off by a rounding only.
+// margin = 2η + (√P + 2)(D + P + 8)u covers the sum, since
+// (√P+2)(D+P+8) ≥ √P(D+2) + 2D + P + 21 for every P ≥ 1.
+func boundMargin(d, p int, eta float64) (slack, margin float64) {
+	df, pf := float64(d), float64(p)
+	u := math.Ldexp(1, -24)
+	kappa := math.Sqrt(pf) * (df + 2) * u * (1 + eta)
+	return eta + 3*kappa, 2*eta + (math.Sqrt(pf)+2)*(df+pf+8)*u
+}
+
 // rebasedPrefix builds the bound's table over rows in the basis: each
-// row's first PrefixDim coordinates copied, ‖b‖² and ‖b_⊥‖ in float64.
-func rebasedPrefix(data *store.Matrix) *PrefixTable {
+// row's first PrefixDim coordinates copied, ‖b‖² and ‖b_⊥‖ in float64, and
+// on rows of more than DeepDim coordinates each row's ‖b_{≥DeepDim}‖ (nil
+// otherwise).
+func rebasedPrefix(data *store.Matrix) (*PrefixTable, []float32) {
 	n, p := data.Rows(), PrefixDim
 	pre, norms, fac := make([]float32, n*p), make([]float32, n), make([]float32, n)
+	var deepFac []float32
+	if data.Dim() > DeepDim {
+		deepFac = make([]float32, n)
+	}
 	for r := 0; r < n; r++ {
 		b := data.Row(r)
 		copy(pre[r*p:], b[:p])
 		head, tail := sumSq64(b[:p]), sumSq64(b[p:])
 		norms[r], fac[r] = float32(head+tail), float32(math.Sqrt(tail))
+		if deepFac != nil {
+			deepFac[r] = float32(math.Sqrt(sumSq64(b[DeepDim:])))
+		}
 	}
-	return NewPrefixTable(pre, norms, fac, p)
+	return NewPrefixTable(pre, norms, fac, p), deepFac
 }
 
 // rawPrefix builds the bound's table over rows in no basis: each row's
 // projection R_P(x − μ) by proj, ‖x − μ‖² and its tail, raised by eta
 // (see NewExactIn), all in float64 (the projection through R_Pᵀ as
-// float64 rows), then rounded.
-func rawPrefix(data *store.Matrix, proj, mean []float32, eta float64) *PrefixTable {
+// float64 rows), then rounded. When proj holds DeepDim rows, the same pass
+// fills the second bound's table, the projection's coordinates
+// PrefixDim…DeepDim−1 after one row of padding, and its tails, raised by
+// deepEta; otherwise both are nil.
+func rawPrefix(data *store.Matrix, proj, mean []float32, eta, deepEta float64) (*PrefixTable, []float32, []float32) {
 	n, d, p := data.Rows(), data.Dim(), PrefixDim
+	width := len(proj) / d
 	rt := make([][]float64, d) // R_Pᵀ: rt[j][i] = R[i][j]
-	back := make([]float64, d*p)
+	back := make([]float64, d*width)
 	for j := range rt {
-		rt[j] = back[j*p : (j+1)*p]
-		for i := range p {
+		rt[j] = back[j*width : (j+1)*width]
+		for i := range width {
 			rt[j][i] = float64(proj[i*d+j])
 		}
 	}
 	pre, norms, fac := make([]float32, n*p), make([]float32, n), make([]float32, n)
-	slack := eta + math.Ldexp(1, -24)
+	var deep, deepFac []float32
+	if width > p {
+		deep, deepFac = make([]float32, (n+1)*p), make([]float32, n)
+	}
+	u := math.Ldexp(1, -24)
 	par.Range(n, 0, func(lo, hi int) {
-		w, b := make([]float64, d), make([]float64, p)
+		w, b := make([]float64, d), make([]float64, width)
 		for r := lo; r < hi; r++ {
 			var wn float64
 			for j, x := range data.Row(r) {
@@ -297,15 +359,23 @@ func rawPrefix(data *store.Matrix, proj, mean []float32, eta float64) *PrefixTab
 			clear(b)
 			vec.AxpyRows64(b, w, rt)
 			var bn float64
-			for i, v := range b {
+			for i, v := range b[:p] {
 				pre[r*p+i] = float32(v)
 				bn += v * v
 			}
 			norms[r] = float32(wn)
-			fac[r] = float32(math.Sqrt(max(0, wn-bn+slack*wn)))
+			fac[r] = float32(math.Sqrt(max(0, wn-bn+(eta+u)*wn)))
+			if deep == nil {
+				continue
+			}
+			for i, v := range b[p:] {
+				deep[(r+1)*p+i] = float32(v)
+				bn += v * v
+			}
+			deepFac[r] = float32(math.Sqrt(max(0, wn-bn+(deepEta+u)*wn)))
 		}
 	})
-	return NewPrefixTable(pre, norms, fac, p)
+	return NewPrefixTable(pre, norms, fac, p), deep, deepFac
 }
 
 // orthoError returns ‖R Rᵀ − I‖_F, in float64, for the rows of the
@@ -348,15 +418,19 @@ func (e *Exact) Size() int { return e.data.Rows() }
 func (e *Exact) Dim() int { return e.data.Dim() }
 
 // ExtraBytes implements DCO: what the prefix bound holds, the table, norms
-// and tails, plus on raw rows the model it projects with. Without a bound
-// the exact method stores nothing extra.
+// and tails, the second bound's tails and, on raw rows, its table, plus on
+// raw rows the model it projects with. Without a bound the exact method
+// stores nothing extra.
 func (e *Exact) ExtraBytes() int64 {
 	var b int64
 	if e.prefix != nil {
-		b = e.prefix.Bytes()
+		b = e.prefix.Bytes() + int64(len(e.deepFac))*4
 	}
 	if e.model != nil {
 		b += e.model.Rotation.Bytes()
+		if e.deepFac != nil {
+			b += int64(len(e.next)) * 4
+		}
 	}
 	return b
 }
@@ -369,7 +443,7 @@ func (e *Exact) Data() *store.Matrix { return e.data }
 func (e *Exact) NewEvaluator() ResettableEvaluator {
 	ev := exactEvaluator{parent: e, flat: e.data.Flat(), dim: e.data.Dim()}
 	if e.proj != nil {
-		ev.qp, ev.cent = make([]float32, PrefixDim), make([]float32, ev.dim)
+		ev.qp, ev.cent = make([]float32, len(e.proj)/ev.dim), make([]float32, ev.dim)
 	}
 	if e.basis == nil {
 		return &ev
@@ -414,11 +488,12 @@ type exactEvaluator struct {
 	q      []float32
 	stats  Stats
 	// The prefix bound's query side: a_P (a view of q on re-based rows),
-	// ‖a‖², 2‖a_⊥‖ and the margin; cent is raw rows' centering scratch.
-	qp, cent             []float32
-	qNorm, bound, margin float32
-	surv                 [PruneBlock]int32
-	c2                   [PruneBlock]float32
+	// ‖a‖², 2‖a_⊥‖ and the margin, and the second bound's 2‖a_{≥DeepDim}‖
+	// and margin; cent is raw rows' centering scratch.
+	qp, cent                                    []float32
+	qNorm, bound, margin, deepBound, deepMargin float32
+	surv                                        [PruneBlock]int32
+	c2                                          [PruneBlock]float32
 }
 
 func (ev *exactEvaluator) Reset(q []float32) error {
@@ -428,12 +503,15 @@ func (ev *exactEvaluator) Reset(q []float32) error {
 	ev.q = q
 	ev.stats = Stats{}
 	if e := ev.parent; e.prefix != nil {
-		var qn, tail float64
+		var qn, tail, deepTail float64
 		if e.proj == nil { // re-based: q is the rotated query
-			ev.qp = q[:PrefixDim]
+			ev.qp = q[:min(ev.dim, DeepDim)]
 			head := sumSq64(q[:PrefixDim])
 			tail = sumSq64(q[PrefixDim:])
 			qn = head + tail
+			if e.deepFac != nil {
+				deepTail = sumSq64(q[DeepDim:])
+			}
 		} else {
 			mean := e.model.Mean
 			for j, x := range q {
@@ -442,11 +520,16 @@ func (ev *exactEvaluator) Reset(q []float32) error {
 			}
 			vec.SubInto(ev.cent, q, mean)
 			vec.MatVec(ev.qp, e.proj, ev.dim, ev.cent)
-			tail = max(0, qn-sumSq64(ev.qp)+e.slack*qn)
+			tail = max(0, qn-sumSq64(ev.qp[:PrefixDim])+e.slack*qn)
+			if e.deepFac != nil {
+				deepTail = max(0, qn-sumSq64(ev.qp)+e.deepSlack*qn)
+			}
 		}
 		ev.qNorm = float32(qn)
 		ev.bound = float32(2 * math.Sqrt(tail))
 		ev.margin = float32(e.margin * (e.maxNorm + qn))
+		ev.deepBound = float32(2 * math.Sqrt(deepTail))
+		ev.deepMargin = float32(e.deepMargin * (e.maxNorm + qn))
 	}
 	return nil
 }
@@ -468,7 +551,9 @@ func (ev *exactEvaluator) Compare(id int, tau float32) (float32, bool) {
 
 // Prune implements ResettableEvaluator: it rules out the ids whose prefix
 // bound exceeds tau by the margin, whose exact distance therefore exceeds
-// tau. Without a bound, or at a tau of +Inf, it keeps every id.
+// tau, and then, with a second bound, those of the rest whose bound at
+// DeepDim exceeds tau by its margin. Without a bound, or at a tau of +Inf,
+// it keeps every id.
 //
 //resinfer:noalloc
 func (ev *exactEvaluator) Prune(ids []int32, tau float32, keep []int32) []int32 {
@@ -476,8 +561,27 @@ func (ev *exactEvaluator) Prune(ids []int32, tau float32, keep []int32) []int32 
 	if e.prefix == nil || math.IsInf(float64(tau), 1) {
 		return ids
 	}
-	n := e.prefix.Prune(&ev.stats, ev.qp, ids, ev.qNorm, ev.bound, tau+ev.margin, ev.flat, ev.dim, ev.surv[:], ev.c2[:])
-	return append(keep, ev.surv[:n]...)
+	n := e.prefix.Prune(&ev.stats, ev.qp, ids, ev.qNorm, ev.bound, tau+ev.margin, e.next, e.stride, ev.surv[:], ev.c2[:])
+	if e.deepFac == nil {
+		return append(keep, ev.surv[:n]...)
+	}
+	// The test of vec.PruneRows at DeepDim, the first bound's 2⟨a_P, b_P⟩
+	// extended by the next PrefixDim coordinates, which the kernel has
+	// prefetched; the product is rounded on its own, as the kernel does.
+	q, norms, lim := ev.qp[PrefixDim:DeepDim], e.prefix.norms, tau+ev.deepMargin
+	kept := len(keep)
+	for i, id := range ev.surv[:n] {
+		at := int(id)*e.stride + PrefixDim
+		c := ev.c2[i] + 2*vec.Dot(q, e.next[at:at+PrefixDim])
+		if !((norms[id]+ev.qNorm)-c-float32(ev.deepBound*e.deepFac[id]) > lim) {
+			keep = append(keep, id)
+		}
+	}
+	out := int64(n - (len(keep) - kept))
+	ev.stats.Comparisons += out
+	ev.stats.Pruned += out
+	ev.stats.DimsScanned += out * DeepDim
+	return keep
 }
 
 func (ev *exactEvaluator) Stats() *Stats { return &ev.stats }

@@ -331,3 +331,40 @@ func TestRequestBodyCapped(t *testing.T) {
 		}
 	}
 }
+
+// TestBatchBodyCapped checks the cap on a /search/batch body, maxBody for
+// each of BatchMaxSize queries: a body of exactly that many bytes is
+// answered, one byte more is refused with 413, and so is a body under the
+// cap that carries one query more than BatchMaxSize.
+func TestBatchBodyCapped(t *testing.T) {
+	mx, srv, ts := mutableFixture(t)
+	limit := int(srv.maxBatchBody())
+	v, err := json.Marshal(make([]float32, mx.QueryDim()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(body string) int {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/search/batch", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	head := `{"k":3,"queries":[` + string(v) + `]`
+	for _, extra := range []int{0, 1} {
+		body := head + strings.Repeat(" ", limit+extra-len(head)-1) + "}"
+		want := http.StatusOK
+		if extra > 0 {
+			want = http.StatusRequestEntityTooLarge
+		}
+		if got := post(body); got != want {
+			t.Errorf("a %d-byte batch (cap %d): status %d, want %d", len(body), limit, got, want)
+		}
+	}
+	queries := strings.Repeat(string(v)+",", srv.cfg.BatchMaxSize) + string(v)
+	if got := post(`{"k":3,"queries":[` + queries + `]}`); got != http.StatusRequestEntityTooLarge {
+		t.Errorf("a batch of %d queries (at most %d): status %d, want %d", srv.cfg.BatchMaxSize+1, srv.cfg.BatchMaxSize, got, http.StatusRequestEntityTooLarge)
+	}
+}

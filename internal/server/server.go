@@ -2,7 +2,7 @@
 // HTTP JSON API:
 //
 //	POST /search         one query        {"query":[...],"k":10,"mode":"exact","budget":100}
-//	POST /search/batch   many queries     {"queries":[[...],...],"k":10,"mode":"exact","budget":100}
+//	POST /search/batch   ≤ BatchMaxSize   {"queries":[[...],...],"k":10,"mode":"exact","budget":100}
 //	GET  /stats          atomic request / latency / visited-count counters
 //	GET  /metrics        the same and more in Prometheus text format
 //	GET  /debug/slowlog  ring buffer of requests over the slow threshold
@@ -77,7 +77,8 @@ type Config struct {
 	// and memory, not CPU.
 	MaxConcurrent int
 	// BatchMaxSize caps how many queued single queries one execution
-	// slot takes at once (default 64).
+	// slot takes at once, and how many queries one /search/batch request
+	// may carry (default 64).
 	BatchMaxSize int
 	// SearchWorkers is the worker count handed to SearchBatch
 	// (default GOMAXPROCS).
@@ -502,11 +503,23 @@ func (s *Server) fail(w http.ResponseWriter, status int, err error) {
 // what an unbounded body had already made the server buffer and parse.
 func (s *Server) maxBody() int64 { return 4<<10 + 64*int64(s.idx.QueryDim()) }
 
-// failDecode answers a body that did not decode: 413 past maxBody, 400
-// otherwise.
+// maxBatchBody caps a /search/batch body: maxBody for each of the
+// BatchMaxSize queries one request may carry.
+func (s *Server) maxBatchBody() int64 { return int64(s.cfg.BatchMaxSize) * s.maxBody() }
+
+// errBatchTooLarge is a /search/batch body of more than BatchMaxSize
+// queries.
+var errBatchTooLarge = errors.New("too many queries in one batch")
+
+// failDecode answers a body that did not decode: 413 past its byte cap or
+// past BatchMaxSize queries, 400 otherwise.
 func (s *Server) failDecode(w http.ResponseWriter, err error) {
 	if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
 		s.fail(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body over %d bytes", tooBig.Limit))
+		return
+	}
+	if errors.Is(err, errBatchTooLarge) {
+		s.fail(w, http.StatusRequestEntityTooLarge, err)
 		return
 	}
 	s.fail(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
@@ -652,8 +665,12 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	s.metrics.requests.Inc()
 	var req batchSearchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.maxBatchBody())).Decode(&req); err != nil {
+		s.failDecode(w, err)
+		return
+	}
+	if len(req.Queries) > s.cfg.BatchMaxSize {
+		s.failDecode(w, fmt.Errorf("%d queries, at most %d: %w", len(req.Queries), s.cfg.BatchMaxSize, errBatchTooLarge))
 		return
 	}
 	key, err := s.resolveParams(req.K, req.Mode, req.Budget)

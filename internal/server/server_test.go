@@ -119,24 +119,30 @@ func TestServerShardedRecall(t *testing.T) {
 		t.Fatalf("exact sharded recall = %v, want lossless 1.0", recall)
 	}
 
-	// Batch endpoint returns the same answers.
-	var bout batchSearchResponse
-	resp := postJSON(t, ts.URL+"/search/batch",
-		batchSearchRequest{Queries: ds.Queries, K: 10, Mode: "exact", Budget: 1},
-		&bout)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("batch status %d", resp.StatusCode)
-	}
-	if len(bout.Results) != len(ds.Queries) {
-		t.Fatalf("batch returned %d results, want %d", len(bout.Results), len(ds.Queries))
-	}
-	batchResults := make([][]int, len(bout.Results))
-	for i, entry := range bout.Results {
-		if entry.Error != "" {
-			t.Fatalf("batch entry %d: %s", i, entry.Error)
+	// Batch endpoint returns the same answers, BatchMaxSize queries a
+	// request.
+	batchResults := make([][]int, len(ds.Queries))
+	batches := 0
+	for lo := 0; lo < len(ds.Queries); lo += srv.cfg.BatchMaxSize {
+		hi := min(lo+srv.cfg.BatchMaxSize, len(ds.Queries))
+		var bout batchSearchResponse
+		resp := postJSON(t, ts.URL+"/search/batch",
+			batchSearchRequest{Queries: ds.Queries[lo:hi], K: 10, Mode: "exact", Budget: 1},
+			&bout)
+		batches++
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("batch status %d", resp.StatusCode)
 		}
-		for _, n := range entry.Neighbors {
-			batchResults[i] = append(batchResults[i], n.ID)
+		if len(bout.Results) != hi-lo {
+			t.Fatalf("batch returned %d results, want %d", len(bout.Results), hi-lo)
+		}
+		for i, entry := range bout.Results {
+			if entry.Error != "" {
+				t.Fatalf("batch entry %d: %s", lo+i, entry.Error)
+			}
+			for _, n := range entry.Neighbors {
+				batchResults[lo+i] = append(batchResults[lo+i], n.ID)
+			}
 		}
 	}
 	if r := dataset.Recall(batchResults, gt, 10); r < baseRecall {
@@ -150,7 +156,7 @@ func TestServerShardedRecall(t *testing.T) {
 	if stats.Queries != wantQueries {
 		t.Fatalf("stats.queries = %d, want %d", stats.Queries, wantQueries)
 	}
-	if stats.Requests != int64(len(ds.Queries))+1 {
+	if stats.Requests != int64(len(ds.Queries)+batches) {
 		t.Fatalf("stats.requests = %d", stats.Requests)
 	}
 	if stats.Comparisons == 0 {
