@@ -51,7 +51,21 @@ func hasAVX2FMA() bool {
 	return ebx7&cpuidAVX2 != 0
 }
 
+// pruneCompact[m] lists the lanes set in the 8-bit mask m, lowest first,
+// then 0s: the VPERMD / VPERMPS index with which pruneRowsAVX2 packs a
+// group's kept ids and their c to the front of an 8-wide store.
+var pruneCompact [256][8]int32
+
 func init() {
+	for m := range pruneCompact {
+		n := 0
+		for i := range 8 {
+			if m>>i&1 != 0 {
+				pruneCompact[m][n] = int32(i)
+				n++
+			}
+		}
+	}
 	if noSIMDEnv() || !hasAVX2FMA() {
 		return
 	}

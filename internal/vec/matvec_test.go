@@ -94,6 +94,47 @@ func FuzzMatVecEquivalence(f *testing.F) {
 	})
 }
 
+// pruneRowsRef is PruneRows' reference: a Go loop over Dot. It returns,
+// in order, the ids kept and their c = 2·Dot.
+func pruneRowsRef(q, pre []float32, ids []int32, norms, fac []float32, qNorm, bound, tau float32) ([]int32, []float32) {
+	var keep []int32
+	var c2 []float32
+	for _, id := range ids {
+		c := 2 * Dot(q, pre[int(id)*len(q):int(id+1)*len(q)])
+		b := bound
+		if fac != nil {
+			b = float32(bound * fac[id])
+		}
+		if !((norms[id]+qNorm)-c-b > tau) {
+			keep, c2 = append(keep, id), append(c2, c)
+		}
+	}
+	return keep, c2
+}
+
+// checkPruneRows runs PruneRows on ids and fails t unless it keeps what
+// pruneRowsRef keeps, in order, with the bits of each c, and leaves the 8
+// sentinels past len(ids) in keep and c2 as they were. It returns the kept
+// ids and their c.
+func checkPruneRows(t *testing.T, what string, q, pre []float32, ids []int32, norms, fac []float32, qNorm, bound, tau float32, tab []float32, stride int) ([]int32, []float32) {
+	t.Helper()
+	keep, c2 := make([]int32, len(ids)+8), make([]float32, len(ids)+8)
+	for i := len(ids); i < len(keep); i++ {
+		keep[i], c2[i] = -7, 42
+	}
+	n := PruneRows(q, pre, ids, norms, fac, qNorm, bound, tau, tab, stride, keep, c2)
+	want, wantC := pruneRowsRef(q, pre, ids, norms, fac, qNorm, bound, tau)
+	if !slices.Equal(keep[:n], want) || !slices.EqualFunc(c2[:n], wantC, func(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) }) {
+		t.Fatalf("%s τ %v, %d ids: kept %v / %v, reference %v / %v", what, tau, len(ids), keep[:n], c2[:n], want, wantC)
+	}
+	for i := len(ids); i < len(keep); i++ {
+		if keep[i] != -7 || c2[i] != 42 {
+			t.Fatalf("%s τ %v, %d ids: wrote keep or c2 at %d, past len(ids)", what, tau, len(ids), i)
+		}
+	}
+	return keep[:n], c2[:n]
+}
+
 // TestPruneRowsMatchesReference holds PruneRows to a Go loop over Dot:
 // the same ids kept, in order, with the bits of their 2·Dot, for ids
 // repeated and out of order and for none at all; τ of −Inf, +Inf, at
@@ -103,6 +144,14 @@ func FuzzMatVecEquivalence(f *testing.F) {
 // hands back exactly what no factor does, and with random factors (exact's
 // prefix bound). A bad id or short input or output panics before the
 // kernel reads anything, and a call allocates nothing.
+//
+// At widths 32 and 64, where the amd64 kernel decides 8 ids a step, it
+// runs every length of ids from 0 to 64, so full groups and every tail
+// length; a NaN norm in each lane of a group; all-kept and all-pruned
+// groups, duplicate ids within a group and a group of one id; and zero,
+// negative-zero and random queries against zero, negative-zero and
+// all-negative rows, so c's sign of zero must be Dot's. No call writes past
+// len(ids) in keep or c2.
 func TestPruneRowsMatchesReference(t *testing.T) {
 	t.Logf("dispatch level: %s", Level())
 	rng := rand.New(rand.NewSource(6))
@@ -143,38 +192,26 @@ func TestPruneRowsMatchesReference(t *testing.T) {
 			}
 			slices.Sort(vals)
 			taus := []float32{float32(math.Inf(-1)), float32(math.Inf(1)), vals[len(vals)/2], vals[len(vals)/10], vals[len(vals)*9/10]}
-			keep, c2 := make([]int32, len(ids)+1), make([]float32, len(ids)+1)
+			keep, c2 := make([]int32, len(ids)), make([]float32, len(ids))
 			for ti, tau := range taus {
 				for bi, blk := range [][]int32{ids, ids[3:9], nil} {
-					keep[len(blk)], c2[len(blk)] = -7, 42
-					n := PruneRows(q, pre, blk, norms, fac, qNorm, bound, tau, tab, stride, keep, c2)
-					var want []int32
-					for _, id := range blk {
-						if c, v := est(id); !(v > tau) {
-							if len(want) >= n || keep[len(want)] != id || math.Float32bits(c2[len(want)]) != math.Float32bits(c) {
-								t.Fatalf("dim %d fac %s τ %v: kept %v / %v, reference keeps id %d with c %v as its %d-th", dim, f.name, tau, keep[:n], c2[:n], id, c, len(want))
-							}
-							want = append(want, id)
-						}
-					}
-					if n != len(want) || keep[len(blk)] != -7 || c2[len(blk)] != 42 {
-						t.Fatalf("dim %d fac %s τ %v: kept %d ids, reference %d, or wrote past len(ids)", dim, f.name, tau, n, len(want))
-					}
-					if slices.Contains(blk, 3) && !slices.Contains(want, 3) {
-						t.Fatalf("dim %d fac %s τ %v: a NaN estimate was pruned", dim, f.name, tau)
+					what := fmt.Sprintf("dim %d fac %s", dim, f.name)
+					got, gotC := checkPruneRows(t, what, q, pre, blk, norms, fac, qNorm, bound, tau, tab, stride)
+					if slices.Contains(blk, 3) && !slices.Contains(got, 3) {
+						t.Fatalf("%s τ %v: a NaN estimate was pruned", what, tau)
 					}
 					if f.name == "random" {
 						continue
 					}
 					key := fmt.Sprint(ti, bi)
-					got := make([]float32, 0, 2*n)
-					for i := 0; i < n; i++ {
-						got = append(got, float32(keep[i]), c2[i])
+					pairs := make([]float32, 0, 2*len(got))
+					for i, id := range got {
+						pairs = append(pairs, float32(id), gotC[i])
 					}
-					if prev, ok := kept[key]; ok && !slices.EqualFunc(prev, got, func(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) }) {
-						t.Fatalf("dim %d τ %v: an all-ones factor kept %v, no factor %v", dim, tau, got, prev)
+					if prev, ok := kept[key]; ok && !slices.EqualFunc(prev, pairs, func(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) }) {
+						t.Fatalf("dim %d τ %v: an all-ones factor kept %v, no factor %v", dim, tau, pairs, prev)
 					}
-					kept[key] = got
+					kept[key] = pairs
 				}
 			}
 			for _, id := range ids[:4] {
@@ -209,6 +246,104 @@ func TestPruneRowsMatchesReference(t *testing.T) {
 				}()
 				f()
 			}()
+		}
+	}
+	negZero := float32(math.Copysign(0, -1))
+	for _, width := range []int{32, 64} {
+		const rows, nanID = 24, 7
+		stride := width + 3
+		pre, tab := randSlice(rng, rows*width), randSlice(rng, rows*stride)
+		for j := 0; j < width; j++ { // rows 0, 1, 2: zeros, negative zeros, all negative
+			pre[j], pre[width+j], pre[2*width+j] = 0, negZero, -1-rng.Float32()
+		}
+		norms, fac := make([]float32, rows), make([]float32, rows)
+		for i := range norms {
+			norms[i], fac[i] = 4*rng.Float32(), 2*rng.Float32()
+		}
+		norms[nanID] = float32(math.NaN())
+		ids := make([]int32, 64) // duplicates within groups, no NaN norm
+		for i := range ids {
+			ids[i] = int32(rng.Intn(rows - 1))
+			if ids[i] >= nanID {
+				ids[i]++
+			}
+		}
+		zero, neg := make([]float32, width), make([]float32, width)
+		for i := range neg {
+			neg[i] = negZero
+		}
+		for qi, q := range [][]float32{randSlice(rng, width), zero, neg} {
+			var vals []float32
+			for id := int32(0); id < rows; id++ {
+				if id != nanID {
+					vals = append(vals, (norms[id]+1.5)-2*Dot(q, pre[int(id)*width:int(id+1)*width])-float32(0.25*fac[id]))
+				}
+			}
+			slices.Sort(vals)
+			taus := []float32{float32(math.Inf(-1)), float32(math.Inf(1)), vals[len(vals)/2], vals[len(vals)*15/100]}
+			for _, fc := range [][]float32{nil, fac} {
+				what := fmt.Sprintf("width %d query %d fac %t", width, qi, fc != nil)
+				for _, tau := range taus {
+					for n := 0; n <= len(ids); n++ {
+						checkPruneRows(t, what, q, pre, ids[:n], norms, fc, 1.5, 0.25, tau, tab, stride)
+					}
+					for lane := 0; lane < 8; lane++ {
+						blk := slices.Clone(ids[:19])
+						blk[lane], blk[8+lane] = nanID, nanID
+						if got, _ := checkPruneRows(t, what, q, pre, blk, norms, fc, 1.5, 0.25, tau, tab, stride); len(got) < 2 {
+							t.Fatalf("%s τ %v: a NaN estimate in lane %d was pruned", what, tau, lane)
+						}
+					}
+					for id := int32(0); id < 3; id++ {
+						same := []int32{id, id, id, id, id, id, id, id, id}
+						checkPruneRows(t, what, q, pre, same, norms, fc, 1.5, 0.25, tau, tab, stride)
+					}
+				}
+				if got, _ := checkPruneRows(t, what, q, pre, ids, norms, fc, 1.5, 0.25, taus[0], tab, stride); len(got) != 0 {
+					t.Fatalf("%s: τ = −Inf kept %v", what, got)
+				}
+				if got, _ := checkPruneRows(t, what, q, pre, ids, norms, fc, 1.5, 0.25, taus[1], tab, stride); len(got) != len(ids) {
+					t.Fatalf("%s: τ = +Inf kept %d of %d ids", what, len(got), len(ids))
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkPruneRows runs PruneRows over a 4 000-row prefix table in
+// 64-id blocks, ids in table order, at prefix widths 32 and 64, with
+// random factors (exact's shape): once with τ below every estimate, so
+// every row is pruned, and once at the 15th percentile of the estimates.
+// It reports ns/row.
+func BenchmarkPruneRows(b *testing.B) {
+	const rows, block = 4000, 64
+	for _, width := range []int{32, 64} {
+		rng := rand.New(rand.NewSource(int64(width)))
+		q, pre := randSlice(rng, width), randSlice(rng, rows*width)
+		norms, fac := make([]float32, rows), make([]float32, rows)
+		ests := make([]float32, rows)
+		for id := range norms {
+			norms[id], fac[id] = 4*rng.Float32(), 2*rng.Float32()
+			ests[id] = (norms[id] + 1.5) - 2*Dot(q, pre[id*width:(id+1)*width]) - float32(0.25*fac[id])
+		}
+		slices.Sort(ests)
+		ids := make([]int32, rows)
+		for i := range ids {
+			ids[i] = int32(i)
+		}
+		keep, c2 := make([]int32, block), make([]float32, block)
+		for _, c := range []struct {
+			name string
+			tau  float32
+		}{{"pruned", float32(math.Inf(-1))}, {"kept15", ests[rows*15/100]}} {
+			b.Run(fmt.Sprintf("w%d/%s", width, c.name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					for lo := 0; lo < rows; lo += block {
+						PruneRows(q, pre, ids[lo:min(lo+block, rows)], norms, fac, 1.5, 0.25, c.tau, pre, width, keep, c2)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
+			})
 		}
 	}
 }

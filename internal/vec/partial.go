@@ -17,21 +17,6 @@ func L2SqRange(a, b []float32, lo, hi int) float32 {
 	return L2Sq(a[lo:hi], b[lo:hi])
 }
 
-// SuffixNormSqInto writes into out, which must have length len(a)+1, the
-// squared norm of the suffix a[d:] for each cut position d in [0, len(a)],
-// and returns out. out[len(a)] is 0. The result is computed in a single
-// backwards pass with float64 accumulation so that successive entries are
-// consistent (out[d] = out[d+1] + a[d]^2).
-func SuffixNormSqInto(out []float64, a []float32) []float64 {
-	out[len(a)] = 0
-	var s float64
-	for i := len(a) - 1; i >= 0; i-- {
-		s += float64(a[i]) * float64(a[i])
-		out[i] = s
-	}
-	return out
-}
-
 // SuffixWeightedSq returns, for each cut position d, the suffix sum
 // Σ_{i≥d} (a[i]·w[i])². This is the σ² suffix table of DDCres: with
 // a = query (rotated) and w = per-dimension residual standard deviations,
@@ -110,13 +95,19 @@ func MatVec(dst, rot []float32, dim int, x []float32) {
 // does. A nil fac is a factor of 1 with no multiply: the test is then
 // (norms[id] + qNorm) − c − bound, bit for bit. The kept ids and their c
 // land in keep and c2 at matching positions, and it returns how many it
-// kept. Every c has Dot's bits. On amd64 it is one assembly call, with no
-// branch on the test, that also prefetches for each kept id the two cache
-// lines of its row of rows (stride floats apart) from coordinate len(q) on:
-// what the row's next round reads. Elsewhere it is a loop over Dot with no
-// prefetch. It checks every id against norms, fac, pre and rows, and the
-// room in keep and c2, before the kernel reads anything, and panics on a
-// failure, which only a bug can cause.
+// kept. Every c has Dot's bits. On amd64 it is one assembly call that also
+// prefetches for each kept id the two cache lines of its row of rows
+// (stride floats apart) from coordinate len(q) on: what the row's next
+// round reads. At len(q) 32 and 64 (ddc-res's default DeltaD and exact's
+// prefix) that call decides 8 ids a step with q held in registers: their 8
+// inner products reduced together, one vector test, and the survivors
+// packed through a table into one 8-wide store at keep[n] and c2[n]. The
+// 0–7 ids left over, and every id at other widths, take a per-row loop with
+// no branch on the test. Either may overwrite keep and c2 from the returned
+// count up to len(ids), never past it. Elsewhere PruneRows is a loop over
+// Dot with no prefetch. It checks every id against norms, fac, pre and
+// rows, and the room in keep and c2, before the kernel reads anything, and
+// panics on a failure, which only a bug can cause.
 //
 //resinfer:noalloc
 func PruneRows(q, pre []float32, ids []int32, norms, fac []float32, qNorm, bound, tau float32, rows []float32, stride int, keep []int32, c2 []float32) int {

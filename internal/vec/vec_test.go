@@ -121,34 +121,6 @@ func TestL2SqRangeSplits(t *testing.T) {
 	}
 }
 
-func TestSuffixNormSq(t *testing.T) {
-	a := []float32{3, 4, 0}
-	got := SuffixNormSqInto(make([]float64, len(a)+1), a)
-	want := []float64{25, 16, 0, 0}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-9 {
-			t.Fatalf("SuffixNormSqInto[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
-func TestSuffixNormSqMonotone(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		a := randVec(r, 1+r.Intn(100))
-		s := SuffixNormSqInto(make([]float64, len(a)+1), a)
-		for i := 0; i < len(s)-1; i++ {
-			if s[i] < s[i+1] {
-				return false
-			}
-		}
-		return s[len(s)-1] == 0
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestSuffixWeightedSq(t *testing.T) {
 	a := []float32{1, 2}
 	w := []float32{3, 0.5}
