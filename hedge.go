@@ -2,6 +2,7 @@ package resinfer
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"time"
@@ -21,6 +22,23 @@ import (
 // cancels ctx when the local probe wins; implementations must abort
 // their remote call promptly.
 type ShardHedger func(ctx context.Context, shard int, q []float32, k int, mode Mode, budget int) ([]Neighbor, SearchStats, error)
+
+// errBadHedge fails a hedge whose answer no shard could have given.
+var errBadHedge = errors.New("resinfer: hedge answer is not a shard's top k")
+
+// checkHedge returns errBadHedge unless ns could be one shard's answer to
+// a query for k neighbours: at most k of them, no negative ID, no NaN key
+// and, where keys are squared distances (L2, Cosine), no negative one.
+// The merge would otherwise put such a row at the top of a served answer.
+func (sx *ShardedIndex) checkHedge(ns []Neighbor, k int) error {
+	sq := sx.metric != InnerProduct
+	for _, n := range ns {
+		if len(ns) > k || n.ID < 0 || n.Distance != n.Distance || sq && n.Distance < 0 {
+			return errBadHedge
+		}
+	}
+	return nil
+}
 
 // SetShardHedger installs fn as the shard hedger with the given initial
 // hedge delay and arms hedged fan-out on the deadline-aware search

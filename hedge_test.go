@@ -9,7 +9,9 @@ package resinfer_test
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -292,5 +294,88 @@ func TestHedgerConcurrentSearches(t *testing.T) {
 		if err := <-errCh; err != nil {
 			t.Fatalf("concurrent hedged search failed: %v", err)
 		}
+	}
+}
+
+// TestHedgeRejectsImpossibleAnswer: a hedge answer no shard could give —
+// more than k neighbours, a negative ID, a NaN key, or a negative key
+// where keys are squared distances — counts as a failed hedge, so the
+// slow local probe still answers and the served answer is the unhedged
+// one. Under InnerProduct, where keys are negated scores, a peer's good
+// answer with negative keys still wins.
+func TestHedgeRejectsImpossibleAnswer(t *testing.T) {
+	defer fault.Reset()
+	fault.Reset()
+	sx := buildChaosSharded(t, 4)
+	q := chaosQuery()
+	const k = 10
+	want, _, err := sx.SearchInto(nil, q, k, resinfer.Exact, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tooMany := make([]resinfer.Neighbor, k+1)
+	for i := range tooMany {
+		tooMany[i] = resinfer.Neighbor{ID: 3 + i}
+	}
+	for name, bad := range map[string][]resinfer.Neighbor{
+		"more than k":  tooMany,
+		"negative ID":  {{ID: -1}},
+		"NaN key":      {{ID: 5, Distance: float32(math.NaN())}},
+		"negative key": {{ID: 7, Distance: -3e38}},
+	} {
+		sx.SetShardHedger(func(context.Context, int, []float32, int, resinfer.Mode, int) ([]resinfer.Neighbor, resinfer.SearchStats, error) {
+			return bad, resinfer.SearchStats{}, nil
+		}, 50*time.Millisecond)
+		hedged0, wins0 := sx.HedgeStats()
+		undo := fault.Inject(fault.Injection{
+			Site: fault.SiteShardSearch, Arg: 2, Delay: 500 * time.Millisecond, Limit: 1,
+		})
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		ns, st, err := sx.SearchCtx(ctx, nil, q, k, resinfer.Exact, 0, nil)
+		cancel()
+		undo()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		hedged, wins := sx.HedgeStats()
+		if hedged <= hedged0 || wins != wins0 {
+			t.Fatalf("%s: hedged %d → %d, wins %d → %d; want a hedge fired and none won", name, hedged0, hedged, wins0, wins)
+		}
+		if st.ShardsOK != 4 || st.ShardsFailed != 0 || !slices.Equal(ns, want) {
+			t.Fatalf("%s: served %v (ok %d, failed %d), want the local probes' %v", name, ns, st.ShardsOK, st.ShardsFailed, want)
+		}
+	}
+
+	data := make([][]float32, 400)
+	rng := rand.New(rand.NewSource(5))
+	for i := range data {
+		data[i] = make([]float32, 8)
+		for j := range data[i] {
+			data[i][j] = float32(rng.NormFloat64()) + 3
+		}
+	}
+	build := func() *resinfer.ShardedIndex {
+		ix, err := resinfer.NewSharded(data, resinfer.Flat, 2, &resinfer.ShardOptions{Index: &resinfer.Options{Seed: 1, Metric: resinfer.InnerProduct}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ix
+	}
+	ip, peer := build(), build()
+	iq := data[0]
+	if ns, _, err := peer.SearchShardGlobal(1, iq, k, resinfer.Exact, 0); err != nil || len(ns) == 0 || ns[0].Distance >= 0 {
+		t.Fatalf("InnerProduct keys are not negative here: %v, %v", ns, err)
+	}
+	ip.SetShardHedger(peerHedger(peer), 5*time.Millisecond)
+	defer fault.Inject(fault.Injection{
+		Site: fault.SiteShardSearch, Arg: 1, Delay: 2 * time.Second, Limit: 1,
+	})()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if _, st, err := ip.SearchCtx(ctx, nil, iq, k, resinfer.Exact, 0, nil); err != nil || st.ShardsOK != 2 {
+		t.Fatalf("InnerProduct hedge: ok %d, err %v", st.ShardsOK, err)
+	}
+	if _, wins := ip.HedgeStats(); wins < 1 {
+		t.Fatalf("InnerProduct hedge with negative keys won %d times, want at least 1", wins)
 	}
 }

@@ -136,8 +136,8 @@ type ResettableEvaluator interface {
 // PruneBlock is how many ids a scan hands Prune at a time, and how many
 // round-0 inner products an evaluator computes in one kernel call. Sizes
 // from 16 to 256 measured within 7 % of each other. It stays a multiple of
-// 8: vec.PruneRows decides 8 ids a step on amd64 and leaves a block's last
-// 0–7 ids to a per-row loop, so a full block never takes that slower tail.
+// 8: on amd64 vec.PruneRows leaves a block's last 0–7 ids to its slower Go
+// loop, which does not prefetch, so a full block never takes that loop.
 const PruneBlock = 64
 
 // RotatingEvaluator is a ResettableEvaluator whose Reset begins by rotating
@@ -208,11 +208,11 @@ type Exact struct {
 	model  *pca.Model
 	proj   []float32
 	// The second bound (deepFac nil: none) reads a survivor's coordinates
-	// PrefixDim…DeepDim−1 at next[id·stride + PrefixDim:], which is where
-	// the first bound's kernel prefetches for it: the row itself on
-	// re-based rows; on raw rows a projected n × PrefixDim table led by one
-	// row of padding. deepFac is ‖b_{≥DeepDim}‖ per row. Without a second
-	// bound, next and stride are the rows, whose survivors are read whole.
+	// PrefixDim…DeepDim−1 at next[id·stride:], which is where the first
+	// bound's kernel prefetches for it: the row itself past its prefix on
+	// re-based rows; on raw rows a projected n × PrefixDim table. deepFac
+	// is ‖b_{≥DeepDim}‖ per row. Without a second bound, next and stride
+	// are the rows past their prefix, whose survivors are read whole.
 	next    []float32
 	stride  int
 	deepFac []float32
@@ -236,7 +236,7 @@ func NewExactIn(data *store.Matrix, basis, model *pca.Model) (*Exact, error) {
 		return nil, errors.New("core: basis dimension mismatch")
 	}
 	d := data.Dim()
-	e := &Exact{data: data, basis: basis, next: data.Flat(), stride: d}
+	e := &Exact{data: data, basis: basis}
 	var eta, deepEta float64 // ‖R_P R_Pᵀ − I‖: 0 on re-based rows, which need no R_P
 	switch {
 	case d <= PrefixDim:
@@ -257,6 +257,9 @@ func NewExactIn(data *store.Matrix, basis, model *pca.Model) (*Exact, error) {
 		}
 	}
 	if e.prefix != nil {
+		if e.next == nil {
+			e.next, e.stride = data.Flat()[PrefixDim:], d
+		}
 		for _, v := range e.prefix.norms {
 			e.maxNorm = max(e.maxNorm, float64(v))
 		}
@@ -331,8 +334,8 @@ func rebasedPrefix(data *store.Matrix) (*PrefixTable, []float32) {
 // (see NewExactIn), all in float64 (the projection through R_Pᵀ as
 // float64 rows), then rounded. When proj holds DeepDim rows, the same pass
 // fills the second bound's table, the projection's coordinates
-// PrefixDim…DeepDim−1 after one row of padding, and its tails, raised by
-// deepEta; otherwise both are nil.
+// PrefixDim…DeepDim−1, and its tails, raised by deepEta; otherwise both are
+// nil.
 func rawPrefix(data *store.Matrix, proj, mean []float32, eta, deepEta float64) (*PrefixTable, []float32, []float32) {
 	n, d, p := data.Rows(), data.Dim(), PrefixDim
 	width := len(proj) / d
@@ -347,7 +350,7 @@ func rawPrefix(data *store.Matrix, proj, mean []float32, eta, deepEta float64) (
 	pre, norms, fac := make([]float32, n*p), make([]float32, n), make([]float32, n)
 	var deep, deepFac []float32
 	if width > p {
-		deep, deepFac = make([]float32, (n+1)*p), make([]float32, n)
+		deep, deepFac = make([]float32, n*p), make([]float32, n)
 	}
 	u := math.Ldexp(1, -24)
 	par.Range(n, 0, func(lo, hi int) {
@@ -371,7 +374,7 @@ func rawPrefix(data *store.Matrix, proj, mean []float32, eta, deepEta float64) (
 				continue
 			}
 			for i, v := range b[p:] {
-				deep[(r+1)*p+i] = float32(v)
+				deep[r*p+i] = float32(v)
 				bn += v * v
 			}
 			deepFac[r] = float32(math.Sqrt(max(0, wn-bn+(deepEta+u)*wn)))
@@ -573,7 +576,7 @@ func (ev *exactEvaluator) Prune(ids []int32, tau float32, keep []int32) []int32 
 	q, norms, lim := ev.qp[PrefixDim:DeepDim], e.prefix.norms, tau+ev.deepMargin
 	kept := len(keep)
 	for i, id := range ev.surv[:n] {
-		at := int(id)*e.stride + PrefixDim
+		at := int(id) * e.stride
 		c := ev.c2[i] + 2*vec.Dot(q, e.next[at:at+PrefixDim])
 		if !((norms[id]+ev.qNorm)-c-float32(ev.deepBound*e.deepFac[id]) > lim) {
 			keep = append(keep, id)

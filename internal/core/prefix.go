@@ -21,11 +21,9 @@ func NewPrefixTable(pre, norms, fac []float32, width int) *PrefixTable {
 	return &PrefixTable{pre: pre, norms: norms, fac: fac, width: width}
 }
 
-// Width is how many coordinates of a row the table holds.
-func (t *PrefixTable) Width() int { return t.width }
-
 // Pre exposes the table (read-only by convention): row id's prefix is
-// Pre()[id·Width : (id+1)·Width].
+// Pre()[id·width : (id+1)·width], width being what the table was built
+// with.
 func (t *PrefixTable) Pre() []float32 { return t.pre }
 
 // Bytes is what the table, the norms and the factors hold.
@@ -35,14 +33,13 @@ func (t *PrefixTable) Bytes() int64 { return int64(len(t.pre)+len(t.norms)+len(t
 // (norms[id] + qNorm) − 2⟨q, prefix of id⟩ − bound·fac[id] ≤ tau (or NaN),
 // writes them and their 2⟨q, prefix⟩ into keep and c2 at matching
 // positions, and returns how many it kept (see vec.PruneRows, which also
-// prefetches each kept row's next two lines of rows, stride floats a row,
-// from coordinate Width on). q is the query's prefix, Width floats. st counts
-// each id it rules out as a Compare that pruned it after reading Width
-// coordinates.
+// prefetches each kept row's next two lines, next[id·stride:]). q is the
+// query's prefix, width floats. st counts each id it rules out as a Compare
+// that pruned it after reading width coordinates.
 //
 //resinfer:noalloc
-func (t *PrefixTable) Prune(st *Stats, q []float32, ids []int32, qNorm, bound, tau float32, rows []float32, stride int, keep []int32, c2 []float32) int {
-	n := vec.PruneRows(q[:t.width], t.pre, ids, t.norms, t.fac, qNorm, bound, tau, rows, stride, keep, c2)
+func (t *PrefixTable) Prune(st *Stats, q []float32, ids []int32, qNorm, bound, tau float32, next []float32, stride int, keep []int32, c2 []float32) int {
+	n := vec.PruneRows(q[:t.width], t.pre, ids, t.norms, t.fac, qNorm, bound, tau, next, stride, keep, c2)
 	out := int64(len(ids) - n)
 	st.Comparisons += out
 	st.Pruned += out

@@ -325,7 +325,7 @@ func (ev *resEvaluator) Prune(ids []int32, tau float32, keep []int32) []int32 {
 		return ids
 	}
 	p := ev.parent
-	ev.nSurv = p.pre.Prune(&ev.stats, ev.q, ids, ev.qNorm, ev.bound[0], tau, ev.flat, p.dim, ev.surv[:], ev.survC2[:])
+	ev.nSurv = p.pre.Prune(&ev.stats, ev.q, ids, ev.qNorm, ev.bound[0], tau, ev.flat[p.initD:], p.dim, ev.surv[:], ev.survC2[:])
 	return append(keep, ev.surv[:ev.nSurv]...)
 }
 

@@ -3,6 +3,7 @@ package metric
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -55,7 +56,7 @@ func augmentRows(t testing.TB, rows [][]float32) (*IPTransform, [][]float32) {
 func TestNormalizeForCosine(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	rows := randRows(r, 50, 8)
-	first := vec.Clone(rows[0])
+	first := slices.Clone(rows[0])
 	norm, err := normalizeRows(rows)
 	if err != nil {
 		t.Fatal(err)

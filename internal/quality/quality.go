@@ -156,9 +156,6 @@ func NewTracker(oracle Oracle, cfg Config) *Tracker {
 	return t
 }
 
-// SampleRate returns the configured sampling denominator.
-func (t *Tracker) SampleRate() int { return t.cfg.SampleRate }
-
 // MaybeSample admits roughly one call in cfg.SampleRate into the shadow
 // pipeline. The non-sampled path is one atomic add; the sampled path
 // copies the query and served answer into a pooled job and hands it to

@@ -13,6 +13,7 @@ import (
 
 	"resinfer"
 	"resinfer/internal/fault"
+	"resinfer/internal/server"
 	"resinfer/internal/wal"
 )
 
@@ -149,35 +150,16 @@ func (c *Client) StreamTail(ctx context.Context, base string, from uint64) (*Tai
 	return &Tail{LastLSN: last, sr: wal.NewStreamReader(resp.Body), body: resp.Body}, nil
 }
 
-// shardSearchRequest is the wire form of a hedged shard probe; the
-// response carries the shard's contribution in global, merge-ready form
-// (SearchShardGlobal's output).
-type shardSearchRequest struct {
-	Shard  int       `json:"shard"`
-	Query  []float32 `json:"query"`
-	K      int       `json:"k"`
-	Mode   string    `json:"mode"`
-	Budget int       `json:"budget"`
-}
-
-type shardNeighborJSON struct {
-	ID int `json:"id"`
-	// Key is the cross-shard merge key (resinfer.Neighbor.Distance in
-	// global form), not necessarily a user-facing distance.
-	Key float32 `json:"key"`
-}
-
-type shardSearchResponse struct {
-	Neighbors   []shardNeighborJSON `json:"neighbors"`
-	Comparisons int64               `json:"comparisons"`
-	Pruned      int64               `json:"pruned"`
-}
+// shardAnswerCap is how many bytes of a peer's answer to a probe for k
+// neighbours the client reads: 4 KiB, plus 64 B per neighbour, which
+// holds the longest ID and key JSON writes. A larger body fails to decode.
+func shardAnswerCap(k int) int64 { return 4096 + 64*int64(max(k, 0)) }
 
 // ShardSearch re-issues one shard's query to a peer replica — the
 // transport half of a hedge — and returns the shard's contribution in
 // global, merge-ready form.
 func (c *Client) ShardSearch(ctx context.Context, base string, shard int, q []float32, k int, mode resinfer.Mode, budget int) ([]resinfer.Neighbor, resinfer.SearchStats, error) {
-	body, err := json.Marshal(shardSearchRequest{Shard: shard, Query: q, K: k, Mode: string(mode), Budget: budget})
+	body, err := json.Marshal(server.ShardSearchRequest{Shard: shard, Query: q, K: k, Mode: string(mode), Budget: budget})
 	if err != nil {
 		return nil, resinfer.SearchStats{}, err
 	}
@@ -195,12 +177,25 @@ func (c *Client) ShardSearch(ctx context.Context, base string, shard int, q []fl
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return nil, resinfer.SearchStats{}, fmt.Errorf("replica: %s/internal/shard/search: %s: %s", base, resp.Status, bytes.TrimSpace(msg))
 	}
-	var sr shardSearchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
+	return decodeShardAnswer(resp.Body, k)
+}
+
+// decodeShardAnswer decodes a peer's answer to a probe for k neighbours
+// from at most shardAnswerCap(k) bytes of r. It rejects an answer of more
+// than k neighbours or with a negative ID.
+func decodeShardAnswer(r io.Reader, k int) ([]resinfer.Neighbor, resinfer.SearchStats, error) {
+	var sr server.ShardSearchResponse
+	if err := json.NewDecoder(io.LimitReader(r, shardAnswerCap(k))).Decode(&sr); err != nil {
 		return nil, resinfer.SearchStats{}, fmt.Errorf("replica: decoding shard search response: %w", err)
+	}
+	if len(sr.Neighbors) > k {
+		return nil, resinfer.SearchStats{}, fmt.Errorf("replica: shard search answered %d neighbors for k = %d", len(sr.Neighbors), k)
 	}
 	ns := make([]resinfer.Neighbor, len(sr.Neighbors))
 	for i, n := range sr.Neighbors {
+		if n.ID < 0 {
+			return nil, resinfer.SearchStats{}, fmt.Errorf("replica: shard search answered neighbor ID %d", n.ID)
+		}
 		ns[i] = resinfer.Neighbor{ID: n.ID, Distance: n.Key}
 	}
 	st := resinfer.SearchStats{Comparisons: sr.Comparisons, Pruned: sr.Pruned, ShardsOK: 1}

@@ -53,7 +53,11 @@ type replicaStatusJSON struct {
 	Points     int    `json:"points"`
 }
 
-type shardSearchRequest struct {
+// ShardSearchRequest is the wire form of a hedged shard probe, POST
+// /internal/shard/search: what replica.Client sends and handleShardSearch
+// answers with a ShardSearchResponse, the shard's contribution in global,
+// merge-ready form (SearchShardGlobal's output).
+type ShardSearchRequest struct {
 	Shard  int       `json:"shard"`
 	Query  []float32 `json:"query"`
 	K      int       `json:"k"`
@@ -61,15 +65,19 @@ type shardSearchRequest struct {
 	Budget int       `json:"budget"`
 }
 
-type shardNeighborJSON struct {
-	ID  int     `json:"id"`
+// ShardNeighbor is one row of a ShardSearchResponse.
+type ShardNeighbor struct {
+	ID int `json:"id"`
+	// Key is the cross-shard merge key (resinfer.Neighbor.Distance in
+	// global form), not necessarily a user-facing distance.
 	Key float32 `json:"key"`
 }
 
-type shardSearchResponse struct {
-	Neighbors   []shardNeighborJSON `json:"neighbors"`
-	Comparisons int64               `json:"comparisons"`
-	Pruned      int64               `json:"pruned"`
+// ShardSearchResponse is the answer to a ShardSearchRequest.
+type ShardSearchResponse struct {
+	Neighbors   []ShardNeighbor `json:"neighbors"`
+	Comparisons int64           `json:"comparisons"`
+	Pruned      int64           `json:"pruned"`
 }
 
 // handleShardSearch answers a peer's hedged probe of one shard: the
@@ -78,7 +86,7 @@ type shardSearchResponse struct {
 // already late, queuing it behind other searches would defeat it.
 func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
 	s.metrics.requests.Inc()
-	var req shardSearchRequest
+	var req ShardSearchRequest
 	if err := s.decodeStrict(w, r, &req); err != nil {
 		s.failDecode(w, err)
 		return
@@ -98,13 +106,13 @@ func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusInternalServerError, err)
 		return
 	}
-	resp := shardSearchResponse{
-		Neighbors:   make([]shardNeighborJSON, len(ns)),
+	resp := ShardSearchResponse{
+		Neighbors:   make([]ShardNeighbor, len(ns)),
 		Comparisons: st.Comparisons,
 		Pruned:      st.Pruned,
 	}
 	for i, n := range ns {
-		resp.Neighbors[i] = shardNeighborJSON{ID: n.ID, Key: n.Distance}
+		resp.Neighbors[i] = ShardNeighbor{ID: n.ID, Key: n.Distance}
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -78,7 +78,7 @@ func TestShardSearchEndpoint(t *testing.T) {
 		msg, _ := io.ReadAll(resp.Body)
 		t.Fatalf("status %d: %s", resp.StatusCode, msg)
 	}
-	var got shardSearchResponse
+	var got ShardSearchResponse
 	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
 		t.Fatal(err)
 	}

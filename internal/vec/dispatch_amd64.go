@@ -21,7 +21,7 @@ func dotAVX2(a, b []float32) float32
 func l2sqAVX2(a, b []float32) float32
 
 //go:noescape
-func pruneRowsAVX2(q, pre []float32, ids []int32, norms, fac []float32, qNorm, bound, tau float32, rows []float32, stride int, keep []int32, c2 []float32) int
+func pruneRowsAVX2(q, pre []float32, ids []int32, norms, fac []float32, qNorm, bound, tau float32, next []float32, stride int, keep []int32, c2 []float32) int
 
 //go:noescape
 func axpyRows64AVX2(y, a []float64, x [][]float64)
@@ -69,7 +69,21 @@ func init() {
 	if noSIMDEnv() || !hasAVX2FMA() {
 		return
 	}
-	dotImpl, l2sqImpl, pruneRowsImpl = dotAVX2, l2sqAVX2, pruneRowsAVX2
+	dotImpl, l2sqImpl, pruneRowsImpl = dotAVX2, l2sqAVX2, pruneRowsSplit
 	axpyRows64Impl, rot64Impl = axpyRows64AVX2, rot64AVX2
 	level = "avx2+fma"
+}
+
+// pruneRowsSplit is PruneRows on amd64: at len(q) 32 or 64 the whole
+// 8-id groups go to pruneRowsAVX2, and every other id to pruneRowsLoop,
+// whose c comes from dotAVX2 and whose test rounds as the kernel's does.
+func pruneRowsSplit(q, pre []float32, ids []int32, norms, fac []float32, qNorm, bound, tau float32, next []float32, stride int, keep []int32, c2 []float32) int {
+	n := 0
+	if g := len(ids) &^ 7; g > 0 && (len(q) == 32 || len(q) == 64) {
+		n = pruneRowsAVX2(q, pre, ids[:g], norms, fac, qNorm, bound, tau, next, stride, keep, c2)
+		if ids = ids[g:]; len(ids) == 0 {
+			return n
+		}
+	}
+	return n + pruneRowsLoop(q, pre, ids, norms, fac, qNorm, bound, tau, next, stride, keep[n:], c2[n:])
 }

@@ -232,8 +232,8 @@ func TestPruneRowsMatchesReference(t *testing.T) {
 			"short norms":       func() { PruneRows(q, pre, []int32{rows - 1}, norms[:rows-1], nil, 0, 0, 0, tab, stride, keep, c2) },
 			"short fac":         func() { PruneRows(q, pre, []int32{rows - 1}, norms, random[:rows-1], 0, 0, 0, tab, stride, keep, c2) },
 			"empty fac":         func() { PruneRows(q, pre, []int32{0}, norms, random[:0], 0, 0, 0, tab, stride, keep, c2) },
-			"short rows": func() {
-				PruneRows(q, pre, []int32{rows - 1}, norms, nil, 0, 0, 0, tab[:rows*stride-1], stride, keep, c2)
+			"short next": func() {
+				PruneRows(q, pre, []int32{rows - 1}, norms, nil, 0, 0, 0, tab[:(rows-1)*stride], stride, keep, c2)
 			},
 			"short keep": func() { PruneRows(q, pre, ids, norms, nil, 0, 0, 0, tab, stride, keep[:len(ids)-1], c2) },
 			"short c2":   func() { PruneRows(q, pre, ids, norms, nil, 0, 0, 0, tab, stride, keep, c2[:len(ids)-1]) },
@@ -247,6 +247,7 @@ func TestPruneRowsMatchesReference(t *testing.T) {
 				f()
 			}()
 		}
+		PruneRows(q, pre, []int32{rows - 1}, norms, nil, 0, 0, 0, tab[:(rows-1)*stride+1], stride, keep, c2) // next reaches the last row: no panic
 	}
 	negZero := float32(math.Copysign(0, -1))
 	for _, width := range []int{32, 64} {

@@ -95,22 +95,22 @@ func MatVec(dst, rot []float32, dim int, x []float32) {
 // does. A nil fac is a factor of 1 with no multiply: the test is then
 // (norms[id] + qNorm) − c − bound, bit for bit. The kept ids and their c
 // land in keep and c2 at matching positions, and it returns how many it
-// kept. Every c has Dot's bits. On amd64 it is one assembly call that also
-// prefetches for each kept id the two cache lines of its row of rows
-// (stride floats apart) from coordinate len(q) on: what the row's next
-// round reads. At len(q) 32 and 64 (ddc-res's default DeltaD and exact's
-// prefix) that call decides 8 ids a step with q held in registers: their 8
-// inner products reduced together, one vector test, and the survivors
-// packed through a table into one 8-wide store at keep[n] and c2[n]. The
-// 0–7 ids left over, and every id at other widths, take a per-row loop with
-// no branch on the test. Either may overwrite keep and c2 from the returned
-// count up to len(ids), never past it. Elsewhere PruneRows is a loop over
-// Dot with no prefetch. It checks every id against norms, fac, pre and
-// rows, and the room in keep and c2, before the kernel reads anything, and
-// panics on a failure, which only a bug can cause.
+// kept. Every c has Dot's bits. Row id's next lines, what its next round
+// reads, start at next[id·stride:]. On amd64, at len(q) 32 and 64
+// (ddc-res's default DeltaD and exact's prefix), a call's whole groups of 8
+// ids go to one assembly kernel, which holds q in registers, reduces 8
+// inner products together, tests them in one vector pass, packs the
+// survivors through a table into one 8-wide store at keep[n] and c2[n],
+// and prefetches two cache lines at next[id·stride:] for each kept id. The
+// 0–7 ids left over, every id at other widths, and every id elsewhere go
+// through one Go loop over Dot with no prefetch. Either may overwrite keep
+// and c2 from the returned count up to len(ids), never past it. It checks
+// every id against norms, fac, pre and next, and the room in keep and c2,
+// before the kernel reads anything, and panics on a failure, which only a
+// bug can cause.
 //
 //resinfer:noalloc
-func PruneRows(q, pre []float32, ids []int32, norms, fac []float32, qNorm, bound, tau float32, rows []float32, stride int, keep []int32, c2 []float32) int {
+func PruneRows(q, pre []float32, ids []int32, norms, fac []float32, qNorm, bound, tau float32, next []float32, stride int, keep []int32, c2 []float32) int {
 	if len(keep) < len(ids) || len(c2) < len(ids) {
 		panic("vec: PruneRows output shorter than ids")
 	}
@@ -118,10 +118,10 @@ func PruneRows(q, pre []float32, ids []int32, norms, fac []float32, qNorm, bound
 	for _, id := range ids {
 		hi = max(hi, uint32(id))
 	}
-	if n := uint64(hi) + 1; len(ids) > 0 && (int32(hi) < 0 || n > uint64(len(norms)) || fac != nil && n > uint64(len(fac)) || n*uint64(len(q)) > uint64(len(pre)) || n*uint64(stride) > uint64(len(rows))) {
+	if n := uint64(hi) + 1; len(ids) > 0 && (int32(hi) < 0 || n > uint64(len(norms)) || fac != nil && n > uint64(len(fac)) || n*uint64(len(q)) > uint64(len(pre)) || uint64(hi)*uint64(stride) >= uint64(len(next))) {
 		panic("vec: PruneRows row out of range")
 	}
-	return pruneRowsImpl(q, pre, ids, norms, fac, qNorm, bound, tau, rows, stride, keep, c2)
+	return pruneRowsImpl(q, pre, ids, norms, fac, qNorm, bound, tau, next, stride, keep, c2)
 }
 
 // pruneRowsLoop is PruneRows as a loop over the dispatched Dot kernel,

@@ -149,49 +149,11 @@ func Axpy(alpha float32, x, y []float32) {
 	}
 }
 
-// Add returns a+b as a new slice.
-func Add(a, b []float32) []float32 {
-	out := make([]float32, len(a))
-	for i := range a {
-		out[i] = a[i] + b[i]
-	}
-	return out
-}
-
-// Sub returns a-b as a new slice.
-func Sub(a, b []float32) []float32 {
-	out := make([]float32, len(a))
-	for i := range a {
-		out[i] = a[i] - b[i]
-	}
-	return out
-}
-
 // SubInto writes a-b into dst, which must have the same length.
 func SubInto(dst, a, b []float32) {
 	for i := range a {
 		dst[i] = a[i] - b[i]
 	}
-}
-
-// Clone returns a copy of a.
-func Clone(a []float32) []float32 {
-	out := make([]float32, len(a))
-	copy(out, a)
-	return out
-}
-
-// Mean returns the arithmetic mean of a (0 for empty input), accumulated in
-// float64.
-func Mean(a []float32) float64 {
-	if len(a) == 0 {
-		return 0
-	}
-	var s float64
-	for _, v := range a {
-		s += float64(v)
-	}
-	return s / float64(len(a))
 }
 
 // Equal reports whether a and b have identical lengths and elements.

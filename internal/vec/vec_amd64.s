@@ -10,71 +10,71 @@
 // before dispatch, so the assembly reads exactly len(a) floats from each
 // input.
 
-// DOT_ACC leaves in X0 the inner product of the CX floats at SI and DI,
-// advancing SI and DI past them; it clobbers CX, DX and Y0–Y7. Four YMM
-// accumulators over 32-float blocks, one over 8-float blocks, a fixed
-// reduction, then the scalar tail folded in: dotAVX2 and pruneRowsAVX2 both
-// expand it, so a row of PruneRows has exactly Dot's bits. Its labels are
-// local to the function that expands it.
-#define DOT_ACC \
-	VXORPS Y0, Y0, Y0; \
-	VXORPS Y1, Y1, Y1; \
-	VXORPS Y2, Y2, Y2; \
-	VXORPS Y3, Y3, Y3; \
-	MOVQ CX, DX; \
-	SHRQ $5, DX; \
-	JZ   dot_tail8; \
-dot_block32: \
-	VMOVUPS (SI), Y4; \
-	VMOVUPS 32(SI), Y5; \
-	VMOVUPS 64(SI), Y6; \
-	VMOVUPS 96(SI), Y7; \
-	VFMADD231PS (DI), Y4, Y0; \
-	VFMADD231PS 32(DI), Y5, Y1; \
-	VFMADD231PS 64(DI), Y6, Y2; \
-	VFMADD231PS 96(DI), Y7, Y3; \
-	ADDQ $128, SI; \
-	ADDQ $128, DI; \
-	DECQ DX; \
-	JNZ  dot_block32; \
-dot_tail8: \
-	ANDQ $31, CX; \
-	MOVQ CX, DX; \
-	SHRQ $3, DX; \
-	JZ   dot_reduce; \
-dot_block8: \
-	VMOVUPS (SI), Y4; \
-	VFMADD231PS (DI), Y4, Y0; \
-	ADDQ $32, SI; \
-	ADDQ $32, DI; \
-	DECQ DX; \
-	JNZ  dot_block8; \
-dot_reduce: \
-	VADDPS Y1, Y0, Y0; \
-	VADDPS Y3, Y2, Y2; \
-	VADDPS Y2, Y0, Y0; \
-	VEXTRACTF128 $1, Y0, X1; \
-	VADDPS X1, X0, X0; \
-	VHADDPS X0, X0, X0; \
-	VHADDPS X0, X0, X0; \
-	ANDQ $7, CX; \
-	JZ   dot_acc_done; \
-dot_scalar: \
-	VMOVSS (SI), X1; \
-	VMOVSS (DI), X2; \
-	VFMADD231SS X2, X1, X0; \
-	ADDQ $4, SI; \
-	ADDQ $4, DI; \
-	DECQ CX; \
-	JNZ  dot_scalar; \
-dot_acc_done:
-
 // func dotAVX2(a, b []float32) float32
+//
+// PruneRows' Go loop takes each row's inner product here, so a row it
+// decides has exactly Dot's bits.
 TEXT ·dotAVX2(SB), NOSPLIT, $0-52
 	MOVQ a_base+0(FP), SI
 	MOVQ b_base+24(FP), DI
 	MOVQ a_len+8(FP), CX
-	DOT_ACC
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	MOVQ CX, DX
+	SHRQ $5, DX
+	JZ   dot_tail8
+
+dot_block32:
+	VMOVUPS (SI), Y4
+	VMOVUPS 32(SI), Y5
+	VMOVUPS 64(SI), Y6
+	VMOVUPS 96(SI), Y7
+	VFMADD231PS (DI), Y4, Y0
+	VFMADD231PS 32(DI), Y5, Y1
+	VFMADD231PS 64(DI), Y6, Y2
+	VFMADD231PS 96(DI), Y7, Y3
+	ADDQ $128, SI
+	ADDQ $128, DI
+	DECQ DX
+	JNZ  dot_block32
+
+dot_tail8:
+	ANDQ $31, CX
+	MOVQ CX, DX
+	SHRQ $3, DX
+	JZ   dot_reduce
+
+dot_block8:
+	VMOVUPS (SI), Y4
+	VFMADD231PS (DI), Y4, Y0
+	ADDQ $32, SI
+	ADDQ $32, DI
+	DECQ DX
+	JNZ  dot_block8
+
+dot_reduce:
+	VADDPS Y1, Y0, Y0
+	VADDPS Y3, Y2, Y2
+	VADDPS Y2, Y0, Y0
+	VEXTRACTF128 $1, Y0, X1
+	VADDPS X1, X0, X0
+	VHADDPS X0, X0, X0
+	VHADDPS X0, X0, X0
+	ANDQ $7, CX
+	JZ   dot_done
+
+dot_scalar:
+	VMOVSS (SI), X1
+	VMOVSS (DI), X2
+	VFMADD231SS X2, X1, X0
+	ADDQ $4, SI
+	ADDQ $4, DI
+	DECQ CX
+	JNZ  dot_scalar
+
+dot_done:
 	VZEROUPPER
 	MOVSS X0, ret+48(FP)
 	RET
@@ -152,7 +152,7 @@ l2_done:
 
 // The 8-id body of pruneRowsAVX2, for prefix widths 32 and 64 with q held
 // in Y8–Y11 (and Y12–Y15 at 64). ROW_FMA32 fills Y0–Y3 for the row of pre
-// whose id is at off(R8) exactly as DOT_ACC's block32 loop does (zeroed,
+// whose id is at off(R8) exactly as dotAVX2's block32 loop does (zeroed,
 // then one FMA each per 32 floats); ROW_FMA64 runs the second block32
 // iteration. ROW_SUM folds them into dst as dot_reduce does. PAIR_FOLD takes
 // rows k (Y4) and k+4 (Y0) to one vector of their lo+hi halves, row k in
@@ -211,10 +211,12 @@ l2_done:
 	VINSERTPS $0x30, (base)(AX*4), xhi, xhi; \
 	VINSERTF128 $1, xhi, ylo, ylo
 
-// func pruneRowsAVX2(q, pre []float32, ids []int32, norms, fac []float32, qNorm, bound, tau float32, rows []float32, stride int, keep []int32, c2 []float32) int
+// func pruneRowsAVX2(q, pre []float32, ids []int32, norms, fac []float32, qNorm, bound, tau float32, next []float32, stride int, keep []int32, c2 []float32) int
 //
-// PruneRows' kernel. At prefix widths 32 and 64 it decides 8 ids a step:
-// the 8 inner products as above (c = their doubles, Dot's bits), then
+// PruneRows' kernel on amd64, for len(q) 32 or 64 and len(ids) a positive
+// multiple of 8; the Go loop decides every other id (see pruneRowsImpl in
+// dispatch_amd64.go). It decides 8 ids a step: the 8 inner products as
+// above (c = their doubles, Dot's bits), then
 // (norms[id] + qNorm) − c − bound·fac[id] for all 8 in one vector pass, one
 // rounding per step as Go evaluates it, the product rounded on its own
 // (VMULPS, no fused multiply-subtract; a nil fac subtracts bound itself),
@@ -222,19 +224,10 @@ l2_done:
 // picks a row of pruneCompact, whose VPERMD / VPERMPS pack the kept ids and
 // their c to the front of an 8-wide store at keep[n] and c2[n]; n is at
 // most the group's start, so no store reaches keep[len(ids)]. A BSF loop
-// over the mask counts the kept ids and prefetches each one's round-1
-// lines, rows + 4·(id·stride + len(q)) and the line after.
+// over the mask counts the kept ids and prefetches each one's next two
+// lines, next + 4·id·stride and the line after.
 //
-// The 0–7 ids left over, and every id at other widths, go through the
-// per-row loop: c = 2·dotAVX2(q, row id of pre) through one DOT_ACC, the
-// same test in scalar code, id and c stored at keep[n] and c2[n] whatever
-// the test says and n advanced by SETLS's 0 or 1 (unordered sets CF). Its
-// kept ids prefetch the same two lines; a pruned id prefetches its own
-// entry of ids instead, a line already in cache, so no branch depends on
-// the test. Each row reloads q and the other rarely read arguments from
-// the frame: DOT_ACC leaves too few registers to hold them.
-//
-// PruneRows has checked every id against norms, fac, pre and rows, and the
+// PruneRows has checked every id against norms, fac, pre and next, and the
 // room in keep and c2.
 TEXT ·pruneRowsAVX2(SB), NOSPLIT, $0-224
 	MOVQ pre_base+24(FP), R11
@@ -242,16 +235,13 @@ TEXT ·pruneRowsAVX2(SB), NOSPLIT, $0-224
 	MOVQ ids_len+56(FP), R9
 	MOVQ keep_base+168(FP), R10
 	MOVQ c2_base+192(FP), R13
+	MOVQ next_base+136(FP), R14
 	MOVQ q_len+8(FP), R12
 	SHLQ $2, R12           // R12 = row stride of pre in bytes
 	XORQ BX, BX            // BX = ids kept so far
-	CMPQ R9, $8
-	JLT  prune_tail
 	MOVQ q_base+0(FP), SI
 	CMPQ R12, $128
 	JEQ  group_q32
-	CMPQ R12, $256
-	JNE  prune_tail
 	VMOVUPS 128(SI), Y12
 	VMOVUPS 160(SI), Y13
 	VMOVUPS 192(SI), Y14
@@ -262,8 +252,6 @@ group_q32:
 	VMOVUPS 32(SI), Y9
 	VMOVUPS 64(SI), Y10
 	VMOVUPS 96(SI), Y11
-	MOVQ rows_base+136(FP), R14
-	ADDQ R12, R14          // R14 = coordinate len(q) of row 0 of rows
 	LEAQ ·pruneCompact(SB), SI
 
 group_next:
@@ -350,7 +338,7 @@ group_prefetch:
 	BSFL CX, DX
 	MOVL (R8)(DX*4), AX
 	IMULQ stride+160(FP), AX
-	LEAQ (R14)(AX*4), AX   // coordinate len(q) of row id of rows
+	LEAQ (R14)(AX*4), AX   // row id of next
 	PREFETCHT0 (AX)
 	PREFETCHT0 64(AX)
 	INCQ BX
@@ -361,60 +349,7 @@ group_prefetch:
 group_done:
 	ADDQ $32, R8
 	SUBQ $8, R9
-	CMPQ R9, $8
-	JGE  group_next
-
-prune_tail:
-	TESTQ R9, R9
-	JZ   prune_done
-	VMOVSS qNorm+120(FP), X8
-	VMOVSS bound+124(FP), X9
-	VMOVSS tau+128(FP), X10
-
-prune_next:
-	MOVL (R8), AX          // AX = id, non-negative (checked)
-	MOVQ AX, DI
-	IMULQ R12, DI
-	ADDQ R11, DI           // DI = row id of pre
-	MOVQ q_base+0(FP), SI
-	MOVQ q_len+8(FP), CX
-	DOT_ACC
-	VADDSS X0, X0, X0      // c = 2·dot
-	MOVQ norms_base+72(FP), DX
-	VMOVSS (DX)(AX*4), X1
-	VADDSS X8, X1, X1      // norms[id] + qNorm
-	VSUBSS X0, X1, X1      // − c
-	MOVQ fac_base+96(FP), DX
-	TESTQ DX, DX
-	JZ   prune_nofac
-	VMULSS (DX)(AX*4), X9, X2
-	VSUBSS X2, X1, X1      // − bound·fac[id]
-	JMP  prune_test
-
-prune_nofac:
-	VSUBSS X9, X1, X1      // − bound
-
-prune_test:
-	MOVL AX, (R10)(BX*4)   // keep[n] = id
-	VMOVSS X0, (R13)(BX*4) // c2[n] = c
-	XORL CX, CX
-	VUCOMISS X10, X1
-	SETLS CX               // CX = 1 unless X1 > tau
-	MOVQ stride+160(FP), DX
-	IMULQ AX, DX
-	ADDQ q_len+8(FP), DX
-	MOVQ rows_base+136(FP), SI
-	LEAQ (SI)(DX*4), DX    // DX = coordinate len(q) of row id of rows
-	TESTQ CX, CX
-	CMOVQEQ R8, DX
-	PREFETCHT0 (DX)
-	PREFETCHT0 64(DX)
-	ADDQ CX, BX
-	ADDQ $4, R8
-	DECQ R9
-	JNZ  prune_next
-
-prune_done:
+	JNZ  group_next
 	VZEROUPPER
 	MOVQ BX, ret+216(FP)
 	RET

@@ -648,7 +648,8 @@ func (sx *ShardedIndex) fanDrain(fs *fanScratch) {
 // a shard that has not answered when the delay expires — exactly the
 // shard that would otherwise trip the fan deadline — has its query
 // re-issued to a peer replica; a shard whose local probe fails is
-// hedged immediately. The first good answer per shard wins: a local
+// hedged immediately. A hedge answer that fails checkHedge counts as a
+// failed hedge. The first good answer per shard wins: a local
 // completion cancels its losing hedge's context (aborting the remote
 // call), and a hedge that answers first is counted as a win. A shard
 // counts as failed only when every path — local probe and hedge — has
@@ -692,6 +693,9 @@ func (sx *ShardedIndex) fanDeadline(ctx context.Context, fs *fanScratch) (abando
 			}
 			h := &fs.houts[s]
 			h.ns, h.st, h.err = sx.hedger(hctx, s, fs.q, fs.k, fs.mode, fs.budget)
+			if h.err == nil {
+				h.err = sx.checkHedge(h.ns, fs.k)
+			}
 			if fs.timed {
 				h.t0, h.d = t0, time.Since(t0)
 			}
