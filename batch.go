@@ -36,17 +36,29 @@ func validateBatch(queries [][]float32, k, budget, userDim int) error {
 	return nil
 }
 
-// clampWorkers resolves a worker-count request against the batch size:
-// non-positive means GOMAXPROCS, and there is no point running more
-// workers than queries.
-func clampWorkers(workers, nQueries int) int {
+// runBatch hands the query indices 0…n−1 out to up to workers goroutines
+// (non-positive: GOMAXPROCS; never more than n), each running worker until
+// next is drained, and returns once every worker has returned. A worker
+// must drain next.
+func runBatch(n, workers int, worker func(next <-chan int)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > nQueries {
-		workers = nQueries
+	workers = min(workers, n)
+	next := make(chan int, workers) // one index queued per worker keeps each busy
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for range workers {
+		go func() {
+			defer wg.Done()
+			worker(next)
+		}()
 	}
-	return workers
+	for qi := range n {
+		next <- qi
+	}
+	close(next)
+	wg.Wait()
 }
 
 // SearchBatch runs Search for every query concurrently across up to
@@ -62,34 +74,22 @@ func (ix *Index) SearchBatch(queries [][]float32, k int, mode Mode, budget, work
 	if err := validateBatch(queries, k, budget, ix.userDim); err != nil {
 		return nil, err
 	}
-	workers = clampWorkers(workers, len(queries))
 	out := make([]BatchResult, len(queries))
-	var wg sync.WaitGroup
-	idxCh := make(chan int, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s, pool, err := ix.acquire(mode)
-			if err != nil {
-				// Mode not enabled: report on every query this worker
-				// would have handled.
-				for qi := range idxCh {
-					out[qi] = BatchResult{Err: err}
-				}
-				return
+	runBatch(len(queries), workers, func(next <-chan int) {
+		s, pool, err := ix.acquire(mode)
+		if err != nil {
+			// Mode not enabled: report on every query this worker
+			// would have handled.
+			for qi := range next {
+				out[qi] = BatchResult{Err: err}
 			}
-			defer pool.Put(s)
-			for qi := range idxCh {
-				ns, st, err := ix.searchSession(s, nil, queries[qi], k, budget)
-				out[qi] = BatchResult{Neighbors: ns, Stats: st, Err: err}
-			}
-		}()
-	}
-	for qi := range queries {
-		idxCh <- qi
-	}
-	close(idxCh)
-	wg.Wait()
+			return
+		}
+		defer pool.Put(s)
+		for qi := range next {
+			ns, st, err := ix.searchSession(s, nil, queries[qi], k, budget)
+			out[qi] = BatchResult{Neighbors: ns, Stats: st, Err: err}
+		}
+	})
 	return out, nil
 }

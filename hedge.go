@@ -27,13 +27,15 @@ type ShardHedger func(ctx context.Context, shard int, q []float32, k int, mode M
 var errBadHedge = errors.New("resinfer: hedge answer is not a shard's top k")
 
 // checkHedge returns errBadHedge unless ns could be one shard's answer to
-// a query for k neighbours: at most k of them, no negative ID, no NaN key
-// and, where keys are squared distances (L2, Cosine), no negative one.
-// The merge would otherwise put such a row at the top of a served answer.
+// a query for k neighbours: at most k of them, no negative ID, no NaN key,
+// where keys are squared distances (L2, Cosine) no negative one, and on an
+// immutable index no ID at or past Len, a row it does not hold. The merge
+// would otherwise put such a row at the top of a served answer. A mutable
+// index accepts IDs past its rows: a peer replica may be ahead of it.
 func (sx *ShardedIndex) checkHedge(ns []Neighbor, k int) error {
 	sq := sx.metric != InnerProduct
 	for _, n := range ns {
-		if len(ns) > k || n.ID < 0 || n.Distance != n.Distance || sq && n.Distance < 0 {
+		if len(ns) > k || n.ID < 0 || sx.mut == nil && n.ID >= sx.n || n.Distance != n.Distance || sq && n.Distance < 0 {
 			return errBadHedge
 		}
 	}

@@ -298,10 +298,10 @@ func TestHedgerConcurrentSearches(t *testing.T) {
 }
 
 // TestHedgeRejectsImpossibleAnswer: a hedge answer no shard could give —
-// more than k neighbours, a negative ID, a NaN key, or a negative key
-// where keys are squared distances — counts as a failed hedge, so the
-// slow local probe still answers and the served answer is the unhedged
-// one. Under InnerProduct, where keys are negated scores, a peer's good
+// more than k neighbours, a negative ID, an ID at Len of an immutable
+// index, a NaN key, or a negative key where keys are squared distances —
+// counts as a failed hedge, so the slow local probe still answers and the
+// served answer is the unhedged one. Under InnerProduct, where keys are negated scores, a peer's good
 // answer with negative keys still wins.
 func TestHedgeRejectsImpossibleAnswer(t *testing.T) {
 	defer fault.Reset()
@@ -320,6 +320,7 @@ func TestHedgeRejectsImpossibleAnswer(t *testing.T) {
 	for name, bad := range map[string][]resinfer.Neighbor{
 		"more than k":  tooMany,
 		"negative ID":  {{ID: -1}},
+		"ID past Len":  {{ID: sx.Len()}},
 		"NaN key":      {{ID: 5, Distance: float32(math.NaN())}},
 		"negative key": {{ID: 7, Distance: -3e38}},
 	} {

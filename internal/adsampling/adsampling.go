@@ -154,37 +154,26 @@ func (d *DCO) Rotated() *store.Matrix { return d.rotated }
 // NewEvaluator implements core.DCO: the returned evaluator owns a
 // reusable rotated-query buffer.
 func (d *DCO) NewEvaluator() core.ResettableEvaluator {
-	return &evaluator{parent: d, flat: d.rotated.Flat(), q: make([]float32, d.dim)}
+	return &evaluator{parent: d, flat: d.rotated.Flat(), q: make([]float32, d.dim), cent: make([]float32, d.dim)}
 }
 
 type evaluator struct {
 	parent *DCO
 	flat   []float32 // rotated vectors, row-major
 	q      []float32 // rotated query (owned scratch)
+	cent   []float32 // ProjectInto's scratch, unread by a mean-free model
 	stats  core.Stats
 }
 
 // Reset rotates q into the evaluator's scratch and zeroes the counters.
 func (ev *evaluator) Reset(q []float32) error {
-	if err := ev.Rotate(ev.q, q); err != nil {
+	if err := ev.parent.model.ProjectInto(ev.q, q, ev.cent); err != nil {
 		return err
 	}
 	return ev.ResetRotated(ev.q)
 }
 
-// Rotation implements core.RotatingEvaluator.
-func (ev *evaluator) Rotation() *store.Matrix { return ev.parent.model.Rotation }
-
-// Rotate implements core.RotatingEvaluator.
-func (ev *evaluator) Rotate(dst, q []float32) error {
-	if len(q) != ev.parent.dim || len(dst) != ev.parent.dim {
-		return errors.New("adsampling: query dimension mismatch")
-	}
-	vec.MatVec(dst, ev.parent.model.Rotation.Flat(), ev.parent.dim, q)
-	return nil
-}
-
-// ResetRotated implements core.RotatingEvaluator.
+// ResetRotated implements core.ResettableEvaluator.
 func (ev *evaluator) ResetRotated(rq []float32) error {
 	if len(rq) != ev.parent.dim {
 		return errors.New("adsampling: query dimension mismatch")

@@ -14,6 +14,10 @@
 // one per search; tests build one per comparator and Reset it per query,
 // so both run the same path.
 //
+// Reset(q) is ResetRotated of q projected through DCO.Model, so the
+// evaluators of comparators that share a model's rotation (the shards of
+// a sharded index) share a query's D² projection too.
+//
 // Implementations in this repository: exact scan (this package),
 // ADSampling (internal/adsampling), and the paper's DDCres / DDCpca /
 // DDCopq (internal/ddc).
@@ -25,6 +29,7 @@ import (
 
 	"resinfer/internal/par"
 	"resinfer/internal/pca"
+	"resinfer/internal/persist"
 	"resinfer/internal/store"
 	"resinfer/internal/vec"
 )
@@ -89,6 +94,16 @@ type DCO interface {
 	// callers must Reset it before use. An evaluator is NOT safe for
 	// concurrent use; keep one per goroutine.
 	NewEvaluator() ResettableEvaluator
+	// Model is the projection every query goes through before the
+	// comparator reads it: its evaluators' ResetRotated takes
+	// Model().ProjectInto(q) where Reset takes q. It is nil for a
+	// comparator that reads queries as they arrive: exact on rows in no
+	// basis (its prefix bound's projection is its own) and ddc-opq (whose
+	// rotation is part of its lookup table).
+	Model() *pca.Model
+	// Encode writes the comparator, tuning included, onto a persist
+	// stream. Exact writes nothing: an index rebuilds it from its rows.
+	Encode(*persist.Writer)
 }
 
 // QueryEvaluator answers threshold comparisons and exact distances for one
@@ -114,9 +129,18 @@ type QueryEvaluator interface {
 //
 // It is also the evaluator a scan holds, so it answers for a block of ids
 // at a time too.
+//
+// A decorator that overrides Reset must override ResetRotated too, or a
+// sharded search, which primes its shards' evaluators with ResetRotated,
+// goes round it.
 type ResettableEvaluator interface {
 	QueryEvaluator
 	Reset(q []float32) error
+	// ResetRotated is Reset of a query the comparator's Model already
+	// projected: ResetRotated(rq), rq = Model().ProjectInto(q), answers
+	// exactly as Reset(q), and with no Model it is Reset. With a Model, rq
+	// is copied, not retained.
+	ResetRotated(rq []float32) error
 	// Prune rules out, in bulk, ids of a block of at most PruneBlock ids
 	// that Compare(id, tau) would prune, or whose exact distance (as
 	// Compare computes it) is at least tau, and returns the others in
@@ -139,25 +163,6 @@ type ResettableEvaluator interface {
 // 8: on amd64 vec.PruneRows leaves a block's last 0–7 ids to its slower Go
 // loop, which does not prefetch, so a full block never takes that loop.
 const PruneBlock = 64
-
-// RotatingEvaluator is a ResettableEvaluator whose Reset begins by rotating
-// the query: D² multiply-adds that depend on the query and on Rotation
-// alone, not on the rows the comparator covers. Evaluators of comparators
-// built around one rotation (the shards of a sharded index) can therefore
-// share that work: one of them Rotates, all of them ResetRotated. Reset(q)
-// is Rotate into the evaluator's own buffer followed by ResetRotated.
-type RotatingEvaluator interface {
-	ResettableEvaluator
-	// Rotation identifies the rotation: two evaluators of one comparator
-	// kind that return the same pointer rotate any query to the same vector.
-	Rotation() *store.Matrix
-	// Rotate writes the rotated query into dst (length Dim); dst must not
-	// alias q.
-	Rotate(dst, q []float32) error
-	// ResetRotated primes the evaluator with rq, a query some evaluator with
-	// the same Rotation rotated. rq is copied, not retained.
-	ResetRotated(rq []float32) error
-}
 
 // PooledDCO is the name DCO had while NewEvaluator was an optional
 // capability; the benchmark gate (benchmark/) is its only user.
@@ -444,46 +449,22 @@ func (e *Exact) ExtraBytes() int64 {
 // builders can compute construction-time distances without an evaluator.
 func (e *Exact) Data() *store.Matrix { return e.data }
 
-// NewEvaluator implements DCO; over rows in a basis, a RotatingEvaluator.
+// Model implements DCO: the basis the rows lie in, nil on rows in no basis.
+func (e *Exact) Model() *pca.Model { return e.basis }
+
+// Encode implements DCO: exact writes nothing.
+func (e *Exact) Encode(*persist.Writer) {}
+
+// NewEvaluator implements DCO.
 func (e *Exact) NewEvaluator() ResettableEvaluator {
-	ev := exactEvaluator{parent: e, flat: e.data.Flat(), dim: e.data.Dim()}
-	if e.proj != nil {
+	ev := &exactEvaluator{parent: e, flat: e.data.Flat(), dim: e.data.Dim()}
+	switch {
+	case e.proj != nil:
 		ev.qp, ev.cent = make([]float32, len(e.proj)/ev.dim), make([]float32, ev.dim)
+	case e.basis != nil:
+		ev.rq, ev.cent = make([]float32, ev.dim), make([]float32, ev.dim)
 	}
-	if e.basis == nil {
-		return &ev
-	}
-	return &rotatingExact{exactEvaluator: ev, rq: make([]float32, ev.dim), cent: make([]float32, ev.dim)}
-}
-
-// rotatingExact scans rows in a basis with the query rotated into rq.
-type rotatingExact struct {
-	exactEvaluator
-	rq, cent []float32
-}
-
-func (ev *rotatingExact) Reset(q []float32) error {
-	if err := ev.Rotate(ev.rq, q); err != nil {
-		return err
-	}
-	return ev.ResetRotated(ev.rq)
-}
-
-// Rotation implements RotatingEvaluator.
-func (ev *rotatingExact) Rotation() *store.Matrix { return ev.parent.basis.Rotation }
-
-// Rotate implements RotatingEvaluator: the projection into the basis.
-func (ev *rotatingExact) Rotate(dst, q []float32) error {
-	return ev.parent.basis.ProjectInto(dst, q, ev.cent)
-}
-
-// ResetRotated implements RotatingEvaluator.
-func (ev *rotatingExact) ResetRotated(rq []float32) error {
-	if len(rq) != ev.dim {
-		return errors.New("core: rotated query dimension mismatch")
-	}
-	copy(ev.rq, rq)
-	return ev.exactEvaluator.Reset(ev.rq)
+	return ev
 }
 
 type exactEvaluator struct {
@@ -491,19 +472,38 @@ type exactEvaluator struct {
 	flat   []float32
 	dim    int
 	q      []float32
+	rq     []float32 // on rows in a basis, the rotated query (owned scratch)
 	stats  Stats
 	// The prefix bound's query side: a_P (a view of q on re-based rows),
 	// ‖a‖², 2‖a_⊥‖ and the margin, and the second bound's 2‖a_{≥DeepDim}‖
-	// and margin; cent is raw rows' centering scratch.
+	// and margin; cent is the centering scratch of raw rows' prefix
+	// projection or of the projection into the basis.
 	qp, cent                                    []float32
 	qNorm, bound, margin, deepBound, deepMargin float32
 	surv                                        [PruneBlock]int32
 	c2                                          [PruneBlock]float32
 }
 
+// Reset implements ResettableEvaluator: on rows in a basis it projects q
+// there first.
 func (ev *exactEvaluator) Reset(q []float32) error {
+	if b := ev.parent.basis; b != nil {
+		if err := b.ProjectInto(ev.rq, q, ev.cent); err != nil {
+			return err
+		}
+		q = ev.rq
+	}
+	return ev.ResetRotated(q)
+}
+
+// ResetRotated implements ResettableEvaluator: on rows in a basis it
+// copies q into rq, elsewhere it retains q.
+func (ev *exactEvaluator) ResetRotated(q []float32) error {
 	if len(q) != ev.dim {
 		return errors.New("core: query dimension mismatch")
+	}
+	if ev.rq != nil {
+		q = append(ev.rq[:0], q...)
 	}
 	ev.q = q
 	ev.stats = Stats{}

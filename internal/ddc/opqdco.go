@@ -8,6 +8,7 @@ import (
 
 	"resinfer/internal/core"
 	"resinfer/internal/learn"
+	"resinfer/internal/pca"
 	"resinfer/internal/quant"
 	"resinfer/internal/store"
 	"resinfer/internal/vec"
@@ -170,6 +171,11 @@ func (o *OPQDCO) Size() int { return o.data.Rows() }
 // Dim implements core.DCO.
 func (o *OPQDCO) Dim() int { return o.dim }
 
+// Model implements core.DCO: nil, since the OPQ rotation is part of the
+// lookup table Reset builds, and the exact fallback reads the query as it
+// arrives.
+func (o *OPQDCO) Model() *pca.Model { return nil }
+
 // ExtraBytes implements core.DCO: rotation, codes and residual norms
 // (§VI-B's n·M·nbits bits plus the OPQ rotation).
 func (o *OPQDCO) ExtraBytes() int64 {
@@ -213,6 +219,10 @@ func (ev *opqEvaluator) Reset(q []float32) error {
 	ev.stats = core.Stats{}
 	return nil
 }
+
+// ResetRotated implements core.ResettableEvaluator: with no Model, it is
+// Reset.
+func (ev *opqEvaluator) ResetRotated(q []float32) error { return ev.Reset(q) }
 
 func (ev *opqEvaluator) Distance(id int) float32 {
 	ev.stats.ExactDistances++

@@ -204,21 +204,13 @@ type pcaEvaluator struct {
 
 // Reset projects q into the evaluator's scratch and zeroes the counters.
 func (ev *pcaEvaluator) Reset(q []float32) error {
-	if err := ev.Rotate(ev.q, q); err != nil {
+	if err := ev.parent.model.ProjectInto(ev.q, q, ev.cent); err != nil {
 		return err
 	}
 	return ev.ResetRotated(ev.q)
 }
 
-// Rotation implements core.RotatingEvaluator.
-func (ev *pcaEvaluator) Rotation() *store.Matrix { return ev.parent.model.Rotation }
-
-// Rotate implements core.RotatingEvaluator: the PCA projection of q.
-func (ev *pcaEvaluator) Rotate(dst, q []float32) error {
-	return ev.parent.model.ProjectInto(dst, q, ev.cent)
-}
-
-// ResetRotated implements core.RotatingEvaluator.
+// ResetRotated implements core.ResettableEvaluator.
 func (ev *pcaEvaluator) ResetRotated(rq []float32) error {
 	if len(rq) != ev.parent.dim {
 		return errors.New("ddc: rotated query dimension mismatch")

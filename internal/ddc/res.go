@@ -212,22 +212,14 @@ type resEvaluator struct {
 // Reset projects q into the evaluator's scratch, rebuilds the bound table,
 // forgets Prune's survivors and zeroes the counters.
 func (ev *resEvaluator) Reset(q []float32) error {
-	if err := ev.Rotate(ev.q, q); err != nil {
+	if err := ev.parent.model.ProjectInto(ev.q, q, ev.cent); err != nil {
 		return err
 	}
 	return ev.ResetRotated(ev.q)
 }
 
-// Rotation implements core.RotatingEvaluator.
-func (ev *resEvaluator) Rotation() *store.Matrix { return ev.parent.model.Rotation }
-
-// Rotate implements core.RotatingEvaluator: the PCA projection of q.
-func (ev *resEvaluator) Rotate(dst, q []float32) error {
-	return ev.parent.model.ProjectInto(dst, q, ev.cent)
-}
-
-// ResetRotated implements core.RotatingEvaluator: everything Reset does
-// after the rotation, all of it linear in D.
+// ResetRotated implements core.ResettableEvaluator: everything Reset does
+// after the projection, all of it linear in D.
 func (ev *resEvaluator) ResetRotated(rq []float32) error {
 	p := ev.parent
 	if len(rq) != p.dim {

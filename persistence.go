@@ -25,16 +25,14 @@ const fileMagic = "RESINFER3"
 // comparator — so a later Load skips both construction and training.
 func (ix *Index) Save(w io.Writer) error {
 	pw := persist.NewWriter(w)
-	if err := ix.encode(pw); err != nil {
-		return err
-	}
+	ix.encode(pw)
 	return pw.Flush()
 }
 
 // encode writes the index onto an existing persist stream. It is the
 // codec-level half of Save, shared with the sharded container format,
 // which embeds one index stream per shard.
-func (ix *Index) encode(pw *persist.Writer) error {
+func (ix *Index) encode(pw *persist.Writer) {
 	modes := ix.Modes() // sorted: deterministic files
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
@@ -65,13 +63,8 @@ func (ix *Index) encode(pw *persist.Writer) error {
 		pw.String(string(m))
 		// Every comparator but Exact writes itself, tuning included: Enable
 		// may have trained it with per-call options.
-		d, ok := ix.modes[m].dco.(interface{ Encode(*persist.Writer) })
-		if !ok {
-			return fmt.Errorf("resinfer: cannot serialize mode %s", m)
-		}
-		d.Encode(pw)
+		ix.modes[m].dco.Encode(pw)
 	}
-	return pw.Err()
 }
 
 // Load deserializes an index written by Save. No file holds an index's

@@ -45,7 +45,7 @@ func oneCopy(t *testing.T, ix *Index) {
 	if exact.Data() != rows || res.Rotated() != rows {
 		t.Errorf("%s: exact reads %p, ddc-res %p, the index holds %p", ix.kind, exact.Data(), res.Rotated(), rows)
 	}
-	if exact.NewEvaluator().(core.RotatingEvaluator).Rotation() != basis.Rotation || res.Model() != basis {
+	if exact.Model() != basis || res.Model() != basis {
 		t.Errorf("%s: exact and ddc-res rotate through other models than the index's basis", ix.kind)
 	}
 }

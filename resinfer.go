@@ -205,11 +205,13 @@ type SearchStats struct {
 }
 
 // session is one pooled unit of per-query state: a resettable evaluator
-// plus the metric-transform buffer and the raw-hit scratch. Sessions are
-// recycled through per-mode sync.Pools, so a steady-state search allocates
-// nothing beyond the caller-visible result slice.
+// and its comparator's Model, plus the metric-transform buffer and the
+// raw-hit scratch. Sessions are recycled through per-mode sync.Pools, so a
+// steady-state search allocates nothing beyond the caller-visible result
+// slice.
 type session struct {
 	ev    core.ResettableEvaluator
+	model *pca.Model  // the projection ev reads queries through (nil: none)
 	qbuf  []float32   // metric-transform scratch (internal dimensionality)
 	items []heap.Item // raw index hits before Neighbor conversion
 }
@@ -377,9 +379,9 @@ func (ix *Index) adopt(model *pca.Model) error {
 
 // installDCO publishes a trained comparator and its session pool.
 func (ix *Index) installDCO(mode Mode, dco core.DCO) {
-	dim := ix.dim
+	dim, model := ix.dim, dco.Model()
 	pool := &sync.Pool{New: func() any {
-		return &session{ev: dco.NewEvaluator(), qbuf: make([]float32, dim)}
+		return &session{ev: dco.NewEvaluator(), model: model, qbuf: make([]float32, dim)}
 	}}
 	ix.mu.Lock()
 	ix.modes[mode] = enabledMode{dco: dco, pool: pool}
@@ -423,8 +425,8 @@ func (ix *Index) EnableWithTraining(mode Mode, trainQueries [][]float32, opts *O
 func (ix *Index) rotationOf(mode Mode) *pca.Model {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	if d, ok := ix.modes[mode].dco.(interface{ Model() *pca.Model }); ok {
-		return d.Model()
+	if em, ok := ix.modes[mode]; ok {
+		return em.dco.Model()
 	}
 	return nil
 }
@@ -612,7 +614,7 @@ func (ix *Index) searchShard(dst []Neighbor, fs *fanScratch, k int) ([]Neighbor,
 	if err != nil {
 		return dst, SearchStats{}, err
 	}
-	err = fs.prime(s.ev)
+	err = fs.prime(s.ev, s.model)
 	var st SearchStats
 	if err == nil {
 		dst, st, err = ix.walk(s, dst, fs.tq, k, fs.budget, fs.flat)

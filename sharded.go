@@ -175,56 +175,49 @@ type fanScratch struct {
 	next         atomic.Int32   // next unprobed shard of the plain fan-out
 	helpers      sync.WaitGroup // the plain fan-out's helper goroutines
 
-	// The rotate-once slot: tq rotated by the first probe of the fan that
-	// rotates (see reset).
+	// The rotate-once slot: tq projected by the first probe of the fan
+	// whose comparator has a model (see prime).
 	rot rotSlot
 }
 
-// rotSlot is tq rotated through key. claimed goes to the probe that fills
-// it; key and rq may be read once ready is set.
+// rotSlot is tq projected into rq (cent: scratch) through a model whose
+// Rotation is key. claimed goes to the probe that fills it; key and rq may
+// be read once ready is set.
 type rotSlot struct {
 	claimed, ready atomic.Bool
 	key            *store.Matrix
-	rq             []float32
+	rq, cent       []float32
 }
 
-// reset primes ev for fs's query. A fan is one mode, and every shard's
-// comparator of a mode is built around one rotation, so the first probe to
-// arrive rotates the query into the slot and every later one resets from
-// there. One that arrives while the first is still rotating — the second
-// worker of a parallel fan-out, started in the same microsecond — rotates
-// for itself: that takes as long as waiting would, and does not park a core
-// that then needs a thread wake-up to come back. So does one whose rotation
-// is not the slot's: an index assembled from shards that each trained their
-// own. A fan rotates once and, at most, once more per extra worker, however
-// many shards there are.
+// prime resets ev, whose comparator's Model is model, for fs's query. A fan
+// is one mode, and every shard's comparator of a mode is built around one
+// rotation, so the first probe to arrive projects the query into the slot
+// and every later one resets from there. The slot is keyed by the rotation,
+// not the model: each shard's model is its own Refit of the index's, and
+// the refits share Mean and Rotation. A probe that arrives while the first
+// is still projecting — the second worker of a parallel fan-out, started in
+// the same microsecond — projects for itself: that takes as long as waiting
+// would, and does not park a core that then needs a thread wake-up to come
+// back. So does one whose rotation is not the slot's: an index assembled
+// from shards that each trained their own. A fan projects once and, at
+// most, once more per extra worker, however many shards there are.
 //
 //resinfer:noalloc
-func (fs *fanScratch) reset(ev core.RotatingEvaluator) error {
+func (fs *fanScratch) prime(ev core.ResettableEvaluator, model *pca.Model) error {
 	slot := &fs.rot
-	if slot.claimed.CompareAndSwap(false, true) {
-		if len(slot.rq) != len(fs.tq) {
-			slot.rq = make([]float32, len(fs.tq)) //resinfer:alloc-ok lazy one-time scratch growth
+	switch {
+	case model == nil:
+		return ev.Reset(fs.tq)
+	case slot.claimed.CompareAndSwap(false, true):
+		if err := model.ProjectInto(slot.rq, fs.tq, slot.cent); err != nil {
+			return err // ready stays unset: the others project, and fail, themselves
 		}
-		if err := ev.Rotate(slot.rq, fs.tq); err != nil {
-			return err // ready stays unset: the others rotate, and fail, themselves
-		}
-		slot.key = ev.Rotation()
+		slot.key = model.Rotation
 		slot.ready.Store(true)
-	} else if !slot.ready.Load() || slot.key != ev.Rotation() {
+	case !slot.ready.Load() || slot.key != model.Rotation:
 		return ev.Reset(fs.tq)
 	}
 	return ev.ResetRotated(slot.rq)
-}
-
-// prime resets ev for fs's query, from the rotate-once slot when ev rotates.
-//
-//resinfer:noalloc
-func (fs *fanScratch) prime(ev core.ResettableEvaluator) error {
-	if rev, ok := ev.(core.RotatingEvaluator); ok {
-		return fs.reset(rev)
-	}
-	return ev.Reset(fs.tq)
 }
 
 // begin readies fs for one query: the query parameters every probe reads,
@@ -267,6 +260,7 @@ func (sx *ShardedIndex) initFanPool() {
 			rq:       heap.NewResultQueue(16),
 			q:        make([]float32, 0, sx.userDim),
 			tqbuf:    make([]float32, dim),
+			rot:      rotSlot{rq: make([]float32, dim), cent: make([]float32, dim)},
 		}
 	}
 }
@@ -1037,35 +1031,23 @@ func (sx *ShardedIndex) searchBatch(ctx context.Context, queries [][]float32, k 
 	if err := validateBatch(queries, k, budget, sx.userDim); err != nil {
 		return nil, err
 	}
-	workers = clampWorkers(workers, len(queries))
 	out := make([]BatchResult, len(queries))
-	var wg sync.WaitGroup
-	idxCh := make(chan int, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for qi := range idxCh {
-				var tr *obs.Trace
-				if qi < len(traces) {
-					tr = traces[qi]
-				}
-				if ctx != nil {
-					if err := ctx.Err(); err != nil {
-						out[qi] = BatchResult{Err: err}
-						continue
-					}
-				}
-				ns, st, err := sx.searchFan(ctx, nil, queries[qi], k, mode, budget, 1, tr)
-				out[qi] = BatchResult{Neighbors: ns, Stats: st, Err: err}
+	runBatch(len(queries), workers, func(next <-chan int) {
+		for qi := range next {
+			var tr *obs.Trace
+			if qi < len(traces) {
+				tr = traces[qi]
 			}
-		}()
-	}
-	for qi := range queries {
-		idxCh <- qi
-	}
-	close(idxCh)
-	wg.Wait()
+			if ctx != nil {
+				if err := ctx.Err(); err != nil {
+					out[qi] = BatchResult{Err: err}
+					continue
+				}
+			}
+			ns, st, err := sx.searchFan(ctx, nil, queries[qi], k, mode, budget, 1, tr)
+			out[qi] = BatchResult{Neighbors: ns, Stats: st, Err: err}
+		}
+	})
 	return out, nil
 }
 
@@ -1163,9 +1145,7 @@ func (sx *ShardedIndex) encodeSharded(pw *persist.Writer) error {
 	pw.Int(sx.userDim)
 	for s := range sx.shards {
 		pw.Ints(sx.globalID[s])
-		if err := sx.shards[s].encode(pw); err != nil {
-			return err
-		}
+		sx.shards[s].encode(pw)
 	}
 	return pw.Err()
 }
