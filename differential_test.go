@@ -3,6 +3,8 @@ package resinfer
 import (
 	"fmt"
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 
 	"resinfer/internal/dataset"
@@ -189,5 +191,233 @@ func TestComparatorsAgreeWithExactOverMutableShards(t *testing.T) {
 			})
 			check("after reversed rows", DDCPCA)
 		})
+	}
+}
+
+// TestMutableSearchAgreesWithOracle is the differential test of search on
+// a mutable index. The oracle mirrors every acknowledged mutation in an
+// id → vector map and ranks it with dataset.BruteForceKNN. Random Adds,
+// Upserts and Deletes hit base rows and memtable rows, resurrect deleted
+// IDs and delete upserted ones, and every shard is compacted mid-way. Two
+// indexes take the same mutations: one serves exact alone, so its rows
+// keep their space and its distances their bits, and one serves ddc-res.
+// At each stage, over HNSW and Flat, at an ef that walks the graph and one
+// that scans, and at k = 10 and a k past one shard's live rows:
+//   - GroundTruthSearch, and Exact wherever it scans, equal the oracle in
+//     IDs and distance bits;
+//   - an exact walk answers min(k, live) live IDs, each at its oracle
+//     distance bits;
+//   - ddc-res answers min(k, live) live IDs;
+//   - recall against the oracle is at least 0.95 for exact and 0.99 for
+//     ddc-res, or 0.85 on a walk, whose graph (at ef 16, M 8) bounds it:
+//     it reads 0.91 on the index as built, with nothing hidden.
+func TestMutableSearchAgreesWithOracle(t *testing.T) {
+	const n, dim, shards, walkEf, scanEf, bigK = 800, 48, 2, 16, 64, 500
+	ds, err := dataset.Generate(dataset.GenConfig{
+		Name: "mutable-oracle", N: n + 400, Dim: dim, Queries: 20, VE32: 0.6, Seed: 48,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []IndexKind{HNSW, Flat} {
+		t.Run(string(kind), func(t *testing.T) {
+			// Adds and Upserts draw rows from ds.Data[n:], each once, so
+			// no two live rows tie.
+			fresh := ds.Data[n:]
+			opts := &Options{Seed: 3, HNSWM: 8, HNSWEfConstruction: 48, DeltaD: 16}
+			var mxs [2]*MutableIndex // exact alone, then ddc-res
+			for i := range mxs {
+				mx, err := NewMutable(ds.Data[:n], kind, shards, &MutableOptions{Index: opts, DisableAutoCompact: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer mx.Close()
+				mxs[i] = mx
+			}
+			if err := mxs[1].Enable(DDCRes, nil); err != nil {
+				t.Fatal(err)
+			}
+			plain, res := mxs[0], mxs[1]
+			live := map[int][]float32{}
+			for id, r := range ds.Data[:n] {
+				live[id] = r
+			}
+			var deleted, upserted []int
+			rng := rand.New(rand.NewSource(48))
+			// pick returns a random member of ids, deterministically.
+			pick := func(ids []int) int { return ids[rng.Intn(len(ids))] }
+			liveIDs := func() []int {
+				ids := make([]int, 0, len(live))
+				for id := range live {
+					ids = append(ids, id)
+				}
+				sort.Ints(ids)
+				return ids
+			}
+			next := func() []float32 {
+				v := fresh[0]
+				fresh = fresh[1:]
+				return v
+			}
+			upsert := func(id int) {
+				v := next()
+				for _, mx := range mxs {
+					if _, err := mx.Upsert(id, v); err != nil {
+						t.Fatal(err)
+					}
+				}
+				live[id] = v
+				upserted = append(upserted, id)
+			}
+			del := func(id int) {
+				for _, mx := range mxs {
+					if ok, err := mx.Delete(id); err != nil || !ok {
+						t.Fatalf("Delete(%d) = %v, %v; want a live row deleted", id, ok, err)
+					}
+				}
+				delete(live, id)
+				deleted = append(deleted, id)
+			}
+			mutate := func(ops int) {
+				for range ops {
+					switch op := rng.Intn(6); {
+					case op == 0: // a fresh memtable row
+						v := next()
+						id, err := plain.Add(v)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if rid, err := res.Add(v); err != nil || rid != id {
+							t.Fatalf("Add assigned %d and %d (%v)", id, rid, err)
+						}
+						live[id] = v
+					case op == 1, op == 2: // a live row, base or memtable, replaced
+						upsert(pick(liveIDs()))
+					case op == 3: // a live row, base or memtable, deleted
+						del(pick(liveIDs()))
+					case op == 4 && len(deleted) > 0: // a deleted ID resurrected
+						if id := pick(deleted); live[id] == nil {
+							upsert(id)
+						}
+					case op == 5 && len(upserted) > 0: // an upserted ID deleted
+						if id := pick(upserted); live[id] != nil {
+							del(id)
+						}
+					}
+				}
+			}
+			check := func(stage string) {
+				ids := liveIDs()
+				rows := make([][]float32, len(ids))
+				for i, id := range ids {
+					rows[i] = live[id]
+				}
+				for _, k := range []int{10, bigK} {
+					want := min(k, len(ids))
+					truth, err := dataset.BruteForceKNN(rows, ds.Queries, k, 1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, ef := range []int{walkEf, scanEf} {
+						walks := kind == HNSW && max(k, ef) == walkEf
+						for s, sh := range plain.shards {
+							if sh.hnswIdx != nil && (max(k, ef) < sh.hnswIdx.ScanFrom()) != walks {
+								t.Fatalf("%s: shard %d scans from ef %d; k %d ef %d must walk iff %v", stage, s, sh.hnswIdx.ScanFrom(), k, ef, walks)
+							}
+						}
+						hits := map[Mode]int{}
+						for qi, q := range ds.Queries {
+							oracle := make([]Neighbor, len(truth[qi]))
+							inTruth := map[int]bool{}
+							for i, r := range truth[qi] {
+								oracle[i] = Neighbor{ID: ids[r], Distance: vec.L2Sq(q, rows[r])}
+								inTruth[ids[r]] = true
+							}
+							label := fmt.Sprintf("%s k %d ef %d q%d", stage, k, ef, qi)
+							if ef == scanEf {
+								gt, _, _, err := plain.GroundTruthSearch(nil, nil, q, k)
+								if err != nil {
+									t.Fatal(err)
+								}
+								sameBits(t, label+" ground truth", gt, oracle)
+							}
+							ex, err := plain.Search(q, k, Exact, ef)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if !walks {
+								sameBits(t, label+" exact", ex, oracle)
+							}
+							ddc, err := res.Search(q, k, DDCRes, ef)
+							if err != nil {
+								t.Fatal(err)
+							}
+							for m, got := range map[Mode][]Neighbor{Exact: ex, DDCRes: ddc} {
+								if len(got) != want {
+									t.Fatalf("%s %s: %d hits, want min(k, live) = %d", label, m, len(got), want)
+								}
+								for _, nb := range got {
+									v, ok := live[nb.ID]
+									if !ok {
+										t.Fatalf("%s %s: hidden id %d answered", label, m, nb.ID)
+									}
+									if m == Exact && math.Float32bits(nb.Distance) != math.Float32bits(vec.L2Sq(q, v)) {
+										t.Fatalf("%s exact: id %d at %v, its live row at %v", label, nb.ID, nb.Distance, vec.L2Sq(q, v))
+									}
+									if inTruth[nb.ID] {
+										hits[m]++
+									}
+								}
+							}
+						}
+						for m, floor := range map[Mode]float64{Exact: 0.95, DDCRes: 0.99} {
+							if walks {
+								floor = 0.85
+							}
+							recall := float64(hits[m]) / float64(want*len(ds.Queries))
+							if recall < floor {
+								t.Errorf("%s k %d ef %d %s: recall %.4f against the oracle, want >= %.2f", stage, k, ef, m, recall, floor)
+							}
+						}
+					}
+				}
+			}
+			check("as built")
+			mutate(150)
+			check("mutated")
+			for _, mx := range mxs {
+				if c, err := mx.Compact(); err != nil || c != shards {
+					t.Fatalf("Compact rebuilt %d shards, err %v; want %d", c, err, shards)
+				}
+			}
+			check("compacted")
+			mutate(150)
+			check("mutated after compaction")
+			if len(deleted) == 0 || len(upserted) == 0 {
+				t.Fatal("the workload deleted or upserted nothing")
+			}
+		})
+	}
+}
+
+// sameBits fails unless got is want: distance bits hit by hit, and each
+// ID at its oracle distance. Distinct rows can tie in float32, and a tie
+// orders arbitrarily, or at the last place picks arbitrarily, so IDs are
+// matched by distance rather than by position.
+func sameBits(t *testing.T, label string, got, want []Neighbor) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d hits, oracle %d", label, len(got), len(want))
+	}
+	at := make(map[int]uint32, len(want))
+	for _, w := range want {
+		at[w.ID] = math.Float32bits(w.Distance)
+	}
+	for i := range got {
+		d := math.Float32bits(got[i].Distance)
+		b, ok := at[got[i].ID]
+		if d != math.Float32bits(want[i].Distance) || (!ok || b != d) && d != math.Float32bits(want[len(want)-1].Distance) {
+			t.Fatalf("%s: hit %d is %+v, oracle %+v", label, i, got[i], want[i])
+		}
 	}
 }

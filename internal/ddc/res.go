@@ -151,11 +151,6 @@ func (r *Res) ExtraBytes() int64 {
 // diagnostics and the figure experiments.
 func (r *Res) Model() *pca.Model { return r.model }
 
-// LeadShare is the share of Σσ² the rotation puts in the dimensions the
-// first correction round scans. A rotation inherited across compactions
-// ages as this falls towards initD/D, the share of a random rotation.
-func (r *Res) LeadShare() float64 { return r.model.VarianceExplained(r.initD) }
-
 // Rotated exposes the rotated vectors (read-only by convention).
 func (r *Res) Rotated() *store.Matrix { return r.rotated }
 

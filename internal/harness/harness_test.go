@@ -256,7 +256,7 @@ func TestSweepMatchesFreshEvaluator(t *testing.T) {
 			})
 		check("ivf-"+mode, dco, []int{1, 8, 32}, ivfWalk(iidx, k, dco.Size()),
 			func(ev core.ResettableEvaluator, q []float32, nprobe int) ([]heap.Item, error) {
-				return iidx.SearchEval(ev, q, k, nprobe, dco.Size(), nil)
+				return iidx.SearchEval(ev, q, k, nprobe, dco.Size(), nil, nil)
 			})
 	}
 }

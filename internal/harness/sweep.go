@@ -35,7 +35,7 @@ func hnswWalk(idx *hnsw.Index, k, size int) walkFunc {
 
 func ivfWalk(idx *ivf.Index, k, size int) walkFunc {
 	return func(ev core.ResettableEvaluator, q []float32, nprobe int, dst []heap.Item) ([]heap.Item, error) {
-		return idx.SearchEval(ev, q, k, nprobe, size, dst)
+		return idx.SearchEval(ev, q, k, nprobe, size, nil, dst)
 	}
 }
 

@@ -345,6 +345,15 @@ type Result = heap.Item
 // comparator, which never prunes, r holds the k smallest exact distances
 // the beam visited.
 func (idx *Index) SearchEval(ev core.QueryEvaluator, k, ef, size int, dst []Result) ([]Result, error) {
+	return idx.SearchMasked(ev, k, ef, size, nil, dst)
+}
+
+// SearchMasked is SearchEval whose answer holds no row mask hides: a
+// masked node, the entry point included, is still Compared and still
+// steers the beam w, so the walk passes through it, but it never enters
+// the result queue r, whose τ is then the k-th unmasked distance. A nil
+// mask hides nothing.
+func (idx *Index) SearchMasked(ev core.QueryEvaluator, k, ef, size int, mask core.RowMask, dst []Result) ([]Result, error) {
 	if size != len(idx.links) {
 		return nil, fmt.Errorf("hnsw: DCO over %d points, index over %d", size, len(idx.links))
 	}
@@ -384,7 +393,9 @@ func (idx *Index) SearchEval(ev core.QueryEvaluator, k, ef, size int, dst []Resu
 	w.Reset(ef)
 	r.Reset(min(k, size))
 	w.Push(int(ep), curDist)
-	r.Push(int(ep), curDist)
+	if !mask.Has(int(ep)) {
+		r.Push(int(ep), curDist)
+	}
 	for c, ok := w.Pop(); ok; c, ok = w.Pop() {
 		for _, nb := range idx.links[c.ID][0] {
 			if visited[nb] == epoch {
@@ -392,7 +403,7 @@ func (idx *Index) SearchEval(ev core.QueryEvaluator, k, ef, size int, dst []Resu
 			}
 			visited[nb] = epoch
 			d, pruned := ev.Compare(int(nb), r.Threshold())
-			if !pruned {
+			if !pruned && !mask.Has(int(nb)) {
 				r.Push(int(nb), d)
 			}
 			w.Push(int(nb), d)

@@ -509,3 +509,147 @@ func BenchmarkBuild(b *testing.B) {
 		})
 	}
 }
+
+// entryEval records the layer-0 entry the descent settles on: the first
+// node at the smallest Distance.
+type entryEval struct {
+	core.ResettableEvaluator
+	entry     int
+	entryDist float32
+}
+
+func (e *entryEval) Reset(q []float32) error {
+	e.entryDist = float32(math.Inf(1))
+	return e.ResettableEvaluator.Reset(q)
+}
+
+func (e *entryEval) Distance(id int) float32 {
+	d := e.ResettableEvaluator.Distance(id)
+	if d < e.entryDist {
+		e.entry, e.entryDist = id, d
+	}
+	return d
+}
+
+// TestSearchMaskedHidesRows: a masked walk never answers a masked row,
+// and since masked nodes still steer the beam it finds the unmasked
+// nearest neighbours past them — here the mask hides each query's ten
+// true nearest rows and then half, or nine in ten, of all rows.
+func TestSearchMaskedHidesRows(t *testing.T) {
+	ds, gt, idx := getFixtures(t)
+	exact, _ := core.NewExact(ds.Matrix())
+	res, err := ddc.NewRes(ds.Matrix(), ddc.ResConfig{Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k, ef = 10, 100
+	for _, every := range []int{2, 10} {
+		mask := core.NewRowMask(idx.Len())
+		var live [][]float32
+		var liveID []int
+		for id, row := range ds.Data {
+			if id%every != 0 {
+				mask.Set(id)
+			} else {
+				live = append(live, row)
+				liveID = append(liveID, id)
+			}
+		}
+		for _, ids := range gt {
+			for _, id := range ids {
+				mask.Set(id)
+			}
+		}
+		liveGT, err := dataset.BruteForceKNN(live, ds.Queries, k+10, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, dco := range []core.DCO{exact, res} {
+			ev := dco.NewEvaluator()
+			hits := 0
+			for qi, q := range ds.Queries {
+				if err := ev.Reset(q); err != nil {
+					t.Fatal(err)
+				}
+				got, err := idx.SearchMasked(ev, k, ef, idx.Len(), mask, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != k {
+					t.Fatalf("1 in %d live, %s, q%d: %d hits, want %d", every, dco.Name(), qi, len(got), k)
+				}
+				truth := map[int]bool{}
+				for _, i := range liveGT[qi] {
+					if !mask.Has(liveID[i]) && len(truth) < k {
+						truth[liveID[i]] = true
+					}
+				}
+				for _, it := range got {
+					if mask.Has(it.ID) {
+						t.Fatalf("1 in %d live, %s, q%d: masked id %d returned", every, dco.Name(), qi, it.ID)
+					}
+					if truth[it.ID] {
+						hits++
+					}
+				}
+			}
+			recall := float64(hits) / float64(k*len(ds.Queries))
+			t.Logf("1 in %d live, %s: recall@%d %.3f against the unmasked rows", every, dco.Name(), k, recall)
+			if recall < 0.9 {
+				t.Errorf("1 in %d live, %s: recall@%d %.3f against the unmasked rows, want >= 0.9", every, dco.Name(), k, recall)
+			}
+		}
+	}
+}
+
+// TestSearchMaskedEntry: a masked layer-0 entry is walked from but never
+// answered. A beam as wide as the graph answers every reachable node, so
+// masking the entry must drop exactly it; a one-node graph whose only node
+// is masked answers nothing.
+func TestSearchMaskedEntry(t *testing.T) {
+	ds, _, _ := getFixtures(t)
+	rows := store.MustFromRows(ds.Data[:300])
+	idx, err := Build(rows, Config{M: 8, EfConstruction: 32, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dco, _ := core.NewExact(rows)
+	ev := &entryEval{ResettableEvaluator: dco.NewEvaluator()}
+	n := idx.Len()
+	for qi, q := range ds.Queries[:5] {
+		if err := ev.Reset(q); err != nil {
+			t.Fatal(err)
+		}
+		all, err := idx.SearchMasked(ev, n, n, n, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mask := core.NewRowMask(n)
+		mask.Set(ev.entry)
+		if err := ev.Reset(q); err != nil {
+			t.Fatal(err)
+		}
+		got, err := idx.SearchMasked(ev, n, n, n, mask, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := slices.DeleteFunc(slices.Clone(all), func(it Result) bool { return it.ID == ev.entry })
+		if len(want) != len(all)-1 || !slices.Equal(got, want) {
+			t.Fatalf("q%d: masking entry %d answered %d of the %d unmasked hits, want all but the entry", qi, ev.entry, len(got), len(all))
+		}
+	}
+	one, err := Build(store.MustFromRows(ds.Data[:1]), Config{M: 8, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	single, _ := core.NewExact(store.MustFromRows(ds.Data[:1]))
+	sev := single.NewEvaluator()
+	if err := sev.Reset(ds.Queries[0]); err != nil {
+		t.Fatal(err)
+	}
+	mask := core.NewRowMask(1)
+	mask.Set(0)
+	if got, err := one.SearchMasked(sev, 1, 1, 1, mask, nil); err != nil || len(got) != 0 {
+		t.Fatalf("masked one-node graph answered %v, %v; want nothing", got, err)
+	}
+}

@@ -122,8 +122,12 @@ var errK = errors.New("ivf: k must be positive")
 // Compare over every id (and counts exactly as it, for an evaluator that
 // rules out only what Compare would prune).
 //
+// A survivor mask hides (nil: none) is not Compared, but counted as one
+// pruned comparison that read no coordinates, so Comparisons still counts
+// every id offered; the answer is the k nearest unmasked ids.
+//
 //resinfer:noalloc
-func (idx *Index) SearchEval(ev core.ResettableEvaluator, q []float32, k, nprobe, size int, dst []Result) ([]Result, error) {
+func (idx *Index) SearchEval(ev core.ResettableEvaluator, q []float32, k, nprobe, size int, mask core.RowMask, dst []Result) ([]Result, error) {
 	if size != idx.size {
 		//resinfer:alloc-ok cold invalid-argument path
 		return nil, fmt.Errorf("ivf: DCO over %d points, index over %d", size, idx.size)
@@ -137,13 +141,18 @@ func (idx *Index) SearchEval(ev core.ResettableEvaluator, q []float32, k, nprobe
 	}
 	ctx := idx.ctxPool.Get().(*searchCtx)
 	ctx.probes, ctx.cdists = kmeans.NearestCentroidsInto(idx.centroids, q, nprobe, ctx.probes, ctx.cdists)
-	rq := ctx.rq
+	rq, st := ctx.rq, ev.Stats()
 	rq.Reset(k)
 	for _, c := range ctx.probes {
 		for list := idx.lists[c]; len(list) > 0; {
 			blk := list[:min(len(list), core.PruneBlock)]
 			list = list[len(blk):]
 			for _, id := range ev.Prune(blk, rq.Threshold(), ctx.keep[:0]) {
+				if mask.Has(int(id)) {
+					st.Comparisons++
+					st.Pruned++
+					continue
+				}
 				tau := rq.Threshold()
 				d, pruned := ev.Compare(int(id), tau)
 				if pruned {

@@ -70,7 +70,7 @@ func (s *evalSearch) search(q []float32, k, nprobe int) ([]Result, core.Stats, e
 	if err := s.ev.Reset(q); err != nil {
 		return nil, core.Stats{}, err
 	}
-	out, err := s.idx.SearchEval(s.ev, q, k, nprobe, s.size, nil)
+	out, err := s.idx.SearchEval(s.ev, q, k, nprobe, s.size, nil, nil)
 	return out, *s.ev.Stats(), err
 }
 
@@ -454,4 +454,123 @@ func TestBlockScanMatchesPerRowScan(t *testing.T) {
 	if pruned == 0 {
 		t.Fatal("no comparator pruned: the test compared nothing but exact paths")
 	}
+}
+
+// noBulkPrune is an evaluator that rules nothing out in bulk, so every id
+// of a block survives Prune and reaches the scan's mask test.
+type noBulkPrune struct{ core.ResettableEvaluator }
+
+func (noBulkPrune) Prune(ids []int32, _ float32, _ []int32) []int32 { return ids }
+
+// TestSearchEvalMask: a masked scan answers exactly as the per-row scan
+// over the unmasked rows alone, (id, distance bits) alike, and never
+// returns a masked id. Every id offered still counts as one comparison: a
+// masked one Prune did not rule out counts as one pruned comparison that
+// read no coordinates, which an evaluator whose Prune rules out nothing
+// shows exactly. The mask hides each query's true nearest rows, so an
+// ignored mask would answer them.
+func TestSearchEvalMask(t *testing.T) {
+	ds, err := dataset.Generate(dataset.GenConfig{
+		Name: "mask-scan", N: 1000, Dim: 96, Queries: 8, VE32: 0.8, Seed: 41,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gt, err := dataset.BruteForceKNN(ds.Data, ds.Queries, 5, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mask := core.NewRowMask(len(ds.Data))
+	for id := 0; id < len(ds.Data); id += 3 {
+		mask.Set(id)
+	}
+	for _, ids := range gt {
+		for _, id := range ids {
+			mask.Set(id)
+		}
+	}
+	flat, err := OneList(len(ds.Data), ds.Dim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lists, err := Build(ds.Matrix(), Config{NList: 12, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact, _ := core.NewExact(ds.Matrix())
+	res, err := ddc.NewRes(ds.Matrix(), ddc.ResConfig{Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, idx := range []*Index{flat, lists} {
+		for _, dco := range []core.DCO{exact, res} {
+			for _, bulk := range []bool{true, false} {
+				ev, ref := dco.NewEvaluator(), dco.NewEvaluator()
+				if !bulk {
+					ev = noBulkPrune{ev}
+				}
+				for _, nprobe := range []int{1, idx.NList()} {
+					for qi, q := range ds.Queries {
+						label := fmt.Sprintf("%d lists, %s, bulk %v, nprobe %d, q%d", idx.NList(), dco.Name(), bulk, nprobe, qi)
+						if err := ev.Reset(q); err != nil {
+							t.Fatal(err)
+						}
+						got, err := idx.SearchEval(ev, q, 10, nprobe, len(ds.Data), mask, nil)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if err := ref.Reset(q); err != nil {
+							t.Fatal(err)
+						}
+						want := scanPerRow(idx, maskedEval{ref, mask}, q, 10, nprobe)
+						if len(got) != len(want) {
+							t.Fatalf("%s: %d hits, per-row scan of the unmasked rows %d", label, len(got), len(want))
+						}
+						for i := range got {
+							if mask.Has(got[i].ID) {
+								t.Fatalf("%s: masked id %d returned", label, got[i].ID)
+							}
+							if got[i].ID != want[i].ID || math.Float32bits(got[i].Dist) != math.Float32bits(want[i].Dist) {
+								t.Fatalf("%s: hit %d is %+v, per-row scan of the unmasked rows %+v", label, i, got[i], want[i])
+							}
+						}
+						offered, masked := 0, 0
+						probes, _ := kmeans.NearestCentroidsInto(idx.centroids, q, nprobe, nil, nil)
+						for _, c := range probes {
+							for _, id := range idx.lists[c] {
+								offered++
+								if mask.Has(int(id)) {
+									masked++
+								}
+							}
+						}
+						st, rst := *ev.Stats(), *ref.Stats()
+						if st.Comparisons != int64(offered) || rst.Comparisons != int64(offered-masked) {
+							t.Fatalf("%s: %d comparisons (reference %d) over %d ids offered, %d masked", label, st.Comparisons, rst.Comparisons, offered, masked)
+						}
+						if st.Pruned != rst.Pruned+int64(masked) {
+							t.Fatalf("%s: %d pruned, want the reference's %d plus %d masked", label, st.Pruned, rst.Pruned, masked)
+						}
+						if !bulk && (st.DimsScanned != rst.DimsScanned || st.ExactDistances != rst.ExactDistances) {
+							t.Fatalf("%s: masked survivors read coordinates: counted %+v, reference %+v", label, st, rst)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// maskedEval is the reference's view of the unmasked rows: a masked id
+// is ruled out before Compare, read and counted by nothing.
+type maskedEval struct {
+	core.ResettableEvaluator
+	mask core.RowMask
+}
+
+func (m maskedEval) Compare(id int, tau float32) (float32, bool) {
+	if m.mask.Has(id) {
+		return float32(math.Inf(1)), true
+	}
+	return m.ResettableEvaluator.Compare(id, tau)
 }

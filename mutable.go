@@ -661,7 +661,7 @@ func LoadMutable(r io.Reader, opts *MutableOptions) (*MutableIndex, error) {
 		}
 		seg.mem = mem
 		seg.dead = dead
-		seg.recountHidden() // enableMutation saw empty segments
+		seg.remask() // enableMutation saw empty segments
 	}
 	// Rebuild the ownership map against the decoded segments: base rows
 	// that are tombstoned or shadowed are not live, memtable rows are.

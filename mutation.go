@@ -4,11 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"resinfer/internal/ddc"
+	"resinfer/internal/core"
 	"resinfer/internal/fault"
 	"resinfer/internal/metric"
 	"resinfer/internal/pca"
@@ -67,34 +68,42 @@ type recordedEnable struct {
 }
 
 // shardSeg is one shard's segments. Its RWMutex guards the shard's entire
-// serving state — sx.shards[s], sx.globalID[s], mem and dead — against
-// searches: searches hold the read lock for the duration of one shard
-// probe; mutations and the compaction hot swap take the write lock
+// serving state — sx.shards[s], sx.globalID[s], mem, dead and mask —
+// against searches: searches hold the read lock for the duration of one
+// shard probe; mutations and the compaction hot swap take the write lock
 // briefly.
 type shardSeg struct {
 	mu         sync.RWMutex
 	mem        *stream.Memtable
 	dead       *stream.Tombstones
-	baseHas    map[int]struct{} // global IDs present in the current base segment (nil until enableMutation)
-	hidden     int              // base rows invisible (tombstoned or shadowed by a memtable row)
-	compacting bool             // claimed by a running compaction (guarded by mutState.mu)
+	baseHas    map[int]int32 // global ID → local row of the current base segment (nil until enableMutation)
+	mask       core.RowMask  // base rows hidden (tombstoned or shadowed by a memtable row); nil while none is
+	compacting bool          // claimed by a running compaction (guarded by mutState.mu)
 }
 
-// recountHidden recomputes hidden from the segments as they stand: the base
-// rows that are tombstoned, plus those a live memtable row shadows. The
-// caller holds mu, or owns a seg no search can reach yet.
-func (seg *shardSeg) recountHidden() {
-	seg.hidden = 0
-	for _, gid := range seg.dead.IDs() {
-		if _, ok := seg.baseHas[gid]; ok {
-			seg.hidden++
+// hide masks the base row of global ID gid, if the base holds one. A base
+// row, once tombstoned or shadowed, stays hidden until a swap installs a
+// new base, so hide only ever sets bits. The caller holds mu, or owns a seg
+// no search can reach yet.
+func (seg *shardSeg) hide(gid int) {
+	if l, ok := seg.baseHas[gid]; ok {
+		if seg.mask == nil {
+			seg.mask = core.NewRowMask(len(seg.baseHas))
 		}
+		seg.mask.Set(int(l))
+	}
+}
+
+// remask rebuilds mask from the segments as they stand: the base rows that
+// are tombstoned or shadowed by a memtable row. The caller holds mu, or
+// owns a seg no search can reach yet.
+func (seg *shardSeg) remask() {
+	seg.mask = nil
+	for _, gid := range seg.dead.IDs() {
+		seg.hide(gid)
 	}
 	for i := 0; i < seg.mem.Len(); i++ {
-		gid := seg.mem.ID(i)
-		if _, ok := seg.baseHas[gid]; ok && !seg.dead.Has(gid) {
-			seg.hidden++
-		}
+		seg.hide(seg.mem.ID(i))
 	}
 }
 
@@ -173,10 +182,10 @@ func (sx *ShardedIndex) enableMutation(indexOpts *Options) {
 	m.compacted = sync.NewCond(&m.mu)
 	maxID := -1
 	for s, seg := range sx.segs {
-		seg.baseHas = make(map[int]struct{}, len(sx.globalID[s]))
-		for _, gid := range sx.globalID[s] {
+		seg.baseHas = make(map[int]int32, len(sx.globalID[s]))
+		for l, gid := range sx.globalID[s] {
 			m.owner[gid] = s
-			seg.baseHas[gid] = struct{}{}
+			seg.baseHas[gid] = int32(l)
 			if gid > maxID {
 				maxID = gid
 			}
@@ -255,15 +264,10 @@ func (sx *ShardedIndex) mutUpsert(id int, v []float32) (int, error) {
 	}
 	seg := sx.segs[s]
 	seg.mu.Lock()
-	appended := seg.mem.Add(id, row)
-	if appended {
-		// A first memtable write for an ID that sits visible in the base
-		// segment shadows that base row; the hidden count feeds the base
-		// over-fetch so filtering can never starve a search below k.
-		if _, inBase := seg.baseHas[id]; inBase && !seg.dead.Has(id) {
-			seg.hidden++
-		}
-	}
+	seg.mem.Add(id, row)
+	// The memtable row shadows the ID's base row, if any: the row mask
+	// hides it inside the base's scan and walk.
+	seg.hide(id)
 	seg.mu.Unlock()
 	return id, nil
 }
@@ -292,12 +296,8 @@ func (sx *ShardedIndex) mutDelete(id int) (bool, error) {
 	}
 	seg := sx.segs[s]
 	seg.mu.Lock()
-	hadMem := seg.mem.Remove(id)
-	if _, inBase := seg.baseHas[id]; inBase && !hadMem && !seg.dead.Has(id) {
-		// A visible base row becomes hidden; one that was already shadowed
-		// by a memtable row (hadMem) or tombstoned was counted before.
-		seg.hidden++
-	}
+	seg.mem.Remove(id)
+	seg.hide(id)
 	// Tombstone unconditionally: the ID may sit in the base segment, or be
 	// mid-flight into a rebuilt base an in-progress compaction is about to
 	// swap in. A tombstone for an ID no base holds filters nothing and is
@@ -469,9 +469,9 @@ func (sx *ShardedIndex) compactShard(s int, wait bool) (bool, CompactionInfo, er
 	}
 	buildDur := time.Since(buildStart)
 
-	newBaseHas := make(map[int]struct{}, len(ids))
-	for _, gid := range ids {
-		newBaseHas[gid] = struct{}{}
+	newBaseHas := make(map[int]int32, len(ids))
+	for l, gid := range ids {
+		newBaseHas[gid] = int32(l)
 	}
 
 	if fault.Active() {
@@ -483,8 +483,8 @@ func (sx *ShardedIndex) compactShard(s int, wait bool) (bool, CompactionInfo, er
 	// segments — memtable rows written during the build stay (and shadow
 	// their compacted versions), tombstones added during the build stay
 	// (and filter the rebuilt base), consumed tombstones retire. The
-	// surviving segments are small (bounded by build-time churn), so the
-	// hidden-row recount under the lock is cheap.
+	// surviving segments are small (bounded by build-time churn), so
+	// rebuilding the row mask under the lock is cheap.
 	m.mu.Lock()
 	// A mode enabled while the build was running was installed on the old
 	// base; replay it on the rebuilt index before installing, or searches
@@ -495,9 +495,13 @@ func (sx *ShardedIndex) compactShard(s int, wait bool) (bool, CompactionInfo, er
 		m.mu.Unlock()
 		return false, CompactionInfo{}, fmt.Errorf("resinfer: compacting shard %d: %w", s, err)
 	}
-	var leadShare float64
-	if res, ok := newIdx.modes[DDCRes].dco.(*ddc.Res); ok {
-		leadShare = res.LeadShare()
+	var leadShare float64 // over the DeltaD ddc-res's first Enable ran with
+	if res := newIdx.modes[DDCRes].dco; res != nil {
+		d := newIdx.opts.DeltaD
+		if i := slices.IndexFunc(m.enables, func(e recordedEnable) bool { return e.mode == DDCRes }); i >= 0 && m.enables[i].opts != nil {
+			d = m.enables[i].opts.withDefaults().DeltaD
+		}
+		leadShare = res.Model().VarianceExplained(d)
 	}
 	if basis == nil {
 		sx.model = nil // no longer the model of the shards' rows
@@ -509,7 +513,7 @@ func (sx *ShardedIndex) compactShard(s int, wait bool) (bool, CompactionInfo, er
 	seg.mem = seg.mem.CompactAfter(seqSnap)
 	seg.dead.Subtract(deadSnap)
 	seg.baseHas = newBaseHas
-	seg.recountHidden()
+	seg.remask()
 	swapDur := time.Since(swapStart)
 	seg.mu.Unlock()
 	m.mu.Unlock()

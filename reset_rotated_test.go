@@ -34,7 +34,7 @@ func TestResetRotatedAnswersAsReset(t *testing.T) {
 		if err := reset(rq); err != nil {
 			t.Fatal(err)
 		}
-		ns, st, err := ix.walk(&session{ev: ev}, nil, q, k, 0, true)
+		ns, st, err := ix.walk(&session{ev: ev}, nil, q, k, 0, true, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

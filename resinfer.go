@@ -599,17 +599,19 @@ func (ix *Index) searchSession(s *session, dst []Neighbor, q []float32, k, budge
 	if err := s.ev.Reset(tq); err != nil {
 		return dst, SearchStats{}, err
 	}
-	return ix.walk(s, dst, tq, k, budget, false)
+	return ix.walk(s, dst, tq, k, budget, false, nil)
 }
 
-// searchShard is SearchInto for one probe of a sharded fan-out, k apart
-// (a shard with hidden rows over-fetches): fs holds the query already in
-// the internal space, and a rotating evaluator is primed from fs's
-// rotate-once slot, so shards whose comparators share a rotation share the
-// D² rotation of the query too. With fs.flat set it walks ix's Flat view.
+// searchShard is SearchInto for one probe of a sharded fan-out: fs holds
+// the query already in the internal space, and a rotating evaluator is
+// primed from fs's rotate-once slot, so shards whose comparators share a
+// rotation share the D² rotation of the query too. With fs.flat set it
+// walks ix's Flat view. mask hides the shard's deleted and shadowed rows
+// inside the scan or walk, so the answer is the fs.k nearest live rows
+// and every comparison prunes against the k-th live distance.
 //
 //resinfer:noalloc
-func (ix *Index) searchShard(dst []Neighbor, fs *fanScratch, k int) ([]Neighbor, SearchStats, error) {
+func (ix *Index) searchShard(dst []Neighbor, fs *fanScratch, mask core.RowMask) ([]Neighbor, SearchStats, error) {
 	s, pool, err := ix.acquire(fs.mode)
 	if err != nil {
 		return dst, SearchStats{}, err
@@ -617,7 +619,7 @@ func (ix *Index) searchShard(dst []Neighbor, fs *fanScratch, k int) ([]Neighbor,
 	err = fs.prime(s.ev, s.model)
 	var st SearchStats
 	if err == nil {
-		dst, st, err = ix.walk(s, dst, fs.tq, k, fs.budget, fs.flat)
+		dst, st, err = ix.walk(s, dst, fs.tq, fs.k, fs.budget, fs.flat, mask)
 	}
 	pool.Put(s)
 	return dst, st, err
@@ -625,21 +627,22 @@ func (ix *Index) searchShard(dst []Neighbor, fs *fanScratch, k int) ([]Neighbor,
 
 // walk runs the index traversal for the query s.ev was reset to (tq, in
 // the internal space) — or, with flat set, the scan of ix's Flat view —
-// and appends the hits to dst. An HNSW index walks its graph only below
-// the break-even beam width (hnsw.Index.ScanFrom); from there it scans.
+// and appends the hits to dst, none of which mask hides (nil: none). An
+// HNSW index walks its graph only below the break-even beam width
+// (hnsw.Index.ScanFrom); from there it scans.
 //
 //resinfer:noalloc
-func (ix *Index) walk(s *session, dst []Neighbor, tq []float32, k, budget int, flat bool) ([]Neighbor, SearchStats, error) {
+func (ix *Index) walk(s *session, dst []Neighbor, tq []float32, k, budget int, flat bool, mask core.RowMask) ([]Neighbor, SearchStats, error) {
 	var err error
 	if ix.hnswIdx != nil && !flat && max(budget, k) < ix.hnswIdx.ScanFrom() {
-		s.items, err = ix.hnswIdx.SearchEval(s.ev, k, budget, ix.n, s.items[:0])
+		s.items, err = ix.hnswIdx.SearchMasked(s.ev, k, budget, ix.n, mask, s.items[:0])
 	} else { // IVF, Flat as its one list, and any index's Flat view
 		lists := ix.ivfIdx
 		if flat || ix.hnswIdx != nil {
 			lists, err = ix.flatView()
 		}
 		if err == nil {
-			s.items, err = lists.SearchEval(s.ev, tq, k, budget, ix.n, s.items[:0])
+			s.items, err = lists.SearchEval(s.ev, tq, k, budget, ix.n, mask, s.items[:0])
 		}
 	}
 	if err != nil {

@@ -838,10 +838,10 @@ func (sx *ShardedIndex) searchShardObs(s int, fs *fanScratch) {
 
 // probe is the one shard probe, served or ground truth: under the shard's
 // segment read lock (so a concurrent hot swap can never tear the base,
-// globalID and segments), the base is over-fetched by the shard's hidden
-// rows (tombstoned or shadowed, so filtering can never starve the result
-// below k), its hits are translated to global IDs and merge keys
-// (mergeReady), hidden hits are dropped, and the memtable is scanned
+// globalID and segments), the base is searched for k rows with the
+// shard's row mask, which hides its tombstoned and shadowed rows inside
+// the scan or walk, so every base hit is live. The hits are translated to
+// global IDs and merge keys (mergeReady), and the memtable is scanned
 // exactly into the same bounded queue.
 //
 //resinfer:noalloc
@@ -850,7 +850,7 @@ func (sx *ShardedIndex) probe(s int, out *shardOut, fs *fanScratch) {
 	seg.mu.RLock()
 	defer seg.mu.RUnlock()
 	base := sx.shards[s]
-	out.ns, out.st, out.err = base.searchShard(out.ns[:0], fs, fs.k+seg.hidden)
+	out.ns, out.st, out.err = base.searchShard(out.ns[:0], fs, seg.mask)
 	if out.err != nil {
 		return
 	}
@@ -861,12 +861,7 @@ func (sx *ShardedIndex) probe(s int, out *shardOut, fs *fanScratch) {
 	rq.Reset(fs.k)
 	sx.mergeReady(base, sx.globalID[s], out.ns, fs.q)
 	for _, n := range out.ns {
-		if seg.dead.Has(n.ID) || seg.mem.Has(n.ID) {
-			continue
-		}
-		if n.Distance < rq.Threshold() {
-			rq.Push(n.ID, n.Distance)
-		}
+		rq.Push(n.ID, n.Distance)
 	}
 	// The memtable stores rows in the scan space (see scanRow), which is the
 	// internal space less InnerProduct's augmentation coordinate.
@@ -916,7 +911,7 @@ func (sx *ShardedIndex) mergeReady(base *Index, gids []int, ns []Neighbor, q []f
 
 // merge k-way-merges the per-shard results — already global IDs and merge
 // keys, see mergeReady — through the bounded result queue. Tombstoned and
-// shadowed rows are already filtered out (see probe); the merge
+// shadowed rows are already masked out (see probe); the merge
 // additionally drops any duplicate global ID so a row can never be
 // reported twice across shards.
 //
