@@ -1,13 +1,18 @@
 package resinfer
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"sort"
 	"testing"
+	"time"
 
 	"resinfer/internal/dataset"
+	"resinfer/internal/fault"
+	"resinfer/internal/persist"
 	"resinfer/internal/vec"
 )
 
@@ -396,6 +401,213 @@ func TestMutableSearchAgreesWithOracle(t *testing.T) {
 			if len(deleted) == 0 || len(upserted) == 0 {
 				t.Fatal("the workload deleted or upserted nothing")
 			}
+		})
+	}
+}
+
+// TestMutableSwapWindowAgreesWithOracle holds a compaction of shard 0
+// between its snapshot and its swap (a delay at the compact.swap fault
+// site) and mutates the shard in that window: a memtable row the build is
+// folding in is deleted, a base row the build keeps is deleted and re-added
+// so that it lands on shard 1, and another kept base row is upserted. The
+// rebuilt base then holds three stale rows, which the swap must mask. In
+// the window, after the swap and after a Save/LoadMutable round trip,
+// ground truth and the scanning Exact search equal the id → vector oracle
+// in IDs and distance bits, and MutationStats.Tombstones counts the deleted
+// base rows: masked rows no memtable row shadows. A stream whose
+// deleted-rows section lists IDs its shard's base does not hold — a stream
+// may list deleted memtable-only rows — loads to the same index.
+func TestMutableSwapWindowAgreesWithOracle(t *testing.T) {
+	const n, dim, k, scanEf = 400, 32, 10, 256
+	ds, err := dataset.Generate(dataset.GenConfig{
+		Name: "swap-window", N: n + 100, Dim: dim, Queries: 12, VE32: 0.6, Seed: 49,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []IndexKind{HNSW, Flat} {
+		t.Run(string(kind), func(t *testing.T) {
+			fresh := ds.Data[n:]
+			mx, err := NewMutable(ds.Data[:n], kind, 2, &MutableOptions{
+				Index: &Options{Seed: 3, HNSWM: 8, HNSWEfConstruction: 48}, DisableAutoCompact: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer mx.Close()
+			live := map[int][]float32{}
+			for id, r := range ds.Data[:n] {
+				live[id] = r
+			}
+			next := func() []float32 {
+				v := fresh[0]
+				fresh = fresh[1:]
+				return v
+			}
+			upsert := func(id int) int {
+				v := next()
+				id, err := mx.Upsert(id, v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				live[id] = v
+				return id
+			}
+			del := func(id int) {
+				if ok, err := mx.Delete(id); err != nil || !ok {
+					t.Fatalf("Delete(%d) = %v, %v; want a live row deleted", id, ok, err)
+				}
+				delete(live, id)
+			}
+			check := func(stage string, mx *MutableIndex, tombstones int) {
+				t.Helper()
+				if got := mx.MutationStats().Tombstones; got != tombstones {
+					t.Errorf("%s: Tombstones = %d, want %d deleted base rows", stage, got, tombstones)
+				}
+				ids := make([]int, 0, len(live))
+				for id := range live {
+					ids = append(ids, id)
+				}
+				sort.Ints(ids)
+				rows := make([][]float32, len(ids))
+				for i, id := range ids {
+					rows[i] = live[id]
+				}
+				truth, err := dataset.BruteForceKNN(rows, ds.Queries, k, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for qi, q := range ds.Queries {
+					oracle := make([]Neighbor, len(truth[qi]))
+					for i, r := range truth[qi] {
+						oracle[i] = Neighbor{ID: ids[r], Distance: vec.L2Sq(q, rows[r])}
+					}
+					label := fmt.Sprintf("%s q%d", stage, qi)
+					gt, _, _, err := mx.GroundTruthSearch(nil, nil, q, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameBits(t, label+" ground truth", gt, oracle)
+					ex, err := mx.Search(q, k, Exact, scanEf)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameBits(t, label+" exact", ex, oracle)
+				}
+			}
+
+			// Before the window: copies of queries 0-5 added as memtable rows
+			// on both shards, three base rows of shard 0 (0, 2, 4, ...:
+			// round-robin) deleted and two upserted. A stale row the swap
+			// leaves unmasked is then a top hit: the deleted memtable row is a
+			// query, and the window's base rows are its nearest kept ones.
+			var mem0 []int // shard 0's memtable-only rows
+			for _, q := range ds.Queries[:6] {
+				id, err := mx.Add(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				live[id] = q
+				if mx.mut.owner[id] == 0 {
+					mem0 = append(mem0, id)
+				}
+			}
+			for _, id := range []int{0, 2, 4} {
+				del(id)
+			}
+			upsert(6)
+			upsert(8)
+			check("before the window", mx, 3)
+			nearestKept := func(q []float32, not int) int {
+				best := -1
+				for id := 10; id < n; id += 2 {
+					if id != not && (best < 0 || vec.L2Sq(q, ds.Data[id]) < vec.L2Sq(q, ds.Data[best])) {
+						best = id
+					}
+				}
+				return best
+			}
+			moved := nearestKept(ds.Queries[6], -1)
+			upserted := nearestKept(ds.Queries[7], moved)
+
+			hits := fault.Hits(fault.SiteCompactSwap)
+			defer fault.Inject(fault.Injection{Site: fault.SiteCompactSwap, Arg: 0, Delay: time.Second, Limit: 1})()
+			done := make(chan error, 1)
+			go func() {
+				did, _, err := mx.compactShard(0, true)
+				if err == nil && !did {
+					err = errors.New("compactShard found nothing to do")
+				}
+				done <- err
+			}()
+			for deadline := time.Now().Add(30 * time.Second); fault.Hits(fault.SiteCompactSwap) == hits; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatal("the compaction never reached its swap")
+				}
+			}
+
+			// The window. moved is re-added with the round-robin cursor on
+			// shard 1 (a fresh row on shard 0 first, if it is not).
+			del(mem0[0])
+			del(moved)
+			if mx.mut.rr%2 == 0 {
+				upsert(-1)
+			}
+			upsert(moved)
+			if s := mx.mut.owner[moved]; s != 1 {
+				t.Fatalf("re-added row %d landed on shard %d, want 1", moved, s)
+			}
+			upsert(upserted)
+			// Deleted base rows of shard 0's old base: 0, 2, 4 and moved.
+			check("in the window", mx, 4)
+			select {
+			case err := <-done:
+				t.Fatalf("the compaction swapped before the window closed (err %v)", err)
+			default:
+			}
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			// The rebuilt base holds mem0[0] and moved, now deleted there, and
+			// upserted, which the memtable shadows.
+			check("after the swap", mx, 2)
+
+			var buf bytes.Buffer
+			if err := mx.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := LoadMutable(bytes.NewReader(buf.Bytes()), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer loaded.Close()
+			check("loaded", loaded, 2)
+
+			// Shard 1's deleted-rows section ends the stream; list in it the
+			// memtable-only row deleted in the window, a row of shard 0's base
+			// and an ID that was never assigned.
+			raw := buf.Bytes()
+			at := bytes.LastIndex(raw, []byte(deletedMagic))
+			pr := persist.NewReader(bytes.NewReader(raw[at:]))
+			pr.Magic(deletedMagic)
+			listed := pr.Ints()
+			if err := pr.Err(); err != nil {
+				t.Fatal(err)
+			}
+			var hand bytes.Buffer
+			hand.Write(raw[:at])
+			pw := persist.NewWriter(&hand)
+			pw.Magic(deletedMagic)
+			pw.Ints(append(listed, mem0[0], 10, 1<<40))
+			if err := pw.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			handLoaded, err := LoadMutable(&hand, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer handLoaded.Close()
+			check("loaded from the hand-built stream", handLoaded, 2)
 		})
 	}
 }

@@ -3,13 +3,14 @@ package resinfer
 import "fmt"
 
 // GroundTruthSearch is the exact top-k over the whole index at this instant:
-// every shard's probe (see probe) — tombstone- and shadow-aware, memtable
-// included — run in Exact over the shard's Flat view of its rows, then the
-// served merge. It is the online ground-truth oracle for shadow quality
-// sampling: its ranking is what a perfect (recall-1.0) search would have
-// served, in the same merge keys, and truth and served answers come out of
-// one probe. It calls the probe directly, so it hits no shard.search fault
-// site and does not feed the shard observer.
+// every shard's probe (see probe) — the row mask hiding deleted and
+// shadowed base rows, the memtable included — run in Exact over the
+// shard's Flat view of its rows, then the served merge. It is the online
+// ground-truth oracle for shadow quality sampling: its ranking is what a
+// perfect (recall-1.0) search would have served, in the same merge keys,
+// and truth and served answers come out of one probe. It calls the probe
+// directly, so it hits no shard.search fault site and does not feed the
+// shard observer.
 //
 // Results are appended to dst in ascending merge-key order (the serving
 // order); shards receives, aligned with the returned neighbors, the shard

@@ -445,10 +445,6 @@ func (e *Exact) ExtraBytes() int64 {
 	return b
 }
 
-// Data exposes the underlying vectors (read-only by convention) so index
-// builders can compute construction-time distances without an evaluator.
-func (e *Exact) Data() *store.Matrix { return e.data }
-
 // Model implements DCO: the basis the rows lie in, nil on rows in no basis.
 func (e *Exact) Model() *pca.Model { return e.basis }
 

@@ -1,5 +1,7 @@
 package core
 
+import "math/bits"
+
 // RowMask hides rows from a search's answer, one bit per row: a masked row
 // is still read and walked through (a graph walk steers by it), but never
 // enters the result queue. A mutable shard masks the base rows it has
@@ -16,3 +18,12 @@ func (m RowMask) Set(i int) { m[i>>6] |= 1 << (i & 63) }
 
 // Has reports whether row i is hidden.
 func (m RowMask) Has(i int) bool { return m != nil && m[i>>6]&(1<<(i&63)) != 0 }
+
+// Count returns the number of hidden rows.
+func (m RowMask) Count() int {
+	n := 0
+	for _, w := range m {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}

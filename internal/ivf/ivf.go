@@ -9,8 +9,9 @@
 // of a k-sized queue of exact distances. It walks each list in blocks of
 // core.PruneBlock ids: the evaluator's Prune rules out in bulk the ids its
 // first test already rejects under the block's starting τ (ddc-res's
-// round 0 over its prefix table, one kernel call per block), and only the
-// survivors are Compared one by one. IVF++'s layout, each list's rows
+// round 0 over its prefix table, and exact's lower bound over the same
+// kind of table, each one kernel call per block), and only the survivors
+// are Compared one by one. IVF++'s layout, each list's rows
 // stored contiguously, is not done: lists hold ids into the index's one
 // matrix.
 package ivf

@@ -114,23 +114,6 @@ func Mul(a, b *Matrix) (*Matrix, error) {
 	return out, nil
 }
 
-// Apply returns m*x for a column vector x (len m.Cols).
-func (m *Matrix) Apply(x []float64) ([]float64, error) {
-	if len(x) != m.Cols {
-		return nil, fmt.Errorf("matrix: Apply len %d, want %d", len(x), m.Cols)
-	}
-	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		var s float64
-		for j, v := range row {
-			s += v * x[j]
-		}
-		out[i] = s
-	}
-	return out, nil
-}
-
 // F32 narrows m to the float32 row-major form the data plane applies with
 // vec.MatVec. Training (covariance, eigensolver, Gram-Schmidt, Procrustes)
 // runs in float64; a finished rotation is narrowed once, here.

@@ -29,13 +29,21 @@ func TestNewPanicsOnBadShape(t *testing.T) {
 	New(0, 0)
 }
 
-func TestIdentityApply(t *testing.T) {
-	id := Identity(4)
-	x := []float64{1, 2, 3, 4}
-	y, err := id.Apply(x)
+// apply returns m·x for a column vector x, through Mul.
+func apply(t testing.TB, m *Matrix, x []float64) []float64 {
+	t.Helper()
+	xm := New(len(x), 1)
+	copy(xm.Data, x)
+	y, err := Mul(m, xm)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return y.Data
+}
+
+func TestIdentityApply(t *testing.T) {
+	x := []float64{1, 2, 3, 4}
+	y := apply(t, Identity(4), x)
 	for i := range x {
 		if y[i] != x[i] {
 			t.Fatalf("identity apply changed vector: %v", y)
@@ -99,33 +107,6 @@ func TestTransposeInvolution(t *testing.T) {
 	}
 }
 
-func TestApplyMatchesMul(t *testing.T) {
-	r := rand.New(rand.NewSource(9))
-	m := randomMatrix(r, 7, 5)
-	x := make([]float64, 5)
-	for i := range x {
-		x[i] = r.NormFloat64()
-	}
-	y, err := m.Apply(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	xm := New(5, 1)
-	copy(xm.Data, x)
-	ym, err := Mul(m, xm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range y {
-		if math.Abs(y[i]-ym.At(i, 0)) > 1e-12 {
-			t.Fatalf("Apply disagrees with Mul at %d", i)
-		}
-	}
-	if _, err := m.Apply(make([]float64, 4)); err == nil {
-		t.Fatal("expected length error")
-	}
-}
-
 // TestF32MatVecMatchesApply pins the data-plane path (narrow once, then
 // vec.MatVec) against the float64 reference mat-vec.
 func TestF32MatVecMatchesApply(t *testing.T) {
@@ -143,7 +124,7 @@ func TestF32MatVecMatchesApply(t *testing.T) {
 	}
 	y32 := make([]float32, 6)
 	vec.MatVec(y32, f.Flat(), 6, x32)
-	y64, _ := m.Apply(x64)
+	y64 := apply(t, m, x64)
 	for i := range y32 {
 		if math.Abs(float64(y32[i])-y64[i]) > 1e-4 {
 			t.Fatalf("MatVec mismatch at %d: %v vs %v", i, y32[i], y64[i])
@@ -172,10 +153,7 @@ func TestRotationPreservesNorm(t *testing.T) {
 		for i := range x {
 			x[i] = rr.NormFloat64()
 		}
-		y, err := m.Apply(x)
-		if err != nil {
-			return false
-		}
+		y := apply(t, m, x)
 		var nx, ny float64
 		for i := range x {
 			nx += x[i] * x[i]
@@ -325,7 +303,7 @@ func TestEigenSymReconstruction(t *testing.T) {
 		// Check A v = lambda v for each eigenpair (rows of vecs).
 		for k := 0; k < n; k++ {
 			v := vecs.Row(k)
-			av, _ := a.Apply(v)
+			av := apply(t, a, v)
 			for i := 0; i < n; i++ {
 				if math.Abs(av[i]-vals[k]*v[i]) > 1e-7*(1+math.Abs(vals[k])) {
 					t.Fatalf("n=%d eigenpair %d fails A v = lambda v", n, k)

@@ -54,7 +54,7 @@ func DecodePQ(r *persist.Reader) (*PQ, error) {
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	// Encode and BuildLUT slice a vector by Bounds and hand each piece to a
+	// EncodeInto and BuildLUT slice a vector by Bounds and hand each piece to a
 	// distance kernel next to a centroid: the widths must be positive (so
 	// Bounds ascends from 0 to Dim) and every centroid must match its own.
 	for m, cb := range pq.Codebooks {

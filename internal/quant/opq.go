@@ -123,15 +123,6 @@ func TrainOPQ(data *store.Matrix, cfg OPQConfig) (*OPQ, error) {
 	return &OPQ{Rotation: rot, PQ: finalPQ}, nil
 }
 
-// Rotate applies the learned rotation to x.
-func (o *OPQ) Rotate(x []float32) ([]float32, error) {
-	dst := make([]float32, o.PQ.Dim)
-	if err := o.RotateInto(dst, x); err != nil {
-		return nil, err
-	}
-	return dst, nil
-}
-
 // RotateInto applies the learned rotation to x into dst (length Dim),
 // allocating nothing. dst must not alias x.
 func (o *OPQ) RotateInto(dst, x []float32) error {
@@ -140,15 +131,6 @@ func (o *OPQ) RotateInto(dst, x []float32) error {
 	}
 	vec.MatVec(dst, o.Rotation.Flat(), o.PQ.Dim, x)
 	return nil
-}
-
-// Encode rotates then quantizes x.
-func (o *OPQ) Encode(x []float32) ([]byte, error) {
-	y, err := o.Rotate(x)
-	if err != nil {
-		return nil, err
-	}
-	return o.PQ.Encode(y)
 }
 
 // EncodeAll rotates and quantizes every row into a flat code array.

@@ -105,22 +105,13 @@ func subspaceBounds(d, m int) []int {
 	return bounds
 }
 
-// Encode quantizes x into M code bytes.
-func (pq *PQ) Encode(x []float32) ([]byte, error) {
-	code := make([]byte, pq.M)
-	if err := pq.EncodeInto(code, x); err != nil {
-		return nil, err
-	}
-	return code, nil
-}
-
 // EncodeInto quantizes x into code (length M), allocating nothing.
 func (pq *PQ) EncodeInto(code []byte, x []float32) error {
 	if len(x) != pq.Dim {
-		return errors.New("quant: dimension mismatch in Encode")
+		return errors.New("quant: dimension mismatch in EncodeInto")
 	}
 	if len(code) != pq.M {
-		return errors.New("quant: code length mismatch in Encode")
+		return errors.New("quant: code length mismatch in EncodeInto")
 	}
 	for m := 0; m < pq.M; m++ {
 		lo, hi := pq.Bounds[m], pq.Bounds[m+1]
@@ -142,23 +133,14 @@ func (pq *PQ) EncodeAll(data *store.Matrix) ([]byte, error) {
 	return codes, nil
 }
 
-// Decode reconstructs the vector represented by code.
-func (pq *PQ) Decode(code []byte) ([]float32, error) {
-	out := make([]float32, pq.Dim)
-	if err := pq.DecodeInto(out, code); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // DecodeInto reconstructs the vector represented by code into out (length
 // Dim), allocating nothing.
 func (pq *PQ) DecodeInto(out []float32, code []byte) error {
 	if len(code) != pq.M {
-		return errors.New("quant: code length mismatch in Decode")
+		return errors.New("quant: code length mismatch in DecodeInto")
 	}
 	if len(out) != pq.Dim {
-		return errors.New("quant: output length mismatch in Decode")
+		return errors.New("quant: output length mismatch in DecodeInto")
 	}
 	for m := 0; m < pq.M; m++ {
 		lo := pq.Bounds[m]

@@ -82,11 +82,11 @@ func TestPQEncodeDecodeRoundTrip(t *testing.T) {
 	for m := 0; m < pq.M; m++ {
 		copy(comp[pq.Bounds[m]:pq.Bounds[m+1]], pq.Codebooks[m][3])
 	}
-	code, err := pq.Encode(comp)
+	code, err := encode(pq, comp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := pq.Decode(code)
+	dec, err := decode(pq, code)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,14 +95,26 @@ func TestPQEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// encode quantizes x into a fresh code through EncodeInto.
+func encode(pq *PQ, x []float32) ([]byte, error) {
+	code := make([]byte, pq.M)
+	return code, pq.EncodeInto(code, x)
+}
+
+// decode reconstructs code into a fresh vector through DecodeInto.
+func decode(pq *PQ, code []byte) ([]float32, error) {
+	out := make([]float32, pq.Dim)
+	return out, pq.DecodeInto(out, code)
+}
+
 // reconstructionError is ||x - decode(encode(x))||², the quantization
 // residual energy.
 func reconstructionError(pq *PQ, x []float32) (float32, error) {
-	code, err := pq.Encode(x)
+	code, err := encode(pq, x)
 	if err != nil {
 		return 0, err
 	}
-	dec, err := pq.Decode(code)
+	dec, err := decode(pq, code)
 	if err != nil {
 		return 0, err
 	}
@@ -128,7 +140,7 @@ func TestPQReconstructionBetterThanRandomCode(t *testing.T) {
 		for m := range rc {
 			rc[m] = byte(r.Intn(pq.K))
 		}
-		dec, _ := pq.Decode(rc)
+		dec, _ := decode(pq, rc)
 		randErr += float64(vec.L2Sq(row, dec))
 	}
 	if encErr >= randErr {
@@ -156,8 +168,8 @@ func TestLUTMatchesDecodedDistance(t *testing.T) {
 			return false
 		}
 		x := data.Row(rr.Intn(data.Rows()))
-		code, _ := pq.Encode(x)
-		dec, _ := pq.Decode(code)
+		code, _ := encode(pq, x)
+		dec, _ := decode(pq, code)
 		got := float64(lut.Distance(code))
 		want := vec.L2Sq64(q, dec)
 		return math.Abs(got-want) < 1e-2*(1+want)
@@ -181,7 +193,7 @@ func TestEncodeAllLayout(t *testing.T) {
 	if len(codes) != 100*4 {
 		t.Fatalf("codes len = %d", len(codes))
 	}
-	c7, _ := pq.Encode(data.Row(7))
+	c7, _ := encode(pq, data.Row(7))
 	for m := 0; m < 4; m++ {
 		if codes[7*4+m] != c7[m] {
 			t.Fatal("EncodeAll layout mismatch")
@@ -232,9 +244,10 @@ func TestOPQImprovesOverIdentityStart(t *testing.T) {
 		t.Fatal(err)
 	}
 	var opqErr float64 // the objective OPQ minimizes, over the same rows
+	y := make([]float32, d)
 	for _, row := range data[:300] {
-		y, err := opq.Rotate(row) // an isometry: the error is that of the original space
-		if err != nil {
+		// The rotation is an isometry: the error is that of the original space.
+		if err := opq.RotateInto(y, row); err != nil {
 			t.Fatal(err)
 		}
 		e, err := reconstructionError(opq.PQ, y)
@@ -278,13 +291,16 @@ func TestOPQLUTMatchesDecoded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := data.Row(42)
-	code, err := opq.Encode(x)
+	codes, err := opq.EncodeAll(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rotQ, _ := opq.Rotate(q)
-	dec, _ := opq.PQ.Decode(code)
+	code := codes[42*opq.PQ.M : 43*opq.PQ.M]
+	rotQ := make([]float32, opq.PQ.Dim)
+	if err := opq.RotateInto(rotQ, q); err != nil {
+		t.Fatal(err)
+	}
+	dec, _ := decode(opq.PQ, code)
 	want := vec.L2Sq64(rotQ, dec)
 	got := float64(lut.Distance(code))
 	if math.Abs(got-want) > 1e-2*(1+want) {
@@ -306,14 +322,14 @@ func BenchmarkLUTDistance(b *testing.B) {
 		b.Fatal(err)
 	}
 	lut, _ := pq.BuildLUT(data.Row(0))
-	code, _ := pq.Encode(data.Row(1))
+	code, _ := encode(pq, data.Row(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = lut.Distance(code)
 	}
 }
 
-// TestDecodePQRejectsCorruptShape: Encode and BuildLUT slice vectors by
+// TestDecodePQRejectsCorruptShape: EncodeInto and BuildLUT slice vectors by
 // Bounds and hand the pieces to a distance kernel next to a centroid, so a
 // decoded PQ whose shape words disagree with each other must be refused,
 // not left to panic inside the first search.

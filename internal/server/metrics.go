@@ -96,7 +96,7 @@ func (m *metrics) init(reg *obs.Registry) {
 // StatsSnapshot is the JSON document served at GET /stats. Mutation is
 // present only when the served index accepts streaming mutations: it
 // carries the ingest counters plus the live segment depths (memtable
-// rows, pending tombstones) and compaction/hot-swap timings.
+// rows, deleted base rows) and compaction/hot-swap timings.
 type StatsSnapshot struct {
 	UptimeSeconds   float64 `json:"uptime_seconds"`
 	Version         string  `json:"version"`
@@ -169,7 +169,7 @@ func (m *metrics) snapshot() StatsSnapshot {
 // registerIndexMetrics wires the served index's observability into the
 // registry: per-shard search timings and work counters for every index;
 // compaction build/swap durations, WAL append/fsync latency and
-// memtable/tombstone/segment gauges when it is mutable (mut non-nil).
+// memtable/deleted-row/segment gauges when it is mutable (mut non-nil).
 // qt (may be nil) is the shadow quality tracker; the index exposes a
 // single compaction observer slot, so the metrics observer also rolls
 // the tracker's since-compaction recall epoch.
@@ -262,7 +262,7 @@ func registerIndexMetrics(reg *obs.Registry, idx Engine, mut Mutator, qt *qualit
 	}
 	reg.GaugeFunc("resinfer_memtable_rows", "Total memtable depth across shards.",
 		stat(func(m resinfer.MutationStats) float64 { return float64(m.MemtableRows) }))
-	reg.GaugeFunc("resinfer_tombstones", "Pending tombstoned deletes across shards.",
+	reg.GaugeFunc("resinfer_tombstones", "Deleted base rows awaiting compaction across shards.",
 		stat(func(m resinfer.MutationStats) float64 { return float64(m.Tombstones) }))
 	reg.GaugeFunc("resinfer_compactions", "Completed shard compactions.",
 		stat(func(m resinfer.MutationStats) float64 { return float64(m.Compactions) }))

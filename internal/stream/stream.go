@@ -1,17 +1,17 @@
-// Package stream provides the mutable-segment building blocks of the
-// streaming ingestion subsystem: an append-only Memtable holding freshly
-// ingested vectors in a growing flat buffer, and a Tombstones set marking
-// deleted global IDs. A shard pairs one of each with its immutable base
-// index; searches scan the memtable exactly (so recall on fresh vectors
-// is perfect), the tombstone set filters both segments, and a background
-// compactor periodically folds both back into a rebuilt base index.
+// Package stream provides the mutable segment of the streaming ingestion
+// subsystem: an append-only Memtable holding freshly ingested vectors in a
+// growing flat buffer. A shard pairs one with its immutable base index and
+// a row mask over the base (core.RowMask) that hides the base rows deleted
+// or shadowed by a memtable row; searches scan the memtable exactly (so
+// recall on fresh vectors is perfect) and the base through its mask, and a
+// background compactor periodically folds the memtable and the unmasked
+// base rows into a rebuilt base index.
 //
-// Neither structure is durable on its own: crash durability comes from
-// the write-ahead log (internal/wal) the owning index appends every
-// mutation to before it reaches a memtable or tombstone set here, and
-// replays on recovery.
+// The memtable is not durable on its own: crash durability comes from the
+// write-ahead log (internal/wal) the owning index appends every mutation
+// to before it reaches a memtable here, and replays on recovery.
 //
-// Neither type locks internally — the owning shard serializes access
+// Memtable does not lock internally — the owning shard serializes access
 // (searches under a read lock, mutations and compaction swaps under a
 // write lock).
 package stream
@@ -19,7 +19,6 @@ package stream
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"resinfer/internal/heap"
 	"resinfer/internal/persist"
@@ -192,82 +191,4 @@ func DecodeMemtable(pr *persist.Reader) (*Memtable, error) {
 		m.pos[id] = i
 	}
 	return m, nil
-}
-
-// Tombstones is the set of deleted global IDs pending compaction. A
-// tombstoned ID filters base-segment hits at search time; compaction
-// drops the rows for good and retires the consumed tombstones.
-type Tombstones struct {
-	set map[int]struct{}
-}
-
-// NewTombstones returns an empty set.
-func NewTombstones() *Tombstones {
-	return &Tombstones{set: make(map[int]struct{})}
-}
-
-// Len returns the number of pending tombstones.
-func (t *Tombstones) Len() int { return len(t.set) }
-
-// Add marks id deleted.
-func (t *Tombstones) Add(id int) { t.set[id] = struct{}{} }
-
-// Has reports whether id is tombstoned.
-func (t *Tombstones) Has(id int) bool {
-	_, ok := t.set[id]
-	return ok
-}
-
-// Remove clears one tombstone.
-func (t *Tombstones) Remove(id int) { delete(t.set, id) }
-
-// Clone returns an independent copy (the compactor's snapshot).
-func (t *Tombstones) Clone() *Tombstones {
-	out := &Tombstones{set: make(map[int]struct{}, len(t.set))}
-	for id := range t.set {
-		out.set[id] = struct{}{}
-	}
-	return out
-}
-
-// Subtract removes every ID present in other — the swap-time retirement
-// of tombstones a finished compaction consumed.
-func (t *Tombstones) Subtract(other *Tombstones) {
-	for id := range other.set {
-		delete(t.set, id)
-	}
-}
-
-// IDs returns the tombstoned IDs in unspecified order.
-func (t *Tombstones) IDs() []int {
-	out := make([]int, 0, len(t.set))
-	for id := range t.set {
-		out = append(out, id)
-	}
-	return out
-}
-
-const tombstoneMagic = "RISTTMB1"
-
-// Encode writes the set onto a persist stream in sorted order so equal
-// sets produce identical bytes.
-func (t *Tombstones) Encode(pw *persist.Writer) {
-	pw.Magic(tombstoneMagic)
-	ids := t.IDs()
-	sort.Ints(ids)
-	pw.Ints(ids)
-}
-
-// DecodeTombstones reads a set written by Encode.
-func DecodeTombstones(pr *persist.Reader) (*Tombstones, error) {
-	pr.Magic(tombstoneMagic)
-	ids := pr.Ints()
-	if err := pr.Err(); err != nil {
-		return nil, err
-	}
-	t := &Tombstones{set: make(map[int]struct{}, len(ids))}
-	for _, id := range ids {
-		t.set[id] = struct{}{}
-	}
-	return t, nil
 }

@@ -198,34 +198,3 @@ func TestMemtableDecodeRejectsCorruption(t *testing.T) {
 		t.Fatal("truncated memtable must not decode")
 	}
 }
-
-func TestTombstones(t *testing.T) {
-	ts := NewTombstones()
-	ts.Add(3)
-	ts.Add(8)
-	ts.Add(3)
-	if ts.Len() != 2 || !ts.Has(3) || !ts.Has(8) || ts.Has(4) {
-		t.Fatalf("bad set state: len=%d", ts.Len())
-	}
-	snap := ts.Clone()
-	ts.Add(12)
-	if snap.Len() != 2 {
-		t.Fatal("clone must be independent")
-	}
-	ts.Subtract(snap)
-	if ts.Len() != 1 || !ts.Has(12) {
-		t.Fatalf("subtract left len=%d", ts.Len())
-	}
-
-	var buf bytes.Buffer
-	pw := persist.NewWriter(&buf)
-	ts.Encode(pw)
-	_ = pw.Flush()
-	got, err := DecodeTombstones(persist.NewReader(&buf))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != 1 || !got.Has(12) {
-		t.Fatalf("decoded len=%d", got.Len())
-	}
-}

@@ -23,13 +23,7 @@ func L2SqRange(a, b []float32, lo, hi int) float32 {
 // entry d equals Σ_{i≥d} q_i² σ_i², so the error bound at projection depth
 // d is m·sqrt(4·out[d]).
 func SuffixWeightedSq(a, w []float32) []float64 {
-	return SuffixWeightedSqInto(make([]float64, len(a)+1), a, w)
-}
-
-// SuffixWeightedSqInto is SuffixWeightedSq writing into out, which must
-// have length len(a)+1. It returns out.
-func SuffixWeightedSqInto(out []float64, a, w []float32) []float64 {
-	out[len(a)] = 0
+	out := make([]float64, len(a)+1)
 	var s float64
 	for i := len(a) - 1; i >= 0; i-- {
 		t := float64(a[i]) * float64(w[i])

@@ -132,6 +132,25 @@ func TestSuffixWeightedSq(t *testing.T) {
 			t.Fatalf("SuffixWeightedSq[%d] = %v, want %v", i, got[i], want[i])
 		}
 	}
+	// At a length no SIMD block divides, each entry is its suffix summed
+	// from the end.
+	rng := rand.New(rand.NewSource(10))
+	a, w = make([]float32, 33), make([]float32, 33)
+	for i := range a {
+		a[i] = float32(rng.NormFloat64())
+		w[i] = float32(rng.Float64())
+	}
+	got = SuffixWeightedSq(a, w)
+	for d := range got {
+		var want float64
+		for i := len(a) - 1; i >= d; i-- {
+			x := float64(a[i]) * float64(w[i])
+			want += x * x
+		}
+		if got[d] != want {
+			t.Fatalf("SuffixWeightedSq[%d] = %v, want %v", d, got[d], want)
+		}
+	}
 }
 
 func TestNormSq(t *testing.T) {
@@ -211,23 +230,6 @@ func TestFlatKernelsMatchSliceKernels(t *testing.T) {
 			if got, want := DotRangeFlat(q, flat, base, lo, hi), Dot(q[lo:hi], row[lo:hi]); got != want {
 				t.Fatalf("dim %d DotRangeFlat = %v want %v", dim, got, want)
 			}
-		}
-	}
-}
-
-func TestSuffixIntoMatchesAllocating(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	a, w := make([]float32, 33), make([]float32, 33)
-	for i := range a {
-		a[i] = float32(rng.NormFloat64())
-		w[i] = float32(rng.Float64())
-	}
-	out := make([]float64, len(a)+1)
-	got := SuffixWeightedSqInto(out, a, w)
-	want := SuffixWeightedSq(a, w)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("SuffixWeightedSqInto[%d] = %v want %v", i, got[i], want[i])
 		}
 	}
 }

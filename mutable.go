@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,12 +26,16 @@ const (
 // streamMagic marks the segment-aware mutable container: a header (ID
 // allocator, compaction knobs, WAL position, recorded comparator
 // trainings), the embedded RESSHARD3 sharded payload, and one memtable +
-// tombstone section per shard — so an index saved mid-compaction, with a
-// non-empty memtable and pending tombstones, round-trips losslessly. The
+// deleted-rows section per shard — so an index saved mid-compaction, with a
+// non-empty memtable and deleted base rows, round-trips losslessly. The
 // header's applied-WAL-LSN field is the durability anchor recovery replays
 // the log against. Version 3 embeds RESSHARD3 and records an enable as its
 // mode, options and training queries alone.
 const streamMagic = "RESSTRM3"
+
+// deletedMagic marks a shard's deleted-rows section of a RESSTRM3 stream:
+// the sorted global IDs of its deleted base rows (see shardSeg).
+const deletedMagic = "RISTTMB1"
 
 // MutableOptions tunes a streaming (mutable) sharded index. The zero
 // value gives round-robin sharding, a 1024-row compaction threshold, and
@@ -48,7 +53,7 @@ type MutableOptions struct {
 	// CompactThreshold is the per-shard memtable depth that triggers a
 	// background compaction (default 1024).
 	CompactThreshold int
-	// TombstoneThreshold is the per-shard pending-delete count that
+	// TombstoneThreshold is the per-shard count of deleted base rows that
 	// triggers a background compaction (default CompactThreshold).
 	TombstoneThreshold int
 	// DisableAutoCompact turns the background compactor off; segments
@@ -94,7 +99,8 @@ type MutationStats struct {
 	CompactErrors int64 `json:"compact_errors"`
 	// MemtableRows is the current total memtable depth across shards.
 	MemtableRows int `json:"memtable_rows"`
-	// Tombstones is the current total pending-delete count across shards.
+	// Tombstones is the current total of deleted base rows awaiting
+	// compaction across shards.
 	Tombstones int `json:"tombstones"`
 	// LastSwapMicros is the write-lock hold time of the most recent hot
 	// swap — the only moment a compaction can delay searches.
@@ -121,8 +127,8 @@ type MutationStats struct {
 
 // MutableIndex is a sharded AKNN index whose corpus can change while it
 // serves: Add/Upsert append to per-shard memtable segments (scanned
-// exactly, so recall on fresh vectors is perfect), Delete tombstones
-// rows out of sight immediately, and a background compactor folds both
+// exactly, so recall on fresh vectors is perfect), Delete hides rows
+// from searches immediately, and a background compactor folds both
 // back into rebuilt base indexes — rebuilding their distance comparators
 // around the rotations the index was enabled with — then hot-swaps them in
 // with zero search downtime.
@@ -218,8 +224,8 @@ func newMutableAround(sx *ShardedIndex, o MutableOptions) *MutableIndex {
 }
 
 // Close stops the background compactor and closes the write-ahead log
-// if one is attached. Pending memtable rows and tombstones stay in
-// place (and persist through Save); searches keep working. Without a
+// if one is attached. Pending memtable rows and deleted base rows stay
+// in place (and persist through Save); searches keep working. Without a
 // WAL, mutations and explicit Compact calls keep working too; with one,
 // further mutations fail — the durability guarantee would otherwise be
 // silently void.
@@ -301,8 +307,9 @@ func (mx *MutableIndex) maybeKick() {
 }
 
 // compactorLoop waits for mutation kicks and compacts every shard whose
-// memtable or tombstone set crossed its threshold. Compactions run one
-// at a time so at most one shard rebuild competes with serving for CPU.
+// memtable depth or deleted base-row count crossed its threshold.
+// Compactions run one at a time so at most one shard rebuild competes with
+// serving for CPU.
 func (mx *MutableIndex) compactorLoop() {
 	defer mx.wg.Done()
 	for {
@@ -318,8 +325,8 @@ func (mx *MutableIndex) compactorLoop() {
 				return
 			default:
 			}
-			mem, dead := mx.segDepth(s)
-			if mem >= mx.cfg.CompactThreshold || dead >= mx.cfg.TombstoneThreshold {
+			mem, deleted := mx.segDepth(s)
+			if mem >= mx.cfg.CompactThreshold || deleted >= mx.cfg.TombstoneThreshold {
 				if did, _ := mx.runCompact(s, false); did {
 					compacted = true
 				}
@@ -369,7 +376,7 @@ type CompactionInfo struct {
 	Rows int
 	// MemtableRows is how many memtable rows were folded in.
 	MemtableRows int
-	// Tombstones is how many pending deletes were retired.
+	// Tombstones is how many deleted base rows the rebuild dropped.
 	Tombstones int
 	// BuildDuration is the off-path rebuild + retrain time.
 	BuildDuration time.Duration
@@ -510,9 +517,9 @@ func (mx *MutableIndex) MutationStats() MutationStats {
 		LastBuildMillis: mx.lastBuildMs.Load(),
 	}
 	for s := 0; s < mx.NumShards(); s++ {
-		mem, dead := mx.segDepth(s)
+		mem, deleted := mx.segDepth(s)
 		st.MemtableRows += mem
-		st.Tombstones += dead
+		st.Tombstones += deleted
 	}
 	if w := mx.mut.wal; w != nil {
 		st.WALEnabled = true
@@ -535,8 +542,8 @@ func (mx *MutableIndex) WALSyncPolicy() string {
 }
 
 // Save serializes the mutable index — the sharded payload plus every
-// shard's memtable and tombstone segments and the ID allocator — so a
-// mid-compaction state (memtable non-empty, tombstones pending)
+// shard's memtable, the IDs of its deleted base rows and the ID allocator
+// — so a mid-compaction state (memtable non-empty, deletes pending)
 // round-trips losslessly. Mutations and hot swaps pause for the duration
 // of the write; searches do not.
 func (mx *MutableIndex) Save(w io.Writer) error {
@@ -572,11 +579,19 @@ func (mx *MutableIndex) save(w io.Writer) (uint64, error) {
 	if err := mx.encodeSharded(pw); err != nil {
 		return 0, err
 	}
-	for _, seg := range mx.segs {
+	for s, seg := range mx.segs {
 		seg.mu.RLock()
 		seg.mem.Encode(pw)
-		seg.dead.Encode(pw)
+		var deleted []int
+		for l, gid := range mx.globalID[s] {
+			if seg.mask.Has(l) && !seg.mem.Has(gid) {
+				deleted = append(deleted, gid)
+			}
+		}
 		seg.mu.RUnlock()
+		slices.Sort(deleted)
+		pw.Magic(deletedMagic)
+		pw.Ints(deleted)
 	}
 	return walLSN, pw.Flush()
 }
@@ -655,27 +670,34 @@ func LoadMutable(r io.Reader, opts *MutableOptions) (*MutableIndex, error) {
 			return nil, fmt.Errorf("resinfer: shard %d memtable dim %d, index expects %d",
 				s, mem.Dim(), sx.userDim)
 		}
-		dead, err := stream.DecodeTombstones(pr)
-		if err != nil {
-			return nil, fmt.Errorf("resinfer: decoding shard %d tombstones: %w", s, err)
+		pr.Magic(deletedMagic)
+		deleted := pr.Ints()
+		if err := pr.Err(); err != nil {
+			return nil, fmt.Errorf("resinfer: decoding shard %d deleted rows: %w", s, err)
 		}
+		// Mask the deleted and the shadowed base rows (enableMutation saw
+		// an empty memtable). hide skips an ID the base does not hold: a
+		// stream may list a deleted memtable-only row.
 		seg.mem = mem
-		seg.dead = dead
-		seg.remask() // enableMutation saw empty segments
+		for _, gid := range deleted {
+			seg.hide(gid)
+		}
+		for i := 0; i < mem.Len(); i++ {
+			seg.hide(mem.ID(i))
+		}
 	}
-	// Rebuild the ownership map against the decoded segments: base rows
-	// that are tombstoned or shadowed are not live, memtable rows are.
+	// Rebuild the ownership map against the decoded segments: masked base
+	// rows are not live, memtable rows are.
 	clear(m.owner)
 	maxID := -1
 	for s, seg := range sx.segs {
-		for _, gid := range sx.globalID[s] {
+		for l, gid := range sx.globalID[s] {
 			if gid > maxID {
 				maxID = gid
 			}
-			if seg.dead.Has(gid) || seg.mem.Has(gid) {
-				continue
+			if !seg.mask.Has(l) {
+				m.owner[gid] = s
 			}
-			m.owner[gid] = s
 		}
 	}
 	for s, seg := range sx.segs {

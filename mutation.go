@@ -49,11 +49,12 @@ var walAppendPolicy = retry.Policy{Attempts: 3, Base: 5 * time.Millisecond, Fact
 // This file is the streaming-ingestion substrate of ShardedIndex. Every
 // shard, mutable or not, pairs its base index with an append-only memtable
 // segment (exact brute-force scan, so recall on fresh vectors is perfect)
-// and a tombstone set for deletes, and every probe reads all three (see
-// probe); on an index that never mutates both stay empty. A mutable index
-// adds the writer state (mutState): mutations fill the segments, and a
-// compaction rebuilds a shard's base from the live rows off the serving
-// path and hot-swaps it under the shard's RWMutex with zero search
+// and a row mask over the base, and every probe reads the base through the
+// mask and then the memtable (see probe); on an index that never mutates
+// the memtable stays empty and the mask nil. A mutable index adds the
+// writer state (mutState): mutations fill the memtable and set mask bits,
+// and a compaction rebuilds a shard's base from the live rows off the
+// serving path and hot-swaps it under the shard's RWMutex with zero search
 // downtime. The public lifecycle wrapper — background compaction,
 // counters, persistence — lives in MutableIndex (mutable.go).
 
@@ -68,23 +69,26 @@ type recordedEnable struct {
 }
 
 // shardSeg is one shard's segments. Its RWMutex guards the shard's entire
-// serving state — sx.shards[s], sx.globalID[s], mem, dead and mask —
-// against searches: searches hold the read lock for the duration of one
-// shard probe; mutations and the compaction hot swap take the write lock
+// serving state — sx.shards[s], sx.globalID[s], mem and mask — against
+// searches: searches hold the read lock for the duration of one shard
+// probe; mutations and the compaction hot swap take the write lock
 // briefly.
+//
+// The mask is the one record of the base rows a search must not answer: a
+// masked row whose ID the memtable holds is shadowed by that fresher
+// version, and one whose ID it does not hold is deleted.
 type shardSeg struct {
 	mu         sync.RWMutex
 	mem        *stream.Memtable
-	dead       *stream.Tombstones
 	baseHas    map[int]int32 // global ID → local row of the current base segment (nil until enableMutation)
-	mask       core.RowMask  // base rows hidden (tombstoned or shadowed by a memtable row); nil while none is
+	mask       core.RowMask  // base rows hidden (deleted or shadowed by a memtable row); nil while none is
 	compacting bool          // claimed by a running compaction (guarded by mutState.mu)
 }
 
 // hide masks the base row of global ID gid, if the base holds one. A base
-// row, once tombstoned or shadowed, stays hidden until a swap installs a
-// new base, so hide only ever sets bits. The caller holds mu, or owns a seg
-// no search can reach yet.
+// row, once deleted or shadowed, stays hidden until a swap installs a new
+// base, so hide only ever sets bits. The caller holds mu, or owns a seg no
+// search can reach yet.
 func (seg *shardSeg) hide(gid int) {
 	if l, ok := seg.baseHas[gid]; ok {
 		if seg.mask == nil {
@@ -94,17 +98,16 @@ func (seg *shardSeg) hide(gid int) {
 	}
 }
 
-// remask rebuilds mask from the segments as they stand: the base rows that
-// are tombstoned or shadowed by a memtable row. The caller holds mu, or
-// owns a seg no search can reach yet.
-func (seg *shardSeg) remask() {
-	seg.mask = nil
-	for _, gid := range seg.dead.IDs() {
-		seg.hide(gid)
-	}
+// deleted counts the shard's deleted base rows: the masked rows less those
+// a memtable row shadows. The caller holds mu (read or write).
+func (seg *shardSeg) deleted() int {
+	n := seg.mask.Count()
 	for i := 0; i < seg.mem.Len(); i++ {
-		seg.hide(seg.mem.ID(i))
+		if _, shadows := seg.baseHas[seg.mem.ID(i)]; shadows {
+			n--
+		}
 	}
+	return n
 }
 
 // mutState is the index-wide writer state; the segments it writes are
@@ -273,9 +276,11 @@ func (sx *ShardedIndex) mutUpsert(id int, v []float32) (int, error) {
 }
 
 // mutDelete removes the row with the given global ID, reporting whether it
-// was live. The row disappears from searches immediately (memtable rows
-// are dropped in place; base rows are tombstoned) and its storage is
-// reclaimed by the next compaction of the owning shard.
+// was live. The row disappears from searches immediately (a memtable row
+// is dropped in place, a base row masked) and its storage is reclaimed by
+// the next compaction of the owning shard. A row a running compaction is
+// folding into its new base is masked there at the swap (see
+// compactShard).
 func (sx *ShardedIndex) mutDelete(id int) (bool, error) {
 	m := sx.mut
 	m.mu.Lock()
@@ -298,11 +303,6 @@ func (sx *ShardedIndex) mutDelete(id int) (bool, error) {
 	seg.mu.Lock()
 	seg.mem.Remove(id)
 	seg.hide(id)
-	// Tombstone unconditionally: the ID may sit in the base segment, or be
-	// mid-flight into a rebuilt base an in-progress compaction is about to
-	// swap in. A tombstone for an ID no base holds filters nothing and is
-	// retired by the next compaction.
-	seg.dead.Add(id)
 	seg.mu.Unlock()
 	delete(m.owner, id)
 	m.liveN.Add(-1)
@@ -373,18 +373,18 @@ func (base *Index) compactRows(keep, memIDs []int, memVecs []float32) (*store.Ma
 	return mat, ms, basis, nil
 }
 
-// compactShard rebuilds shard s from its live rows — base minus
-// tombstones and shadowed rows, plus the memtable — builds every recorded
-// comparator over them around the rotation the old base used (see
-// inherit; nothing short of rebuilding the index trains a rotation
-// again), and hot-swaps the result in under the shard's write lock.
+// compactShard rebuilds shard s from its live rows — the unmasked base
+// rows plus the memtable — builds every recorded comparator over them
+// around the rotation the old base used (see inherit; nothing short of
+// rebuilding the index trains a rotation again), and hot-swaps the result
+// in under the shard's write lock.
 // Searches keep running against the old base for the whole build; the
 // swap itself is a few pointer stores. When another compaction holds the
 // shard, wait decides between leaving the shard to it and waiting for it
 // to finish and then compacting what it left behind — rows that arrived
 // after its snapshot. It returns false when there was nothing to do (no
-// pending segments, an unawaited concurrent compaction, or every row is
-// deleted).
+// hidden base row and no memtable row, an unawaited concurrent
+// compaction, or every row is deleted).
 func (sx *ShardedIndex) compactShard(s int, wait bool) (bool, CompactionInfo, error) {
 	m := sx.mut
 	if s < 0 || s >= len(sx.segs) {
@@ -412,35 +412,28 @@ func (sx *ShardedIndex) compactShard(s int, wait bool) (bool, CompactionInfo, er
 
 	// Snapshot the shard under the read lock: base and globalID are
 	// immutable objects (swaps replace, never mutate), the memtable and
-	// tombstones are copied.
+	// the mask are copied.
 	seg.mu.RLock()
 	base := sx.shards[s]
 	baseIDs := sx.globalID[s]
 	memIDs, memVecs, seqSnap := seg.mem.Snapshot()
-	deadSnap := seg.dead.Clone()
+	maskSnap := slices.Clone(seg.mask)
+	deleted := seg.deleted()
 	seg.mu.RUnlock()
 
-	if len(memIDs) == 0 && deadSnap.Len() == 0 {
+	if len(memIDs) == 0 && maskSnap.Count() == 0 {
 		return false, CompactionInfo{}, nil
 	}
 
-	// The rebuilt base holds the base rows that are neither tombstoned nor
-	// shadowed by a memtable row (keep lists them), then the memtable rows.
-	memSet := make(map[int]struct{}, len(memIDs))
-	for _, id := range memIDs {
-		memSet[id] = struct{}{}
-	}
+	// The rebuilt base holds the unmasked base rows (keep lists them), then
+	// the memtable rows.
 	keep := make([]int, 0, len(baseIDs))
 	ids := make([]int, 0, len(baseIDs)+len(memIDs))
 	for local, gid := range baseIDs {
-		if deadSnap.Has(gid) {
-			continue
+		if !maskSnap.Has(local) {
+			keep = append(keep, local)
+			ids = append(ids, gid)
 		}
-		if _, shadowed := memSet[gid]; shadowed {
-			continue
-		}
-		keep = append(keep, local)
-		ids = append(ids, gid)
 	}
 	ids = append(ids, memIDs...)
 	if len(ids) == 0 {
@@ -479,12 +472,13 @@ func (sx *ShardedIndex) compactShard(s int, wait bool) (bool, CompactionInfo, er
 			return false, CompactionInfo{}, fmt.Errorf("resinfer: swapping compacted shard %d: %w", s, ferr)
 		}
 	}
-	// Hot swap: everything after the snapshot point survives in the
-	// segments — memtable rows written during the build stay (and shadow
-	// their compacted versions), tombstones added during the build stay
-	// (and filter the rebuilt base), consumed tombstones retire. The
-	// surviving segments are small (bounded by build-time churn), so
-	// rebuilding the row mask under the lock is cheap.
+	// Hot swap: everything after the snapshot point survives — memtable
+	// rows written during the build stay, and the new mask hides the rows
+	// of the rebuilt base that the build's mutations made stale: an ID this
+	// shard no longer owns (deleted, or deleted and re-added on another
+	// shard) and an ID the surviving memtable holds (upserted again). Both
+	// are read under mut.mu, which every mutation holds, so the new
+	// segments are computed before the shard's write lock is taken.
 	m.mu.Lock()
 	// A mode enabled while the build was running was installed on the old
 	// base; replay it on the rebuilt index before installing, or searches
@@ -506,14 +500,24 @@ func (sx *ShardedIndex) compactShard(s int, wait bool) (bool, CompactionInfo, er
 	if basis == nil {
 		sx.model = nil // no longer the model of the shards' rows
 	}
+	mem := seg.mem.CompactAfter(seqSnap)
+	var mask core.RowMask
+	for l, gid := range ids {
+		if o, live := m.owner[gid]; live && o == s && !mem.Has(gid) {
+			continue
+		}
+		if mask == nil {
+			mask = core.NewRowMask(len(ids))
+		}
+		mask.Set(l)
+	}
 	seg.mu.Lock()
 	swapStart := time.Now()
 	sx.shards[s] = newIdx
 	sx.globalID[s] = ids
-	seg.mem = seg.mem.CompactAfter(seqSnap)
-	seg.dead.Subtract(deadSnap)
+	seg.mem = mem
 	seg.baseHas = newBaseHas
-	seg.remask()
+	seg.mask = mask
 	swapDur := time.Since(swapStart)
 	seg.mu.Unlock()
 	m.mu.Unlock()
@@ -522,17 +526,17 @@ func (sx *ShardedIndex) compactShard(s int, wait bool) (bool, CompactionInfo, er
 		Shard:         s,
 		Rows:          len(ids),
 		MemtableRows:  len(memIDs),
-		Tombstones:    deadSnap.Len(),
+		Tombstones:    deleted,
 		BuildDuration: buildDur,
 		SwapDuration:  swapDur,
 		LeadShare:     leadShare,
 	}, nil
 }
 
-// segDepth returns one shard's pending segment sizes.
-func (sx *ShardedIndex) segDepth(s int) (mem, dead int) {
+// segDepth returns one shard's memtable rows and deleted base rows.
+func (sx *ShardedIndex) segDepth(s int) (mem, deleted int) {
 	seg := sx.segs[s]
 	seg.mu.RLock()
 	defer seg.mu.RUnlock()
-	return seg.mem.Len(), seg.dead.Len()
+	return seg.mem.Len(), seg.deleted()
 }

@@ -3,6 +3,8 @@ package resinfer
 import (
 	"bytes"
 	"math"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"resinfer/internal/core"
@@ -97,17 +99,40 @@ func TestResetRotatedAnswersAsReset(t *testing.T) {
 // resetCounter decorates an evaluator and counts how a fan primes it.
 type resetCounter struct {
 	core.ResettableEvaluator
-	resets, rotated *int
+	resets, rotated *atomic.Int32
 }
 
 func (c resetCounter) Reset(q []float32) error {
-	*c.resets++
+	c.resets.Add(1)
 	return c.ResettableEvaluator.Reset(q)
 }
 
 func (c resetCounter) ResetRotated(rq []float32) error {
-	*c.rotated++
+	c.rotated.Add(1)
 	return c.ResettableEvaluator.ResetRotated(rq)
+}
+
+// countPrimes makes every session sx's shards draw for mode count into one
+// pair of counters, which it returns: the fans sx serves from then on are
+// counted. A session counted for an earlier call counts for this one only.
+func countPrimes(sx *ShardedIndex, mode Mode) (resets, rotated *atomic.Int32) {
+	resets, rotated = new(atomic.Int32), new(atomic.Int32)
+	for _, shard := range sx.shards {
+		shard.mu.Lock()
+		em := shard.modes[mode]
+		inner := em.pool
+		em.pool = &sync.Pool{New: func() any {
+			s := inner.Get().(*session)
+			if c, ok := s.ev.(resetCounter); ok {
+				s.ev = c.ResettableEvaluator
+			}
+			s.ev = resetCounter{s.ev, resets, rotated}
+			return s
+		}}
+		shard.modes[mode] = em
+		shard.mu.Unlock()
+	}
+	return resets, rotated
 }
 
 // primeCounts primes every shard's mode evaluator for q through one fan's
@@ -120,18 +145,19 @@ func primeCounts(t *testing.T, sx *ShardedIndex, q []float32, mode Mode) (resets
 	if err := sx.begin(fs, q, 10, mode, 0); err != nil {
 		t.Fatal(err)
 	}
+	var r, rr atomic.Int32
 	for _, shard := range sx.shards {
 		s, pool, err := shard.acquire(mode)
 		if err != nil {
 			t.Fatal(err)
 		}
-		err = fs.prime(resetCounter{s.ev, &resets, &rotated}, s.model)
+		err = fs.prime(resetCounter{s.ev, &r, &rr}, s.model)
 		pool.Put(s)
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	return resets, rotated
+	return int(r.Load()), int(rr.Load())
 }
 
 // TestFanProjectsOnce: a query fanned over the four shards of a ddc-res or
@@ -141,6 +167,15 @@ func primeCounts(t *testing.T, sx *ShardedIndex, q []float32, mode Mode) (resets
 // Refit of its own, sharing only Mean and Rotation with the others, so a
 // slot keyed by the model would have three of the four project again. A
 // shard with a rotation of its own takes Reset.
+//
+// Served fans are held to fanScratch.prime's promise too. Each shard is
+// primed once, and the probe that fills the slot takes ResetRotated. At
+// SearchWorkers 1 every shard takes ResetRotated. At SearchWorkers 2 a fan
+// takes at most one Reset — the helper's first probe, when it arrives while
+// the caller's is still projecting — unless the projecting goroutine is
+// held up (descheduled, or stopped for a stack scan) while the other probes
+// every shard left. That is rare, so more than one fan in ten doing it
+// fails the test: a slot the probes stopped sharing makes it every fan.
 func TestFanProjectsOnce(t *testing.T) {
 	ds, err := dataset.Generate(dataset.GenConfig{
 		Name: "fan-projects-once", N: 800, Dim: 48, Queries: 4, VE32: 0.7, Seed: 5,
@@ -149,12 +184,46 @@ func TestFanProjectsOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	modes := []Mode{DDCRes, ADSampling}
+	// Served fans at SearchWorkers 2, those that projected twice, and those
+	// that projected more often.
+	var fans, twice, more int
 	expect := func(when string, sx *ShardedIndex, wantResets, wantRotated int) {
 		t.Helper()
 		for _, m := range modes {
 			for qi, q := range ds.Queries {
 				if r, rr := primeCounts(t, sx, q, m); r != wantResets || rr != wantRotated {
 					t.Errorf("%s, %s query %d: %d Reset and %d ResetRotated, want %d and %d", when, m, qi, r, rr, wantResets, wantRotated)
+				}
+			}
+		}
+		if wantResets > 0 {
+			return
+		}
+		defer func(w int) { sx.workers = w }(sx.workers)
+		for _, workers := range []int{1, 2} {
+			sx.workers = workers
+			for _, m := range modes {
+				resets, rotated := countPrimes(sx, m)
+				for i := range 50 {
+					resets.Store(0)
+					rotated.Store(0)
+					if _, err := sx.Search(ds.Queries[i%len(ds.Queries)], 10, m, 0); err != nil {
+						t.Fatal(err)
+					}
+					r, rr := int(resets.Load()), int(rotated.Load())
+					if r+rr != len(sx.shards) || rr == 0 || workers == 1 && r > 0 {
+						t.Errorf("%s, %s fan at %d workers: %d Reset and %d ResetRotated, want %d primes, one rotated at least, and no Reset at 1 worker",
+							when, m, workers, r, rr, len(sx.shards))
+					}
+					if workers == 2 {
+						fans++
+						switch {
+						case r == 1:
+							twice++
+						case r > 1:
+							more++
+						}
+					}
 				}
 			}
 		}
@@ -227,4 +296,8 @@ func TestFanProjectsOnce(t *testing.T) {
 	}
 	legacy.initFanPool()
 	expect("with a rotation per shard", legacy, 3, 1)
+	t.Logf("%d of %d fans at SearchWorkers 2 projected twice, %d more often", twice, fans, more)
+	if more*10 > fans {
+		t.Errorf("%d of %d fans at SearchWorkers 2 took more than one Reset", more, fans)
+	}
 }

@@ -91,7 +91,7 @@ type ShardedIndex struct {
 	model *pca.Model
 
 	// segs holds every shard's segments (see shardSeg): on an index that
-	// never mutates, an empty memtable and tombstone set each, so every
+	// never mutates, an empty memtable and a nil row mask each, so every
 	// shard answers through one probe.
 	segs []*shardSeg
 
@@ -199,8 +199,10 @@ type rotSlot struct {
 // the same microsecond — projects for itself: that takes as long as waiting
 // would, and does not park a core that then needs a thread wake-up to come
 // back. So does one whose rotation is not the slot's: an index assembled
-// from shards that each trained their own. A fan projects once and, at
-// most, once more per extra worker, however many shards there are.
+// from shards that each trained their own. A fan projects once and, unless
+// the first probe is held up mid-projection (descheduled, or stopped for a
+// stack scan) while the others probe on, at most once more per extra
+// worker, however many shards there are.
 //
 //resinfer:noalloc
 func (fs *fanScratch) prime(ev core.ResettableEvaluator, model *pca.Model) error {
@@ -245,7 +247,7 @@ func (sx *ShardedIndex) initFanPool() {
 	dim := sx.shards[0].dim
 	sx.segs = make([]*shardSeg, n)
 	for s := range sx.segs {
-		sx.segs[s] = &shardSeg{mem: stream.NewMemtable(sx.userDim), dead: stream.NewTombstones()}
+		sx.segs[s] = &shardSeg{mem: stream.NewMemtable(sx.userDim)}
 	}
 	sx.qmetric = &metricState{kind: sx.metric}
 	if sx.metric == InnerProduct {
@@ -539,7 +541,7 @@ var errFanAbandoned = errors.New("resinfer: every shard abandoned at deadline")
 // searchFan queries the shards through pooled per-shard result buffers,
 // then merges into dst. The query is moved into the internal space once,
 // here, and rotated once, by the first probe that needs it
-// (fanScratch.reset). A nil ctx is the plain path: the caller and up to
+// (fanScratch.prime). A nil ctx is the plain path: the caller and up to
 // workers-1 helpers probe the shards, any shard error fails the whole
 // query, nothing is traced, and the query allocates nothing at steady
 // state beyond what spawning the helpers costs (nothing at all for
@@ -839,7 +841,7 @@ func (sx *ShardedIndex) searchShardObs(s int, fs *fanScratch) {
 // probe is the one shard probe, served or ground truth: under the shard's
 // segment read lock (so a concurrent hot swap can never tear the base,
 // globalID and segments), the base is searched for k rows with the
-// shard's row mask, which hides its tombstoned and shadowed rows inside
+// shard's row mask, which hides its deleted and shadowed rows inside
 // the scan or walk, so every base hit is live. The hits are translated to
 // global IDs and merge keys (mergeReady), and the memtable is scanned
 // exactly into the same bounded queue.
@@ -910,7 +912,7 @@ func (sx *ShardedIndex) mergeReady(base *Index, gids []int, ns []Neighbor, q []f
 }
 
 // merge k-way-merges the per-shard results — already global IDs and merge
-// keys, see mergeReady — through the bounded result queue. Tombstoned and
+// keys, see mergeReady — through the bounded result queue. Deleted and
 // shadowed rows are already masked out (see probe); the merge
 // additionally drops any duplicate global ID so a row can never be
 // reported twice across shards.
@@ -1114,7 +1116,7 @@ func (sx *ShardedIndex) Modes() []Mode {
 // every shard with its enabled comparators — as one stream: a container
 // header followed by each shard in the single-index format. A mutable
 // index must be saved through MutableIndex.Save, which additionally
-// persists the memtable and tombstone segments; saving it here would
+// persists the memtables and the deleted base rows; saving it here would
 // silently drop pending mutations, so it is refused.
 func (sx *ShardedIndex) Save(w io.Writer) error {
 	if sx.mut != nil {
