@@ -132,15 +132,18 @@ func TestSuffixWeightedSq(t *testing.T) {
 			t.Fatalf("SuffixWeightedSq[%d] = %v, want %v", i, got[i], want[i])
 		}
 	}
-	// At a length no SIMD block divides, each entry is its suffix summed
-	// from the end.
+}
+
+// At a length no SIMD block divides, each entry is its suffix summed from
+// the end.
+func TestSuffixWeightedSqOddLength(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
-	a, w = make([]float32, 33), make([]float32, 33)
+	a, w := make([]float32, 33), make([]float32, 33)
 	for i := range a {
 		a[i] = float32(rng.NormFloat64())
 		w[i] = float32(rng.Float64())
 	}
-	got = SuffixWeightedSq(a, w)
+	got := SuffixWeightedSq(a, w)
 	for d := range got {
 		var want float64
 		for i := len(a) - 1; i >= d; i-- {
