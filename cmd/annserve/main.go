@@ -73,7 +73,7 @@ func main() {
 		reqTimeout = flag.Duration("request-timeout", 30*time.Second, "end-to-end deadline per search request: past it the merged partial result is served (or 503 with require_full)")
 		maxQueue   = flag.Int("max-queue", 0, "admission-queue shed watermark: queries past it get HTTP 429 (0 = 64×batch-max, negative disables)")
 		drainGrace = flag.Duration("drain-timeout", 5*time.Second, "graceful-shutdown grace for in-flight requests and the final WAL sync + checkpoint")
-		faultSpec  = flag.String("faults", "", "fault-injection spec for chaos testing, e.g. 'wal.fsync:delay=5ms;shard.search:err=stuck,arg=1' (also via RESINFER_FAULTS)")
+		faultSpec  = flag.String("faults", "", "fault-injection spec for chaos testing, e.g. 'wal.fsync:delay=5ms;shard.search:err=stuck,arg=1'")
 
 		slowlogThresh = flag.Duration("slowlog-threshold", 250*time.Millisecond, "requests slower than this land in GET /debug/slowlog with per-stage timings (negative disables)")
 		accessLog     = flag.Bool("access-log", false, "emit one structured line per request to stderr")
@@ -112,11 +112,7 @@ func main() {
 	if joinURL != "" && *walDir != "" {
 		log.Fatalf("annserve: -join and -wal-dir conflict: a replica's durability is the primary's WAL; on restart it re-joins from a fresh snapshot")
 	}
-	spec := *faultSpec
-	if spec == "" {
-		spec = os.Getenv("RESINFER_FAULTS")
-	}
-	if spec != "" {
+	if spec := *faultSpec; spec != "" {
 		if err := fault.ParseSpec(spec); err != nil {
 			log.Fatalf("annserve: %v", err)
 		}
@@ -168,7 +164,7 @@ func main() {
 	}
 
 	if len(peers) > 0 {
-		set := replica.NewSet(peers, repClient, replica.SetOptions{})
+		set := replica.NewSet(peers, repClient)
 		set.Start()
 		defer set.Close()
 		initial := *hedgeDelay

@@ -63,11 +63,6 @@ func (sx *ShardedIndex) SetHedgeDelay(d time.Duration) {
 	sx.hedgeDelayNs.Store(int64(d))
 }
 
-// HedgeDelay returns the current per-shard hedge delay.
-func (sx *ShardedIndex) HedgeDelay() time.Duration {
-	return time.Duration(sx.hedgeDelayNs.Load())
-}
-
 // HedgeStats returns how many shard probes were hedged and how many
 // hedges delivered the shard's first good answer — the counters behind
 // resinfer_hedged_total and resinfer_hedge_wins_total.

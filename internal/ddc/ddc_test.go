@@ -3,6 +3,7 @@ package ddc
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -326,7 +327,7 @@ func TestResPrefixTable(t *testing.T) {
 
 func TestCollectSamples(t *testing.T) {
 	ds := getDS(t)
-	samples, err := CollectSamples(ds.Matrix(), ds.Train[:10], CollectConfig{K: 20, NegPerQuery: 30, Seed: 1})
+	samples, err := CollectSamples(ds.Matrix(), ds.Train[:10], 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +360,7 @@ func TestCollectSamples(t *testing.T) {
 				t.Fatal("stored exact distance mismatch")
 			}
 		}
-		if n0 != 20 || n1 == 0 {
+		if n0 != collectK || n1 == 0 {
 			t.Fatalf("n0=%d n1=%d", n0, n1)
 		}
 	}
@@ -367,20 +368,40 @@ func TestCollectSamples(t *testing.T) {
 
 func TestCollectSamplesErrors(t *testing.T) {
 	ds := getDS(t)
-	if _, err := CollectSamples(nil, ds.Train[:1], CollectConfig{}); err == nil {
+	if _, err := CollectSamples(nil, ds.Train[:1], 0); err == nil {
 		t.Fatal("expected empty-data error")
 	}
-	if _, err := CollectSamples(ds.Matrix(), nil, CollectConfig{}); err == nil {
+	if _, err := CollectSamples(ds.Matrix(), nil, 0); err == nil {
 		t.Fatal("expected no-queries error")
+	}
+}
+
+// TestCollectSamplesIndependentOfGOMAXPROCS pins what lets collection run
+// on every core with no worker setting: each query draws from its own
+// seeded source, so one seed gives the same samples on one core or two.
+func TestCollectSamplesIndependentOfGOMAXPROCS(t *testing.T) {
+	ds := getDS(t)
+	collect := func(procs int) []QuerySamples {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		samples, err := CollectSamples(ds.Matrix(), ds.Train[:12], 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return samples
+	}
+	one, two := collect(1), collect(2)
+	for qi := range one {
+		a, b := one[qi], two[qi]
+		if !slices.Equal(a.Query, b.Query) || math.Float32bits(a.Tau) != math.Float32bits(b.Tau) ||
+			!slices.Equal(a.IDs, b.IDs) || !slices.Equal(a.Exact, b.Exact) || !slices.Equal(a.Labels, b.Labels) {
+			t.Fatalf("query %d: samples at GOMAXPROCS 1 differ from those at 2", qi)
+		}
 	}
 }
 
 func TestPCADCOBasics(t *testing.T) {
 	ds := getDS(t)
-	p, err := NewPCA(ds.Matrix(), ds.Train, PCAConfig{
-		Seed:    2,
-		Collect: CollectConfig{K: 20, NegPerQuery: 40},
-	})
+	p, err := NewPCA(ds.Matrix(), ds.Train, PCAConfig{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +433,6 @@ func TestPCADCOFalsePruneRate(t *testing.T) {
 	p, err := NewPCA(ds.Matrix(), ds.Train, PCAConfig{
 		Seed:         3,
 		TargetRecall: 0.995,
-		Collect:      CollectConfig{K: 20, NegPerQuery: 60},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -448,10 +468,6 @@ func TestPCADCOFalsePruneRate(t *testing.T) {
 
 func TestPCADCOLevelValidation(t *testing.T) {
 	ds := getDS(t)
-	if _, err := NewPCA(ds.Matrix(), ds.Train, PCAConfig{Levels: []int{64}, Seed: 1,
-		Collect: CollectConfig{K: 10, NegPerQuery: 20}}); err == nil {
-		t.Fatal("expected level >= dim error")
-	}
 	if _, err := NewPCA(ds.Matrix(), ds.Train, PCAConfig{TargetRecall: 1.5, Seed: 1}); err == nil {
 		t.Fatal("expected target recall error")
 	}
@@ -461,7 +477,6 @@ func TestOPQDCOBasics(t *testing.T) {
 	ds := getDS(t)
 	o, err := NewOPQ(ds.Matrix(), ds.Train, OPQConfig{
 		M: 8, Nbits: 6, OPQIters: 2, Seed: 4,
-		Collect: CollectConfig{K: 20, NegPerQuery: 40},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -490,7 +505,6 @@ func TestOPQDCOPrunesAggressively(t *testing.T) {
 	ds := getDS(t)
 	o, err := NewOPQ(ds.Matrix(), ds.Train, OPQConfig{
 		M: 8, Nbits: 6, OPQIters: 2, Seed: 5,
-		Collect: CollectConfig{K: 20, NegPerQuery: 60},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -527,7 +541,6 @@ func TestOPQDCONoResidualFeature(t *testing.T) {
 	ds := getDS(t)
 	o, err := NewOPQ(ds.Matrix(), ds.Train[:30], OPQConfig{
 		M: 8, Nbits: 4, OPQIters: 1, Seed: 6, DisableResidualFeature: true,
-		Collect: CollectConfig{K: 10, NegPerQuery: 30},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -654,11 +667,11 @@ func TestPruneAgreesWithCompare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pcaDCO, err := NewPCA(ds.Matrix(), ds.Train, PCAConfig{Seed: 2, Collect: CollectConfig{K: 20, NegPerQuery: 40}})
+	pcaDCO, err := NewPCA(ds.Matrix(), ds.Train, PCAConfig{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opq, err := NewOPQ(ds.Matrix(), ds.Train, OPQConfig{M: 8, Nbits: 6, OPQIters: 2, Seed: 4, Collect: CollectConfig{K: 20, NegPerQuery: 40}})
+	opq, err := NewOPQ(ds.Matrix(), ds.Train, OPQConfig{M: 8, Nbits: 6, OPQIters: 2, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

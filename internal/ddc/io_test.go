@@ -73,9 +73,7 @@ func TestResRoundTripCorruption(t *testing.T) {
 
 func TestPCADCORoundTrip(t *testing.T) {
 	ds := getDS(t)
-	orig, err := NewPCA(ds.Matrix(), ds.Train[:30], PCAConfig{
-		Seed: 45, Collect: CollectConfig{K: 10, NegPerQuery: 20},
-	})
+	orig, err := NewPCA(ds.Matrix(), ds.Train[:30], PCAConfig{Seed: 45})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +107,6 @@ func TestOPQDCORoundTrip(t *testing.T) {
 	ds := getDS(t)
 	orig, err := NewOPQ(ds.Matrix(), ds.Train[:30], OPQConfig{
 		M: 8, Nbits: 4, OPQIters: 1, Seed: 47,
-		Collect: CollectConfig{K: 10, NegPerQuery: 20},
 	})
 	if err != nil {
 		t.Fatal(err)

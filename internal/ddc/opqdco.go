@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 
 	"resinfer/internal/core"
 	"resinfer/internal/learn"
@@ -32,10 +31,7 @@ type OPQConfig struct {
 	// the classifier (used by the feature-ablation benchmark). The zero
 	// value keeps the feature on, matching the paper's configuration.
 	DisableResidualFeature bool
-	Collect                CollectConfig
-	TrainEpochs            int
 	Seed                   int64
-	Workers                int
 }
 
 // OPQDCO is the DDCopq comparator.
@@ -67,9 +63,6 @@ func NewOPQ(data *store.Matrix, trainQueries [][]float32, cfg OPQConfig) (*OPQDC
 	}
 	if cfg.Nbits <= 0 {
 		cfg.Nbits = 8
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
 	if cfg.TargetRecall == 0 {
 		cfg.TargetRecall = 0.995
@@ -119,16 +112,10 @@ func NewOPQ(data *store.Matrix, trainQueries [][]float32, cfg OPQConfig) (*OPQDC
 // Retrain refits the correction classifier on new training queries without
 // retraining OPQ — the OOD mitigation of §V-C.
 func (o *OPQDCO) Retrain(trainQueries [][]float32, cfg OPQConfig) error {
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
 	if cfg.TargetRecall == 0 {
 		cfg.TargetRecall = 0.995
 	}
-	cc := cfg.Collect
-	cc.Seed = cfg.Seed
-	cc.Workers = cfg.Workers
-	samples, err := CollectSamples(o.data, trainQueries, cc)
+	samples, err := CollectSamples(o.data, trainQueries, cfg.Seed)
 	if err != nil {
 		return err
 	}
@@ -151,7 +138,6 @@ func (o *OPQDCO) Retrain(trainQueries [][]float32, cfg OPQConfig) error {
 		}
 	}
 	clf, err := learn.Train(feats, labels, learn.Config{
-		Epochs:        cfg.TrainEpochs,
 		Seed:          cfg.Seed,
 		TargetRecall0: cfg.TargetRecall,
 	})

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 
 	"resinfer/internal/core"
 	"resinfer/internal/learn"
@@ -16,19 +15,13 @@ import (
 // PCAConfig controls DDCpca: the data-driven correction over plain PCA
 // projected distances (§V-B, "we use a straightforward PCA projection as an
 // approximate distance measure without applying the decomposition").
+// Classifiers are trained at the projection depths 32, 64, 128, ... below
+// Dim (Incremental Correction, §V-B), or at Dim/2 when Dim ≤ 32.
 type PCAConfig struct {
-	// Levels are the projection depths at which classifiers are trained
-	// (Incremental Correction, §V-B). Default: 32, 64, 128, ... up to but
-	// excluding Dim.
-	Levels []int
 	// TargetRecall is the label-0 recall target r for the adaptive
 	// boundary adjustment; default 0.995 (Exp-2's best tradeoff).
 	TargetRecall float64
-	Collect      CollectConfig
-	TrainEpochs  int
-	PCASample    int
 	Seed         int64
-	Workers      int
 }
 
 // PCADCO is the DDCpca comparator.
@@ -46,7 +39,7 @@ type PCADCO struct {
 // NewPCA trains PCA, collects labeled samples from trainQueries, and fits
 // one linear classifier per projection level, over a rotated copy it owns.
 func NewPCA(data *store.Matrix, trainQueries [][]float32, cfg PCAConfig) (*PCADCO, error) {
-	rotated, model, err := project(data, cfg.PCASample, cfg.Seed, cfg.Workers)
+	rotated, model, err := project(data, 0, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -63,19 +56,15 @@ func NewPCARotated(rotated *store.Matrix, trainQueries [][]float32, model *pca.M
 	if cfg.TargetRecall < 0 || cfg.TargetRecall > 1 {
 		return nil, fmt.Errorf("ddc: target recall %v outside (0,1]", cfg.TargetRecall)
 	}
-	levels := cfg.Levels
-	if len(levels) == 0 {
-		for d := 32; d < dim; d *= 2 {
-			levels = append(levels, d)
-		}
-		if len(levels) == 0 { // dim <= 32
-			levels = []int{dim / 2}
-		}
+	if dim < 2 {
+		return nil, fmt.Errorf("ddc: DDCpca needs at least 2 dimensions, got %d", dim)
 	}
-	for _, l := range levels {
-		if l <= 0 || l >= dim {
-			return nil, fmt.Errorf("ddc: level %d outside (0, %d)", l, dim)
-		}
+	var levels []int
+	for d := 32; d < dim; d *= 2 {
+		levels = append(levels, d)
+	}
+	if len(levels) == 0 { // dim <= 32
+		levels = []int{dim / 2}
 	}
 
 	p := &PCADCO{rotated: rotated, model: model, levels: levels, dim: dim}
@@ -127,9 +116,6 @@ func (p *PCADCO) Levels() []int { return p.levels }
 // touching the PCA model or rotated data — the OOD mitigation of §V-C
 // (retraining with ~100 OOD queries).
 func (p *PCADCO) Retrain(trainQueries [][]float32, cfg PCAConfig) error {
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
 	if cfg.TargetRecall == 0 {
 		cfg.TargetRecall = 0.995
 	}
@@ -147,10 +133,7 @@ func (p *PCADCO) Retrain(trainQueries [][]float32, cfg PCAConfig) error {
 			return fmt.Errorf("ddc: training query %d: %w", i, err)
 		}
 	}
-	cc := cfg.Collect
-	cc.Seed = cfg.Seed
-	cc.Workers = cfg.Workers
-	samples, err := CollectSamples(p.rotated, rq, cc)
+	samples, err := CollectSamples(p.rotated, rq, cfg.Seed)
 	if err != nil {
 		return err
 	}
@@ -166,7 +149,6 @@ func (p *PCADCO) Retrain(trainQueries [][]float32, cfg PCAConfig) error {
 			}
 		}
 		clf, err := learn.Train(feats, labels, learn.Config{
-			Epochs:        cfg.TrainEpochs,
 			Seed:          cfg.Seed + int64(li),
 			TargetRecall0: cfg.TargetRecall,
 		})

@@ -40,8 +40,6 @@ type ResConfig struct {
 	// PCASample caps rows used for PCA training (0 = all).
 	PCASample int
 	Seed      int64
-	// Workers parallelizes the one-time data rotation; default GOMAXPROCS.
-	Workers int
 }
 
 // Res is the DDCres comparator.
@@ -62,7 +60,7 @@ type Res struct {
 
 // NewRes trains PCA on data and builds DDCres over a rotated copy it owns.
 func NewRes(data *store.Matrix, cfg ResConfig) (*Res, error) {
-	rotated, model, err := project(data, cfg.PCASample, cfg.Seed, cfg.Workers)
+	rotated, model, err := project(data, cfg.PCASample, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -70,12 +68,12 @@ func NewRes(data *store.Matrix, cfg ResConfig) (*Res, error) {
 }
 
 // project trains PCA on data and rotates data's rows into its basis.
-func project(data *store.Matrix, sample int, seed int64, workers int) (*store.Matrix, *pca.Model, error) {
+func project(data *store.Matrix, sample int, seed int64) (*store.Matrix, *pca.Model, error) {
 	model, err := pca.Train(pca.Config{SampleSize: sample, Seed: seed}, data)
 	if err != nil {
 		return nil, nil, err
 	}
-	rotated, err := model.ProjectMatrix(data, workers)
+	rotated, err := model.ProjectMatrix(data, 0)
 	return rotated, model, err
 }
 

@@ -28,47 +28,36 @@ type QuerySamples struct {
 	Labels []int     // 1 iff Exact > Tau
 }
 
-// CollectConfig controls sample collection.
-type CollectConfig struct {
-	K           int // neighbors per query (label 0); default 100
-	NegPerQuery int // label-1 samples per query; default 100
-	Seed        int64
-	Workers     int
-}
+// Each training query labels its collectK nearest neighbors 0 and
+// collectNeg random farther points 1.
+const (
+	collectK   = 100
+	collectNeg = 100
+)
 
 // CollectSamples labels candidates for every training query against the
-// rows of data using exact distances. Queries run in parallel.
-func CollectSamples(data *store.Matrix, queries [][]float32, cfg CollectConfig) ([]QuerySamples, error) {
+// rows of data using exact distances. Queries run in parallel, each on its
+// own seeded source, so the samples do not depend on GOMAXPROCS.
+func CollectSamples(data *store.Matrix, queries [][]float32, seed int64) ([]QuerySamples, error) {
 	if data == nil || data.Rows() == 0 {
 		return nil, errors.New("ddc: empty data")
 	}
 	if len(queries) == 0 {
 		return nil, errors.New("ddc: no training queries")
 	}
-	if cfg.K <= 0 {
-		cfg.K = 100
-	}
-	if cfg.K > data.Rows() {
-		cfg.K = data.Rows()
-	}
-	if cfg.NegPerQuery <= 0 {
-		cfg.NegPerQuery = 100
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
+	k := min(collectK, data.Rows())
 	out := make([]QuerySamples, len(queries))
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, cfg.Workers)
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	for qi := range queries {
 		wg.Add(1)
 		sem <- struct{}{}
 		go func(qi int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			rng := rand.New(rand.NewSource(cfg.Seed + int64(qi)*104729))
+			rng := rand.New(rand.NewSource(seed + int64(qi)*104729))
 			q := queries[qi]
-			rq := heap.NewResultQueue(cfg.K)
+			rq := heap.NewResultQueue(k)
 			flat, dim := data.Flat(), data.Dim()
 			for id := 0; id < data.Rows(); id++ {
 				d := vec.L2SqFlat(q, flat, id*dim)
@@ -89,7 +78,7 @@ func CollectSamples(data *store.Matrix, queries [][]float32, cfg CollectConfig) 
 			// Negatives: rejection-sample points beyond tau. Nearly every
 			// random point qualifies, so the attempt cap is generous.
 			negs := 0
-			for attempts := 0; negs < cfg.NegPerQuery && attempts < cfg.NegPerQuery*20; attempts++ {
+			for attempts := 0; negs < collectNeg && attempts < collectNeg*20; attempts++ {
 				id := rng.Intn(data.Rows())
 				if _, ok := inKNN[id]; ok {
 					continue

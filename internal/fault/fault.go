@@ -12,8 +12,7 @@
 // RNG (deterministic across runs), and bounded to a firing limit.
 //
 // Faults are armed in-process with Inject (tests) or from a spec string
-// with ParseSpec (the annserve -faults flag and the RESINFER_FAULTS
-// environment variable), e.g.:
+// with ParseSpec (the annserve -faults flag), e.g.:
 //
 //	wal.fsync:delay=5ms
 //	shard.search:err=stuck,arg=1;wal.append:err=disk,p=0.5,limit=3

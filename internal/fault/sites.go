@@ -2,8 +2,8 @@
 // in the serving stack must pass one of the constants below — the
 // faultsite analyzer in tools/resinferlint enforces this — and
 // ParseSpec rejects spec strings naming a site that is not registered
-// here, so a typo in an annserve -faults flag or RESINFER_FAULTS value
-// fails at flag-parse time instead of silently arming nothing.
+// here, so a typo in an annserve -faults flag fails at flag-parse time
+// instead of silently arming nothing.
 //
 // Adding a site is a two-line change: declare the constant and add it
 // to knownSites. Tests arming ad-hoc sites through Inject are exempt;

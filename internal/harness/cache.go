@@ -273,10 +273,7 @@ func (a *Artifacts) DCO(mode string) (core.DCO, error) {
 	case ModePCA:
 		if a.pcadco == nil {
 			err := a.timed("pca", func() error {
-				d, err := ddc.NewPCA(a.ds.Matrix(), a.ds.Train, ddc.PCAConfig{
-					Seed:    a.Profile.Seed,
-					Collect: ddc.CollectConfig{K: 100, NegPerQuery: 100},
-				})
+				d, err := ddc.NewPCA(a.ds.Matrix(), a.ds.Train, ddc.PCAConfig{Seed: a.Profile.Seed})
 				if err != nil {
 					return err
 				}
@@ -295,7 +292,6 @@ func (a *Artifacts) DCO(mode string) (core.DCO, error) {
 					OPQIters:  3,
 					OPQSample: 4096,
 					Seed:      a.Profile.Seed,
-					Collect:   ddc.CollectConfig{K: 100, NegPerQuery: 100},
 				})
 				if err != nil {
 					return err

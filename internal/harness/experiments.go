@@ -182,7 +182,6 @@ func RunExp2(w io.Writer) error {
 		for _, r := range targets {
 			if err := pcad.Retrain(ds.Train, ddc.PCAConfig{
 				Seed: a.Profile.Seed, TargetRecall: r,
-				Collect: ddc.CollectConfig{K: 100, NegPerQuery: 100},
 			}); err != nil {
 				return err
 			}
@@ -194,7 +193,6 @@ func RunExp2(w io.Writer) error {
 
 			if err := opqd.Retrain(ds.Train, ddc.OPQConfig{
 				Seed: a.Profile.Seed, TargetRecall: r,
-				Collect: ddc.CollectConfig{K: 100, NegPerQuery: 100},
 			}); err != nil {
 				return err
 			}
@@ -205,16 +203,10 @@ func RunExp2(w io.Writer) error {
 			opqCurves = append(opqCurves, Curve{Label: fmt.Sprintf("r=%.3f", r), Points: pts})
 		}
 		// Restore the default calibration for later experiments.
-		if err := pcad.Retrain(ds.Train, ddc.PCAConfig{
-			Seed:    a.Profile.Seed,
-			Collect: ddc.CollectConfig{K: 100, NegPerQuery: 100},
-		}); err != nil {
+		if err := pcad.Retrain(ds.Train, ddc.PCAConfig{Seed: a.Profile.Seed}); err != nil {
 			return err
 		}
-		if err := opqd.Retrain(ds.Train, ddc.OPQConfig{
-			Seed:    a.Profile.Seed,
-			Collect: ddc.CollectConfig{K: 100, NegPerQuery: 100},
-		}); err != nil {
+		if err := opqd.Retrain(ds.Train, ddc.OPQConfig{Seed: a.Profile.Seed}); err != nil {
 			return err
 		}
 		RenderCurves(w, fmt.Sprintf("%s (HNSW-DDCpca) target-recall sweep, recall@20", name), "ef", ds.Dim, pcaCurves)
@@ -414,15 +406,12 @@ func RunExp5(w io.Writer) error {
 			return err
 		})
 		pcaTrainT := timeIt(func() error {
-			_, err := ddc.NewPCA(slice, train, ddc.PCAConfig{
-				Seed: 1, Collect: ddc.CollectConfig{K: 100, NegPerQuery: 100},
-			})
+			_, err := ddc.NewPCA(slice, train, ddc.PCAConfig{Seed: 1})
 			return err
 		})
 		opqTrainT := timeIt(func() error {
 			_, err := ddc.NewOPQ(slice, train, ddc.OPQConfig{
 				OPQIters: 3, OPQSample: 4096, Seed: 1,
-				Collect: ddc.CollectConfig{K: 100, NegPerQuery: 100},
 			})
 			return err
 		})

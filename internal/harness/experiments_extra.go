@@ -255,18 +255,14 @@ func runOOD(w io.Writer, retrain bool) error {
 		if err != nil {
 			return err
 		}
-		if err := pcaDCO.(*ddc.PCADCO).Retrain(oodTrain, ddc.PCAConfig{
-			Seed: a.Profile.Seed, Collect: ddc.CollectConfig{K: 100, NegPerQuery: 100},
-		}); err != nil {
+		if err := pcaDCO.(*ddc.PCADCO).Retrain(oodTrain, ddc.PCAConfig{Seed: a.Profile.Seed}); err != nil {
 			return err
 		}
 		opqDCO, err := a.DCO(ModeOPQ)
 		if err != nil {
 			return err
 		}
-		if err := opqDCO.(*ddc.OPQDCO).Retrain(oodTrain, ddc.OPQConfig{
-			Seed: a.Profile.Seed, Collect: ddc.CollectConfig{K: 100, NegPerQuery: 100},
-		}); err != nil {
+		if err := opqDCO.(*ddc.OPQDCO).Retrain(oodTrain, ddc.OPQConfig{Seed: a.Profile.Seed}); err != nil {
 			return err
 		}
 	}
@@ -297,15 +293,11 @@ func runOOD(w io.Writer, retrain bool) error {
 		// Restore default calibration so later experiments see the
 		// in-distribution classifiers.
 		pcaDCO, _ := a.DCO(ModePCA)
-		if err := pcaDCO.(*ddc.PCADCO).Retrain(ds.Train, ddc.PCAConfig{
-			Seed: a.Profile.Seed, Collect: ddc.CollectConfig{K: 100, NegPerQuery: 100},
-		}); err != nil {
+		if err := pcaDCO.(*ddc.PCADCO).Retrain(ds.Train, ddc.PCAConfig{Seed: a.Profile.Seed}); err != nil {
 			return err
 		}
 		opqDCO, _ := a.DCO(ModeOPQ)
-		if err := opqDCO.(*ddc.OPQDCO).Retrain(ds.Train, ddc.OPQConfig{
-			Seed: a.Profile.Seed, Collect: ddc.CollectConfig{K: 100, NegPerQuery: 100},
-		}); err != nil {
+		if err := opqDCO.(*ddc.OPQDCO).Retrain(ds.Train, ddc.OPQConfig{Seed: a.Profile.Seed}); err != nil {
 			return err
 		}
 	}
@@ -411,7 +403,6 @@ func RunAblationOPQFeature(w io.Writer) error {
 		dco, err := ddc.NewOPQ(ds.Matrix(), ds.Train, ddc.OPQConfig{
 			OPQIters: 3, OPQSample: 4096, Seed: a.Profile.Seed,
 			DisableResidualFeature: disable,
-			Collect:                ddc.CollectConfig{K: 100, NegPerQuery: 100},
 		})
 		if err != nil {
 			return err

@@ -468,7 +468,7 @@ func TestPrunedDistanceIsAnEstimate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pca, err := ddc.NewPCA(ds.Matrix(), ds.Train, ddc.PCAConfig{Levels: []int{16, 32, 64}, Seed: 4})
+	pca, err := ddc.NewPCA(ds.Matrix(), ds.Train, ddc.PCAConfig{Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

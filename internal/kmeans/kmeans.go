@@ -20,13 +20,11 @@ type Config struct {
 	K        int   // number of centroids (required, >= 1)
 	MaxIters int   // Lloyd iterations; default 25
 	Seed     int64 // RNG seed for k-means++ and empty-cluster repair
-	// MinShift stops early when no centroid moved more than this squared
-	// distance in an iteration; default 1e-6.
-	MinShift float64
-	// Workers bounds parallelism for the assignment step; default
-	// runtime.GOMAXPROCS(0).
-	Workers int
 }
+
+// minShift stops training early when no centroid moved more than this
+// squared distance in an iteration.
+const minShift = 1e-6
 
 // Result holds a trained clustering.
 type Result struct {
@@ -52,9 +50,6 @@ func Train(data *store.Matrix, cfg Config) (*Result, error) {
 	if cfg.MaxIters <= 0 {
 		cfg.MaxIters = 25
 	}
-	if cfg.MinShift <= 0 {
-		cfg.MinShift = 1e-6
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
 	centroids := seedPlusPlus(data, cfg.K, rng)
@@ -64,7 +59,7 @@ func Train(data *store.Matrix, cfg Config) (*Result, error) {
 	dists := make([]float32, n)
 	for iter := 0; iter < cfg.MaxIters; iter++ {
 		res.Iterations = iter + 1
-		assignParallel(data, centroids, assign, dists, cfg.Workers)
+		assignParallel(data, centroids, assign, dists)
 
 		// Recompute centroids.
 		sums := make([][]float64, cfg.K)
@@ -104,12 +99,12 @@ func Train(data *store.Matrix, cfg Config) (*Result, error) {
 			}
 		}
 		copy(res.Sizes, counts)
-		if maxShift < cfg.MinShift {
+		if maxShift < minShift {
 			break
 		}
 	}
 	// Final assignment against the final centroids.
-	assignParallel(data, centroids, assign, dists, cfg.Workers)
+	assignParallel(data, centroids, assign, dists)
 	for k := range res.Sizes {
 		res.Sizes[k] = 0
 	}
@@ -251,8 +246,10 @@ func seedPlusPlus(data *store.Matrix, k int, rng *rand.Rand) *store.Matrix {
 	return centroids
 }
 
-func assignParallel(data, centroids *store.Matrix, assign []int, dists []float32, workers int) {
-	par.Range(data.Rows(), workers, func(lo, hi int) {
+// assignParallel assigns each row to its nearest centroid over GOMAXPROCS
+// workers; each row's answer is its own, so the split changes nothing.
+func assignParallel(data, centroids *store.Matrix, assign []int, dists []float32) {
+	par.Range(data.Rows(), 0, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			assign[i], dists[i] = NearestCentroid(centroids, data.Row(i))
 		}

@@ -3,6 +3,7 @@ package kmeans
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -209,9 +210,10 @@ func TestDuplicatePointsDoNotCrash(t *testing.T) {
 }
 
 func TestSingleWorker(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	r := rand.New(rand.NewSource(5))
 	data, _ := blobs(r, 100, 2, 4, 0.3)
-	res, err := Train(store.MustFromRows(data), Config{K: 2, Seed: 11, Workers: 1})
+	res, err := Train(store.MustFromRows(data), Config{K: 2, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,12 +15,16 @@ import (
 	"sort"
 )
 
+// Training makes epochs SGD passes over the data, the first at step
+// learningRate, with no ridge penalty.
+const (
+	epochs       = 30
+	learningRate = 0.1
+)
+
 // Config controls training.
 type Config struct {
-	Epochs       int     // SGD passes over the data; default 30
-	LearningRate float64 // default 0.1
-	L2           float64 // ridge penalty; default 1e-6
-	Seed         int64
+	Seed int64
 	// TargetRecall0 is the required recall on label-0 examples after the
 	// boundary adjustment (the paper's r, default 0.995). Zero disables
 	// the adjustment.
@@ -63,15 +67,6 @@ func Train(x [][]float64, y []int, cfg Config) (*Classifier, error) {
 	if n0 == 0 || n1 == 0 {
 		return nil, errors.New("learn: training set needs both classes")
 	}
-	if cfg.Epochs <= 0 {
-		cfg.Epochs = 30
-	}
-	if cfg.LearningRate <= 0 {
-		cfg.LearningRate = 0.1
-	}
-	if cfg.L2 < 0 {
-		cfg.L2 = 0
-	}
 
 	c := &Classifier{
 		W:    make([]float64, dim),
@@ -104,10 +99,9 @@ func Train(x [][]float64, y []int, cfg Config) (*Classifier, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	order := rng.Perm(len(x))
 	feat := make([]float64, dim)
-	step := cfg.LearningRate
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
+	for epoch := 0; epoch < epochs; epoch++ {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-		lr := step / math.Sqrt(float64(epoch+1))
+		lr := learningRate / math.Sqrt(float64(epoch+1))
 		for _, i := range order {
 			row := x[i]
 			for j, v := range row {
@@ -120,7 +114,7 @@ func Train(x [][]float64, y []int, cfg Config) (*Classifier, error) {
 			p := sigmoid(z)
 			g := p - float64(y[i]) // dBCE/dz
 			for j, v := range feat {
-				c.W[j] -= lr * (g*v + cfg.L2*c.W[j])
+				c.W[j] -= lr * (g * v)
 			}
 			c.B -= lr * g
 		}

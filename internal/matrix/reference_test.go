@@ -19,7 +19,7 @@ import (
 // column-wise code they replaced, kept verbatim (only renamed). The tests
 // hold the two to the same bits — covariance, eigenvalues, eigenvectors and
 // Procrustes rotations — on every dispatch path (CI runs this package
-// under RESINFER_NOSIMD=1 and -tags noasm too) and at any GOMAXPROCS.
+// under -tags noasm too) and at any GOMAXPROCS.
 
 // referenceDims are the dimensions the differential tests cover: the
 // degenerate ones, the kernels' block boundaries, and the widths of the

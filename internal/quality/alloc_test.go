@@ -29,7 +29,7 @@ func allocSetup(t testing.TB) (*resinfer.ShardedIndex, *quality.Tracker, []float
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := quality.NewTracker(sx, quality.Config{SampleRate: 8, QueueDepth: 8})
+	tr := quality.NewTracker(sx, quality.Config{SampleRate: 8})
 	q := make([]float32, dim)
 	for j := range q {
 		q[j] = float32(rng.NormFloat64())

@@ -25,16 +25,18 @@ type Config struct {
 	// Workers is the ground-truth worker pool size (default 1 — the
 	// scans are whole-corpus and deliberately bandwidth-bounded).
 	Workers int
-	// QueueDepth bounds the sampled-query queue; a full queue drops the
-	// sample rather than backpressuring the request path (default 8).
-	QueueDepth int
-	// Window is the sliding estimation window (default 5m), split into
-	// WindowSlots sub-windows (default 10).
-	Window      time.Duration
-	WindowSlots int
-	// HotCapacity is the heavy-hitter sketch size (default 64).
-	HotCapacity int
 }
+
+// The tracker's fixed shape. queueDepth bounds the sampled-query queue: a
+// full queue drops the sample rather than backpressuring the request path.
+// The windowed estimators slide over slidingWindow, split into windowSlots
+// sub-windows, and the heavy-hitter sketch keeps hotCapacity keys.
+const (
+	queueDepth    = 8
+	slidingWindow = 5 * time.Minute
+	windowSlots   = 10
+	hotCapacity   = 64
+)
 
 func (c Config) withDefaults() Config {
 	if c.SampleRate < 1 {
@@ -42,18 +44,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Workers < 1 {
 		c.Workers = 1
-	}
-	if c.QueueDepth < 1 {
-		c.QueueDepth = 8
-	}
-	if c.Window <= 0 {
-		c.Window = 5 * time.Minute
-	}
-	if c.WindowSlots < 2 {
-		c.WindowSlots = 10
-	}
-	if c.HotCapacity < 1 {
-		c.HotCapacity = 64
 	}
 	return c
 }
@@ -111,7 +101,7 @@ type Tracker struct {
 	closeOnce sync.Once
 
 	// Cumulative + windowed estimators. The recall histogram buckets
-	// recall in [0,1]; windows smooth the same signals over cfg.Window.
+	// recall in [0,1]; windows smooth the same signals over slidingWindow.
 	recallHist *obs.Histogram
 	recallWin  *obs.Window
 	recallEWMA *obs.EWMA
@@ -134,19 +124,24 @@ type Tracker struct {
 
 // NewTracker builds the tracker and starts its worker pool.
 func NewTracker(oracle Oracle, cfg Config) *Tracker {
+	return newTracker(oracle, cfg, queueDepth)
+}
+
+// newTracker is NewTracker with a sampled-query queue of depth slots.
+func newTracker(oracle Oracle, cfg Config, depth int) *Tracker {
 	cfg = cfg.withDefaults()
 	recallBounds := obs.LinearBuckets(0.05, 0.05, 20) // 0.05 .. 1.0
 	t := &Tracker{
 		cfg:        cfg,
 		oracle:     oracle,
-		jobs:       make(chan *job, cfg.QueueDepth),
+		jobs:       make(chan *job, depth),
 		recallHist: obs.NewHistogram(recallBounds),
-		recallWin:  obs.NewWindow(recallBounds, cfg.Window, cfg.WindowSlots),
+		recallWin:  obs.NewWindow(recallBounds, slidingWindow, windowSlots),
 		recallEWMA: obs.NewEWMA(0.05),
-		dispWin:    obs.NewWindow(obs.ExponentialBuckets(0.5, 2, 8), cfg.Window, cfg.WindowSlots),
-		scoreWin:   obs.NewWindow(obs.ExponentialBuckets(1e-6, 10, 8), cfg.Window, cfg.WindowSlots),
+		dispWin:    obs.NewWindow(obs.ExponentialBuckets(0.5, 2, 8), slidingWindow, windowSlots),
+		scoreWin:   obs.NewWindow(obs.ExponentialBuckets(1e-6, 10, 8), slidingWindow, windowSlots),
 		perShard:   make([]shardAgg, oracle.NumShards()),
-		sketch:     NewSpaceSaving(cfg.HotCapacity),
+		sketch:     NewSpaceSaving(hotCapacity),
 	}
 	t.jobPool.New = func() any { return &job{rankOf: make(map[int]int, 32)} }
 	for i := 0; i < cfg.Workers; i++ {

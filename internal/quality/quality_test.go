@@ -45,7 +45,7 @@ func waitMeasured(t testing.TB, tr *quality.Tracker, want uint64) quality.Snapsh
 func TestTrackerPerfectServingScoresRecallOne(t *testing.T) {
 	const k = 10
 	sx, _ := buildSharded(t, 500, 16, 3, 5)
-	tr := quality.NewTracker(sx, quality.Config{SampleRate: 1, QueueDepth: 32})
+	tr := quality.NewTrackerDepth(sx, quality.Config{SampleRate: 1}, 32)
 	defer tr.Close()
 
 	rng := rand.New(rand.NewSource(6))
@@ -138,7 +138,7 @@ func (o *slowOracle) NumShards() int { return 1 }
 
 func TestTrackerDropsWhenSaturated(t *testing.T) {
 	o := &slowOracle{release: make(chan struct{})}
-	tr := quality.NewTracker(o, quality.Config{SampleRate: 1, Workers: 1, QueueDepth: 1})
+	tr := quality.NewTrackerDepth(o, quality.Config{SampleRate: 1, Workers: 1}, 1)
 	q := []float32{1, 2}
 	served := []resinfer.Neighbor{{ID: 0}}
 	// 1 in-flight with the worker + 1 queued; the rest must drop.
@@ -159,7 +159,7 @@ func TestTrackerDropsWhenSaturated(t *testing.T) {
 func TestTrackerSampleRate(t *testing.T) {
 	o := &slowOracle{release: make(chan struct{})}
 	close(o.release) // never block
-	tr := quality.NewTracker(o, quality.Config{SampleRate: 4, QueueDepth: 64})
+	tr := quality.NewTrackerDepth(o, quality.Config{SampleRate: 4}, 64)
 	defer tr.Close()
 	q := []float32{1}
 	for i := 0; i < 100; i++ {
@@ -243,7 +243,7 @@ func TestQualityTrackerConcurrentIngestSearch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mx.Close()
-	tr := quality.NewTracker(mx, quality.Config{SampleRate: 2, QueueDepth: 16, Workers: 2})
+	tr := quality.NewTracker(mx, quality.Config{SampleRate: 2, Workers: 2})
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})

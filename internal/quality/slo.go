@@ -15,10 +15,15 @@ type SLOConfig struct {
 	LatencyThreshold time.Duration // default 100ms
 	LatencyTarget    float64       // default 0.99
 	RecallTarget     float64       // default 0.95
-	FastWindow       time.Duration // default 5m
-	SlowWindow       time.Duration // default 1h
-	Tick             time.Duration // sampling cadence, default 10s
 }
+
+// Burn rates are read over a fastWindow and a slowWindow, from snapshots
+// taken every sloTick.
+const (
+	fastWindow = 5 * time.Minute
+	slowWindow = time.Hour
+	sloTick    = 10 * time.Second
+)
 
 func (c SLOConfig) withDefaults() SLOConfig {
 	if c.LatencyThreshold <= 0 {
@@ -29,15 +34,6 @@ func (c SLOConfig) withDefaults() SLOConfig {
 	}
 	if c.RecallTarget <= 0 || c.RecallTarget >= 1 {
 		c.RecallTarget = 0.95
-	}
-	if c.FastWindow <= 0 {
-		c.FastWindow = 5 * time.Minute
-	}
-	if c.SlowWindow <= 0 {
-		c.SlowWindow = time.Hour
-	}
-	if c.Tick <= 0 {
-		c.Tick = 10 * time.Second
 	}
 	return c
 }
@@ -69,7 +65,7 @@ type SLO struct {
 	recall  *Tracker       // nil when shadow sampling is off
 
 	mu      sync.Mutex
-	samples []sloSample // ascending by time, pruned past SlowWindow
+	samples []sloSample // ascending by time, pruned past slowWindow
 	now     func() time.Time
 
 	stop      chan struct{}
@@ -97,7 +93,7 @@ func NewSLO(latency *obs.Histogram, recall *Tracker, cfg SLOConfig) *SLO {
 
 func (s *SLO) loop() {
 	defer close(s.done)
-	tk := time.NewTicker(s.cfg.Tick)
+	tk := time.NewTicker(sloTick)
 	defer tk.Stop()
 	for {
 		select {
@@ -119,7 +115,7 @@ func (s *SLO) current() sloSample {
 	return smp
 }
 
-// snap appends a snapshot and prunes everything older than SlowWindow
+// snap appends a snapshot and prunes everything older than slowWindow
 // (keeping one sample beyond the edge so the slow window always has a
 // baseline).
 func (s *SLO) snap() {
@@ -127,7 +123,7 @@ func (s *SLO) snap() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.samples = append(s.samples, smp)
-	cutoff := smp.t.Add(-s.cfg.SlowWindow)
+	cutoff := smp.t.Add(-slowWindow)
 	first := 0
 	for first < len(s.samples)-1 && s.samples[first+1].t.Before(cutoff) {
 		first++
@@ -220,8 +216,8 @@ type SLOSnapshot struct {
 // Snapshot computes every window's burn figures from the live counters.
 func (s *SLO) Snapshot() SLOSnapshot {
 	cur := s.current()
-	fastBase := s.baseline(cur.t, s.cfg.FastWindow)
-	slowBase := s.baseline(cur.t, s.cfg.SlowWindow)
+	fastBase := s.baseline(cur.t, fastWindow)
+	slowBase := s.baseline(cur.t, slowWindow)
 
 	out := SLOSnapshot{
 		LatencyThresholdMs: float64(s.cfg.LatencyThreshold) / float64(time.Millisecond),
@@ -229,13 +225,13 @@ func (s *SLO) Snapshot() SLOSnapshot {
 		RecallTarget:       s.cfg.RecallTarget,
 		RecallTracked:      s.recall != nil,
 	}
-	lf := s.latencyBurn(cur, fastBase, "fast", s.cfg.FastWindow, FastBurnAlert)
-	ls := s.latencyBurn(cur, slowBase, "slow", s.cfg.SlowWindow, SlowBurnAlert)
+	lf := s.latencyBurn(cur, fastBase, "fast", fastWindow, FastBurnAlert)
+	ls := s.latencyBurn(cur, slowBase, "slow", slowWindow, SlowBurnAlert)
 	out.Latency = []WindowBurn{lf, ls}
 	out.LatencyPage = lf.Alerting && ls.Alerting
 	if s.recall != nil {
-		rf := s.recallBurn(cur, fastBase, "fast", s.cfg.FastWindow, FastBurnAlert)
-		rs := s.recallBurn(cur, slowBase, "slow", s.cfg.SlowWindow, SlowBurnAlert)
+		rf := s.recallBurn(cur, fastBase, "fast", fastWindow, FastBurnAlert)
+		rs := s.recallBurn(cur, slowBase, "slow", slowWindow, SlowBurnAlert)
 		out.Recall = []WindowBurn{rf, rs}
 		out.RecallPage = rf.Alerting && rs.Alerting
 	}
@@ -247,10 +243,10 @@ func (s *SLO) Register(reg *obs.Registry) {
 	mk := func(latency bool, fast bool) func() float64 {
 		return func() float64 {
 			cur := s.current()
-			w, d := "slow", s.cfg.SlowWindow
+			w, d := "slow", slowWindow
 			alertAt := SlowBurnAlert
 			if fast {
-				w, d, alertAt = "fast", s.cfg.FastWindow, FastBurnAlert
+				w, d, alertAt = "fast", fastWindow, FastBurnAlert
 			}
 			base := s.baseline(cur.t, d)
 			if latency {

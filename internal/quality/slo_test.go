@@ -29,8 +29,6 @@ func TestSLOLatencyBurn(t *testing.T) {
 	s := newTestSLO(h, SLOConfig{
 		LatencyThreshold: 100 * time.Millisecond,
 		LatencyTarget:    0.99,
-		FastWindow:       5 * time.Minute,
-		SlowWindow:       time.Hour,
 	}, &clock)
 
 	// 100 requests, 2 over threshold: error rate 2%, burn 2 at a 1%
@@ -69,9 +67,6 @@ func TestSLOWindowsDiverge(t *testing.T) {
 	s := newTestSLO(h, SLOConfig{
 		LatencyThreshold: 100 * time.Millisecond,
 		LatencyTarget:    0.99,
-		FastWindow:       5 * time.Minute,
-		SlowWindow:       time.Hour,
-		Tick:             10 * time.Second,
 	}, &clock)
 
 	// A clean first half-hour...
@@ -138,7 +133,7 @@ func TestSLORecallBurn(t *testing.T) {
 func TestSLOSamplePruning(t *testing.T) {
 	h := obs.NewHistogram([]float64{0.01})
 	clock := time.Unix(40000, 0)
-	s := newTestSLO(h, SLOConfig{SlowWindow: time.Hour, Tick: time.Minute}, &clock)
+	s := newTestSLO(h, SLOConfig{}, &clock)
 	for i := 0; i < 300; i++ {
 		clock = clock.Add(time.Minute)
 		s.snap()
@@ -158,7 +153,7 @@ func TestSLOSamplePruning(t *testing.T) {
 func TestSLORegisterAndClose(t *testing.T) {
 	reg := obs.NewRegistry()
 	h := obs.NewHistogram([]float64{0.01})
-	s := NewSLO(h, nil, SLOConfig{Tick: time.Hour})
+	s := NewSLO(h, nil, SLOConfig{})
 	s.Register(reg)
 	var sb testWriter
 	if err := reg.WritePrometheus(&sb); err != nil {

@@ -9,42 +9,18 @@ import (
 	"resinfer/internal/retry"
 )
 
-// SetOptions tunes a replica Set's health checking. The zero value
-// probes every second, ejects after 3 consecutive failures, and caps
-// the failing-member backoff at 8× the probe interval.
-type SetOptions struct {
-	// ProbeInterval is the healthy-member probe cadence (default 1s).
-	// Failing members back off exponentially from this base, jittered,
-	// up to MaxBackoff.
-	ProbeInterval time.Duration
-	// FailThreshold is how many consecutive probe failures eject a
-	// member from hedge routing (default 3). An ejected member keeps
-	// being probed on the backed-off cadence and is re-admitted on the
-	// first success — by then it has flipped its /readyz, which a
-	// catching-up replica only does once caught up.
-	FailThreshold int
-	// MaxBackoff caps the failing-member probe backoff
-	// (default 8×ProbeInterval).
-	MaxBackoff time.Duration
-	// ProbeTimeout caps one probe request (default 1s).
-	ProbeTimeout time.Duration
-}
-
-func (o SetOptions) withDefaults() SetOptions {
-	if o.ProbeInterval <= 0 {
-		o.ProbeInterval = time.Second
-	}
-	if o.FailThreshold <= 0 {
-		o.FailThreshold = 3
-	}
-	if o.MaxBackoff <= 0 {
-		o.MaxBackoff = 8 * o.ProbeInterval
-	}
-	if o.ProbeTimeout <= 0 {
-		o.ProbeTimeout = time.Second
-	}
-	return o
-}
+// A Set probes every member each probeInterval, ejects one after
+// failThreshold consecutive probe failures and backs a failing member's
+// probes off exponentially, jittered, up to 8× the interval. An ejected
+// member keeps being probed on the backed-off cadence and is re-admitted
+// on the first success — by then it has flipped its /readyz, which a
+// catching-up replica only does once caught up. One probe request may
+// take probeTimeout.
+const (
+	probeInterval = time.Second
+	failThreshold = 3
+	probeTimeout  = time.Second
+)
 
 // member is one peer's health record; all fields are guarded by Set.mu.
 type member struct {
@@ -73,8 +49,8 @@ type MemberStatus struct {
 // Lock order: Set.mu is a leaf — nothing else is acquired under it, and
 // the prober calls the network strictly outside it.
 type Set struct {
-	client *Client
-	opts   SetOptions
+	client   *Client
+	interval time.Duration // healthy-member probe cadence
 
 	mu      sync.Mutex
 	members []*member
@@ -91,12 +67,17 @@ type Set struct {
 // NewSet builds a Set over validated peer base URLs (ParsePeers output).
 // Members start healthy — a replica set usually comes up all-green and
 // the first probe round corrects any optimism within one interval.
-func NewSet(peers []string, client *Client, opts SetOptions) *Set {
+func NewSet(peers []string, client *Client) *Set {
+	return newSet(peers, client, probeInterval)
+}
+
+// newSet is NewSet probing every interval.
+func newSet(peers []string, client *Client, interval time.Duration) *Set {
 	s := &Set{
-		client: client,
-		opts:   opts.withDefaults(),
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
+		client:   client,
+		interval: interval,
+		stop:     make(chan struct{}),
+		done:     make(chan struct{}),
 	}
 	for _, p := range peers {
 		s.members = append(s.members, &member{url: p, healthy: true})
@@ -120,9 +101,9 @@ func (s *Set) Close() {
 // probe a recovering peer in lockstep.
 func (s *Set) backoffPolicy() retry.Policy {
 	return retry.Policy{
-		Base:   s.opts.ProbeInterval,
+		Base:   s.interval,
 		Factor: 2,
-		Max:    s.opts.MaxBackoff,
+		Max:    8 * s.interval,
 		Jitter: 0.2,
 	}
 }
@@ -132,7 +113,7 @@ func (s *Set) backoffPolicy() retry.Policy {
 // member whose backoff has elapsed.
 func (s *Set) probeLoop() {
 	defer close(s.done)
-	pol := retry.Policy{Base: s.opts.ProbeInterval, Factor: 1, Jitter: 0.1}
+	pol := retry.Policy{Base: s.interval, Factor: 1, Jitter: 0.1}
 	for round := 0; ; round++ {
 		select {
 		case <-s.stop:
@@ -166,7 +147,7 @@ func (s *Set) probeRound(now time.Time) {
 		wg.Add(1)
 		go func(j int) {
 			defer wg.Done()
-			ctx, cancel := context.WithTimeout(context.Background(), s.opts.ProbeTimeout)
+			ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 			defer cancel()
 			errs[j] = s.client.ProbeReady(ctx, urls[j], due[j])
 		}(j)
@@ -190,12 +171,12 @@ func (s *Set) probeRound(now time.Time) {
 		}
 		m.fails++
 		m.lastErr = errs[j]
-		if m.healthy && m.fails >= s.opts.FailThreshold {
+		if m.healthy && m.fails >= failThreshold {
 			m.healthy = false
 			s.ejections.Add(1)
 		}
-		if m.fails >= s.opts.FailThreshold {
-			m.nextProbe = time.Now().Add(pol.Backoff(m.fails - s.opts.FailThreshold))
+		if m.fails >= failThreshold {
+			m.nextProbe = time.Now().Add(pol.Backoff(m.fails - failThreshold))
 		}
 	}
 }

@@ -40,12 +40,7 @@ func newReadyzServer(t *testing.T) *readyzServer {
 // cadence so ejection/readmission tests run in tens of milliseconds.
 func fastSet(t *testing.T, urls ...string) *Set {
 	t.Helper()
-	s := NewSet(urls, NewClient(time.Second), SetOptions{
-		ProbeInterval: 5 * time.Millisecond,
-		FailThreshold: 3,
-		MaxBackoff:    20 * time.Millisecond,
-		ProbeTimeout:  500 * time.Millisecond,
-	})
+	s := newSet(urls, NewClient(time.Second), 5*time.Millisecond)
 	s.Start()
 	t.Cleanup(s.Close)
 	return s
@@ -64,7 +59,7 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 }
 
 // TestSetEjectionAndReadmission is the membership state machine
-// end-to-end: a peer going unready is ejected after FailThreshold
+// end-to-end: a peer going unready is ejected after failThreshold
 // consecutive probe failures, kept on backed-off probes, and re-admitted
 // on its first successful probe.
 func TestSetEjectionAndReadmission(t *testing.T) {

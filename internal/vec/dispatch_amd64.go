@@ -66,7 +66,7 @@ func init() {
 			}
 		}
 	}
-	if noSIMDEnv() || !hasAVX2FMA() {
+	if !hasAVX2FMA() {
 		return
 	}
 	dotImpl, l2sqImpl, pruneRowsImpl = dotAVX2, l2sqAVX2, pruneRowsSplit

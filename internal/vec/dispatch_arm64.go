@@ -13,9 +13,6 @@ func dotNEON(a, b []float32) float32
 func l2sqNEON(a, b []float32) float32
 
 func init() {
-	if noSIMDEnv() {
-		return
-	}
 	dotImpl, l2sqImpl = dotNEON, l2sqNEON
 	level = "neon"
 }

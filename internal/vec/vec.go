@@ -8,17 +8,16 @@
 // distances, §II-A). The hot kernels (Dot, L2Sq and the fused flat-matrix
 // variants built on them) go through one-time runtime dispatch: on amd64
 // with AVX2+FMA and on arm64 (NEON) they run hand-written assembly, and
-// everywhere else — or under the `noasm` build tag, the RESINFER_NOSIMD
-// environment variable, or ForceGeneric — they run the portable generic
-// kernels. The generic kernels accumulate in float32 with 8-way unrolling
-// (eight independent accumulators keep the FP units busy without SIMD,
-// mirroring the scalar setting the paper evaluates under); the SIMD
-// kernels use wider lanes and fused multiply-add, so their sums can differ
-// from the generic ones by normal floating-point reassociation error.
-// Reductions that feed statistics or training use the float64 variants to
-// avoid cancellation. The float64 row kernels training sweeps its matrices
-// with (float64.go) are dispatched the same way but never reassociate:
-// both paths give the scalar loop's bits.
+// everywhere else — or under the `noasm` build tag — they run the
+// portable generic kernels. The generic kernels accumulate in float32 with
+// 8-way unrolling (eight independent accumulators keep the FP units busy
+// without SIMD, mirroring the scalar setting the paper evaluates under);
+// the SIMD kernels use wider lanes and fused multiply-add, so their sums
+// can differ from the generic ones by normal floating-point reassociation
+// error. Reductions that feed statistics or training use the float64
+// variants to avoid cancellation. The float64 row kernels training sweeps
+// its matrices with (float64.go) are dispatched the same way but never
+// reassociate: both paths give the scalar loop's bits.
 package vec
 
 import "math"
@@ -33,7 +32,7 @@ func Dot(a, b []float32) float32 {
 
 // DotGeneric is the portable scalar Dot kernel: 8-way unrolled, no SIMD.
 // It is the deterministic reference path the dispatched kernels are tested
-// against, and what Dot runs after ForceGeneric.
+// against, and what Dot runs under the `noasm` build tag.
 func DotGeneric(a, b []float32) float32 {
 	var s0, s1, s2, s3, s4, s5, s6, s7 float32
 	n := len(a)
@@ -74,7 +73,7 @@ func L2Sq(a, b []float32) float32 {
 
 // L2SqGeneric is the portable scalar L2Sq kernel: 8-way unrolled, no SIMD.
 // It is the deterministic reference path the dispatched kernels are tested
-// against, and what L2Sq runs after ForceGeneric.
+// against, and what L2Sq runs under the `noasm` build tag.
 func L2SqGeneric(a, b []float32) float32 {
 	var s0, s1, s2, s3, s4, s5, s6, s7 float32
 	n := len(a)

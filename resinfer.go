@@ -495,13 +495,11 @@ func (ix *Index) enable(mode Mode, trainQueries [][]float32, opts *Options, rot 
 	case mode == DDCPCA:
 		dco, err = ddc.NewPCARotated(rows, trainQueries, basis, ddc.PCAConfig{
 			TargetRecall: o.TargetRecall, Seed: o.Seed,
-			Collect: ddc.CollectConfig{K: 100, NegPerQuery: 100},
 		})
 	case mode == DDCOPQ:
 		dco, err = ddc.NewOPQ(rows, trainQueries, ddc.OPQConfig{
 			M: o.OPQSubspaces, TargetRecall: o.TargetRecall, Seed: o.Seed,
 			OPQSample: 8192,
-			Collect:   ddc.CollectConfig{K: 100, NegPerQuery: 100},
 		})
 	}
 	if err == nil && rebase {
@@ -684,9 +682,8 @@ func (ix *Index) flatView() (*ivf.Index, error) {
 // SIMDLevel reports which distance-kernel implementation runtime dispatch
 // selected for this process: "avx2+fma" (amd64 with AVX2 and FMA),
 // "neon" (arm64) or "generic" (the portable scalar fallback, also forced
-// by the `noasm` build tag or the RESINFER_NOSIMD=1 environment
-// variable). Deployments surface this in startup banners and /stats so a
-// silent fall back to the scalar path is visible.
+// by the `noasm` build tag). Deployments surface this in startup banners
+// and /stats so a silent fall back to the scalar path is visible.
 func SIMDLevel() string { return vec.Level() }
 
 // Kind returns the index structure.
